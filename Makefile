@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint race checktest chaostest fleetchaos hachaos servebench fleetbench faultbench perfsmoke verify bench
+.PHONY: build test vet lint race checktest chaos smoke perfsmoke verify bench
 
 build:
 	$(GO) build ./...
@@ -20,8 +20,9 @@ lint:
 # Race-check the concurrent engines: the DAG-scheduled shared-memory
 # factorization, the level-scheduled triangular solves, the simulated
 # MPI runtime, the distributed engine built on it, the caching,
-# batching solve service, the sharded fleet router above it, and the
-# shared micro-kernels (read-only operand concurrency).
+# batching solve service, the fleet router above it with its policy
+# primitives and HA control plane, and the shared micro-kernels
+# (read-only operand concurrency).
 race:
 	$(GO) test -race -short ./internal/sched/... ./internal/lu/... ./internal/mpisim/... ./internal/dist/... ./internal/serve/... ./internal/fleet/... ./internal/fleetrpc/... ./internal/fleetha/... ./internal/kernels/...
 
@@ -32,58 +33,47 @@ race:
 checktest:
 	$(GO) test -tags gespcheck ./internal/...
 
-# Fault drill: the deterministic fault-injection suite (faultsim), the
-# resilience ladder's rung-by-rung recovery tests, the laddered core
-# integration, the serve-layer chaos tests, and the distributed chaos
-# suite (chaos-injected mpisim watchdog + checkpoint/restart
-# factorization) — all under the race detector with the gespcheck
-# invariants on, so an escalation that corrupts structure, races the
-# batcher, or breaks deterministic recovery fails loudly.
-chaostest:
+# Chaos drill, everything under the race detector. In order:
+#  - the deterministic fault-injection suite (faultsim), the resilience
+#    ladder's rung-by-rung recovery tests, the laddered core integration,
+#    the serve-layer chaos tests, and the distributed chaos suite
+#    (chaos-injected mpisim watchdog + checkpoint/restart factorization)
+#    with the gespcheck invariants on, so an escalation that corrupts
+#    structure, races the batcher, or breaks deterministic recovery
+#    fails loudly;
+#  - process-kill chaos: the fleet over real shard processes under real
+#    SIGKILL and SIGSTOP — re-exec'd shards, health-checked membership,
+#    retry/hedge failover, the prober-only rejoin path;
+#  - coordinator-HA chaos: leader election, fenced replication, registry
+#    takeover and the redirect-following client under a real leader
+#    SIGKILL, and the SLO controller's promote/spawn/drain convergence
+#    against an injected straggler;
+#  - a short run of the fleetproc and ha ablations, so the end-to-end
+#    pipelines (spawn, load, kill, detect, fail over, report) stay wired.
+# The process tests skip themselves under -short, which is why
+# `make race` does not cover them.
+chaos:
 	$(GO) test -race -tags gespcheck ./internal/faultsim/... ./internal/resilience/... ./internal/core/... ./internal/serve/... ./internal/mpisim/... ./internal/dist/...
-
-# Process-kill chaos: the cross-process fleet under real SIGKILL and
-# SIGSTOP — the re-exec'd shard processes, health-checked membership,
-# retry/hedge failover, and the prober-only rejoin path — plus a short
-# run of the fleetproc ablation so the end-to-end chaos pipeline
-# (spawn, load, kill, detect, report) stays wired. These tests skip
-# themselves under -short, which is why `make race` does not cover
-# them.
-fleetchaos:
 	$(GO) test -race -count=1 -run 'TestChaos|TestSpawnAndKill' ./internal/fleetrpc/ ./internal/faultsim/
-	$(GO) run ./cmd/gesp-bench -exp fleetproc -fleet-workers 4 -fleet-duration 500ms -scale 0.2
-
-# Coordinator-HA chaos: the replicated control plane under real
-# SIGKILL — leader election, fenced replication, registry takeover,
-# the redirect-following client — and the SLO controller's
-# promote/demote convergence against an injected straggler, plus a
-# short run of the ha ablation so the end-to-end pipeline (spawn
-# coordinators, elect, kill, fail over, report) stays wired. Skips
-# under -short, like fleetchaos.
-hachaos:
 	$(GO) test -race -count=1 -run 'TestHA' ./internal/fleetha/
+	$(GO) run ./cmd/gesp-bench -exp fleetproc -fleet-workers 4 -fleet-duration 500ms -scale 0.2
 	$(GO) run ./cmd/gesp-bench -exp ha -fleet-workers 4 -fleet-duration 800ms -scale 0.2
 
-# Serving-layer smoke: one short closed-loop throughput measurement
-# plus a single-iteration run of the serve benchmark. Catches wiring
-# breakage in cmd/gesp-serve and the experiment harness without the
-# cost of a full benchmark sweep.
-servebench:
+# Smoke runs: short closed-loop runs of the commands and one iteration
+# of the benchmarks behind them, to catch wiring breakage in the
+# binaries and the experiment harness without the cost of a sweep.
+#  - serving layer: cmd/gesp-serve's load generator + the serve benchmark;
+#  - fleet: cmd/gesp-fleet's load generator through the router
+#    (replication and a mid-run drain exercised) + the ring and fleet
+#    benchmarks;
+#  - distributed fault tolerance: the recovery-overhead table at reduced
+#    scale, which fails if any injected fault (kill, stall, dropped
+#    message) is not recovered with bit-identical factors.
+smoke:
 	$(GO) run ./cmd/gesp-serve -load -clients 8 -duration 300ms -patterns 2 -variants 3 -scale 0.25
 	$(GO) test -run - -bench BenchmarkServeThroughput -benchtime 1x .
-
-# Fleet-layer smoke: one short closed-loop run through the sharded
-# router (replication, hedging, and a mid-run drain all exercised) plus
-# a single-iteration run of the fleet benchmarks. Catches wiring
-# breakage in cmd/gesp-fleet and the fleet experiment harness.
-fleetbench:
 	$(GO) run ./cmd/gesp-fleet -load -workers 8 -duration 300ms -patterns 3 -variants 3 -scale 0.25 -drain-mid
-	$(GO) test -run - -bench 'BenchmarkRing|BenchmarkFleet' -benchtime 1x ./internal/fleet/
-
-# Distributed fault-tolerance smoke: run the recovery-overhead table at
-# reduced scale. Fails if any injected fault (kill, stall, dropped
-# message) is not recovered with bit-identical factors.
-faultbench:
+	$(GO) test -run - -bench 'BenchmarkRing|BenchmarkFleet' -benchtime 1x ./internal/fleet/ ./internal/fleetrpc/
 	$(GO) run ./cmd/gesp-bench -exp faults -scale 0.25
 
 # Perf-gate smoke: regenerate the bench file quickly (1 rep, no
@@ -99,10 +89,9 @@ perfsmoke:
 
 # The full pre-commit gate: static checks, build, the complete test
 # suite, the race detector over the concurrent packages, the
-# invariant-checked build, the fault drill, the process-kill chaos
-# drill, the serving-layer smoke, the fault-recovery smoke, and the
+# invariant-checked build, the chaos drill, the smoke runs, and the
 # perf-gate smoke.
-verify: vet lint build test race checktest chaostest fleetchaos hachaos servebench fleetbench faultbench perfsmoke
+verify: vet lint build test race checktest chaos smoke perfsmoke
 
 # Full benchmark sweep: every package's Go benchmarks, then the
 # schema-versioned bench file (ns/op, allocs/op, Mflops per kernel and

@@ -1,28 +1,31 @@
-// Command gesp-fleet runs a sharded GESP solve fleet in one of two
-// modes.
+// Command gesp-fleet runs the solve fleet's router (internal/fleetrpc)
+// over one of two kinds of shard.
 //
-// Default (in-process): N serve.Service shards behind a consistent-hash
-// router, with hot-pattern replication, hedged solves against
-// stragglers, per-tenant admission control, and graceful shard drain.
+// Default (in-process): -shards serve.Service shards in this process.
 //
-// -join (cross-process): no shards of its own — a fleetrpc coordinator
-// over already-running gesp-serve processes, with health-checked
-// membership, retry/backoff, a hedging budget, and degraded fallback:
+// -join (cross-process): no shards of its own — a coordinator over
+// already-running gesp-serve processes:
 //
 //	gesp-serve -addr :9001 &
 //	gesp-serve -addr :9002 &
 //	gesp-fleet -join 127.0.0.1:9001,127.0.0.1:9002
 //
-// Both modes speak the same HTTP JSON API; tenants identify themselves
-// with an X-Tenant header (in-process mode only).
+// Either way it is the same router — consistent-hash placement,
+// replication, health-checked membership, retry/backoff, budget-gated
+// hedging, eviction heal, graceful drain, degraded fallback — behind
+// the same HTTP JSON API (fleetrpc.Handler); tenants identify
+// themselves with an X-Tenant header.
 //
 //	POST /v1/matrix  {"n":N,"rows":[...],"cols":[...],"vals":[...]}
 //	                 -> {"handle":"p….v….n…","n":N,"nnz":…,"shard":…}
 //	POST /v1/solve   {"handle":"…","b":[...]}
 //	                 -> {"x":[...]}
-//	GET  /v1/stats   -> fleet.Stats (or fleetrpc.Stats) JSON
+//	GET  /v1/stats   -> fleetrpc.Stats JSON
 //	POST /v1/drain   {"shard":K}
-//	                 -> {"drained":K}  (caches hand off; no refactorization)
+//	                 -> {"drained":K}  (in-process caches hand off; no refactorization)
+//
+// With -ha-id/-ha-peers the process is one of N replicated coordinators
+// (internal/fleetha); only the elected leader routes, followers redirect.
 //
 // Load-generator mode (no server; closed-loop in-process benchmark):
 //
@@ -30,9 +33,6 @@
 package main
 
 import (
-	"context"
-	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -54,10 +54,8 @@ func main() {
 		addr        = flag.String("addr", ":8743", "HTTP listen address")
 		shards      = flag.Int("shards", 4, "number of in-process solve shards")
 		vnodes      = flag.Int("vnodes", fleet.DefaultVNodes, "consistent-hash virtual nodes per shard")
-		replication = flag.Int("replication", 2, "shards holding a hot pattern, owner included (<=1 disables)")
-		hotThresh   = flag.Uint64("hot-threshold", 32, "solve count that promotes a pattern to replicated (0 disables)")
-		hedgeDepth  = flag.Int64("hedge-queue-depth", 4, "hedge to the replica when the primary queue is this deep (0 disables)")
-		hedgeP95    = flag.Duration("hedge-p95", 0, "hedge when the primary's observed p95 exceeds this (0 disables)")
+		replication = flag.Int("replication", 2, "shards holding each pattern, owner included")
+		hedgeAfter  = flag.Duration("hedge-after", 100*time.Millisecond, "hedge to the replica when the primary hasn't answered in this long (0 disables)")
 		hedgeBudget = flag.Float64("hedge-budget", 0, "cap hedges at this fraction of routed traffic (0 = unlimited)")
 		hedgeBurst  = flag.Float64("hedge-burst", 8, "hedge token-bucket capacity when -hedge-budget is set")
 		tenantRate  = flag.Float64("tenant-rate", 0, "per-tenant admitted requests per second (0 = no admission control)")
@@ -70,10 +68,9 @@ func main() {
 		noRefine = flag.Bool("no-refine", false, "skip iterative refinement on served solves")
 
 		join       = flag.String("join", "", "cross-process mode: comma-separated gesp-serve shard addresses to coordinate over")
-		probeEvery = flag.Duration("probe-interval", 50*time.Millisecond, "join: health-check period")
-		hedgeAfter = flag.Duration("hedge-after", 100*time.Millisecond, "join: hedge to the replica when the primary hasn't answered in this long (0 disables)")
-		reqTimeout = flag.Duration("request-timeout", 2*time.Second, "join: per-attempt solve deadline")
-		degraded   = flag.Bool("degraded-fallback", true, "join: answer via a live shard's iterative path when every placement is down")
+		probeEvery = flag.Duration("probe-interval", 50*time.Millisecond, "health-check period")
+		reqTimeout = flag.Duration("request-timeout", 2*time.Second, "per-attempt solve deadline")
+		degraded   = flag.Bool("degraded-fallback", true, "answer via a live shard's iterative path when every placement is down")
 
 		haID        = flag.Int("ha-id", -1, "join+HA: this coordinator's id (index into -ha-peers; -1 disables HA)")
 		haPeers     = flag.String("ha-peers", "", "join+HA: comma-separated coordinator addresses, one per replica, ours at index -ha-id")
@@ -93,71 +90,56 @@ func main() {
 	)
 	flag.Parse()
 
-	if *join != "" {
-		rcfg := fleetrpc.DefaultConfig(strings.Split(*join, ","))
-		rcfg.Replication = *replication
-		rcfg.VNodes = *vnodes
-		rcfg.ProbeInterval = *probeEvery
-		rcfg.HedgeAfter = *hedgeAfter
-		rcfg.HedgeBudget = *hedgeBudget
-		rcfg.HedgeBurst = *hedgeBurst
-		rcfg.RequestTimeout = *reqTimeout
-		rcfg.DegradedFallback = *degraded
-		if *haID >= 0 {
-			// HA mode: this process is one of N replicated coordinators
-			// running leader election; only the lease holder owns a fleet.
-			peers := strings.Split(*haPeers, ",")
-			ncfg := fleetha.Config{
-				ID:        *haID,
-				Peers:     peers,
-				Shards:    rcfg.Addrs,
-				Lease:     *haLease,
-				Heartbeat: *haHeartbeat,
-				Fleet:     rcfg,
-				Logf:      log.Printf,
-			}
-			if *haSLO > 0 {
-				ncfg.Controller = &fleetha.ControllerConfig{SLO: *haSLO}
-			}
-			node, err := fleetha.NewNode(ncfg)
-			if err != nil {
-				log.Fatal(err)
-			}
-			log.Printf("HA coordinator %d/%d on %s over %d shards (lease %v, SLO %v)",
-				*haID, len(peers), *addr, len(rcfg.Addrs), *haLease, *haSLO)
-			log.Fatal(http.ListenAndServe(*addr, node.Mux()))
+	rcfg := fleetrpc.DefaultConfig(nil)
+	rcfg.Replication = *replication
+	rcfg.VNodes = *vnodes
+	rcfg.ProbeInterval = *probeEvery
+	rcfg.HedgeAfter = *hedgeAfter
+	rcfg.HedgeBudget = *hedgeBudget
+	rcfg.HedgeBurst = *hedgeBurst
+	rcfg.RequestTimeout = *reqTimeout
+	rcfg.DegradedFallback = *degraded
+	quotas := fleet.NewQuotas(*tenantRate, *tenantBurst)
+
+	if *join != "" && *haID >= 0 {
+		// HA mode: this process is one of N replicated coordinators
+		// running leader election; only the lease holder owns a fleet.
+		shards, peers := strings.Split(*join, ","), strings.Split(*haPeers, ",")
+		ncfg := fleetha.Config{
+			ID:        *haID,
+			Peers:     peers,
+			Shards:    shards,
+			Lease:     *haLease,
+			Heartbeat: *haHeartbeat,
+			Fleet:     rcfg,
+			Logf:      log.Printf,
 		}
-		rf, err := fleetrpc.New(rcfg)
+		if *haSLO > 0 {
+			ncfg.Controller = &fleetha.ControllerConfig{SLO: *haSLO}
+		}
+		node, err := fleetha.NewNode(ncfg)
 		if err != nil {
 			log.Fatal(err)
 		}
-		log.Printf("coordinating %d remote shards on %s (replication %d, hedge after %v, budget %.2f)",
-			len(rcfg.Addrs), *addr, rcfg.Replication, rcfg.HedgeAfter, rcfg.HedgeBudget)
-		log.Fatal(http.ListenAndServe(*addr, remoteMux(rf)))
+		log.Printf("HA coordinator %d/%d on %s over %d shards (lease %v, SLO %v)",
+			*haID, len(peers), *addr, len(shards), *haLease, *haSLO)
+		log.Fatal(http.ListenAndServe(*addr, node.Mux(quotas)))
 	}
 
-	cfg := fleet.DefaultConfig()
-	cfg.Shards = *shards
-	cfg.VNodes = *vnodes
-	cfg.ReplicationFactor = *replication
-	cfg.HotThreshold = *hotThresh
-	cfg.HedgeQueueDepth = *hedgeDepth
-	cfg.HedgeP95 = *hedgeP95
-	cfg.HedgeBudget = *hedgeBudget
-	cfg.HedgeBurst = *hedgeBurst
-	cfg.TenantRate = *tenantRate
-	cfg.TenantBurst = *tenantBurst
-	cfg.Service.MaxBatch = *maxBatch
-	cfg.Service.MaxDelay = *maxDelay
-	cfg.Service.QueueCap = *queueCap
-	cfg.Service.MaxFactors = *maxFac
+	scfg := serve.DefaultConfig()
+	scfg.MaxBatch = *maxBatch
+	scfg.MaxDelay = *maxDelay
+	scfg.QueueCap = *queueCap
+	scfg.MaxFactors = *maxFac
 	if *noRefine {
-		cfg.Service.Options.Refine = false
+		scfg.Options.Refine = false
 	}
 
 	if *loadMode {
 		res, err := experiments.RunFleetLoad(experiments.FleetLoadConfig{
-			Fleet:    cfg,
+			Shards:   *shards,
+			Service:  scfg,
+			Router:   rcfg,
 			Workers:  *workers,
 			Patterns: *patterns,
 			Variants: *variants,
@@ -170,246 +152,42 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		printLoad(res)
+		printLoad(res, *duration)
 		return
 	}
 
-	f := fleet.New(cfg)
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/matrix", handleMatrix(f))
-	mux.HandleFunc("POST /v1/solve", handleSolve(f))
-	mux.HandleFunc("GET /v1/stats", handleStats(f))
-	mux.HandleFunc("POST /v1/drain", handleDrain(f))
-	log.Printf("listening on %s (%d shards, replication %d, hedge depth %d / p95 %v)",
-		*addr, cfg.Shards, cfg.ReplicationFactor, cfg.HedgeQueueDepth, cfg.HedgeP95)
-	log.Fatal(http.ListenAndServe(*addr, mux))
+	if *join != "" {
+		rcfg.Shards = fleetrpc.Dial(strings.Split(*join, ","))
+	} else {
+		svcs := make([]*serve.Service, *shards)
+		for i := range svcs {
+			svcs[i] = serve.New(scfg)
+		}
+		rcfg.Shards = fleetrpc.LocalShards(svcs...)
+	}
+	f, err := fleetrpc.New(rcfg)
+	if err != nil {
+		log.Fatal(err)
+	}
+	log.Printf("routing over %d shards (%s) on %s (replication %d, hedge after %v, budget %.2f)",
+		len(rcfg.Shards), strings.Join(f.Addrs(), ","), *addr, rcfg.Replication, rcfg.HedgeAfter, rcfg.HedgeBudget)
+	log.Fatal(http.ListenAndServe(*addr, fleetrpc.Handler(f, quotas)))
 }
 
 // printLoad renders the load-generator report; stdout write failures
 // have no recovery beyond the OS reporting them on exit.
 //
 //gesp:errok
-func printLoad(res *experiments.FleetLoadResult) {
+func printLoad(res *experiments.FleetLoadResult, elapsed time.Duration) {
 	fmt.Printf("fleet load: %d shards, %d workers, %d systems, %v\n",
-		res.ShardCount, res.Workers, res.Systems, res.Elapsed)
+		res.ShardCount, res.Workers, res.Systems, elapsed)
 	fmt.Printf("  solves %d (%.0f/s)  shed %d  failed %d\n",
 		res.Solves, res.Throughput, res.Shed, res.Failed)
 	fmt.Printf("  p50 %v  p99 %v  p999 %v  hedge %.1f%%  heal %.1f%%\n",
-		res.P50, res.P99, res.P999, 100*res.HedgeRate, 100*res.Stats.HealRate())
+		res.P50, res.P99, res.P999, 100*res.Stats.HedgeRate(), 100*res.Stats.HealRate())
 	fmt.Printf("  factor runs warm/final %d/%d\n", res.FactorRunsWarm, res.FactorRunsFinal)
 	if res.DrainErr != "" {
 		fmt.Printf("  DRAIN ERROR: %s\n", res.DrainErr)
 	}
 	fmt.Print(res.Stats.String())
-}
-
-// tenant extracts the per-tenant admission identity; absent headers
-// share the default bucket.
-func tenant(r *http.Request) string {
-	if t := r.Header.Get("X-Tenant"); t != "" {
-		return t
-	}
-	return "default"
-}
-
-type matrixResponse struct {
-	Handle string `json:"handle"`
-	N      int    `json:"n"`
-	Nnz    int    `json:"nnz"`
-	Shard  int    `json:"shard"`
-}
-
-type drainRequest struct {
-	Shard int `json:"shard"`
-}
-
-type drainResponse struct {
-	Drained int `json:"drained"`
-}
-
-type errorResponse struct {
-	Error string `json:"error"`
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		log.Printf("encode response: %v", err)
-	}
-}
-
-// writeErr maps the fleet/serve error taxonomy onto HTTP. Quota and
-// overload rejections carry a Retry-After so well-behaved tenants can
-// pace themselves; the header speaks whole seconds, so sub-second
-// hints round up (fleetrpc.SetRetryAfter), never down to the "retry
-// immediately" zero the hint exists to prevent.
-func writeErr(w http.ResponseWriter, err error) {
-	status := http.StatusBadRequest
-	var qe *fleet.QuotaError
-	var oe *serve.OverloadedError
-	switch {
-	case errors.As(err, &qe):
-		status = http.StatusTooManyRequests
-		fleetrpc.SetRetryAfter(w, qe.RetryAfter)
-	case errors.As(err, &oe):
-		status = http.StatusServiceUnavailable
-		fleetrpc.SetRetryAfter(w, oe.RetryAfter)
-	case errors.Is(err, serve.ErrOverloaded):
-		status = http.StatusServiceUnavailable
-	case errors.Is(err, serve.ErrHandleExpired):
-		status = http.StatusGone // resubmit the matrix
-	case errors.Is(err, serve.ErrClosed), errors.Is(err, fleet.ErrNoShards),
-		errors.Is(err, fleetrpc.ErrNoLiveShards):
-		status = http.StatusServiceUnavailable
-	case errors.Is(err, context.DeadlineExceeded):
-		status = http.StatusGatewayTimeout
-	}
-	writeJSON(w, status, errorResponse{Error: err.Error()})
-}
-
-func handleMatrix(f *fleet.Fleet) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		var req fleetrpc.MatrixRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeErr(w, fmt.Errorf("bad matrix body: %w", err))
-			return
-		}
-		a, err := fleetrpc.AssembleMatrix(req)
-		if err != nil {
-			writeErr(w, err)
-			return
-		}
-		h, err := f.Submit(tenant(r), a)
-		if err != nil {
-			writeErr(w, err)
-			return
-		}
-		owner := f.Ring().Owner(h.Key.Pattern)
-		writeJSON(w, http.StatusOK, matrixResponse{Handle: h.String(), N: h.N, Nnz: a.Nnz(), Shard: owner})
-	}
-}
-
-func handleSolve(f *fleet.Fleet) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		var req fleetrpc.SolveRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeErr(w, fmt.Errorf("bad solve body: %w", err))
-			return
-		}
-		h, err := serve.ParseHandle(req.Handle)
-		if err != nil {
-			writeErr(w, err)
-			return
-		}
-		x, err := f.SolveCtx(r.Context(), tenant(r), h, req.B)
-		if err != nil {
-			writeErr(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, fleetrpc.SolveResponse{X: x})
-	}
-}
-
-func handleStats(f *fleet.Fleet) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, f.Stats())
-	}
-}
-
-func handleDrain(f *fleet.Fleet) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		var req drainRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeErr(w, fmt.Errorf("bad drain body: %w", err))
-			return
-		}
-		if err := f.Drain(req.Shard); err != nil {
-			writeErr(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, drainResponse{Drained: req.Shard})
-	}
-}
-
-// remoteMux serves the same API over a fleetrpc coordinator. Errors
-// from remote shards pass their status (and Retry-After) through.
-func remoteMux(f *fleetrpc.Fleet) *http.ServeMux {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/matrix", func(w http.ResponseWriter, r *http.Request) {
-		var req fleetrpc.MatrixRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeRemoteErr(w, fmt.Errorf("bad matrix body: %w", err))
-			return
-		}
-		a, err := fleetrpc.AssembleMatrix(req)
-		if err != nil {
-			writeRemoteErr(w, err)
-			return
-		}
-		h, err := f.SubmitCtx(r.Context(), a)
-		if err != nil {
-			writeRemoteErr(w, err)
-			return
-		}
-		owner := f.Ring().Owner(h.Key.Pattern)
-		writeJSON(w, http.StatusOK, matrixResponse{Handle: h.String(), N: h.N, Nnz: a.Nnz(), Shard: owner})
-	})
-	mux.HandleFunc("POST /v1/solve", func(w http.ResponseWriter, r *http.Request) {
-		var req fleetrpc.SolveRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeRemoteErr(w, fmt.Errorf("bad solve body: %w", err))
-			return
-		}
-		h, err := serve.ParseHandle(req.Handle)
-		if err != nil {
-			writeRemoteErr(w, err)
-			return
-		}
-		x, err := f.SolveCtx(r.Context(), h, req.B)
-		if err != nil {
-			writeRemoteErr(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, fleetrpc.SolveResponse{X: x})
-	})
-	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, f.Stats())
-	})
-	mux.HandleFunc("POST /v1/drain", func(w http.ResponseWriter, r *http.Request) {
-		var req drainRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeRemoteErr(w, fmt.Errorf("bad drain body: %w", err))
-			return
-		}
-		if err := f.Drain(r.Context(), req.Shard); err != nil {
-			writeRemoteErr(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, drainResponse{Drained: req.Shard})
-	})
-	return mux
-}
-
-// writeRemoteErr maps coordinator errors: a shard's own HTTP error
-// passes through with its status and Retry-After; coordinator-level
-// conditions map like writeErr.
-func writeRemoteErr(w http.ResponseWriter, err error) {
-	var re *fleetrpc.RemoteError
-	if errors.As(err, &re) {
-		if re.RetryAfter > 0 {
-			fleetrpc.SetRetryAfter(w, re.RetryAfter)
-		}
-		writeJSON(w, re.Status, errorResponse{Error: re.Msg})
-		return
-	}
-	status := http.StatusBadRequest
-	switch {
-	case errors.Is(err, fleetrpc.ErrNoLiveShards), errors.Is(err, fleetrpc.ErrUnreachable),
-		errors.Is(err, serve.ErrClosed):
-		status = http.StatusServiceUnavailable
-	case errors.Is(err, context.DeadlineExceeded):
-		status = http.StatusGatewayTimeout
-	}
-	writeJSON(w, status, errorResponse{Error: err.Error()})
 }

@@ -89,8 +89,7 @@ func main() {
 		return
 	}
 
-	srv := fleetrpc.NewServer(serve.New(cfg))
-	var h http.Handler = srv.Mux()
+	var h http.Handler = fleetrpc.NewLocalShard(*addr, serve.New(cfg)).Mux()
 	if *chaos {
 		h = fleetrpc.WithChaosDelay(h)
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"gesp/internal/fleet"
+	"gesp/internal/fleetrpc"
 	"gesp/internal/matgen"
 	"gesp/internal/serve"
 	"gesp/internal/sparse"
@@ -22,9 +24,16 @@ import (
 // tail when one shard straggles, and whether a mid-run drain loses
 // requests or refactors anything.
 
-// FleetLoadConfig parameterizes one closed-loop fleet run.
+// FleetLoadConfig parameterizes one closed-loop run over Shards
+// in-process shards (each a serve.Service configured by Service) behind
+// one router configured by Router, whose Shards are filled in here.
 type FleetLoadConfig struct {
-	Fleet    fleet.Config
+	Shards  int
+	Service serve.Config
+	Router  fleetrpc.Config
+	// SlowHot delays every solve on the most popular pattern's home
+	// shard — the straggler, placed where it sits in the hot path.
+	SlowHot  time.Duration
 	Workers  int // peak closed-loop workers
 	Patterns int
 	// PatternNames pins the exact testbed patterns (overrides Patterns
@@ -62,15 +71,27 @@ type FleetLoadResult struct {
 	Solves          uint64
 	Shed            uint64
 	Failed          uint64
-	Elapsed         time.Duration
 	Throughput      float64 // solves per second
 	P50, P99, P999  time.Duration
-	FactorHitRate   float64
-	HedgeRate       float64
 	FactorRunsWarm  int64 // numeric factorizations after warmup
 	FactorRunsFinal int64 // ... and at the end of the run
 	DrainErr        string
-	Stats           fleet.Stats
+	Stats           fleetrpc.Stats
+}
+
+// slowShard delays every solve on the wrapped shard by a fixed time.
+type slowShard struct {
+	fleetrpc.Shard
+	by time.Duration
+}
+
+func (s slowShard) Solve(ctx context.Context, h serve.Handle, b []float64) ([]float64, error) {
+	select {
+	case <-time.After(s.by):
+		return s.Shard.Solve(ctx, h, b)
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
 }
 
 // fleetLoadPatterns is the testbed slice the fleet pool draws from,
@@ -150,27 +171,43 @@ func RunFleetLoad(cfg FleetLoadConfig) (*FleetLoadResult, error) {
 		}
 	}
 
-	f := fleet.New(cfg.Fleet)
+	svcs := make([]*serve.Service, cfg.Shards)
+	for i := range svcs {
+		svcs[i] = serve.New(cfg.Service)
+		defer svcs[i].Close()
+	}
+	// factorRuns sums the numeric factorizations the shards executed.
+	// Handoffs and cache hits leave it unchanged: the drain arm's proof.
+	factorRuns := func() (runs int64) {
+		for _, svc := range svcs {
+			runs += svc.Stats().Phases[serve.PhaseFactor.String()].Count
+		}
+		return runs
+	}
+	cfg.Router.Shards = fleetrpc.LocalShards(svcs...)
+	if cfg.SlowHot > 0 {
+		hot := fleet.NewRing(shardIDs(cfg.Shards), cfg.Router.VNodes).Owner(sparse.PatternHash(pool[0].a))
+		cfg.Router.Shards[hot] = slowShard{cfg.Router.Shards[hot], cfg.SlowHot}
+	}
+	f, err := fleetrpc.New(cfg.Router)
+	if err != nil {
+		return nil, err
+	}
 	defer f.Close()
+	ctx := context.Background()
+	// A submit factors on the replicas too when the arm replicates, so
+	// none of that lands inside the measurement window.
 	for i := range pool {
-		h, err := f.Submit("load", pool[i].a)
+		h, err := f.Submit(ctx, fleetrpc.WireMatrix(pool[i].a))
 		if err != nil {
 			return nil, fmt.Errorf("experiments: fleet warm submit %d: %w", i, err)
 		}
 		pool[i].h = h
-		if _, err := f.Solve("load", h, pool[i].b); err != nil {
+		if _, err := f.Solve(ctx, h, pool[i].b); err != nil {
 			return nil, fmt.Errorf("experiments: fleet warm solve %d: %w", i, err)
 		}
-		// Warm the replicas too when the arm replicates, so promotion
-		// (and its replica-side factorizations) doesn't land inside the
-		// measurement window and pollute the tail it is meant to cut.
-		if cfg.Fleet.ReplicationFactor >= 2 && cfg.Fleet.HotThreshold > 0 {
-			if err := f.Replicate(h); err != nil {
-				return nil, fmt.Errorf("experiments: fleet warm replicate %d: %w", i, err)
-			}
-		}
 	}
-	runsWarm := f.Stats().FactorPhaseRuns()
+	runsWarm := factorRuns()
 
 	var (
 		wg        sync.WaitGroup
@@ -207,7 +244,7 @@ func RunFleetLoad(cfg FleetLoadConfig) (*FleetLoadResult, error) {
 				}
 				e := &pool[zipf.Uint64()]
 				t0 := time.Now()
-				_, err := f.Solve("load", e.h, e.b)
+				_, err := f.Solve(ctx, e.h, e.b)
 				switch {
 				case err == nil:
 					local = append(local, time.Since(t0))
@@ -231,29 +268,26 @@ func RunFleetLoad(cfg FleetLoadConfig) (*FleetLoadResult, error) {
 	}
 
 	res := &FleetLoadResult{
-		ShardCount: cfg.Fleet.Shards,
+		ShardCount: cfg.Shards,
 		Workers:    cfg.Workers,
 		Systems:    len(pool),
 	}
 	if cfg.DrainMid {
 		time.Sleep(cfg.Duration / 2)
-		target := f.Ring().Owner(pool[0].h.Key.Pattern)
-		if err := f.Drain(target); err != nil {
+		if err := f.Drain(ctx, f.Owner(pool[0].h.Key.Pattern)); err != nil {
 			res.DrainErr = err.Error()
 		}
 	}
 	wg.Wait()
 
+	f.Close() // waits out the drain's background re-replication
 	st := f.Stats()
 	res.Solves = solves
 	res.Shed = shed
 	res.Failed = failed
-	res.Elapsed = cfg.Duration
 	res.Throughput = float64(solves) / cfg.Duration.Seconds()
-	res.FactorHitRate = st.FactorHitRate()
-	res.HedgeRate = st.HedgeRate()
 	res.FactorRunsWarm = runsWarm
-	res.FactorRunsFinal = st.FactorPhaseRuns()
+	res.FactorRunsFinal = factorRuns()
 	res.Stats = st
 	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
 	pct := func(p float64) time.Duration {
@@ -287,6 +321,7 @@ type FleetAblationResult struct {
 // checks nothing failed and nothing refactored.
 func FleetAblation(workers int, duration time.Duration, scale float64) (*FleetAblationResult, error) {
 	base := FleetLoadConfig{
+		Service:  serve.DefaultConfig(),
 		Workers:  workers,
 		Patterns: 6,
 		Variants: 4,
@@ -294,12 +329,11 @@ func FleetAblation(workers int, duration time.Duration, scale float64) (*FleetAb
 		Scale:    scale,
 		Diurnal:  true,
 	}
+	base.Service.Options.Refine = false
 	res := &FleetAblationResult{}
 	// The scaling pool: patterns picked so the 4-shard ring owns them
 	// 2-per-shard, a flatter Zipf so the tail matters, and a per-shard
-	// factor cache of pool/4 entries. Four shards hold the whole pool
-	// warm; one shard evicts and refactors — the single-node cache
-	// ceiling the fleet exists to break.
+	// factor cache of pool/4 entries.
 	scalingNames := balancedFleetPatterns(scale, 4, 2)
 	scalingPool := len(scalingNames) * 3
 	for _, shards := range []int{1, 2, 4} {
@@ -307,13 +341,9 @@ func FleetAblation(workers int, duration time.Duration, scale float64) (*FleetAb
 		cfg.PatternNames = scalingNames
 		cfg.Variants = 3
 		cfg.ZipfS = 1.07
-		cfg.Fleet = fleet.DefaultConfig()
-		cfg.Fleet.Shards = shards
-		cfg.Fleet.ReplicationFactor = 1 // isolate the cache-capacity effect
-		cfg.Fleet.HotThreshold = 0
-		cfg.Fleet.HedgeQueueDepth = 0
-		cfg.Fleet.Service.Options.Refine = false
-		cfg.Fleet.Service.MaxFactors = scalingPool / 4
+		cfg.Shards = shards
+		cfg.Router.Replication = 1 // isolate the cache-capacity effect
+		cfg.Service.MaxFactors = scalingPool / 4
 		r, err := RunFleetLoad(cfg)
 		if err != nil {
 			return nil, err
@@ -326,26 +356,14 @@ func FleetAblation(workers int, duration time.Duration, scale float64) (*FleetAb
 		cfg := base
 		cfg.Diurnal = false                  // steady peak load; the tail is the subject
 		cfg.ThinkTime = 3 * time.Millisecond // same offered load in both arms
-		cfg.Fleet = fleet.DefaultConfig()
-		cfg.Fleet.Shards = 4
-		cfg.Fleet.ReplicationFactor = 2
-		cfg.Fleet.HotThreshold = 16 // promote the Zipf head quickly
-		cfg.Fleet.HedgeQueueDepth = 0
-		cfg.Fleet.HedgeP95 = 0
+		cfg.Shards = 4
+		cfg.Router.Replication = 2
 		if hedge {
-			// Above the histogram bucket healthy solves land in
-			// (quantile() reports bucket upper bounds), below the
-			// straggler's 5ms: only the slow shard triggers hedging.
-			cfg.Fleet.HedgeP95 = 3 * time.Millisecond
+			// Above what a healthy solve takes here, well below the 10ms
+			// straggle: only requests stuck on the slow shard race a replica.
+			cfg.Router.HedgeAfter = 2 * time.Millisecond
 		}
-		cfg.Fleet.Service.Options.Refine = false
-		straggler := stragglerShard(cfg, scale)
-		cfg.Fleet.Straggler = func(id int) time.Duration {
-			if id == straggler {
-				return 5 * time.Millisecond
-			}
-			return 0
-		}
+		cfg.SlowHot = 10 * time.Millisecond
 		r, err := RunFleetLoad(cfg)
 		if err != nil {
 			return nil, err
@@ -359,12 +377,8 @@ func FleetAblation(workers int, duration time.Duration, scale float64) (*FleetAb
 
 	{
 		cfg := base
-		cfg.Fleet = fleet.DefaultConfig()
-		cfg.Fleet.Shards = 4
-		cfg.Fleet.ReplicationFactor = 1
-		cfg.Fleet.HotThreshold = 0
-		cfg.Fleet.HedgeQueueDepth = 0
-		cfg.Fleet.Service.Options.Refine = false
+		cfg.Shards = 4
+		cfg.Router.Replication = 1
 		cfg.DrainMid = true
 		r, err := RunFleetLoad(cfg)
 		if err != nil {
@@ -374,19 +388,6 @@ func FleetAblation(workers int, duration time.Duration, scale float64) (*FleetAb
 		res.Drain = *r
 	}
 	return res, nil
-}
-
-// stragglerShard picks the shard the hedging arms slow down: the home
-// shard of the most popular pattern, so the straggler actually sits in
-// the hot path.
-func stragglerShard(cfg FleetLoadConfig, scale float64) int {
-	m, ok := matgen.Lookup(fleetLoadPatterns[0])
-	if !ok {
-		return 0
-	}
-	a := m.Generate(scale)
-	ring := fleet.NewRing(shardIDs(cfg.Fleet.Shards), cfg.Fleet.VNodes)
-	return ring.Owner(sparse.PatternHash(a))
 }
 
 // balancedFleetPatterns picks perShard testbed patterns per ring owner
@@ -457,21 +458,20 @@ func PrintFleet(w io.Writer, res *FleetAblationResult) {
 		"arm", "shards", "workers", "solves/s", "p50", "p99", "p999", "heal", "shed", "fail", "vs-1shd")
 	printFleetRows(w, res.Scaling, true)
 	fmt.Fprintln(w)
-	fmt.Fprintln(w, "Hedged solves vs one straggler shard (5ms injected delay on the hot pattern's home):")
+	fmt.Fprintln(w, "Hedged solves vs one straggler shard (10ms injected delay on the hot pattern's home):")
 	fmt.Fprintf(w, "%-16s %7s %8s %10s %10s %10s %10s %8s %9s %8s\n",
 		"arm", "shards", "workers", "solves/s", "p50", "p99", "p999", "heal", "hedge", "wins")
 	for _, r := range res.Hedging {
 		fmt.Fprintf(w, "%-16s %7d %8d %10.0f %10s %10s %10s %7.1f%% %8.1f%% %8d\n",
 			r.Label, r.ShardCount, r.Workers, r.Throughput,
 			fmtDur(r.P50), fmtDur(r.P99), fmtDur(r.P999),
-			100*r.Stats.HealRate(), 100*r.HedgeRate, r.Stats.HedgeWins)
+			100*r.Stats.HealRate(), 100*r.Stats.HedgeRate(), r.Stats.HedgeWins)
 	}
 	fmt.Fprintln(w)
 	d := res.Drain
 	fmt.Fprintln(w, "Graceful drain mid-run (hottest pattern's home shard leaves under load):")
-	fmt.Fprintf(w, "  solves %d  failed %d  shed %d  factor-runs warm/final %d/%d  handoff %d factors + %d symbolic\n",
-		d.Solves, d.Failed, d.Shed, d.FactorRunsWarm, d.FactorRunsFinal,
-		d.Stats.HandoffFactor, d.Stats.HandoffSym)
+	fmt.Fprintf(w, "  solves %d  failed %d  shed %d  factor-runs warm/final %d/%d  handed off %d cache entries\n",
+		d.Solves, d.Failed, d.Shed, d.FactorRunsWarm, d.FactorRunsFinal, d.Stats.HandedOff)
 	switch {
 	case d.DrainErr != "":
 		fmt.Fprintf(w, "  DRAIN ERROR: %s\n", d.DrainErr)

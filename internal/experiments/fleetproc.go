@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -26,7 +27,7 @@ import (
 type FleetProcConfig struct {
 	// Shards is how many shard processes to spawn.
 	Shards int
-	// Coordinator configures the fleetrpc layer; Addrs is filled in by
+	// Coordinator configures the fleetrpc layer; Shards is filled in by
 	// the runner from the spawned processes.
 	Coordinator fleetrpc.Config
 	// ShardConf is passed to each spawned shard.
@@ -112,12 +113,13 @@ func RunFleetProc(cfg FleetProcConfig) (*FleetProcResult, error) {
 	defer procs.Close()
 
 	rcfg := cfg.Coordinator
-	rcfg.Addrs = procs.Addrs()
+	rcfg.Shards = fleetrpc.Dial(procs.Addrs())
 	f, err := fleetrpc.New(rcfg)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: coordinator: %w", err)
 	}
 	defer f.Close()
+	ctx := context.Background()
 
 	type poolEntry struct {
 		b []float64
@@ -139,12 +141,12 @@ func RunFleetProc(cfg FleetProcConfig) (*FleetProcResult, error) {
 					a.Val[k] *= 1 + 0.1*rng.NormFloat64()
 				}
 			}
-			h, serr := f.Submit(a)
+			h, serr := f.Submit(ctx, fleetrpc.WireMatrix(a))
 			if serr != nil {
 				return nil, fmt.Errorf("experiments: warm submit %s/%d: %w", fleetLoadPatterns[p], v, serr)
 			}
 			b := matgen.OnesRHS(a)
-			if _, serr := f.Solve(h, b); serr != nil {
+			if _, serr := f.Solve(ctx, h, b); serr != nil {
 				return nil, fmt.Errorf("experiments: warm solve %s/%d: %w", fleetLoadPatterns[p], v, serr)
 			}
 			pool = append(pool, poolEntry{b: b, h: h})
@@ -178,7 +180,7 @@ func RunFleetProc(cfg FleetProcConfig) (*FleetProcResult, error) {
 			for time.Now().Before(deadline) {
 				e := &pool[zipf.Uint64()]
 				t0 := time.Now()
-				_, serr := f.Solve(e.h, e.b)
+				_, serr := f.Solve(ctx, e.h, e.b)
 				if serr == nil {
 					local = append(local, time.Since(t0))
 					mySolves++
@@ -201,7 +203,7 @@ func RunFleetProc(cfg FleetProcConfig) (*FleetProcResult, error) {
 		time.Sleep(cfg.Duration / 2)
 		// Hit the hottest pattern's owner: the member whose loss the
 		// most traffic notices.
-		target := f.Ring().Owner(pool[0].h.Key.Pattern)
+		target := f.Owner(pool[0].h.Key.Pattern)
 		res.KilledShard = target
 		killAt := time.Now()
 		var cerr error

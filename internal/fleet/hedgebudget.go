@@ -11,10 +11,7 @@ import "sync"
 // requests fall back to the unhedged path and the denial is counted.
 //
 // A nil *HedgeBudget, or one built with rate <= 0, is the unlimited
-// budget: Accrue is a no-op and TryStake always grants. Both routers
-// (the in-process Fleet and the cross-process fleetrpc.Fleet) share
-// this type, so the ablation tables report hedge spend in the same
-// units everywhere.
+// budget: Accrue is a no-op and TryStake always grants.
 //
 // The mutex makes the accrue/stake arithmetic atomic without
 // allocating, which keeps the fleet/solve-warm hot path on its

@@ -31,11 +31,11 @@ func (e *QuotaError) Error() string {
 // Is makes errors.Is(err, ErrOverQuota) true for the typed error.
 func (e *QuotaError) Is(target error) bool { return target == ErrOverQuota }
 
-// quotas is the per-tenant token-bucket table: each tenant accrues
+// Quotas is the per-tenant token-bucket table: each tenant accrues
 // rate tokens/second up to burst; a request spends one token or is
 // rejected with the time until the next token accrues. Buckets are
-// created on first sight of a tenant.
-type quotas struct {
+// created on first sight of a tenant. A nil *Quotas admits everything.
+type Quotas struct {
 	rate  float64 // tokens per second; <=0 disables admission control
 	burst float64
 
@@ -60,11 +60,13 @@ type bucket struct {
 	last   time.Time
 }
 
-func newQuotas(rate, burst float64) *quotas {
+// NewQuotas builds the admission table; rate <= 0 disables admission
+// control, burst < 1 is raised to 1.
+func NewQuotas(rate, burst float64) *Quotas {
 	if burst < 1 {
 		burst = 1
 	}
-	return &quotas{
+	return &Quotas{
 		rate:    rate,
 		burst:   burst,
 		buckets: make(map[string]*bucket),
@@ -72,13 +74,14 @@ func newQuotas(rate, burst float64) *quotas {
 	}
 }
 
-// admit spends one of tenant's tokens at time now. When the bucket is
-// empty it returns false and a jittered wait at least as long as the
-// time until one token has accrued (never exactly the same twice, so
-// rejected clients don't retry in lockstep).
-func (q *quotas) admit(tenant string, now time.Time) (bool, time.Duration) {
-	if q.rate <= 0 {
-		return true, 0
+// Admit spends one of tenant's tokens at time now, returning nil when
+// admitted. When the bucket is empty it returns a *QuotaError whose
+// jittered RetryAfter is at least the time until one token has accrued
+// (never exactly the same twice, so rejected clients don't retry in
+// lockstep).
+func (q *Quotas) Admit(tenant string, now time.Time) error {
+	if q == nil || q.rate <= 0 {
+		return nil
 	}
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -96,9 +99,9 @@ func (q *quotas) admit(tenant string, now time.Time) (bool, time.Duration) {
 	}
 	if b.tokens >= 1 {
 		b.tokens--
-		return true, 0
+		return nil
 	}
 	wait := time.Duration((1 - b.tokens) / q.rate * float64(time.Second))
 	wait += time.Duration(retryJitter * q.rng.Float64() * float64(wait))
-	return false, wait
+	return &QuotaError{Tenant: tenant, RetryAfter: wait}
 }

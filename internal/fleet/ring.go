@@ -1,23 +1,12 @@
-// Package fleet shards the solve service: N in-process serve.Server
-// nodes behind a router that consistent-hashes sparse.PatternHash
-// fingerprints, so every sparsity pattern has a home shard whose
-// two-level cache (symbolic analysis, numeric factors) stays hot for
-// it. On top of placement the fleet layers the policies a
-// million-user deployment needs:
-//
-//   - replication factor ≥2 for hot patterns, promoted by a popularity
-//     tracker (the replica factors from the home shard's exported
-//     symbolic donor — no re-analysis);
-//   - hedged solves: when the primary's queue is deep or its observed
-//     p95 is above threshold, the request races primary and replica,
-//     first response wins and the loser is cancelled through the
-//     ctx-aware batcher;
-//   - per-tenant token-bucket admission control (quota rejections are
-//     typed apart from shard overload: overload is worth a replica
-//     retry, quota exhaustion follows the tenant everywhere);
-//   - graceful drain + rebalance: a leaving shard's caches are handed
-//     off to the new owners under the post-drain ring instead of
-//     cold-restarting, so already-factored patterns never refactor.
+// Package fleet holds the placement and policy primitives the fleet
+// router (internal/fleetrpc) is built from: the consistent-hash Ring
+// over sparse.PatternHash fingerprints, so every sparsity pattern has
+// a home shard whose two-level cache stays hot for it; the HedgeBudget
+// token bucket that caps duplicated hedge work; the lock-free LatHist
+// latency histogram whose windowed deltas feed the SLO controller; and
+// the per-tenant admission Quotas the HTTP front door applies (quota
+// rejections are typed apart from shard overload: overload is worth a
+// replica retry, quota exhaustion follows the tenant everywhere).
 package fleet
 
 // Ring is an immutable consistent-hash ring over shard ids: each shard

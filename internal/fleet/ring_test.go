@@ -160,7 +160,7 @@ func TestReplicasInto(t *testing.T) {
 func TestRingLookupAllocFree(t *testing.T) {
 	r := NewRing([]int{0, 1, 2, 3, 4, 5, 6, 7}, 0)
 	keys := ringKeys(64, 4)
-	var dst [maxReplication]int
+	var dst [4]int
 	i := 0
 	allocs := testing.AllocsPerRun(1000, func() {
 		k := keys[i&63]
@@ -172,5 +172,34 @@ func TestRingLookupAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("ring lookup allocates %.1f per op, want 0", allocs)
+	}
+}
+
+// BenchmarkRingOwner is the router's hot lookup: one binary search over
+// the vnode points, no locks, no allocation.
+func BenchmarkRingOwner(b *testing.B) {
+	r := NewRing([]int{0, 1, 2, 3, 4, 5, 6, 7}, 0)
+	keys := ringKeys(1024, 11)
+	b.ReportAllocs()
+	b.ResetTimer()
+	sink := 0
+	for i := 0; i < b.N; i++ {
+		sink += r.Owner(keys[i&1023])
+	}
+	if sink == -1 {
+		b.Fatal("impossible")
+	}
+}
+
+// BenchmarkRingReplicasInto measures the full placement walk (owner
+// plus replica successors) into a caller buffer.
+func BenchmarkRingReplicasInto(b *testing.B) {
+	r := NewRing([]int{0, 1, 2, 3, 4, 5, 6, 7}, 0)
+	keys := ringKeys(1024, 12)
+	var dst [4]int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.ReplicasInto(dst[:], keys[i&1023])
 	}
 }

@@ -1,15 +1,12 @@
 package fleetha
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"net/http"
-	"strconv"
+	"net/url"
 	"sync"
 	"time"
 
@@ -17,75 +14,6 @@ import (
 	"gesp/internal/serve"
 	"gesp/internal/sparse"
 )
-
-// newPooledHTTPClient builds an HTTP client with its own cloned
-// transport, so closing one peer's idle sockets never touches
-// another's pool.
-func newPooledHTTPClient() *http.Client {
-	cli := &http.Client{
-		// HA calls follow redirects by hand — a replicate must never be
-		// silently re-routed.
-		CheckRedirect: func(*http.Request, []*http.Request) error {
-			return http.ErrUseLastResponse
-		},
-	}
-	if t, ok := http.DefaultTransport.(*http.Transport); ok {
-		cli.Transport = t.Clone()
-	}
-	return cli
-}
-
-// haDo posts (or gets) one JSON request to addr+path and decodes the
-// response, with the fleetrpc error taxonomy: non-200 decodes into
-// *fleetrpc.RemoteError, transport failures wrap ErrUnreachable.
-func haDo(ctx context.Context, hc *http.Client, addr, method, path string, in, out any) error {
-	var body io.Reader
-	if in != nil {
-		buf, err := json.Marshal(in)
-		if err != nil {
-			return fmt.Errorf("fleetha: marshal %s body: %w", path, err)
-		}
-		body = bytes.NewReader(buf)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, "http://"+addr+path, body)
-	if err != nil {
-		return fmt.Errorf("fleetha: build %s request: %w", path, err)
-	}
-	if in != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	resp, err := hc.Do(req)
-	if err != nil {
-		if cerr := ctx.Err(); cerr != nil {
-			return cerr
-		}
-		return fmt.Errorf("%w: %s: %v", fleetrpc.ErrUnreachable, addr, err)
-	}
-	//gesp:errok — close of a fully-read (or error) response body; nothing to recover
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		re := &fleetrpc.RemoteError{Status: resp.StatusCode}
-		if ra := resp.Header.Get("Retry-After"); ra != "" {
-			if secs, perr := strconv.Atoi(ra); perr == nil && secs > 0 {
-				re.RetryAfter = time.Duration(secs) * time.Second
-			}
-		}
-		var eres fleetrpc.ErrorResponse
-		if derr := json.NewDecoder(resp.Body).Decode(&eres); derr == nil && eres.Error != "" {
-			re.Msg = eres.Error
-		} else {
-			re.Msg = resp.Status
-		}
-		return re
-	}
-	if out == nil {
-		return nil
-	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-		return fmt.Errorf("%w: %s: bad response body: %v", fleetrpc.ErrUnreachable, addr, err)
-	}
-	return nil
-}
 
 // Client is the coordinator-fleet client: it knows every coordinator
 // address, caches which one leads, follows 307/leader-hint redirects,
@@ -144,7 +72,7 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		retry:   cfg.Retry,
 		timeout: cfg.AttemptTimeout,
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
-		hc:      newPooledHTTPClient(),
+		hc:      fleetrpc.NewHTTPClient(),
 	}, nil
 }
 
@@ -198,7 +126,7 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 				return nil
 			}
 			lastErr = err
-			if !fleetrpc.Retryable(err) && !isRedirectMiss(err) {
+			if !fleetrpc.Retryable(err) {
 				return err
 			}
 			if ctx.Err() != nil {
@@ -210,17 +138,11 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 	return lastErr
 }
 
-// redirectMissError marks a redirect pointing at a node that is not
-// (or no longer) the leader — retryable: the election is converging.
-type redirectMissError struct{ to string }
-
-func (e *redirectMissError) Error() string {
-	return "fleetha: redirected to " + e.to + " which is not leading"
-}
-
-func isRedirectMiss(err error) bool {
-	var rm *redirectMissError
-	return errors.As(err, &rm)
+// redirectMiss is the error for a redirect pointing at a node that is
+// not (or no longer) the leader — a coordinator closed to us, so
+// retryable: the election is converging.
+func redirectMiss(to string) error {
+	return fleetrpc.StatusError(http.StatusServiceUnavailable, "fleetha: redirected to "+to+" which is not leading", 0)
 }
 
 // doOnce issues one attempt against one coordinator, following at
@@ -228,74 +150,21 @@ func isRedirectMiss(err error) bool {
 func (c *Client) doOnce(ctx context.Context, addr, method, path string, in, out any) error {
 	hop := addr
 	for redirects := 0; redirects < 2; redirects++ {
-		status, location, err := c.raw(ctx, hop, method, path, in, out)
-		if err != nil {
+		err := fleetrpc.DoJSON(ctx, c.hc, method, "http://"+hop+path, in, out)
+		var re *fleetrpc.RemoteError
+		if !errors.As(err, &re) || re.Status != http.StatusTemporaryRedirect {
+			if err == nil {
+				c.noteSuccess(hop)
+			}
 			return err
 		}
-		if status == http.StatusTemporaryRedirect {
-			if location == "" || location == hop {
-				return &redirectMissError{to: hop}
-			}
-			hop = location
-			continue
+		to, perr := url.Parse(re.Location)
+		if perr != nil || to.Host == "" || to.Host == hop {
+			return redirectMiss(hop)
 		}
-		c.noteSuccess(hop)
-		return nil
+		hop = to.Host
 	}
-	return &redirectMissError{to: hop}
-}
-
-// raw performs one HTTP round trip; a 307 comes back as (status,
-// leader-addr) instead of an error so doOnce can hop.
-func (c *Client) raw(ctx context.Context, addr, method, path string, in, out any) (status int, location string, err error) {
-	var body io.Reader
-	if in != nil {
-		buf, merr := json.Marshal(in)
-		if merr != nil {
-			return 0, "", fmt.Errorf("fleetha: marshal %s body: %w", path, merr)
-		}
-		body = bytes.NewReader(buf)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, "http://"+addr+path, body)
-	if err != nil {
-		return 0, "", fmt.Errorf("fleetha: build %s request: %w", path, err)
-	}
-	if in != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		if cerr := ctx.Err(); cerr != nil {
-			return 0, "", cerr
-		}
-		return 0, "", fmt.Errorf("%w: %s: %v", fleetrpc.ErrUnreachable, addr, err)
-	}
-	//gesp:errok — close of a fully-read (or error) response body; nothing to recover
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusTemporaryRedirect {
-		return resp.StatusCode, resp.Header.Get(LeaderHintHeader), nil
-	}
-	if resp.StatusCode != http.StatusOK {
-		re := &fleetrpc.RemoteError{Status: resp.StatusCode}
-		if ra := resp.Header.Get("Retry-After"); ra != "" {
-			if secs, perr := strconv.Atoi(ra); perr == nil && secs > 0 {
-				re.RetryAfter = time.Duration(secs) * time.Second
-			}
-		}
-		var eres fleetrpc.ErrorResponse
-		if derr := json.NewDecoder(resp.Body).Decode(&eres); derr == nil && eres.Error != "" {
-			re.Msg = eres.Error
-		} else {
-			re.Msg = resp.Status
-		}
-		return resp.StatusCode, "", re
-	}
-	if out != nil {
-		if derr := json.NewDecoder(resp.Body).Decode(out); derr != nil {
-			return resp.StatusCode, "", fmt.Errorf("%w: %s: bad response body: %v", fleetrpc.ErrUnreachable, addr, derr)
-		}
-	}
-	return resp.StatusCode, "", nil
+	return redirectMiss(hop)
 }
 
 // sleep waits out one retry step, folding the failure streak into the
@@ -316,15 +185,7 @@ func (c *Client) sleep(ctx context.Context, attempt int, retryAfter time.Duratio
 	if streak > eff {
 		eff = streak
 	}
-	w := c.retry.Wait(eff, u, retryAfter)
-	t := time.NewTimer(w)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
+	return fleetrpc.Sleep(ctx, c.retry.Wait(eff, u, retryAfter))
 }
 
 // Submit registers a matrix with the coordinator fleet.
@@ -359,7 +220,7 @@ func (c *Client) Stats(ctx context.Context) (fleetrpc.Stats, error) {
 // redirect — status is answered by every node).
 func (c *Client) Status(ctx context.Context, addr string) (StatusResponse, error) {
 	var res StatusResponse
-	err := haDo(ctx, c.hc, addr, http.MethodGet, "/ha/v1/status", nil, &res)
+	err := fleetrpc.DoJSON(ctx, c.hc, http.MethodGet, "http://"+addr+"/ha/v1/status", nil, &res)
 	return res, err
 }
 

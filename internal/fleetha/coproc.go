@@ -65,32 +65,27 @@ func runCoordinator() error {
 	var handler atomic.Pointer[http.Handler]
 	var node atomic.Pointer[Node]
 	boot := http.NewServeMux()
-	boot.HandleFunc("/ha/v1/configure", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			haWriteJSON(w, http.StatusMethodNotAllowed, fleetrpc.ErrorResponse{Error: "POST only"})
-			return
-		}
+	boot.HandleFunc("POST /ha/v1/configure", func(w http.ResponseWriter, r *http.Request) {
 		var req ConfigureRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			haWriteJSON(w, http.StatusBadRequest, fleetrpc.ErrorResponse{Error: "bad configure body: " + err.Error()})
+		if !fleetrpc.DecodeJSON(w, r, &req) {
 			return
 		}
 		if node.Load() != nil {
-			haWriteJSON(w, http.StatusConflict, fleetrpc.ErrorResponse{Error: "already configured"})
+			fleetrpc.WriteErr(w, fleetrpc.StatusError(http.StatusConflict, "already configured", 0))
 			return
 		}
 		n, err := newConfiguredNode(req)
 		if err != nil {
-			haWriteJSON(w, http.StatusBadRequest, fleetrpc.ErrorResponse{Error: err.Error()})
+			fleetrpc.WriteErr(w, err)
 			return
 		}
 		node.Store(n)
-		real := http.Handler(n.Mux())
+		real := http.Handler(n.Mux(nil))
 		handler.Store(&real)
-		haWriteJSON(w, http.StatusOK, struct{}{})
+		fleetrpc.WriteJSON(w, http.StatusOK, struct{}{})
 	})
 	boot.HandleFunc("/", func(w http.ResponseWriter, _ *http.Request) {
-		haWriteJSON(w, http.StatusServiceUnavailable, fleetrpc.ErrorResponse{Error: "coordinator not configured yet"})
+		fleetrpc.WriteErr(w, fleetrpc.StatusError(http.StatusServiceUnavailable, "coordinator not configured yet", 0))
 	})
 	bootH := http.Handler(boot)
 	handler.Store(&bootH)
@@ -102,7 +97,7 @@ func runCoordinator() error {
 
 // newConfiguredNode builds a node from the wire topology.
 func newConfiguredNode(req ConfigureRequest) (*Node, error) {
-	fcfg := fleetrpc.DefaultConfig(req.Shards)
+	fcfg := fleetrpc.DefaultConfig(nil) // the node dials Shards at takeover
 	if req.Replication > 0 {
 		fcfg.Replication = req.Replication
 	}
@@ -113,8 +108,8 @@ func newConfiguredNode(req ConfigureRequest) (*Node, error) {
 		ID:         req.ID,
 		Peers:      req.Peers,
 		Shards:     req.Shards,
-		Lease:      req.lease(),
-		Heartbeat:  req.heartbeat(),
+		Lease:      time.Duration(req.LeaseMS) * time.Millisecond,
+		Heartbeat:  time.Duration(req.HeartbeatMS) * time.Millisecond,
 		Fleet:      fcfg,
 		Controller: req.Controller,
 		Seed:       req.Seed,
@@ -140,7 +135,7 @@ func SpawnCoordinators(n int) (*faultsim.ProcSet, error) {
 // coordinator: peer i gets id i. The template's ID is overwritten per
 // child; Peers is set to addrs.
 func ConfigureCoordinators(addrs []string, template ConfigureRequest) error {
-	hc := newPooledHTTPClient()
+	hc := fleetrpc.NewHTTPClient()
 	for i, addr := range addrs {
 		req := template
 		req.ID = i
@@ -151,7 +146,7 @@ func ConfigureCoordinators(addrs []string, template ConfigureRequest) error {
 			req.Seed += int64(i)
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		err := haDo(ctx, hc, addr, http.MethodPost, "/ha/v1/configure", req, nil)
+		err := fleetrpc.DoJSON(ctx, hc, http.MethodPost, "http://"+addr+"/ha/v1/configure", req, nil)
 		cancel()
 		if err != nil {
 			return fmt.Errorf("fleetha: configure coordinator %d at %s: %w", i, addr, err)

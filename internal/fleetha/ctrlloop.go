@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"gesp/internal/fleet"
+	"gesp/internal/fleetrpc"
 )
 
 // The leader-side half of the SLO controller: every Window, gather
@@ -13,6 +14,27 @@ import (
 // HTTP), step the pure controller, and apply whatever it decided.
 // Decisions append to the node's structured trace, served at
 // /ha/v1/trace.
+
+// startControllerLocked arms the control loop over a freshly led
+// fleet: the controller itself (once per node — its model of what it
+// promoted and spawned outlives a step-down) and the baselines the
+// first window's deltas are taken against.
+//
+//gesp:holds:n.mu
+func (n *Node) startControllerLocked(fl *fleetrpc.Fleet, now time.Time) {
+	if n.ctrl == nil && n.cfg.Controller != nil {
+		cc := *n.cfg.Controller
+		if n.cfg.Scaler == nil {
+			// no Scaler: a Spawn decision could never be applied, so
+			// never emit one — promotion/demotion remain available
+			cc.SpawnQueueDepth, cc.MaxShards = 0, 0
+		}
+		n.ctrl = NewController(cc)
+	}
+	n.lastCtrl = now
+	n.prevLatCounts, n.prevLatTotal = fl.LatSnapshot()
+	n.prevStats = fl.Stats()
+}
 
 // controllerTick runs at most one controller window per call; the
 // node's tick loop calls it every heartbeat and the window gate keeps
@@ -41,7 +63,7 @@ func (n *Node) controllerTick(now time.Time) {
 	}
 	liveShards := 0
 	for _, m := range stats.Members {
-		if m.State != StateDeadName {
+		if m.State != fleetrpc.StateDead.String() {
 			liveShards++
 		}
 	}
@@ -71,10 +93,6 @@ func (n *Node) controllerTick(now time.Time) {
 	}
 }
 
-// StateDeadName is the dead member state's wire name (avoids importing
-// the fleetrpc constant's String round-trip at every signal gather).
-const StateDeadName = "dead"
-
 // applyDecision executes one controller verb against the fleet and
 // scaler.
 func (n *Node) applyDecision(d Decision) {
@@ -97,12 +115,13 @@ func (n *Node) applyDecision(d Decision) {
 			n.cfg.Logf("fleetha node %d: spawn decision with no scaler; skipped", n.cfg.ID)
 			return
 		}
-		addr, err := n.cfg.Scaler.Spawn()
+		sh, err := n.cfg.Scaler.Spawn()
 		if err != nil {
 			n.cfg.Logf("fleetha node %d: spawn failed: %v", n.cfg.ID, err)
 			return
 		}
-		id, err := fl.AddMember(addr)
+		addr := sh.Addr()
+		id, err := fl.AddMember(sh)
 		if err != nil {
 			n.cfg.Logf("fleetha node %d: add member %s failed: %v", n.cfg.ID, addr, err)
 			return

@@ -54,7 +54,7 @@ func testShardServers(t *testing.T, n int) []string {
 	addrs := make([]string, n)
 	for i := 0; i < n; i++ {
 		svc := serve.New(serve.DefaultConfig())
-		ts := httptest.NewServer(fleetrpc.WithChaosDelay(fleetrpc.NewServer(svc).Mux()))
+		ts := httptest.NewServer(fleetrpc.WithChaosDelay(fleetrpc.NewLocalShard("", svc).Mux()))
 		t.Cleanup(ts.Close)
 		addrs[i] = strings.TrimPrefix(ts.URL, "http://")
 	}
@@ -88,7 +88,7 @@ func startCluster(t *testing.T, n int, shards []string, mut func(id int, cfg *Co
 		c.addrs[i] = strings.TrimPrefix(c.servers[i].URL, "http://")
 	}
 	for i := 0; i < n; i++ {
-		fcfg := fleetrpc.DefaultConfig(shards)
+		fcfg := fleetrpc.DefaultConfig(nil)
 		fcfg.ProbeInterval = 20 * time.Millisecond
 		fcfg.Retry = fleetrpc.Backoff{Attempts: 3, Base: 5 * time.Millisecond, Max: 40 * time.Millisecond}
 		cfg := Config{
@@ -108,7 +108,7 @@ func startCluster(t *testing.T, n int, shards []string, mut func(id int, cfg *Co
 			t.Fatal(err)
 		}
 		c.nodes[i] = node
-		h := http.Handler(node.Mux())
+		h := http.Handler(node.Mux(nil))
 		handlers[i].Store(&h)
 	}
 	t.Cleanup(func() {
@@ -191,7 +191,7 @@ func TestFailoverPreservesRegistry(t *testing.T) {
 	if got := c.waitLeader(t, 3*time.Second); got != 0 {
 		t.Fatalf("initial leader = %d", got)
 	}
-	oldTerm := c.nodes[0].Term()
+	oldTerm := c.nodes[0].Status().Term
 
 	cli, err := NewClient(ClientConfig{Coordinators: c.addrs})
 	if err != nil {
@@ -211,7 +211,7 @@ func TestFailoverPreservesRegistry(t *testing.T) {
 
 	// the followers must hold the entry before we kill the leader —
 	// Submit's ack already guarantees ≥1 does; check replication state
-	if n := c.nodes[1].RegistryLen() + c.nodes[2].RegistryLen(); n == 0 {
+	if n := c.nodes[1].Status().RegistryLen + c.nodes[2].Status().RegistryLen; n == 0 {
 		t.Fatal("no follower holds the registry entry despite the submit ack")
 	}
 
@@ -226,10 +226,10 @@ func TestFailoverPreservesRegistry(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if newTerm := c.nodes[1].Term(); newTerm <= oldTerm {
+	if newTerm := c.nodes[1].Status().Term; newTerm <= oldTerm {
 		t.Fatalf("takeover term %d not above old term %d", newTerm, oldTerm)
 	}
-	if n := c.nodes[1].RegistryLen(); n != 1 {
+	if n := c.nodes[1].Status().RegistryLen; n != 1 {
 		t.Fatalf("takeover leader registry has %d entries, want 1", n)
 	}
 	// the pre-kill handle must solve through the new leader
@@ -264,18 +264,18 @@ func TestTakeoverUnionsFollowerRegistries(t *testing.T) {
 	// fleet, so the injected registry entry carries the true handle and
 	// the shards already hold its factors
 	a, b, want := testbedSystem(t, "SHERMAN4", 1)
-	fcfg := fleetrpc.DefaultConfig(shards)
+	fcfg := fleetrpc.DefaultConfig(fleetrpc.Dial(shards))
 	fcfg.ProbeInterval = 20 * time.Millisecond
 	direct, err := fleetrpc.New(fcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := direct.Submit(a)
+	wire := fleetrpc.WireMatrix(a)
+	h, err := direct.Submit(context.Background(), wire)
 	direct.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
-	wire := fleetrpc.WireMatrix(a)
 
 	// simulate the dying leader's asymmetric stream: the entry reached
 	// only follower 2; follower 1 saw just a heartbeat at the same term
@@ -290,7 +290,7 @@ func TestTakeoverUnionsFollowerRegistries(t *testing.T) {
 	}); !resp.OK {
 		t.Fatalf("injected heartbeat rejected: %+v", resp)
 	}
-	if n := c.nodes[1].RegistryLen(); n != 0 {
+	if n := c.nodes[1].Status().RegistryLen; n != 0 {
 		t.Fatalf("follower 1 holds %d entries before takeover, want 0 (test premise)", n)
 	}
 
@@ -304,10 +304,10 @@ func TestTakeoverUnionsFollowerRegistries(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if term := c.nodes[1].Term(); term <= 5 {
+	if term := c.nodes[1].Status().Term; term <= 5 {
 		t.Fatalf("takeover term %d not above injected term 5", term)
 	}
-	if n := c.nodes[1].RegistryLen(); n != 1 {
+	if n := c.nodes[1].Status().RegistryLen; n != 1 {
 		t.Fatalf("takeover leader registry has %d entries, want 1 — acked entry lost", n)
 	}
 	// and the handle must actually solve through the new leader
@@ -377,7 +377,7 @@ func TestReplicateFencing(t *testing.T) {
 func TestManualClockLease(t *testing.T) {
 	clk := NewManualClock(time.Unix(1000, 0))
 	shards := testShardServers(t, 1)
-	fcfg := fleetrpc.DefaultConfig(shards)
+	fcfg := fleetrpc.DefaultConfig(nil)
 	fcfg.ProbeInterval = 20 * time.Millisecond
 	// single node: no peers to probe, so expiry leads immediately
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {

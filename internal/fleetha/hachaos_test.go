@@ -394,7 +394,7 @@ func TestHAControllerSpawn(t *testing.T) {
 
 	scaler := &procScaler{}
 	t.Cleanup(scaler.close)
-	fcfg := fleetrpc.DefaultConfig(shards.Addrs())
+	fcfg := fleetrpc.DefaultConfig(nil)
 	fcfg.ProbeInterval = 20 * time.Millisecond
 	node, err := fleetha.NewNode(fleetha.Config{
 		ID:        0,
@@ -447,15 +447,12 @@ func TestHAControllerSpawn(t *testing.T) {
 	for i := range b {
 		b[i] = 1
 	}
-	wire, err := fleetrpc.WireMatrix(a), error(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := node.SubmitWire(ctx, wire)
+	h, err := node.Submit(ctx, fleetrpc.WireMatrix(a))
 	if err != nil {
 		t.Fatal(err)
 	}
 
+	start := time.Now()
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for w := 0; w < 6; w++ {
@@ -476,45 +473,34 @@ func TestHAControllerSpawn(t *testing.T) {
 	}
 	defer func() { close(stop); wg.Wait() }()
 
-	deadline = time.Now().Add(20 * time.Second)
-	for {
-		var spawned bool
-		for _, d := range node.Trace() {
-			if d.Action == fleetha.ActSpawn {
-				spawned = true
+	// The in-flight count makes the congestion visible the moment the
+	// straggle bites, so escalation is a matter of windows, not luck:
+	// promote, one cooldown, spawn.
+	awaitAction := func(act fleetha.Action) fleetha.Decision {
+		t.Helper()
+		for {
+			for _, d := range node.Trace() {
+				if d.Action == act {
+					return d
+				}
 			}
+			if time.Since(start) > 4*time.Second {
+				t.Fatalf("no %s within 4s; trace: %+v", act, node.Trace())
+			}
+			time.Sleep(20 * time.Millisecond)
 		}
-		if spawned {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("controller never spawned; trace: %+v", node.Trace())
-		}
-		time.Sleep(50 * time.Millisecond)
+	}
+	if d := awaitAction(fleetha.ActSpawn); d.Window > 10 {
+		t.Fatalf("spawn took until window %d, want within 10; trace: %+v", d.Window, node.Trace())
 	}
 
-	// clear the straggle → controller must eventually drain the spawn
+	// clear the straggle → controller must drain the spawn
 	for _, addr := range shards.Addrs() {
 		if err := fleetrpc.NewClient(addr).SetChaosDelay(ctx, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
-	deadline = time.Now().Add(20 * time.Second)
-	for {
-		var drained bool
-		for _, d := range node.Trace() {
-			if d.Action == fleetha.ActDrain {
-				drained = true
-			}
-		}
-		if drained {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("controller never drained; trace: %+v", node.Trace())
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
+	awaitAction(fleetha.ActDrain)
 }
 
 // procScaler is a Scaler backed by real shard child processes, owned
@@ -524,15 +510,15 @@ type procScaler struct {
 	sets []*faultsim.ProcSet
 }
 
-func (s *procScaler) Spawn() (string, error) {
+func (s *procScaler) Spawn() (fleetrpc.Shard, error) {
 	set, err := fleetrpc.SpawnShards(1, fleetrpc.ShardConf{})
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	s.mu.Lock()
 	s.sets = append(s.sets, set)
 	s.mu.Unlock()
-	return set.Addrs()[0], nil
+	return fleetrpc.NewClient(set.Addrs()[0]), nil
 }
 
 func (s *procScaler) Drain(addr string) error {

@@ -1,162 +1,60 @@
 package fleetha
 
 import (
-	"context"
-	"encoding/json"
-	"errors"
-	"log"
 	"net/http"
 
+	"gesp/internal/fleet"
 	"gesp/internal/fleetrpc"
-	"gesp/internal/serve"
 )
 
 // Every node serves the same mux: the client-facing shard-protocol
-// paths (/v1/matrix, /v1/solve, /v1/stats) answered by the leader and
-// 307-redirected by followers, plus the HA control plane under
-// /ha/v1/. The redirect carries the leader address both as an
-// absolute Location (net/http re-POSTs a 307 body automatically) and
-// an X-Gesp-Leader hint for clients that follow by hand.
+// routes (fleetrpc.Handler over this node) behind the leader gate —
+// answered by the leader, 307-redirected by followers — plus the HA
+// control plane under /ha/v1/. The redirect carries the leader address
+// both as an absolute Location (which the HA Client follows) and an
+// X-Gesp-Leader hint for clients that follow by hand.
 
 // LeaderHintHeader names the redirect hint header.
 const LeaderHintHeader = "X-Gesp-Leader"
 
-// Mux builds the node's HTTP handler.
-func (n *Node) Mux() *http.ServeMux {
+// Mux builds the node's HTTP handler; q (nil for none) is the
+// per-tenant admission control of the client-facing routes.
+func (n *Node) Mux(q *fleet.Quotas) *http.ServeMux {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/matrix", n.handleMatrix)
-	mux.HandleFunc("/v1/solve", n.handleSolve)
-	mux.HandleFunc("/v1/stats", n.handleStats)
-	mux.HandleFunc("/ha/v1/status", n.handleStatus)
-	mux.HandleFunc("/ha/v1/state", n.handleState)
-	mux.HandleFunc("/ha/v1/replicate", n.handleReplicateHTTP)
-	mux.HandleFunc("/ha/v1/trace", n.handleTrace)
+	mux.Handle("/v1/", n.leaderGate(fleetrpc.Handler(n, q)))
+	mux.HandleFunc("GET /ha/v1/status", func(w http.ResponseWriter, _ *http.Request) {
+		fleetrpc.WriteJSON(w, http.StatusOK, n.Status())
+	})
+	mux.HandleFunc("GET /ha/v1/state", func(w http.ResponseWriter, _ *http.Request) {
+		fleetrpc.WriteJSON(w, http.StatusOK, n.ExportState())
+	})
+	mux.HandleFunc("POST /ha/v1/replicate", func(w http.ResponseWriter, r *http.Request) {
+		var req ReplicateRequest
+		if fleetrpc.DecodeJSON(w, r, &req) {
+			fleetrpc.WriteJSON(w, http.StatusOK, n.handleReplicate(req))
+		}
+	})
+	mux.HandleFunc("GET /ha/v1/trace", func(w http.ResponseWriter, _ *http.Request) {
+		fleetrpc.WriteJSON(w, http.StatusOK, TraceResponse{Decisions: n.Trace()})
+	})
 	return mux
 }
 
-func haWriteJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		log.Printf("fleetha: encode response: %v", err)
-	}
-}
-
-// redirectOr503 answers a request this follower cannot serve: 307 to
-// the leader when one is known, 503 (retryable) through the election.
-func (n *Node) redirectOr503(w http.ResponseWriter, r *http.Request, leaderAddr string) {
-	if leaderAddr != "" && leaderAddr != n.cfg.Peers[n.cfg.ID] {
-		w.Header().Set(LeaderHintHeader, leaderAddr)
-		w.Header().Set("Location", "http://"+leaderAddr+r.URL.Path)
-		w.WriteHeader(http.StatusTemporaryRedirect)
-		return
-	}
-	haWriteJSON(w, http.StatusServiceUnavailable, fleetrpc.ErrorResponse{Error: "fleetha: no leader elected yet; retry"})
-}
-
-// writeErr maps node errors onto the shard protocol's status taxonomy
-// so fleetrpc.Retryable classifies them unchanged.
-func (n *Node) writeErr(w http.ResponseWriter, err error) {
-	var re *fleetrpc.RemoteError
-	switch {
-	case errors.As(err, &re):
-		if re.RetryAfter > 0 {
-			fleetrpc.SetRetryAfter(w, re.RetryAfter)
+// leaderGate passes a request through when this node leads. Otherwise
+// it answers what a follower can: 307 to the leader when one is known,
+// 503 (retryable) through the election.
+func (n *Node) leaderGate(next http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_, leaderAddr, err := n.leaderFleet()
+		switch {
+		case err == nil:
+			next.ServeHTTP(w, r)
+		case leaderAddr != "" && leaderAddr != n.cfg.Peers[n.cfg.ID]:
+			w.Header().Set(LeaderHintHeader, leaderAddr)
+			w.Header().Set("Location", "http://"+leaderAddr+r.URL.Path)
+			w.WriteHeader(http.StatusTemporaryRedirect)
+		default:
+			fleetrpc.WriteErr(w, fleetrpc.StatusError(http.StatusServiceUnavailable, "fleetha: no leader elected yet; retry", 0))
 		}
-		haWriteJSON(w, re.Status, fleetrpc.ErrorResponse{Error: re.Msg})
-	case errors.Is(err, fleetrpc.ErrNoLiveShards),
-		errors.Is(err, fleetrpc.ErrUnreachable),
-		errors.Is(err, serve.ErrClosed),
-		errors.Is(err, context.DeadlineExceeded):
-		haWriteJSON(w, http.StatusServiceUnavailable, fleetrpc.ErrorResponse{Error: err.Error()})
-	default:
-		haWriteJSON(w, http.StatusBadRequest, fleetrpc.ErrorResponse{Error: err.Error()})
-	}
-}
-
-func (n *Node) handleMatrix(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		haWriteJSON(w, http.StatusMethodNotAllowed, fleetrpc.ErrorResponse{Error: "POST only"})
-		return
-	}
-	var req fleetrpc.MatrixRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		haWriteJSON(w, http.StatusBadRequest, fleetrpc.ErrorResponse{Error: "bad matrix body: " + err.Error()})
-		return
-	}
-	h, err := n.SubmitWire(r.Context(), req)
-	if errors.Is(err, errNotLeader) {
-		//gesp:errok — not-leader already established; only the hint address matters, and an empty one 503s
-		_, leaderAddr, _ := n.leaderFleet()
-		n.redirectOr503(w, r, leaderAddr)
-		return
-	}
-	if err != nil {
-		n.writeErr(w, err)
-		return
-	}
-	haWriteJSON(w, http.StatusOK, fleetrpc.MatrixResponse{Handle: h.String(), N: h.N})
-}
-
-func (n *Node) handleSolve(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		haWriteJSON(w, http.StatusMethodNotAllowed, fleetrpc.ErrorResponse{Error: "POST only"})
-		return
-	}
-	var req fleetrpc.SolveRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		haWriteJSON(w, http.StatusBadRequest, fleetrpc.ErrorResponse{Error: "bad solve body: " + err.Error()})
-		return
-	}
-	h, err := serve.ParseHandle(req.Handle)
-	if err != nil {
-		haWriteJSON(w, http.StatusBadRequest, fleetrpc.ErrorResponse{Error: err.Error()})
-		return
-	}
-	x, err := n.Solve(r.Context(), h, req.B)
-	if errors.Is(err, errNotLeader) {
-		//gesp:errok — not-leader already established; only the hint address matters, and an empty one 503s
-		_, leaderAddr, _ := n.leaderFleet()
-		n.redirectOr503(w, r, leaderAddr)
-		return
-	}
-	if err != nil {
-		n.writeErr(w, err)
-		return
-	}
-	haWriteJSON(w, http.StatusOK, fleetrpc.SolveResponse{X: x})
-}
-
-func (n *Node) handleStats(w http.ResponseWriter, r *http.Request) {
-	fl, leaderAddr, err := n.leaderFleet()
-	if err != nil {
-		n.redirectOr503(w, r, leaderAddr)
-		return
-	}
-	haWriteJSON(w, http.StatusOK, fl.Stats())
-}
-
-func (n *Node) handleStatus(w http.ResponseWriter, _ *http.Request) {
-	haWriteJSON(w, http.StatusOK, n.Status())
-}
-
-func (n *Node) handleState(w http.ResponseWriter, _ *http.Request) {
-	haWriteJSON(w, http.StatusOK, n.ExportState())
-}
-
-func (n *Node) handleReplicateHTTP(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		haWriteJSON(w, http.StatusMethodNotAllowed, fleetrpc.ErrorResponse{Error: "POST only"})
-		return
-	}
-	var req ReplicateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		haWriteJSON(w, http.StatusBadRequest, fleetrpc.ErrorResponse{Error: "bad replicate body: " + err.Error()})
-		return
-	}
-	haWriteJSON(w, http.StatusOK, n.handleReplicate(req))
-}
-
-func (n *Node) handleTrace(w http.ResponseWriter, _ *http.Request) {
-	haWriteJSON(w, http.StatusOK, TraceResponse{Decisions: n.Trace()})
+	})
 }

@@ -2,7 +2,6 @@ package fleetha
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"net/http"
@@ -43,12 +42,11 @@ import (
 // deployments degenerate gracefully — the only follower holds every
 // acked entry, so it may claim alone).
 
-// Scaler provisions shard processes for the SLO controller. Spawn
-// returns the new shard's address; Drain retires one previously
-// spawned at addr (called after the fleet has drained it from the
-// ring).
+// Scaler provisions shards for the SLO controller. Spawn returns the
+// new shard; Drain retires the one previously spawned whose Addr is
+// addr (called after the fleet has drained it from the ring).
 type Scaler interface {
-	Spawn() (addr string, err error)
+	Spawn() (fleetrpc.Shard, error)
 	Drain(addr string) error
 }
 
@@ -85,7 +83,7 @@ type Config struct {
 	// and is clamped to at most Lease/3 so a healthy leader can always
 	// refresh the lease with margin).
 	Heartbeat time.Duration
-	// Fleet is the template for the leader's shard coordinator; Addrs,
+	// Fleet is the template for the leader's shard coordinator; Shards,
 	// SeedRegistry, and DeadMembers are overwritten at takeover.
 	Fleet fleetrpc.Config
 	// Controller, when non-nil, runs the SLO control loop on the leader.
@@ -185,6 +183,14 @@ type haPeer struct {
 	hc   *http.Client
 }
 
+// call runs one control-plane round trip against the peer, bounded by
+// half a lease.
+func (p *haPeer) call(lease time.Duration, method, path string, in, out any) error {
+	ctx, cancel := context.WithTimeout(context.Background(), lease/2)
+	defer cancel()
+	return fleetrpc.DoJSON(ctx, p.hc, method, "http://"+p.addr+path, in, out)
+}
+
 // spawnedShard records one controller-spawned shard by the member id
 // AddMember assigned it — drains go by id, not by address, because
 // member ids are append-only while an OS-recycled port can make a new
@@ -233,7 +239,7 @@ func NewNode(cfg Config) (*Node, error) {
 		if i == cfg.ID {
 			continue
 		}
-		n.peers[i] = &haPeer{id: i, addr: addr, hc: newPooledHTTPClient()}
+		n.peers[i] = &haPeer{id: i, addr: addr, hc: fleetrpc.NewHTTPClient()}
 	}
 	n.wg.Add(1)
 	go n.run()
@@ -322,10 +328,8 @@ func (n *Node) runElection(now time.Time) {
 		}
 		probes++
 		go func(p *haPeer) {
-			ctx, cancel := context.WithTimeout(context.Background(), n.cfg.Lease/2)
-			defer cancel()
 			var st StatusResponse
-			err := haDo(ctx, p.hc, p.addr, http.MethodGet, "/ha/v1/status", nil, &st)
+			err := p.call(n.cfg.Lease, http.MethodGet, "/ha/v1/status", nil, &st)
 			results <- probeRes{id: p.id, st: st, ok: err == nil}
 		}(p)
 	}
@@ -406,10 +410,8 @@ func (n *Node) readQuorum(reachable []int) bool {
 		}
 		launched++
 		go func(p *haPeer) {
-			ctx, cancel := context.WithTimeout(context.Background(), n.cfg.Lease/2)
-			defer cancel()
 			var st StateResponse
-			if err := haDo(ctx, p.hc, p.addr, http.MethodGet, "/ha/v1/state", nil, &st); err != nil {
+			if err := p.call(n.cfg.Lease, http.MethodGet, "/ha/v1/state", nil, &st); err != nil {
 				ch <- false
 				return
 			}
@@ -440,7 +442,7 @@ func (n *Node) becomeLeader(term uint64, now time.Time) {
 	for {
 		registry, shards, dead, gen := n.state.snapshot()
 		fcfg := n.cfg.Fleet
-		fcfg.Addrs = shards
+		fcfg.Shards = fleetrpc.Dial(shards)
 		fcfg.SeedRegistry = registry
 		fcfg.DeadMembers = dead
 		if fcfg.Seed == 0 {
@@ -478,18 +480,7 @@ func (n *Node) becomeLeader(term uint64, now time.Time) {
 				n.repl[p.id] = &peerRepl{acked: make(map[string]bool), needFull: true}
 			}
 		}
-		if n.ctrl == nil && n.cfg.Controller != nil {
-			cc := *n.cfg.Controller
-			if n.cfg.Scaler == nil {
-				// no Scaler: a Spawn decision could never be applied, so
-				// never emit one — promotion/demotion remain available
-				cc.SpawnQueueDepth, cc.MaxShards = 0, 0
-			}
-			n.ctrl = NewController(cc)
-		}
-		n.lastCtrl = now
-		n.prevLatCounts, n.prevLatTotal = fl.LatSnapshot()
-		n.prevStats = fl.Stats()
+		n.startControllerLocked(fl, now)
 		n.mu.Unlock()
 		n.cfg.Logf("fleetha node %d: leading at term %d (%d seeded handles, %d shards, %d dead)",
 			n.cfg.ID, term, len(registry), len(shards), len(dead))
@@ -602,10 +593,8 @@ func (n *Node) broadcastReplicate(extra []RegistryEntry) (acks int) {
 		}
 		launched++
 		go func(p *haPeer, req ReplicateRequest, sent []string) {
-			ctx, cancel := context.WithTimeout(context.Background(), n.cfg.Lease/2)
-			defer cancel()
 			var resp ReplicateResponse
-			err := haDo(ctx, p.hc, p.addr, http.MethodPost, "/ha/v1/replicate", req, &resp)
+			err := p.call(n.cfg.Lease, http.MethodPost, "/ha/v1/replicate", req, &resp)
 			ch <- res{p: p, sent: sent, resp: resp, err: err}
 		}(p, req, sent)
 	}
@@ -692,15 +681,10 @@ func (n *Node) Status() StatusResponse {
 	if n.leaderID >= 0 && n.leaderID < len(n.cfg.Peers) {
 		st.LeaderAddr = n.cfg.Peers[n.leaderID]
 	}
-	fl := n.fleet
+	fl, seq := n.fleet, n.seq
 	n.mu.Unlock()
 	if fl != nil {
-		st.RegistryLen = fl.RegistryLen()
-		st.RingGen = fl.RingGen()
-		n.mu.Lock()
-		st.AppliedSeq = n.seq
-		st.Epoch = n.seq
-		n.mu.Unlock()
+		st.AppliedSeq, st.RegistryLen, st.Epoch, st.RingGen = seq, fl.RegistryLen(), seq, fl.RingGen()
 	} else {
 		st.AppliedSeq, st.RegistryLen, st.Epoch, st.RingGen = n.state.stats()
 	}
@@ -745,20 +729,6 @@ func (n *Node) Role() Role {
 	return n.role
 }
 
-// Term reports the node's current term.
-func (n *Node) Term() uint64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.term
-}
-
-// Fleet exposes the leader's shard coordinator (nil on followers).
-func (n *Node) Fleet() *fleetrpc.Fleet {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.fleet
-}
-
 // Trace snapshots the controller decision log.
 func (n *Node) Trace() []Decision {
 	n.mu.Lock()
@@ -766,21 +736,11 @@ func (n *Node) Trace() []Decision {
 	return append([]Decision(nil), n.trace...)
 }
 
-// RegistryLen reports the replicated (follower) or live (leader)
-// registry size.
-func (n *Node) RegistryLen() int {
-	n.mu.Lock()
-	fl := n.fleet
-	n.mu.Unlock()
-	if fl != nil {
-		return fl.RegistryLen()
-	}
-	_, l, _, _ := n.state.stats()
-	return l
-}
-
-// errNotLeader marks a request that must go to the leader.
-var errNotLeader = errors.New("fleetha: not the leader")
+// errNotLeader marks a request that must go to the leader. The gate
+// redirects before it can arise; a node deposed between the gate and
+// the call answers it, and to a client that is a closed coordinator:
+// retryable, and the retry finds the redirect.
+var errNotLeader = fmt.Errorf("fleetha: not the leader: %w", serve.ErrClosed)
 
 // leaderFleet returns the fleet if this node leads, or the redirect
 // target.
@@ -793,39 +753,29 @@ func (n *Node) leaderFleet() (*fleetrpc.Fleet, string, error) {
 	return nil, n.leaderAddr, errNotLeader
 }
 
-// SubmitWire registers a matrix on the leading node: factor on the
-// shards, then replicate the registry entry to floor(N/2) followers —
-// a majority of the coordinator set counting the leader — before
-// acking. Paired with the election's read-quorum, this is the
-// durability contract that makes leader SIGKILL lose nothing: every
-// possible winner's read set intersects the entry's write set.
-func (n *Node) SubmitWire(ctx context.Context, wire fleetrpc.MatrixRequest) (serve.Handle, error) {
+// Submit registers a matrix on the leading node: factor on the shards,
+// then replicate the registry entry to floor(N/2) followers — a
+// majority of the coordinator set counting the leader — before acking.
+// Paired with the election's read-quorum, this is the durability
+// contract that makes leader SIGKILL lose nothing: every possible
+// winner's read set intersects the entry's write set.
+func (n *Node) Submit(ctx context.Context, wire fleetrpc.MatrixRequest) (serve.Handle, error) {
 	fl, _, err := n.leaderFleet()
 	if err != nil {
 		return serve.Handle{}, err
 	}
-	a, err := fleetrpc.AssembleMatrix(wire)
-	if err != nil {
-		return serve.Handle{}, err
-	}
-	h, err := fl.SubmitCtx(ctx, a)
+	h, err := fl.Submit(ctx, wire)
 	if err != nil {
 		return serve.Handle{}, err
 	}
 	if need := n.submitAcksNeeded(); need > 0 {
 		acks := n.broadcastReplicate([]RegistryEntry{{Handle: h.String(), Matrix: wire}})
 		if acks < need {
-			n.mu.Lock()
-			stillLeading := n.role == Leader
-			n.mu.Unlock()
-			if !stillLeading {
+			if n.Role() != Leader {
 				return serve.Handle{}, errNotLeader
 			}
-			return serve.Handle{}, &fleetrpc.RemoteError{
-				Status: http.StatusServiceUnavailable,
-				Msg: fmt.Sprintf("fleetha: %d of %d required follower acks for the registry entry; retry",
-					acks, need),
-			}
+			return serve.Handle{}, fleetrpc.StatusError(http.StatusServiceUnavailable,
+				fmt.Sprintf("fleetha: %d of %d required follower acks for the registry entry; retry", acks, need), 0)
 		}
 	}
 	return h, nil
@@ -837,5 +787,15 @@ func (n *Node) Solve(ctx context.Context, h serve.Handle, b []float64) ([]float6
 	if err != nil {
 		return nil, err
 	}
-	return fl.SolveCtx(ctx, h, b)
+	return fl.Solve(ctx, h, b)
+}
+
+// Stats is the leading node's fleet counters (zero on a follower,
+// which the gate never lets a client ask).
+func (n *Node) Stats() fleetrpc.Stats {
+	fl, _, err := n.leaderFleet()
+	if err != nil {
+		return fleetrpc.Stats{}
+	}
+	return fl.Stats()
 }

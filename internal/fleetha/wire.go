@@ -1,10 +1,6 @@
 package fleetha
 
-import (
-	"time"
-
-	"gesp/internal/fleetrpc"
-)
+import "gesp/internal/fleetrpc"
 
 // The HA wire format rides the same HTTP+JSON transport as the shard
 // protocol, under /ha/v1/. Three verbs: status (election probes and
@@ -118,13 +114,4 @@ type ConfigureRequest struct {
 	HedgeAfterMS int64 `json:"hedge_after_ms,omitempty"`
 	// Controller, when non-nil, runs the SLO controller on the leader.
 	Controller *ControllerConfig `json:"controller,omitempty"`
-}
-
-// lease and heartbeat convert the wire milliseconds.
-func (c ConfigureRequest) lease() time.Duration {
-	return time.Duration(c.LeaseMS) * time.Millisecond
-}
-
-func (c ConfigureRequest) heartbeat() time.Duration {
-	return time.Duration(c.HeartbeatMS) * time.Millisecond
 }

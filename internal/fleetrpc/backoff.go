@@ -1,6 +1,9 @@
 package fleetrpc
 
-import "time"
+import (
+	"context"
+	"time"
+)
 
 // Backoff is the retry policy for one logical request: up to Attempts
 // tries, exponential waits from Base to Max, each wait widened by up to
@@ -38,17 +41,12 @@ func (b Backoff) fill() Backoff {
 	return b
 }
 
-// wait computes the pause before retry number attempt (attempt 0 is
+// Wait computes the pause before retry number attempt (attempt 0 is
 // the wait after the first failure). u is a uniform [0,1) draw from
-// the caller's seeded generator; retryAfter is the shard's hint (0 for
-// none). Must be called on a filled Backoff.
-func (b Backoff) wait(attempt int, u float64, retryAfter time.Duration) time.Duration {
-	return b.Wait(attempt, u, retryAfter)
-}
-
-// Wait is wait for sibling packages (the HA coordinator client reuses
-// this ladder for coordinator failover): defaults are filled, so any
-// Backoff value is safe to call.
+// the caller's seeded generator; retryAfter is the rejecting side's
+// hint (0 for none). Defaults are filled, so any Backoff value is safe
+// to call — the HA coordinator client reuses this ladder for
+// coordinator failover.
 func (b Backoff) Wait(attempt int, u float64, retryAfter time.Duration) time.Duration {
 	b = b.fill()
 	d := float64(b.Base)
@@ -64,4 +62,16 @@ func (b Backoff) Wait(attempt int, u float64, retryAfter time.Duration) time.Dur
 		w = retryAfter
 	}
 	return w
+}
+
+// Sleep pauses for d or until ctx ends, whichever is first.
+func Sleep(ctx context.Context, d time.Duration) error {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
 }

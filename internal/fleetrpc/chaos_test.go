@@ -5,6 +5,7 @@
 package fleetrpc_test
 
 import (
+	"context"
 	"math/rand"
 	"os"
 	"sync"
@@ -18,6 +19,8 @@ import (
 	"gesp/internal/serve"
 	"gesp/internal/sparse"
 )
+
+var bg = context.Background()
 
 func TestMain(m *testing.M) {
 	fleetrpc.RunShardIfChild()
@@ -42,7 +45,7 @@ func chaosFleet(t *testing.T, n int, names []string) (*faultsim.ProcSet, *fleetr
 	t.Cleanup(procs.Close)
 
 	cfg := fleetrpc.Config{
-		Addrs:            procs.Addrs(),
+		Shards:           fleetrpc.Dial(procs.Addrs()),
 		Replication:      2,
 		ProbeInterval:    10 * time.Millisecond,
 		ProbeTimeout:     100 * time.Millisecond,
@@ -74,11 +77,11 @@ func chaosFleet(t *testing.T, n int, names []string) (*faultsim.ProcSet, *fleetr
 		}
 		b := make([]float64, a.Rows)
 		a.MatVec(b, want)
-		h, err := f.Submit(a)
+		h, err := f.Submit(bg, fleetrpc.WireMatrix(a))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if _, err := f.Solve(h, b); err != nil { // warm the factor caches
+		if _, err := f.Solve(bg, h, b); err != nil { // warm the factor caches
 			t.Fatalf("%s warm solve: %v", name, err)
 		}
 		pool = append(pool, chaosSystem{a: a, b: b, want: want, h: h})
@@ -104,7 +107,7 @@ func hammer(f *fleetrpc.Fleet, pool []chaosSystem, workers int, stop chan struct
 				default:
 				}
 				sys := pool[rng.Intn(len(pool))]
-				if _, err := f.Solve(sys.h, sys.b); err != nil {
+				if _, err := f.Solve(bg, sys.h, sys.b); err != nil {
 					firstErr.CompareAndSwap(nil, err)
 					return
 				}
@@ -171,7 +174,7 @@ func TestChaosSIGKILL(t *testing.T) {
 	}
 	// Everything must still solve correctly on the survivors.
 	for _, sys := range pool {
-		x, err := f.Solve(sys.h, sys.b)
+		x, err := f.Solve(bg, sys.h, sys.b)
 		if err != nil {
 			t.Fatal(err)
 		}

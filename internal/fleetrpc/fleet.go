@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -20,9 +21,8 @@ import (
 // retryable: the prober revives members the moment they answer again.
 var ErrNoLiveShards = errors.New("fleetrpc: no live shards")
 
-// maxReplication caps a pattern's placement width, mirroring the
-// in-process fleet: owner plus up to three replicas, so placement
-// buffers stay on the stack.
+// maxReplication caps a pattern's placement width: owner plus up to
+// three replicas, so placement buffers stay on the stack.
 const maxReplication = 4
 
 // backoffSickCap bounds how many of a member's consecutive failures
@@ -32,11 +32,12 @@ const maxReplication = 4
 // recovered shard's next transient error waits Base, not Max.
 const backoffSickCap = 4
 
-// Config parameterizes the cross-process coordinator.
+// Config parameterizes the router.
 type Config struct {
-	// Addrs are the shard processes' host:port listen addresses. Member
-	// ids are the indexes into this slice.
-	Addrs []string
+	// Shards are the initial members — Dial(addrs) for gesp-serve
+	// processes, LocalShards(svcs...) for in-process services. Member ids
+	// are the indexes into this slice.
+	Shards []Shard
 	// Replication is how many members hold each pattern (owner
 	// included): every Submit lands on the owner and Replication-1 ring
 	// successors, so a failover target already has the factors. <=0
@@ -55,7 +56,7 @@ type Config struct {
 	// synchronize their probe bursts against the same shard. 0 takes
 	// 0.2; negative disables jitter (tests that count exact ticks).
 	ProbeJitter float64
-	// ProbeTimeout bounds one /v1/health round trip (4x ProbeInterval
+	// ProbeTimeout bounds one health check (4x ProbeInterval
 	// when <=0). A SIGSTOPped shard accepts the connection and then
 	// hangs, so the timeout — not a refused connect — is what detects a
 	// partitioned member.
@@ -90,9 +91,9 @@ type Config struct {
 
 	// DegradedFallback, when set, answers a solve whose every placement
 	// is down — after retries and healing have failed — by shipping the
-	// registered matrix to any live member's /v1/degraded iterative
-	// path. Slower and less accurate than the direct solve, but an
-	// answer instead of an error.
+	// registered matrix to any live member's iterative path. Slower and
+	// less accurate than the direct solve, but an answer instead of an
+	// error.
 	DegradedFallback bool
 
 	// SeedRegistry pre-populates the wire-matrix registry. This is the
@@ -102,7 +103,7 @@ type Config struct {
 	// new coordinator re-replicates the seeded patterns in the
 	// background at startup.
 	SeedRegistry map[serve.Handle]MatrixRequest
-	// DeadMembers are Addrs indexes to treat as dead from birth — the
+	// DeadMembers are Shards indexes to treat as dead from birth — the
 	// previous leader's replicated membership view, so a failed-over
 	// coordinator starts with the ring its predecessor was routing on
 	// instead of rediscovering every death at a probe interval's cost.
@@ -113,16 +114,13 @@ type Config struct {
 	Seed int64
 }
 
-// DefaultConfig is a coordinator tuned for LAN shards: 2x replication,
-// fast probing, hedging after 100ms capped at 10% of traffic, and the
-// degraded fallback on.
-func DefaultConfig(addrs []string) Config {
+// DefaultConfig is a router tuned for LAN shards: the zero-value
+// defaults (2x replication, 50ms probing, dead after 3 failures) plus
+// hedging after 100ms capped at 10% of traffic, and the degraded
+// fallback on.
+func DefaultConfig(shards []Shard) Config {
 	return Config{
-		Addrs:            addrs,
-		Replication:      2,
-		ProbeInterval:    50 * time.Millisecond,
-		SuspectAfter:     1,
-		DeadAfter:        3,
+		Shards:           shards,
 		HedgeAfter:       100 * time.Millisecond,
 		HedgeBudget:      0.1,
 		HedgeBurst:       8,
@@ -167,15 +165,14 @@ func (c *Config) fillDefaults() {
 	}
 }
 
-// Fleet is the cross-process coordinator: the consistent-hash router
-// the in-process fleet pioneered, speaking the wire format to separate
-// gesp-serve processes, with the layers a process boundary demands —
-// health-checked membership, retry/backoff, a hedging budget, and
-// degraded fallback. Safe for concurrent use.
+// Fleet is the router: consistent-hash placement over its Shards with
+// health-checked membership, retry/backoff, a hedging budget, drain
+// and degraded fallback (see the package comment). Safe for concurrent
+// use.
 type Fleet struct {
 	cfg   Config
 	hedge *fleet.HedgeBudget
-	m     rpcMetrics
+	m     metrics
 	// lat is the fleet-wide client-observed solve latency histogram;
 	// windowed snapshots of it are the SLO controller's p999 signal.
 	lat fleet.LatHist
@@ -194,9 +191,9 @@ type Fleet struct {
 	ringGen atomic.Uint64
 
 	mu sync.Mutex
-	// registry keeps every submitted system in wire form, encoded once:
-	// the coordinator re-sends these bytes to heal evictions, to
-	// re-replicate after a death, and to feed the degraded path.
+	// registry keeps every submitted system in wire form: the router
+	// re-sends it to heal evictions, to re-replicate after a membership
+	// change, and to feed the degraded path.
 	//gesp:guardedby:mu
 	registry map[serve.Handle]MatrixRequest
 	// replBoost widens a single pattern's placement beyond
@@ -217,13 +214,13 @@ type Fleet struct {
 	wg     sync.WaitGroup
 }
 
-// New builds a coordinator over cfg.Addrs and starts its prober. It
-// does not contact the shards — the first probe tick and the first
-// request do; a shard that is still starting up just eats a few
-// failures and revives on its first healthy probe.
+// New builds a router over cfg.Shards and starts its prober. It does
+// not contact the shards — the first probe tick and the first request
+// do; a shard that is still starting up just eats a few failures and
+// revives on its first healthy probe.
 func New(cfg Config) (*Fleet, error) {
-	if len(cfg.Addrs) == 0 {
-		return nil, errors.New("fleetrpc: no shard addresses")
+	if len(cfg.Shards) == 0 {
+		return nil, errors.New("fleetrpc: no shards")
 	}
 	cfg.fillDefaults()
 	now := time.Now()
@@ -236,9 +233,9 @@ func New(cfg Config) (*Fleet, error) {
 		rng:       rand.New(rand.NewSource(cfg.Seed)),
 		stop:      make(chan struct{}),
 	}
-	members := make([]*member, len(cfg.Addrs))
-	for i, addr := range cfg.Addrs {
-		members[i] = newMember(i, addr, now)
+	members := make([]*member, len(cfg.Shards))
+	for i, sh := range cfg.Shards {
+		members[i] = newMember(i, sh, now)
 	}
 	for _, id := range cfg.DeadMembers {
 		if id >= 0 && id < len(members) {
@@ -250,20 +247,17 @@ func New(cfg Config) (*Fleet, error) {
 	for h, w := range cfg.SeedRegistry {
 		f.registry[h] = w
 	}
-	f.rebuildRing()
+	// A takeover coordinator re-homes its inherited registry under its
+	// own ring before traffic needs the factors; the shards' caches make
+	// the duplicate submits lookups, not refactors.
+	f.rebalance()
 	f.wg.Add(1)
 	go f.prober()
-	if len(f.registry) > 0 {
-		// A takeover coordinator re-homes its inherited registry under
-		// its own ring before traffic needs the factors; the shards'
-		// caches make the duplicate submits lookups, not refactors.
-		f.rereplicateAsync()
-	}
 	return f, nil
 }
 
-// Close stops the prober and pending re-replications. Shard processes
-// are not touched — they belong to whoever started them.
+// Close stops the prober and pending re-replications. The shards are
+// not touched — they belong to whoever started them.
 func (f *Fleet) Close() {
 	if !f.closed.CompareAndSwap(false, true) {
 		return
@@ -276,11 +270,11 @@ func (f *Fleet) Close() {
 // stable indexes into the snapshot.
 func (f *Fleet) memberList() []*member { return *f.members.Load() }
 
-// AddMember grows the fleet with a new shard process at addr and
-// returns its id. The ring rebuild places it immediately; the
-// background re-replication then moves the patterns it now owns onto
-// it. This is the SLO controller's scale-up knob.
-func (f *Fleet) AddMember(addr string) (int, error) {
+// AddMember grows the fleet with a new shard and returns its id. The
+// ring rebuild places it immediately; the background re-replication
+// then moves the patterns it now owns onto it. This is the SLO
+// controller's scale-up knob.
+func (f *Fleet) AddMember(sh Shard) (int, error) {
 	if f.closed.Load() {
 		return 0, serve.ErrClosed
 	}
@@ -289,12 +283,11 @@ func (f *Fleet) AddMember(addr string) (int, error) {
 	id := len(old)
 	grown := make([]*member, id+1)
 	copy(grown, old)
-	grown[id] = newMember(id, addr, time.Now())
+	grown[id] = newMember(id, sh, time.Now())
 	f.members.Store(&grown)
 	f.mu.Unlock()
 	f.m.scaleUps.Add(1)
-	f.rebuildRing()
-	f.rereplicateAsync()
+	f.rebalance()
 	return id, nil
 }
 
@@ -352,26 +345,27 @@ func (f *Fleet) probe(mb *member) {
 	f.m.probes.Add(1)
 	ctx, cancel := context.WithTimeout(context.Background(), f.cfg.ProbeTimeout)
 	defer cancel()
-	res, err := mb.cli.Health(ctx)
+	probedAt := time.Now()
+	res, err := mb.sh.Health(ctx)
 	if err == nil && res.Status != "ok" {
-		err = fmt.Errorf("%w: %s: shard reports %q", ErrUnreachable, mb.addr, res.Status)
+		err = fmt.Errorf("%w: %s: shard reports %q", ErrUnreachable, mb.sh.Addr(), res.Status)
 	}
 	if err != nil {
 		f.m.probeFails.Add(1)
-		if mb.reportFailure(f.cfg.SuspectAfter, f.cfg.DeadAfter, time.Now()) {
-			f.onDeath(mb)
-		}
+		f.noteFailure(mb, time.Now())
 		return
 	}
 	mb.noteHealth(res)
-	if mb.reviveOnProbe(time.Now()) {
-		f.onRejoin(mb)
+	if mb.reviveOnProbe(probedAt, time.Now()) {
+		f.m.rejoins.Add(1)
+		f.rebalance()
 	}
 }
 
 // noteResult feeds one request outcome into the membership state
-// machine. Only transport-level failures count against health — an
-// HTTP error (even a 503) is a live process making a decision. Our own
+// machine. Only silence counts against health — transport failures and
+// missed deadlines; an error the shard itself returned (even a shed or
+// a refusal to admit) is a live shard making a decision. Our own
 // cancellation says nothing about the member. Resurrection of dead
 // members is the prober's job alone: it is the only observer that can
 // tell a restarted shard from a drained one still answering.
@@ -381,42 +375,35 @@ func (f *Fleet) noteResult(mb *member, err error) {
 	case err == nil:
 		mb.reportSuccess(now)
 	case errors.Is(err, ErrUnreachable) || errors.Is(err, context.DeadlineExceeded):
-		if mb.reportFailure(f.cfg.SuspectAfter, f.cfg.DeadAfter, now) {
-			f.onDeath(mb)
-		}
+		f.noteFailure(mb, now)
 	case errors.Is(err, context.Canceled):
 		// hedge loser or caller gave up; no health signal either way
 	default:
-		// a decoded HTTP response: the process is alive
+		// the shard answered: it is alive
 		mb.reportSuccess(now)
 	}
 }
 
-// onDeath and onRejoin handle the two ring-changing transitions:
-// rebuild placement, then re-replicate the registry under the new ring
-// so every pattern's factors exist at its (possibly new) owner and
-// replicas before traffic needs them. A death also closes the pooled
-// connections to the corpse — a long-running coordinator must not keep
-// sockets to killed shards alive for the process's lifetime.
-func (f *Fleet) onDeath(mb *member) {
-	f.m.deaths.Add(1)
-	mb.cli.CloseIdle()
-	f.rebuildRing()
-	f.rereplicateAsync()
+// noteFailure counts one failed probe or unanswered request against
+// the member; the failure that kills it rebalances the fleet.
+func (f *Fleet) noteFailure(mb *member, now time.Time) {
+	if mb.reportFailure(f.cfg.SuspectAfter, f.cfg.DeadAfter, now) {
+		f.m.deaths.Add(1)
+		f.rebalance()
+	}
 }
 
-func (f *Fleet) onRejoin(mb *member) {
-	f.m.rejoins.Add(1)
+// rebalance follows every membership change — a death, a rejoin, a
+// drain, a new member: rebuild placement, then re-replicate the
+// registry under the new ring so every pattern's factors exist at its
+// (possibly new) owner and replicas before traffic needs them.
+func (f *Fleet) rebalance() {
 	f.rebuildRing()
-	f.rereplicateAsync()
+	f.rereplicateWhere(func(uint64) bool { return true })
 }
 
-// rebuildRing recomputes the ring over the non-dead members and swaps
-// it in. Serialized under mu so a stale membership read cannot
-// overwrite a newer ring.
-func (f *Fleet) rebuildRing() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
+// liveRing computes the ring over the non-dead members.
+func (f *Fleet) liveRing() *fleet.Ring {
 	members := f.memberList()
 	ids := make([]int, 0, len(members))
 	for _, mb := range members {
@@ -424,22 +411,26 @@ func (f *Fleet) rebuildRing() {
 			ids = append(ids, mb.id)
 		}
 	}
-	f.ring.Store(fleet.NewRing(ids, f.cfg.VNodes))
+	return fleet.NewRing(ids, f.cfg.VNodes)
+}
+
+// rebuildRing swaps in the ring over the non-dead members. Serialized
+// under mu so a stale membership read cannot overwrite a newer ring.
+func (f *Fleet) rebuildRing() {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.ring.Store(f.liveRing())
 	f.ringGen.Add(1)
 	f.m.rebuilds.Add(1)
 }
 
-// rereplicateAsync re-submits every registered matrix to its placement
-// under the current ring, in the background: factors move to their
-// new owners ahead of the traffic that will want them, and members
-// already holding them answer from cache (the serve layer's factor
-// cache makes a duplicate submit a lookup, not a refactorization).
-func (f *Fleet) rereplicateAsync() {
-	f.rereplicateWhere(func(uint64) bool { return true })
-}
-
-// rereplicateWhere re-homes the registered patterns selected by keep.
-// The registry key already carries the pattern fingerprint
+// rereplicateWhere re-submits the registered patterns selected by keep
+// to their placement under the current ring, in the background:
+// factors appear at their new owners ahead of the traffic that will
+// want them, and members already holding them — from before, or from a
+// drain's Import — answer from cache (the serve layer's factor cache
+// makes a duplicate submit a lookup, not a refactorization). The
+// registry key already carries the pattern fingerprint
 // (Handle.Key.Pattern), so selection costs no matrix assembly.
 func (f *Fleet) rereplicateWhere(keep func(pattern uint64) bool) {
 	if f.closed.Load() {
@@ -473,16 +464,29 @@ func (f *Fleet) rereplicateWhere(keep func(pattern uint64) bool) {
 			var buf [maxReplication]*member
 			n := f.placementInto(buf[:], e.pattern)
 			for i := 0; i < n; i++ {
-				ctx, cancel := context.WithTimeout(context.Background(), f.cfg.SubmitTimeout)
-				_, err := buf[i].cli.SubmitWire(ctx, e.wire)
-				cancel()
-				f.noteResult(buf[i], err)
-				if err == nil {
+				if _, err := f.submitTo(context.Background(), buf[i], buf[0], e.pattern, e.wire); err == nil {
 					f.m.rereplicated.Add(1)
 				}
 			}
 		}
 	}()
+}
+
+// submitTo factors wire on mb. When donor is another member, its
+// analysis of the pattern is offered to mb first, so a replica that can
+// adopt it (one sharing the donor's address space) skips re-analysis.
+func (f *Fleet) submitTo(ctx context.Context, mb, donor *member, pattern uint64, wire MatrixRequest) (serve.Handle, error) {
+	sctx, cancel := context.WithTimeout(ctx, f.cfg.SubmitTimeout)
+	defer cancel()
+	if donor != mb {
+		if exp, err := donor.sh.ExportSymbolic(sctx, pattern); err == nil {
+			//gesp:errok — sharing the analysis is an optimization; the submit below re-analyzes without it
+			_, _ = mb.sh.Import(sctx, exp)
+		}
+	}
+	h, err := mb.sh.Submit(sctx, wire)
+	f.noteResult(mb, err)
+	return h, err
 }
 
 // replWidth is a pattern's current placement width: the configured
@@ -578,6 +582,10 @@ func (f *Fleet) HotPatterns(k int) []uint64 {
 	return out
 }
 
+// healthiestFirst is the order members are preferred in: alive, then
+// suspect. Dead members are never placed.
+var healthiestFirst = [...]MemberState{StateAlive, StateSuspect}
+
 // placementInto writes the pattern's placement — healthiest first —
 // into dst and returns how many entries it wrote. The ring (which
 // excludes dead members) proposes owner + successors; alive members
@@ -590,11 +598,7 @@ func (f *Fleet) placementInto(dst []*member, pattern uint64) int {
 	rf := f.replWidth(pattern)
 	n := ring.ReplicasInto(ids[:rf], pattern)
 	k := 0
-	for pass := 0; pass < 2; pass++ {
-		want := StateAlive
-		if pass == 1 {
-			want = StateSuspect
-		}
+	for _, want := range healthiestFirst {
 		for i := 0; i < n && k < len(dst); i++ {
 			if mb := members[ids[i]]; mb.currentState() == want {
 				dst[k] = mb
@@ -620,31 +624,20 @@ func (f *Fleet) sleep(ctx context.Context, attempt, sick int, retryAfter time.Du
 	if sick > backoffSickCap {
 		sick = backoffSickCap
 	}
-	w := f.cfg.Retry.wait(attempt+sick, u, retryAfter)
-	t := time.NewTimer(w)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
+	return Sleep(ctx, f.cfg.Retry.Wait(attempt+sick, u, retryAfter))
 }
 
-// Submit registers a system with the fleet: the matrix is encoded
-// once, factored on its pattern's owner and replicas, and kept in the
-// coordinator's registry for healing, re-replication, and the
-// degraded path.
-func (f *Fleet) Submit(a *sparse.CSC) (serve.Handle, error) {
-	return f.SubmitCtx(context.Background(), a)
-}
-
-// SubmitCtx is Submit under a caller-owned context.
-func (f *Fleet) SubmitCtx(ctx context.Context, a *sparse.CSC) (serve.Handle, error) {
+// Submit registers a system with the fleet: the matrix is factored on
+// its pattern's owner and replicas, and kept in the router's registry
+// for healing, re-replication, and the degraded path.
+func (f *Fleet) Submit(ctx context.Context, wire MatrixRequest) (serve.Handle, error) {
 	if f.closed.Load() {
 		return serve.Handle{}, serve.ErrClosed
 	}
-	wire := WireMatrix(a)
+	a, err := AssembleMatrix(wire)
+	if err != nil {
+		return serve.Handle{}, err
+	}
 	pattern := sparse.PatternHash(a)
 	var lastErr error
 	var lastSick int
@@ -662,10 +655,7 @@ func (f *Fleet) SubmitCtx(ctx context.Context, a *sparse.CSC) (serve.Handle, err
 			lastSick = 0
 			continue
 		}
-		sctx, cancel := context.WithTimeout(ctx, f.cfg.SubmitTimeout)
-		h, err := buf[0].cli.SubmitWire(sctx, wire)
-		cancel()
-		f.noteResult(buf[0], err)
+		h, err := f.submitTo(ctx, buf[0], buf[0], pattern, wire)
 		if err != nil {
 			lastErr = err
 			lastSick = buf[0].failureCount()
@@ -678,12 +668,8 @@ func (f *Fleet) SubmitCtx(ctx context.Context, a *sparse.CSC) (serve.Handle, err
 		f.registry[h] = wire
 		f.mu.Unlock()
 		for i := 1; i < n; i++ {
-			rctx, rcancel := context.WithTimeout(ctx, f.cfg.SubmitTimeout)
-			_, rerr := buf[i].cli.SubmitWire(rctx, wire)
-			rcancel()
-			f.noteResult(buf[i], rerr)
 			//gesp:errok — replica population is best-effort; the owner holds the factors and re-replication retries on the next membership change
-			_ = rerr
+			_, _ = f.submitTo(ctx, buf[i], buf[0], pattern, wire)
 		}
 		return h, nil
 	}
@@ -710,18 +696,13 @@ func (f *Fleet) RegistryLen() int {
 	return len(f.registry)
 }
 
-// Solve routes one right-hand side with the background context.
-func (f *Fleet) Solve(h serve.Handle, b []float64) ([]float64, error) {
-	return f.SolveCtx(context.Background(), h, b)
-}
-
-// SolveCtx routes one right-hand side through the full resilience
+// Solve routes one right-hand side through the full resilience
 // ladder: placement on the live ring, hedged against the first replica
 // under the hedge budget, failed over on fast errors, retried with
 // jittered backoff (honoring Retry-After) on retryable ones, healed by
 // re-submit on eviction, and — when every placement is gone — answered
 // by the degraded iterative path on any live member.
-func (f *Fleet) SolveCtx(ctx context.Context, h serve.Handle, b []float64) ([]float64, error) {
+func (f *Fleet) Solve(ctx context.Context, h serve.Handle, b []float64) ([]float64, error) {
 	if f.closed.Load() {
 		return nil, serve.ErrClosed
 	}
@@ -733,14 +714,18 @@ func (f *Fleet) SolveCtx(ctx context.Context, h serve.Handle, b []float64) ([]fl
 	f.hedge.Accrue()
 	var lastErr error
 	var lastSick int
+	healed := false
 	for attempt := 0; attempt < f.cfg.Retry.Attempts; attempt++ {
-		if attempt > 0 {
+		// A heal has already cured what failed the last attempt: go
+		// straight around, there is nothing to back off from.
+		if attempt > 0 && !healed {
 			f.m.retries.Add(1)
 			if err := f.sleep(ctx, attempt-1, lastSick, RetryAfterHint(lastErr)); err != nil {
 				f.m.failed.Add(1)
 				return nil, err
 			}
 		}
+		healed = false
 		var buf [maxReplication]*member
 		n := f.placementInto(buf[:], h.Key.Pattern)
 		if n == 0 {
@@ -764,12 +749,20 @@ func (f *Fleet) SolveCtx(ctx context.Context, h serve.Handle, b []float64) ([]fl
 		case Expired(err):
 			// Factors evicted (or the shard restarted empty): re-factor
 			// from the registry and go around — without burning the
-			// request on an error the next attempt can cure.
-			if herr := f.heal(ctx, h); herr != nil {
+			// request on an error the next attempt can cure. A heal that
+			// ran into a draining or dying owner backs off and goes around
+			// too: the next attempt places it on the ring that replaces
+			// that owner.
+			switch herr := f.heal(ctx, h); {
+			case herr == nil:
+				f.m.resubmits.Add(1)
+				healed = true
+			case Retryable(herr):
+				lastErr = herr
+			default:
 				f.m.failed.Add(1)
 				return nil, err
 			}
-			f.m.resubmits.Add(1)
 		case !Retryable(err):
 			f.m.failed.Add(1)
 			return nil, err
@@ -803,7 +796,9 @@ func (f *Fleet) solvePlaced(ctx context.Context, primary, replica *member, h ser
 	defer cancel()
 	ch := make(chan placedResult, 2)
 	launch := func(mb *member) {
-		x, err := mb.cli.Solve(actx, h, b)
+		mb.inflight.Add(1)
+		x, err := mb.sh.Solve(actx, h, b)
+		mb.inflight.Add(-1)
 		f.noteResult(mb, err)
 		ch <- placedResult{x: x, err: err, from: mb}
 	}
@@ -874,10 +869,7 @@ func (f *Fleet) heal(ctx context.Context, h serve.Handle) error {
 	if n == 0 {
 		return ErrNoLiveShards
 	}
-	sctx, cancel := context.WithTimeout(ctx, f.cfg.SubmitTimeout)
-	defer cancel()
-	_, err := buf[0].cli.SubmitWire(sctx, wire)
-	f.noteResult(buf[0], err)
+	_, err := f.submitTo(ctx, buf[0], buf[0], h.Key.Pattern, wire)
 	return err
 }
 
@@ -893,21 +885,17 @@ func (f *Fleet) solveDegraded(ctx context.Context, h serve.Handle, b []float64) 
 		return nil, fmt.Errorf("fleetrpc: handle %v has no registered matrix", h.Key)
 	}
 	lastErr := error(ErrNoLiveShards)
-	for pass := 0; pass < 2; pass++ {
-		want := StateAlive
-		if pass == 1 {
-			want = StateSuspect
-		}
+	for _, want := range healthiestFirst {
 		for _, mb := range f.memberList() {
 			if mb.currentState() != want {
 				continue
 			}
 			dctx, cancel := context.WithTimeout(ctx, f.cfg.SubmitTimeout)
-			res, err := mb.cli.SolveDegraded(dctx, wire, b)
+			x, err := mb.sh.SolveDegraded(dctx, wire, b)
 			cancel()
 			f.noteResult(mb, err)
 			if err == nil {
-				return res.X, nil
+				return x, nil
 			}
 			lastErr = err
 			if ctx.Err() != nil {
@@ -919,25 +907,66 @@ func (f *Fleet) solveDegraded(ctx context.Context, h serve.Handle, b []float64) 
 }
 
 // Drain administratively removes member id: its shard finishes queued
-// work and closes admission (the /v1/handoff drain), the ring drops
-// it, and its resident patterns re-factor onto the survivors from the
-// registry. The process itself stays up, answering "draining" to
-// probes, until its owner stops it.
+// work and closes admission (Handoff), every cache entry its export
+// carries is adopted by the member that replaces the leaver in that
+// entry's placement under the post-drain ring — no numeric work — and
+// only then does the ring drop the leaver. Requests that race the
+// handoff see a closed shard, back off, and land on the new ring, where
+// the factors already are. Whatever the export could not carry
+// re-factors onto the survivors from the registry. The shard itself
+// stays up, answering "draining" to probes, until its owner stops it.
 func (f *Fleet) Drain(ctx context.Context, id int) error {
 	members := f.memberList()
 	if id < 0 || id >= len(members) {
 		return fmt.Errorf("fleetrpc: no member %d", id)
 	}
 	mb := members[id]
-	_, err := mb.cli.Handoff(ctx)
+	if mb.currentState() == StateDead {
+		return fmt.Errorf("fleetrpc: member %d is already dead or drained", id)
+	}
+	if len(f.ring.Load().Shards()) < 2 {
+		return errors.New("fleetrpc: cannot drain the last live member")
+	}
+	exp, err := mb.sh.Handoff(ctx)
 	if err != nil {
 		return err
 	}
 	mb.markDead(time.Now())
-	mb.cli.CloseIdle()
 	f.m.drains.Add(1)
-	f.rebuildRing()
-	f.rereplicateAsync()
+	// Dropping the leaver shifts each of its patterns' placements by one:
+	// the survivors of the old placement already hold the entry, so it
+	// goes to the one member the new placement adds.
+	old, next := f.ring.Load(), f.liveRing()
+	newcomer := func(pattern uint64) int {
+		var was, now [maxReplication]int
+		rf := f.replWidth(pattern)
+		held := was[:old.ReplicasInto(was[:rf], pattern)]
+		for _, id := range now[:next.ReplicasInto(now[:rf], pattern)] {
+			if !slices.Contains(held, id) {
+				return id
+			}
+		}
+		return -1
+	}
+	parts := make([]serve.Export, len(members))
+	for _, es := range exp.Symbolic {
+		if o := newcomer(es.Pattern); o >= 0 {
+			parts[o].Symbolic = append(parts[o].Symbolic, es)
+		}
+	}
+	for _, ef := range exp.Factors {
+		if o := newcomer(ef.Key.Pattern); o >= 0 {
+			parts[o].Factors = append(parts[o].Factors, ef)
+		}
+	}
+	for o, part := range parts {
+		if len(part.Symbolic)+len(part.Factors) > 0 {
+			//gesp:errok — adoption is best-effort; re-replication below re-factors whatever was not adopted
+			n, _ := members[o].sh.Import(ctx, part)
+			f.m.handedOff.Add(uint64(n))
+		}
+	}
+	f.rebalance()
 	return nil
 }
 
@@ -958,7 +987,7 @@ func (f *Fleet) Addrs() []string {
 	members := f.memberList()
 	out := make([]string, len(members))
 	for i, mb := range members {
-		out[i] = mb.addr
+		out[i] = mb.sh.Addr()
 	}
 	return out
 }
@@ -974,8 +1003,12 @@ func (f *Fleet) DeadIDs() []int {
 	return out
 }
 
-// Ring exposes the current placement ring (tests, status endpoints).
+// Ring exposes the current placement ring (tests, experiments).
 func (f *Fleet) Ring() *fleet.Ring { return f.ring.Load() }
+
+// Owner is the id of the member that owns pattern (-1 when none is
+// live) — what a submit response reports and POST /v1/drain accepts.
+func (f *Fleet) Owner(pattern uint64) int { return f.ring.Load().Owner(pattern) }
 
 // RingGen counts ring swaps — the membership epoch the HA layer
 // streams to follower coordinators.
@@ -987,8 +1020,8 @@ func (f *Fleet) LatSnapshot() (counts [fleet.LatBuckets]uint64, total uint64) {
 	return f.lat.Snapshot()
 }
 
-// MaxQueueDepth is the deepest per-member queue the prober has seen on
-// its latest sweep — the SLO controller's congestion signal.
+// MaxQueueDepth is the deepest member's MemberStatus.QueueDepth — the
+// SLO controller's congestion signal.
 func (f *Fleet) MaxQueueDepth() int64 {
 	var depth int64
 	for _, mb := range f.memberList() {
@@ -999,7 +1032,7 @@ func (f *Fleet) MaxQueueDepth() int64 {
 	return depth
 }
 
-// Stats snapshots the coordinator counters and membership.
+// Stats snapshots the router counters and membership.
 func (f *Fleet) Stats() Stats {
 	s := f.m.snapshot()
 	s.HedgeStaked, s.HedgeDenied = f.hedge.Counts()

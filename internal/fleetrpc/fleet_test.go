@@ -3,18 +3,23 @@ package fleetrpc
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
+	"gesp/internal/fleet"
 	"gesp/internal/matgen"
 	"gesp/internal/serve"
 	"gesp/internal/sparse"
 )
 
 const testScale = 0.25
+
+var bg = context.Background()
 
 type system struct {
 	a    *sparse.CSC
@@ -44,6 +49,8 @@ func testbedSystem(t testing.TB, name string, valueSeed int64) system {
 	return system{a: a, b: b, want: want}
 }
 
+func (s system) pattern() uint64 { return sparse.PatternHash(s.a) }
+
 func checkSolution(t *testing.T, x, want []float64) {
 	t.Helper()
 	if e := sparse.RelErrInf(x, want); e > 2e-3 {
@@ -51,29 +58,68 @@ func checkSolution(t *testing.T, x, want []float64) {
 	}
 }
 
-// testShards starts n in-process shard servers (real HTTP over
-// loopback, same Mux the child processes serve) and returns their
-// addresses plus the underlying services for white-box assertions.
-func testShards(t *testing.T, n int, cfg serve.Config) ([]string, []*serve.Service) {
-	t.Helper()
-	addrs := make([]string, n)
-	svcs := make([]*serve.Service, n)
-	for i := 0; i < n; i++ {
-		svc := serve.New(cfg)
-		ts := httptest.NewServer(NewServer(svc).Mux())
-		t.Cleanup(ts.Close)
-		addrs[i] = strings.TrimPrefix(ts.URL, "http://")
-		svcs[i] = svc
+// shardKinds are the two Shard implementations. Every router test
+// that does not need a process to die runs over both: LocalShards
+// directly, and Clients speaking real HTTP over loopback to the Mux
+// the child processes serve.
+var shardKinds = []string{"local", "http"}
+
+// forEachKind runs a router test once per Shard implementation.
+func forEachKind(t *testing.T, run func(t *testing.T, kind string)) {
+	for _, kind := range shardKinds {
+		t.Run(kind, func(t *testing.T) { run(t, kind) })
 	}
-	return addrs, svcs
 }
 
-// quietConfig is a coordinator with every optional layer off: no
-// hedging, no degraded fallback, slow probes that stay out of the
-// test's way. Individual tests switch layers back on.
-func quietConfig(addrs []string) Config {
+// testShards starts n shards of the given kind and returns them plus
+// the underlying services for white-box assertions.
+func testShards(t *testing.T, kind string, n int, cfg serve.Config) ([]Shard, []*serve.Service) {
+	t.Helper()
+	shards := make([]Shard, n)
+	svcs := make([]*serve.Service, n)
+	for i := 0; i < n; i++ {
+		svcs[i] = serve.New(cfg)
+		t.Cleanup(svcs[i].Close)
+		local := NewLocalShard(fmt.Sprintf("local-%d", i), svcs[i])
+		shards[i] = local
+		if kind == "http" {
+			shards[i] = NewClient(serveHTTP(t, local.Mux()))
+		}
+	}
+	return shards, svcs
+}
+
+// serveHTTP serves h on loopback for the test's lifetime and returns
+// its host:port.
+func serveHTTP(t *testing.T, h http.Handler) string {
+	t.Helper()
+	ts := httptest.NewServer(h)
+	t.Cleanup(ts.Close)
+	return strings.TrimPrefix(ts.URL, "http://")
+}
+
+// killableShards starts n HTTP shards whose servers the test closes
+// itself — the SIGKILL stand-in: connections then refuse.
+func killableShards(t *testing.T, n int) ([]Shard, []*httptest.Server) {
+	t.Helper()
+	shards := make([]Shard, n)
+	servers := make([]*httptest.Server, n)
+	for i := range shards {
+		svc := serve.New(serve.DefaultConfig())
+		t.Cleanup(svc.Close)
+		servers[i] = httptest.NewServer(NewLocalShard("", svc).Mux())
+		t.Cleanup(servers[i].Close)
+		shards[i] = NewClient(strings.TrimPrefix(servers[i].URL, "http://"))
+	}
+	return shards, servers
+}
+
+// quietConfig is a router with every optional layer off: no hedging,
+// no degraded fallback, slow probes that stay out of the test's way.
+// Individual tests switch layers back on.
+func quietConfig(shards []Shard) Config {
 	return Config{
-		Addrs:         addrs,
+		Shards:        shards,
 		Replication:   1,
 		ProbeInterval: time.Hour,
 		SuspectAfter:  100000,
@@ -136,21 +182,21 @@ func TestBackoffWait(t *testing.T) {
 	if j := (Backoff{Jitter: -1}).fill().Jitter; j != 0 {
 		t.Fatalf("negative Jitter must disable, got %g", j)
 	}
-	if w := b.wait(0, 0, 0); w != 25*time.Millisecond {
+	if w := b.Wait(0, 0, 0); w != 25*time.Millisecond {
 		t.Fatalf("first wait %v, want base", w)
 	}
-	if w := b.wait(3, 0, 0); w != 200*time.Millisecond {
+	if w := b.Wait(3, 0, 0); w != 200*time.Millisecond {
 		t.Fatalf("wait(3) %v, want 200ms", w)
 	}
-	if w := b.wait(10, 0, 0); w != 400*time.Millisecond {
+	if w := b.Wait(10, 0, 0); w != 400*time.Millisecond {
 		t.Fatalf("wait(10) %v, want the 400ms ceiling", w)
 	}
 	// Jitter widens by up to +50%.
-	if w := b.wait(0, 0.999, 0); w <= 25*time.Millisecond || w > 38*time.Millisecond {
+	if w := b.Wait(0, 0.999, 0); w <= 25*time.Millisecond || w > 38*time.Millisecond {
 		t.Fatalf("jittered wait %v outside (25ms, 37.5ms]", w)
 	}
 	// A shard's Retry-After hint overrides a shorter computed wait.
-	if w := b.wait(0, 0, 600*time.Millisecond); w != 600*time.Millisecond {
+	if w := b.Wait(0, 0, 600*time.Millisecond); w != 600*time.Millisecond {
 		t.Fatalf("Retry-After floor ignored: %v", w)
 	}
 }
@@ -160,7 +206,7 @@ func TestBackoffWait(t *testing.T) {
 // never the dead; only a healthy probe resurrects.
 func TestMemberLifecycle(t *testing.T) {
 	now := time.Now()
-	m := newMember(0, "127.0.0.1:1", now)
+	m := newMember(0, NewClient("127.0.0.1:1"), now)
 	if m.currentState() != StateAlive {
 		t.Fatal("new member not alive")
 	}
@@ -186,15 +232,20 @@ func TestMemberLifecycle(t *testing.T) {
 	if m.currentState() != StateDead {
 		t.Fatal("request success revived a dead member")
 	}
-	if rejoined := m.reviveOnProbe(now); !rejoined || m.currentState() != StateAlive {
+	if rejoined := m.reviveOnProbe(now, now); !rejoined || m.currentState() != StateAlive {
 		t.Fatalf("probe revival: rejoined=%v state=%v", rejoined, m.currentState())
 	}
-	if m.reviveOnProbe(now) {
+	if m.reviveOnProbe(now, now) {
 		t.Fatal("rejoin reported twice")
 	}
 	m.markDead(now)
 	if m.currentState() != StateDead {
 		t.Fatal("markDead did not kill")
+	}
+	// A healthy answer to a probe sent before the kill is stale: it must
+	// not undo a drain.
+	if m.reviveOnProbe(now.Add(-time.Millisecond), now) || m.currentState() != StateDead {
+		t.Fatal("a probe sent before the death revived the member")
 	}
 }
 
@@ -203,47 +254,64 @@ func TestErrorTaxonomy(t *testing.T) {
 		t.Fatal("transport-class errors must be retryable")
 	}
 	for _, status := range []int{429, 502, 503, 504} {
-		if !Retryable(&RemoteError{Status: status}) {
+		if !Retryable(StatusError(status, "", 0)) {
 			t.Fatalf("status %d must be retryable", status)
 		}
 	}
-	if Retryable(&RemoteError{Status: 400}) || Retryable(errors.New("boom")) {
+	for _, err := range []error{serve.ErrClosed, &serve.OverloadedError{}, ErrNoLiveShards, &fleet.QuotaError{}} {
+		if !Retryable(err) {
+			t.Fatalf("%v must be retryable", err)
+		}
+	}
+	if Retryable(StatusError(400, "", 0)) || Retryable(errors.New("boom")) || Retryable(serve.ErrHandleExpired) {
 		t.Fatal("terminal errors must not be retryable")
 	}
-	if !Expired(&RemoteError{Status: 410}) || Expired(&RemoteError{Status: 503}) {
-		t.Fatal("only 410 means the handle expired")
+	if !Expired(StatusError(410, "", 0)) || !Expired(serve.ErrHandleExpired) || Expired(StatusError(503, "", 0)) {
+		t.Fatal("only a non-resident handle means expired")
 	}
-	if h := RetryAfterHint(&RemoteError{Status: 503, RetryAfter: time.Second}); h != time.Second {
-		t.Fatalf("RetryAfterHint = %v", h)
+	for _, status := range []int{429, 503} {
+		if h := RetryAfterHint(StatusError(status, "", time.Second)); h != time.Second {
+			t.Fatalf("RetryAfterHint(%d) = %v", status, h)
+		}
+	}
+	if h := RetryAfterHint(StatusError(503, "", 0)); h != 0 || !errors.Is(StatusError(503, "", 0), serve.ErrClosed) {
+		t.Fatalf("a 503 without a hint is a closed shard, hint %v", h)
 	}
 }
 
-// TestFleetRoutingAndSolve: submits land on the ring owner's process,
-// solves come back correct, and the accounting balances.
-func TestFleetRoutingAndSolve(t *testing.T) {
-	addrs, svcs := testShards(t, 3, serve.DefaultConfig())
-	f := newTestFleet(t, quietConfig(addrs))
+// TestFleetRoutingAndSolve: submits land on the ring owner, solves
+// come back correct, nothing runs anywhere else, and the accounting
+// balances.
+func TestFleetRoutingAndSolve(t *testing.T) { forEachKind(t, testRoutingAndSolve) }
+
+func testRoutingAndSolve(t *testing.T, kind string) {
+	shards, svcs := testShards(t, kind, 3, serve.DefaultConfig())
+	f := newTestFleet(t, quietConfig(shards))
 
 	names := []string{"SHERMAN4", "GEMAT11", "WEST2021"}
 	for _, name := range names {
 		sys := testbedSystem(t, name, 0)
-		h, err := f.Submit(sys.a)
+		h, err := f.Submit(bg, WireMatrix(sys.a))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		x, err := f.Solve(h, sys.b)
+		x, err := f.Solve(bg, h, sys.b)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		checkSolution(t, x, sys.want)
-		owner := f.Ring().Owner(h.Key.Pattern)
+		owner := f.Owner(h.Key.Pattern)
 		if svcs[owner].Stats().Submits == 0 {
 			t.Fatalf("%s: owner shard %d never saw the submit", name, owner)
 		}
 	}
 	st := f.Stats()
-	if st.Routed != uint64(len(names)) || st.Failed != 0 {
-		t.Fatalf("accounting: routed=%d failed=%d, want %d/0", st.Routed, st.Failed, len(names))
+	var solves uint64
+	for _, svc := range svcs {
+		solves += svc.Stats().Solves
+	}
+	if solves != uint64(len(names)) || st.Routed != uint64(len(names)) || st.Failed != 0 {
+		t.Fatalf("accounting: %d shard solves, routed=%d failed=%d, want %d/%d/0", solves, st.Routed, st.Failed, len(names), len(names))
 	}
 }
 
@@ -251,20 +319,8 @@ func TestFleetRoutingAndSolve(t *testing.T) {
 // process mid-stream costs no request — traffic fails over to the
 // replica while the prober declares the death and rebuilds the ring.
 func TestFleetFailoverOnShardDeath(t *testing.T) {
-	svcs := make([]*serve.Service, 3)
-	servers := make([]*httptest.Server, 3)
-	addrs := make([]string, 3)
-	for i := range addrs {
-		svcs[i] = serve.New(serve.DefaultConfig())
-		servers[i] = httptest.NewServer(NewServer(svcs[i]).Mux())
-		addrs[i] = strings.TrimPrefix(servers[i].URL, "http://")
-	}
-	defer func() {
-		for _, ts := range servers {
-			ts.Close()
-		}
-	}()
-	cfg := quietConfig(addrs)
+	shards, servers := killableShards(t, 3)
+	cfg := quietConfig(shards)
 	cfg.Replication = 2
 	cfg.ProbeInterval = 5 * time.Millisecond
 	cfg.SuspectAfter = 1
@@ -274,16 +330,16 @@ func TestFleetFailoverOnShardDeath(t *testing.T) {
 	f := newTestFleet(t, cfg)
 
 	sys := testbedSystem(t, "SHERMAN4", 0)
-	h, err := f.Submit(sys.a)
+	h, err := f.Submit(bg, WireMatrix(sys.a))
 	if err != nil {
 		t.Fatal(err)
 	}
-	owner := f.Ring().Owner(h.Key.Pattern)
+	owner := f.Owner(h.Key.Pattern)
 	servers[owner].Close() // SIGKILL stand-in: connections now refuse
 
 	// Every solve across the death must succeed.
 	for i := 0; i < 5; i++ {
-		x, serr := f.Solve(h, sys.b)
+		x, serr := f.Solve(bg, h, sys.b)
 		if serr != nil {
 			t.Fatalf("solve %d across shard death: %v", i, serr)
 		}
@@ -307,9 +363,11 @@ func TestFleetFailoverOnShardDeath(t *testing.T) {
 // TestFleetHedgeBudgetDenied: an aggressive hedge trigger against a
 // nearly-empty budget gets denials, not doubled load — and every solve
 // still answers.
-func TestFleetHedgeBudgetDenied(t *testing.T) {
-	addrs, _ := testShards(t, 3, serve.DefaultConfig())
-	cfg := quietConfig(addrs)
+func TestFleetHedgeBudgetDenied(t *testing.T) { forEachKind(t, testHedgeBudgetDenied) }
+
+func testHedgeBudgetDenied(t *testing.T, kind string) {
+	shards, _ := testShards(t, kind, 3, serve.DefaultConfig())
+	cfg := quietConfig(shards)
 	cfg.Replication = 2
 	cfg.HedgeAfter = time.Nanosecond // hedge every solve the budget allows
 	cfg.HedgeBudget = 1e-6           // ~no refill within the test
@@ -317,12 +375,12 @@ func TestFleetHedgeBudgetDenied(t *testing.T) {
 	f := newTestFleet(t, cfg)
 
 	sys := testbedSystem(t, "SHERMAN4", 0)
-	h, err := f.Submit(sys.a)
+	h, err := f.Submit(bg, WireMatrix(sys.a))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 12; i++ {
-		x, serr := f.Solve(h, sys.b)
+		x, serr := f.Solve(bg, h, sys.b)
 		if serr != nil {
 			t.Fatalf("solve %d: %v", i, serr)
 		}
@@ -344,20 +402,8 @@ func TestFleetHedgeBudgetDenied(t *testing.T) {
 // exhausted, the coordinator ships the registered matrix to a live
 // shard's iterative path instead of failing the request.
 func TestFleetDegradedFallback(t *testing.T) {
-	svcs := make([]*serve.Service, 2)
-	servers := make([]*httptest.Server, 2)
-	addrs := make([]string, 2)
-	for i := range addrs {
-		svcs[i] = serve.New(serve.DefaultConfig())
-		servers[i] = httptest.NewServer(NewServer(svcs[i]).Mux())
-		addrs[i] = strings.TrimPrefix(servers[i].URL, "http://")
-	}
-	defer func() {
-		for _, ts := range servers {
-			ts.Close()
-		}
-	}()
-	cfg := quietConfig(addrs) // prober effectively off: the owner stays "alive"
+	shards, servers := killableShards(t, 2)
+	cfg := quietConfig(shards) // prober effectively off: the owner stays "alive"
 	cfg.Replication = 1
 	cfg.DegradedFallback = true
 	cfg.RequestTimeout = 200 * time.Millisecond
@@ -365,14 +411,14 @@ func TestFleetDegradedFallback(t *testing.T) {
 	f := newTestFleet(t, cfg)
 
 	sys := testbedSystem(t, "SHERMAN4", 0)
-	h, err := f.Submit(sys.a)
+	h, err := f.Submit(bg, WireMatrix(sys.a))
 	if err != nil {
 		t.Fatal(err)
 	}
-	owner := f.Ring().Owner(h.Key.Pattern)
+	owner := f.Owner(h.Key.Pattern)
 	servers[owner].Close() // sole placement gone; membership hasn't noticed
 
-	x, err := f.Solve(h, sys.b)
+	x, err := f.Solve(bg, h, sys.b)
 	if err != nil {
 		t.Fatalf("degraded fallback must answer: %v", err)
 	}
@@ -383,51 +429,55 @@ func TestFleetDegradedFallback(t *testing.T) {
 	}
 }
 
-// TestFleetEvictionHeal: a shard that evicted its factors answers 410
-// Gone; the coordinator re-submits from its wire registry and retries
-// instead of surfacing the expiry.
-func TestFleetEvictionHeal(t *testing.T) {
+// TestFleetEvictionHeal: a shard that evicted its factors reports the
+// handle expired (410 Gone over the wire); the router re-submits from
+// its registry and goes around instead of surfacing the expiry.
+func TestFleetEvictionHeal(t *testing.T) { forEachKind(t, testEvictionHeal) }
+
+func testEvictionHeal(t *testing.T, kind string) {
 	cfg := serve.DefaultConfig()
 	cfg.MaxFactors = 1
-	addrs, _ := testShards(t, 1, cfg)
-	f := newTestFleet(t, quietConfig(addrs))
+	shards, _ := testShards(t, kind, 1, cfg)
+	f := newTestFleet(t, quietConfig(shards))
 
 	sysA := testbedSystem(t, "SHERMAN4", 0)
 	sysB := testbedSystem(t, "GEMAT11", 0)
-	hA, err := f.Submit(sysA.a)
+	hA, err := f.Submit(bg, WireMatrix(sysA.a))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Submit(sysB.a); err != nil { // evicts A's factors
+	if _, err := f.Submit(bg, WireMatrix(sysB.a)); err != nil { // evicts A's factors
 		t.Fatal(err)
 	}
-	x, err := f.Solve(hA, sysA.b)
+	x, err := f.Solve(bg, hA, sysA.b)
 	if err != nil {
 		t.Fatalf("evicted handle must heal, got %v", err)
 	}
 	checkSolution(t, x, sysA.want)
-	if f.Stats().Resubmits == 0 {
-		t.Fatal("heal never counted a resubmit")
+	if st := f.Stats(); st.Resubmits == 0 || st.Retries != 0 {
+		t.Fatalf("a heal is a resubmit, not a backed-off retry: resubmits=%d retries=%d", st.Resubmits, st.Retries)
 	}
 }
 
-// TestFleetDrainStaysDead: a drained shard keeps answering HTTP, so
-// only the prober — which can read the "draining" health status — must
+// TestFleetDrainStaysDead: a drained shard keeps answering, so only
+// the prober — which can read the "draining" health status — must
 // decide it never rejoins the ring.
-func TestFleetDrainStaysDead(t *testing.T) {
-	addrs, _ := testShards(t, 3, serve.DefaultConfig())
-	cfg := quietConfig(addrs)
+func TestFleetDrainStaysDead(t *testing.T) { forEachKind(t, testDrainStaysDead) }
+
+func testDrainStaysDead(t *testing.T, kind string) {
+	shards, _ := testShards(t, kind, 3, serve.DefaultConfig())
+	cfg := quietConfig(shards)
 	cfg.Replication = 2
 	cfg.ProbeInterval = 5 * time.Millisecond
 	f := newTestFleet(t, cfg)
 
 	sys := testbedSystem(t, "SHERMAN4", 0)
-	h, err := f.Submit(sys.a)
+	h, err := f.Submit(bg, WireMatrix(sys.a))
 	if err != nil {
 		t.Fatal(err)
 	}
-	target := f.Ring().Owner(h.Key.Pattern)
-	if err := f.Drain(context.Background(), target); err != nil {
+	target := f.Owner(h.Key.Pattern)
+	if err := f.Drain(bg, target); err != nil {
 		t.Fatal(err)
 	}
 	// Many probe intervals later the drained member must still be dead
@@ -444,12 +494,16 @@ func TestFleetDrainStaysDead(t *testing.T) {
 		}
 	}
 	// The drained shard's patterns still solve on the survivors.
-	x, err := f.Solve(h, sys.b)
+	x, err := f.Solve(bg, h, sys.b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkSolution(t, x, sys.want)
 	if st := f.Stats(); st.Drains != 1 || st.Failed != 0 {
 		t.Fatalf("drain accounting: drains=%d failed=%d", st.Drains, st.Failed)
+	}
+	// A second drain of the same member must refuse.
+	if err := f.Drain(bg, target); err == nil {
+		t.Fatal("double drain must error")
 	}
 }

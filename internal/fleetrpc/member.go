@@ -2,17 +2,17 @@ package fleetrpc
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
-// MemberState is the health state machine's position for one shard
-// process:
+// MemberState is the health state machine's position for one shard:
 //
 //	alive ──failures≥SuspectAfter──▶ suspect ──failures≥DeadAfter──▶ dead
 //	  ▲                                 │                              │
 //	  └────────── any success ──────────┴───────── any success ────────┘
 //
-// Failures come from two feeds — the periodic /v1/health prober and
+// Failures come from two feeds — the periodic health prober and
 // transport errors on real requests — so a dead shard is usually
 // detected in one probe interval even with zero traffic, and faster
 // under load. A suspect member still serves (requests it holds the
@@ -50,20 +50,26 @@ type MemberStatus struct {
 	State     string    `json:"state"`
 	Failures  int       `json:"failures"`
 	ChangedAt time.Time `json:"changed_at"`
-	// QueueDepth is the shard's queued-work gauge from its latest
-	// healthy probe — the SLO controller's congestion signal.
+	// QueueDepth is the SLO controller's congestion signal: the larger
+	// of the shard's queued-work gauge at its latest healthy probe and
+	// the solves this coordinator has in flight to it right now. The
+	// probe is a point sample of the shard's batcher, which a request
+	// held up before it reaches the queue never occupies; the in-flight
+	// count sees that request for as long as it is outstanding.
 	QueueDepth int64         `json:"queue_depth"`
 	Sickness   time.Duration `json:"-"` // time since leaving alive; 0 when alive
 }
 
-// member is one shard process in the coordinator's membership table.
-// The id is its index in Fleet.members and its shard id on the ring;
-// both are fixed at construction, as is the client. Everything
-// health-related is guarded.
+// member is one shard in the router's membership table. The id is its
+// index in Fleet.members and its shard id on the ring; both are fixed
+// at construction, as is the shard. Everything health-related is
+// guarded.
 type member struct {
-	id   int
-	addr string
-	cli  *Client
+	id int
+	sh Shard
+	// inflight counts the solves the router has launched at this member
+	// and not yet reaped.
+	inflight atomic.Int64
 
 	mu sync.Mutex
 	//gesp:guardedby:mu
@@ -76,8 +82,8 @@ type member struct {
 	lastQueue int64
 }
 
-func newMember(id int, addr string, now time.Time) *member {
-	return &member{id: id, addr: addr, cli: NewClient(addr), changedAt: now}
+func newMember(id int, sh Shard, now time.Time) *member {
+	return &member{id: id, sh: sh, changedAt: now}
 }
 
 // currentState reads the member's state.
@@ -103,11 +109,12 @@ func (m *member) noteHealth(res HealthResponse) {
 	m.lastQueue = res.QueueDepth
 }
 
-// queueDepth reads the last probed queue gauge.
+// queueDepth is max(last probed queue gauge, solves in flight).
 func (m *member) queueDepth() int64 {
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.lastQueue
+	depth := m.lastQueue
+	m.mu.Unlock()
+	return max(depth, m.inflight.Load())
 }
 
 // reportFailure counts one failed probe or transport-failed request
@@ -146,13 +153,18 @@ func (m *member) reportSuccess(now time.Time) {
 	m.failures = 0
 }
 
-// reviveOnProbe records a healthy probe: failures reset, any state
-// returns to alive. It returns true exactly once per dead→alive
-// transition — the caller's cue to rebuild the ring with the member
-// back in.
-func (m *member) reviveOnProbe(now time.Time) (rejoined bool) {
+// reviveOnProbe records a healthy probe that was sent at probedAt:
+// failures reset, any state returns to alive. It returns true exactly
+// once per dead→alive transition — the caller's cue to rebuild the
+// ring with the member back in. A probe sent before the member was
+// declared dead says nothing about it since: an answer that was in
+// flight across a drain must not resurrect the drained shard.
+func (m *member) reviveOnProbe(probedAt, now time.Time) (rejoined bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if m.state == StateDead && probedAt.Before(m.changedAt) {
+		return false
+	}
 	rejoined = m.state == StateDead
 	if m.state != StateAlive {
 		m.state = StateAlive
@@ -179,11 +191,11 @@ func (m *member) status(now time.Time) MemberStatus {
 	defer m.mu.Unlock()
 	st := MemberStatus{
 		ID:         m.id,
-		Addr:       m.addr,
+		Addr:       m.sh.Addr(),
 		State:      m.state.String(),
 		Failures:   m.failures,
 		ChangedAt:  m.changedAt,
-		QueueDepth: m.lastQueue,
+		QueueDepth: max(m.lastQueue, m.inflight.Load()),
 	}
 	if m.state != StateAlive {
 		st.Sickness = now.Sub(m.changedAt)

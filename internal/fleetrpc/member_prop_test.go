@@ -27,7 +27,7 @@ func (e memberEvent) String() string {
 func apply(m *member, e memberEvent, suspectAfter, deadAfter int, now time.Time) (died, rejoined bool) {
 	switch e {
 	case evProbeOK:
-		rejoined = m.reviveOnProbe(now)
+		rejoined = m.reviveOnProbe(now, now)
 	case evProbeFail, evRequestFail:
 		died = m.reportFailure(suspectAfter, deadAfter, now)
 	case evRequestOK:
@@ -54,7 +54,7 @@ func TestMemberTransitionTable(t *testing.T) {
 	// reach puts a fresh member into the wanted state with a known
 	// failure count.
 	reach := func(state MemberState, failures int) *member {
-		m := newMember(0, "x", now)
+		m := newMember(0, NewClient("x"), now)
 		switch state {
 		case StateAlive:
 		case StateSuspect:
@@ -141,7 +141,7 @@ func TestMemberRandomWalkInvariants(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		suspectAfter := 1 + rng.Intn(3)
 		deadAfter := suspectAfter + 1 + rng.Intn(3)
-		m := newMember(0, "x", now)
+		m := newMember(0, NewClient("x"), now)
 		prev := m.currentState()
 		for step := 0; step < 400; step++ {
 			ev := memberEvent(rng.Intn(int(numMemberEvents)))

@@ -8,55 +8,127 @@ import (
 	"log"
 	"net/http"
 	"strconv"
-	"sync/atomic"
 	"time"
 
-	"gesp/internal/krylov"
+	"gesp/internal/fleet"
 	"gesp/internal/resilience"
 	"gesp/internal/serve"
 )
 
-// Server exposes one serve.Service shard over the fleet wire format.
-// cmd/gesp-serve mounts exactly this mux, so any gesp-serve process is
-// a fleet-joinable shard with no extra flags.
-type Server struct {
-	svc *serve.Service
-	// Degraded tunes the /v1/degraded iterative solve; zero fields take
-	// defaultDegradedOptions.
-	Degraded krylov.Options
-	// draining flips when a handoff has closed the service: health
-	// reports it so the coordinator's prober retires this member instead
-	// of resurrecting a shard that still answers but admits nothing.
-	draining atomic.Bool
+// API is what the client-facing routes need from whatever answers
+// them: a shard (LocalShard), a coordinator (Fleet), or an HA node.
+type API[S any] interface {
+	Submit(ctx context.Context, wire MatrixRequest) (serve.Handle, error)
+	Solve(ctx context.Context, h serve.Handle, b []float64) ([]float64, error)
+	Stats() S
 }
 
-// NewServer wraps a serve.Service in the wire handlers.
-func NewServer(svc *serve.Service) *Server { return &Server{svc: svc} }
+// coordinator is the optional half of an API: something that routes
+// over numbered members can name a pattern's owner in the submit
+// response and drain a member by that number.
+type coordinator interface {
+	Owner(pattern uint64) int
+	Drain(ctx context.Context, id int) error
+}
 
-// Service returns the wrapped shard service (the coordinator-side
-// tests reach through it to inspect cache state).
-func (s *Server) Service() *serve.Service { return s.svc }
+// maxBodyBytes caps every request body the handlers decode. It is a
+// variable only so the oversize test need not send this much.
+var maxBodyBytes int64 = 256 << 20
 
-// Mux returns the shard's HTTP API:
+// Handler is the one set of client-facing routes, mounted by every
+// binary that serves them:
 //
-//	POST /v1/matrix    submit a system, get a handle
-//	POST /v1/solve     solve one right-hand side against a handle
-//	GET  /v1/stats     serve.Stats JSON
-//	GET  /v1/health    cheap liveness + load signal for the prober
-//	POST /v1/handoff   drain: finish queued work, return resident handles
-//	POST /v1/degraded  iterative solve from a raw matrix (no factoring)
-func (s *Server) Mux() *http.ServeMux {
+//	POST /v1/matrix  {"n":N,"rows":[...],"cols":[...],"vals":[...]}
+//	                 -> {"handle":"p….v….n…","n":N,"nnz":…[,"shard":K]}
+//	POST /v1/solve   {"handle":"…","b":[...]}  -> {"x":[...]}
+//	GET  /v1/stats   -> api.Stats() as JSON
+//	POST /v1/drain   {"shard":K} -> {"drained":K}   (coordinators only)
+//
+// Tenants identify themselves with an X-Tenant header; q (nil for
+// none) admits or rejects each matrix and solve request before any
+// work is done.
+func Handler[S any](api API[S], q *fleet.Quotas) *http.ServeMux {
+	co, _ := api.(coordinator)
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/matrix", s.handleMatrix)
-	mux.HandleFunc("POST /v1/solve", s.handleSolve)
-	mux.HandleFunc("GET /v1/stats", s.handleStats)
-	mux.HandleFunc("GET /v1/health", s.handleHealth)
-	mux.HandleFunc("POST /v1/handoff", s.handleHandoff)
-	mux.HandleFunc("POST /v1/degraded", s.handleDegraded)
+	mux.HandleFunc("POST /v1/matrix", func(w http.ResponseWriter, r *http.Request) {
+		var req MatrixRequest
+		if !admit(w, r, q) || !DecodeJSON(w, r, &req) {
+			return
+		}
+		h, err := api.Submit(r.Context(), req)
+		if err != nil {
+			WriteErr(w, err)
+			return
+		}
+		res := MatrixResponse{Handle: h.String(), N: h.N, Nnz: len(req.Vals)}
+		if co != nil {
+			owner := co.Owner(h.Key.Pattern)
+			res.Shard = &owner
+		}
+		WriteJSON(w, http.StatusOK, res)
+	})
+	mux.HandleFunc("POST /v1/solve", func(w http.ResponseWriter, r *http.Request) {
+		var req SolveRequest
+		if !admit(w, r, q) || !DecodeJSON(w, r, &req) {
+			return
+		}
+		h, err := serve.ParseHandle(req.Handle)
+		if err != nil {
+			WriteErr(w, err)
+			return
+		}
+		x, err := api.Solve(r.Context(), h, req.B)
+		if err != nil {
+			WriteErr(w, err)
+			return
+		}
+		WriteJSON(w, http.StatusOK, SolveResponse{X: x})
+	})
+	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
+		WriteJSON(w, http.StatusOK, api.Stats())
+	})
+	if co != nil {
+		mux.HandleFunc("POST /v1/drain", func(w http.ResponseWriter, r *http.Request) {
+			var req DrainRequest
+			if !DecodeJSON(w, r, &req) {
+				return
+			}
+			if err := co.Drain(r.Context(), req.Shard); err != nil {
+				WriteErr(w, err)
+				return
+			}
+			WriteJSON(w, http.StatusOK, DrainResponse{Drained: req.Shard})
+		})
+	}
 	return mux
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// admit spends one of the request's tenant's tokens; absent X-Tenant
+// headers share the default bucket. A rejection is already written.
+func admit(w http.ResponseWriter, r *http.Request, q *fleet.Quotas) bool {
+	tenant := r.Header.Get("X-Tenant")
+	if tenant == "" {
+		tenant = "default"
+	}
+	if err := q.Admit(tenant, time.Now()); err != nil {
+		WriteErr(w, err)
+		return false
+	}
+	return true
+}
+
+// DecodeJSON reads one bounded JSON request body into v. A failure is
+// already written.
+func DecodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v); err != nil {
+		WriteErr(w, fmt.Errorf("bad %s body: %w", r.URL.Path, err))
+		return false
+	}
+	return true
+}
+
+// WriteJSON answers with status and v as the JSON body.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	if err := json.NewEncoder(w).Encode(v); err != nil {
@@ -64,29 +136,42 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	}
 }
 
-// WriteErr maps the serve error taxonomy onto HTTP statuses the client
-// layer classifies: 503/429 retryable (with Retry-After where the
-// error carries a hint), 410 heal-by-resubmit, 504 deadline, 422
-// poisoned input, 400 everything else.
+// WriteErr maps the one error taxonomy onto HTTP statuses — the
+// inverse of StatusError: 429 over quota, 503 overloaded / closed / no
+// live placement / unreachable, 410 heal-by-resubmit, 504 deadline,
+// 422 poisoned input, 413 oversize body, 400 everything else. An error
+// that already crossed a wire keeps its status. Any retry-after hint
+// goes out both as the whole-second header and, exactly, in the body.
 func WriteErr(w http.ResponseWriter, err error) {
 	status := http.StatusBadRequest
-	var oe *serve.OverloadedError
+	var re *RemoteError
+	var tooBig *http.MaxBytesError
 	switch {
-	case errors.As(err, &oe):
-		status = http.StatusServiceUnavailable
-		SetRetryAfter(w, oe.RetryAfter)
-	case errors.Is(err, serve.ErrOverloaded):
+	case errors.As(err, &re):
+		status = re.Status
+	case errors.Is(err, fleet.ErrOverQuota):
+		status = http.StatusTooManyRequests
+	case errors.Is(err, serve.ErrOverloaded), errors.Is(err, serve.ErrClosed),
+		errors.Is(err, ErrNoLiveShards), errors.Is(err, ErrUnreachable):
 		status = http.StatusServiceUnavailable
 	case errors.Is(err, serve.ErrHandleExpired):
 		status = http.StatusGone // resubmit the matrix
-	case errors.Is(err, serve.ErrClosed):
-		status = http.StatusServiceUnavailable
 	case errors.Is(err, context.DeadlineExceeded):
 		status = http.StatusGatewayTimeout
 	case errors.Is(err, resilience.ErrNonFiniteRHS):
 		status = http.StatusUnprocessableEntity // NaN/Inf in b; no rung can fix the input
+	case errors.As(err, &tooBig):
+		status = http.StatusRequestEntityTooLarge
 	}
-	writeJSON(w, status, ErrorResponse{Error: err.Error()})
+	hint := RetryAfterHint(err)
+	if hint > 0 {
+		SetRetryAfter(w, hint)
+	}
+	msg := err.Error()
+	if re != nil {
+		msg = re.Msg
+	}
+	WriteJSON(w, status, ErrorResponse{Error: msg, RetryAfterNS: int64(hint)})
 }
 
 // SetRetryAfter writes a Retry-After header, rounding the duration UP
@@ -102,129 +187,42 @@ func SetRetryAfter(w http.ResponseWriter, d time.Duration) {
 	w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
 }
 
-func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) {
-	var req MatrixRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		WriteErr(w, fmt.Errorf("bad matrix body: %w", err))
-		return
-	}
-	a, err := AssembleMatrix(req)
-	if err != nil {
-		WriteErr(w, err)
-		return
-	}
-	h, err := s.svc.Submit(a)
-	if err != nil {
-		WriteErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, MatrixResponse{Handle: h.String(), N: h.N, Nnz: a.Nnz()})
-}
-
-func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
-	var req SolveRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		WriteErr(w, fmt.Errorf("bad solve body: %w", err))
-		return
-	}
-	h, err := serve.ParseHandle(req.Handle)
-	if err != nil {
-		WriteErr(w, err)
-		return
-	}
-	x, err := s.svc.SolveCtx(r.Context(), h, req.B)
-	if err != nil {
-		WriteErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, SolveResponse{X: x})
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.svc.Stats())
-}
-
-func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	st := s.svc.Stats()
-	status := "ok"
-	if s.draining.Load() {
-		status = "draining"
-	}
-	writeJSON(w, http.StatusOK, HealthResponse{
-		Status:     status,
-		QueueDepth: s.svc.QueueDepth(),
-		Factors:    st.FactorEntries,
+// Mux returns the shard's HTTP API: the client-facing routes of
+// Handler plus the three a coordinator's Client drives.
+//
+//	GET  /v1/health    cheap liveness + load signal for the prober
+//	POST /v1/handoff   drain: finish queued work, return resident handles
+//	POST /v1/degraded  iterative solve from a raw matrix (no factoring)
+func (s *LocalShard) Mux() *http.ServeMux {
+	mux := Handler(s, nil)
+	mux.HandleFunc("GET /v1/health", func(w http.ResponseWriter, r *http.Request) {
+		//gesp:errok — a LocalShard's health check cannot fail
+		res, _ := s.Health(r.Context())
+		WriteJSON(w, http.StatusOK, res)
 	})
-}
-
-// handleHandoff drains the shard: admission closes, queued solves
-// finish, and the resident factor keys come back so the coordinator
-// can re-home them. The factors themselves die with the process — over
-// a wire, moving them means re-factoring from the registered matrices,
-// which the coordinator does against the post-drain ring.
-func (s *Server) handleHandoff(w http.ResponseWriter, r *http.Request) {
-	s.draining.Store(true)
-	exp := s.svc.Drain()
-	res := HandoffResponse{Handles: make([]string, 0, len(exp.Factors))}
-	for _, f := range exp.Factors {
-		res.Handles = append(res.Handles, serve.Handle{Key: f.Key, N: f.N}.String())
-	}
-	writeJSON(w, http.StatusOK, res)
-}
-
-// defaultDegradedOptions bound the last-resort iterative solve: a
-// looser tolerance than the direct path's refinement target (the point
-// is an answer, not eps-level backward error) under a hard iteration
-// cap so a hopeless system cannot pin a surviving shard.
-func defaultDegradedOptions() krylov.Options {
-	return krylov.Options{Tol: 1e-8, MaxIter: 2000, Restart: 60}
-}
-
-func (s *Server) handleDegraded(w http.ResponseWriter, r *http.Request) {
-	var req DegradedRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		WriteErr(w, fmt.Errorf("bad degraded body: %w", err))
-		return
-	}
-	a, err := AssembleMatrix(req.Matrix)
-	if err != nil {
-		WriteErr(w, err)
-		return
-	}
-	if len(req.B) != a.Rows {
-		WriteErr(w, fmt.Errorf("right-hand side length %d, want %d", len(req.B), a.Rows))
-		return
-	}
-	opts := s.Degraded
-	d := defaultDegradedOptions()
-	if opts.Tol == 0 {
-		opts.Tol = d.Tol
-	}
-	if opts.MaxIter == 0 {
-		opts.MaxIter = d.MaxIter
-	}
-	if opts.Restart == 0 {
-		opts.Restart = d.Restart
-	}
-	ctx := r.Context()
-	opts.Cancel = func() bool { return ctx.Err() != nil }
-	// ILU0 is the preconditioner of the resilience ladder's iterative
-	// rung when no factors exist; a structurally unsuitable matrix
-	// falls back to unpreconditioned GMRES.
-	var pre krylov.Preconditioner = krylov.Identity{}
-	if ilu, ierr := krylov.NewILU0(a); ierr == nil {
-		pre = ilu
-	}
-	x := make([]float64, a.Rows)
-	x, st := krylov.GMRES(a, pre, x, req.B, opts)
-	switch {
-	case st.Canceled:
-		WriteErr(w, context.DeadlineExceeded)
-	case !st.Converged:
-		writeJSON(w, http.StatusInternalServerError, ErrorResponse{
-			Error: fmt.Sprintf("degraded solve did not converge: residual %.3g after %d iterations", st.Residual, st.Iterations),
-		})
-	default:
-		writeJSON(w, http.StatusOK, DegradedResponse{X: x, Iterations: st.Iterations, Residual: st.Residual})
-	}
+	// The factors themselves die with the process — over a wire, moving
+	// them means re-factoring from the registered matrices, which the
+	// coordinator does against the post-drain ring.
+	mux.HandleFunc("POST /v1/handoff", func(w http.ResponseWriter, r *http.Request) {
+		//gesp:errok — a LocalShard's handoff cannot fail
+		exp, _ := s.Handoff(r.Context())
+		res := HandoffResponse{Handles: make([]string, 0, len(exp.Factors))}
+		for _, f := range exp.Factors {
+			res.Handles = append(res.Handles, serve.Handle{Key: f.Key, N: f.N}.String())
+		}
+		WriteJSON(w, http.StatusOK, res)
+	})
+	mux.HandleFunc("POST /v1/degraded", func(w http.ResponseWriter, r *http.Request) {
+		var req DegradedRequest
+		if !DecodeJSON(w, r, &req) {
+			return
+		}
+		x, err := s.SolveDegraded(r.Context(), req.Matrix, req.B)
+		if err != nil {
+			WriteErr(w, err)
+			return
+		}
+		WriteJSON(w, http.StatusOK, SolveResponse{X: x})
+	})
+	return mux
 }

@@ -87,15 +87,15 @@ func runShard(raw string) error {
 	if conf.QueueCap > 0 {
 		cfg.QueueCap = conf.QueueCap
 	}
-	srv := NewServer(serve.New(cfg))
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return err
 	}
+	addr := ln.Addr().String()
 	// The ready line is the parent's only synchronization point; it
 	// must go out after the listener is accepting.
-	faultsim.AnnounceReady(ln.Addr().String())
-	return http.Serve(ln, WithChaosDelay(srv.Mux()))
+	faultsim.AnnounceReady(addr)
+	return http.Serve(ln, WithChaosDelay(NewLocalShard(addr, serve.New(cfg)).Mux()))
 }
 
 // WithChaosDelay wraps a shard mux with a runtime-settable straggler
@@ -108,18 +108,13 @@ func runShard(raw string) error {
 func WithChaosDelay(next http.Handler) http.Handler {
 	var delayMS atomic.Int64
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/chaos/delay", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			WriteErr(w, fmt.Errorf("chaos delay: POST only"))
-			return
-		}
+	mux.HandleFunc("POST /v1/chaos/delay", func(w http.ResponseWriter, r *http.Request) {
 		var req ChaosDelayRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			WriteErr(w, fmt.Errorf("bad chaos delay body: %w", err))
+		if !DecodeJSON(w, r, &req) {
 			return
 		}
 		delayMS.Store(req.MS)
-		writeJSON(w, http.StatusOK, struct{}{})
+		WriteJSON(w, http.StatusOK, struct{}{})
 	})
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/v1/solve" {

@@ -7,9 +7,9 @@ import (
 	"time"
 )
 
-// rpcMetrics is the coordinator's accounting, lock-free counters in
-// the style of fleet.metrics.
-type rpcMetrics struct {
+// metrics is the router's accounting: lock-free counters in the style
+// of serve.Metrics, snapshotted into Stats on demand.
+type metrics struct {
 	routed       atomic.Uint64
 	retries      atomic.Uint64 // backoff-gated re-attempts of a whole request
 	failovers    atomic.Uint64 // same-attempt replica tries after a fast primary error
@@ -23,6 +23,7 @@ type rpcMetrics struct {
 	deaths       atomic.Uint64
 	rejoins      atomic.Uint64
 	drains       atomic.Uint64
+	handedOff    atomic.Uint64 // cache entries a drain's export moved without re-factoring
 	rebuilds     atomic.Uint64 // ring swaps
 	rereplicated atomic.Uint64 // successful re-home submits after membership changes
 	promotions   atomic.Uint64 // pattern replication boosts (SLO controller)
@@ -30,7 +31,7 @@ type rpcMetrics struct {
 	scaleUps     atomic.Uint64 // members added at runtime (AddMember)
 }
 
-// Stats is a point-in-time coordinator snapshot.
+// Stats is a point-in-time router snapshot.
 type Stats struct {
 	Routed    uint64 `json:"routed"`
 	Retries   uint64 `json:"retries"`
@@ -49,6 +50,7 @@ type Stats struct {
 	Deaths       uint64 `json:"deaths"`
 	Rejoins      uint64 `json:"rejoins"`
 	Drains       uint64 `json:"drains"`
+	HandedOff    uint64 `json:"handed_off"`
 	Rebuilds     uint64 `json:"rebuilds"`
 	Rereplicated uint64 `json:"rereplicated"`
 	Promotions   uint64 `json:"promotions"`
@@ -70,7 +72,7 @@ type Stats struct {
 	Members []MemberStatus `json:"members"`
 }
 
-func (m *rpcMetrics) snapshot() Stats {
+func (m *metrics) snapshot() Stats {
 	return Stats{
 		Routed:       m.routed.Load(),
 		Retries:      m.retries.Load(),
@@ -85,6 +87,7 @@ func (m *rpcMetrics) snapshot() Stats {
 		Deaths:       m.deaths.Load(),
 		Rejoins:      m.rejoins.Load(),
 		Drains:       m.drains.Load(),
+		HandedOff:    m.handedOff.Load(),
 		Rebuilds:     m.rebuilds.Load(),
 		Rereplicated: m.rereplicated.Load(),
 		Promotions:   m.promotions.Load(),
@@ -101,13 +104,24 @@ func (s Stats) HedgeRate() float64 {
 	return float64(s.Hedged) / float64(s.Routed)
 }
 
-// String renders the coordinator summary plus one line per member.
+// HealRate returns resubmits/routed: the fraction of solves that found
+// their factors evicted and had to re-factor from the registry — the
+// cache-thrash signal for a shard count that can't hold the working
+// set.
+func (s Stats) HealRate() float64 {
+	if s.Routed == 0 {
+		return 0
+	}
+	return float64(s.Resubmits) / float64(s.Routed)
+}
+
+// String renders the router summary plus one line per member.
 func (s Stats) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "routed %d  retries %d  failovers %d  hedged %d (wins %d, budget-denied %d)  resubmits %d  degraded %d  failed %d\n",
 		s.Routed, s.Retries, s.Failovers, s.Hedged, s.HedgeWins, s.HedgeDenied, s.Resubmits, s.Degraded, s.Failed)
-	fmt.Fprintf(&b, "probes %d (%d failed)  deaths %d  rejoins %d  drains %d  ring rebuilds %d (gen %d)  re-replicated %d\n",
-		s.Probes, s.ProbeFails, s.Deaths, s.Rejoins, s.Drains, s.Rebuilds, s.RingGen, s.Rereplicated)
+	fmt.Fprintf(&b, "probes %d (%d failed)  deaths %d  rejoins %d  drains %d (%d entries handed off)  ring rebuilds %d (gen %d)  re-replicated %d\n",
+		s.Probes, s.ProbeFails, s.Deaths, s.Rejoins, s.Drains, s.HandedOff, s.Rebuilds, s.RingGen, s.Rereplicated)
 	fmt.Fprintf(&b, "promotions %d  demotions %d  scale-ups %d  boosted %d  registry %d  p50 %v  p99 %v  p999 %v\n",
 		s.Promotions, s.Demotions, s.ScaleUps, s.Promoted, s.RegistryLen, s.P50, s.P99, s.P999)
 	for _, m := range s.Members {

@@ -1,24 +1,36 @@
-// Package fleetrpc turns the sharded solve fleet into a cross-process
-// system: each shard is a separate gesp-serve process speaking the
-// HTTP/JSON wire format this package defines (the same /v1/matrix and
-// /v1/solve bodies cmd/gesp-serve has always spoken, plus /v1/health,
-// /v1/handoff, and /v1/degraded), and a client-side router places
-// requests over those processes with the consistent-hash ring the
-// in-process fleet already uses.
+// Package fleetrpc is the solve fleet: one router (Fleet) that places
+// requests by consistent-hashing each system's sparsity-pattern
+// fingerprint over a set of shards, and the HTTP/JSON wire format that
+// lets a shard be a separate gesp-serve process.
 //
-// What a process boundary adds, and this package owns:
+// A shard is anything behind the Shard interface. Two implementations
+// exist: LocalShard wraps an in-process serve.Service, and Client
+// speaks the wire format (/v1/matrix, /v1/solve, /v1/stats,
+// /v1/health, /v1/handoff, /v1/degraded) to a LocalShard's Mux in
+// another process. Both return the same typed errors, so the router
+// classifies a failure once, whatever produced it.
+//
+// What the router owns:
 //
 //   - health-checked membership: a prober walks every member on an
 //     interval, failure-count thresholds drive an alive → suspect →
 //     dead state machine, and a death rebuilds the ring (atomic swap)
 //     and re-replicates registered patterns onto the survivors;
 //   - a retry/timeout/backoff layer: jittered exponential backoff
-//     under a per-request deadline budget, Retry-After respected,
-//     typed retryable-vs-terminal errors (solves are idempotent, so
-//     retrying them is always safe);
-//   - a hedging budget: straggler hedges race a replica only while the
-//     shared token bucket (fleet.HedgeBudget) grants tokens, so a
-//     straggler storm cannot double fleet load;
+//     under a per-request deadline budget, retry-after hints
+//     respected, typed retryable-vs-terminal errors (solves are
+//     idempotent, so retrying them is always safe);
+//   - one hedge policy: a straggler hedge races the first replica
+//     after HedgeAfter, only while the shared token bucket
+//     (fleet.HedgeBudget) grants tokens, plus an immediate same-attempt
+//     failover when the primary fails fast;
+//   - one replication policy: every submit lands on Replication
+//     members, and PromotePattern/DemotePattern widen or restore a
+//     single pattern at runtime (the SLO controller's lever);
+//   - graceful drain: a leaving shard's Handoff export is imported by
+//     the post-drain owners before the ring swaps, and whatever an
+//     export cannot carry (everything, across a process boundary) is
+//     re-factored from the wire-matrix registry;
 //   - graceful degradation: when every placement is down and healing
 //     fails, the solve falls back to the resilience ladder's iterative
 //     path (ILU0-preconditioned GMRES on the registered matrix) on any
@@ -40,11 +52,14 @@ type MatrixRequest struct {
 	Vals []float64 `json:"vals"`
 }
 
-// MatrixResponse answers a submit with the solve handle.
+// MatrixResponse answers a submit with the solve handle. Nnz counts
+// the triplet entries received; Shard is the owning member's id, set
+// only by a coordinator (it is what POST /v1/drain addresses).
 type MatrixResponse struct {
 	Handle string `json:"handle"`
 	N      int    `json:"n"`
 	Nnz    int    `json:"nnz"`
+	Shard  *int   `json:"shard,omitempty"`
 }
 
 // SolveRequest is the POST /v1/solve body.
@@ -79,22 +94,29 @@ type HandoffResponse struct {
 // DegradedRequest is the POST /v1/degraded body: solve A·x = b
 // iteratively from the raw matrix, without factoring or caching — the
 // request of last resort when a pattern's owner and replicas are all
-// dead and the caller still holds the matrix.
+// dead and the caller still holds the matrix. The answer is a
+// SolveResponse.
 type DegradedRequest struct {
 	Matrix MatrixRequest `json:"matrix"`
 	B      []float64     `json:"b"`
 }
 
-// DegradedResponse reports the iterative solve.
-type DegradedResponse struct {
-	X          []float64 `json:"x"`
-	Iterations int       `json:"iterations"`
-	Residual   float64   `json:"residual"`
+// ErrorResponse is every non-200 body. RetryAfterNS repeats the
+// Retry-After header at full resolution: the header speaks whole
+// seconds, a shed queue's hint is a fraction of a millisecond.
+type ErrorResponse struct {
+	Error        string `json:"error"`
+	RetryAfterNS int64  `json:"retry_after_ns,omitempty"`
 }
 
-// ErrorResponse is every non-200 body.
-type ErrorResponse struct {
-	Error string `json:"error"`
+// DrainRequest is the POST /v1/drain body a coordinator accepts.
+type DrainRequest struct {
+	Shard int `json:"shard"`
+}
+
+// DrainResponse answers a completed drain.
+type DrainResponse struct {
+	Drained int `json:"drained"`
 }
 
 // WireMatrix encodes a CSC matrix as the triplet wire form.
@@ -125,6 +147,12 @@ func AssembleMatrix(req MatrixRequest) (*sparse.CSC, error) {
 	if len(req.Rows) != len(req.Vals) || len(req.Cols) != len(req.Vals) {
 		return nil, fmt.Errorf("triplet arrays disagree: %d rows, %d cols, %d vals",
 			len(req.Rows), len(req.Cols), len(req.Vals))
+	}
+	if len(req.Vals) < req.N {
+		// Fewer entries than columns leaves a column empty: structurally
+		// singular. Rejecting it here also bounds the O(n) assembly
+		// allocation by the size of the body that was actually sent.
+		return nil, fmt.Errorf("%d entries for a %dx%d matrix: structurally singular", len(req.Vals), req.N, req.N)
 	}
 	t := sparse.NewTriplet(req.N, req.N)
 	for k := range req.Vals {

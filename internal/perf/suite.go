@@ -1,6 +1,7 @@
 package perf
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -10,9 +11,11 @@ import (
 	"gesp/internal/core"
 	"gesp/internal/dist"
 	"gesp/internal/fleet"
+	"gesp/internal/fleetrpc"
 	"gesp/internal/kernels"
 	"gesp/internal/lu"
 	"gesp/internal/matgen"
+	"gesp/internal/serve"
 	"gesp/internal/superlu"
 )
 
@@ -117,23 +120,32 @@ func Run(scale float64, quick bool) (*File, error) {
 		},
 	})
 
-	fcfg := fleet.DefaultConfig()
-	fcfg.Service.Options.Refine = false
-	fcfg.Service.MaxDelay = 0
-	fl := fleet.New(fcfg)
+	scfg := serve.DefaultConfig()
+	scfg.Options.Refine = false
+	scfg.MaxDelay = 0
+	svcs := make([]*serve.Service, 4)
+	for i := range svcs {
+		svcs[i] = serve.New(scfg)
+		defer svcs[i].Close()
+	}
+	fl, err := fleetrpc.New(fleetrpc.DefaultConfig(fleetrpc.LocalShards(svcs...)))
+	if err != nil {
+		return nil, fmt.Errorf("perf: fleet: %w", err)
+	}
 	defer fl.Close()
-	fh, err := fl.Submit("perf", a)
+	ctx := context.Background()
+	fh, err := fl.Submit(ctx, fleetrpc.WireMatrix(a))
 	if err != nil {
 		return nil, fmt.Errorf("perf: fleet submit: %w", err)
 	}
 	fb := matgen.OnesRHS(a)
-	if _, err := fl.Solve("perf", fh, fb); err != nil {
+	if _, err := fl.Solve(ctx, fh, fb); err != nil {
 		return nil, fmt.Errorf("perf: fleet warm solve: %w", err)
 	}
 	benches = append(benches, bench{
 		name: "fleet/solve-warm/" + Matrix, class: "fleet", hot: false,
 		flops: float64(2 * (len(f.LVal) + len(f.UVal))), iters: 1,
-		fn: checked(func() error { _, err := fl.Solve("perf", fh, fb); return err }),
+		fn: checked(func() error { _, err := fl.Solve(ctx, fh, fb); return err }),
 	})
 
 	out := &File{
