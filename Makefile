@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint race checktest chaos smoke perfsmoke verify bench
+.PHONY: build test vet lint race checktest chaos smoke perfsmoke verify bench bench-e2e
 
 build:
 	$(GO) build ./...
@@ -100,3 +100,13 @@ verify: vet lint build test race checktest chaos smoke perfsmoke
 bench:
 	$(GO) test -bench=. -benchmem ./...
 	$(GO) run ./cmd/gesp-benchdump -o BENCH_0.json
+
+# End-to-end benchmark smoke (BENCHMARK.json, benchmark/): the
+# reduced-size run of every workload with its oracle on, then one short
+# traced cold-solve at full size, which leaves the per-layer metrics and
+# closure checks in benchmark/results/run-cold-solve-traced.json. Its own
+# CI step after verify, not part of it: the numbers depend on the runner,
+# and the gate on them is the driver's paired parent/change comparison.
+bench-e2e:
+	$(GO) test ./benchmark/
+	$(GO) run ./benchmark -workload cold-solve -seconds 3 -trace 1

@@ -32,7 +32,7 @@ func main() {
 	}
 	fmt.Printf("wrote %s (schema %d, %s/%s, scale %g, quick=%v)\n",
 		*out, f.SchemaVersion, f.GoVersion, f.GOARCH, f.Scale, f.Quick)
-	fmt.Printf("%-40s %-7s %4s %14s %10s %10s\n", "name", "class", "hot", "ns/op", "allocs/op", "Mflops")
+	fmt.Printf("%-40s %-8s %4s %14s %10s %10s\n", "name", "class", "hot", "ns/op", "allocs/op", "Mflops")
 	for _, e := range f.Entries {
 		hot := ""
 		if e.HotPath {
@@ -46,6 +46,6 @@ func main() {
 		if e.Mflops > 0 {
 			mf = fmt.Sprintf("%.1f", e.Mflops)
 		}
-		fmt.Printf("%-40s %-7s %4s %14.0f %10s %10s\n", e.Name, e.Class, hot, e.NsPerOp, allocs, mf)
+		fmt.Printf("%-40s %-8s %4s %14.0f %10s %10s\n", e.Name, e.Class, hot, e.NsPerOp, allocs, mf)
 	}
 }

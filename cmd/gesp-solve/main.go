@@ -28,6 +28,9 @@ import (
 	"gesp/internal/sparse"
 )
 
+// defaultOrdering is what -ordering means when it is not given.
+var defaultOrdering = core.DefaultOptions().Ordering
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("gesp-solve: ")
@@ -43,7 +46,7 @@ func main() {
 		noRefine   = flag.Bool("no-refine", false, "disable iterative refinement (step 4)")
 		aggressive = flag.Bool("aggressive", false, "aggressive pivot replacement with Sherman-Morrison-Woodbury recovery")
 		extraPrec  = flag.Bool("extra-precision", false, "compensated residuals in refinement")
-		ord        = flag.String("ordering", "mmd-ata", "fill-reducing ordering: mmd-ata, mmd-at+a, rcm, nd-ata, nd-at+a, natural")
+		ord        = flag.String("ordering", defaultOrdering.String(), "fill-reducing ordering: "+strings.Join(ordering.MethodNames(), ", "))
 		ferr       = flag.Bool("ferr", false, "estimate the componentwise forward error bound (expensive)")
 		workers    = flag.Int("workers", 0, "shared-memory workers for the factorization and solves (0 = serial; >1 uses the DAG-scheduled parallel engine)")
 	)
@@ -63,20 +66,8 @@ func main() {
 		ExtraPrecision:   *extraPrec,
 		Workers:          *workers,
 	}
-	switch *ord {
-	case "mmd-ata":
-		opts.Ordering = ordering.MinDegATA
-	case "mmd-at+a":
-		opts.Ordering = ordering.MinDegAPlusAT
-	case "rcm":
-		opts.Ordering = ordering.RCM
-	case "nd-ata":
-		opts.Ordering = ordering.NDATA
-	case "nd-at+a":
-		opts.Ordering = ordering.NDAPlusAT
-	case "natural":
-		opts.Ordering = ordering.Natural
-	default:
+	var ok bool
+	if opts.Ordering, ok = ordering.ParseMethod(*ord); !ok {
 		log.Fatalf("unknown ordering %q", *ord)
 	}
 

@@ -246,6 +246,9 @@ func TestOrderDispatch(t *testing.T) {
 		if m.String() == "unknown" {
 			t.Errorf("method %d has no name", m)
 		}
+		if got, ok := ParseMethod(m.String()); !ok || got != m {
+			t.Errorf("ParseMethod(%q) = %v, %v", m.String(), got, ok)
+		}
 	}
 	nat := Order(a, Natural)
 	for i, v := range nat {
@@ -330,4 +333,180 @@ func TestOrderDispatchND(t *testing.T) {
 			t.Errorf("method %d has no name", m)
 		}
 	}
+}
+
+// exactMinimumDegree is the fill oracle for MinimumDegree: the minimum
+// external degree ordering this package shipped before the approximate
+// one, kept here the way scalar kernels are kept as test oracles. Quotient
+// graph with element absorption; degrees are recomputed exactly, by a
+// union walk over every element boundary of every affected vertex after
+// each pivot — O(n·m), which is why it is no longer production code.
+func exactMinimumDegree(p *sparse.Pattern) []int {
+	n := p.N
+	// Quotient graph state. Vertex ids double as element ids once
+	// eliminated. Variable-neighbour lists only ever compact in place, so
+	// they are carved from one contiguous slab (a copy of the pattern)
+	// instead of n separate heap slices: adjacent vertices' lists stay
+	// adjacent in memory, which is where the degree-update sweeps spend
+	// their time.
+	adjn := make([][]int, n) // variable neighbours
+	adje := make([][]int, n) // element neighbours
+	boundary := make([][]int, n)
+	eliminated := make([]bool, n)
+	absorbedInto := make([]int, n) // -1, or the element this one merged into
+	adjSlab := make([]int, len(p.Ind))
+	copy(adjSlab, p.Ind)
+	for v := 0; v < n; v++ {
+		adjn[v] = adjSlab[p.Ptr[v]:p.Ptr[v+1]:p.Ptr[v+1]]
+		absorbedInto[v] = -1
+	}
+
+	// Degree buckets: doubly linked lists indexed by current degree.
+	deg := make([]int, n)
+	head := make([]int, n+1)
+	next := make([]int, n)
+	prev := make([]int, n)
+	for d := range head {
+		head[d] = -1
+	}
+	insert := func(v, d int) {
+		deg[v] = d
+		next[v] = head[d]
+		prev[v] = -1
+		if head[d] != -1 {
+			prev[head[d]] = v
+		}
+		head[d] = v
+	}
+	remove := func(v int) {
+		if prev[v] != -1 {
+			next[prev[v]] = next[v]
+		} else {
+			head[deg[v]] = next[v]
+		}
+		if next[v] != -1 {
+			prev[next[v]] = prev[v]
+		}
+	}
+	for v := 0; v < n; v++ {
+		insert(v, len(adjn[v]))
+	}
+
+	find := func(e int) int {
+		for absorbedInto[e] != -1 {
+			e = absorbedInto[e]
+		}
+		return e
+	}
+
+	// Generation-stamped scratch marks: markGen/deg2Gen strictly increase, so
+	// stale stamps from earlier rounds can never alias the current one.
+	mark := make([]int, n)
+	for i := range mark {
+		mark[i] = -1
+	}
+	mark2 := make([]int, n)
+	for i := range mark2 {
+		mark2[i] = -1
+	}
+	markGen, deg2Gen := 0, 0
+	perm := make([]int, n)
+	lv := make([]int, 0, 64)
+	minDeg := 0
+
+	for pos := 0; pos < n; pos++ {
+		// Find the minimum-degree vertex.
+		for minDeg <= n && head[minDeg] == -1 {
+			minDeg++
+		}
+		v := head[minDeg]
+		remove(v)
+		eliminated[v] = true
+		perm[v] = pos
+
+		// Build Lv = boundary of the new element v.
+		markGen++
+		lv = lv[:0]
+		for _, u := range adjn[v] {
+			if !eliminated[u] && mark[u] != markGen {
+				mark[u] = markGen
+				lv = append(lv, u)
+			}
+		}
+		for _, e0 := range adje[v] {
+			e := find(e0)
+			if e == v || absorbedInto[e] != -1 {
+				continue
+			}
+			for _, u := range boundary[e] {
+				if !eliminated[u] && u != v && mark[u] != markGen {
+					mark[u] = markGen
+					lv = append(lv, u)
+				}
+			}
+			absorbedInto[e] = v
+			boundary[e] = nil
+		}
+		boundary[v] = append([]int(nil), lv...)
+		adjn[v], adje[v] = nil, nil
+
+		// Update each boundary vertex.
+		for _, u := range lv {
+			// Compact variable neighbours: drop eliminated vertices and
+			// vertices covered by the new element.
+			w := adjn[u][:0]
+			for _, x := range adjn[u] {
+				if !eliminated[x] && mark[x] != markGen {
+					w = append(w, x)
+				}
+			}
+			adjn[u] = w
+			// Compact element neighbours: resolve absorption, dedupe, and
+			// append the new element.
+			we := adje[u][:0]
+			for _, e0 := range adje[u] {
+				e := find(e0)
+				if e == v { // the new element is appended below
+					continue
+				}
+				dup := false
+				for _, y := range we {
+					if y == e {
+						dup = true
+						break
+					}
+				}
+				if !dup {
+					we = append(we, e)
+				}
+			}
+			adje[u] = append(we, v)
+
+			// Exact external degree: |adjn[u]| plus union of live element
+			// boundaries, excluding u itself.
+			deg2Gen++
+			d := 0
+			mark2[u] = deg2Gen
+			for _, x := range adjn[u] {
+				if mark2[x] != deg2Gen {
+					mark2[x] = deg2Gen
+					d++
+				}
+			}
+			for _, e := range adje[u] {
+				for _, x := range boundary[e] {
+					if !eliminated[x] && mark2[x] != deg2Gen {
+						mark2[x] = deg2Gen
+						d++
+					}
+				}
+			}
+			remove(u)
+			insert(u, d)
+			if d < minDeg {
+				minDeg = d
+			}
+		}
+	}
+	return perm
 }

@@ -114,8 +114,12 @@ func TestSuiteQuickRun(t *testing.T) {
 		if e.Class == "kernel" && e.AllocsPerOp != 0 {
 			t.Errorf("%s: hot kernel reports %v allocs/op", e.Name, e.AllocsPerOp)
 		}
+		// The ordering is a transpose, a pattern and two slabs.
+		if e.Name == "analysis/order/"+Matrix && (e.AllocsPerOp < 0 || e.AllocsPerOp > 12) {
+			t.Errorf("%s: %v allocs/op, want 0..12", e.Name, e.AllocsPerOp)
+		}
 	}
-	for _, c := range []string{"kernel", "engine", "solve", "sim"} {
+	for _, c := range []string{"kernel", "analysis", "engine", "solve", "sim"} {
 		if classes[c] == 0 {
 			t.Errorf("no %q entries in suite output", c)
 		}

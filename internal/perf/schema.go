@@ -37,7 +37,7 @@ type File struct {
 // gated — their wall time is scheduler noise.
 type Entry struct {
 	Name    string `json:"name"`
-	Class   string `json:"class"` // "kernel" | "engine" | "solve" | "sim"
+	Class   string `json:"class"` // "kernel" | "solve" | "analysis" | "engine" | "fleet" | "sim"
 	HotPath bool   `json:"hot_path"`
 
 	NsPerOp float64 `json:"ns_per_op"`

@@ -15,8 +15,10 @@ import (
 	"gesp/internal/kernels"
 	"gesp/internal/lu"
 	"gesp/internal/matgen"
+	"gesp/internal/ordering"
 	"gesp/internal/serve"
 	"gesp/internal/superlu"
+	"gesp/internal/symbolic"
 )
 
 // Matrix is the testbed matrix the engine benchmarks run on: mid-sized,
@@ -80,6 +82,19 @@ func Run(scale float64, quick bool) (*File, error) {
 			f.SolveMulti(x, nrhs)
 		},
 	})
+
+	// Analysis: the two phases a cold solve spends most of its time in,
+	// on the graph the engines below factor. Both are deterministic
+	// single-thread work and allocate a fixed number of slabs, so the
+	// allocation counts gate like the kernels'.
+	benches = append(benches,
+		bench{name: "analysis/order/" + Matrix, class: "analysis", hot: true, measAll: true,
+			iters: 1,
+			fn:    func() { ordering.Order(ap, core.DefaultOptions().Ordering) }},
+		bench{name: "analysis/symbolic/" + Matrix, class: "analysis", hot: true, measAll: true,
+			iters: 1,
+			fn:    checked(func() error { _, err := symbolic.Factorize(ap, symbolic.Options{}); return err })},
+	)
 
 	// Engines. The serial engines are deterministic single-thread work,
 	// so their timings gate; the DAG-parallel engine is recorded for the

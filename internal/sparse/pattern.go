@@ -1,5 +1,7 @@
 package sparse
 
+import "slices"
+
 // Pattern is a symmetric sparsity structure given as an adjacency list in
 // compressed form: the neighbours of vertex j are Ind[Ptr[j]:Ptr[j+1]],
 // sorted ascending, never containing j itself.
@@ -57,7 +59,7 @@ func PatternAPlusAT(a *CSC) *Pattern {
 	}
 	for j := 0; j < n; j++ {
 		c := count(j, ind[ptr[j]:])
-		insertionSortInts(ind[ptr[j] : ptr[j]+c])
+		sortInts(ind[ptr[j] : ptr[j]+c])
 	}
 	return &Pattern{N: n, Ptr: ptr, Ind: ind}
 }
@@ -102,12 +104,19 @@ func PatternATA(a *CSC) *Pattern {
 	}
 	for j := 0; j < n; j++ {
 		c := count(j, ind[ptr[j]:])
-		insertionSortInts(ind[ptr[j] : ptr[j]+c])
+		sortInts(ind[ptr[j] : ptr[j]+c])
 	}
 	return &Pattern{N: n, Ptr: ptr, Ind: ind}
 }
 
-func insertionSortInts(s []int) {
+// sortInts sorts one adjacency list. Stencil and circuit rows have a
+// handful of entries, where insertion sort wins; the dense rows of the
+// economics and migration matrices have thousands, where it is quadratic.
+func sortInts(s []int) {
+	if len(s) > 16 {
+		slices.Sort(s)
+		return
+	}
 	for i := 1; i < len(s); i++ {
 		v := s[i]
 		j := i - 1

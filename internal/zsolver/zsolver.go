@@ -16,6 +16,7 @@ import (
 	"math"
 	"math/cmplx"
 
+	"gesp/internal/core"
 	"gesp/internal/equil"
 	"gesp/internal/lu"
 	"gesp/internal/matching"
@@ -37,13 +38,14 @@ type Options struct {
 	MaxSuper         int
 }
 
-// DefaultOptions returns the paper-recommended configuration.
+// DefaultOptions returns the real solver's default configuration; the
+// ordering follows core.DefaultOptions, which says why it is A+Aᵀ.
 func DefaultOptions() Options {
 	return Options{
 		Equilibrate:      true,
 		RowPermute:       true,
 		ColScale:         true,
-		Ordering:         ordering.MinDegATA,
+		Ordering:         core.DefaultOptions().Ordering,
 		ReplaceTinyPivot: true,
 		Refine:           true,
 	}
