@@ -37,7 +37,6 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("gesp-bench: ")
 	var (
-		exp      = flag.String("exp", "all", "experiment: all, serial (table1+fig2-6+nopivot), scaling (table2-5), table1, fig2, fig3, fig4, fig5, fig6, table2, table3, table4, table5, edag, pipeline, nopivot, blocksize, ordering, iterative, relax, redist, gridshape, parfactor, serve, fleet, fleetproc, ha, resilience, faults, kernels")
 		scale    = flag.Float64("scale", 0.5, "matrix scale factor (1.0 = larger, slower)")
 		procsF   = flag.String("procs", "4,8,16,32,64,128,256,512", "processor sweep for tables 3-5")
 		p5       = flag.Int("p5", 64, "processor count for table 5 (paper: 64)")
@@ -51,227 +50,204 @@ func main() {
 		fleetWorkers  = flag.Int("fleet-workers", 16, "closed-loop workers for the fleet experiment")
 		fleetDuration = flag.Duration("fleet-duration", time.Second, "measurement window per arm of the fleet experiment")
 	)
-	flag.Parse()
-
-	workers, err := parseProcs(*workersF)
-	if err != nil {
-		log.Fatal(err)
-	}
-	parfactor := func() []experiments.ParFactorRow {
-		rows, err := experiments.ParallelFactorSweep(splitNames(*matsF), *scale, workers)
+	w := os.Stdout
+	var (
+		procs, workers []int
+		serial         []experiments.SerialRow
+		scaling        []experiments.ScalingRow
+	)
+	// must ends the run on any experiment's error.
+	must := func(err error) {
 		if err != nil {
 			log.Fatal(err)
 		}
+	}
+	parfactor := func() []experiments.ParFactorRow {
+		rows, err := experiments.ParallelFactorSweep(splitNames(*matsF), *scale, workers)
+		must(err)
 		return rows
+	}
+
+	// The experiment table, in output order: the one place an experiment
+	// is named. group is the -exp alias that also selects it; needs is
+	// the shared sweep (run once, before any section) it prints from.
+	const (
+		needSerial = iota + 1
+		needScaling
+	)
+	type experiment struct {
+		name, group string
+		needs       int
+		run         func()
+	}
+	table := []experiment{
+		{"table1", "serial", 0, func() { experiments.PrintTable1(w, *scale) }},
+		{"fig2", "serial", needSerial, func() { experiments.PrintFigure2(w, serial) }},
+		{"fig3", "serial", needSerial, func() { experiments.PrintFigure3(w, serial) }},
+		{"fig4", "serial", needSerial, func() { experiments.PrintFigure4(w, serial) }},
+		{"fig5", "serial", needSerial, func() { experiments.PrintFigure5(w, serial) }},
+		{"fig6", "serial", needSerial, func() { experiments.PrintFigure6(w, serial) }},
+		{"nopivot", "serial", 0, func() { experiments.PrintNoPivot(w, *scale) }},
+		{"table2", "scaling", 0, func() { experiments.PrintTable2(w, *scale) }},
+		{"table3", "scaling", needScaling, func() { experiments.PrintTable3(w, scaling, procs) }},
+		{"table4", "scaling", needScaling, func() { experiments.PrintTable4(w, scaling, procs) }},
+		{"table5", "scaling", needScaling, func() { experiments.PrintTable5(w, scaling, procs, *p5) }},
+		{"edag", "", 0, func() {
+			r, err := experiments.EDAGAblation("AF23560", *scale, 32)
+			must(err)
+			experiments.PrintAblation(w, "EDAG-pruned communication (paper: 16% fewer messages, AF23560, 32 PEs)", r)
+		}},
+		{"pipeline", "", 0, func() {
+			r, err := experiments.PipelineAblation("AF23560", *scale, 64)
+			must(err)
+			experiments.PrintAblation(w, "Pipelined factorization (paper: 10-40% faster on 64 PEs)", r)
+		}},
+		{"blocksize", "", 0, func() {
+			res, err := experiments.BlockSizeAblation("AF23560", *scale, 16, []int{4, 8, 16, 24, 32, 64, 128})
+			must(err)
+			fmt.Fprintln(w, "Maximum block size sweep (paper: 20-30 best on the T3E, 24 used):")
+			fmt.Fprintf(w, "%8s %12s %10s\n", "maxSuper", "factor(s)", "avgSup")
+			for _, r := range res {
+				fmt.Fprintf(w, "%8d %12.4f %10.1f\n", r.MaxSuper, r.FactorTime, r.AvgSuper)
+			}
+		}},
+		{"ordering", "", 0, func() {
+			rows, err := experiments.OrderingAblation(
+				[]string{"AF23560", "MEMPLUS", "SHERMAN4", "TWOTONE", "WANG4"}, *scale)
+			must(err)
+			fmt.Fprintln(w, "Fill-reducing ordering comparison, nnz(L+U):")
+			fmt.Fprintf(w, "%-10s %12s %12s %12s %12s %12s\n", "Matrix", "mmd-ata", "mmd-at+a", "rcm", "nd-ata", "natural")
+			for _, r := range rows {
+				fmt.Fprintf(w, "%-10s %12d %12d %12d %12d %12d\n",
+					r.Name, r.Fill["mmd-ata"], r.Fill["mmd-at+a"], r.Fill["rcm"], r.Fill["nd-ata"], r.Fill["natural"])
+			}
+		}},
+		{"relax", "", 0, func() {
+			res, err := experiments.RelaxAblation("TWOTONE", *scale, 16, []int{0, 1, 2, 4, 8})
+			must(err)
+			fmt.Fprintln(w, "Supernode amalgamation sweep (paper 5: amalgamate small supernodes):")
+			fmt.Fprintf(w, "%8s %10s %10s %12s\n", "relax", "avgSup", "#sup", "factor(s)")
+			for _, r := range res {
+				fmt.Fprintf(w, "%8d %10.2f %10d %12.4f\n", r.Relax, r.AvgSuper, r.NumSuper, r.FactorTime)
+			}
+		}},
+		{"gridshape", "", 0, func() {
+			rows, err := experiments.GridShapeAblation("AF23560", *scale, 16)
+			must(err)
+			fmt.Fprintln(w, "Process-grid shape on 16 PEs (paper: 2-D beats the natural 1-D layout):")
+			fmt.Fprintf(w, "%8s %12s %12s %14s %8s\n", "grid", "factor(s)", "solve(s)", "volume(bytes)", "B")
+			for _, r := range rows {
+				fmt.Fprintf(w, "%8s %12.4f %12.4f %14d %8.2f\n", r.Shape, r.FactorTime, r.SolveTime, r.Volume, r.Balance)
+			}
+		}},
+		{"redist", "", 0, func() {
+			rows, err := experiments.RedistAblation(*scale, 64)
+			must(err)
+			fmt.Fprintln(w, "1-D to 2-D redistribution cost vs factorization (future-work input interface), P=64:")
+			fmt.Fprintf(w, "%-10s %12s %12s %10s %12s\n", "Matrix", "redist(s)", "factor(s)", "msgs", "bytes")
+			for _, r := range rows {
+				fmt.Fprintf(w, "%-10s %12.4f %12.4f %10d %12d\n", r.Name, r.RedistTime, r.FactorTime, r.RedistMsgs, r.RedistBytes)
+			}
+		}},
+		{"parfactor", "", 0, func() { experiments.PrintParFactor(w, parfactor()) }},
+		{"serve", "", 0, func() {
+			rows, err := experiments.ServeAblation(*serveClients, *serveDuration, *scale)
+			must(err)
+			experiments.PrintServe(w, rows)
+		}},
+		{"fleet", "", 0, func() {
+			rows, err := experiments.FleetAblation(*fleetWorkers, *fleetDuration, *scale)
+			must(err)
+			experiments.PrintFleet(w, rows)
+		}},
+		{"fleetproc", "", 0, func() {
+			rows, err := experiments.FleetProcAblation(*fleetWorkers, *fleetDuration, *scale)
+			must(err)
+			experiments.PrintFleetProc(w, rows)
+		}},
+		{"ha", "", 0, func() {
+			rows, err := experiments.HAAblation(*fleetWorkers, *fleetDuration, *scale)
+			must(err)
+			experiments.PrintHA(w, rows)
+		}},
+		{"iterative", "", 0, func() {
+			rows, err := experiments.IterativeAblation(
+				[]string{"AF23560", "MEMPLUS", "GEMAT11", "WEST2021", "SHERMAN4", "ONETONE1"}, *scale)
+			must(err)
+			experiments.PrintIterative(w, rows)
+		}},
+		{"resilience", "", 0, func() {
+			rows, err := experiments.ResilienceAblation(1)
+			must(err)
+			experiments.PrintResilience(w, rows)
+		}},
+		{"faults", "", 0, func() {
+			rows, err := experiments.FaultAblation(1, *scale)
+			must(err)
+			experiments.PrintFaults(w, rows)
+		}},
+	}
+	// -exp accepts all, each group alias and every experiment name.
+	var groups, names []string
+	members := map[string][]string{}
+	for _, e := range table {
+		names = append(names, e.name)
+		if e.group != "" {
+			if members[e.group] == nil {
+				groups = append(groups, e.group)
+			}
+			members[e.group] = append(members[e.group], e.name)
+		}
+	}
+	help := []string{"all"}
+	for _, g := range groups {
+		help = append(help, g+" ("+strings.Join(members[g], "+")+")")
+	}
+	exp := flag.String("exp", "all", "experiment: "+strings.Join(append(help, names...), ", "))
+	flag.Parse()
+	selected := func(e experiment) bool { return *exp == "all" || *exp == e.name || *exp == e.group }
+
+	var err error
+	if workers, err = parseProcs(*workersF); err != nil {
+		log.Fatal(err)
 	}
 	if *jsonOut {
 		// Machine-readable mode: JSON rows only, suitable for a
 		// BENCH_*.json perf trajectory (gesp-bench -json > BENCH_date.json).
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(parfactor()); err != nil {
-			log.Fatal(err)
-		}
+		must(enc.Encode(parfactor()))
 		return
 	}
-
-	procs, err := parseProcs(*procsF)
-	if err != nil {
+	if procs, err = parseProcs(*procsF); err != nil {
 		log.Fatal(err)
 	}
-	known := map[string]bool{
-		"all": true, "serial": true, "scaling": true,
-		"table1": true, "fig2": true, "fig3": true, "fig4": true, "fig5": true, "fig6": true,
-		"table2": true, "table3": true, "table4": true, "table5": true,
-		"edag": true, "pipeline": true, "nopivot": true, "blocksize": true,
-		"ordering": true, "iterative": true, "relax": true, "redist": true, "gridshape": true,
-		"parfactor": true, "serve": true, "fleet": true, "fleetproc": true, "ha": true, "resilience": true,
-		"faults": true, "kernels": true,
+	needs := map[int]bool{} // empty after the loop: -exp selected nothing
+	for _, e := range table {
+		if selected(e) {
+			needs[e.needs] = true
+		}
 	}
-	if !known[*exp] {
-		log.Fatalf("unknown experiment %q (see -h for the list)", *exp)
+	if len(needs) == 0 {
+		log.Fatalf("unknown experiment %q (want all, %s, or one of %s)",
+			*exp, strings.Join(groups, ", "), strings.Join(names, ", "))
 	}
-	w := os.Stdout
-
-	needSerial := map[string]bool{"all": true, "serial": true, "fig2": true, "fig3": true, "fig4": true, "fig5": true, "fig6": true}
-	needScaling := map[string]bool{"all": true, "scaling": true, "table3": true, "table4": true, "table5": true}
-
-	var serial []experiments.SerialRow
-	if needSerial[*exp] {
+	if needs[needSerial] {
 		log.Printf("running serial testbed (53 matrices, scale %.2f)...", *scale)
 		serial = experiments.RunSerial(*scale, true, true)
 	}
-	var scaling []experiments.ScalingRow
-	if needScaling[*exp] {
+	if needs[needScaling] {
 		log.Printf("running distributed sweep (8 matrices x P=%v, scale %.2f)...", procs, *scale)
 		experiments.Progress = log.Printf
 		scaling, err = experiments.RunScaling(*scale, procs, true, true)
-		if err != nil {
-			log.Fatal(err)
-		}
+		must(err)
 	}
-
-	groups := map[string][]string{
-		"serial":  {"table1", "fig2", "fig3", "fig4", "fig5", "fig6", "nopivot"},
-		"scaling": {"table2", "table3", "table4", "table5"},
-	}
-	section := func(name string, f func()) {
-		run := *exp == "all" || *exp == name
-		for _, member := range groups[*exp] {
-			if member == name {
-				run = true
-			}
-		}
-		if run {
-			f()
+	for _, e := range table {
+		if selected(e) {
+			e.run()
 			fmt.Fprintln(w)
 		}
 	}
-	section("table1", func() { experiments.PrintTable1(w, *scale) })
-	section("fig2", func() { experiments.PrintFigure2(w, serial) })
-	section("fig3", func() { experiments.PrintFigure3(w, serial) })
-	section("fig4", func() { experiments.PrintFigure4(w, serial) })
-	section("fig5", func() { experiments.PrintFigure5(w, serial) })
-	section("fig6", func() { experiments.PrintFigure6(w, serial) })
-	section("nopivot", func() { experiments.PrintNoPivot(w, *scale) })
-	section("table2", func() { experiments.PrintTable2(w, *scale) })
-	section("table3", func() { experiments.PrintTable3(w, scaling, procs) })
-	section("table4", func() { experiments.PrintTable4(w, scaling, procs) })
-	section("table5", func() { experiments.PrintTable5(w, scaling, procs, *p5) })
-	section("edag", func() {
-		r, err := experiments.EDAGAblation("AF23560", *scale, 32)
-		if err != nil {
-			log.Fatal(err)
-		}
-		experiments.PrintAblation(w, "EDAG-pruned communication (paper: 16% fewer messages, AF23560, 32 PEs)", r)
-	})
-	section("pipeline", func() {
-		r, err := experiments.PipelineAblation("AF23560", *scale, 64)
-		if err != nil {
-			log.Fatal(err)
-		}
-		experiments.PrintAblation(w, "Pipelined factorization (paper: 10-40% faster on 64 PEs)", r)
-	})
-	section("blocksize", func() {
-		res, err := experiments.BlockSizeAblation("AF23560", *scale, 16, []int{4, 8, 16, 24, 32, 64, 128})
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintln(w, "Maximum block size sweep (paper: 20-30 best on the T3E, 24 used):")
-		fmt.Fprintf(w, "%8s %12s %10s\n", "maxSuper", "factor(s)", "avgSup")
-		for _, r := range res {
-			fmt.Fprintf(w, "%8d %12.4f %10.1f\n", r.MaxSuper, r.FactorTime, r.AvgSuper)
-		}
-	})
-	section("ordering", func() {
-		rows, err := experiments.OrderingAblation(
-			[]string{"AF23560", "MEMPLUS", "SHERMAN4", "TWOTONE", "WANG4"}, *scale)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintln(w, "Fill-reducing ordering comparison, nnz(L+U):")
-		fmt.Fprintf(w, "%-10s %12s %12s %12s %12s %12s\n", "Matrix", "mmd-ata", "mmd-at+a", "rcm", "nd-ata", "natural")
-		for _, r := range rows {
-			fmt.Fprintf(w, "%-10s %12d %12d %12d %12d %12d\n",
-				r.Name, r.Fill["mmd-ata"], r.Fill["mmd-at+a"], r.Fill["rcm"], r.Fill["nd-ata"], r.Fill["natural"])
-		}
-	})
-	section("relax", func() {
-		res, err := experiments.RelaxAblation("TWOTONE", *scale, 16, []int{0, 1, 2, 4, 8})
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintln(w, "Supernode amalgamation sweep (paper 5: amalgamate small supernodes):")
-		fmt.Fprintf(w, "%8s %10s %10s %12s\n", "relax", "avgSup", "#sup", "factor(s)")
-		for _, r := range res {
-			fmt.Fprintf(w, "%8d %10.2f %10d %12.4f\n", r.Relax, r.AvgSuper, r.NumSuper, r.FactorTime)
-		}
-	})
-	section("gridshape", func() {
-		rows, err := experiments.GridShapeAblation("AF23560", *scale, 16)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintln(w, "Process-grid shape on 16 PEs (paper: 2-D beats the natural 1-D layout):")
-		fmt.Fprintf(w, "%8s %12s %12s %14s %8s\n", "grid", "factor(s)", "solve(s)", "volume(bytes)", "B")
-		for _, r := range rows {
-			fmt.Fprintf(w, "%8s %12.4f %12.4f %14d %8.2f\n", r.Shape, r.FactorTime, r.SolveTime, r.Volume, r.Balance)
-		}
-	})
-	section("redist", func() {
-		rows, err := experiments.RedistAblation(*scale, 64)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintln(w, "1-D to 2-D redistribution cost vs factorization (future-work input interface), P=64:")
-		fmt.Fprintf(w, "%-10s %12s %12s %10s %12s\n", "Matrix", "redist(s)", "factor(s)", "msgs", "bytes")
-		for _, r := range rows {
-			fmt.Fprintf(w, "%-10s %12.4f %12.4f %10d %12d\n", r.Name, r.RedistTime, r.FactorTime, r.RedistMsgs, r.RedistBytes)
-		}
-	})
-	section("parfactor", func() { experiments.PrintParFactor(w, parfactor()) })
-	section("kernels", func() {
-		rows, err := experiments.KernelAblation("AF23560", *scale, 8)
-		if err != nil {
-			log.Fatal(err)
-		}
-		experiments.PrintKernels(w, rows)
-		for _, r := range rows {
-			if !r.BitOK {
-				log.Fatalf("kernel mode %s broke bit-identity on engine %s", r.Mode, r.Engine)
-			}
-		}
-	})
-	section("serve", func() {
-		rows, err := experiments.ServeAblation(*serveClients, *serveDuration, *scale)
-		if err != nil {
-			log.Fatal(err)
-		}
-		experiments.PrintServe(w, rows)
-	})
-	section("fleet", func() {
-		rows, err := experiments.FleetAblation(*fleetWorkers, *fleetDuration, *scale)
-		if err != nil {
-			log.Fatal(err)
-		}
-		experiments.PrintFleet(w, rows)
-	})
-	section("fleetproc", func() {
-		rows, err := experiments.FleetProcAblation(*fleetWorkers, *fleetDuration, *scale)
-		if err != nil {
-			log.Fatal(err)
-		}
-		experiments.PrintFleetProc(w, rows)
-	})
-	section("ha", func() {
-		rows, err := experiments.HAAblation(*fleetWorkers, *fleetDuration, *scale)
-		if err != nil {
-			log.Fatal(err)
-		}
-		experiments.PrintHA(w, rows)
-	})
-	section("iterative", func() {
-		rows, err := experiments.IterativeAblation(
-			[]string{"AF23560", "MEMPLUS", "GEMAT11", "WEST2021", "SHERMAN4", "ONETONE1"}, *scale)
-		if err != nil {
-			log.Fatal(err)
-		}
-		experiments.PrintIterative(w, rows)
-	})
-	section("resilience", func() {
-		rows, err := experiments.ResilienceAblation(1)
-		if err != nil {
-			log.Fatal(err)
-		}
-		experiments.PrintResilience(w, rows)
-	})
-	section("faults", func() {
-		rows, err := experiments.FaultAblation(1, *scale)
-		if err != nil {
-			log.Fatal(err)
-		}
-		experiments.PrintFaults(w, rows)
-	})
 }
 
 func splitNames(s string) []string {

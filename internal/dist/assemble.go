@@ -1,19 +1,56 @@
 package dist
 
 import (
+	"math"
 	"sort"
 
 	"gesp/internal/lu"
+	"gesp/internal/sparse"
+	"gesp/internal/symbolic"
 )
 
-// AssembleFactors gathers the factored distributed blocks into serial
-// lu.Factors storage (LVal/UVal in the symbolic pattern order). The
-// fault-tolerant driver uses it to fingerprint a recovered
-// factorization against a fault-free run; it also lets any serial tool
-// (condition estimation, fingerprint verification, the resilience
-// ladder) consume a distributed factorization.
-func AssembleFactors(st *Structure, blockSets []map[int]*Block) *lu.Factors {
-	sym := st.Sym
+// Assemble gathers factored blocks into serial lu.Factors storage
+// (LVal/UVal in the symbolic pattern order, ColAMax from the factored
+// matrix a), reading the entry at global (i, j) of block (bi, bj)
+// through at. It is the one read path from either block store — the
+// in-process BlockGrid (pass its At method) and the distributed
+// ownership maps (AssembleFactors) — to everything that consumes
+// column-format factors.
+func Assemble(a *sparse.CSC, sym *symbolic.Result, at func(bi, bj, i, j int) float64) *lu.Factors {
+	f := &lu.Factors{
+		Sym:     sym,
+		LVal:    make([]float64, sym.NnzL()),
+		UVal:    make([]float64, sym.NnzU()),
+		ColAMax: make([]float64, sym.N),
+	}
+	for j := 0; j < sym.N; j++ {
+		cmax := 0.0
+		for k := a.ColPtr[j]; k < a.ColPtr[j+1]; k++ {
+			if v := math.Abs(a.Val[k]); v > cmax {
+				cmax = v
+			}
+		}
+		f.ColAMax[j] = cmax
+		bj := sym.SupOf[j]
+		for p := sym.UPtr[j]; p < sym.UPtr[j+1]; p++ {
+			i := sym.UInd[p]
+			f.UVal[p] = at(sym.SupOf[i], bj, i, j)
+		}
+		for q := sym.LPtr[j]; q < sym.LPtr[j+1]; q++ {
+			i := sym.LInd[q]
+			f.LVal[q] = at(sym.SupOf[i], bj, i, j)
+		}
+	}
+	return f
+}
+
+// AssembleFactors gathers the factored distributed blocks of a, one
+// ownership map per rank, into serial lu.Factors. The fault-tolerant
+// driver uses it to fingerprint a recovered factorization against a
+// fault-free run; it also lets any serial tool (condition estimation,
+// pivot growth, the resilience ladder) consume a distributed
+// factorization.
+func AssembleFactors(a *sparse.CSC, st *Structure, blockSets []map[int]*Block) *lu.Factors {
 	ns := st.N
 	all := make(map[int]*Block, 0)
 	for _, bs := range blockSets {
@@ -24,23 +61,9 @@ func AssembleFactors(st *Structure, blockSets []map[int]*Block) *lu.Factors {
 			all[k] = b
 		}
 	}
-	f := &lu.Factors{
-		Sym:  sym,
-		LVal: make([]float64, sym.NnzL()),
-		UVal: make([]float64, sym.NnzU()),
-	}
-	for j := 0; j < sym.N; j++ {
-		bj := sym.SupOf[j]
-		for p := sym.UPtr[j]; p < sym.UPtr[j+1]; p++ {
-			i := sym.UInd[p]
-			f.UVal[p] = blockAt(all[sym.SupOf[i]*ns+bj], i, j)
-		}
-		for q := sym.LPtr[j]; q < sym.LPtr[j+1]; q++ {
-			i := sym.LInd[q]
-			f.LVal[q] = blockAt(all[sym.SupOf[i]*ns+bj], i, j)
-		}
-	}
-	return f
+	return Assemble(a, st.Sym, func(bi, bj, i, j int) float64 {
+		return blockAt(all[bi*ns+bj], i, j)
+	})
 }
 
 // blockAt reads a block entry by global coordinates, treating a missing

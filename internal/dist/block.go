@@ -124,34 +124,20 @@ func lookup(ids []int, v int) int {
 }
 
 // UpdateScratch holds the reusable work buffers of RankBUpdateInto: the
-// dense product accumulator, the packed U panel of the register-blocked
-// kernel, and the row/column index maps. One scratch per worker (or one
-// for the whole serial engine) removes every per-call allocation from
-// the Schur-update hot path. Under kernels.ModeBlockedArena the buffers
-// are carved contiguously from one bump arena per call, so a whole
-// update's working set is a single cache-friendly extent.
+// dense product accumulator, the packed U panel and the row/column
+// index maps. One scratch per worker (or one for the whole serial
+// engine) removes every per-call allocation from the Schur-update hot
+// path.
 type UpdateScratch struct {
 	prod   []float64
 	upack  []float64
 	rowMap []int
 	colMap []int
-	arena  *kernels.Arena
 }
 
 // ensure sizes the buffers for an nr×nc product whose packed U operand
-// has ku rows (ku = 0 on the scalar path, which reads U in place).
+// has ku rows.
 func (ws *UpdateScratch) ensure(nr, nc, ku int) {
-	if kernels.ArenaScratch() {
-		if ws.arena == nil {
-			ws.arena = new(kernels.Arena)
-		}
-		ws.arena.Reset()
-		ws.prod = ws.arena.F64(nr * nc)
-		ws.upack = ws.arena.F64(ku * nc)
-		ws.rowMap = ws.arena.Ints(nr)
-		ws.colMap = ws.arena.Ints(nc)
-		return
-	}
 	if cap(ws.prod) < nr*nc {
 		ws.prod = make([]float64, nr*nc)
 	}
@@ -170,43 +156,23 @@ func (ws *UpdateScratch) ensure(nr, nc, ku int) {
 	ws.colMap = ws.colMap[:nc]
 }
 
-// updateRowTile is the row strip height of the blocked product: a
-// 192-row strip of a maximally wide (24-column) L panel is ~36 KB, so
-// the strip stays cache-resident while every U column sweeps over it.
-const updateRowTile = 192
-
-// RankBUpdate applies the Schur-complement update
-// target -= L(I,K)·U(K,J) for this target block (I,J), allocating its
-// own scratch. Hot paths should hold an UpdateScratch and call
-// RankBUpdateInto instead.
-func (t *Block) RankBUpdate(l, u *Block) int64 {
-	var ws UpdateScratch
-	return t.RankBUpdateInto(l, u, &ws)
-}
-
 // RankBUpdateInto applies target -= L(I,K)·U(K,J) using ws as scratch.
 // Rows of l and columns of u are located in the target through its
 // global index sets. With strict T2 supernodes every position exists;
 // with relaxed (amalgamated) supernodes a row or column of the operand
 // blocks may be absent from the target — those contributions are
 // provably zero (the corresponding L or U entries are structural-zero
-// padding), so they are skipped. Under the blocked kernel modes the
-// mapped U columns are packed contiguously and the product is one
-// register-blocked kernels.MatMul call; the scalar mode keeps the
-// strip-mined reference loop. Both accumulate each product element over
-// ascending k, so the factors agree bit for bit, and both report the
-// same flop count (2·nrL per nonzero entry of a mapped U column — the
-// count the distributed simulator's virtual clock is fed). Returns the
-// flop count.
+// padding), so they are skipped. The mapped U columns are packed
+// contiguously and the product is one kernels.MatMul call, which
+// accumulates each product element over ascending k. Returns the flop
+// count, 2·nrL per nonzero entry of a mapped U column — the count the
+// distributed simulator's virtual clock is fed.
 //
 //gesp:hotpath
 func (t *Block) RankBUpdateInto(l, u *Block, ws *UpdateScratch) int64 {
-	if kernels.Active() == kernels.ModeScalar {
-		return t.rankBUpdateScalar(l, u, ws)
-	}
 	nrL, nrT := l.NR(), t.NR()
 	ncU, nrU := u.NC(), u.NR()
-	bk := l.NC() // supernode K width; equals u.NR()
+	bk := l.NC()             // supernode K width; equals u.NR()
 	ws.ensure(nrL, ncU, nrU) //gesp:allocok one-time scratch warm-up; steady state is allocation-free (see blockupdate_test AllocsPerRun)
 	rowMap, colMap, prod, upack := ws.rowMap, ws.colMap, ws.prod, ws.upack
 	for i, r := range l.Rows {
@@ -247,79 +213,6 @@ func (t *Block) RankBUpdateInto(l, u *Block, ws *UpdateScratch) int64 {
 		}
 	}
 	return 2 * int64(nrL) * nz
-}
-
-// rankBUpdateScalar is the pre-campaign reference: the product is
-// accumulated densely in row strips (cache blocking) and scattered into
-// the target once, keeping the innermost loops branch-free and
-// contiguous.
-//
-//gesp:hotpath
-func (t *Block) rankBUpdateScalar(l, u *Block, ws *UpdateScratch) int64 {
-	nrL, nrT := l.NR(), t.NR()
-	ncU, nrU := u.NC(), u.NR()
-	bk := l.NC() // supernode K width; equals u.NR()
-	ws.ensure(nrL, ncU, 0) //gesp:allocok one-time scratch warm-up; steady state is allocation-free (see blockupdate_test AllocsPerRun)
-	rowMap, colMap, prod := ws.rowMap, ws.colMap, ws.prod
-	for i, r := range l.Rows {
-		rowMap[i] = lookup(t.Rows, r)
-	}
-	nMapped := 0
-	for c, cGlobal := range u.Cols {
-		colMap[c] = lookup(t.Cols, cGlobal)
-		if colMap[c] >= 0 {
-			nMapped++
-		}
-	}
-	if nMapped == 0 {
-		return 0
-	}
-
-	var flops int64
-	for r0 := 0; r0 < nrL; r0 += updateRowTile {
-		r1 := r0 + updateRowTile
-		if r1 > nrL {
-			r1 = nrL
-		}
-		for c := 0; c < ncU; c++ {
-			if colMap[c] < 0 {
-				continue
-			}
-			ucol := u.Val[c*nrU : (c+1)*nrU]
-			pcol := prod[c*nrL : (c+1)*nrL]
-			for i := r0; i < r1; i++ {
-				pcol[i] = 0
-			}
-			for k := 0; k < bk; k++ {
-				ukc := ucol[k]
-				if ukc == 0 {
-					continue
-				}
-				lcol := l.Val[k*nrL : (k+1)*nrL]
-				for i := r0; i < r1; i++ {
-					pcol[i] += lcol[i] * ukc
-				}
-				if r0 == 0 {
-					flops += 2 * int64(nrL)
-				}
-			}
-		}
-	}
-	// Scatter-subtract the dense product through the index maps.
-	for c := 0; c < ncU; c++ {
-		tc := colMap[c]
-		if tc < 0 {
-			continue
-		}
-		tcol := t.Val[tc*nrT : (tc+1)*nrT]
-		pcol := prod[c*nrL : (c+1)*nrL]
-		for i := 0; i < nrL; i++ {
-			if ti := rowMap[i]; ti >= 0 {
-				tcol[ti] -= pcol[i]
-			}
-		}
-	}
-	return flops
 }
 
 // MatVecInto accumulates y_local += B·x for the solve phase. x is the

@@ -14,18 +14,6 @@ import (
 // supernode partition) and the reference both the distributed code and
 // the sched worker pool are tested against.
 
-// BlockSet is a read view over the factored blocks.
-type BlockSet struct {
-	g *BlockGrid
-}
-
-// NewBlockSet wraps a factored grid for read access (the sched engine
-// returns its result this way).
-func NewBlockSet(g *BlockGrid) *BlockSet { return &BlockSet{g: g} }
-
-// At returns the factored value at global (i, j) inside block (bi, bj).
-func (s *BlockSet) At(bi, bj, i, j int) float64 { return s.g.At(bi, bj, i, j) }
-
 // FactorizeBlocked runs the blocked right-looking GESP factorization
 // serially over the static structure, returning the factored blocks and
 // the number of replaced tiny pivots. Only blocks present in the static
@@ -33,7 +21,7 @@ func (s *BlockSet) At(bi, bj, i, j int) float64 { return s.g.At(bi, bj, i, j) }
 // blocks), and one scratch buffer is reused across every Schur update.
 // The Aggressive option is not supported by the block kernels (use
 // lu.Factorize for SMW workflows).
-func FactorizeBlocked(a *sparse.CSC, sym *symbolic.Result, opts lu.Options) (*BlockSet, int, error) {
+func FactorizeBlocked(a *sparse.CSC, sym *symbolic.Result, opts lu.Options) (*BlockGrid, int, error) {
 	st := BuildStructure(sym)
 	g := NewGrid(st)
 	g.Scatter(a)
@@ -65,5 +53,5 @@ func FactorizeBlocked(a *sparse.CSC, sym *symbolic.Result, opts lu.Options) (*Bl
 			}
 		}
 	}
-	return &BlockSet{g: g}, tiny, nil
+	return g, tiny, nil
 }

@@ -109,7 +109,26 @@ func TestSolveFTMatchesSolve(t *testing.T) {
 		w.factorize()
 		blocks = w.blocks
 	})
-	asm := AssembleFactors(st, []map[int]*Block{blocks})
+	asm := AssembleFactors(a, st, []map[int]*Block{blocks})
+	// One block schedule, three executions: the serial blocked engine
+	// (what superlu.Factorize gathers), the 1-rank worker and the 4-rank
+	// fault-tolerant run all assemble to the same bits.
+	grid, _, err := FactorizeBlocked(a, sym, lu.Options{ReplaceTinyPivot: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := asm.Fingerprint()
+	if got := Assemble(a, sym, grid.At).Fingerprint(); got != fp {
+		t.Fatalf("FactorizeBlocked fingerprint %x != 1-rank worker %x", got, fp)
+	}
+	if rec.Fingerprint != fp {
+		t.Fatalf("SolveFT fingerprint %x != 1-rank worker %x", rec.Fingerprint, fp)
+	}
+	// Assembled factors carry ColAMax, so the serial diagnostics work on
+	// a distributed factorization.
+	if g, w := asm.ReciprocalPivotGrowth(), serial.ReciprocalPivotGrowth(); !(g > 0) || math.Abs(g-w) > 1e-9*w {
+		t.Fatalf("assembled pivot growth %g vs serial %g", g, w)
+	}
 	scale := a.MaxAbs()
 	for p := range asm.UVal {
 		if d := math.Abs(asm.UVal[p] - serial.UVal[p]); d > 1e-10*scale {

@@ -245,13 +245,9 @@ func SolveFT(a *sparse.CSC, sym *symbolic.Result, b []float64, opts FTOptions) (
 				rec.FinishSimTime = s.Clock
 			}
 		}
-		rec.Fingerprint = assembleFingerprint(st, blockSets)
+		// The serial fingerprint of the assembled factors is what
+		// bit-identical recovery is verified against.
+		rec.Fingerprint = AssembleFactors(a, st, blockSets).Fingerprint()
 		return res, rec, nil
 	}
-}
-
-// assembleFingerprint reduces the distributed factors to the serial
-// fingerprint used for bit-identical recovery verification.
-func assembleFingerprint(st *Structure, blockSets []map[int]*Block) uint64 {
-	return AssembleFactors(st, blockSets).Fingerprint()
 }

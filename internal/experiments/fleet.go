@@ -146,29 +146,9 @@ func RunFleetLoad(cfg FleetLoadConfig) (*FleetLoadResult, error) {
 		names = fleetLoadPatterns[:cfg.Patterns]
 	}
 
-	type poolEntry struct {
-		a *sparse.CSC
-		b []float64
-		h serve.Handle
-	}
-	var pool []poolEntry
-	for p := range names {
-		m, ok := matgen.Lookup(names[p])
-		if !ok {
-			return nil, fmt.Errorf("experiments: testbed matrix %s missing", names[p])
-		}
-		base := m.Generate(cfg.Scale)
-		for v := 0; v < cfg.Variants; v++ {
-			a := base
-			if v > 0 {
-				rng := rand.New(rand.NewSource(cfg.Seed + int64(1000*p+v)))
-				a = base.Clone()
-				for k := range a.Val {
-					a.Val[k] *= 1 + 0.1*rng.NormFloat64()
-				}
-			}
-			pool = append(pool, poolEntry{a: a, b: matgen.OnesRHS(a)})
-		}
+	pool, err := buildPool(names, cfg.Variants, cfg.Scale, cfg.Seed)
+	if err != nil {
+		return nil, err
 	}
 
 	svcs := make([]*serve.Service, cfg.Shards)
@@ -290,14 +270,7 @@ func RunFleetLoad(cfg FleetLoadConfig) (*FleetLoadResult, error) {
 	res.FactorRunsFinal = factorRuns()
 	res.Stats = st
 	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
-	pct := func(p float64) time.Duration {
-		if len(latencies) == 0 {
-			return 0
-		}
-		i := int(p * float64(len(latencies)-1))
-		return latencies[i]
-	}
-	res.P50, res.P99, res.P999 = pct(0.50), pct(0.99), pct(0.999)
+	res.P50, res.P99, res.P999 = percentile(latencies, 0.50), percentile(latencies, 0.99), percentile(latencies, 0.999)
 	return res, nil
 }
 

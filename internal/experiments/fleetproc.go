@@ -11,8 +11,6 @@ import (
 	"time"
 
 	"gesp/internal/fleetrpc"
-	"gesp/internal/matgen"
-	"gesp/internal/serve"
 )
 
 // The cross-process fleet experiment: real shard processes (re-exec'd
@@ -121,35 +119,17 @@ func RunFleetProc(cfg FleetProcConfig) (*FleetProcResult, error) {
 	defer f.Close()
 	ctx := context.Background()
 
-	type poolEntry struct {
-		b []float64
-		h serve.Handle
+	pool, err := buildPool(fleetLoadPatterns[:cfg.Patterns], cfg.Variants, cfg.Scale, cfg.Seed)
+	if err != nil {
+		return nil, err
 	}
-	var pool []poolEntry
-	for p := 0; p < cfg.Patterns; p++ {
-		m, ok := matgen.Lookup(fleetLoadPatterns[p])
-		if !ok {
-			return nil, fmt.Errorf("experiments: testbed matrix %s missing", fleetLoadPatterns[p])
+	for i := range pool {
+		e := &pool[i]
+		if e.h, err = f.Submit(ctx, fleetrpc.WireMatrix(e.a)); err != nil {
+			return nil, fmt.Errorf("experiments: warm submit %s: %w", e.label, err)
 		}
-		base := m.Generate(cfg.Scale)
-		for v := 0; v < cfg.Variants; v++ {
-			a := base
-			if v > 0 {
-				rng := rand.New(rand.NewSource(cfg.Seed + int64(1000*p+v)))
-				a = base.Clone()
-				for k := range a.Val {
-					a.Val[k] *= 1 + 0.1*rng.NormFloat64()
-				}
-			}
-			h, serr := f.Submit(ctx, fleetrpc.WireMatrix(a))
-			if serr != nil {
-				return nil, fmt.Errorf("experiments: warm submit %s/%d: %w", fleetLoadPatterns[p], v, serr)
-			}
-			b := matgen.OnesRHS(a)
-			if _, serr := f.Solve(ctx, h, b); serr != nil {
-				return nil, fmt.Errorf("experiments: warm solve %s/%d: %w", fleetLoadPatterns[p], v, serr)
-			}
-			pool = append(pool, poolEntry{b: b, h: h})
+		if _, err := f.Solve(ctx, e.h, e.b); err != nil {
+			return nil, fmt.Errorf("experiments: warm solve %s: %w", e.label, err)
 		}
 	}
 
@@ -231,13 +211,7 @@ func RunFleetProc(cfg FleetProcConfig) (*FleetProcResult, error) {
 	res.Throughput = float64(solves) / cfg.Duration.Seconds()
 	res.Stats = f.Stats()
 	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
-	pct := func(p float64) time.Duration {
-		if len(latencies) == 0 {
-			return 0
-		}
-		return latencies[int(p*float64(len(latencies)-1))]
-	}
-	res.P50, res.P99 = pct(0.50), pct(0.99)
+	res.P50, res.P99 = percentile(latencies, 0.50), percentile(latencies, 0.99)
 	return res, nil
 }
 

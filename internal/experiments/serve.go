@@ -58,6 +58,52 @@ type ServeLoadResult struct {
 	Stats         serve.Stats
 }
 
+// poolSystem is one system of a load driver's pool: matrix, all-ones
+// right-hand side, and the handle its warm submit returned.
+type poolSystem struct {
+	label string // "MATRIX/variant", for error messages
+	a     *sparse.CSC
+	b     []float64
+	h     serve.Handle
+}
+
+// buildPool generates the pattern×variant system pool every load
+// driver draws from, pattern-major: per named testbed matrix the base
+// system, then variants-1 copies of its pattern with values perturbed by
+// 1+0.1·N(0,1) (seeded seed+1000·pattern+variant, so a pool is
+// reproducible and drivers sharing a seed share systems).
+func buildPool(names []string, variants int, scale float64, seed int64) ([]poolSystem, error) {
+	var pool []poolSystem
+	for p, name := range names {
+		m, ok := matgen.Lookup(name)
+		if !ok {
+			return nil, fmt.Errorf("experiments: testbed matrix %s missing", name)
+		}
+		base := m.Generate(scale)
+		for v := 0; v < variants; v++ {
+			a := base
+			if v > 0 {
+				rng := rand.New(rand.NewSource(seed + int64(1000*p+v)))
+				a = base.Clone()
+				for k := range a.Val {
+					a.Val[k] *= 1 + 0.1*rng.NormFloat64()
+				}
+			}
+			pool = append(pool, poolSystem{label: fmt.Sprintf("%s/%d", name, v), a: a, b: matgen.OnesRHS(a)})
+		}
+	}
+	return pool, nil
+}
+
+// percentile returns the p-quantile of ascending latencies by the
+// drivers' shared convention (index ⌊p·(n-1)⌋; 0 with no samples).
+func percentile(sorted []time.Duration, p float64) time.Duration {
+	if len(sorted) == 0 {
+		return 0
+	}
+	return sorted[int(p*float64(len(sorted)-1))]
+}
+
 // RunServeLoad builds the system pool, submits every system once to warm
 // the caches, then runs Clients closed-loop clients for Duration and
 // reports throughput, latency percentiles and the service counters.
@@ -81,29 +127,9 @@ func RunServeLoad(cfg ServeLoadConfig) (*ServeLoadResult, error) {
 		cfg.Scale = 0.3
 	}
 
-	type system struct {
-		a *sparse.CSC
-		b []float64
-		h serve.Handle
-	}
-	var systems []system
-	for p := 0; p < cfg.Patterns; p++ {
-		m, ok := matgen.Lookup(serveLoadPatterns[p])
-		if !ok {
-			return nil, fmt.Errorf("experiments: testbed matrix %s missing", serveLoadPatterns[p])
-		}
-		base := m.Generate(cfg.Scale)
-		for v := 0; v < cfg.Variants; v++ {
-			a := base
-			if v > 0 {
-				rng := rand.New(rand.NewSource(int64(1000*p + v)))
-				a = base.Clone()
-				for k := range a.Val {
-					a.Val[k] *= 1 + 0.1*rng.NormFloat64()
-				}
-			}
-			systems = append(systems, system{a: a, b: matgen.OnesRHS(a)})
-		}
+	systems, err := buildPool(serveLoadPatterns[:cfg.Patterns], cfg.Variants, cfg.Scale, 0)
+	if err != nil {
+		return nil, err
 	}
 
 	svc := serve.New(cfg.Service)
@@ -183,14 +209,7 @@ func RunServeLoad(cfg ServeLoadConfig) (*ServeLoadResult, error) {
 		Throughput: float64(solves) / cfg.Duration.Seconds(),
 	}
 	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
-	pct := func(p float64) time.Duration {
-		if len(latencies) == 0 {
-			return 0
-		}
-		i := int(p * float64(len(latencies)-1))
-		return latencies[i]
-	}
-	res.P50, res.P95, res.P99 = pct(0.50), pct(0.95), pct(0.99)
+	res.P50, res.P95, res.P99 = percentile(latencies, 0.50), percentile(latencies, 0.95), percentile(latencies, 0.99)
 	if res.Stats.Batches > 0 {
 		res.MeanBatch = float64(res.Stats.Solves) / float64(res.Stats.Batches)
 	}

@@ -7,8 +7,7 @@ import (
 )
 
 // Benchmarks for the micro-kernels at supernodal shapes (maxSuper = 24
-// panels). Run via `make bench`; the scalar/blocked pairs are the raw
-// material of the campaign's speedup claims.
+// panels). Run via `make bench`.
 
 func benchData(m, n, k int, zeroFrac int) (a, b, p []float64) {
 	rng := rand.New(rand.NewSource(11))
@@ -31,18 +30,14 @@ func BenchmarkMatMul(bb *testing.B) {
 	for _, sh := range []struct{ m, n, k int }{{192, 24, 24}, {384, 24, 24}, {48, 8, 8}} {
 		a, b, p := benchData(sh.m, sh.n, sh.k, 5)
 		flops := int64(2 * sh.m * sh.n * sh.k)
-		for _, mode := range []Mode{ModeScalar, ModeBlocked} {
-			bb.Run(fmt.Sprintf("%dx%dx%d/%s", sh.m, sh.n, sh.k, mode), func(bb *testing.B) {
-				prev := SetMode(mode)
-				defer SetMode(prev)
-				bb.ReportAllocs()
-				for i := 0; i < bb.N; i++ {
-					MatMul(p, a, b, sh.m, sh.n, sh.k)
-				}
-				bb.SetBytes(8 * int64(sh.m*sh.k+sh.k*sh.n+sh.m*sh.n))
-				bb.ReportMetric(float64(flops)*float64(bb.N)/bb.Elapsed().Seconds()/1e6, "Mflops")
-			})
-		}
+		bb.Run(fmt.Sprintf("%dx%dx%d", sh.m, sh.n, sh.k), func(bb *testing.B) {
+			bb.ReportAllocs()
+			for i := 0; i < bb.N; i++ {
+				MatMul(p, a, b, sh.m, sh.n, sh.k)
+			}
+			bb.SetBytes(8 * int64(sh.m*sh.k+sh.k*sh.n+sh.m*sh.n))
+			bb.ReportMetric(float64(flops)*float64(bb.N)/bb.Elapsed().Seconds()/1e6, "Mflops")
+		})
 	}
 }
 
@@ -60,15 +55,10 @@ func BenchmarkTrsmUpperRight(bb *testing.B) {
 	for i := range b {
 		b[i] = rng.NormFloat64()
 	}
-	for _, mode := range []Mode{ModeScalar, ModeBlocked} {
-		bb.Run(mode.String(), func(bb *testing.B) {
-			prev := SetMode(mode)
-			defer SetMode(prev)
-			bb.ReportAllocs()
-			for i := 0; i < bb.N; i++ {
-				TrsmUpperRight(b, nr, nc, d, nc)
-			}
-		})
+	bb.ReportAllocs()
+	bb.ResetTimer()
+	for i := 0; i < bb.N; i++ {
+		TrsmUpperRight(b, nr, nc, d, nc)
 	}
 }
 
@@ -83,15 +73,10 @@ func BenchmarkTrsmLowerUnitLeft(bb *testing.B) {
 	for i := range b {
 		b[i] = rng.NormFloat64()
 	}
-	for _, mode := range []Mode{ModeScalar, ModeBlocked} {
-		bb.Run(mode.String(), func(bb *testing.B) {
-			prev := SetMode(mode)
-			defer SetMode(prev)
-			bb.ReportAllocs()
-			for i := 0; i < bb.N; i++ {
-				TrsmLowerUnitLeft(b, nr, nc, d, nr)
-			}
-		})
+	bb.ReportAllocs()
+	bb.ResetTimer()
+	for i := 0; i < bb.N; i++ {
+		TrsmLowerUnitLeft(b, nr, nc, d, nr)
 	}
 }
 
@@ -102,17 +87,12 @@ func BenchmarkRank1Trailing(bb *testing.B) {
 	for i := range v {
 		v[i] = rng.NormFloat64()
 	}
-	for _, mode := range []Mode{ModeScalar, ModeBlocked} {
-		bb.Run(mode.String(), func(bb *testing.B) {
-			prev := SetMode(mode)
-			defer SetMode(prev)
-			bb.ReportAllocs()
-			for i := 0; i < bb.N; i++ {
-				for k := 0; k < n; k++ {
-					Rank1Trailing(v, n, k)
-				}
-			}
-		})
+	bb.ReportAllocs()
+	bb.ResetTimer()
+	for i := 0; i < bb.N; i++ {
+		for k := 0; k < n; k++ {
+			Rank1Trailing(v, n, k)
+		}
 	}
 }
 
@@ -127,14 +107,9 @@ func BenchmarkSpAxpy(bb *testing.B) {
 	for i := range val {
 		val[i] = rng.NormFloat64()
 	}
-	for _, mode := range []Mode{ModeScalar, ModeBlocked} {
-		bb.Run(mode.String(), func(bb *testing.B) {
-			prev := SetMode(mode)
-			defer SetMode(prev)
-			bb.ReportAllocs()
-			for i := 0; i < bb.N; i++ {
-				SpAxpy(w, ind, val, 0.5)
-			}
-		})
+	bb.ReportAllocs()
+	bb.ResetTimer()
+	for i := 0; i < bb.N; i++ {
+		SpAxpy(w, ind, val, 0.5)
 	}
 }

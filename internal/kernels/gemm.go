@@ -4,68 +4,31 @@ package kernels
 // m×k, b is k×n and p is m×n, all packed (leading dimension equals the
 // row count). This is the Schur-update product of RankBUpdateInto: a is
 // the L panel, b the (packed) U panel, p the accumulator that is then
-// scatter-subtracted into the target block. Each output element is
-// accumulated over ascending t with one multiply-add per term, matching
-// the scalar reference bit for bit.
+// scatter-subtracted into the target block.
+//
+// The kernel is a 4-column fused axpy with the row sweep unrolled by 4.
+// Each L column strip is loaded once and applied to four U columns (4×
+// less a traffic than a column-at-a-time loop), the four product
+// columns stay resident in L1, and the unrolled body gives the
+// scheduler sixteen independent multiply-adds per iteration. A plain
+// 4×4 accumulator tile loses here: sixteen live accumulators plus
+// operands exceed the sixteen FP registers of amd64, so the compiler
+// spills the tile to the stack on every k step, and the tile's a loads
+// are stride-m besides.
+//
+// Per output element the accumulation order is ascending t with one
+// multiply-add per term, identical to the column-at-a-time oracle. A t
+// whose four b entries are all zero is skipped exactly like the
+// oracle's per-column skip; a zero entry alongside nonzero ones
+// contributes an exact ±0 term, which cannot change a partial sum (sums
+// never reach -0: +0 + ±0 rounds to +0, so zero terms keep the
+// accumulator at +0, matching the skip).
 //
 //gesp:hotpath
 func MatMul(p, a, b []float64, m, n, k int) {
 	if m == 0 || n == 0 {
 		return
 	}
-	if blocked() {
-		matMulBlocked(p, a, b, m, n, k)
-		return
-	}
-	MatMulScalar(p, a, b, m, n, k)
-}
-
-// MatMulScalar is the scalar reference: the strip-free form of the loop
-// RankBUpdateInto ran before the kernel campaign (per U column, sweep
-// the L columns ascending, skipping zero U entries). Exported so golden
-// tests can pin the blocked kernel against it on every shape.
-//
-//gesp:hotpath
-func MatMulScalar(p, a, b []float64, m, n, k int) {
-	for j := 0; j < n; j++ {
-		bj := b[j*k : (j+1)*k]
-		pj := p[j*m : (j+1)*m]
-		for i := range pj {
-			pj[i] = 0
-		}
-		for t := 0; t < k; t++ {
-			bv := bj[t]
-			if bv == 0 {
-				continue
-			}
-			at := a[t*m : (t+1)*m]
-			for i := range pj {
-				pj[i] += at[i] * bv
-			}
-		}
-	}
-}
-
-// matMulBlocked is the register-blocked micro-kernel: a 4-column fused
-// axpy with the row sweep unrolled by 4. Each L column strip is loaded
-// once and applied to four U columns (4× less a traffic than the
-// column-at-a-time reference), the four product columns stay resident
-// in L1, and the unrolled body gives the scheduler sixteen independent
-// multiply-adds per iteration. A plain 4×4 accumulator tile loses here:
-// sixteen live accumulators plus operands exceed the sixteen FP
-// registers of amd64, so the compiler spills the tile to the stack on
-// every k step, and the tile's a loads are stride-m besides.
-//
-// Per output element the accumulation order is ascending t with one
-// multiply-add per term, identical to the scalar reference. A t whose
-// four b entries are all zero is skipped exactly like the reference's
-// per-column skip; a zero entry alongside nonzero ones contributes an
-// exact ±0 term, which cannot change a partial sum (sums never reach
-// -0: +0 + ±0 rounds to +0, so zero terms keep the accumulator at +0,
-// matching the skip).
-//
-//gesp:hotpath
-func matMulBlocked(p, a, b []float64, m, n, k int) {
 	j := 0
 	for ; j+4 <= n; j += 4 {
 		b0 := b[(j+0)*k : (j+1)*k]

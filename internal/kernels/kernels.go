@@ -12,72 +12,20 @@
 // columns, and no allocation anywhere on the hot path.
 //
 // Bit-exactness contract: for every kernel, the floating-point
-// operation sequence applied to each output element is identical to the
-// scalar reference — ascending-k accumulation with one operation per
-// term — so the factors produced under ModeBlocked are bit-identical
-// (lu.Factors.Fingerprint match) to ModeScalar on finite inputs. The
-// only divergence is that the blocked paths do not skip
-// multiplications by zero operand entries; those contribute exact
-// signed zeros, which cannot change a finite non-(-0) accumulator.
-// Where a zero-skip is observable (the per-RHS xj == 0 skip of the
-// triangular solves, which existing tests pin bitwise), the blocked
-// kernels preserve the skip exactly, falling back to the scalar loop
-// for the affected vectors.
+// operation sequence applied to each output element is identical to
+// the plain-loop oracle kept beside it in this package's tests
+// (oracle_test.go) — ascending-k accumulation with one operation per
+// term — so on finite inputs the kernel and its oracle agree bit for
+// bit, and the golden tests pin that on a shape grid straddling every
+// register-block boundary. The only divergence is that the fused paths
+// do not skip multiplications by zero operand entries one at a time;
+// those contribute exact signed zeros, which cannot change a finite
+// non-(-0) accumulator. Where a zero-skip is observable (the per-RHS
+// xj == 0 skip of the triangular solves, which the tests pin bitwise),
+// the kernels preserve the skip exactly, advancing the affected
+// vectors one at a time.
 //
 // Flop accounting is the caller's: kernels never report flops, so the
-// simulated distributed engine's virtual clock (which is fed the
-// model's flop counts) is identical under every mode.
+// simulated distributed engine's virtual clock is fed the model's flop
+// counts, not anything measured here.
 package kernels
-
-import "sync/atomic"
-
-// Mode selects the active kernel implementation set. The mode is
-// process-global: the ablation harness (gesp-bench -exp kernels) flips
-// it around whole factorizations, never mid-run.
-type Mode int32
-
-const (
-	// ModeScalar is the pre-campaign scalar reference: the exact loops
-	// the engines ran before the kernel campaign, kept callable for
-	// golden tests and the ablation baseline.
-	ModeScalar Mode = iota
-	// ModeBlocked enables the register-blocked micro-kernels.
-	ModeBlocked
-	// ModeBlockedArena additionally routes kernel scratch through
-	// arena (bump) allocation so a whole update's work buffers are one
-	// contiguous carve (dist.UpdateScratch, sched task slabs).
-	ModeBlockedArena
-)
-
-func (m Mode) String() string {
-	switch m {
-	case ModeScalar:
-		return "scalar"
-	case ModeBlocked:
-		return "blocked"
-	case ModeBlockedArena:
-		return "blocked+arena"
-	}
-	return "unknown"
-}
-
-// mode is the process-global kernel selection, ModeBlocked by default.
-var mode atomic.Int32
-
-func init() { mode.Store(int32(ModeBlocked)) }
-
-// SetMode installs m as the active kernel set and returns the previous
-// mode. Callers toggling for an ablation should restore the previous
-// value when done.
-func SetMode(m Mode) Mode { return Mode(mode.Swap(int32(m))) }
-
-// Active reports the current kernel mode.
-func Active() Mode { return Mode(mode.Load()) }
-
-// blocked reports whether the register-blocked implementations are
-// active (either blocked mode).
-func blocked() bool { return Mode(mode.Load()) != ModeScalar }
-
-// ArenaScratch reports whether kernel scratch should be carved from
-// arenas rather than per-buffer allocations.
-func ArenaScratch() bool { return Mode(mode.Load()) == ModeBlockedArena }

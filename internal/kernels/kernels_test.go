@@ -6,11 +6,11 @@ import (
 	"testing"
 )
 
-// The golden tests pin the blocked kernels against the scalar references
-// bitwise (Float64bits equality, so signed zeros and NaN payloads count)
-// on a shape grid that straddles every register-block boundary: fringe
-// rows, fringe columns, k = 0, single columns, and the paper's maxSuper
-// panel width of 24.
+// The golden tests pin each kernel against its plain-loop oracle
+// (oracle_test.go) bitwise (Float64bits equality, so signed zeros and
+// NaN payloads count) on a shape grid that straddles every
+// register-block boundary: fringe rows, fringe columns, k = 0, single
+// columns, and the paper's maxSuper panel width of 24.
 
 var shapes = []int{0, 1, 2, 3, 4, 5, 7, 8, 12, 16, 17, 24, 31}
 
@@ -55,58 +55,40 @@ func bitsEqual(a, b []float64) (int, bool) {
 	return 0, true
 }
 
-// underMode runs f with the process-global mode set to m, restoring the
-// previous mode after.
-func underMode(m Mode, f func()) {
-	prev := SetMode(m)
-	defer SetMode(prev)
-	f()
-}
-
-func TestModeSwap(t *testing.T) {
-	prev := SetMode(ModeScalar)
-	defer SetMode(prev)
-	if got := SetMode(ModeBlockedArena); got != ModeScalar {
-		t.Fatalf("SetMode returned %v, want ModeScalar", got)
-	}
-	if Active() != ModeBlockedArena {
-		t.Fatalf("Active() = %v, want ModeBlockedArena", Active())
-	}
-	if !ArenaScratch() {
-		t.Fatal("ArenaScratch() = false under ModeBlockedArena")
-	}
-	for _, m := range []Mode{ModeScalar, ModeBlocked, ModeBlockedArena} {
-		if m.String() == "unknown" {
-			t.Fatalf("mode %d has no name", m)
-		}
+// checkMatMul compares MatMul with its oracle on one m×n×k product of
+// operands drawn from r.
+func checkMatMul(t *testing.T, r *rng, m, n, k int) {
+	t.Helper()
+	a := make([]float64, m*k)
+	b := make([]float64, k*n)
+	r.fill(a)
+	r.fill(b)
+	want := make([]float64, m*n)
+	got := make([]float64, m*n)
+	r.fill(want) // dirty output: kernels must overwrite, not accumulate
+	copy(got, want)
+	matMulScalar(want, a, b, m, n, k)
+	MatMul(got, a, b, m, n, k)
+	if i, ok := bitsEqual(want, got); !ok {
+		t.Fatalf("m=%d n=%d k=%d: element %d differs: oracle %x kernel %x",
+			m, n, k, i, math.Float64bits(want[i]), math.Float64bits(got[i]))
 	}
 }
 
 func TestMatMulGolden(t *testing.T) {
+	t.Parallel()
 	r := &rng{s: 1}
 	for _, m := range shapes {
 		for _, n := range shapes {
 			for _, k := range shapes {
-				a := make([]float64, m*k)
-				b := make([]float64, k*n)
-				r.fill(a)
-				r.fill(b)
-				want := make([]float64, m*n)
-				got := make([]float64, m*n)
-				r.fill(want) // dirty output: kernels must overwrite, not accumulate
-				copy(got, want)
-				underMode(ModeScalar, func() { MatMul(want, a, b, m, n, k) })
-				underMode(ModeBlocked, func() { MatMul(got, a, b, m, n, k) })
-				if i, ok := bitsEqual(want, got); !ok {
-					t.Fatalf("m=%d n=%d k=%d: element %d differs: scalar %x blocked %x",
-						m, n, k, i, math.Float64bits(want[i]), math.Float64bits(got[i]))
-				}
+				checkMatMul(t, r, m, n, k)
 			}
 		}
 	}
 }
 
 func TestTrsmUpperRightGolden(t *testing.T) {
+	t.Parallel()
 	r := &rng{s: 2}
 	for _, nr := range shapes {
 		for _, nc := range shapes {
@@ -121,8 +103,8 @@ func TestTrsmUpperRightGolden(t *testing.T) {
 				r.fill(want)
 				got := make([]float64, len(want))
 				copy(got, want)
-				underMode(ModeScalar, func() { TrsmUpperRight(want, nr, nc, d, ldd) })
-				underMode(ModeBlocked, func() { TrsmUpperRight(got, nr, nc, d, ldd) })
+				trsmUpperRightScalar(want, nr, nc, d, ldd)
+				TrsmUpperRight(got, nr, nc, d, ldd)
 				if i, ok := bitsEqual(want, got); !ok {
 					t.Fatalf("nr=%d nc=%d ldd=%d: element %d differs", nr, nc, ldd, i)
 				}
@@ -132,6 +114,7 @@ func TestTrsmUpperRightGolden(t *testing.T) {
 }
 
 func TestTrsmLowerUnitLeftGolden(t *testing.T) {
+	t.Parallel()
 	r := &rng{s: 3}
 	for _, nr := range shapes {
 		for _, nc := range shapes {
@@ -143,8 +126,8 @@ func TestTrsmLowerUnitLeftGolden(t *testing.T) {
 				r.fill(want)
 				got := make([]float64, len(want))
 				copy(got, want)
-				underMode(ModeScalar, func() { TrsmLowerUnitLeft(want, nr, nc, d, ldd) })
-				underMode(ModeBlocked, func() { TrsmLowerUnitLeft(got, nr, nc, d, ldd) })
+				trsmLowerUnitLeftScalar(want, nr, nc, d, ldd)
+				TrsmLowerUnitLeft(got, nr, nc, d, ldd)
 				if i, ok := bitsEqual(want, got); !ok {
 					t.Fatalf("nr=%d nc=%d ldd=%d: element %d differs", nr, nc, ldd, i)
 				}
@@ -154,6 +137,7 @@ func TestTrsmLowerUnitLeftGolden(t *testing.T) {
 }
 
 func TestRank1TrailingGolden(t *testing.T) {
+	t.Parallel()
 	r := &rng{s: 4}
 	for _, n := range shapes {
 		for k := 0; k < n; k++ {
@@ -161,8 +145,8 @@ func TestRank1TrailingGolden(t *testing.T) {
 			r.fill(want)
 			got := make([]float64, len(want))
 			copy(got, want)
-			underMode(ModeScalar, func() { Rank1Trailing(want, n, k) })
-			underMode(ModeBlocked, func() { Rank1Trailing(got, n, k) })
+			rank1TrailingScalar(want, n, k)
+			Rank1Trailing(got, n, k)
 			if i, ok := bitsEqual(want, got); !ok {
 				t.Fatalf("n=%d k=%d: element %d differs", n, k, i)
 			}
@@ -171,6 +155,7 @@ func TestRank1TrailingGolden(t *testing.T) {
 }
 
 func TestSpAxpyGolden(t *testing.T) {
+	t.Parallel()
 	r := &rng{s: 5}
 	const n = 64
 	for _, nnz := range shapes {
@@ -185,8 +170,8 @@ func TestSpAxpyGolden(t *testing.T) {
 			r.fill(want)
 			got := make([]float64, n)
 			copy(got, want)
-			underMode(ModeScalar, func() { SpAxpy(want, ind, val, alpha) })
-			underMode(ModeBlocked, func() { SpAxpy(got, ind, val, alpha) })
+			spAxpyScalar(want, ind, val, alpha)
+			SpAxpy(got, ind, val, alpha)
 			if i, ok := bitsEqual(want, got); !ok {
 				t.Fatalf("nnz=%d alpha=%v: element %d differs", nnz, alpha, i)
 			}
@@ -195,6 +180,7 @@ func TestSpAxpyGolden(t *testing.T) {
 }
 
 func TestSpDotSubGolden(t *testing.T) {
+	t.Parallel()
 	r := &rng{s: 6}
 	const n = 64
 	x := make([]float64, n)
@@ -207,11 +193,10 @@ func TestSpDotSubGolden(t *testing.T) {
 		val := make([]float64, nnz)
 		r.fill(val)
 		s0 := r.f64()
-		var want, got float64
-		underMode(ModeScalar, func() { want = SpDotSub(s0, ind, val, x) })
-		underMode(ModeBlocked, func() { got = SpDotSub(s0, ind, val, x) })
+		want := spDotSubScalar(s0, ind, val, x)
+		got := SpDotSub(s0, ind, val, x)
 		if math.Float64bits(want) != math.Float64bits(got) {
-			t.Fatalf("nnz=%d: scalar %x blocked %x", nnz, math.Float64bits(want), math.Float64bits(got))
+			t.Fatalf("nnz=%d: oracle %x kernel %x", nnz, math.Float64bits(want), math.Float64bits(got))
 		}
 	}
 }
@@ -258,6 +243,7 @@ func sparseTriangular(r *rng, n int, lower bool) (ptr, ind []int, val []float64)
 }
 
 func TestSolveSparseMultiGolden(t *testing.T) {
+	t.Parallel()
 	r := &rng{s: 7}
 	for _, n := range []int{1, 2, 5, 16, 33} {
 		lptr, lind, lval := sparseTriangular(r, n, true)
@@ -276,29 +262,24 @@ func TestSolveSparseMultiGolden(t *testing.T) {
 			}
 			got := make([]float64, len(want))
 			copy(got, want)
-			underMode(ModeScalar, func() {
-				SolveSparseLMulti(want, n, nrhs, lptr, lind, lval)
-				SolveSparseUMulti(want, n, nrhs, uptr, uind, uval)
-			})
-			underMode(ModeBlocked, func() {
-				SolveSparseLMulti(got, n, nrhs, lptr, lind, lval)
-				SolveSparseUMulti(got, n, nrhs, uptr, uind, uval)
-			})
+			solveSparseLMultiScalar(want, n, nrhs, lptr, lind, lval)
+			solveSparseUMultiScalar(want, n, nrhs, uptr, uind, uval)
+			SolveSparseLMulti(got, n, nrhs, lptr, lind, lval)
+			SolveSparseUMulti(got, n, nrhs, uptr, uind, uval)
 			if i, ok := bitsEqual(want, got); !ok {
-				t.Fatalf("n=%d nrhs=%d: element %d differs: scalar %x blocked %x",
+				t.Fatalf("n=%d nrhs=%d: element %d differs: oracle %x kernel %x",
 					n, nrhs, i, math.Float64bits(want[i]), math.Float64bits(got[i]))
 			}
 		}
 	}
 }
 
-// TestConcurrentReadOnlyOperands drives the blocked kernels from many
+// TestConcurrentReadOnlyOperands drives the kernels from many
 // goroutines sharing the read-only operands (the broadcast L and U
 // panels of the distributed engine) with private outputs; run under
 // -race this proves the kernels never write to their inputs.
 func TestConcurrentReadOnlyOperands(t *testing.T) {
-	prev := SetMode(ModeBlocked)
-	defer SetMode(prev)
+	t.Parallel()
 	r := &rng{s: 8}
 	const m, n, k = 17, 12, 8
 	a := make([]float64, m*k)
@@ -328,46 +309,8 @@ func TestConcurrentReadOnlyOperands(t *testing.T) {
 	wg.Wait()
 }
 
-func TestArena(t *testing.T) {
-	var a Arena
-	f1 := a.F64(8)
-	i1 := a.Ints(4)
-	for q := range f1 {
-		f1[q] = float64(q)
-	}
-	for q := range i1 {
-		i1[q] = q
-	}
-	// A growing carve abandons the old slab; earlier carves stay valid.
-	f2 := a.F64(1 << 12)
-	for q := range f1 {
-		if f1[q] != float64(q) {
-			t.Fatalf("f1[%d] clobbered by growth", q)
-		}
-	}
-	_ = f2
-	// Carves are capacity-clamped: appending to one cannot bleed into
-	// the next carve's region.
-	f3 := a.F64(4)
-	f4 := a.F64(4)
-	f4[0] = 99
-	f3 = append(f3, -1)
-	if f4[0] != 99 {
-		t.Fatal("append to a carve bled into the following carve")
-	}
-	_ = f3
-	// Reset recycles the slab: the next carve reuses the same backing.
-	a.Reset()
-	f5 := a.F64(4)
-	f5[0] = 7
-	if a.fOff != 4 || a.iOff != 0 {
-		t.Fatalf("offsets after Reset+carve: fOff=%d iOff=%d", a.fOff, a.iOff)
-	}
-}
-
-// Zero-allocation proof for the hot kernels in every mode (arena growth
-// happens only while the high-water mark rises, so a warmed arena is
-// also allocation-free).
+// Zero-allocation proof for the hot kernels. Not parallel:
+// testing.AllocsPerRun panics inside a parallel test.
 func TestKernelsZeroAlloc(t *testing.T) {
 	r := &rng{s: 9}
 	const m, n, k = 24, 24, 24
@@ -389,22 +332,29 @@ func TestKernelsZeroAlloc(t *testing.T) {
 	uptr, uind, uval := sparseTriangular(r, 32, false)
 	x := make([]float64, 32*8)
 
-	for _, mode := range []Mode{ModeScalar, ModeBlocked, ModeBlockedArena} {
-		underMode(mode, func() {
-			allocs := testing.AllocsPerRun(10, func() {
-				MatMul(p, a, b, m, n, k)
-				TrsmUpperRight(p, m, n, d, n)
-				TrsmLowerUnitLeft(p, m, n, d, m)
-				Rank1Trailing(d, n, 3)
-				SpAxpy(w, ind, val, 0.5)
-				_ = SpDotSub(1, ind, val, w)
-				r.fill(x)
-				SolveSparseLMulti(x, 32, 8, lptr, lind, lval)
-				SolveSparseUMulti(x, 32, 8, uptr, uind, uval)
-			})
-			if allocs != 0 {
-				t.Errorf("mode %v: %v allocs/op, want 0", mode, allocs)
-			}
-		})
+	allocs := testing.AllocsPerRun(10, func() {
+		MatMul(p, a, b, m, n, k)
+		TrsmUpperRight(p, m, n, d, n)
+		TrsmLowerUnitLeft(p, m, n, d, m)
+		Rank1Trailing(d, n, 3)
+		SpAxpy(w, ind, val, 0.5)
+		_ = SpDotSub(1, ind, val, w)
+		r.fill(x)
+		SolveSparseLMulti(x, 32, 8, lptr, lind, lval)
+		SolveSparseUMulti(x, 32, 8, uptr, uind, uval)
+	})
+	if allocs != 0 {
+		t.Errorf("%v allocs/op, want 0", allocs)
 	}
+}
+
+// FuzzMatMulMatchesOracle extends the golden grid to arbitrary shapes
+// (each dimension folded into 0..40) and operand seeds.
+func FuzzMatMulMatchesOracle(f *testing.F) {
+	f.Add(uint8(5), uint8(7), uint8(3), uint64(1))
+	f.Add(uint8(24), uint8(24), uint8(24), uint64(2))
+	f.Add(uint8(0), uint8(4), uint8(9), uint64(3))
+	f.Fuzz(func(t *testing.T, m, n, k uint8, seed uint64) {
+		checkMatMul(t, &rng{s: seed}, int(m)%41, int(n)%41, int(k)%41)
+	})
 }

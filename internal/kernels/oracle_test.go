@@ -1,0 +1,120 @@
+package kernels
+
+// Plain-loop oracles: the column-at-a-time, skip-each-zero loops the
+// engines ran before the kernels were register-blocked. They are the
+// reference side of the package's bit-exactness contract and exist only
+// for the golden tests; nothing in the binary calls them.
+
+func matMulScalar(p, a, b []float64, m, n, k int) {
+	for j := 0; j < n; j++ {
+		bj := b[j*k : (j+1)*k]
+		pj := p[j*m : (j+1)*m]
+		for i := range pj {
+			pj[i] = 0
+		}
+		for t := 0; t < k; t++ {
+			bv := bj[t]
+			if bv == 0 {
+				continue
+			}
+			at := a[t*m : (t+1)*m]
+			for i := range pj {
+				pj[i] += at[i] * bv
+			}
+		}
+	}
+}
+
+func trsmUpperRightScalar(b []float64, nr, nc int, d []float64, ldd int) {
+	for k := 0; k < nc; k++ {
+		// b(:,k) = (b(:,k) - Σ_{m<k} b(:,m)·U(m,k)) / U(k,k)
+		colK := b[k*nr : (k+1)*nr]
+		for m := 0; m < k; m++ {
+			umk := d[k*ldd+m]
+			if umk == 0 {
+				continue
+			}
+			colM := b[m*nr : (m+1)*nr]
+			for i := range colK {
+				colK[i] -= colM[i] * umk
+			}
+		}
+		ukk := d[k*ldd+k]
+		for i := range colK {
+			colK[i] /= ukk
+		}
+	}
+}
+
+func trsmLowerUnitLeftScalar(b []float64, nr, nc int, d []float64, ldd int) {
+	for c := 0; c < nc; c++ {
+		col := b[c*nr : (c+1)*nr]
+		for k := 0; k < nr; k++ {
+			xk := col[k]
+			if xk == 0 {
+				continue
+			}
+			// col[i] -= L(i,k)·col[k] for i > k.
+			for i := k + 1; i < nr; i++ {
+				col[i] -= d[k*ldd+i] * xk
+			}
+		}
+	}
+}
+
+func rank1TrailingScalar(v []float64, n, k int) {
+	for j := k + 1; j < n; j++ {
+		lkj := v[j*n+k] // U(k,j)
+		if lkj == 0 {
+			continue
+		}
+		for i := k + 1; i < n; i++ {
+			v[j*n+i] -= v[k*n+i] * lkj
+		}
+	}
+}
+
+func spAxpyScalar(w []float64, ind []int, val []float64, alpha float64) {
+	for q, i := range ind {
+		w[i] -= val[q] * alpha
+	}
+}
+
+func spDotSubScalar(s float64, ind []int, val []float64, x []float64) float64 {
+	for q, i := range ind {
+		s -= val[q] * x[i]
+	}
+	return s
+}
+
+func solveSparseLMultiScalar(x []float64, n, nrhs int, ptr, ind []int, val []float64) {
+	for r := 0; r < nrhs; r++ {
+		xr := x[r*n : (r+1)*n]
+		for j := 0; j < n; j++ {
+			xj := xr[j]
+			if xj == 0 {
+				continue
+			}
+			for q := ptr[j]; q < ptr[j+1]; q++ {
+				xr[ind[q]] -= val[q] * xj
+			}
+		}
+	}
+}
+
+func solveSparseUMultiScalar(x []float64, n, nrhs int, ptr, ind []int, val []float64) {
+	for r := 0; r < nrhs; r++ {
+		xr := x[r*n : (r+1)*n]
+		for j := n - 1; j >= 0; j-- {
+			lo, hi := ptr[j], ptr[j+1]-1
+			xj := xr[j] / val[hi]
+			xr[j] = xj
+			if xj == 0 {
+				continue
+			}
+			for q := lo; q < hi; q++ {
+				xr[ind[q]] -= val[q] * xj
+			}
+		}
+	}
+}

@@ -1,6 +1,6 @@
 package kernels
 
-// Sparse-column kernels: the inner loops of the scalar left-looking
+// Sparse-column kernels: the inner loops of the left-looking column
 // factorization (lu.Factorize), the single-RHS triangular solves and
 // the batched multi-RHS solves. A factor column is a sorted index list
 // ind with parallel values val; indices within one column are strictly
@@ -9,18 +9,12 @@ package kernels
 
 // SpAxpy applies one sparse column update w[ind[q]] -= val[q]·alpha.
 // This is the dominant loop of the left-looking factorization and of
-// SolveL/SolveU; the blocked variant unrolls the gather-scatter four
-// wide. The caller is responsible for the alpha == 0 skip (both the
+// SolveL/SolveU, so the gather-scatter is unrolled four wide. The
+// caller is responsible for the alpha == 0 skip (both the
 // factorization and the solves test it before descending here).
 //
 //gesp:hotpath
 func SpAxpy(w []float64, ind []int, val []float64, alpha float64) {
-	if !blocked() {
-		for q, i := range ind {
-			w[i] -= val[q] * alpha
-		}
-		return
-	}
 	q := 0
 	for ; q+4 <= len(ind); q += 4 {
 		i0, i1, i2, i3 := ind[q], ind[q+1], ind[q+2], ind[q+3]
@@ -37,17 +31,11 @@ func SpAxpy(w []float64, ind []int, val []float64, alpha float64) {
 // SpDotSub folds one sparse column into a running scalar:
 // s -= Σ_q val[q]·x[ind[q]], accumulated strictly in ascending q with a
 // single accumulator (the transpose-solve contract — the sum order is
-// part of the bitwise result). The blocked variant only unrolls the
-// loop body; the dependency chain is unchanged.
+// part of the bitwise result). Only the loop body is unrolled; the
+// dependency chain is that of the plain loop.
 //
 //gesp:hotpath
 func SpDotSub(s float64, ind []int, val []float64, x []float64) float64 {
-	if !blocked() {
-		for q, i := range ind {
-			s -= val[q] * x[i]
-		}
-		return s
-	}
 	q := 0
 	for ; q+4 <= len(ind); q += 4 {
 		s -= val[q] * x[ind[q]]
@@ -65,41 +53,40 @@ func SpDotSub(s float64, ind []int, val []float64, x []float64) float64 {
 // column form, strictly-lower entries only) to nrhs right-hand sides
 // packed column-major in x with stride n: forward substitution with
 // each factor column loaded once per RHS quad. The per-RHS xj == 0 skip
-// of the scalar solve is preserved exactly: a quad takes the fused path
-// only when all four pivots are nonzero (then the scalar loop would
-// skip nothing either), otherwise each vector is advanced by the
-// reference loop.
+// of the single-vector solve is preserved exactly: a quad takes the
+// fused path only when all four pivots are nonzero (then a per-vector
+// loop would skip nothing either), otherwise each vector is advanced
+// alone by solveLColumn; the nrhs mod 4 remainder runs vector by
+// vector.
 //
 //gesp:hotpath
 func SolveSparseLMulti(x []float64, n, nrhs int, ptr, ind []int, val []float64) {
 	r := 0
-	if blocked() {
-		for ; r+4 <= nrhs; r += 4 {
-			x0 := x[(r+0)*n : (r+1)*n]
-			x1 := x[(r+1)*n : (r+2)*n]
-			x2 := x[(r+2)*n : (r+3)*n]
-			x3 := x[(r+3)*n : (r+4)*n]
-			for j := 0; j < n; j++ {
-				lo, hi := ptr[j], ptr[j+1]
-				if lo == hi {
-					continue
-				}
-				xj0, xj1, xj2, xj3 := x0[j], x1[j], x2[j], x3[j]
-				if xj0 != 0 && xj1 != 0 && xj2 != 0 && xj3 != 0 {
-					for q := lo; q < hi; q++ {
-						li, lv := ind[q], val[q]
-						x0[li] -= lv * xj0
-						x1[li] -= lv * xj1
-						x2[li] -= lv * xj2
-						x3[li] -= lv * xj3
-					}
-					continue
-				}
-				solveLColumn(x0, xj0, ind[lo:hi], val[lo:hi])
-				solveLColumn(x1, xj1, ind[lo:hi], val[lo:hi])
-				solveLColumn(x2, xj2, ind[lo:hi], val[lo:hi])
-				solveLColumn(x3, xj3, ind[lo:hi], val[lo:hi])
+	for ; r+4 <= nrhs; r += 4 {
+		x0 := x[(r+0)*n : (r+1)*n]
+		x1 := x[(r+1)*n : (r+2)*n]
+		x2 := x[(r+2)*n : (r+3)*n]
+		x3 := x[(r+3)*n : (r+4)*n]
+		for j := 0; j < n; j++ {
+			lo, hi := ptr[j], ptr[j+1]
+			if lo == hi {
+				continue
 			}
+			xj0, xj1, xj2, xj3 := x0[j], x1[j], x2[j], x3[j]
+			if xj0 != 0 && xj1 != 0 && xj2 != 0 && xj3 != 0 {
+				for q := lo; q < hi; q++ {
+					li, lv := ind[q], val[q]
+					x0[li] -= lv * xj0
+					x1[li] -= lv * xj1
+					x2[li] -= lv * xj2
+					x3[li] -= lv * xj3
+				}
+				continue
+			}
+			solveLColumn(x0, xj0, ind[lo:hi], val[lo:hi])
+			solveLColumn(x1, xj1, ind[lo:hi], val[lo:hi])
+			solveLColumn(x2, xj2, ind[lo:hi], val[lo:hi])
+			solveLColumn(x3, xj3, ind[lo:hi], val[lo:hi])
 		}
 	}
 	for ; r < nrhs; r++ {
@@ -116,8 +103,8 @@ func SolveSparseLMulti(x []float64, n, nrhs int, ptr, ind []int, val []float64) 
 	}
 }
 
-// solveLColumn is the reference single-vector column application with
-// the xj == 0 skip.
+// solveLColumn is the single-vector column application with the
+// xj == 0 skip.
 //
 //gesp:hotpath
 func solveLColumn(xr []float64, xj float64, ind []int, val []float64) {
@@ -138,35 +125,33 @@ func solveLColumn(xr []float64, xj float64, ind []int, val []float64) {
 //gesp:hotpath
 func SolveSparseUMulti(x []float64, n, nrhs int, ptr, ind []int, val []float64) {
 	r := 0
-	if blocked() {
-		for ; r+4 <= nrhs; r += 4 {
-			x0 := x[(r+0)*n : (r+1)*n]
-			x1 := x[(r+1)*n : (r+2)*n]
-			x2 := x[(r+2)*n : (r+3)*n]
-			x3 := x[(r+3)*n : (r+4)*n]
-			for j := n - 1; j >= 0; j-- {
-				lo, hi := ptr[j], ptr[j+1]-1
-				d := val[hi] // diagonal is the last entry of the column
-				xj0 := x0[j] / d
-				xj1 := x1[j] / d
-				xj2 := x2[j] / d
-				xj3 := x3[j] / d
-				x0[j], x1[j], x2[j], x3[j] = xj0, xj1, xj2, xj3
-				if xj0 != 0 && xj1 != 0 && xj2 != 0 && xj3 != 0 {
-					for q := lo; q < hi; q++ {
-						ui, uv := ind[q], val[q]
-						x0[ui] -= uv * xj0
-						x1[ui] -= uv * xj1
-						x2[ui] -= uv * xj2
-						x3[ui] -= uv * xj3
-					}
-					continue
+	for ; r+4 <= nrhs; r += 4 {
+		x0 := x[(r+0)*n : (r+1)*n]
+		x1 := x[(r+1)*n : (r+2)*n]
+		x2 := x[(r+2)*n : (r+3)*n]
+		x3 := x[(r+3)*n : (r+4)*n]
+		for j := n - 1; j >= 0; j-- {
+			lo, hi := ptr[j], ptr[j+1]-1
+			d := val[hi] // diagonal is the last entry of the column
+			xj0 := x0[j] / d
+			xj1 := x1[j] / d
+			xj2 := x2[j] / d
+			xj3 := x3[j] / d
+			x0[j], x1[j], x2[j], x3[j] = xj0, xj1, xj2, xj3
+			if xj0 != 0 && xj1 != 0 && xj2 != 0 && xj3 != 0 {
+				for q := lo; q < hi; q++ {
+					ui, uv := ind[q], val[q]
+					x0[ui] -= uv * xj0
+					x1[ui] -= uv * xj1
+					x2[ui] -= uv * xj2
+					x3[ui] -= uv * xj3
 				}
-				solveLColumn(x0, xj0, ind[lo:hi], val[lo:hi])
-				solveLColumn(x1, xj1, ind[lo:hi], val[lo:hi])
-				solveLColumn(x2, xj2, ind[lo:hi], val[lo:hi])
-				solveLColumn(x3, xj3, ind[lo:hi], val[lo:hi])
+				continue
 			}
+			solveLColumn(x0, xj0, ind[lo:hi], val[lo:hi])
+			solveLColumn(x1, xj1, ind[lo:hi], val[lo:hi])
+			solveLColumn(x2, xj2, ind[lo:hi], val[lo:hi])
+			solveLColumn(x3, xj3, ind[lo:hi], val[lo:hi])
 		}
 	}
 	for ; r < nrhs; r++ {

@@ -3,58 +3,21 @@ package kernels
 // Panel-solve and dense-elimination kernels of the supernodal engines.
 // The diagonal operand d is a factored diagonal block (unit-lower L and
 // upper U packed together) of leading dimension ldd; the panel b is
-// packed column-major nr×nc. As everywhere in this package, the scalar
-// variants are the exact pre-campaign loops and the blocked variants
-// preserve each element's operation sequence.
+// packed column-major nr×nc. As everywhere in this package, each kernel
+// preserves the per-element operation sequence of its test oracle.
 
 // TrsmUpperRight overwrites b with b·U⁻¹ where the upper triangle of d
 // (order nc, leading dimension ldd) holds U: the L-panel solve
-// L(I,K) = A(I,K)·U(K,K)⁻¹.
+// L(I,K) = A(I,K)·U(K,K)⁻¹. Four prior columns are applied per sweep of
+// the target column, keeping the running element in a register across
+// the four multiply-subtracts (ascending-m operation order per element,
+// a quarter of the loads and stores of a column-at-a-time loop).
 //
 //gesp:hotpath
 func TrsmUpperRight(b []float64, nr, nc int, d []float64, ldd int) {
 	if nr == 0 || nc == 0 {
 		return
 	}
-	if blocked() {
-		trsmUpperRightBlocked(b, nr, nc, d, ldd)
-		return
-	}
-	TrsmUpperRightScalar(b, nr, nc, d, ldd)
-}
-
-// TrsmUpperRightScalar is the scalar reference (one prior column
-// applied at a time, zero U entries skipped).
-//
-//gesp:hotpath
-func TrsmUpperRightScalar(b []float64, nr, nc int, d []float64, ldd int) {
-	for k := 0; k < nc; k++ {
-		// b(:,k) = (b(:,k) - Σ_{m<k} b(:,m)·U(m,k)) / U(k,k)
-		colK := b[k*nr : (k+1)*nr]
-		for m := 0; m < k; m++ {
-			umk := d[k*ldd+m]
-			if umk == 0 {
-				continue
-			}
-			colM := b[m*nr : (m+1)*nr]
-			for i := range colK {
-				colK[i] -= colM[i] * umk
-			}
-		}
-		ukk := d[k*ldd+k]
-		for i := range colK {
-			colK[i] /= ukk
-		}
-	}
-}
-
-// trsmUpperRightBlocked applies four prior columns per sweep of the
-// target column, keeping the running element in a register across the
-// four multiply-subtracts (same ascending-m operation order per
-// element, a quarter of the loads and stores).
-//
-//gesp:hotpath
-func trsmUpperRightBlocked(b []float64, nr, nc int, d []float64, ldd int) {
 	for k := 0; k < nc; k++ {
 		colK := b[k*nr : (k+1)*nr]
 		dk := d[k*ldd:]
@@ -96,48 +59,17 @@ func trsmUpperRightBlocked(b []float64, nr, nc int, d []float64, ldd int) {
 
 // TrsmLowerUnitLeft overwrites b with L⁻¹·b where the unit-lower
 // triangle of d (order nr, leading dimension ldd) holds L: the U-panel
-// solve U(K,J) = L(K,K)⁻¹·A(K,J).
+// solve U(K,J) = L(K,K)⁻¹·A(K,J). Four right-hand-side columns are
+// solved together, loading each L column of the diagonal block once for
+// all four. Columns are independent, so fusing them preserves every
+// element's operation sequence; a panel of four all-zero multipliers is
+// skipped exactly as a column-at-a-time loop would skip each.
 //
 //gesp:hotpath
 func TrsmLowerUnitLeft(b []float64, nr, nc int, d []float64, ldd int) {
 	if nr == 0 || nc == 0 {
 		return
 	}
-	if blocked() {
-		trsmLowerUnitLeftBlocked(b, nr, nc, d, ldd)
-		return
-	}
-	TrsmLowerUnitLeftScalar(b, nr, nc, d, ldd)
-}
-
-// TrsmLowerUnitLeftScalar is the scalar reference (column at a time,
-// zero multipliers skipped).
-//
-//gesp:hotpath
-func TrsmLowerUnitLeftScalar(b []float64, nr, nc int, d []float64, ldd int) {
-	for c := 0; c < nc; c++ {
-		col := b[c*nr : (c+1)*nr]
-		for k := 0; k < nr; k++ {
-			xk := col[k]
-			if xk == 0 {
-				continue
-			}
-			// col[i] -= L(i,k)·col[k] for i > k.
-			for i := k + 1; i < nr; i++ {
-				col[i] -= d[k*ldd+i] * xk
-			}
-		}
-	}
-}
-
-// trsmLowerUnitLeftBlocked solves four right-hand-side columns
-// together, loading each L column of the diagonal block once for all
-// four. Columns are independent, so fusing them preserves every
-// element's operation sequence; a panel of four all-zero multipliers is
-// skipped exactly as the scalar loop would skip each.
-//
-//gesp:hotpath
-func trsmLowerUnitLeftBlocked(b []float64, nr, nc int, d []float64, ldd int) {
 	c := 0
 	for ; c+4 <= nc; c += 4 {
 		c0 := b[(c+0)*nr : (c+1)*nr]
@@ -178,39 +110,12 @@ func trsmLowerUnitLeftBlocked(b []float64, nr, nc int, d []float64, ldd int) {
 // trailing submatrix of the dense diagonal block v (order n, packed):
 // v(i,j) -= L(i,k)·U(k,j) for i,j > k, where column k already holds the
 // scaled multipliers. The diagonal-block factorization (FactorDiag)
-// calls it once per pivot.
-//
-//gesp:hotpath
-func Rank1Trailing(v []float64, n, k int) {
-	if blocked() {
-		rank1TrailingBlocked(v, n, k)
-		return
-	}
-	Rank1TrailingScalar(v, n, k)
-}
-
-// Rank1TrailingScalar is the scalar reference (one trailing column at a
-// time, zero U(k,j) skipped).
-//
-//gesp:hotpath
-func Rank1TrailingScalar(v []float64, n, k int) {
-	for j := k + 1; j < n; j++ {
-		lkj := v[j*n+k] // U(k,j)
-		if lkj == 0 {
-			continue
-		}
-		for i := k + 1; i < n; i++ {
-			v[j*n+i] -= v[k*n+i] * lkj
-		}
-	}
-}
-
-// rank1TrailingBlocked updates four trailing columns per sweep, loading
-// the multiplier column once for all four. Trailing columns are
+// calls it once per pivot. Four trailing columns are updated per sweep,
+// loading the multiplier column once for all four; trailing columns are
 // independent, so each element's single multiply-subtract is unchanged.
 //
 //gesp:hotpath
-func rank1TrailingBlocked(v []float64, n, k int) {
+func Rank1Trailing(v []float64, n, k int) {
 	lcol := v[k*n : (k+1)*n]
 	j := k + 1
 	for ; j+4 <= n; j += 4 {

@@ -168,7 +168,7 @@ func buildGraph(st *dist.Structure, grid *dist.BlockGrid, sym *symbolic.Result) 
 		g.lsolve[k] = make([]*task, len(st.LBlocks[k]))
 		for i := range st.LBlocks[k] {
 			t := alloc(taskLSolve, k, i)
-			t.deps.Store(1) // factor(k)
+			t.deps.Store(1)      // factor(k)
 			t.succ = sa.carve(1) // at most its fused update task
 			g.lsolve[k][i] = t
 			g.factor[k].succ = append(g.factor[k].succ, t)
@@ -267,7 +267,7 @@ func buildGraph(st *dist.Structure, grid *dist.BlockGrid, sym *symbolic.Result) 
 // matches dist.FactorizeBlocked up to the rounding reordering of
 // commuted Schur-update sums. Returns the factored blocks and the
 // number of replaced tiny pivots.
-func Factorize(a *sparse.CSC, sym *symbolic.Result, opts lu.Options, workers int) (*dist.BlockSet, int, error) {
+func Factorize(a *sparse.CSC, sym *symbolic.Result, opts lu.Options, workers int) (*dist.BlockGrid, int, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -275,7 +275,7 @@ func Factorize(a *sparse.CSC, sym *symbolic.Result, opts lu.Options, workers int
 	grid := dist.NewGrid(st)
 	grid.Scatter(a)
 	if st.N == 0 {
-		return dist.NewBlockSet(grid), 0, nil
+		return grid, 0, nil
 	}
 	thresh := opts.Threshold
 	if thresh == 0 {
@@ -361,5 +361,5 @@ func Factorize(a *sparse.CSC, sym *symbolic.Result, opts lu.Options, workers int
 	if firstErr != nil {
 		return nil, int(tiny.Load()), firstErr
 	}
-	return dist.NewBlockSet(grid), int(tiny.Load()), nil
+	return grid, int(tiny.Load()), nil
 }

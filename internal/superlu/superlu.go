@@ -56,36 +56,10 @@ func checkDims(a *sparse.CSC, sym *symbolic.Result) error {
 	return nil
 }
 
-// gather scatters the factored blocks back into column-major factor
+// gather assembles the factored blocks into column-major factor
 // arrays parallel to the symbolic pattern.
-func gather(a *sparse.CSC, sym *symbolic.Result, blocks *dist.BlockSet, tiny int) *lu.Factors {
-	n := sym.N
-	f := &lu.Factors{
-		Sym:        sym,
-		LVal:       make([]float64, sym.NnzL()),
-		UVal:       make([]float64, sym.NnzU()),
-		TinyPivots: tiny,
-		ColAMax:    make([]float64, n),
-	}
-	for j := 0; j < n; j++ {
-		cmax := 0.0
-		for k := a.ColPtr[j]; k < a.ColPtr[j+1]; k++ {
-			if v := a.Val[k]; v > cmax {
-				cmax = v
-			} else if -v > cmax {
-				cmax = -v
-			}
-		}
-		f.ColAMax[j] = cmax
-		bj := sym.SupOf[j]
-		for p := sym.UPtr[j]; p < sym.UPtr[j+1]; p++ {
-			i := sym.UInd[p]
-			f.UVal[p] = blocks.At(sym.SupOf[i], bj, i, j)
-		}
-		for q := sym.LPtr[j]; q < sym.LPtr[j+1]; q++ {
-			i := sym.LInd[q]
-			f.LVal[q] = blocks.At(sym.SupOf[i], bj, i, j)
-		}
-	}
+func gather(a *sparse.CSC, sym *symbolic.Result, blocks *dist.BlockGrid, tiny int) *lu.Factors {
+	f := dist.Assemble(a, sym, blocks.At)
+	f.TinyPivots = tiny
 	return f
 }
