@@ -18,13 +18,14 @@ lint:
 	$(GO) run ./cmd/gesp-lint ./...
 
 # Race-check the concurrent engines: the DAG-scheduled shared-memory
-# factorization, the level-scheduled triangular solves, the simulated
-# MPI runtime, the distributed engine built on it, the caching,
-# batching solve service, the fleet router above it with its policy
-# primitives and HA control plane, and the shared micro-kernels
+# factorization, the batch solve cut into one goroutine per block of
+# right-hand sides (core, over refine's blocked loop and lu's sweeps),
+# the simulated MPI runtime, the distributed engine built on it, the
+# caching, batching solve service, the fleet router above it with its
+# policy primitives and HA control plane, and the shared micro-kernels
 # (read-only operand concurrency).
 race:
-	$(GO) test -race -short ./internal/sched/... ./internal/lu/... ./internal/mpisim/... ./internal/dist/... ./internal/serve/... ./internal/fleet/... ./internal/fleetrpc/... ./internal/fleetha/... ./internal/kernels/...
+	$(GO) test -race -short ./internal/sched/... ./internal/lu/... ./internal/core/... ./internal/refine/... ./internal/mpisim/... ./internal/dist/... ./internal/serve/... ./internal/fleet/... ./internal/fleetrpc/... ./internal/fleetha/... ./internal/kernels/...
 
 # Checked build: rerun the test suite with the gespcheck tag, which
 # re-validates every structural invariant (CSC columns, supernode

@@ -287,27 +287,6 @@ func BenchmarkDenseTailSwitch(b *testing.B) {
 	b.ReportMetric(float64(sym.N-tail), "dense-tail-cols")
 }
 
-func BenchmarkLevelScheduledSolve(b *testing.B) {
-	m, _ := matgen.Lookup("AF23560")
-	a := m.Generate(benchScale)
-	s, err := core.New(a, core.DefaultOptions())
-	if err != nil {
-		b.Fatal(err)
-	}
-	f := s.Factors()
-	ls := f.NewLevelSchedule()
-	fwd, bwd := ls.NumLevels()
-	rhs := matgen.OnesRHS(s.PermutedMatrix())
-	x := make([]float64, a.Rows)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(x, rhs)
-		f.ParallelSolve(ls, x, 4)
-	}
-	b.ReportMetric(float64(fwd), "fwd-levels")
-	b.ReportMetric(float64(bwd), "bwd-levels")
-}
-
 func BenchmarkILUGMRESWithMC64(b *testing.B) {
 	var rows []experiments.IterativeRow
 	var err error

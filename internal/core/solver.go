@@ -19,6 +19,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"sync"
 	"time"
 
 	"gesp/internal/dist"
@@ -64,12 +66,16 @@ type Options struct {
 	// given slack (the paper's §5: "uniprocessor performance can also be
 	// improved by amalgamating small supernodes into large ones").
 	Relax int
-	// Workers sets the shared-memory parallelism: 0 (or 1) runs the
-	// serial scalar engine; >1 runs the DAG-scheduled supernodal
-	// factorization (superlu.FactorizeParallel) and level-scheduled
-	// triangular solves on that many goroutines. AggressivePivot forces
-	// the serial engine regardless — the block kernels do not record the
-	// rank-one pivot perturbations SMW recovery needs.
+	// Workers sets the shared-memory parallelism of the factorization: 0
+	// (or 1) runs the serial scalar engine; >1 runs the DAG-scheduled
+	// supernodal factorization (superlu.FactorizeParallel) on that many
+	// goroutines, and SolveBatch cuts a batch into up to that many
+	// contiguous blocks of right-hand sides, each swept and refined on
+	// its own goroutine. A single vector's solve and refinement are the
+	// same serial sweeps for every value, so for given factors no
+	// solution depends on it. AggressivePivot forces the serial engine
+	// regardless — the block kernels do not record the rank-one pivot
+	// perturbations SMW recovery needs.
 	Workers int
 	// Resilience, when non-nil, routes every Solve/SolveBatch through the
 	// escalation ladder of internal/resilience: plain GESP refinement
@@ -137,6 +143,10 @@ type Stats struct {
 	AvgSuper    float64
 	RecipGrowth float64
 	Times       StepTimes
+	// The last solve's refinement outcome. After SolveBatch these
+	// describe the batch by its worst vector: the largest Berr (NaN
+	// counting as largest) with that vector's BerrHistory, the largest
+	// RefineSteps, and Converged only if every vector converged.
 	RefineSteps int
 	Berr        float64
 	BerrHistory []float64
@@ -150,8 +160,8 @@ type Stats struct {
 
 	// Resilience counters (zero unless Options.Resilience is set):
 	// Escalations counts solves that climbed above rung 0, LastRung is
-	// the rung the most recent solve ended on, FallbackTime accumulates
-	// the wall-clock spent above rung 0.
+	// the rung the most recent solve ended on (the highest of a batch),
+	// FallbackTime accumulates the wall-clock spent above rung 0.
 	Escalations  int
 	LastRung     resilience.Rung
 	FallbackTime time.Duration
@@ -306,8 +316,8 @@ func build(a *sparse.CSC, opts Options, numeric bool) (*Solver, error) {
 
 // factorNumeric runs step (3) — the numeric factorization with static
 // pivoting — on s.ap using the static structure s.sym, and wires up the
-// triangular-solve system (parallel level schedule, SMW recovery) the
-// same way for the fresh-analysis and symbolic-reuse paths. Workers > 1
+// triangular-solve system (the factors, or their SMW recovery) the same
+// way for the fresh-analysis and symbolic-reuse paths. Workers > 1
 // selects the DAG-scheduled shared-memory supernodal engine; the
 // aggressive-pivot/SMW workflow needs the scalar kernels' PivotMods
 // bookkeeping, so it stays serial.
@@ -335,12 +345,6 @@ func (s *Solver) factorNumeric() error {
 
 	s.fac = fac
 	s.sys = fac
-	if opts.Workers > 1 {
-		// Refinement-driven triangular solves also run parallel: the
-		// level schedule exposes the solve DAG's concurrency the same way
-		// sched exposes the factorization's.
-		s.sys = &parallelSystem{f: fac, ls: fac.NewLevelSchedule(), workers: opts.Workers}
-	}
 	if opts.AggressivePivot && fac.TinyPivots > 0 {
 		smw, err := refine.NewSMWSolver(fac)
 		if err != nil {
@@ -408,17 +412,6 @@ func NewWithSymbolic(a *sparse.CSC, donor *Solver) (*Solver, error) {
 	}
 	return s, nil
 }
-
-// parallelSystem runs the level-scheduled triangular solves on a worker
-// pool; transpose solves (condition estimation only) stay serial.
-type parallelSystem struct {
-	f       *lu.Factors
-	ls      *lu.LevelSchedule
-	workers int
-}
-
-func (p *parallelSystem) Solve(x []float64)  { p.f.ParallelSolve(p.ls, x, p.workers) }
-func (p *parallelSystem) SolveT(x []float64) { p.f.SolveT(x) }
 
 // DistSolve factors and solves on a simulated distributed-memory machine
 // (the paper's Section 3). The preprocessing and symbolic analysis of
@@ -620,10 +613,12 @@ func (p facPreconditioner) Apply(x []float64) { p.f.Solve(x) }
 // coordinates) through one column-blocked multi-RHS triangular sweep
 // (lu.Factors.SolveMulti): the factors are walked once per block of
 // right-hand sides instead of once per vector, which is where serving
-// throughput comes from. When refinement is enabled it runs per RHS
-// after the batched sweep — refinement's residual/solve iterations are
-// inherently per-vector — and the recorded Berr/RefineSteps stats are
-// those of the LAST vector in the batch.
+// throughput comes from. Refinement, when enabled, is blocked the same
+// way (refine.RefineMulti): each step corrects every vector still
+// refining with one more such sweep, and each vector stops by its own
+// berr, so every solution is bitwise the one Solve returns for that
+// right-hand side. The recorded Berr/RefineSteps/Converged stats
+// describe the batch's worst vector (see Stats).
 //
 // SolveBatch is not safe for concurrent use on one Solver (it mutates
 // solve statistics); the serving layer serializes batches per factor.
@@ -678,14 +673,17 @@ func (s *Solver) SolveBatchCtx(ctx context.Context, bs [][]float64) (xs [][]floa
 	if refining {
 		bh = append([]float64(nil), packed...)
 	}
-	s.fac.SolveMulti(packed, k)
+	n := s.n
+	s.rhsBlocks(k, func(r0, r1 int) { s.fac.SolveMulti(packed[r0*n:r1*n], r1-r0) })
 	s.stats.Times.Solve = time.Since(t0)
 
+	worst := batchOutcome{berr: math.Inf(-1), converged: true}
 	if s.ladder != nil {
 		t0 = time.Now()
 		for r := 0; r < k; r++ {
-			tr, rerr := s.ladder.Refine(ctx, packed[r*s.n:(r+1)*s.n], bh[r*s.n:(r+1)*s.n])
+			tr, rerr := s.ladder.Refine(ctx, packed[r*n:(r+1)*n], bh[r*n:(r+1)*n])
 			s.recordEscalation(tr)
+			worst.add(s.stats.RefineSteps, tr.FinalBerr, nil, tr.Converged, tr.FinalRung)
 			if rerr != nil {
 				if ctx.Err() != nil {
 					return nil, nil, rerr
@@ -696,19 +694,21 @@ func (s *Solver) SolveBatchCtx(ctx context.Context, bs [][]float64) (xs [][]floa
 				errs[r] = rerr
 			}
 		}
+		worst.record(&s.stats)
 		s.stats.Times.Refine = time.Since(t0)
 	} else if s.opts.Refine {
 		t0 = time.Now()
-		for r := 0; r < k; r++ {
-			st := refine.Refine(s.ap, s.sys, packed[r*s.n:(r+1)*s.n], bh[r*s.n:(r+1)*s.n], refine.Options{
+		sts := make([]refine.Stats, k)
+		s.rhsBlocks(k, func(r0, r1 int) {
+			copy(sts[r0:r1], refine.RefineMulti(s.ap, s.sys, packed[r0*n:r1*n], bh[r0*n:r1*n], r1-r0, refine.Options{
 				MaxIter:        s.opts.MaxRefine,
 				ExtraPrecision: s.opts.ExtraPrecision,
-			})
-			s.stats.RefineSteps = st.Steps
-			s.stats.Berr = st.FinalBerr
-			s.stats.BerrHistory = st.Berrs
-			s.stats.Converged = st.Converged
+			}))
+		})
+		for _, st := range sts {
+			worst.add(st.Steps, st.FinalBerr, st.Berrs, st.Converged, resilience.RungStatic)
 		}
+		worst.record(&s.stats)
 		s.stats.Times.Refine = time.Since(t0)
 	}
 
@@ -717,6 +717,59 @@ func (s *Solver) SolveBatchCtx(ctx context.Context, bs [][]float64) (xs [][]floa
 		xs[r] = s.unscale(packed[r*s.n : (r+1)*s.n])
 	}
 	return xs, errs, nil
+}
+
+// rhsQuad is how many right-hand sides one pass over the factors carries
+// in the blocked sweep (kernels.SolveSparseLMulti): a narrower block
+// walks L and U for less than a pass's worth of vectors.
+const rhsQuad = 4
+
+// rhsBlocks runs fn over the k right-hand sides of a batch cut into at
+// most Options.Workers contiguous blocks [r0, r1) of whole quads, one
+// goroutine per block, and returns when all are done. Right-hand sides
+// are independent and every sweep treats a vector the same whatever its
+// block-mates, so the cut changes no bit of any solution; the factors
+// and s.sys are only read.
+func (s *Solver) rhsBlocks(k int, fn func(r0, r1 int)) {
+	quads := (k + rhsQuad - 1) / rhsQuad
+	w := min(s.opts.Workers, quads)
+	if w <= 1 {
+		fn(0, k)
+		return
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < w; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fn(rhsQuad*(i*quads/w), min(k, rhsQuad*((i+1)*quads/w)))
+		}()
+	}
+	wg.Wait()
+}
+
+// batchOutcome folds the per-vector refinement results of a batch into
+// what Stats reports for it: the worst vector.
+type batchOutcome struct {
+	steps     int
+	berr      float64 // starts at -Inf
+	hist      []float64
+	converged bool // starts true
+	rung      resilience.Rung
+}
+
+func (o *batchOutcome) add(steps int, berr float64, hist []float64, converged bool, rung resilience.Rung) {
+	if berr > o.berr || math.IsNaN(berr) {
+		o.berr, o.hist = berr, hist
+	}
+	o.steps = max(o.steps, steps)
+	o.rung = max(o.rung, rung)
+	o.converged = o.converged && converged
+}
+
+func (o *batchOutcome) record(st *Stats) {
+	st.RefineSteps, st.Berr, st.BerrHistory = o.steps, o.berr, o.hist
+	st.Converged, st.LastRung = o.converged, o.rung
 }
 
 // Stats returns the accumulated statistics (analysis stats after New,

@@ -333,9 +333,9 @@ func TestDistSolveMatchesSerialSolve(t *testing.T) {
 }
 
 func TestParallelWorkersMatchesSerial(t *testing.T) {
-	// Workers > 1 swaps in the DAG-scheduled factorization and the
-	// level-scheduled solves; the solution must agree with the serial
-	// engine to refinement accuracy, and refinement must still converge.
+	// Workers > 1 swaps in the DAG-scheduled factorization; the solution
+	// must agree with the serial engine to refinement accuracy, and
+	// refinement must still converge.
 	for _, name := range []string{"MEMPLUS", "WANG4", "TWOTONE"} {
 		m, _ := matgen.Lookup(name)
 		a := m.Generate(0.15)

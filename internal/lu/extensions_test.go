@@ -123,77 +123,3 @@ func TestDenseTailZeroPivotPolicy(t *testing.T) {
 		t.Error("no tiny pivots recorded")
 	}
 }
-
-func TestLevelScheduleStructure(t *testing.T) {
-	rng := rand.New(rand.NewSource(97))
-	a := randomSolvable(rng, 120, 0.04)
-	sym, _ := symbolic.Factorize(a, symbolic.Options{})
-	f, err := Factorize(a, sym, Options{ReplaceTinyPivot: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ls := f.NewLevelSchedule()
-	fwd, bwd := ls.NumLevels()
-	if fwd <= 0 || bwd <= 0 {
-		t.Fatal("empty level schedule")
-	}
-	// Every column appears exactly once per schedule.
-	seen := make([]bool, sym.N)
-	for _, lvl := range ls.LLevels {
-		for _, j := range lvl {
-			if seen[j] {
-				t.Fatalf("column %d scheduled twice (forward)", j)
-			}
-			seen[j] = true
-		}
-	}
-	for j, s := range seen {
-		if !s {
-			t.Fatalf("column %d missing from forward schedule", j)
-		}
-	}
-	// Dependencies must respect levels: L(i,j) != 0 => level(i) > level(j).
-	level := make([]int, sym.N)
-	for d, lvl := range ls.LLevels {
-		for _, j := range lvl {
-			level[j] = d
-		}
-	}
-	for j := 0; j < sym.N; j++ {
-		for q := sym.LPtr[j]; q < sym.LPtr[j+1]; q++ {
-			if level[sym.LInd[q]] <= level[j] {
-				t.Fatalf("forward level order violated: L(%d,%d)", sym.LInd[q], j)
-			}
-		}
-	}
-	t.Logf("n=%d: %d forward levels, %d backward levels", sym.N, fwd, bwd)
-}
-
-func TestParallelSolveMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(101))
-	for trial := 0; trial < 8; trial++ {
-		n := 80 + rng.Intn(120)
-		a := randomSolvable(rng, n, 0.05)
-		sym, _ := symbolic.Factorize(a, symbolic.Options{})
-		f, err := Factorize(a, sym, Options{ReplaceTinyPivot: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ls := f.NewLevelSchedule()
-		b := make([]float64, n)
-		for i := range b {
-			b[i] = rng.NormFloat64()
-		}
-		serial := append([]float64(nil), b...)
-		f.Solve(serial)
-		for _, workers := range []int{1, 2, 4, 8} {
-			par := append([]float64(nil), b...)
-			f.ParallelSolve(ls, par, workers)
-			for i := range par {
-				if d := math.Abs(par[i] - serial[i]); d > 1e-12*(math.Abs(serial[i])+1) {
-					t.Fatalf("trial %d workers=%d: mismatch at %d: %g vs %g", trial, workers, i, par[i], serial[i])
-				}
-			}
-		}
-	}
-}

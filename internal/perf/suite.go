@@ -16,6 +16,7 @@ import (
 	"gesp/internal/lu"
 	"gesp/internal/matgen"
 	"gesp/internal/ordering"
+	"gesp/internal/refine"
 	"gesp/internal/serve"
 	"gesp/internal/superlu"
 	"gesp/internal/symbolic"
@@ -80,6 +81,31 @@ func Run(scale float64, quick bool) (*File, error) {
 				x[i] = rng.NormFloat64()
 			}
 			f.SolveMulti(x, nrhs)
+		},
+	})
+
+	// Blocked refinement of a swept batch, as core.SolveBatch runs it:
+	// per step one fused residual/berr pass per vector and one sweep over
+	// all of them. It allocates its Stats and scratch once per call,
+	// whatever the number of steps, so the count gates.
+	const batch = 16
+	bh := make([]float64, n*batch)
+	xt := make([]float64, n)
+	for r := 0; r < batch; r++ {
+		for i := range xt {
+			xt[i] = 0.5 + rng.Float64()
+		}
+		ap.MatVec(bh[r*n:(r+1)*n], xt)
+	}
+	swept := append([]float64(nil), bh...)
+	f.SolveMulti(swept, batch)
+	xb := make([]float64, n*batch)
+	benches = append(benches, bench{
+		name: fmt.Sprintf("refine/batch%d/%s", batch, Matrix), class: "refine", hot: true, measAll: true,
+		iters: 1,
+		fn: func() {
+			copy(xb, swept)
+			refine.RefineMulti(ap, f, xb, bh, batch, refine.Options{})
 		},
 	})
 

@@ -88,13 +88,8 @@ func ForwardErrorBound(a *sparse.CSC, sys System, x, b []float64) float64 {
 		return 0
 	}
 	r := make([]float64, n)
-	a.Residual(r, b, x)
-	absx := make([]float64, n)
-	for i, v := range x {
-		absx[i] = math.Abs(v)
-	}
 	w := make([]float64, n)
-	a.AbsMatVec(w, absx)
+	ResidualBerr(a, r, w, x, b, false) // leaves |A|·|x| in w
 	nzEps := float64(n+1) * lu.Eps
 	for i := 0; i < n; i++ {
 		w[i] = math.Abs(r[i]) + nzEps*(w[i]+math.Abs(b[i]))

@@ -241,10 +241,10 @@ type Ladder struct {
 	gepp     *geppSystem
 	geppErr  error
 
-	// Scratch. r doubles as the refinement correction; sum/comp carry
-	// the compensated residual.
-	r, absx, den []float64
-	sum, comp    []float64
+	// Scratch: r is the residual and, solved in place, the refinement
+	// correction; work is refine.ResidualBerr's (2n, for the compensated
+	// residual).
+	r, work []float64
 
 	steps [NumRungs]Step
 	trace Escalation
@@ -252,8 +252,7 @@ type Ladder struct {
 
 // NewLadder builds a ladder for the (permuted, scaled) system a whose
 // static-pivot factors are fac. sys is the solver rung 0 refines with —
-// usually fac itself, or a level-scheduled / SMW-wrapped system; nil
-// means fac.
+// usually fac itself, or an SMW-wrapped system; nil means fac.
 func NewLadder(a *sparse.CSC, fac *lu.Factors, sys refine.System, pol Policy) *Ladder {
 	if sys == nil {
 		sys = fac
@@ -272,10 +271,7 @@ func NewLadder(a *sparse.CSC, fac *lu.Factors, sys refine.System, pol Policy) *L
 	}
 	n := a.Rows
 	l.r = make([]float64, n)
-	l.absx = make([]float64, n)
-	l.den = make([]float64, n)
-	l.sum = make([]float64, n)
-	l.comp = make([]float64, n)
+	l.work = make([]float64, 2*n)
 	return l
 }
 
@@ -424,11 +420,11 @@ func (l *Ladder) maxRefinePatient() int {
 	return 60
 }
 
-// refineLoop is the ladder's allocation-free refinement kernel,
-// mirroring refine.Refine but with ladder-owned scratch, an optional
-// compensated residual, per-rung deadlines and two stall rules: the
-// paper's halving test (patient=false), or the patient rule that only
-// bails when berr stops decreasing at all (patient=true).
+// refineLoop is the ladder's allocation-free refinement loop: berr and
+// residual from refine's fused kernel on ladder-owned scratch, but its
+// own termination — per-rung deadlines, a trigger for every exit, and two
+// stall rules: the paper's halving test (patient=false), or the patient
+// rule that only bails when berr stops decreasing at all (patient=true).
 func (l *Ladder) refineLoop(ctx context.Context, sys refine.System, x, b []float64, extra, patient bool, maxIter int, deadline time.Time) rungResult {
 	be := l.berr(x, b, extra)
 	res := rungResult{before: be, berr: be}
@@ -566,64 +562,7 @@ func (l *Ladder) GEPPError() error { return l.geppErr }
 // residual in l.r (the refinement loop reuses it as the correction).
 // extra selects the compensated-precision residual.
 func (l *Ladder) berr(x, b []float64, extra bool) float64 {
-	if extra {
-		l.compResidual(b, x)
-	} else {
-		l.a.Residual(l.r, b, x)
-	}
-	for i, v := range x {
-		l.absx[i] = math.Abs(v)
-	}
-	l.a.AbsMatVec(l.den, l.absx)
-	be := 0.0
-	for i := range b {
-		d := l.den[i] + math.Abs(b[i])
-		ri := math.Abs(l.r[i])
-		// NaN compares false against everything, so a poisoned row would
-		// silently skip both cases below and masquerade as berr 0.
-		if math.IsNaN(d) || math.IsNaN(ri) {
-			return math.NaN()
-		}
-		switch {
-		case d > 0:
-			if q := ri / d; q > be {
-				be = q
-			}
-		case ri > 0:
-			return math.Inf(1)
-		}
-	}
-	return be
-}
-
-// compResidual computes l.r = b - A·x with FMA-based error-free
-// transformations (the compensated scheme of refine.residual), using
-// ladder scratch.
-func (l *Ladder) compResidual(b, x []float64) {
-	a := l.a
-	for i := range l.sum {
-		l.sum[i] = 0
-		l.comp[i] = 0
-	}
-	for j := 0; j < a.Cols; j++ {
-		xj := x[j]
-		if xj == 0 {
-			continue
-		}
-		for k := a.ColPtr[j]; k < a.ColPtr[j+1]; k++ {
-			i := a.RowInd[k]
-			p := a.Val[k] * xj
-			e := math.FMA(a.Val[k], xj, -p)
-			s := l.sum[i] + p
-			bv := s - l.sum[i]
-			err := (l.sum[i] - (s - bv)) + (p - bv)
-			l.sum[i] = s
-			l.comp[i] += err + e
-		}
-	}
-	for i := range b {
-		l.r[i] = (b[i] - l.sum[i]) - l.comp[i]
-	}
+	return refine.ResidualBerr(l.a, l.r, l.work, x, b, extra)
 }
 
 // preconditioner adapts a refine.System to krylov.Preconditioner.

@@ -6,9 +6,8 @@
 // executed by a pool of workers with atomic dependency counters: a task
 // becomes ready the instant its last predecessor retires, with no
 // global barriers. This is the shared-memory counterpart of the
-// simulated distributed engine (internal/mpisim) and of the
-// level-scheduled triangular solves (lu.LevelSchedule): all three
-// exploit the same property of GESP, a schedule knowable a priori.
+// simulated distributed engine (internal/mpisim): both exploit the
+// same property of GESP, a schedule knowable a priori.
 //
 // The task graph per supernode K:
 //

@@ -32,8 +32,9 @@ func (a *CSC) MatTVec(y, x []float64) {
 	}
 }
 
-// AbsMatVec computes y = |A|*x for nonnegative x, used by the componentwise
-// backward-error and forward-error bounds of iterative refinement.
+// AbsMatVec computes y = |A|*x for nonnegative x, the denominator of the
+// componentwise backward error. refine.ResidualBerr fuses this sweep with
+// the residual's and is tested against it row for row.
 func (a *CSC) AbsMatVec(y, x []float64) {
 	for i := range y {
 		y[i] = 0
