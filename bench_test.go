@@ -22,9 +22,9 @@ import (
 	"gesp/internal/lu"
 	"gesp/internal/matgen"
 	"gesp/internal/resilience"
+	"gesp/internal/sched"
 	"gesp/internal/serve"
 	"gesp/internal/sparse"
-	"gesp/internal/superlu"
 	"gesp/internal/zsolver"
 	"gesp/internal/zsparse"
 )
@@ -352,7 +352,7 @@ func BenchmarkParallelFactorSpeedup(b *testing.B) {
 	// The DAG-scheduled shared-memory engine vs the serial blocked engine
 	// on the largest testbed matrix, sweeping worker counts. The
 	// speedup-vs-serial metric is wall-clock of dist.FactorizeBlocked
-	// divided by wall-clock of superlu.FactorizeParallel; on a
+	// divided by wall-clock of sched.Factorize; on a
 	// single-core machine it degenerates to the scheduler's overhead
 	// ratio.
 	m, _ := matgen.Lookup("BBMAT")
@@ -380,7 +380,7 @@ func BenchmarkParallelFactorSpeedup(b *testing.B) {
 	for _, w := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := superlu.FactorizeParallel(ap, sym, opts, w); err != nil {
+				if _, _, err := sched.Factorize(ap, sym, opts, w); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -442,7 +442,7 @@ func BenchmarkSupernodalVsColumnFactor(b *testing.B) {
 	})
 	b.Run("supernodal", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := superlu.Factorize(ap, sym, lu.Options{ReplaceTinyPivot: true}); err != nil {
+			if _, _, err := dist.FactorizeBlocked(ap, sym, lu.Options{ReplaceTinyPivot: true}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -31,8 +31,8 @@ import (
 	"gesp/internal/ordering"
 	"gesp/internal/refine"
 	"gesp/internal/resilience"
+	"gesp/internal/sched"
 	"gesp/internal/sparse"
-	"gesp/internal/superlu"
 	"gesp/internal/symbolic"
 )
 
@@ -68,7 +68,7 @@ type Options struct {
 	Relax int
 	// Workers sets the shared-memory parallelism of the factorization: 0
 	// (or 1) runs the serial scalar engine; >1 runs the DAG-scheduled
-	// supernodal factorization (superlu.FactorizeParallel) on that many
+	// supernodal factorization (sched.Factorize) on that many
 	// goroutines, and SolveBatch cuts a batch into up to that many
 	// contiguous blocks of right-hand sides, each swept and refined on
 	// its own goroutine. A single vector's solve and refinement are the
@@ -332,7 +332,12 @@ func (s *Solver) factorNumeric() error {
 	var fac *lu.Factors
 	var err2 error
 	if opts.Workers > 1 && !opts.AggressivePivot {
-		fac, err2 = superlu.FactorizeParallel(s.ap, s.sym, luOpts, opts.Workers)
+		var blocks *dist.BlockGrid
+		var tiny int
+		if blocks, tiny, err2 = sched.Factorize(s.ap, s.sym, luOpts, opts.Workers); err2 == nil {
+			fac = blocks.Factors(s.ap)
+			fac.TinyPivots = tiny
+		}
 	} else {
 		fac, err2 = lu.Factorize(s.ap, s.sym, luOpts)
 	}

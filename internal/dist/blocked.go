@@ -23,12 +23,9 @@ import (
 // lu.Factorize for SMW workflows).
 func FactorizeBlocked(a *sparse.CSC, sym *symbolic.Result, opts lu.Options) (*BlockGrid, int, error) {
 	st := BuildStructure(sym)
-	g := NewGrid(st)
+	g := NewGrid(st, nil)
 	g.Scatter(a)
-	thresh := opts.Threshold
-	if thresh == 0 {
-		thresh = defaultThreshold(a, 0)
-	}
+	thresh := lu.TinyPivotThreshold(a.Norm1(), opts.Threshold)
 	tiny := 0
 	var ws UpdateScratch
 	for k := 0; k < st.N; k++ {

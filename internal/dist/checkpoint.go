@@ -4,11 +4,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 
 	"gesp/internal/mpisim"
-	"gesp/internal/sparse"
 )
 
 // Coordinated checkpointing for the distributed factorization. A
@@ -24,8 +22,8 @@ import (
 // so the mailboxes are provably empty and the global state is exactly
 // "panels < k finished, trailing matrix partially updated through
 // them". Each rank serializes its owned blocks bit-exactly plus its
-// simulator counters; restart re-scatters A for the block skeleton,
-// overlays the saved values, and re-runs the loop from the frontier.
+// simulator counters; restart re-allocates the block skeleton, overlays
+// the saved values, and re-runs the loop from the frontier.
 // Because the block kernels are sequential and deterministic per rank
 // and message contents are values, the replayed tail reproduces the
 // fault-free factors bit-identically (verified by fingerprint).
@@ -38,7 +36,7 @@ type Checkpoint struct {
 	Frontier int
 	// Snaps[i] is rank i's simulator counters at the cut.
 	Snaps []mpisim.Snapshot
-	// Blocks[i] is rank i's owned blocks, serialized by encodeBlocks.
+	// Blocks[i] is rank i's owned blocks, serialized by BlockGrid.encode.
 	Blocks [][]byte
 	// Tinies[i] is rank i's tiny-pivot replacement count at the cut.
 	Tinies []int
@@ -57,48 +55,41 @@ func (c *Checkpoint) MaxClock() float64 {
 	return m
 }
 
-// encodeBlocks serializes a rank's owned blocks:
+// encode serializes the blocks this grid owns, in block-id order:
 //
-//	[8]nblocks | nblocks × ( [8]key [8]nvals  nvals × [8]float64-bits )
+//	[8]nblocks | nblocks × ( [8]id [8]nvals  nvals × [8]float64-bits )
 //
-// Keys ascend; values are raw IEEE-754 bits, so a restore is
-// bit-identical to the checkpointed state.
-func encodeBlocks(blocks map[int]*Block) []byte {
-	keys := make([]int, 0, len(blocks))
-	// Keys are sorted immediately below.
-	//gesp:unordered
-	for k := range blocks {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	size := 8
-	for _, k := range keys {
-		size += 16 + 8*len(blocks[k].Val)
+// Values are raw IEEE-754 bits, so a restore is bit-identical to the
+// checkpointed state.
+func (g *BlockGrid) encode() []byte {
+	n, size := 0, 8
+	for _, b := range g.slots {
+		if b != nil {
+			n++
+			size += 16 + 8*len(b.Val)
+		}
 	}
 	buf := make([]byte, 0, size)
-	var tmp [8]byte
-	put := func(v uint64) {
-		binary.LittleEndian.PutUint64(tmp[:], v)
-		buf = append(buf, tmp[:]...)
-	}
-	put(uint64(len(keys)))
-	for _, k := range keys {
-		b := blocks[k]
-		put(uint64(k))
-		put(uint64(len(b.Val)))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(n))
+	for id, b := range g.slots {
+		if b == nil {
+			continue
+		}
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(id))
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(len(b.Val)))
 		for _, v := range b.Val {
-			put(math.Float64bits(v))
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
 		}
 	}
 	return buf
 }
 
-// restoreBlocks rebuilds a rank's owned blocks from a checkpoint blob:
-// the static skeleton is re-derived by scattering A (shape information
-// is never serialized — it is a pure function of the symbolic
-// analysis), then the saved values overwrite the block contents.
-func restoreBlocks(st *Structure, a *sparse.CSC, own func(i, j int) bool, blob []byte) (map[int]*Block, error) {
-	blocks := st.ScatterA(a, own)
+// decode overwrites the grid's owned blocks with a blob written by
+// encode on a grid of the same structure and ownership. Shape
+// information is never serialized — it is a pure function of the
+// symbolic analysis — so the blob must name exactly the owned blocks,
+// in id order, with their value counts.
+func (g *BlockGrid) decode(blob []byte) error {
 	pos := 0
 	get := func() (uint64, error) {
 		if pos+8 > len(blob) {
@@ -110,36 +101,44 @@ func restoreBlocks(st *Structure, a *sparse.CSC, own func(i, j int) bool, blob [
 	}
 	n, err := get()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if int(n) != len(blocks) {
-		return nil, fmt.Errorf("dist: checkpoint has %d blocks, skeleton has %d", n, len(blocks))
+	owned := 0
+	for _, b := range g.slots {
+		if b != nil {
+			owned++
+		}
 	}
-	for i := uint64(0); i < n; i++ {
+	if n != uint64(owned) {
+		return fmt.Errorf("dist: checkpoint has %d blocks, skeleton has %d", n, owned)
+	}
+	for id, b := range g.slots {
+		if b == nil {
+			continue
+		}
 		key, err := get()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		nvals, err := get()
 		if err != nil {
-			return nil, err
+			return err
 		}
-		b := blocks[int(key)]
-		if b == nil {
-			return nil, fmt.Errorf("dist: checkpoint block %d not in skeleton", key)
+		if key != uint64(id) {
+			return fmt.Errorf("dist: checkpoint names block %d where the skeleton has block %d", key, id)
 		}
-		if int(nvals) != len(b.Val) {
-			return nil, fmt.Errorf("dist: checkpoint block %d has %d values, skeleton wants %d", key, nvals, len(b.Val))
+		if nvals != uint64(len(b.Val)) {
+			return fmt.Errorf("dist: checkpoint block %d has %d values, skeleton wants %d", id, nvals, len(b.Val))
 		}
 		for j := range b.Val {
 			bits, err := get()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			b.Val[j] = math.Float64frombits(bits)
 		}
 	}
-	return blocks, nil
+	return nil
 }
 
 // ckptCollector assembles per-rank contributions into committed

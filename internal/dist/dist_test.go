@@ -1,8 +1,11 @@
 package dist
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"gesp/internal/lu"
@@ -77,38 +80,41 @@ func TestDistributedMatchesSerialFactors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := BuildStructure(sym)
-	grid := mpisim.NewGrid(1)
-	world := mpisim.NewWorld(1, mpisim.T3E900())
-	var blocks map[int]*Block
-	world.Run(func(r *mpisim.Rank) {
-		w := &worker{
-			r: r, g: grid, st: st, opts: Options{Procs: 1, ReplaceTinyPivot: true},
-			thresh: defaultThreshold(a, 0), panelDone: make([]bool, st.N),
-		}
-		w.blocks = st.ScatterA(a, func(i, j int) bool { return true })
-		w.factorize()
-		blocks = w.blocks
-	})
-	ns := st.N
+	blocks := oneRankFactor(a, sym)
 	scale := a.MaxAbs()
 	for j := 0; j < sym.N; j++ {
 		bj := sym.SupOf[j]
 		for p := sym.UPtr[j]; p < sym.UPtr[j+1]; p++ {
 			i := sym.UInd[p]
-			got := blocks[sym.SupOf[i]*ns+bj].At(i, j)
+			b, _ := blocks.Target(sym.SupOf[i], bj)
+			got := b.At(i, j)
 			if d := math.Abs(got - serial.UVal[p]); d > 1e-10*scale {
 				t.Fatalf("U(%d,%d): dist %g vs serial %g", i, j, got, serial.UVal[p])
 			}
 		}
 		for q := sym.LPtr[j]; q < sym.LPtr[j+1]; q++ {
 			i := sym.LInd[q]
-			got := blocks[sym.SupOf[i]*ns+bj].At(i, j)
+			b, _ := blocks.Target(sym.SupOf[i], bj)
+			got := b.At(i, j)
 			if d := math.Abs(got - serial.LVal[q]); d > 1e-10*scale {
 				t.Fatalf("L(%d,%d): dist %g vs serial %g", i, j, got, serial.LVal[q])
 			}
 		}
 	}
+}
+
+// oneRankFactor runs the distributed worker machinery on one rank
+// owning everything and returns its factored grid.
+func oneRankFactor(a *sparse.CSC, sym *symbolic.Result) *BlockGrid {
+	st := BuildStructure(sym)
+	var blocks *BlockGrid
+	mpisim.NewWorld(1, mpisim.T3E900()).Run(func(r *mpisim.Rank) {
+		w := newWorker(r, mpisim.NewGrid(1), st, Options{Procs: 1, ReplaceTinyPivot: true}, lu.TinyPivotThreshold(a.Norm1(), 0))
+		w.bg.Scatter(a)
+		w.factorize()
+		blocks = w.bg
+	})
+	return blocks
 }
 
 func TestDistributedManyProcsMoreThanBlocks(t *testing.T) {
@@ -282,6 +288,23 @@ func TestStructureInvariants(t *testing.T) {
 	if nL != nRowL {
 		t.Errorf("RowL has %d entries, LBlocks %d", nRowL, nL)
 	}
+	// ColL/RowU are LBlocks/UBlocks without the index sets.
+	for k := 0; k < st.N; k++ {
+		if len(st.ColL[k]) != len(st.LBlocks[k]) || len(st.RowU[k]) != len(st.UBlocks[k]) {
+			t.Fatalf("supernode %d: ColL/RowU lengths %d/%d, blocks %d/%d", k,
+				len(st.ColL[k]), len(st.RowU[k]), len(st.LBlocks[k]), len(st.UBlocks[k]))
+		}
+		for i, lb := range st.LBlocks[k] {
+			if st.ColL[k][i] != lb.I {
+				t.Fatalf("ColL[%d][%d] = %d, LBlocks says %d", k, i, st.ColL[k][i], lb.I)
+			}
+		}
+		for j, ub := range st.UBlocks[k] {
+			if st.RowU[k][j] != ub.J {
+				t.Fatalf("RowU[%d][%d] = %d, UBlocks says %d", k, j, st.RowU[k][j], ub.J)
+			}
+		}
+	}
 }
 
 func TestBlockOps(t *testing.T) {
@@ -408,6 +431,108 @@ func TestSolveFrom1DRedistribution(t *testing.T) {
 		}
 		t.Logf("P=%d: redistribution %.4fs simulated, %d msgs, %d bytes",
 			p, redist.SimTime, redist.Messages, redist.Volume)
+	}
+}
+
+// SolveFrom1D honours Options.Grid like the other entry points: on a 1×4
+// grid it reports that grid and factors with exactly Solve's traffic.
+func TestSolveFrom1DHonoursGrid(t *testing.T) {
+	a, sym := prepared(t, 31, 120, 0.06, 8)
+	b := make([]float64, a.Rows)
+	for i := range b {
+		b[i] = 1
+	}
+	grid := mpisim.Grid{PRow: 1, PCol: 4}
+	opts := Options{Procs: 4, Grid: &grid, Pipeline: true, EDAGPrune: true, ReplaceTinyPivot: true}
+	res, _, err := SolveFrom1D(a, sym, b, Uniform1D(a.Rows, 4), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := Solve(a, sym, b, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Grid != grid {
+		t.Errorf("SolveFrom1D ran on grid %v, want %v", res.Grid, grid)
+	}
+	if res.Factor.Messages != plain.Factor.Messages || res.Factor.Volume != plain.Factor.Volume {
+		t.Errorf("factor traffic %d msgs / %d bytes, Solve on the same grid %d / %d",
+			res.Factor.Messages, res.Factor.Volume, plain.Factor.Messages, plain.Factor.Volume)
+	}
+	if res.Factor.Wall <= 0 || res.Solve.Wall <= 0 {
+		t.Errorf("wall times not filled: factor %v, solve %v", res.Factor.Wall, res.Solve.Wall)
+	}
+}
+
+// The zero-pivot error names the rank from every entry point.
+func TestZeroPivotNamesRank(t *testing.T) {
+	a := sparse.FromDense([][]float64{{0, 1, 0}, {1, 0, 0}, {0, 0, 1}})
+	sym, err := symbolic.Factorize(a, symbolic.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := []float64{1, 1, 1}
+	_, _, err1D := SolveFrom1D(a, sym, b, Uniform1D(3, 2), Options{Procs: 2})
+	_, _, errFT := SolveFT(a, sym, b, FTOptions{Options: Options{Procs: 2}})
+	for _, err := range []error{err1D, errFT} {
+		if !errors.Is(err, ErrZeroPivotDist) || !strings.Contains(fmt.Sprint(err), "rank") {
+			t.Errorf("zero-pivot error %v does not wrap ErrZeroPivotDist with the rank", err)
+		}
+	}
+}
+
+// TestSweepTraffic pins the one message-driven sweep, in both
+// directions, to the message and byte counts of the two mirror-image
+// solves it replaced (recorded at the parent commit), and the driver's
+// solve phase to their sum.
+func TestSweepTraffic(t *testing.T) {
+	a, sym := prepared(t, 1, 150, 0.05, 8)
+	st := BuildStructure(sym)
+	b := make([]float64, a.Rows)
+	for i := range b {
+		b[i] = 1
+	}
+	for _, tc := range []struct {
+		p                                            int
+		lowerMsgs, lowerBytes, upperMsgs, upperBytes int64
+	}{
+		{1, 0, 0, 0, 0},
+		{4, 108, 2104, 109, 2112},
+		{6, 141, 3008, 176, 3192},
+	} {
+		opts := Options{Procs: tc.p, ReplaceTinyPivot: true, EDAGPrune: true}
+		snaps := make([][3]mpisim.Snapshot, tc.p)
+		mpisim.NewWorld(tc.p, mpisim.T3E900()).Run(func(r *mpisim.Rank) {
+			w := newWorker(r, mpisim.NewGrid(tc.p), st, opts, lu.TinyPivotThreshold(a.Norm1(), 0))
+			w.bg.Scatter(a)
+			w.factorize()
+			r.Barrier()
+			snaps[r.ID()][0] = r.Snap()
+			ys := w.sweep(false, func(k int) []float64 {
+				lo, hi := st.SupCols(k)
+				return b[lo:hi]
+			})
+			r.Barrier()
+			snaps[r.ID()][1] = r.Snap()
+			w.sweep(true, func(k int) []float64 { return ys[k] })
+			r.Barrier()
+			snaps[r.ID()][2] = r.Snap()
+		})
+		var got [4]int64
+		for _, s := range snaps {
+			got[0] += s[1].Msgs - s[0].Msgs
+			got[1] += s[1].Bytes - s[0].Bytes
+			got[2] += s[2].Msgs - s[1].Msgs
+			got[3] += s[2].Bytes - s[1].Bytes
+		}
+		if want := [4]int64{tc.lowerMsgs, tc.lowerBytes, tc.upperMsgs, tc.upperBytes}; got != want {
+			t.Errorf("P=%d: sweep traffic (lower msgs, bytes, upper msgs, bytes) %v, want %v", tc.p, got, want)
+		}
+		res := solveDist(t, a, sym, opts) // holds the solution to the 1e-9 bound
+		if res.Solve.Messages != tc.lowerMsgs+tc.upperMsgs || res.Solve.Volume != tc.lowerBytes+tc.upperBytes {
+			t.Errorf("P=%d: solve phase %d msgs / %d bytes, want %d / %d", tc.p,
+				res.Solve.Messages, res.Solve.Volume, tc.lowerMsgs+tc.upperMsgs, tc.lowerBytes+tc.upperBytes)
+		}
 	}
 }
 

@@ -1,11 +1,6 @@
 package dist
 
-import (
-	"math"
-
-	"gesp/internal/mpisim"
-	"gesp/internal/sparse"
-)
+import "gesp/internal/mpisim"
 
 // Options configure the distributed solver.
 type Options struct {
@@ -50,7 +45,7 @@ type worker struct {
 	r      *mpisim.Rank
 	g      mpisim.Grid
 	st     *Structure
-	blocks map[int]*Block
+	bg     *BlockGrid // the blocks this rank owns; every other slot is nil
 	opts   Options
 	myR    int
 	myC    int
@@ -63,6 +58,11 @@ type worker struct {
 	// rank keeps the update hot path allocation-free across the whole
 	// factorization instead of allocating per block pair.
 	ws UpdateScratch
+	// lBlk/uBlk hold iteration k's operand blocks, parallel to
+	// st.LBlocks[k]/UBlocks[k] (nil where this rank takes no part); sent
+	// marks the ranks a broadcast has already reached.
+	lBlk, uBlk []*Block
+	sent       []bool
 
 	// Checkpoint/restart hooks (zero values = plain fault-free run).
 	// start is the first panel to execute (earlier panels were restored
@@ -78,8 +78,35 @@ type worker struct {
 	onCkpt    func(k int)
 }
 
+// newWorker prepares rank r's state over an empty grid of the blocks
+// the 2-D block-cyclic layout assigns to it.
+func newWorker(r *mpisim.Rank, g mpisim.Grid, st *Structure, opts Options, thresh float64) *worker {
+	myR, myC := g.Coords(r.ID())
+	w := &worker{
+		r: r, g: g, st: st, opts: opts, myR: myR, myC: myC, thresh: thresh,
+		panelDone: make([]bool, st.N), sent: make([]bool, r.Size()),
+	}
+	w.bg = NewGrid(st, func(i, j int) bool { return w.owner(i, j) == w.me() })
+	return w
+}
+
 func (w *worker) owner(i, j int) int { return w.g.OwnerOfBlock(i, j) }
 func (w *worker) me() int            { return w.r.ID() }
+
+// sendOnce sends payload to dst unless dst is this rank or the current
+// broadcast (since the last clearSent) already reached it.
+func (w *worker) sendOnce(dst, tag int, payload any, bytes int) {
+	if dst != w.me() && !w.sent[dst] {
+		w.sent[dst] = true
+		w.r.Send(dst, tag, payload, bytes)
+	}
+}
+
+func (w *worker) clearSent() {
+	for i := range w.sent {
+		w.sent[i] = false
+	}
+}
 
 // procColsNeedingL returns the process columns that must receive panel K's
 // L blocks: with pruning, the columns owning a supernode J with
@@ -133,12 +160,11 @@ func (w *worker) doPanel(k int) {
 		return
 	}
 	w.panelDone[k] = true
-	ns := w.st.N
 	diagOwner := w.owner(k, k)
 	var diag *Block
 
 	if diagOwner == w.me() {
-		diag = w.blocks[k*ns+k]
+		diag = w.bg.Diag[k]
 		tiny, flops, ok := diag.FactorDiag(w.thresh, w.opts.ReplaceTinyPivot)
 		if !ok {
 			w.zeroPivot = true
@@ -149,22 +175,14 @@ func (w *worker) doPanel(k int) {
 		w.tiny += tiny
 		w.r.Compute(flops)
 		// Send down the process column to L-panel owners.
-		sentTo := make(map[int]bool)
+		w.clearSent()
 		for _, lb := range w.st.LBlocks[k] {
-			dst := w.owner(lb.I, k)
-			if dst != w.me() && !sentTo[dst] {
-				sentTo[dst] = true
-				w.r.Send(dst, tagOf(tagDiagForL, k), diag, diag.Bytes())
-			}
+			w.sendOnce(w.owner(lb.I, k), tagOf(tagDiagForL, k), diag, diag.Bytes())
 		}
 		// Send along the process row to U-panel owners.
-		sentTo = make(map[int]bool)
+		w.clearSent()
 		for _, ub := range w.st.UBlocks[k] {
-			dst := w.owner(k, ub.J)
-			if dst != w.me() && !sentTo[dst] {
-				sentTo[dst] = true
-				w.r.Send(dst, tagOf(tagDiagForU, k), diag, diag.Bytes())
-			}
+			w.sendOnce(w.owner(k, ub.J), tagOf(tagDiagForU, k), diag, diag.Bytes())
 		}
 	}
 
@@ -182,11 +200,11 @@ func (w *worker) doPanel(k int) {
 				diag = w.r.Recv(diagOwner, tagOf(tagDiagForL, k)).(*Block)
 			}
 			cols := w.procColsNeedingL(k)
-			for _, lb := range w.st.LBlocks[k] {
-				if w.owner(lb.I, k) != w.me() {
+			for li, lb := range w.st.LBlocks[k] {
+				b := w.bg.L[k][li]
+				if b == nil {
 					continue
 				}
-				b := w.blocks[lb.I*ns+k]
 				w.r.Compute(b.SolveUFromRight(diag))
 				for _, c := range cols {
 					dst := w.g.RankOf(lb.I%w.g.PRow, c)
@@ -212,11 +230,11 @@ func (w *worker) doPanel(k int) {
 				diag = w.r.Recv(diagOwner, tagOf(tagDiagForU, k)).(*Block)
 			}
 			rows := w.procRowsNeedingU(k)
-			for _, ub := range w.st.UBlocks[k] {
-				if w.owner(k, ub.J) != w.me() {
+			for ui, ub := range w.st.UBlocks[k] {
+				b := w.bg.U[k][ui]
+				if b == nil {
 					continue
 				}
-				b := w.blocks[k*ns+ub.J]
 				w.r.Compute(b.SolveLFromLeft(diag))
 				for _, rr := range rows {
 					dst := w.g.RankOf(rr, ub.J%w.g.PCol)
@@ -244,73 +262,68 @@ func (w *worker) factorize() {
 		// Gather the L and U blocks this rank needs for the rank-b update
 		// (local blocks directly; remote blocks from the single source in
 		// this row/column, in deterministic ascending order).
+		lbs, ubs := w.st.LBlocks[k], w.st.UBlocks[k]
 		needL := w.receivesL(k)
 		needU := w.receivesU(k)
-		lBlk := make(map[int]*Block)
-		uBlk := make(map[int]*Block)
+		lBlk := append(w.lBlk[:0], w.bg.L[k]...)
+		uBlk := append(w.uBlk[:0], w.bg.U[k]...)
+		w.lBlk, w.uBlk = lBlk, uBlk
 		srcL := w.g.RankOf(w.myR, k%w.g.PCol)
 		srcU := w.g.RankOf(k%w.g.PRow, w.myC)
-		for _, lb := range w.st.LBlocks[k] {
-			if lb.I%w.g.PRow != w.myR {
-				continue
-			}
-			if w.owner(lb.I, k) == w.me() {
-				lBlk[lb.I] = w.blocks[lb.I*ns+k]
-			} else if needL {
-				lBlk[lb.I] = w.r.Recv(srcL, tagOf(tagLPanel, k)).(*Block)
+		for li, lb := range lbs {
+			if lBlk[li] == nil && needL && lb.I%w.g.PRow == w.myR {
+				lBlk[li] = w.r.Recv(srcL, tagOf(tagLPanel, k)).(*Block)
 			}
 		}
-		for _, ub := range w.st.UBlocks[k] {
-			if ub.J%w.g.PCol != w.myC {
-				continue
-			}
-			if w.owner(k, ub.J) == w.me() {
-				uBlk[ub.J] = w.blocks[k*ns+ub.J]
-			} else if needU {
-				uBlk[ub.J] = w.r.Recv(srcU, tagOf(tagUPanel, k)).(*Block)
+		for ui, ub := range ubs {
+			if uBlk[ui] == nil && needU && ub.J%w.g.PCol == w.myC {
+				uBlk[ui] = w.r.Recv(srcU, tagOf(tagUPanel, k)).(*Block)
 			}
 		}
 
-		apply := func(i, j int) {
-			l, u := lBlk[i], uBlk[j]
+		apply := func(li, ui int) {
+			l, u := lBlk[li], uBlk[ui]
 			if l == nil || u == nil {
 				return
 			}
-			t := w.blocks[i*ns+j]
-			if t == nil {
-				// Possible only with relaxed (amalgamated) supernodes: the
-				// block-level crossing exists but every elementwise
-				// contribution hits structural-zero padding, so no target
-				// block was ever allocated.
-				return
+			// A nil target is possible only with relaxed (amalgamated)
+			// supernodes: the block-level crossing exists but every
+			// elementwise contribution hits structural-zero padding, so no
+			// target block was ever allocated.
+			if t, _ := w.bg.Target(lbs[li].I, ubs[ui].J); t != nil {
+				w.r.Compute(t.RankBUpdateInto(l, u, &w.ws))
 			}
-			w.r.Compute(t.RankBUpdateInto(l, u, &w.ws))
 		}
 
+		// Pipelined: update block column K+1 and block row K+1 first, then
+		// factor panel K+1 immediately — this shortens the critical path of
+		// step (1), exactly the paper's pipelined organization. Block lists
+		// ascend, so the operands in block row/column K+1, where present,
+		// are the first of each (index 0).
+		l1, u1 := -1, -1
 		if w.opts.Pipeline && k+1 < ns {
-			// Update block column K+1 and block row K+1 first, then factor
-			// panel K+1 immediately: this shortens the critical path of
-			// step (1), exactly the paper's pipelined organization.
-			for _, lb := range w.st.LBlocks[k] {
-				apply(lb.I, k+1)
+			if len(lbs) > 0 && lbs[0].I == k+1 {
+				l1 = 0
 			}
-			for _, ub := range w.st.UBlocks[k] {
-				if ub.J != k+1 { // (k+1,k+1) was applied by the loop above
-					apply(k+1, ub.J)
+			if len(ubs) > 0 && ubs[0].J == k+1 {
+				u1 = 0
+				for li := range lbs {
+					apply(li, u1)
 				}
 			}
-			w.doPanel(k + 1)
-			for _, lb := range w.st.LBlocks[k] {
-				for _, ub := range w.st.UBlocks[k] {
-					if lb.I != k+1 && ub.J != k+1 {
-						apply(lb.I, ub.J)
+			if l1 == 0 {
+				for ui := range ubs {
+					if ui != u1 { // (k+1,k+1) was applied by the loop above
+						apply(l1, ui)
 					}
 				}
 			}
-		} else {
-			for _, lb := range w.st.LBlocks[k] {
-				for _, ub := range w.st.UBlocks[k] {
-					apply(lb.I, ub.J)
+			w.doPanel(k + 1)
+		}
+		for li := range lbs {
+			for ui := range ubs {
+				if li != l1 && ui != u1 {
+					apply(li, ui)
 				}
 			}
 		}
@@ -354,12 +367,4 @@ func (w *worker) receivesU(k int) bool {
 		}
 	}
 	return false
-}
-
-// defaultThreshold mirrors the serial tiny-pivot rule.
-func defaultThreshold(a *sparse.CSC, opt float64) float64 {
-	if opt != 0 {
-		return opt
-	}
-	return math.Sqrt(2.220446049250313e-16) * a.Norm1()
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"gesp/internal/check"
 	"gesp/internal/faultsim"
 	"gesp/internal/lu"
 	"gesp/internal/mpisim"
@@ -97,28 +98,16 @@ func TestSolveFTMatchesSolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	world := mpisim.NewWorld(1, mpisim.T3E900())
-	var blocks map[int]*Block
-	st := BuildStructure(sym)
-	world.Run(func(r *mpisim.Rank) {
-		w := &worker{
-			r: r, g: mpisim.NewGrid(1), st: st, opts: Options{Procs: 1, ReplaceTinyPivot: true},
-			thresh: defaultThreshold(a, 0), panelDone: make([]bool, st.N),
-		}
-		w.blocks = st.ScatterA(a, func(i, j int) bool { return true })
-		w.factorize()
-		blocks = w.blocks
-	})
-	asm := AssembleFactors(a, st, []map[int]*Block{blocks})
-	// One block schedule, three executions: the serial blocked engine
-	// (what superlu.Factorize gathers), the 1-rank worker and the 4-rank
-	// fault-tolerant run all assemble to the same bits.
+	asm := oneRankFactor(a, sym).Factors(a)
+	// One block schedule, three executions: the serial blocked engine,
+	// the 1-rank worker and the 4-rank fault-tolerant run all assemble to
+	// the same bits.
 	grid, _, err := FactorizeBlocked(a, sym, lu.Options{ReplaceTinyPivot: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	fp := asm.Fingerprint()
-	if got := Assemble(a, sym, grid.At).Fingerprint(); got != fp {
+	if got := grid.Factors(a).Fingerprint(); got != fp {
 		t.Fatalf("FactorizeBlocked fingerprint %x != 1-rank worker %x", got, fp)
 	}
 	if rec.Fingerprint != fp {
@@ -299,38 +288,49 @@ func TestSolveFTDeterminism(t *testing.T) {
 	}
 }
 
-// Checkpoint encode/restore round-trips block values bit-exactly.
+// Checkpoint encode/decode round-trips each rank's grid bit-exactly.
 func TestCheckpointRoundTrip(t *testing.T) {
 	a, sym, _, _ := ftSystem(t, 31, 80)
 	st := BuildStructure(sym)
 	grid := mpisim.NewGrid(4)
+	total := 0
 	for rank := 0; rank < 4; rank++ {
 		own := func(i, j int) bool { return grid.OwnerOfBlock(i, j) == rank }
-		blocks := st.ScatterA(a, own)
+		blocks := NewGrid(st, own)
+		blocks.Scatter(a)
 		// Deface the values so the round trip is not testing zeros.
 		i := 0
-		for _, b := range blocks {
+		for _, b := range blocks.slots {
+			if b == nil {
+				continue
+			}
+			total++
 			for j := range b.Val {
 				b.Val[j] = math.Sqrt(2)*float64(i) + 1e-9
 				i++
 			}
 		}
-		blob := encodeBlocks(blocks)
-		got, err := restoreBlocks(st, a, own, blob)
-		if err != nil {
+		got := NewGrid(st, own)
+		if err := got.decode(blocks.encode()); err != nil {
 			t.Fatal(err)
 		}
-		if len(got) != len(blocks) {
-			t.Fatalf("rank %d: restored %d blocks, want %d", rank, len(got), len(blocks))
-		}
-		for k, b := range blocks {
-			rb := got[k]
+		for id, b := range blocks.slots {
+			rb := got.slots[id]
+			if (b == nil) != (rb == nil) {
+				t.Fatalf("rank %d block %d: ownership differs after restore", rank, id)
+			}
+			if b == nil {
+				continue
+			}
 			for j := range b.Val {
 				if math.Float64bits(rb.Val[j]) != math.Float64bits(b.Val[j]) {
-					t.Fatalf("rank %d block %d value %d not bit-identical", rank, k, j)
+					t.Fatalf("rank %d block %d value %d not bit-identical", rank, id, j)
 				}
 			}
 		}
+	}
+	if total != NewGrid(st, nil).NumBlocks() {
+		t.Fatalf("the four ranks own %d blocks, the structure has %d", total, NewGrid(st, nil).NumBlocks())
 	}
 }
 
@@ -338,12 +338,54 @@ func TestCheckpointRoundTrip(t *testing.T) {
 func TestCheckpointRejectsCorruptBlob(t *testing.T) {
 	a, sym, _, _ := ftSystem(t, 31, 80)
 	st := BuildStructure(sym)
-	own := func(i, j int) bool { return true }
-	blob := encodeBlocks(st.ScatterA(a, own))
-	if _, err := restoreBlocks(st, a, own, blob[:len(blob)-4]); err == nil {
+	full := NewGrid(st, nil)
+	full.Scatter(a)
+	blob := full.encode()
+	if err := NewGrid(st, nil).decode(blob[:len(blob)-4]); err == nil {
 		t.Fatal("truncated blob restored without error")
 	}
-	if _, err := restoreBlocks(st, a, own, blob[8:]); err == nil {
+	if err := NewGrid(st, nil).decode(blob[8:]); err == nil {
 		t.Fatal("misaligned blob restored without error")
+	}
+	// A blob of another rank's blocks: the block count differs.
+	part := NewGrid(st, func(i, j int) bool { return (i+j)%2 == 0 })
+	if err := part.decode(blob); err == nil {
+		t.Fatal("blob with a different block count restored without error")
+	}
+	// Same count, but the first block's value count is wrong.
+	bad := append([]byte(nil), blob...)
+	bad[16]++
+	if err := NewGrid(st, nil).decode(bad); err == nil {
+		t.Fatal("blob with a wrong value count restored without error")
+	}
+	// Same count, but a block id the skeleton does not expect there.
+	bad = append([]byte(nil), blob...)
+	bad[8]++
+	if err := NewGrid(st, nil).decode(bad); err == nil {
+		t.Fatal("blob naming the wrong block restored without error")
+	}
+}
+
+// Under gespcheck, merging per-rank grids rejects a block owned twice or
+// by nobody instead of silently assembling the wrong factors.
+func TestMergeGridsChecksOwnership(t *testing.T) {
+	if !check.Enabled {
+		t.Skip("ownership assertion is compiled in only under the gespcheck tag")
+	}
+	_, sym, _, _ := ftSystem(t, 31, 80)
+	st := BuildStructure(sym)
+	even := NewGrid(st, func(i, j int) bool { return (i+j)%2 == 0 })
+	for name, grids := range map[string][]*BlockGrid{
+		"owned twice": {NewGrid(st, nil), even},
+		"unowned":     {even},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: mergeGrids accepted the layout", name)
+				}
+			}()
+			mergeGrids(grids)
+		}()
 	}
 }

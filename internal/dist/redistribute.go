@@ -1,12 +1,6 @@
 package dist
 
-import (
-	"sort"
-
-	"gesp/internal/mpisim"
-	"gesp/internal/sparse"
-	"gesp/internal/symbolic"
-)
+import "gesp/internal/sparse"
 
 // Redistribution: the paper's future-work section asks for "a good
 // interface so the user knows how to input the matrix in the distributed
@@ -35,24 +29,23 @@ type entryMsg struct {
 	vals       []float64
 }
 
-// redistribute1Dto2D runs on every rank inside a world: each rank holds
-// the rows in its slice of a (the full matrix is passed for convenience;
-// a rank touches only its own rows) and exchanges entries so that
-// afterwards every rank owns exactly the blocks the 2-D block-cyclic
-// layout assigns to it. Returns the local block map.
-func redistribute1Dto2D(r *mpisim.Rank, g mpisim.Grid, st *Structure, a *sparse.CSC, slice RowSlice) map[int]*Block {
-	ns := st.N
-	sym := st.Sym
+// redistribute runs on every rank inside a world: each rank holds the
+// rows in its slice of a (the full matrix is passed for convenience; a
+// rank touches only its own rows) and exchanges entries so that
+// afterwards the rank's (empty on entry) grid holds exactly the blocks
+// the 2-D block-cyclic layout assigns to it.
+func (w *worker) redistribute(a *sparse.CSC, slice RowSlice) {
+	r, ns, sup := w.r, w.st.N, w.st.Sym.SupOf
 	// Bucket the local rows' entries by destination rank.
-	buckets := make(map[int]*entryMsg)
+	buckets := make([]*entryMsg, r.Size())
 	for j := 0; j < a.Cols; j++ {
-		bj := sym.SupOf[j]
+		bj := sup[j]
 		for k := a.ColPtr[j]; k < a.ColPtr[j+1]; k++ {
 			i := a.RowInd[k]
 			if i < slice.Lo || i >= slice.Hi {
 				continue
 			}
-			dst := g.OwnerOfBlock(sym.SupOf[i], bj)
+			dst := w.owner(sup[i], bj)
 			b := buckets[dst]
 			if b == nil {
 				b = &entryMsg{}
@@ -63,29 +56,22 @@ func redistribute1Dto2D(r *mpisim.Rank, g mpisim.Grid, st *Structure, a *sparse.
 			b.vals = append(b.vals, a.Val[k])
 		}
 	}
-	// Allocate the local (empty) skeleton.
-	blocks := st.ScatterA(emptyLike(a), func(i, j int) bool { return g.OwnerOfBlock(i, j) == r.ID() })
 	// Exchange: send each bucket, then receive one message from every
-	// rank (possibly empty) — a deterministic all-to-all.
-	dsts := make([]int, 0, len(buckets))
-	//gesp:unordered
-	for d := range buckets { // keys are sorted below
-		dsts = append(dsts, d)
-	}
-	sort.Ints(dsts)
+	// rank that has one for us — a deterministic all-to-all.
 	scatterLocal := func(m *entryMsg) {
 		for q := range m.rows {
 			i, j := m.rows[q], m.cols[q]
-			blk := blocks[sym.SupOf[i]*ns+sym.SupOf[j]]
+			blk, _ := w.bg.Target(sup[i], sup[j])
 			blk.Set(i, j, blk.At(i, j)+m.vals[q])
 		}
 	}
-	for _, d := range dsts {
-		if d == r.ID() {
-			continue
+	// counts[d] = 1 when this rank sends to d.
+	counts := make([]int, r.Size())
+	for d, m := range buckets {
+		if m != nil && d != r.ID() {
+			counts[d] = 1
+			r.Send(d, tagOf(tagGather, ns), m, 16*len(m.rows)+8*len(m.vals))
 		}
-		m := buckets[d]
-		r.Send(d, tagOf(tagGather, ns), m, 16*len(m.rows)+8*len(m.vals))
 	}
 	if m := buckets[r.ID()]; m != nil {
 		scatterLocal(m)
@@ -93,18 +79,10 @@ func redistribute1Dto2D(r *mpisim.Rank, g mpisim.Grid, st *Structure, a *sparse.
 	// Receive exactly the messages addressed to us. The destination sets
 	// are data dependent, so the ranks first announce who-sends-to-whom
 	// through rank 0 (a counting round), then receive accordingly.
-	counts := make([]int, r.Size())
-	for _, d := range dsts {
-		if d != r.ID() {
-			counts[d] = 1
-		}
-	}
-	// Allreduce-style announcement: share send matrices via rank 0.
-	mine := append([]int(nil), counts...)
 	var senders []int
 	if r.ID() == 0 {
 		matrix := make([][]int, r.Size())
-		matrix[0] = mine
+		matrix[0] = counts
 		for src := 1; src < r.Size(); src++ {
 			matrix[src] = r.Recv(src, tagOf(tagGather, ns+1)).([]int)
 		}
@@ -123,99 +101,10 @@ func redistribute1Dto2D(r *mpisim.Rank, g mpisim.Grid, st *Structure, a *sparse.
 			}
 		}
 	} else {
-		r.Send(0, tagOf(tagGather, ns+1), mine, 4*len(mine))
+		r.Send(0, tagOf(tagGather, ns+1), counts, 4*len(counts))
 		senders, _ = r.Recv(0, tagOf(tagGather, ns+2)).([]int)
 	}
 	for _, src := range senders {
-		m := r.Recv(src, tagOf(tagGather, ns)).(*entryMsg)
-		scatterLocal(m)
+		scatterLocal(r.Recv(src, tagOf(tagGather, ns)).(*entryMsg))
 	}
-	return blocks
-}
-
-func emptyLike(a *sparse.CSC) *sparse.CSC {
-	return &sparse.CSC{Rows: a.Rows, Cols: a.Cols, ColPtr: make([]int, a.Cols+1)}
-}
-
-// SolveFrom1D is Solve with the paper's distributed-input interface: the
-// matrix enters 1-D row-distributed (slices[rank] gives each rank's
-// rows), is redistributed to the 2-D block-cyclic layout with measured
-// communication, then factored and solved as usual. The redistribution
-// phase statistics are returned alongside.
-func SolveFrom1D(a *sparse.CSC, sym *symbolic.Result, b []float64, slices []RowSlice, opts Options) (*Result, PhaseStats, error) {
-	if opts.Procs <= 0 {
-		opts.Procs = len(slices)
-	}
-	model := mpisim.T3E900()
-	if opts.Model != nil {
-		model = *opts.Model
-	}
-	st := BuildStructure(sym)
-	grid := mpisim.NewGrid(opts.Procs)
-	world := mpisim.NewWorld(opts.Procs, model)
-	thresh := defaultThreshold(a, opts.Threshold)
-
-	res := &Result{Grid: grid, SupernodeAv: sym.AvgSupernode()}
-	res.X = make([]float64, sym.N)
-	snaps := make([][4]mpisim.Snapshot, opts.Procs)
-	tinies := make([]int, opts.Procs)
-	fails := make([]bool, opts.Procs)
-
-	world.Run(func(r *mpisim.Rank) {
-		myR, myC := grid.Coords(r.ID())
-		w := &worker{
-			r: r, g: grid, st: st, opts: opts,
-			myR: myR, myC: myC, thresh: thresh,
-			panelDone: make([]bool, st.N),
-		}
-		r.Barrier()
-		snaps[r.ID()][0] = r.Snap()
-		w.blocks = redistribute1Dto2D(r, grid, st, a, slices[r.ID()])
-		r.Barrier()
-		snaps[r.ID()][1] = r.Snap()
-
-		w.factorize()
-		r.Barrier()
-		snaps[r.ID()][2] = r.Snap()
-		xs := w.lowerSolve(b)
-		r.Barrier()
-		xs = w.upperSolve(xs)
-		r.Barrier()
-		snaps[r.ID()][3] = r.Snap()
-		w.gatherX(xs, res.X)
-		tinies[r.ID()] = w.tiny
-		fails[r.ID()] = w.zeroPivot
-	})
-	for i := 0; i < opts.Procs; i++ {
-		res.TinyPivots += tinies[i]
-	}
-
-	col := func(k int) []mpisim.Snapshot {
-		out := make([]mpisim.Snapshot, opts.Procs)
-		for i := 0; i < opts.Procs; i++ {
-			out[i] = snaps[i][k]
-		}
-		return out
-	}
-	rs := mpisim.PhaseStats(col(0), col(1))
-	fs := mpisim.PhaseStats(col(1), col(2))
-	ss := mpisim.PhaseStats(col(2), col(3))
-	redist := PhaseStats{
-		SimTime: rs.Time, CommFraction: rs.CommFraction,
-		Messages: rs.Messages, Volume: rs.Volume,
-	}
-	res.Factor = PhaseStats{
-		SimTime: fs.Time, Mflops: fs.Mflops(), CommFraction: fs.CommFraction,
-		LoadBalance: fs.LoadBalance, Messages: fs.Messages, Volume: fs.Volume,
-	}
-	res.Solve = PhaseStats{
-		SimTime: ss.Time, Mflops: ss.Mflops(), CommFraction: ss.CommFraction,
-		LoadBalance: ss.LoadBalance, Messages: ss.Messages, Volume: ss.Volume,
-	}
-	for i := range fails {
-		if fails[i] {
-			return res, redist, ErrZeroPivotDist
-		}
-	}
-	return res, redist, nil
 }

@@ -1,133 +1,139 @@
 package dist
 
 // Distributed triangular solves, following the paper's Figure 9: the
-// "inner product" formulation driven by messages, with fmod/frecv
-// counters for the lower solve and bmod/brecv for the upper solve.
-// Execution is fully asynchronous: a rank loops on RecvAny and reacts to
-// whichever partial sum or solution subvector arrives.
+// "inner product" formulation driven by messages, with the fmod/frecv
+// counters of the lower solve and the bmod/brecv counters of the upper
+// solve kept by one machine — the static block DAG is the same, walked
+// in opposite directions. Execution is fully asynchronous: a rank loops
+// on RecvAny and reacts to whichever partial sum or solution subvector
+// arrives.
 
-// lowerSolve computes x = L⁻¹·b. b is replicated on entry (the paper
-// distributes it with the matrix; replication only skips the initial
-// scatter). On return the diagonal owners hold x(K) in xs[K].
-func (w *worker) lowerSolve(b []float64) map[int][]float64 {
-	ns := w.st.N
+// sweep computes x = L⁻¹·rhs (upper false) or x = U⁻¹·rhs (upper true).
+// rhs(k) is the right-hand side of supernode k, asked of k's diagonal
+// owner only; on return that owner holds x(k) in the result's slot k.
+func (w *worker) sweep(upper bool, rhs func(k int) []float64) [][]float64 {
+	st, ns := w.st, w.st.N
+	// The direction: col[k] lists the block rows i of the off-diagonal
+	// blocks (i, k) that x(k) is multiplied into — the destinations of
+	// its broadcast — and row[k] the block columns j of the blocks (k, j)
+	// whose products x(k) waits for.
+	col, row, diagSolve := st.ColL, st.RowL, (*Block).ForwardSolveDiag
+	if upper {
+		col, row, diagSolve = st.ColU, st.RowU, (*Block).BackSolveDiag
+	}
 
-	// ownedLAt[j] lists this rank's L blocks (I, J=j) keyed by panel.
-	ownedLAt := make(map[int][]*lContrib)
-	fmod := make(map[int]int) // pending local contributions to row I
+	// mod[i] counts this rank's pending local contributions to row i, one
+	// per block (i, j) it owns (the paper's fmod/bmod); expect counts the
+	// messages it will receive, first one x(J) for every block column J in
+	// which it owns a block but not the diagonal.
+	mod := make([]int, ns)
+	expect := 0
 	for j := 0; j < ns; j++ {
-		for bi := range w.st.LBlocks[j] {
-			lb := &w.st.LBlocks[j][bi]
-			if w.owner(lb.I, j) == w.me() {
-				ownedLAt[j] = append(ownedLAt[j], &lContrib{i: lb.I, blk: w.blocks[lb.I*ns+j]})
-				fmod[lb.I]++
+		ownsAny := false
+		for _, i := range col[j] {
+			if w.owner(i, j) == w.me() {
+				mod[i]++
+				ownsAny = true
 			}
 		}
-	}
-
-	// Per owned diagonal block: how many contributions remain before x(K)
-	// can be solved — one per remote contributing process plus one if this
-	// rank contributes locally.
-	remaining := make(map[int]int)
-	expect := 0 // messages this rank will receive (lsum + xsol)
-	for k := 0; k < ns; k++ {
-		if w.owner(k, k) != w.me() {
-			continue
-		}
-		remote := w.lsumContributors(k)
-		remaining[k] = remote
-		expect += remote
-		if fmod[k] > 0 {
-			remaining[k]++
-		}
-	}
-	// x(K) messages: one for every panel K in which this rank owns an L
-	// block but not the diagonal.
-	for j := 0; j < ns; j++ {
-		if len(ownedLAt[j]) > 0 && w.owner(j, j) != w.me() {
+		if ownsAny && w.owner(j, j) != w.me() {
 			expect++
 		}
 	}
 
-	lsum := make(map[int][]float64)
-	xs := make(map[int][]float64)
+	// Per owned diagonal block: how many contributions remain before x(K)
+	// can be solved — one partial sum per remote contributing process
+	// (each a message to expect) plus one if this rank contributes locally.
+	remaining := make([]int, ns)
+	for k := 0; k < ns; k++ {
+		if w.owner(k, k) != w.me() {
+			continue
+		}
+		w.clearSent()
+		for _, j := range row[k] {
+			if o := w.owner(k, j); o != w.me() && !w.sent[o] {
+				w.sent[o] = true
+				remaining[k]++
+			}
+		}
+		expect += remaining[k]
+		if mod[k] > 0 {
+			remaining[k]++
+		}
+	}
+
+	sum := make([][]float64, ns)
+	xs := make([][]float64, ns)
 
 	addSum := func(i int, local []float64) {
-		s := lsum[i]
-		if s == nil {
-			s = make([]float64, w.st.SupWidth(i))
-			lsum[i] = s
+		if sum[i] == nil {
+			sum[i] = make([]float64, st.SupWidth(i))
 		}
-		for q := range local {
-			s[q] += local[q]
+		for q, v := range local {
+			sum[i][q] += v
 		}
 	}
 
 	var solveK func(k int)
-	var applyX func(j int, x []float64)
 
-	flushRow := func(i int) {
-		// All local contributions to row i are in: route the partial sum.
-		dst := w.owner(i, i)
-		if dst == w.me() {
-			remaining[i]--
-			if remaining[i] == 0 {
-				solveK(i)
+	arrived := func(k int) {
+		remaining[k]--
+		if remaining[k] == 0 {
+			solveK(k)
+		}
+	}
+
+	// applyX multiplies x(j) into every block (i, j) this rank owns.
+	applyX := func(j int, x []float64) {
+		jLo, _ := st.SupCols(j)
+		for _, i := range col[j] {
+			if w.owner(i, j) != w.me() {
+				continue
 			}
-			return
+			blk, _ := w.bg.Target(i, j)
+			local := make([]float64, st.SupWidth(i))
+			lo, _ := st.SupCols(i)
+			w.r.Compute(blk.MatVecInto(func(r int, v float64) {
+				local[r-lo] += v
+			}, x, jLo))
+			addSum(i, local)
+			mod[i]--
+			if mod[i] > 0 {
+				continue
+			}
+			// All local contributions to row i are in: route the partial sum.
+			if dst := w.owner(i, i); dst == w.me() {
+				arrived(i)
+			} else {
+				w.r.Send(dst, tagOf(tagLSum, i), sum[i], 8*len(sum[i]))
+			}
 		}
-		s := lsum[i]
-		if s == nil {
-			s = make([]float64, w.st.SupWidth(i))
-		}
-		w.r.Send(dst, tagOf(tagLSum, i), s, 8*len(s))
 	}
 
 	solveK = func(k int) {
-		lo, hi := w.st.SupCols(k)
-		x := make([]float64, hi-lo)
-		for q := range x {
-			x[q] = b[lo+q]
+		x := append([]float64(nil), rhs(k)...)
+		for q, v := range sum[k] {
+			x[q] -= v
 		}
-		if s := lsum[k]; s != nil {
-			for q := range x {
-				x[q] -= s[q]
-			}
-		}
-		w.r.Compute(w.blocks[k*ns+k].ForwardSolveDiag(x))
+		w.r.Compute(diagSolve(w.bg.Diag[k], x))
 		xs[k] = x
-		// Broadcast x(K) down the process column to L(I,K) owners.
-		sent := make(map[int]bool)
-		for _, lb := range w.st.LBlocks[k] {
-			dst := w.owner(lb.I, k)
-			if dst != w.me() && !sent[dst] {
-				sent[dst] = true
-				w.r.Send(dst, tagOf(tagXSol, k), x, 8*len(x))
-			}
+		// Broadcast x(K) along the process column to the owners of the
+		// blocks it feeds.
+		w.clearSent()
+		for _, i := range col[k] {
+			w.sendOnce(w.owner(i, k), tagOf(tagXSol, k), x, 8*len(x))
 		}
 		applyX(k, x)
 	}
 
-	applyX = func(j int, x []float64) {
-		jLo, _ := w.st.SupCols(j)
-		for _, lc := range ownedLAt[j] {
-			local := make([]float64, w.st.SupWidth(lc.i))
-			lo, _ := w.st.SupCols(lc.i)
-			w.r.Compute(lc.blk.MatVecInto(func(r int, v float64) {
-				local[r-lo] += v
-			}, x, jLo))
-			addSum(lc.i, local)
-			fmod[lc.i]--
-			if fmod[lc.i] == 0 {
-				flushRow(lc.i)
-			}
+	// Kick off, in the sweep's direction: solvable diagonals with no
+	// pending contributions. The xs-guard matters: a solveK cascade (via
+	// applyX) may already have solved a later supernode.
+	for q := 0; q < ns; q++ {
+		k := q
+		if upper {
+			k = ns - 1 - q
 		}
-	}
-
-	// Kick off: solvable diagonals with no pending contributions. The
-	// xs-guard matters: a solveK cascade (via flushRow) may already have
-	// solved a later supernode.
-	for k := 0; k < ns; k++ {
 		if w.owner(k, k) == w.me() && remaining[k] == 0 && xs[k] == nil {
 			solveK(k)
 		}
@@ -140,202 +146,25 @@ func (w *worker) lowerSolve(b []float64) map[int][]float64 {
 		switch tag % numTags {
 		case tagLSum:
 			addSum(k, payload.([]float64))
-			remaining[k]--
-			if remaining[k] == 0 {
-				solveK(k)
-			}
+			arrived(k)
 		case tagXSol:
 			applyX(k, payload.([]float64))
 		default:
-			panic("dist: unexpected message in lower solve")
+			panic("dist: unexpected message in triangular solve")
 		}
 	}
 	return xs
-}
-
-type lContrib struct {
-	i   int
-	blk *Block
-}
-
-// lsumContributors counts the remote processes that send partial sums for
-// x(K) to its diagonal owner.
-func (w *worker) lsumContributors(k int) int {
-	diagOwner := w.owner(k, k)
-	procs := make(map[int]bool)
-	for _, j := range w.st.RowL[k] {
-		if o := w.owner(k, j); o != diagOwner {
-			procs[o] = true
-		}
-	}
-	return len(procs)
-}
-
-// upperSolve computes x = U⁻¹·y where y(K) sits with the diagonal owners
-// (as produced by lowerSolve). The result is returned the same way.
-func (w *worker) upperSolve(ys map[int][]float64) map[int][]float64 {
-	ns := w.st.N
-
-	// ownedUAt[j] lists this rank's U blocks (K, J=j): after x(J) is
-	// known, each contributes U(K,J)·x(J) to row K's pending sum.
-	ownedUAt := make(map[int][]*lContrib)
-	bmod := make(map[int]int)
-	for k := 0; k < ns; k++ {
-		for bi := range w.st.UBlocks[k] {
-			ub := &w.st.UBlocks[k][bi]
-			if w.owner(k, ub.J) == w.me() {
-				ownedUAt[ub.J] = append(ownedUAt[ub.J], &lContrib{i: k, blk: w.blocks[k*ns+ub.J]})
-				bmod[k]++
-			}
-		}
-	}
-
-	remaining := make(map[int]int)
-	expect := 0
-	for k := 0; k < ns; k++ {
-		if w.owner(k, k) != w.me() {
-			continue
-		}
-		remote := w.bsumContributors(k)
-		remaining[k] = remote
-		expect += remote
-		if bmod[k] > 0 {
-			remaining[k]++
-		}
-	}
-	for j := 0; j < ns; j++ {
-		if len(ownedUAt[j]) > 0 && w.owner(j, j) != w.me() {
-			expect++
-		}
-	}
-
-	bsum := make(map[int][]float64)
-	xs := make(map[int][]float64)
-
-	addSum := func(i int, local []float64) {
-		s := bsum[i]
-		if s == nil {
-			s = make([]float64, w.st.SupWidth(i))
-			bsum[i] = s
-		}
-		for q := range local {
-			s[q] += local[q]
-		}
-	}
-
-	var solveK func(k int)
-	var applyX func(j int, x []float64)
-
-	flushRow := func(i int) {
-		dst := w.owner(i, i)
-		if dst == w.me() {
-			remaining[i]--
-			if remaining[i] == 0 {
-				solveK(i)
-			}
-			return
-		}
-		s := bsum[i]
-		if s == nil {
-			s = make([]float64, w.st.SupWidth(i))
-		}
-		w.r.Send(dst, tagOf(tagLSum, i), s, 8*len(s))
-	}
-
-	solveK = func(k int) {
-		x := append([]float64(nil), ys[k]...)
-		if s := bsum[k]; s != nil {
-			for q := range x {
-				x[q] -= s[q]
-			}
-		}
-		w.r.Compute(w.blocks[k*ns+k].BackSolveDiag(x))
-		xs[k] = x
-		// Broadcast x(K) up the process column to U(I,K) owners.
-		sent := make(map[int]bool)
-		for _, up := range w.uOwnersOfCol(k) {
-			if up != w.me() && !sent[up] {
-				sent[up] = true
-				w.r.Send(up, tagOf(tagXSol, k), x, 8*len(x))
-			}
-		}
-		applyX(k, x)
-	}
-
-	applyX = func(j int, x []float64) {
-		jLo, _ := w.st.SupCols(j)
-		for _, uc := range ownedUAt[j] {
-			local := make([]float64, w.st.SupWidth(uc.i))
-			lo, _ := w.st.SupCols(uc.i)
-			w.r.Compute(uc.blk.MatVecInto(func(r int, v float64) {
-				local[r-lo] += v
-			}, x, jLo))
-			addSum(uc.i, local)
-			bmod[uc.i]--
-			if bmod[uc.i] == 0 {
-				flushRow(uc.i)
-			}
-		}
-	}
-
-	for k := ns - 1; k >= 0; k-- {
-		if w.owner(k, k) == w.me() && remaining[k] == 0 && xs[k] == nil {
-			solveK(k)
-		}
-	}
-	for got := 0; got < expect; got++ {
-		_, tag, payload := w.r.RecvAny()
-		k := tag / numTags
-		switch tag % numTags {
-		case tagLSum:
-			addSum(k, payload.([]float64))
-			remaining[k]--
-			if remaining[k] == 0 {
-				solveK(k)
-			}
-		case tagXSol:
-			applyX(k, payload.([]float64))
-		default:
-			panic("dist: unexpected message in upper solve")
-		}
-	}
-	return xs
-}
-
-// bsumContributors counts remote processes sending partial sums for the
-// upper solve of x(K).
-func (w *worker) bsumContributors(k int) int {
-	diagOwner := w.owner(k, k)
-	procs := make(map[int]bool)
-	for _, ub := range w.st.UBlocks[k] {
-		if o := w.owner(k, ub.J); o != diagOwner {
-			procs[o] = true
-		}
-	}
-	return len(procs)
-}
-
-// uOwnersOfCol lists the owners of U blocks in block column K (the
-// destinations of x(K) in the upper solve), deterministically ordered.
-func (w *worker) uOwnersOfCol(k int) []int {
-	var owners []int
-	for _, kk := range w.st.ColU[k] {
-		owners = append(owners, w.owner(kk, k))
-	}
-	return owners
 }
 
 // gatherX assembles the distributed solution at rank 0.
-func (w *worker) gatherX(xs map[int][]float64, out []float64) {
+func (w *worker) gatherX(xs [][]float64, out []float64) {
 	ns := w.st.N
 	if w.me() == 0 {
 		for k := 0; k < ns; k++ {
 			lo, hi := w.st.SupCols(k)
-			var x []float64
-			if w.owner(k, k) == 0 {
-				x = xs[k]
-			} else {
-				x = w.r.Recv(w.owner(k, k), tagOf(tagGather, k)).([]float64)
+			x := xs[k]
+			if o := w.owner(k, k); o != 0 {
+				x = w.r.Recv(o, tagOf(tagGather, k)).([]float64)
 			}
 			copy(out[lo:hi], x)
 		}

@@ -13,10 +13,7 @@
 // U(K,J) ≠ 0, rather than to the whole process row.
 package dist
 
-import (
-	"gesp/internal/sparse"
-	"gesp/internal/symbolic"
-)
+import "gesp/internal/symbolic"
 
 // Structure is the replicated static skeleton: every rank holds it (the
 // paper runs the symbolic analysis redundantly on every processor).
@@ -36,6 +33,12 @@ type Structure struct {
 	// ColU[J] lists the block rows K < J with a nonzero block U(K,J): the
 	// destinations of x(J) in the upper triangular solve.
 	ColU [][]int
+	// ColL[K] and RowU[K] are the block indices of LBlocks[K] and
+	// UBlocks[K] as plain lists — the destinations of x(K) in the lower
+	// solve and the dependencies of x(K) in the upper one — so a sweep in
+	// either direction walks two [][]int.
+	ColL [][]int
+	RowU [][]int
 
 	// UpdateTargets[K] lists the (I, J) pairs updated by panel K's outer
 	// product, i.e. the EDAG successors of supernode K in block form.
@@ -182,7 +185,22 @@ func BuildStructure(sym *symbolic.Result) *Structure {
 		}
 	}
 
-	// Reverse indexes for the triangular solves, also counted slabs.
+	// Index lists for the triangular solves, also counted slabs: the
+	// blocks' own indices first, then the reverse indexes.
+	s.ColL = make([][]int, ns)
+	s.RowU = make([][]int, ns)
+	colLSlab := make([]int, 0, nLBlk)
+	rowUSlab := make([]int, 0, blkBase[ns])
+	for k := 0; k < ns; k++ {
+		for _, lb := range s.LBlocks[k] {
+			colLSlab = append(colLSlab, lb.I)
+		}
+		for _, ub := range s.UBlocks[k] {
+			rowUSlab = append(rowUSlab, ub.J)
+		}
+		s.ColL[k] = colLSlab[len(colLSlab)-len(s.LBlocks[k]):]
+		s.RowU[k] = rowUSlab[len(rowUSlab)-len(s.UBlocks[k]):]
+	}
 	s.RowL = make([][]int, ns)
 	s.ColU = make([][]int, ns)
 	cntRowL := make([]int, ns)
@@ -236,55 +254,6 @@ func (s *Structure) SupWidth(k int) int { return s.Sym.SupPtr[k+1] - s.Sym.SupPt
 
 // SupCols returns the half-open global column range of supernode K.
 func (s *Structure) SupCols(k int) (int, int) { return s.Sym.SupPtr[k], s.Sym.SupPtr[k+1] }
-
-// ScatterA distributes the entries of the permuted matrix into dense
-// blocks, returning only the blocks owned by predicate own(I, J). Blocks
-// are keyed I*N+J. Every future fill block is allocated (zero-filled) so
-// the right-looking updates have a target.
-func (s *Structure) ScatterA(a *sparse.CSC, own func(i, j int) bool) map[int]*Block {
-	blocks := make(map[int]*Block)
-	ns := s.N
-	// Allocate diagonal blocks.
-	for k := 0; k < ns; k++ {
-		if own(k, k) {
-			lo, hi := s.SupCols(k)
-			rows := rangeInts(lo, hi)
-			blocks[k*ns+k] = NewBlock(rows, rows)
-		}
-	}
-	// Allocate L blocks.
-	for k := 0; k < ns; k++ {
-		lo, hi := s.SupCols(k)
-		for _, lb := range s.LBlocks[k] {
-			if own(lb.I, k) {
-				blocks[lb.I*ns+k] = NewBlock(lb.Rows, rangeInts(lo, hi))
-			}
-		}
-		for _, ub := range s.UBlocks[k] {
-			if own(k, ub.J) {
-				blocks[k*ns+ub.J] = NewBlock(rangeInts(lo, hi), ub.Cols)
-			}
-		}
-	}
-	// Scatter numeric entries of A.
-	for j := 0; j < a.Cols; j++ {
-		bj := s.Sym.SupOf[j]
-		for p := a.ColPtr[j]; p < a.ColPtr[j+1]; p++ {
-			i := a.RowInd[p]
-			bi := s.Sym.SupOf[i]
-			if !own(bi, bj) {
-				continue
-			}
-			b := blocks[bi*ns+bj]
-			if b == nil {
-				// A's pattern is contained in L+U's, so the block exists.
-				panic("dist: A entry outside the static block skeleton")
-			}
-			b.Set(i, j, a.Val[p])
-		}
-	}
-	return blocks
-}
 
 func rangeInts(lo, hi int) []int {
 	r := make([]int, hi-lo)

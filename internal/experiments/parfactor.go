@@ -9,7 +9,7 @@ import (
 	"gesp/internal/dist"
 	"gesp/internal/lu"
 	"gesp/internal/matgen"
-	"gesp/internal/superlu"
+	"gesp/internal/sched"
 )
 
 // ParFactorRow is one machine-readable measurement of a factorization
@@ -85,7 +85,7 @@ func ParallelFactorSweep(names []string, scale float64, workerCounts []int) ([]P
 			if w > maxW {
 				maxW = w
 			}
-			ns, err = minWall(reps, func() error { _, err := superlu.FactorizeParallel(ap, sym, opts, w); return err })
+			ns, err = minWall(reps, func() error { _, _, err := sched.Factorize(ap, sym, opts, w); return err })
 			if err != nil {
 				return nil, fmt.Errorf("experiments: %s workers=%d: %w", name, w, err)
 			}

@@ -1,22 +1,41 @@
-package superlu
+package lu
 
 import (
 	"math"
 	"math/rand"
 	"testing"
 
-	"gesp/internal/lu"
 	"gesp/internal/sparse"
 	"gesp/internal/symbolic"
 )
 
+// randomSystem builds a diagonally strong random matrix with its
+// symbolic structure (supernodes capped at 8 columns).
+func randomSystem(rng *rand.Rand, n int, density float64) (*sparse.CSC, *symbolic.Result) {
+	tr := sparse.NewTriplet(n, n)
+	for j := 0; j < n; j++ {
+		tr.Append(j, j, 4+rng.Float64())
+		for i := 0; i < n; i++ {
+			if i != j && rng.Float64() < density {
+				tr.Append(i, j, rng.NormFloat64()*0.5)
+			}
+		}
+	}
+	a := tr.ToCSC()
+	sym, err := symbolic.Factorize(a, symbolic.Options{MaxSuper: 8})
+	if err != nil {
+		panic(err)
+	}
+	return a, sym
+}
+
 // plainLoopFactorize is the left-looking GESP factorization written
 // with plain loops only — no internal/kernels call — as the engine-level
-// oracle for lu.Factorize (tiny pivots replaced at sqrt(eps)·‖A‖₁).
-func plainLoopFactorize(a *sparse.CSC, sym *symbolic.Result) *lu.Factors {
+// oracle for Factorize (tiny pivots replaced at sqrt(eps)·‖A‖₁).
+func plainLoopFactorize(a *sparse.CSC, sym *symbolic.Result) *Factors {
 	n := sym.N
-	thresh := math.Sqrt(lu.Eps) * a.Norm1()
-	f := &lu.Factors{Sym: sym, LVal: make([]float64, sym.NnzL()), UVal: make([]float64, sym.NnzU())}
+	thresh := math.Sqrt(Eps) * a.Norm1()
+	f := &Factors{Sym: sym, LVal: make([]float64, sym.NnzL()), UVal: make([]float64, sym.NnzU())}
 	w := make([]float64, n)
 	for j := 0; j < n; j++ {
 		for k := a.ColPtr[j]; k < a.ColPtr[j+1]; k++ {
@@ -55,7 +74,7 @@ func plainLoopFactorize(a *sparse.CSC, sym *symbolic.Result) *lu.Factors {
 }
 
 // TestColumnFactorizeMatchesPlainLoop is the engine-level statement of
-// the kernels' bit-exactness contract: lu.Factorize, whose inner loop is
+// the kernels' bit-exactness contract: Factorize, whose inner loop is
 // kernels.SpAxpy, produces the bits of the plain-loop factorization.
 // (The blocked engine's counterpart — FactorizeBlocked against the
 // 1-rank distributed worker — lives in internal/dist.)
@@ -64,12 +83,12 @@ func TestColumnFactorizeMatchesPlainLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	for trial := 0; trial < 4; trial++ {
 		a, sym := randomSystem(rng, 80+40*trial, 0.06)
-		col, err := lu.Factorize(a, sym, lu.Options{ReplaceTinyPivot: true})
+		col, err := Factorize(a, sym, Options{ReplaceTinyPivot: true})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got, want := col.Fingerprint(), plainLoopFactorize(a, sym).Fingerprint(); got != want {
-			t.Errorf("trial %d: lu.Factorize fingerprint %x, plain loop %x", trial, got, want)
+			t.Errorf("trial %d: Factorize fingerprint %x, plain loop %x", trial, got, want)
 		}
 	}
 }
@@ -80,7 +99,7 @@ func TestSolveMultiMatchesSolve(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(48))
 	a, sym := randomSystem(rng, 120, 0.06)
-	f, err := Factorize(a, sym, lu.Options{ReplaceTinyPivot: true})
+	f, err := Factorize(a, sym, Options{ReplaceTinyPivot: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,10 +27,7 @@ func FactorizeDenseTail(a *sparse.CSC, sym *symbolic.Result, opts Options, tailD
 		return nil, 0, fmt.Errorf("lu: matrix is %dx%d, symbolic structure is for n=%d", a.Rows, a.Cols, n)
 	}
 	tail := denseTailStart(sym, tailDensity)
-	thresh := opts.Threshold
-	if thresh == 0 {
-		thresh = math.Sqrt(Eps) * a.Norm1()
-	}
+	thresh := TinyPivotThreshold(a.Norm1(), opts.Threshold)
 	f := &Factors{
 		Sym:     sym,
 		LVal:    make([]float64, sym.NnzL()),

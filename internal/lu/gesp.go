@@ -21,6 +21,16 @@ import (
 // paper's experiments.
 const Eps = 2.220446049250313e-16
 
+// TinyPivotThreshold is step (3)'s replacement threshold, shared by every
+// engine: override (an Options.Threshold) when nonzero, otherwise the
+// paper's sqrt(eps)·‖A‖₁ from the matrix 1-norm.
+func TinyPivotThreshold(norm1, override float64) float64 {
+	if override != 0 {
+		return override
+	}
+	return math.Sqrt(Eps) * norm1
+}
+
 // ErrZeroPivot is returned when elimination meets an exactly zero pivot
 // and tiny-pivot replacement is disabled — the failure mode of plain
 // no-pivoting Gaussian elimination on 27 of the paper's 53 matrices.
@@ -92,10 +102,7 @@ func Factorize(a *sparse.CSC, sym *symbolic.Result, opts Options) (*Factors, err
 	if a.Rows != n || a.Cols != n {
 		return nil, fmt.Errorf("lu: matrix is %dx%d, symbolic structure is for n=%d", a.Rows, a.Cols, n)
 	}
-	thresh := opts.Threshold
-	if thresh == 0 {
-		thresh = math.Sqrt(Eps) * a.Norm1()
-	}
+	thresh := TinyPivotThreshold(a.Norm1(), opts.Threshold)
 	f := &Factors{
 		Sym:     sym,
 		LVal:    make([]float64, sym.NnzL()),

@@ -17,8 +17,8 @@ import (
 	"gesp/internal/matgen"
 	"gesp/internal/ordering"
 	"gesp/internal/refine"
+	"gesp/internal/sched"
 	"gesp/internal/serve"
-	"gesp/internal/superlu"
 	"gesp/internal/symbolic"
 )
 
@@ -132,10 +132,10 @@ func Run(scale float64, quick bool) (*File, error) {
 			fn: checked(func() error { _, err := lu.Factorize(ap, sym, opts); return err })},
 		bench{name: "engine/blocked-serial/" + Matrix, class: "engine", hot: true,
 			flops: engFlops, iters: 1,
-			fn: checked(func() error { _, err := superlu.Factorize(ap, sym, opts); return err })},
+			fn: checked(func() error { _, _, err := dist.FactorizeBlocked(ap, sym, opts); return err })},
 		bench{name: "engine/dag-parallel/" + Matrix, class: "engine", hot: false,
 			flops: engFlops, iters: 1,
-			fn: checked(func() error { _, err := superlu.FactorizeParallel(ap, sym, opts, 0); return err })},
+			fn: checked(func() error { _, _, err := sched.Factorize(ap, sym, opts, 0); return err })},
 	)
 
 	// Fleet routing: the consistent-hash lookup sits on every routed

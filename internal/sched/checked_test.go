@@ -38,7 +38,7 @@ func buildTestGraph(t *testing.T) *graph {
 		t.Fatal(err)
 	}
 	st := dist.BuildStructure(sym)
-	grid := dist.NewGrid(st)
+	grid := dist.NewGrid(st, nil)
 	grid.Scatter(a)
 	return buildGraph(st, grid, sym)
 }

@@ -33,7 +33,6 @@ package sched
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -271,15 +270,12 @@ func Factorize(a *sparse.CSC, sym *symbolic.Result, opts lu.Options, workers int
 		workers = runtime.GOMAXPROCS(0)
 	}
 	st := dist.BuildStructure(sym)
-	grid := dist.NewGrid(st)
+	grid := dist.NewGrid(st, nil)
 	grid.Scatter(a)
 	if st.N == 0 {
 		return grid, 0, nil
 	}
-	thresh := opts.Threshold
-	if thresh == 0 {
-		thresh = math.Sqrt(lu.Eps) * a.Norm1()
-	}
+	thresh := lu.TinyPivotThreshold(a.Norm1(), opts.Threshold)
 	g := buildGraph(st, grid, sym)
 
 	// The queue is buffered to hold every task, so sends never block and

@@ -10,11 +10,22 @@ import (
 	"gesp/internal/matgen"
 	"gesp/internal/sched"
 	"gesp/internal/sparse"
-	"gesp/internal/superlu"
 	"gesp/internal/symbolic"
 )
 
 var workerSweep = []int{1, 2, 4, 8}
+
+// factorizeParallel runs the DAG-scheduled engine and gathers its
+// blocks into column-format factors, as core does.
+func factorizeParallel(a *sparse.CSC, sym *symbolic.Result, opts lu.Options, workers int) (*lu.Factors, error) {
+	g, tiny, err := sched.Factorize(a, sym, opts, workers)
+	if err != nil {
+		return nil, err
+	}
+	f := g.Factors(a)
+	f.TinyPivots = tiny
+	return f, nil
+}
 
 // maxAbsFactors returns the largest magnitude over both factor arrays,
 // the scale for componentwise comparisons.
@@ -82,7 +93,7 @@ func TestParallelMatchesScalarOnTestbed(t *testing.T) {
 			t.Fatalf("%s: scalar reference: %v", name, err)
 		}
 		for _, w := range workerSweep {
-			got, err := superlu.FactorizeParallel(ap, sym, opts, w)
+			got, err := factorizeParallel(ap, sym, opts, w)
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", name, w, err)
 			}
@@ -130,7 +141,7 @@ func TestParallelSmallRace(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, w := range []int{2, 4} {
-			got, err := superlu.FactorizeParallel(a, sym, opts, w)
+			got, err := factorizeParallel(a, sym, opts, w)
 			if err != nil {
 				t.Fatalf("trial %d workers=%d: %v", trial, w, err)
 			}
@@ -166,11 +177,11 @@ func TestZeroPivotPropagates(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, w := range []int{1, 4} {
-		if _, err := superlu.FactorizeParallel(a, sym, lu.Options{}, w); err == nil {
+		if _, err := factorizeParallel(a, sym, lu.Options{}, w); err == nil {
 			t.Errorf("workers=%d: zero pivot accepted without replacement", w)
 		}
 	}
-	f, err := superlu.FactorizeParallel(a, sym, lu.Options{ReplaceTinyPivot: true}, 2)
+	f, err := factorizeParallel(a, sym, lu.Options{ReplaceTinyPivot: true}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,6 @@ package zsolver
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/cmplx"
 
 	"gesp/internal/core"
@@ -176,7 +175,7 @@ func New(a *zsparse.CSC, opts Options) (*Solver, error) {
 func (s *Solver) factorize() error {
 	sym, a := s.sym, s.ap
 	n := sym.N
-	thresh := math.Sqrt(lu.Eps) * a.Norm1()
+	thresh := lu.TinyPivotThreshold(a.Norm1(), 0)
 	s.lVal = make([]complex128, sym.NnzL())
 	s.uVal = make([]complex128, sym.NnzU())
 	w := make([]complex128, n)
