@@ -86,8 +86,8 @@ func main() {
 			log.Fatal(err)
 		}
 		st := s.Stats()
-		fmt.Printf("analysis : nnz(L+U)=%d flops=%d supernodes=%d (avg %.1f cols)\n",
-			st.NnzLU, st.Flops, st.NumSuper, st.AvgSuper)
+		fmt.Printf("analysis : nnz(L+U)=%d flops=%d supernodes=%d (avg %.1f cols, %.1f weighted by multiply-adds)\n",
+			st.NnzLU, st.Flops, st.NumSuper, st.AvgSuper, st.RunWidth)
 		fmt.Printf("grid     : %s (%d processors, simulated T3E-900)\n", res.Grid, *procs)
 		fmt.Printf("factor   : %.4fs simulated, %.0f Mflops, B=%.2f, comm=%.0f%%, %d msgs\n",
 			res.Factor.SimTime, res.Factor.Mflops, res.Factor.LoadBalance,
@@ -106,8 +106,8 @@ func main() {
 		log.Fatal(err)
 	}
 	st := s.Stats()
-	fmt.Printf("analysis : nnz(L+U)=%d flops=%d supernodes=%d (avg %.1f cols)\n",
-		st.NnzLU, st.Flops, st.NumSuper, st.AvgSuper)
+	fmt.Printf("analysis : nnz(L+U)=%d flops=%d supernodes=%d (avg %.1f cols, %.1f weighted by multiply-adds)\n",
+		st.NnzLU, st.Flops, st.NumSuper, st.AvgSuper, st.RunWidth)
 	fmt.Printf("pivoting : %d tiny pivots replaced, reciprocal growth %.2e\n", st.TinyPivots, st.RecipGrowth)
 	fmt.Printf("refine   : %d steps, berr=%.3e (converged=%v)\n", st.RefineSteps, st.Berr, st.Converged)
 	fmt.Printf("times    : rowperm=%v order=%v symbolic=%v factor=%v solve=%v refine=%v\n",

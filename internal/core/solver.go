@@ -141,6 +141,11 @@ type Stats struct {
 	DiagLogProd float64 // matching objective: sum log10 |diag|
 	NumSuper    int
 	AvgSuper    float64
+	// RunWidth is symbolic.Result.RunWidth: the supernode width weighted
+	// by the multiply-adds that run through it — the width the serial
+	// engine's fused column update works at, where AvgSuper counts the
+	// many single columns that carry almost no work.
+	RunWidth    float64
 	RecipGrowth float64
 	Times       StepTimes
 	// The last solve's refinement outcome. After SolveBatch these
@@ -303,6 +308,7 @@ func build(a *sparse.CSC, opts Options, numeric bool) (*Solver, error) {
 	s.stats.Flops = sym.Flops
 	s.stats.NumSuper = sym.NumSupernodes()
 	s.stats.AvgSuper = sym.AvgSupernode()
+	s.stats.RunWidth = sym.RunWidth
 
 	s.ap, s.sym = work, sym
 	if !numeric {
@@ -406,6 +412,7 @@ func NewWithSymbolic(a *sparse.CSC, donor *Solver) (*Solver, error) {
 	s.stats.Flops = s.sym.Flops
 	s.stats.NumSuper = s.sym.NumSupernodes()
 	s.stats.AvgSuper = s.sym.AvgSupernode()
+	s.stats.RunWidth = s.sym.RunWidth
 
 	// Rebuild the factored matrix Pc·Pr·DR·A·DC·Pcᵀ from the new values
 	// under the donor's transformations: pure data movement, no analysis.

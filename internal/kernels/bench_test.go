@@ -113,3 +113,28 @@ func BenchmarkSpAxpy(bb *testing.B) {
 		SpAxpy(w, ind, val, 0.5)
 	}
 }
+
+// BenchmarkSpAxpy4 applies a 24-column supernode with 192 rows below its
+// diagonal block to one accumulator, four columns per pass.
+func BenchmarkSpAxpy4(bb *testing.B) {
+	rng := rand.New(rand.NewSource(16))
+	const rows, cols = 192, 24
+	w := make([]float64, 4096)
+	ind := make([]int, rows)
+	for i := range ind {
+		ind[i] = i * 16
+	}
+	val := make([]float64, rows*cols)
+	for i := range val {
+		val[i] = rng.NormFloat64()
+	}
+	col := func(c int) []float64 { return val[c*rows : (c+1)*rows] }
+	bb.ReportAllocs()
+	bb.ResetTimer()
+	for i := 0; i < bb.N; i++ {
+		for c := 0; c < cols; c += 4 {
+			SpAxpy4(w, ind, col(c), col(c+1), col(c+2), col(c+3), 0.5, 0.25, -0.5, 0.125)
+		}
+	}
+	bb.ReportMetric(2*rows*cols*float64(bb.N)/bb.Elapsed().Seconds()/1e6, "Mflops")
+}

@@ -179,6 +179,99 @@ func TestSpAxpyGolden(t *testing.T) {
 	}
 }
 
+// fillSpecial is fill with about one element in six replaced by a value
+// the fused kernels must treat exactly as the plain loop does: -0, ±Inf,
+// NaN (one payload, so the result does not depend on which operand of a
+// product the hardware propagates).
+func (r *rng) fillSpecial(x []float64) {
+	specials := [...]float64{math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN()}
+	r.fill(x)
+	for i := range x {
+		if u := r.next(); u%6 == 0 {
+			x[i] = specials[(u/6)%uint64(len(specials))]
+		}
+	}
+}
+
+// supernodeRun lays out nc columns of one supernode as the factorization
+// stores them: column c holds nc-1-c diagonal-block values, then its m
+// values for the shared rows; end[c] is where column c stops.
+func supernodeRun(r *rng, nc, m int) (val []float64, end []int) {
+	end = make([]int, nc)
+	for c := range end {
+		val = append(val, make([]float64, nc-1-c+m)...)
+		end[c] = len(val)
+	}
+	r.fillSpecial(val)
+	return val, end
+}
+
+// checkSpAxpyCols compares the grouped kernel and, where the run is wide
+// enough, the two bodies with their plain-loop oracles on one supernode
+// run of nc columns over m shared rows.
+func checkSpAxpyCols(t *testing.T, r *rng, nc, m int) {
+	t.Helper()
+	const n = 80
+	ind := ascendingIndices(r, m, n)
+	val, end := supernodeRun(r, nc, len(ind))
+	u := make([]float64, nc)
+	r.fillSpecial(u) // zeros and -0 among them: the per-column fallback
+	col := func(c int) []float64 { return val[end[c]-len(ind) : end[c]] }
+	want := make([]float64, n)
+	r.fillSpecial(want)
+	got := make([]float64, n)
+
+	copy(got, want)
+	ref := append([]float64(nil), want...)
+	spAxpyColsScalar(ref, ind, val, end, u)
+	SpAxpyCols(got, ind, val, end, u)
+	if i, ok := bitsEqual(ref, got); !ok {
+		t.Fatalf("SpAxpyCols nc=%d m=%d: element %d differs: oracle %x kernel %x",
+			nc, m, i, math.Float64bits(ref[i]), math.Float64bits(got[i]))
+	}
+	// The run's diagonal block: its columns start where the shared rows
+	// of the previous column end.
+	start := append([]int{0}, end[:max(nc-1, 0)]...)
+	uRef, uGot := make([]float64, nc), make([]float64, nc)
+	copy(got, want)
+	ref = append(ref[:0], want...)
+	spTriColsScalar(ref[:nc], val, start, uRef)
+	SpTriCols(got[:nc], val, start, uGot)
+	if i, ok := bitsEqual(append(ref, uRef...), append(got, uGot...)); !ok {
+		t.Fatalf("SpTriCols nc=%d: element %d differs", nc, i)
+	}
+	if nc >= 4 {
+		copy(got, want)
+		ref = append(ref[:0], want...)
+		spAxpy4Scalar(ref, ind, col(0), col(1), col(2), col(3), u[0], u[1], u[2], u[3])
+		SpAxpy4(got, ind, col(0), col(1), col(2), col(3), u[0], u[1], u[2], u[3])
+		if i, ok := bitsEqual(ref, got); !ok {
+			t.Fatalf("SpAxpy4 m=%d: element %d differs", m, i)
+		}
+	}
+	if nc >= 2 {
+		copy(got, want)
+		ref = append(ref[:0], want...)
+		spAxpy2Scalar(ref, ind, col(0), col(1), u[0], u[1])
+		SpAxpy2(got, ind, col(0), col(1), u[0], u[1])
+		if i, ok := bitsEqual(ref, got); !ok {
+			t.Fatalf("SpAxpy2 m=%d: element %d differs", m, i)
+		}
+	}
+}
+
+func TestSpAxpyColsGolden(t *testing.T) {
+	t.Parallel()
+	r := &rng{s: 10}
+	for _, m := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 64} {
+		for _, nc := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 24} {
+			for rep := 0; rep < 4; rep++ {
+				checkSpAxpyCols(t, r, nc, m)
+			}
+		}
+	}
+}
+
 func TestSpDotSubGolden(t *testing.T) {
 	t.Parallel()
 	r := &rng{s: 6}
@@ -331,6 +424,11 @@ func TestKernelsZeroAlloc(t *testing.T) {
 	lptr, lind, lval := sparseTriangular(r, 32, true)
 	uptr, uind, uval := sparseTriangular(r, 32, false)
 	x := make([]float64, 32*8)
+	// Seven columns, one multiplier zero: the 4-column group falls back
+	// to single columns, the 2-column body and the odd column run.
+	run, runEnd := supernodeRun(r, 7, len(ind))
+	runU := []float64{0.5, 0, 0.25, 1, 2, -1, 0.125}
+	runStart := append([]int{0}, runEnd[:6]...)
 
 	allocs := testing.AllocsPerRun(10, func() {
 		MatMul(p, a, b, m, n, k)
@@ -338,6 +436,8 @@ func TestKernelsZeroAlloc(t *testing.T) {
 		TrsmLowerUnitLeft(p, m, n, d, m)
 		Rank1Trailing(d, n, 3)
 		SpAxpy(w, ind, val, 0.5)
+		SpTriCols(w[:len(runU)], run, runStart, runU)
+		SpAxpyCols(w, ind, run, runEnd, runU)
 		_ = SpDotSub(1, ind, val, w)
 		r.fill(x)
 		SolveSparseLMulti(x, 32, 8, lptr, lind, lval)
@@ -356,5 +456,16 @@ func FuzzMatMulMatchesOracle(f *testing.F) {
 	f.Add(uint8(0), uint8(4), uint8(9), uint64(3))
 	f.Fuzz(func(t *testing.T, m, n, k uint8, seed uint64) {
 		checkMatMul(t, &rng{s: seed}, int(m)%41, int(n)%41, int(k)%41)
+	})
+}
+
+// FuzzSpAxpyColsMatchesOracle extends the golden grid of the fused column
+// kernels to arbitrary run widths (0..40), row counts (0..80) and seeds.
+func FuzzSpAxpyColsMatchesOracle(f *testing.F) {
+	f.Add(uint8(24), uint8(64), uint64(1))
+	f.Add(uint8(7), uint8(3), uint64(2))
+	f.Add(uint8(0), uint8(9), uint64(3))
+	f.Fuzz(func(t *testing.T, nc, m uint8, seed uint64) {
+		checkSpAxpyCols(t, &rng{s: seed}, int(nc)%41, int(m)%81)
 	})
 }

@@ -80,6 +80,45 @@ func spAxpyScalar(w []float64, ind []int, val []float64, alpha float64) {
 	}
 }
 
+// The fused column kernels against column-at-a-time plain loops: the
+// bodies apply every column (their callers own the zero test), the
+// grouped entry point skips a zero multiplier as the engine's loop does.
+
+func spAxpy4Scalar(w []float64, ind []int, v0, v1, v2, v3 []float64, u0, u1, u2, u3 float64) {
+	spAxpyScalar(w, ind, v0, u0)
+	spAxpyScalar(w, ind, v1, u1)
+	spAxpyScalar(w, ind, v2, u2)
+	spAxpyScalar(w, ind, v3, u3)
+}
+
+func spAxpy2Scalar(w []float64, ind []int, v0, v1 []float64, u0, u1 float64) {
+	spAxpyScalar(w, ind, v0, u0)
+	spAxpyScalar(w, ind, v1, u1)
+}
+
+// spTriColsScalar is the diagonal-block part of the column-by-column
+// loop: read the multiplier, skip a zero, apply the column's block rows.
+func spTriColsScalar(w, val []float64, start []int, u []float64) {
+	for c := range u {
+		u[c] = w[c]
+		if u[c] == 0 {
+			continue
+		}
+		for r := c + 1; r < len(u); r++ {
+			w[r] -= val[start[c]+r-c-1] * u[c]
+		}
+	}
+}
+
+func spAxpyColsScalar(w []float64, ind []int, val []float64, end []int, u []float64) {
+	for c, uc := range u {
+		if uc == 0 {
+			continue
+		}
+		spAxpyScalar(w, ind, val[end[c]-len(ind):end[c]], uc)
+	}
+}
+
 func spDotSubScalar(s float64, ind []int, val []float64, x []float64) float64 {
 	for q, i := range ind {
 		s -= val[q] * x[i]

@@ -28,6 +28,123 @@ func SpAxpy(w []float64, ind []int, val []float64, alpha float64) {
 	}
 }
 
+// SpTriCols carries the working column through the diagonal block of a
+// supernode run: w holds the run's len(u) rows, column c of the block is
+// the len(u)-1-c values of val from start[c] (unit lower triangular; in a
+// column-compressed L with the block's rows first in every column, start
+// is a window of the column pointers), and on return u[c] is the
+// multiplier of column c — w[c] once columns 0..c-1 have been applied —
+// with the u[c] == 0 skip of the column-by-column loop. Out of line for
+// SpAxpy4's reason: inlined into the factorization's column update its
+// short loops ran on spilled registers (11 % of a mesh factorization).
+//
+//gesp:hotpath
+//go:noinline
+func SpTriCols(w, val []float64, start []int, u []float64) {
+	w, start = w[:len(u)], start[:len(u)]
+	for c := range u {
+		uc := w[c]
+		u[c] = uc
+		if uc == 0 {
+			continue
+		}
+		wb := w[c+1:]
+		col := val[start[c]:][:len(wb)]
+		for t := range wb {
+			wb[t] -= col[t] * uc
+		}
+	}
+}
+
+// SpAxpyCols applies len(u) sparse columns that share the index list ind
+// — a run of columns of one supernode, below its diagonal block — to w:
+// w[ind[q]] -= val_c[q]·u[c] for c ascending, where column c's values are
+// the len(ind) entries of val that end at end[c] (in a column-compressed
+// L with the supernode's rows ind last in every column, end is a window
+// of the column pointers). Columns go four at a time through SpAxpy4,
+// then two through SpAxpy2, then one through SpAxpy. The u[c] == 0 skip
+// of the column-by-column loop stays exact the way SolveSparseLMulti
+// keeps it: a group is fused only when all its multipliers are nonzero,
+// otherwise its columns are applied alone, each with the skip.
+//
+//gesp:hotpath
+func SpAxpyCols(w []float64, ind []int, val []float64, end []int, u []float64) {
+	m := len(ind)
+	end = end[:len(u)]
+	c := 0
+	for ; c+4 <= len(u); c += 4 {
+		v0, v1 := val[end[c]-m:end[c]], val[end[c+1]-m:end[c+1]]
+		v2, v3 := val[end[c+2]-m:end[c+2]], val[end[c+3]-m:end[c+3]]
+		if u[c] != 0 && u[c+1] != 0 && u[c+2] != 0 && u[c+3] != 0 {
+			SpAxpy4(w, ind, v0, v1, v2, v3, u[c], u[c+1], u[c+2], u[c+3])
+			continue
+		}
+		spAxpySkip(w, ind, v0, u[c])
+		spAxpySkip(w, ind, v1, u[c+1])
+		spAxpySkip(w, ind, v2, u[c+2])
+		spAxpySkip(w, ind, v3, u[c+3])
+	}
+	if c+2 <= len(u) {
+		v0, v1 := val[end[c]-m:end[c]], val[end[c+1]-m:end[c+1]]
+		if u[c] != 0 && u[c+1] != 0 {
+			SpAxpy2(w, ind, v0, v1, u[c], u[c+1])
+		} else {
+			spAxpySkip(w, ind, v0, u[c])
+			spAxpySkip(w, ind, v1, u[c+1])
+		}
+		c += 2
+	}
+	if c < len(u) {
+		spAxpySkip(w, ind, val[end[c]-m:end[c]], u[c])
+	}
+}
+
+// spAxpySkip is SpAxpy behind the alpha == 0 skip.
+//
+//gesp:hotpath
+func spAxpySkip(w []float64, ind []int, val []float64, alpha float64) {
+	if alpha != 0 {
+		SpAxpy(w, ind, val, alpha)
+	}
+}
+
+// SpAxpy4 is the four-column body of SpAxpyCols: per row one index load,
+// one gather and one scatter of w for four multiply-adds. Each w[i] sees
+// the subtractions v0·u0, v1·u1, v2·u2, v3·u3 in that order, each product
+// rounded before it is subtracted (no fused multiply-add), so the result
+// is bit for bit that of four SpAxpy calls in column order. It is kept
+// out of line: inlined into a caller as large as the factorization's
+// column update the loop spills its index and column bases to the stack
+// and runs at half the speed.
+//
+//gesp:hotpath
+//go:noinline
+func SpAxpy4(w []float64, ind []int, v0, v1, v2, v3 []float64, u0, u1, u2, u3 float64) {
+	v0, v1, v2, v3 = v0[:len(ind)], v1[:len(ind)], v2[:len(ind)], v3[:len(ind)]
+	for q, i := range ind {
+		t := w[i]
+		t -= v0[q] * u0
+		t -= v1[q] * u1
+		t -= v2[q] * u2
+		t -= v3[q] * u3
+		w[i] = t
+	}
+}
+
+// SpAxpy2 is the two-column body, for the remainder of a run.
+//
+//gesp:hotpath
+//go:noinline
+func SpAxpy2(w []float64, ind []int, v0, v1 []float64, u0, u1 float64) {
+	v0, v1 = v0[:len(ind)], v1[:len(ind)]
+	for q, i := range ind {
+		t := w[i]
+		t -= v0[q] * u0
+		t -= v1[q] * u1
+		w[i] = t
+	}
+}
+
 // SpDotSub folds one sparse column into a running scalar:
 // s -= Σ_q val[q]·x[ind[q]], accumulated strictly in ascending q with a
 // single accumulator (the transpose-solve contract — the sum order is

@@ -3,6 +3,7 @@ package lu
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"gesp/internal/sparse"
@@ -53,16 +54,29 @@ func TestDenseTailMatchesSparseFactorization(t *testing.T) {
 		if tail >= n {
 			t.Fatalf("trial %d: dense tail never triggered (n=%d)", trial, n)
 		}
-		// Factor values must agree to round-off.
+		// The head columns, and the head rows of U in the tail columns,
+		// come from the one column step both entry points share: the same
+		// bits. The dense tail block eliminates right-looking and agrees
+		// to round-off.
 		scale := a.MaxAbs()
-		for q := range fSparse.LVal {
-			if d := math.Abs(fSparse.LVal[q] - fTail.LVal[q]); d > 1e-9*scale {
-				t.Fatalf("trial %d: L values diverge by %g at %d", trial, d, q)
+		for j := 0; j < n; j++ {
+			for q := sym.LPtr[j]; q < sym.LPtr[j+1]; q++ {
+				s, d := fSparse.LVal[q], fTail.LVal[q]
+				if j < tail && math.Float64bits(s) != math.Float64bits(d) {
+					t.Fatalf("trial %d: head L(%d,%d) = %x, Factorize %x", trial, sym.LInd[q], j, math.Float64bits(d), math.Float64bits(s))
+				}
+				if math.Abs(s-d) > 1e-9*scale {
+					t.Fatalf("trial %d: L values diverge by %g at %d", trial, math.Abs(s-d), q)
+				}
 			}
-		}
-		for p := range fSparse.UVal {
-			if d := math.Abs(fSparse.UVal[p] - fTail.UVal[p]); d > 1e-9*scale {
-				t.Fatalf("trial %d: U values diverge by %g at %d", trial, d, p)
+			for p := sym.UPtr[j]; p < sym.UPtr[j+1]; p++ {
+				s, d := fSparse.UVal[p], fTail.UVal[p]
+				if sym.UInd[p] < tail && math.Float64bits(s) != math.Float64bits(d) {
+					t.Fatalf("trial %d: head U(%d,%d) = %x, Factorize %x", trial, sym.UInd[p], j, math.Float64bits(d), math.Float64bits(s))
+				}
+				if math.Abs(s-d) > 1e-9*scale {
+					t.Fatalf("trial %d: U values diverge by %g at %d", trial, math.Abs(s-d), p)
+				}
 			}
 		}
 		// And the solve must work.
@@ -121,5 +135,36 @@ func TestDenseTailZeroPivotPolicy(t *testing.T) {
 	}
 	if f.TinyPivots == 0 {
 		t.Error("no tiny pivots recorded")
+	}
+}
+
+// TestDenseTailSharedSymbolic factors through one symbolic.Result from
+// several goroutines, as NewWithSymbolic's callers do: the structure is
+// read-only to every engine (the race detector is the assertion).
+func TestDenseTailSharedSymbolic(t *testing.T) {
+	a := arrowToDense(rand.New(rand.NewSource(92)), 80, 14)
+	sym, err := symbolic.Factorize(a, symbolic.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	fps := make([]uint64, 4)
+	for g := range fps {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			f, _, err := FactorizeDenseTail(a, sym, Options{ReplaceTinyPivot: true}, 0.6)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			fps[g] = f.Fingerprint()
+		}()
+	}
+	wg.Wait()
+	for g, fp := range fps {
+		if fp != fps[0] {
+			t.Errorf("goroutine %d: fingerprint %x, goroutine 0 %x", g, fp, fps[0])
+		}
 	}
 }

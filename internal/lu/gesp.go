@@ -2,9 +2,23 @@
 // the static-pivoting left-looking factorization (step (3) of the paper's
 // algorithm, including tiny-pivot replacement), a Gilbert–Peierls partial
 // pivoting factorization used as the accuracy baseline (the paper's
-// Figure 4 compares GESP against GEPP as implemented in SuperLU), a
-// blocked right-looking variant sharing the distributed algorithm's
-// structure, and the triangular solves.
+// Figure 4 compares GESP against GEPP as implemented in SuperLU), the §5
+// dense-tail variant, and the triangular solves.
+//
+// The left-looking factorization is column by column with
+// supernode-column updates: one column step (Factors.step), shared by
+// Factorize and FactorizeDenseTail, applies the columns of L that
+// U(:,j) names, and takes those that lie in one exact supernode as a
+// unit — the rows below the supernode's diagonal block share one index
+// list, so four columns are applied per gather and scatter of the
+// working column (kernels.SpAxpyCols). Every element still receives its
+// subtractions one rounded product at a time in ascending column order,
+// and a zero multiplier is still skipped, so the factors carry the bits
+// of the plain one-column-at-a-time loop (the test oracle
+// plainLoopFactorize). Single columns, supernodes that relaxation merged
+// while merely nested, and structures without the exactness marks take
+// the one-column path; nothing selects or tunes this but the
+// symbolic.Result.
 package lu
 
 import (
@@ -98,82 +112,139 @@ type Factors struct {
 // and scaled) using the static structure sym. It fails only on an exactly
 // zero pivot with replacement disabled.
 func Factorize(a *sparse.CSC, sym *symbolic.Result, opts Options) (*Factors, error) {
+	f, w, thresh, err := newFactors(a, sym, opts)
+	if err != nil {
+		return nil, err
+	}
+	for j := 0; j < sym.N; j++ {
+		if err := f.step(a, j, w, thresh, opts); err != nil {
+			return nil, err
+		}
+	}
+	return f, nil
+}
+
+// newFactors allocates the factor storage for a in the structure sym,
+// the sparse accumulator, and fixes the tiny-pivot threshold.
+func newFactors(a *sparse.CSC, sym *symbolic.Result, opts Options) (*Factors, []float64, float64, error) {
 	n := sym.N
 	if a.Rows != n || a.Cols != n {
-		return nil, fmt.Errorf("lu: matrix is %dx%d, symbolic structure is for n=%d", a.Rows, a.Cols, n)
+		return nil, nil, 0, fmt.Errorf("lu: matrix is %dx%d, symbolic structure is for n=%d", a.Rows, a.Cols, n)
 	}
-	thresh := TinyPivotThreshold(a.Norm1(), opts.Threshold)
 	f := &Factors{
 		Sym:     sym,
 		LVal:    make([]float64, sym.NnzL()),
 		UVal:    make([]float64, sym.NnzU()),
 		ColAMax: make([]float64, n),
 	}
-	w := make([]float64, n) // sparse accumulator
+	return f, make([]float64, n), TinyPivotThreshold(a.Norm1(), opts.Threshold), nil
+}
 
-	for j := 0; j < n; j++ {
-		// Scatter A(:,j); record the column max for growth statistics.
-		cmax := 0.0
-		for k := a.ColPtr[j]; k < a.ColPtr[j+1]; k++ {
-			w[a.RowInd[k]] = a.Val[k]
-			if v := math.Abs(a.Val[k]); v > cmax {
-				cmax = v
-			}
-		}
-		f.ColAMax[j] = cmax
+// step is the left-looking column step, the only one in the package:
+// scatter A(:,j) into the accumulator w (all zero on entry and on
+// return), apply every earlier column of L that U(:,j) names, fix the
+// pivot, scale the strictly-lower part into L.
+func (f *Factors) step(a *sparse.CSC, j int, w []float64, thresh float64, opts Options) error {
+	sym := f.Sym
+	cmax := scatterColumn(a, j, w)
+	f.ColAMax[j] = cmax
+	f.update(j, j, w)
+	piv, err := f.pick(j, w[j], cmax, thresh, opts)
+	if err != nil {
+		return err
+	}
+	f.UVal[sym.UPtr[j+1]-1] = piv
+	for q := sym.LPtr[j]; q < sym.LPtr[j+1]; q++ {
+		f.LVal[q] = w[sym.LInd[q]] / piv
+	}
+	clearColumn(sym, j, w)
+	return nil
+}
 
-		// Left-looking updates: U rows ascending is a topological order.
-		// Each update is one sparse-column gather-scatter, the panel
-		// factor's hot loop, run through the shared kernel.
-		urows := sym.UColRows(j)
-		for p := sym.UPtr[j]; p < sym.UPtr[j+1]-1; p++ { // skip diagonal (last)
-			k := sym.UInd[p]
-			ukj := w[k]
-			f.UVal[p] = ukj
-			if ukj == 0 {
-				continue
-			}
-			lo, hi := sym.LPtr[k], sym.LPtr[k+1]
-			kernels.SpAxpy(w, sym.LInd[lo:hi], f.LVal[lo:hi], ukj)
+// update records U(k,j) = w[k] for the rows k < limit of U(:,j), in
+// ascending order (a topological order), and applies each column:
+// w -= L(:,k)·U(k,j). limit is j for a full step; the dense-tail variant
+// stops at its switch column.
+//
+// Rows that form a run k..e inside one exact supernode (sym.RunLast) are
+// taken as a unit, SuperLU's sup-col update. Inside the run's diagonal
+// block the columns go one by one (kernels.SpTriCols), which fixes every
+// U(kk,j); below row e the run's columns have one index list — column
+// e's — and kernels.SpAxpyCols applies them four (then two, then one) at
+// a time, one gather and one scatter of w per row instead of one per
+// multiply-add. Every w[i] still sees its subtractions one product at a
+// time in ascending column order, and a zero U(kk,j) is still skipped,
+// so the factors keep the bits of the column-by-column loop.
+//
+//gesp:hotpath
+func (f *Factors) update(j, limit int, w []float64) {
+	sym := f.Sym
+	lptr, lind, lval := sym.LPtr, sym.LInd, f.LVal
+	diag := sym.UPtr[j+1] - 1
+	for p := sym.UPtr[j]; p < diag; {
+		k := sym.UInd[p]
+		if k >= limit {
+			break
 		}
+		e := sym.RunLast(p, diag, limit)
+		u := f.UVal[p : p+(e-k)+1]
+		// Diagonal block: column kk reaches rows kk+1..e, its first e-kk
+		// entries (none when the run is a single column). This fixes
+		// every U(kk,j) of the run.
+		kernels.SpTriCols(w[k:e+1], lval, lptr[k:e+1], u)
+		// Below the block: the rows of L(:,e), whose values are the last
+		// entries of every column of the run. A single column goes
+		// through kernels.SpAxpy as it always did.
+		kernels.SpAxpyCols(w, lind[lptr[e]:lptr[e+1]], lval, lptr[k+1:e+2], u)
+		p += len(u)
+	}
+}
 
-		// Pivot with the static-pivoting fix.
-		piv := w[j]
-		if math.Abs(piv) < thresh {
-			if !opts.ReplaceTinyPivot {
-				if piv == 0 {
-					return nil, &ZeroPivotError{Col: j, Threshold: thresh}
-				}
-			} else {
-				repl := thresh
-				if opts.Aggressive && cmax > thresh {
-					repl = cmax
-				}
-				newPiv := math.Copysign(repl, piv)
-				if piv == 0 {
-					newPiv = repl
-				}
-				f.PivotMods = append(f.PivotMods, PivotMod{Col: j, Old: piv, New: newPiv})
-				f.TinyPivots++
-				piv = newPiv
-			}
+// pick applies step (3)'s tiny-pivot policy to the pivot of column col.
+func (f *Factors) pick(col int, piv, cmax, thresh float64, opts Options) (float64, error) {
+	if math.Abs(piv) >= thresh {
+		return piv, nil
+	}
+	if !opts.ReplaceTinyPivot {
+		if piv == 0 {
+			return 0, &ZeroPivotError{Col: col, Threshold: thresh}
 		}
-		f.UVal[sym.UPtr[j+1]-1] = piv
+		return piv, nil
+	}
+	repl := thresh
+	if opts.Aggressive && cmax > thresh {
+		repl = cmax
+	}
+	newPiv := math.Copysign(repl, piv)
+	if piv == 0 {
+		newPiv = repl
+	}
+	f.PivotMods = append(f.PivotMods, PivotMod{Col: col, Old: piv, New: newPiv})
+	f.TinyPivots++
+	return newPiv, nil
+}
 
-		// Scale the strictly-lower part into L.
-		for q := sym.LPtr[j]; q < sym.LPtr[j+1]; q++ {
-			f.LVal[q] = w[sym.LInd[q]] / piv
-		}
-
-		// Clear the accumulator along the column pattern.
-		for _, i := range urows {
-			w[i] = 0
-		}
-		for q := sym.LPtr[j]; q < sym.LPtr[j+1]; q++ {
-			w[sym.LInd[q]] = 0
+// scatterColumn copies A(:,j) into the accumulator and returns its
+// largest magnitude, kept for the growth statistics.
+func scatterColumn(a *sparse.CSC, j int, w []float64) float64 {
+	cmax := 0.0
+	for k := a.ColPtr[j]; k < a.ColPtr[j+1]; k++ {
+		w[a.RowInd[k]] = a.Val[k]
+		if v := math.Abs(a.Val[k]); v > cmax {
+			cmax = v
 		}
 	}
-	return f, nil
+	return cmax
+}
+
+// clearColumn zeroes the accumulator along the pattern of column j.
+func clearColumn(sym *symbolic.Result, j int, w []float64) {
+	for _, i := range sym.UColRows(j) {
+		w[i] = 0
+	}
+	for _, i := range sym.LColRows(j) {
+		w[i] = 0
+	}
 }
 
 // SolveL overwrites x with L⁻¹x (forward substitution, implied unit

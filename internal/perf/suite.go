@@ -245,6 +245,22 @@ func kernelBenches() ([]bench, error) {
 	}
 	val := randSlice(rng, len(ind))
 
+	// One supernode run as lu.Factorize applies it: 24 columns stored as
+	// the factors store them (diagonal-block entries, then the 192 rows
+	// the columns share), all multipliers nonzero — six passes of the
+	// four-column body.
+	runInd := ind[:mm]
+	var runVal []float64
+	runEnd := make([]int, kk)
+	for c := range runEnd {
+		runVal = append(runVal, randSlice(rng, kk-1-c+mm)...)
+		runEnd[c] = len(runVal)
+	}
+	runU := make([]float64, kk)
+	for c := range runU {
+		runU[c] = 0.5 + rng.Float64()
+	}
+
 	// A dist block pair for the full Schur-update path.
 	rows := make([]int, mm)
 	for i := range rows {
@@ -301,6 +317,13 @@ func kernelBenches() ([]bench, error) {
 			fn: func() {
 				for r := 0; r < 256; r++ {
 					kernels.SpAxpy(w, ind, val, 0.5)
+				}
+			}},
+		{name: fmt.Sprintf("kernel/spaxpy-cols/%dx%d", mm, kk), class: "kernel",
+			hot: true, measAll: true, flops: 2 * mm * kk, iters: 16,
+			fn: func() {
+				for r := 0; r < 16; r++ {
+					kernels.SpAxpyCols(w, runInd, runVal, runEnd, runU)
 				}
 			}},
 		{name: fmt.Sprintf("kernel/rankbupdate/%dx%dx%d", mm, nn, kk), class: "kernel",

@@ -48,12 +48,24 @@ type Result struct {
 	// SupPtr[s] .. SupPtr[s+1]-1. SupOf maps a column to its supernode.
 	SupPtr []int
 	SupOf  []int
+	// SupExact[s] reports that supernode s is an exact (T2) supernode:
+	// every column's pattern is the previous one's minus its leading row,
+	// so column kk holds rows kk+1..last followed by the last column's
+	// rows. Relaxed supernodes (Options.Relax) that are merely nested are
+	// not exact. The serial engine fuses column updates only inside exact
+	// supernodes (RunLast).
+	SupExact []bool
 	// Flops counts the multiply-add and divide operations of the numeric
 	// factorization that this structure implies.
 	Flops int64
-	// URowCount caches the strictly-upper entries per U row; computed
-	// lazily by consumers that sweep trailing blocks (dense-tail switch).
-	URowCount []int
+	// RunWidth is the multiply-add-weighted width of the supernode runs
+	// of a left-looking factorization: each multiply-add L(i,k)·U(k,j)
+	// counts with the number of U(:,j) rows that share k's run (RunLast).
+	// RunShare splits the multiply-adds by that width: runs of one
+	// column, of 2–3, of 4 or more. This, not the unweighted
+	// AvgSupernode, says how much of the work is in kernel-shaped pieces.
+	RunWidth float64
+	RunShare [3]float64
 }
 
 // NnzL reports the number of stored strictly-lower entries of L.
@@ -232,11 +244,50 @@ func (r *Result) buildSupernodes(maxSuper, relax int) {
 		}
 	}
 	r.SupPtr = append(r.SupPtr, n)
-	for s := 0; s+1 < len(r.SupPtr); s++ {
+	// sameSupernode established that consecutive columns are nested with
+	// a dense diagonal block, so they are identical below it exactly when
+	// each column is one row shorter than the one before.
+	r.SupExact = make([]bool, len(r.SupPtr)-1)
+	for s := range r.SupExact {
+		exact := true
 		for j := r.SupPtr[s]; j < r.SupPtr[s+1]; j++ {
 			r.SupOf[j] = s
+			if j > r.SupPtr[s] && r.LPtr[j+1]-r.LPtr[j] != r.LPtr[j]-r.LPtr[j-1]-1 {
+				exact = false
+			}
 		}
+		r.SupExact[s] = exact
 	}
+}
+
+// RunLast returns the last row e of the supernode run of U(:,j) that
+// starts at position p of UInd (row k = UInd[p] < limit; diag is the
+// position of U(:,j)'s diagonal): the rows k..e of k's supernode below
+// limit, all present in U(:,j) and contiguous in UInd because the static
+// fill is closed (U(k,j) ≠ 0 and the dense diagonal block L(k+1..e,k)
+// fill U(k+1..e,j)). The run's columns of L then share one index list
+// below row e — column e's — and column kk's values for it are the last
+// LPtr[e+1]−LPtr[e] entries of that column. A supernode that is not
+// exact, or a pattern that does not show the run, gives e = k.
+//
+//gesp:hotpath
+func (r *Result) RunLast(p, diag, limit int) int {
+	k := r.UInd[p]
+	if p+1 >= diag || r.UInd[p+1] != k+1 {
+		return k // no second row: decided without touching the partition
+	}
+	s := r.SupOf[k]
+	if s >= len(r.SupExact) || !r.SupExact[s] {
+		return k
+	}
+	e := r.SupPtr[s+1] - 1
+	if e >= limit {
+		e = limit - 1
+	}
+	if q := p + (e - k); q >= diag || r.UInd[q] != e {
+		return k
+	}
+	return e
 }
 
 // sameSupernode reports whether column j extends the supernode ending at
@@ -278,25 +329,41 @@ func (r *Result) sameSupernode(jm1, j, relax int) bool {
 }
 
 // countFlops tallies the floating-point operations of the numeric
-// factorization: for each pivot column k, one division per strictly-lower
-// entry and a multiply-add pair per (L(i,k), U(k,j)) product.
+// factorization — one division per strictly-lower entry and a
+// multiply-add pair per (L(i,k), U(k,j)) product — walking U(:,j) run by
+// run as the left-looking engine does, which also yields the run-width
+// statistics.
 func (r *Result) countFlops() {
-	n := r.N
-	urow := make([]int64, n) // off-diagonal entries in row k of U
-	for j := 0; j < n; j++ {
-		for p := r.UPtr[j]; p < r.UPtr[j+1]; p++ {
-			if k := r.UInd[p]; k != j {
-				urow[k]++
+	var divs, madds, weighted int64
+	var byWidth [3]int64 // multiply-adds in runs of 1, 2–3, ≥ 4 columns
+	for j := 0; j < r.N; j++ {
+		divs += int64(r.LPtr[j+1] - r.LPtr[j])
+		diag := r.UPtr[j+1] - 1
+		for p := r.UPtr[j]; p < diag; {
+			k := r.UInd[p]
+			e := r.RunLast(p, diag, j)
+			m := int64(r.LPtr[e+1] - r.LPtr[k]) // all of L(:,k..e)
+			width := e - k + 1
+			madds += m
+			weighted += m * int64(width)
+			switch {
+			case width >= 4:
+				byWidth[2] += m
+			case width >= 2:
+				byWidth[1] += m
+			default:
+				byWidth[0] += m
 			}
+			p += width
 		}
 	}
-	var flops int64
-	for k := 0; k < n; k++ {
-		lcnt := int64(r.LPtr[k+1] - r.LPtr[k])
-		flops += lcnt               // divisions
-		flops += 2 * lcnt * urow[k] // outer-product multiply-adds
+	r.Flops = divs + 2*madds
+	if madds > 0 {
+		r.RunWidth = float64(weighted) / float64(madds)
+		for b, m := range byWidth {
+			r.RunShare[b] = float64(m) / float64(madds)
+		}
 	}
-	r.Flops = flops
 }
 
 // SupEtree returns the supernodal elimination forest: the parent of

@@ -325,3 +325,77 @@ func TestRelaxedSupernodesStillFactorCorrectly(t *testing.T) {
 	}
 	t.Logf("supernodes: strict=%d relaxed=%d", strict.NumSupernodes(), relaxed.NumSupernodes())
 }
+
+// TestRunStatistics checks Flops and the supernode-run statistics
+// against a count made pair by pair from the patterns: a multiply-add
+// L(i,k)·U(k,j) has the width of the rows of U(:,j) that share k's exact
+// supernode (1 when the supernode is merely nested).
+func TestRunStatistics(t *testing.T) {
+	rng := rand.New(rand.NewSource(52))
+	for trial := 0; trial < 12; trial++ {
+		a := randomSquare(rng, 30+10*trial, 0.08)
+		r, err := Factorize(a, Options{MaxSuper: []int{1, 3, 8, 24}[trial%4], Relax: 4 * (trial % 2)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var flops, madds, weighted int64
+		var byWidth [3]int64
+		for j := 0; j < r.N; j++ {
+			flops += int64(len(r.LColRows(j)))
+			upper := r.UColRows(j)
+			upper = upper[:len(upper)-1]
+			for _, k := range upper {
+				width := 0
+				for _, k2 := range upper {
+					if k2 == k || (r.SupExact[r.SupOf[k]] && r.SupOf[k2] == r.SupOf[k]) {
+						width++
+					}
+				}
+				m := int64(len(r.LColRows(k)))
+				madds += m
+				weighted += m * int64(width)
+				switch {
+				case width >= 4:
+					byWidth[2] += m
+				case width >= 2:
+					byWidth[1] += m
+				default:
+					byWidth[0] += m
+				}
+			}
+		}
+		flops += 2 * madds
+		if r.Flops != flops {
+			t.Errorf("trial %d: Flops = %d, pairwise count %d", trial, r.Flops, flops)
+		}
+		if madds == 0 {
+			continue
+		}
+		near := func(got, want float64) bool { d := got - want; return d < 1e-12 && d > -1e-12 }
+		if want := float64(weighted) / float64(madds); !near(r.RunWidth, want) {
+			t.Errorf("trial %d: RunWidth = %g, pairwise %g", trial, r.RunWidth, want)
+		}
+		for b, m := range byWidth {
+			if want := float64(m) / float64(madds); !near(r.RunShare[b], want) {
+				t.Errorf("trial %d: RunShare[%d] = %g, pairwise %g", trial, b, r.RunShare[b], want)
+			}
+		}
+	}
+	// A tridiagonal matrix has no supernode wider than its last two
+	// columns: every multiply-add is a single-column update.
+	tr := sparse.NewTriplet(20, 20)
+	for i := 0; i < 20; i++ {
+		tr.Append(i, i, 2)
+		if i > 0 {
+			tr.Append(i, i-1, -1)
+			tr.Append(i-1, i, -1)
+		}
+	}
+	r, err := Factorize(tr.ToCSC(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.RunWidth != 1 || r.RunShare != [3]float64{1, 0, 0} {
+		t.Errorf("tridiagonal: RunWidth %g RunShare %v, want 1 and all single", r.RunWidth, r.RunShare)
+	}
+}
