@@ -17,20 +17,21 @@ vet:
 lint:
 	$(GO) run ./cmd/gesp-lint ./...
 
-# Race-check the concurrent engines: the DAG-scheduled shared-memory
-# factorization, the batch solve cut into one goroutine per block of
-# right-hand sides (core, over refine's blocked loop and lu's sweeps),
+# Race-check the concurrent engines: the statically scheduled parallel
+# factorization (lu's subtree-plus-pipeline column steps), the batch
+# solve cut into one goroutine per block of right-hand sides (core, over
+# refine's blocked loop and lu's sweeps),
 # the simulated MPI runtime, the distributed engine built on it, the
 # caching, batching solve service, the fleet router above it with its
 # policy primitives and HA control plane, and the shared micro-kernels
 # (read-only operand concurrency).
 race:
-	$(GO) test -race -short ./internal/sched/... ./internal/lu/... ./internal/core/... ./internal/refine/... ./internal/mpisim/... ./internal/dist/... ./internal/serve/... ./internal/fleet/... ./internal/fleetrpc/... ./internal/fleetha/... ./internal/kernels/...
+	$(GO) test -race -short ./internal/lu/... ./internal/core/... ./internal/refine/... ./internal/mpisim/... ./internal/dist/... ./internal/serve/... ./internal/fleet/... ./internal/fleetrpc/... ./internal/fleetha/... ./internal/kernels/...
 
 # Checked build: rerun the test suite with the gespcheck tag, which
 # re-validates every structural invariant (CSC columns, supernode
-# partitions, etree consistency, task-DAG acyclicity and dependency
-# counters) at the pipeline's phase boundaries.
+# partitions, etree consistency, the A+Aᵀ dependency tree and the
+# parallel schedule built on it) at the pipeline's phase boundaries.
 checktest:
 	$(GO) test -tags gespcheck ./internal/...
 

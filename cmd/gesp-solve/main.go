@@ -48,7 +48,7 @@ func main() {
 		extraPrec  = flag.Bool("extra-precision", false, "compensated residuals in refinement")
 		ord        = flag.String("ordering", defaultOrdering.String(), "fill-reducing ordering: "+strings.Join(ordering.MethodNames(), ", "))
 		ferr       = flag.Bool("ferr", false, "estimate the componentwise forward error bound (expensive)")
-		workers    = flag.Int("workers", 0, "shared-memory workers (0 = serial; >1 factors on the DAG-scheduled parallel engine and solves batches one block of right-hand sides per worker)")
+		workers    = flag.Int("workers", 0, "shared-memory workers (0 = serial; >1 runs the factorization's column steps on a static schedule over etree subtrees, -aggressive included, to the serial engine's bits, and solves batches one block of right-hand sides per worker)")
 	)
 	flag.Parse()
 

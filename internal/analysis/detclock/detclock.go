@@ -1,8 +1,7 @@
 // Package detclock forbids wall-clock reads and nondeterministic
 // randomness in the packages whose results are measured in the
 // simulator's virtual clock (internal/mpisim, internal/dist,
-// internal/sched, internal/faultsim, and the compute kernels in
-// internal/kernels). GESP's scaling tables are reported in simulated
+// internal/faultsim, and the compute kernels in internal/kernels). GESP's scaling tables are reported in simulated
 // seconds, which must be deterministic and machine-independent: a
 // time.Now or a globally-seeded math/rand call anywhere in those
 // engines silently turns a reproducible measurement into a flaky one.
@@ -25,7 +24,7 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "detclock",
 	Doc: "forbid wall-clock reads and unseeded math/rand in the deterministic " +
-		"simulation packages (mpisim, dist, sched, faultsim, kernels); opt out with //gesp:wallclock",
+		"simulation packages (mpisim, dist, faultsim, kernels); opt out with //gesp:wallclock",
 	Run: run,
 }
 
@@ -33,7 +32,7 @@ var Analyzer = &analysis.Analyzer{
 // engines. Matching on the final segment keeps the analyzer applicable
 // to both the real packages (gesp/internal/mpisim) and test fixtures.
 var scopedPackages = map[string]bool{
-	"mpisim": true, "dist": true, "sched": true, "faultsim": true, "kernels": true,
+	"mpisim": true, "dist": true, "faultsim": true, "kernels": true,
 }
 
 // wallFuncs are the time-package functions that read or schedule

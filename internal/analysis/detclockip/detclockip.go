@@ -1,6 +1,6 @@
 // Package detclockip is the interprocedural extension of detclock: the
-// deterministic simulation packages (mpisim, dist, sched, faultsim,
-// kernels) must not reach the host wall clock or the globally-seeded
+// deterministic simulation packages (mpisim, dist, faultsim, kernels)
+// must not reach the host wall clock or the globally-seeded
 // math/rand generator through *any* call chain, not just directly. The
 // intraprocedural detclock flags direct time.Now/rand.Intn sites inside
 // scoped packages; this analyzer propagates the taint bottom-up over
@@ -37,7 +37,7 @@ import (
 // Analyzer is the detclock-ip check.
 var Analyzer = &analysis.ProgramAnalyzer{
 	Name: "detclock-ip",
-	Doc: "forbid deterministic packages (mpisim, dist, sched, faultsim, kernels) from " +
+	Doc: "forbid deterministic packages (mpisim, dist, faultsim, kernels) from " +
 		"transitively reaching wall clocks, unseeded rand, or //gesp:wallclock functions " +
 		"except through justified waivers",
 	Run: run,
@@ -46,7 +46,7 @@ var Analyzer = &analysis.ProgramAnalyzer{
 // scopedPackages mirrors (and extends) detclock's scope: the final
 // import-path segments of the deterministic engines.
 var scopedPackages = map[string]bool{
-	"mpisim": true, "dist": true, "sched": true, "faultsim": true, "kernels": true,
+	"mpisim": true, "dist": true, "faultsim": true, "kernels": true,
 }
 
 // wallFuncs and seededCtors follow detclock's vocabulary.

@@ -8,5 +8,5 @@ import (
 )
 
 func TestFixtures(t *testing.T) {
-	analysistest.RunProgram(t, analysistest.TestData(), detclockip.Analyzer, "sched")
+	analysistest.RunProgram(t, analysistest.TestData(), detclockip.Analyzer, "faultsim")
 }

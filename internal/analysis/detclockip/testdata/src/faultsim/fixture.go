@@ -1,7 +1,7 @@
-// Package sched (a scoped name) exercises detclock-ip: transitive
+// Package faultsim (a scoped name) exercises detclock-ip: transitive
 // wall-clock and rand taint entering deterministic code, the sanctioned
 // //gesp:wallclock backstop mechanism, and waiver justification.
-package sched
+package faultsim
 
 import (
 	"time"
@@ -13,11 +13,11 @@ import (
 func Deterministic(x int) int { return clockutil.Pure(x) }
 
 func Leaky() int64 {
-	return clockutil.Stamp() // want `nondeterminism reaches deterministic function sched\.Leaky: sched\.Leaky → clockutil\.Stamp \(call at fixture\.go:\d+\) → time\.Now \(call at clockutil\.go:\d+\): calls time\.Now \(host wall clock\)`
+	return clockutil.Stamp() // want `nondeterminism reaches deterministic function faultsim\.Leaky: faultsim\.Leaky → clockutil\.Stamp \(call at fixture\.go:\d+\) → time\.Now \(call at clockutil\.go:\d+\): calls time\.Now \(host wall clock\)`
 }
 
 func UsesJitter() int {
-	return clockutil.Jitter() // want `sched\.UsesJitter → clockutil\.Jitter \(call at fixture\.go:\d+\) → math/rand\.Intn \(call at clockutil\.go:\d+\): calls rand\.Intn \(globally-seeded, nondeterministic\)`
+	return clockutil.Jitter() // want `faultsim\.UsesJitter → clockutil\.Jitter \(call at fixture\.go:\d+\) → math/rand\.Intn \(call at clockutil\.go:\d+\): calls rand\.Intn \(globally-seeded, nondeterministic\)`
 }
 
 // UsesSeeded stays silent: explicitly-seeded generators and their
@@ -37,7 +37,7 @@ func Direct() time.Time { return time.Now() }
 func Backstop() { time.Sleep(time.Millisecond) }
 
 func UsesBackstop() {
-	Backstop() // want `sched\.UsesBackstop → sched\.Backstop \(call at fixture\.go:\d+\): calls //gesp:wallclock function sched\.Backstop`
+	Backstop() // want `faultsim\.UsesBackstop → faultsim\.Backstop \(call at fixture\.go:\d+\): calls //gesp:wallclock function faultsim\.Backstop`
 }
 
 // WaivedBackstop stays silent: the call-site waiver carries a reason.
@@ -51,6 +51,6 @@ func BareWaived() {
 }
 
 //gesp:wallclock
-func BareAnnotated() { // want `//gesp:wallclock on sched\.BareAnnotated without justification`
+func BareAnnotated() { // want `//gesp:wallclock on faultsim\.BareAnnotated without justification`
 	time.Sleep(1)
 }

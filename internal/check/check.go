@@ -1,11 +1,12 @@
 // Package check is the runtime invariant layer of the static-pivot
 // pipeline: structural validators for the data structures whose
 // correctness the whole GESP premise rests on — CSC columns, supernode
-// partitions, elimination trees, and the scheduler's task DAG.
+// partitions, elimination trees, and the parallel factorization's
+// schedule.
 //
 // The validators themselves are ordinary functions, always compiled and
 // directly testable. What the gespcheck build tag controls is the
-// constant Enabled: call sites throughout sparse, symbolic and sched
+// constant Enabled: call sites throughout sparse, symbolic, dist and lu
 // guard their validation with
 //
 //	if check.Enabled {
@@ -64,42 +65,6 @@ func StrictlyIncreasingInBounds(name string, x []int, lo, hi int) error {
 			return fmt.Errorf("%s: unsorted or duplicate index %d at position %d", name, v, q)
 		}
 		prev = v
-	}
-	return nil
-}
-
-// AcyclicDAG verifies by Kahn's algorithm that the directed graph over
-// nodes 0..n-1 given by succs has no cycle: every node must be
-// processable once all its predecessors are.
-func AcyclicDAG(n int, succs func(int) []int) error {
-	indeg := make([]int, n)
-	for u := 0; u < n; u++ {
-		for _, v := range succs(u) {
-			if v < 0 || v >= n {
-				return fmt.Errorf("dag: successor %d of node %d out of range [0,%d)", v, u, n)
-			}
-			indeg[v]++
-		}
-	}
-	queue := make([]int, 0, n)
-	for u := 0; u < n; u++ {
-		if indeg[u] == 0 {
-			queue = append(queue, u)
-		}
-	}
-	processed := 0
-	for len(queue) > 0 {
-		u := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		processed++
-		for _, v := range succs(u) {
-			if indeg[v]--; indeg[v] == 0 {
-				queue = append(queue, v)
-			}
-		}
-	}
-	if processed != n {
-		return fmt.Errorf("dag: cycle detected (%d of %d nodes unreachable by topological order)", n-processed, n)
 	}
 	return nil
 }

@@ -42,25 +42,6 @@ func TestStrictlyIncreasingInBounds(t *testing.T) {
 	}
 }
 
-func TestAcyclicDAG(t *testing.T) {
-	chain := [][]int{{1}, {2}, {}}
-	if err := AcyclicDAG(3, func(u int) []int { return chain[u] }); err != nil {
-		t.Errorf("chain rejected: %v", err)
-	}
-	cycle := [][]int{{1}, {2}, {0}}
-	if err := AcyclicDAG(3, func(u int) []int { return cycle[u] }); err == nil {
-		t.Error("3-cycle accepted")
-	}
-	selfLoop := [][]int{{0}}
-	if err := AcyclicDAG(1, func(u int) []int { return selfLoop[u] }); err == nil {
-		t.Error("self-loop accepted")
-	}
-	bad := [][]int{{5}}
-	if err := AcyclicDAG(1, func(u int) []int { return bad[u] }); err == nil {
-		t.Error("out-of-range successor accepted")
-	}
-}
-
 func TestMust(t *testing.T) {
 	Must(nil) // must not panic
 	defer func() {

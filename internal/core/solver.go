@@ -31,7 +31,6 @@ import (
 	"gesp/internal/ordering"
 	"gesp/internal/refine"
 	"gesp/internal/resilience"
-	"gesp/internal/sched"
 	"gesp/internal/sparse"
 	"gesp/internal/symbolic"
 )
@@ -66,16 +65,17 @@ type Options struct {
 	// given slack (the paper's §5: "uniprocessor performance can also be
 	// improved by amalgamating small supernodes into large ones").
 	Relax int
-	// Workers sets the shared-memory parallelism of the factorization: 0
-	// (or 1) runs the serial scalar engine; >1 runs the DAG-scheduled
-	// supernodal factorization (sched.Factorize) on that many
-	// goroutines, and SolveBatch cuts a batch into up to that many
-	// contiguous blocks of right-hand sides, each swept and refined on
-	// its own goroutine. A single vector's solve and refinement are the
-	// same serial sweeps for every value, so for given factors no
-	// solution depends on it. AggressivePivot forces the serial engine
-	// regardless — the block kernels do not record the rank-one pivot
-	// perturbations SMW recovery needs.
+	// Workers sets the shared-memory parallelism: 0 (or 1) runs the
+	// left-looking factorization serially; >1 runs the same column steps
+	// on that many goroutines along a static schedule built once per
+	// analysis (lu.Schedule: independent subtrees of the A+Aᵀ
+	// elimination tree, then a shared pipeline over the columns above
+	// them), and SolveBatch cuts a batch into up to that many contiguous
+	// blocks of right-hand sides, each swept and refined on its own
+	// goroutine. Every column is computed by the same operations in the
+	// same order whatever the value, so the factors, the replaced
+	// pivots and their PivotMods (AggressivePivot's SMW recovery
+	// included), and every solution are bit for bit those of Workers=0.
 	Workers int
 	// Resilience, when non-nil, routes every Solve/SolveBatch through the
 	// escalation ladder of internal/resilience: plain GESP refinement
@@ -192,10 +192,11 @@ type Solver struct {
 	colMap []int     // original col -> col of the factored matrix
 	dR, dC []float64 // combined row/column scalings (nil = identity)
 
-	ap  *sparse.CSC // the matrix actually factored: Pc·Pr·DR·A·DC·Pcᵀ
-	sym *symbolic.Result
-	fac *lu.Factors
-	sys refine.System
+	ap    *sparse.CSC // the matrix actually factored: Pc·Pr·DR·A·DC·Pcᵀ
+	sym   *symbolic.Result
+	sched *lu.Schedule // Workers > 1 only; shared read-only with NewWithSymbolic
+	fac   *lu.Factors
+	sys   refine.System
 
 	// ladder is the escalation engine (nil unless Options.Resilience);
 	// it owns scratch, so Solve/SolveBatch with a ladder are not safe
@@ -311,6 +312,9 @@ func build(a *sparse.CSC, opts Options, numeric bool) (*Solver, error) {
 	s.stats.RunWidth = sym.RunWidth
 
 	s.ap, s.sym = work, sym
+	if opts.Workers > 1 {
+		s.sched = lu.NewSchedule(work, sym, opts.Workers)
+	}
 	if !numeric {
 		return s, nil
 	}
@@ -323,10 +327,9 @@ func build(a *sparse.CSC, opts Options, numeric bool) (*Solver, error) {
 // factorNumeric runs step (3) — the numeric factorization with static
 // pivoting — on s.ap using the static structure s.sym, and wires up the
 // triangular-solve system (the factors, or their SMW recovery) the same
-// way for the fresh-analysis and symbolic-reuse paths. Workers > 1
-// selects the DAG-scheduled shared-memory supernodal engine; the
-// aggressive-pivot/SMW workflow needs the scalar kernels' PivotMods
-// bookkeeping, so it stays serial.
+// way for the fresh-analysis and symbolic-reuse paths. With Workers > 1
+// the analysis's schedule runs the column steps in parallel, to the
+// same bits.
 func (s *Solver) factorNumeric() error {
 	opts := s.opts
 	s.stats.FactorRuns++
@@ -336,19 +339,14 @@ func (s *Solver) factorNumeric() error {
 		Aggressive:       opts.AggressivePivot,
 	}
 	var fac *lu.Factors
-	var err2 error
-	if opts.Workers > 1 && !opts.AggressivePivot {
-		var blocks *dist.BlockGrid
-		var tiny int
-		if blocks, tiny, err2 = sched.Factorize(s.ap, s.sym, luOpts, opts.Workers); err2 == nil {
-			fac = blocks.Factors(s.ap)
-			fac.TinyPivots = tiny
-		}
+	var err error
+	if s.sched != nil {
+		fac, err = s.sched.Factorize(s.ap, luOpts)
 	} else {
-		fac, err2 = lu.Factorize(s.ap, s.sym, luOpts)
+		fac, err = lu.Factorize(s.ap, s.sym, luOpts)
 	}
-	if err2 != nil {
-		return fmt.Errorf("core: factorization: %w", err2)
+	if err != nil {
+		return fmt.Errorf("core: factorization: %w", err)
 	}
 	s.stats.Times.Factor = time.Since(t0)
 	s.stats.TinyPivots = fac.TinyPivots
@@ -403,6 +401,7 @@ func NewWithSymbolic(a *sparse.CSC, donor *Solver) (*Solver, error) {
 		dR:          donor.dR,
 		dC:          donor.dC,
 		sym:         donor.sym,
+		sched:       donor.sched,
 		patternHash: donor.patternHash,
 	}
 	s.stats.N = s.n

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"gesp/internal/dist"
+	"gesp/internal/faultsim"
 	"gesp/internal/lu"
 	"gesp/internal/matgen"
 	"gesp/internal/ordering"
@@ -333,9 +335,9 @@ func TestDistSolveMatchesSerialSolve(t *testing.T) {
 }
 
 func TestParallelWorkersMatchesSerial(t *testing.T) {
-	// Workers > 1 swaps in the DAG-scheduled factorization; the solution
-	// must agree with the serial engine to refinement accuracy, and
-	// refinement must still converge.
+	// Workers > 1 runs the serial engine's column steps on a static
+	// schedule: the factors, and so the solution and every statistic
+	// derived from the factors, carry the serial bits.
 	for _, name := range []string{"MEMPLUS", "WANG4", "TWOTONE"} {
 		m, _ := matgen.Lookup(name)
 		a := m.Generate(0.15)
@@ -360,14 +362,72 @@ func TestParallelWorkersMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if e := sparse.RelErrInf(xp, xs); e > 1e-8 {
-			t.Errorf("%s: parallel vs serial solution differs by %g", name, e)
+		sameBits(t, name, xp, xs)
+		ss, ps := serial.Stats(), par.Stats()
+		if ps.TinyPivots != ss.TinyPivots || math.Float64bits(ps.RecipGrowth) != math.Float64bits(ss.RecipGrowth) {
+			t.Errorf("%s: parallel tiny pivots %d, growth %g; serial %d, %g", name, ps.TinyPivots, ps.RecipGrowth, ss.TinyPivots, ss.RecipGrowth)
 		}
-		if berr := par.Stats().Berr; berr > 1e-10 {
-			t.Errorf("%s: parallel berr = %g, want near eps", name, berr)
+		if !ps.Converged || ps.Berr > 1e-10 {
+			t.Errorf("%s: parallel refinement converged=%v, berr = %g", name, ps.Converged, ps.Berr)
 		}
-		if !par.Stats().Converged {
-			t.Errorf("%s: parallel refinement did not converge", name)
+	}
+}
+
+// sameBits fails unless got and want are bitwise equal.
+func sameBits(t *testing.T, label string, got, want []float64) {
+	t.Helper()
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: entry %d is %v, serial %v", label, i, got[i], want[i])
 		}
+	}
+}
+
+// TestParallelAggressivePivotMatchesSerial: AggressivePivot runs on the
+// parallel schedule too. On a near-singular system whose tiny pivot is
+// replaced by the column maximum, every worker count hands SMW recovery
+// the same PivotMods in the same order, the same factors and so the same
+// solution, bit for bit.
+func TestParallelAggressivePivotMatchesSerial(t *testing.T) {
+	a := faultsim.New(25).NearSingular(150, 1e-12)
+	b := make([]float64, a.Rows)
+	a.MatVec(b, onesSolution(a.Rows))
+	opts := DefaultOptions()
+	opts.Equilibrate, opts.RowPermute = false, false // keep the tiny pivot tiny
+	opts.AggressivePivot = true
+	var want *lu.Factors
+	var wantX []float64
+	for _, w := range []int{1, 2, 4} {
+		opts.Workers = w
+		s, err := New(a, opts)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", w, err)
+		}
+		x, err := s.Solve(b)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", w, err)
+		}
+		f := s.Factors()
+		if want == nil {
+			if len(f.PivotMods) == 0 {
+				t.Fatal("no pivot replaced: SMW recovery is not exercised")
+			}
+			want, wantX = f, x
+			continue
+		}
+		label := fmt.Sprintf("workers=%d", w)
+		if len(f.PivotMods) != len(want.PivotMods) {
+			t.Fatalf("%s: %d pivot mods, serial %d", label, len(f.PivotMods), len(want.PivotMods))
+		}
+		for i, m := range want.PivotMods {
+			g := f.PivotMods[i]
+			if g.Col != m.Col || math.Float64bits(g.Old) != math.Float64bits(m.Old) || math.Float64bits(g.New) != math.Float64bits(m.New) {
+				t.Fatalf("%s: pivot mod %d is %+v, serial %+v", label, i, g, m)
+			}
+		}
+		if f.Fingerprint() != want.Fingerprint() {
+			t.Fatalf("%s: fingerprint %x, serial %x", label, f.Fingerprint(), want.Fingerprint())
+		}
+		sameBits(t, label, x, wantX)
 	}
 }

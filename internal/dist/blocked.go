@@ -11,8 +11,8 @@ import (
 // Serial blocked factorization: the same right-looking block schedule as
 // the distributed algorithm, executed in-process with no messaging. This
 // is the SuperLU-style uniprocessor engine (dense kernels over the
-// supernode partition) and the reference both the distributed code and
-// the sched worker pool are tested against.
+// supernode partition) and the reference the distributed code is tested
+// against.
 
 // FactorizeBlocked runs the blocked right-looking GESP factorization
 // serially over the static structure, returning the factored blocks and
@@ -44,7 +44,7 @@ func FactorizeBlocked(a *sparse.CSC, sym *symbolic.Result, opts lu.Options) (*Bl
 		for li, lb := range st.LBlocks[k] {
 			l := g.L[k][li]
 			for ui, ub := range st.UBlocks[k] {
-				if tgt, _ := g.Target(lb.I, ub.J); tgt != nil {
+				if tgt := g.Target(lb.I, ub.J); tgt != nil {
 					tgt.RankBUpdateInto(l, g.U[k][ui], &ws)
 				}
 			}

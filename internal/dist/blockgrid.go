@@ -10,8 +10,8 @@ import (
 	"gesp/internal/sparse"
 )
 
-// BlockGrid is the one block store: every engine — the serial blocked
-// factorization, the sched worker pool and each simulated rank — keeps
+// BlockGrid is the one block store: both engines — the serial blocked
+// factorization and each simulated rank — keep
 // its numbers in dense slices parallel to Structure.LBlocks/UBlocks, so
 // the right-looking loops index blocks directly and no storage is spent
 // on structurally-absent blocks. A rank's grid has the same shape as
@@ -25,8 +25,8 @@ type BlockGrid struct {
 	// slots holds every structural block by id — diagonals first, then
 	// per supernode its L panel followed by its U row; Diag, L[k] and
 	// U[k] are views into it. Ids depend on the structure alone, so they
-	// name the same block on every rank: the scheduler keys its
-	// per-target locks by them and checkpoints are written in their order.
+	// name the same block on every rank: checkpoints are written in their
+	// order.
 	slots []*Block
 	base  []int // base[k] is the id of L[k][0]
 	own   func(i, j int) bool
@@ -67,13 +67,9 @@ func NewGrid(st *Structure, own func(i, j int) bool) *BlockGrid {
 	return g
 }
 
-// NumBlocks reports the number of structural blocks, one past the
-// largest block id.
-func (g *BlockGrid) NumBlocks() int { return len(g.slots) }
-
-// Target returns this grid's block (i, j) and its id, or (nil, -1) when
-// the block is structurally absent or owned elsewhere.
-func (g *BlockGrid) Target(i, j int) (*Block, int) {
+// Target returns this grid's block (i, j), or nil when the block is
+// structurally absent or owned elsewhere.
+func (g *BlockGrid) Target(i, j int) *Block {
 	id := -1
 	switch {
 	case i == j:
@@ -89,10 +85,10 @@ func (g *BlockGrid) Target(i, j int) (*Block, int) {
 			id = g.base[i] + len(g.St.LBlocks[i]) + p
 		}
 	}
-	if id < 0 || g.slots[id] == nil {
-		return nil, -1
+	if id < 0 {
+		return nil
 	}
-	return g.slots[id], id
+	return g.slots[id]
 }
 
 // Scatter adds the numeric entries of the permuted matrix that fall in
@@ -106,7 +102,7 @@ func (g *BlockGrid) Scatter(a *sparse.CSC) {
 			if g.own != nil && !g.own(sup[i], bj) {
 				continue
 			}
-			b, _ := g.Target(sup[i], bj)
+			b := g.Target(sup[i], bj)
 			if b == nil {
 				// A's pattern is contained in L+U's, so the block exists.
 				panic("dist: A entry outside the static block skeleton")
@@ -157,7 +153,7 @@ func (g *BlockGrid) gatherCol(dst []float64, rows []int, j int) {
 		for end < len(rows) && sup[rows[end]] == bi {
 			end++
 		}
-		if b, _ := g.Target(bi, sup[j]); b != nil {
+		if b := g.Target(bi, sup[j]); b != nil {
 			if c := lookup(b.Cols, j); c >= 0 {
 				col := b.Val[c*b.NR() : (c+1)*b.NR()]
 				ri := 0

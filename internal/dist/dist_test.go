@@ -86,7 +86,7 @@ func TestDistributedMatchesSerialFactors(t *testing.T) {
 		bj := sym.SupOf[j]
 		for p := sym.UPtr[j]; p < sym.UPtr[j+1]; p++ {
 			i := sym.UInd[p]
-			b, _ := blocks.Target(sym.SupOf[i], bj)
+			b := blocks.Target(sym.SupOf[i], bj)
 			got := b.At(i, j)
 			if d := math.Abs(got - serial.UVal[p]); d > 1e-10*scale {
 				t.Fatalf("U(%d,%d): dist %g vs serial %g", i, j, got, serial.UVal[p])
@@ -94,7 +94,7 @@ func TestDistributedMatchesSerialFactors(t *testing.T) {
 		}
 		for q := sym.LPtr[j]; q < sym.LPtr[j+1]; q++ {
 			i := sym.LInd[q]
-			b, _ := blocks.Target(sym.SupOf[i], bj)
+			b := blocks.Target(sym.SupOf[i], bj)
 			got := b.At(i, j)
 			if d := math.Abs(got - serial.LVal[q]); d > 1e-10*scale {
 				t.Fatalf("L(%d,%d): dist %g vs serial %g", i, j, got, serial.LVal[q])

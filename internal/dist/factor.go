@@ -290,7 +290,7 @@ func (w *worker) factorize() {
 			// supernodes: the block-level crossing exists but every
 			// elementwise contribution hits structural-zero padding, so no
 			// target block was ever allocated.
-			if t, _ := w.bg.Target(lbs[li].I, ubs[ui].J); t != nil {
+			if t := w.bg.Target(lbs[li].I, ubs[ui].J); t != nil {
 				w.r.Compute(t.RankBUpdateInto(l, u, &w.ws))
 			}
 		}

@@ -329,8 +329,8 @@ func TestCheckpointRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	if total != NewGrid(st, nil).NumBlocks() {
-		t.Fatalf("the four ranks own %d blocks, the structure has %d", total, NewGrid(st, nil).NumBlocks())
+	if total != len(NewGrid(st, nil).slots) {
+		t.Fatalf("the four ranks own %d blocks, the structure has %d", total, len(NewGrid(st, nil).slots))
 	}
 }
 

@@ -61,7 +61,7 @@ func (w *worker) redistribute(a *sparse.CSC, slice RowSlice) {
 	scatterLocal := func(m *entryMsg) {
 		for q := range m.rows {
 			i, j := m.rows[q], m.cols[q]
-			blk, _ := w.bg.Target(sup[i], sup[j])
+			blk := w.bg.Target(sup[i], sup[j])
 			blk.Set(i, j, blk.At(i, j)+m.vals[q])
 		}
 	}

@@ -90,7 +90,7 @@ func (w *worker) sweep(upper bool, rhs func(k int) []float64) [][]float64 {
 			if w.owner(i, j) != w.me() {
 				continue
 			}
-			blk, _ := w.bg.Target(i, j)
+			blk := w.bg.Target(i, j)
 			local := make([]float64, st.SupWidth(i))
 			lo, _ := st.SupCols(i)
 			w.r.Compute(blk.MatVecInto(func(r int, v float64) {

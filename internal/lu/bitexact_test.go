@@ -99,9 +99,10 @@ func plainLoopFactorize(a *sparse.CSC, sym *symbolic.Result, opts Options) (*Fac
 	return f, nil
 }
 
-// sameFactors fails unless got carries the bits of want: factor values,
+// SameFactors fails unless got carries the bits of want: factor values,
 // column maxima, pivot growth, and the record of replaced pivots.
-func sameFactors(t *testing.T, label string, got, want *Factors) {
+// (Exported for the external parallel-engine tests.)
+func SameFactors(t *testing.T, label string, got, want *Factors) {
 	t.Helper()
 	for _, c := range []struct {
 		name string
@@ -109,23 +110,23 @@ func sameFactors(t *testing.T, label string, got, want *Factors) {
 	}{{"LVal", got.LVal, want.LVal}, {"UVal", got.UVal, want.UVal}, {"ColAMax", got.ColAMax, want.ColAMax}} {
 		for i := range c.w {
 			if math.Float64bits(c.g[i]) != math.Float64bits(c.w[i]) {
-				t.Fatalf("%s: %s[%d] = %x, plain loop %x", label, c.name, i, math.Float64bits(c.g[i]), math.Float64bits(c.w[i]))
+				t.Fatalf("%s: %s[%d] = %x, want %x", label, c.name, i, math.Float64bits(c.g[i]), math.Float64bits(c.w[i]))
 			}
 		}
 	}
 	if got.Fingerprint() != want.Fingerprint() {
-		t.Fatalf("%s: fingerprint %x, plain loop %x", label, got.Fingerprint(), want.Fingerprint())
+		t.Fatalf("%s: fingerprint %x, want %x", label, got.Fingerprint(), want.Fingerprint())
 	}
 	if g, w := got.ReciprocalPivotGrowth(), want.ReciprocalPivotGrowth(); math.Float64bits(g) != math.Float64bits(w) {
-		t.Fatalf("%s: reciprocal pivot growth %g, plain loop %g", label, g, w)
+		t.Fatalf("%s: reciprocal pivot growth %g, want %g", label, g, w)
 	}
 	if got.TinyPivots != want.TinyPivots || len(got.PivotMods) != len(want.PivotMods) {
-		t.Fatalf("%s: %d tiny pivots (%d mods), plain loop %d (%d)", label, got.TinyPivots, len(got.PivotMods), want.TinyPivots, len(want.PivotMods))
+		t.Fatalf("%s: %d tiny pivots (%d mods), want %d (%d)", label, got.TinyPivots, len(got.PivotMods), want.TinyPivots, len(want.PivotMods))
 	}
 	for i, m := range want.PivotMods {
 		g := got.PivotMods[i]
 		if g.Col != m.Col || math.Float64bits(g.Old) != math.Float64bits(m.Old) || math.Float64bits(g.New) != math.Float64bits(m.New) {
-			t.Fatalf("%s: pivot mod %d = %+v, plain loop %+v", label, i, g, m)
+			t.Fatalf("%s: pivot mod %d = %+v, want %+v", label, i, g, m)
 		}
 	}
 }
@@ -143,7 +144,7 @@ func checkAgainstPlainLoop(t *testing.T, label string, a *sparse.CSC, sym *symbo
 		}
 		return nil
 	}
-	sameFactors(t, label, got, want)
+	SameFactors(t, label, got, want)
 	return got
 }
 

@@ -19,20 +19,21 @@ import (
 // dense"; 0.5–0.8 are sensible). It returns the factors and the first
 // column handled densely (n if the switch never triggered).
 func FactorizeDenseTail(a *sparse.CSC, sym *symbolic.Result, opts Options, tailDensity float64) (*Factors, int, error) {
-	f, w, thresh, err := newFactors(a, sym, opts)
+	f, wk, err := newFactors(a, sym, opts)
 	if err != nil {
 		return nil, 0, err
 	}
-	n := sym.N
+	n, w := sym.N, wk.w
 	tail := denseTailStart(sym, tailDensity)
 
 	// Phase 1: the head columns, by Factorize's own column step.
 	for j := 0; j < tail; j++ {
-		if err := f.step(a, j, w, thresh, opts); err != nil {
+		if err := f.step(wk, j); err != nil {
 			return nil, 0, err
 		}
 	}
 	if tail >= n {
+		f.record(wk.mods)
 		return f, n, nil
 	}
 
@@ -44,7 +45,7 @@ func FactorizeDenseTail(a *sparse.CSC, sym *symbolic.Result, opts Options, tailD
 	s := make([]float64, m*m) // row-major
 	for j := tail; j < n; j++ {
 		f.ColAMax[j] = scatterColumn(a, j, w)
-		f.update(j, tail, w)
+		f.update(wk, j, tail)
 		for _, i := range sym.UColRows(j) {
 			if i >= tail {
 				s[(i-tail)*m+(j-tail)] = w[i]
@@ -59,7 +60,7 @@ func FactorizeDenseTail(a *sparse.CSC, sym *symbolic.Result, opts Options, tailD
 	// Phase 3: dense no-pivot elimination of S with tiny-pivot handling.
 	for k := 0; k < m; k++ {
 		col := tail + k
-		piv, err := f.pick(col, s[k*m+k], f.ColAMax[col], thresh, opts)
+		piv, err := wk.pick(col, s[k*m+k], f.ColAMax[col])
 		if err != nil {
 			return nil, 0, err
 		}
@@ -91,6 +92,7 @@ func FactorizeDenseTail(a *sparse.CSC, sym *symbolic.Result, opts Options, tailD
 			f.LVal[q] = s[(sym.LInd[q]-tail)*m+jj]
 		}
 	}
+	f.record(wk.mods)
 	return f, tail, nil
 }
 

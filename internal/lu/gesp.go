@@ -1,24 +1,25 @@
-// Package lu provides the serial numeric factorization kernels of GESP:
-// the static-pivoting left-looking factorization (step (3) of the paper's
-// algorithm, including tiny-pivot replacement), a Gilbert–Peierls partial
-// pivoting factorization used as the accuracy baseline (the paper's
-// Figure 4 compares GESP against GEPP as implemented in SuperLU), the §5
+// Package lu provides the shared-memory numeric factorization kernels of
+// GESP: the static-pivoting left-looking factorization (step (3) of the
+// paper's algorithm, including tiny-pivot replacement), serial or on a
+// static parallel schedule, a Gilbert–Peierls partial pivoting
+// factorization used as the accuracy baseline (the paper's Figure 4
+// compares GESP against GEPP as implemented in SuperLU), the §5
 // dense-tail variant, and the triangular solves.
 //
 // The left-looking factorization is column by column with
 // supernode-column updates: one column step (Factors.step), shared by
-// Factorize and FactorizeDenseTail, applies the columns of L that
-// U(:,j) names, and takes those that lie in one exact supernode as a
-// unit — the rows below the supernode's diagonal block share one index
-// list, so four columns are applied per gather and scatter of the
-// working column (kernels.SpAxpyCols). Every element still receives its
-// subtractions one rounded product at a time in ascending column order,
-// and a zero multiplier is still skipped, so the factors carry the bits
-// of the plain one-column-at-a-time loop (the test oracle
-// plainLoopFactorize). Single columns, supernodes that relaxation merged
-// while merely nested, and structures without the exactness marks take
-// the one-column path; nothing selects or tunes this but the
-// symbolic.Result.
+// Factorize, Schedule.Factorize and FactorizeDenseTail, applies the
+// columns of L that U(:,j) names, and takes those that lie in one exact
+// supernode as a unit — the rows below the supernode's diagonal block
+// share one index list, so four columns are applied per gather and
+// scatter of the working column (kernels.SpAxpyCols). Every element
+// still receives its subtractions one rounded product at a time in
+// ascending column order, and a zero multiplier is still skipped, so the
+// factors carry the bits of the plain one-column-at-a-time loop (the
+// test oracle plainLoopFactorize) — whichever goroutine runs the step.
+// Single columns, supernodes that relaxation merged while merely nested,
+// and structures without the exactness marks take the one-column path;
+// nothing selects or tunes this but the symbolic.Result.
 package lu
 
 import (
@@ -112,24 +113,44 @@ type Factors struct {
 // and scaled) using the static structure sym. It fails only on an exactly
 // zero pivot with replacement disabled.
 func Factorize(a *sparse.CSC, sym *symbolic.Result, opts Options) (*Factors, error) {
-	f, w, thresh, err := newFactors(a, sym, opts)
+	f, wk, err := newFactors(a, sym, opts)
 	if err != nil {
 		return nil, err
 	}
 	for j := 0; j < sym.N; j++ {
-		if err := f.step(a, j, w, thresh, opts); err != nil {
+		if err := f.step(wk, j); err != nil {
 			return nil, err
 		}
 	}
+	f.record(wk.mods)
 	return f, nil
 }
 
-// newFactors allocates the factor storage for a in the structure sym,
-// the sparse accumulator, and fixes the tiny-pivot threshold.
-func newFactors(a *sparse.CSC, sym *symbolic.Result, opts Options) (*Factors, []float64, float64, error) {
+// record stores the replaced pivots, ascending by column.
+func (f *Factors) record(mods []PivotMod) {
+	f.PivotMods, f.TinyPivots = mods, len(mods)
+}
+
+// worker is what one goroutine carries through column steps: the
+// matrix, the pivot policy and threshold, its own sparse accumulator and
+// its own record of replaced pivots (ascending by column, as it factors
+// them). top is set only while the worker factors columns of a parallel
+// schedule's top, whose runs update may have to wait for.
+type worker struct {
+	a      *sparse.CSC
+	opts   Options
+	thresh float64
+	w      []float64
+	mods   []PivotMod
+	top    *pipeline
+}
+
+// newFactors allocates the factor storage for a in the structure sym
+// and a worker with its accumulator and the tiny-pivot threshold.
+func newFactors(a *sparse.CSC, sym *symbolic.Result, opts Options) (*Factors, *worker, error) {
 	n := sym.N
 	if a.Rows != n || a.Cols != n {
-		return nil, nil, 0, fmt.Errorf("lu: matrix is %dx%d, symbolic structure is for n=%d", a.Rows, a.Cols, n)
+		return nil, nil, fmt.Errorf("lu: matrix is %dx%d, symbolic structure is for n=%d", a.Rows, a.Cols, n)
 	}
 	f := &Factors{
 		Sym:     sym,
@@ -137,19 +158,26 @@ func newFactors(a *sparse.CSC, sym *symbolic.Result, opts Options) (*Factors, []
 		UVal:    make([]float64, sym.NnzU()),
 		ColAMax: make([]float64, n),
 	}
-	return f, make([]float64, n), TinyPivotThreshold(a.Norm1(), opts.Threshold), nil
+	wk := &worker{a: a, opts: opts, thresh: TinyPivotThreshold(a.Norm1(), opts.Threshold), w: make([]float64, n)}
+	return f, wk, nil
 }
 
+// errAbandoned stops a column step whose wait gave up because a lower
+// column failed; the lower column's error is the one reported.
+var errAbandoned = errors.New("lu: column abandoned after a lower column failed")
+
 // step is the left-looking column step, the only one in the package:
-// scatter A(:,j) into the accumulator w (all zero on entry and on
-// return), apply every earlier column of L that U(:,j) names, fix the
-// pivot, scale the strictly-lower part into L.
-func (f *Factors) step(a *sparse.CSC, j int, w []float64, thresh float64, opts Options) error {
-	sym := f.Sym
-	cmax := scatterColumn(a, j, w)
+// scatter A(:,j) into the worker's accumulator w (all zero on entry and
+// on a successful return), apply every earlier column of L that U(:,j)
+// names, fix the pivot, scale the strictly-lower part into L.
+func (f *Factors) step(wk *worker, j int) error {
+	sym, w := f.Sym, wk.w
+	cmax := scatterColumn(wk.a, j, w)
 	f.ColAMax[j] = cmax
-	f.update(j, j, w)
-	piv, err := f.pick(j, w[j], cmax, thresh, opts)
+	if !f.update(wk, j, j) {
+		return errAbandoned
+	}
+	piv, err := wk.pick(j, w[j], cmax)
 	if err != nil {
 		return err
 	}
@@ -176,9 +204,16 @@ func (f *Factors) step(a *sparse.CSC, j int, w []float64, thresh float64, opts O
 // time in ascending column order, and a zero U(kk,j) is still skipped,
 // so the factors keep the bits of the column-by-column loop.
 //
+// In a parallel schedule's top the columns of a run may still be in
+// another worker's hands: update then applies the run's prefix that is
+// factored, waiting for its first column if need be, and takes the rest
+// as the next run (pipeline.await); it returns false if the wait gave
+// up. How a run is cut never changes what any w[i] receives, or in
+// which order, so neither do the bits.
+//
 //gesp:hotpath
-func (f *Factors) update(j, limit int, w []float64) {
-	sym := f.Sym
+func (f *Factors) update(wk *worker, j, limit int) bool {
+	sym, w, top := f.Sym, wk.w, wk.top
 	lptr, lind, lval := sym.LPtr, sym.LInd, f.LVal
 	diag := sym.UPtr[j+1] - 1
 	for p := sym.UPtr[j]; p < diag; {
@@ -187,6 +222,11 @@ func (f *Factors) update(j, limit int, w []float64) {
 			break
 		}
 		e := sym.RunLast(p, diag, limit)
+		if top != nil {
+			if e = top.await(k, e, j); e < k {
+				return false
+			}
+		}
 		u := f.UVal[p : p+(e-k)+1]
 		// Diagonal block: column kk reaches rows kk+1..e, its first e-kk
 		// entries (none when the run is a single column). This fixes
@@ -198,29 +238,31 @@ func (f *Factors) update(j, limit int, w []float64) {
 		kernels.SpAxpyCols(w, lind[lptr[e]:lptr[e+1]], lval, lptr[k+1:e+2], u)
 		p += len(u)
 	}
+	return true
 }
 
-// pick applies step (3)'s tiny-pivot policy to the pivot of column col.
-func (f *Factors) pick(col int, piv, cmax, thresh float64, opts Options) (float64, error) {
+// pick applies step (3)'s tiny-pivot policy to the pivot of column col,
+// recording a replacement in the worker's mods.
+func (wk *worker) pick(col int, piv, cmax float64) (float64, error) {
+	thresh := wk.thresh
 	if math.Abs(piv) >= thresh {
 		return piv, nil
 	}
-	if !opts.ReplaceTinyPivot {
+	if !wk.opts.ReplaceTinyPivot {
 		if piv == 0 {
 			return 0, &ZeroPivotError{Col: col, Threshold: thresh}
 		}
 		return piv, nil
 	}
 	repl := thresh
-	if opts.Aggressive && cmax > thresh {
+	if wk.opts.Aggressive && cmax > thresh {
 		repl = cmax
 	}
 	newPiv := math.Copysign(repl, piv)
 	if piv == 0 {
 		newPiv = repl
 	}
-	f.PivotMods = append(f.PivotMods, PivotMod{Col: col, Old: piv, New: newPiv})
-	f.TinyPivots++
+	wk.mods = append(wk.mods, PivotMod{Col: col, Old: piv, New: newPiv})
 	return newPiv, nil
 }
 

@@ -12,7 +12,7 @@ func baseline() *File {
 		Entries: []Entry{
 			{Name: "kernel/matmul/192x24x24", Class: "kernel", HotPath: true, NsPerOp: 1000, AllocsPerOp: 0},
 			{Name: "engine/scalar-serial/AF23560", Class: "engine", HotPath: true, NsPerOp: 500000, AllocsPerOp: -1},
-			{Name: "engine/dag-parallel/AF23560", Class: "engine", HotPath: false, NsPerOp: 200000, AllocsPerOp: -1},
+			{Name: "engine/scalar-parallel/AF23560", Class: "engine", HotPath: false, NsPerOp: 200000, AllocsPerOp: -1},
 		},
 	}
 }

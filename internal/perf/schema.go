@@ -33,7 +33,7 @@ type File struct {
 // HotPath marks entries whose regression fails the gate: the
 // deterministic single-threaded measurements (kernel micro-benchmarks,
 // the serial engines, the batched solve). Concurrency-scheduled
-// measurements (dag-parallel) are recorded for trajectory but never
+// measurements (scalar-parallel) are recorded for trajectory but never
 // gated — their wall time is scheduler noise.
 type Entry struct {
 	Name    string `json:"name"`

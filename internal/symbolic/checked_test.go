@@ -175,3 +175,30 @@ func TestRelaxedSupernodesAreNotExact(t *testing.T) {
 		t.Errorf("nested supernode marked exact: Check = %v", err)
 	}
 }
+
+// TestDependencyTreeCheckDetectsCorruption corrupts each property the
+// parallel schedule takes from the A+Aᵀ tree: a forest numbered upward,
+// and every U(:,j) row in j's subtree.
+func TestDependencyTreeCheckDetectsCorruption(t *testing.T) {
+	a := leafAndColumn()
+	sym, err := symbolic.Factorize(a, symbolic.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := func() []int { return symbolic.EtreeAPlusAT(a) }
+	if err := sym.CheckDependencyTree(fresh()); err != nil {
+		t.Fatalf("the A+Aᵀ tree rejected: %v", err)
+	}
+
+	parent := fresh()
+	parent[3] = 1 // a parent numbered before its child: a cycle 1 → 3 → 1
+	if err := sym.CheckDependencyTree(parent); err == nil || !strings.Contains(err.Error(), "not -1 or in") {
+		t.Errorf("downward parent: CheckDependencyTree = %v", err)
+	}
+
+	parent = fresh()
+	parent[0] = -1 // U(0,3) ≠ 0, but 0 is no longer below 3
+	if err := sym.CheckDependencyTree(parent); err == nil || !strings.Contains(err.Error(), "not in the subtree") {
+		t.Errorf("U row outside the subtree: CheckDependencyTree = %v", err)
+	}
+}

@@ -8,14 +8,14 @@ import (
 
 // Check validates the structural invariants of a symbolic result: the
 // L/U pattern arrays, the column elimination forest, the supernode
-// partition with its induced supernodal etree, the layout of the
-// supernodes marked exact and the closure of U's columns over supernode
-// runs (the two facts lu's fused column update relies on without
-// re-deriving them). Everything downstream — the numeric kernels, the
-// block structure, the task DAG, the distributed communication pattern
-// — is derived from these arrays, so a corruption here surfaces later
-// as a wrong answer or a schedule hazard; the gespcheck build calls this
-// at the end of Factorize to catch it at the source.
+// partition, the layout of the supernodes marked exact and the closure
+// of U's columns over supernode runs (the two facts lu's fused column
+// update relies on without re-deriving them). Everything downstream —
+// the numeric kernels, the block structure, the parallel schedule, the
+// distributed communication pattern — is derived from these arrays, so a
+// corruption here surfaces later as a wrong answer or a schedule hazard;
+// the gespcheck build calls this at the end of Factorize to catch it at
+// the source.
 func (r *Result) Check() error {
 	n := r.N
 	if err := check.Partition("symbolic: LPtr", r.LPtr, len(r.LInd)); err != nil {
@@ -115,11 +115,35 @@ func (r *Result) Check() error {
 			}
 		}
 	}
-	// The supernodal etree must be a forest with parents numbered after
-	// children (the property the schedulers' topological sweeps rely on).
-	for s, p := range r.SupEtree() {
-		if p != -1 && (p <= s || p >= r.NumSupernodes()) {
-			return fmt.Errorf("symbolic: supernode etree parent of %d is %d, not in (%d,%d)", s, p, s, r.NumSupernodes())
+	return nil
+}
+
+// CheckDependencyTree validates parent as a dependency tree of the
+// left-looking factorization in this structure — what lu's parallel
+// schedule assumes of the A+Aᵀ tree (EtreeAPlusAT): a forest with
+// parent[j] > j, in which every row k of U(:,j) is a descendant of j, so
+// that a column reads only columns of its own subtree.
+func (r *Result) CheckDependencyTree(parent []int) error {
+	n := r.N
+	if len(parent) != n {
+		return fmt.Errorf("symbolic: dependency tree has %d nodes, want %d", len(parent), n)
+	}
+	for j, p := range parent {
+		if p != -1 && (p <= j || p >= n) {
+			return fmt.Errorf("symbolic: dependency tree parent of %d is %d, not -1 or in (%d,%d)", j, p, j, n)
+		}
+	}
+	for j := 0; j < n; j++ {
+		for _, k := range r.UColRows(j) {
+			// Parents are numbered above their children: climbing from k
+			// passes j exactly when j is an ancestor.
+			a := k
+			for a != -1 && a < j {
+				a = parent[a]
+			}
+			if a != j {
+				return fmt.Errorf("symbolic: U(%d,%d) is nonzero but column %d is not in the subtree of %d", k, j, k, j)
+			}
 		}
 	}
 	return nil

@@ -366,39 +366,40 @@ func (r *Result) countFlops() {
 	}
 }
 
-// SupEtree returns the supernodal elimination forest: the parent of
-// supernode s is the supernode containing the parent column of s's last
-// column (its first strictly-lower L row), or -1 for a root. Because a
-// supernode's off-diagonal pattern lies strictly below it, parents are
-// always numbered after their children, so a single ascending sweep is
-// a topological order. The schedulers use this DAG skeleton to
-// prioritize deep subtrees (the critical path of the factorization).
-func (r *Result) SupEtree() []int {
-	ns := r.NumSupernodes()
-	parent := make([]int, ns)
-	for s := 0; s < ns; s++ {
-		last := r.SupPtr[s+1] - 1
-		if p := r.Parent[last]; p >= 0 {
-			parent[s] = r.SupOf[p]
-		} else {
-			parent[s] = -1
+// EtreeAPlusAT returns the elimination tree of the pattern of A+Aᵀ
+// (parent[j] > j, or -1 for a root) by Liu's algorithm with path
+// compression, in O(nnz(A)) time and without forming A+Aᵀ. Static
+// pivoting never interchanges rows, so struct(L+U) ⊆ struct(chol(A+Aᵀ)):
+// every row k of U(:,j) is a descendant of j in this tree, which makes
+// it a dependency tree of the left-looking factorization — a column
+// reads only columns of its own subtree. (Parent, the first row of each
+// L column, is not one: U(:,j) may name columns outside j's subtree in
+// it.)
+func EtreeAPlusAT(a *sparse.CSC) []int {
+	n := a.Cols
+	// Column k of Aᵀ is row k of A: the edges (i, k), i < k, that column
+	// k of A does not list.
+	halves := [2]*sparse.CSC{a, a.Transpose()}
+	parent, ancestor := make([]int, n), make([]int, n)
+	for k := 0; k < n; k++ {
+		parent[k], ancestor[k] = -1, -1
+		for _, m := range halves {
+			for _, i := range m.RowInd[m.ColPtr[k]:m.ColPtr[k+1]] {
+				// Climb from i to the root of its current tree, pointing
+				// every node passed at k; that root becomes k's child.
+				for i < k {
+					next := ancestor[i]
+					ancestor[i] = k
+					if next == -1 {
+						parent[i] = k
+						break
+					}
+					i = next
+				}
+			}
 		}
 	}
 	return parent
-}
-
-// SupHeights returns, for each supernode, its height in the supernodal
-// elimination forest (longest path to a leaf below it): the static
-// critical-path priority used to seed parallel schedules.
-func (r *Result) SupHeights() []int {
-	parent := r.SupEtree()
-	h := make([]int, len(parent))
-	for s := 0; s < len(parent); s++ {
-		if p := parent[s]; p >= 0 && h[p] < h[s]+1 {
-			h[p] = h[s] + 1
-		}
-	}
-	return h
 }
 
 // LColRows returns the strictly-lower row pattern of L(:,j).

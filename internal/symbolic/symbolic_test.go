@@ -399,3 +399,51 @@ func TestRunStatistics(t *testing.T) {
 		t.Errorf("tridiagonal: RunWidth %g RunShare %v, want 1 and all single", r.RunWidth, r.RunShare)
 	}
 }
+
+// TestEtreeAPlusAT pins Liu's algorithm to its definition — the parent
+// of j is the first off-diagonal row of column j of the Cholesky factor
+// of A+Aᵀ, which the symbolic factorization of the symmetrized pattern
+// computes as Parent — and checks the property the parallel schedule
+// needs of it: on A's own structure it is a dependency tree. The column
+// elimination forest of L (Result.Parent) is not one in general.
+func TestEtreeAPlusAT(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	lParentFails := 0
+	for trial := 0; trial < 60; trial++ {
+		n := 1 + rng.Intn(40)
+		a := randomSquare(rng, n, 0.02+rng.Float64()*0.15)
+		sym, err := Factorize(a, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		parent := EtreeAPlusAT(a)
+		both := sparse.NewTriplet(n, n)
+		for j := 0; j < n; j++ {
+			for _, i := range a.RowInd[a.ColPtr[j]:a.ColPtr[j+1]] {
+				both.Append(i, j, 1)
+				both.Append(j, i, 1)
+			}
+		}
+		chol, err := Factorize(both.ToCSC(), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := range parent {
+			if parent[j] != chol.Parent[j] {
+				t.Fatalf("trial %d: parent of %d is %d, Cholesky of A+Aᵀ says %d", trial, j, parent[j], chol.Parent[j])
+			}
+		}
+		if err := sym.CheckDependencyTree(parent); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if sym.CheckDependencyTree(sym.Parent) != nil {
+			lParentFails++
+		}
+	}
+	if lParentFails == 0 {
+		t.Error("L's column forest was a dependency tree on every trial: the test does not show why A+Aᵀ")
+	}
+	if got := EtreeAPlusAT(sparse.NewTriplet(0, 0).ToCSC()); len(got) != 0 {
+		t.Errorf("n = 0: %v", got)
+	}
+}
