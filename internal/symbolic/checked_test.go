@@ -140,6 +140,35 @@ func TestResultCheckSupernodeRunClosure(t *testing.T) {
 	}
 }
 
+// TestResultCheckUColumnOrder corrupts the order the end-of-loop
+// transpose establishes in every U column: ascending rows, the diagonal
+// last.
+func TestResultCheckUColumnOrder(t *testing.T) {
+	fresh := func() *symbolic.Result {
+		sym, err := symbolic.Factorize(leafAndColumn(), symbolic.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := sym.UColRows(3); len(got) != 3 || got[0] != 0 || got[1] != 1 || got[2] != 3 {
+			t.Fatalf("U(:,3) = %v, want [0 1 3]", got)
+		}
+		return sym
+	}
+	sym := fresh()
+	col := sym.UColRows(3)
+	col[0], col[1] = col[1], col[0] // {1,0,3}
+	if err := sym.Check(); err == nil || !strings.Contains(err.Error(), "unsorted") {
+		t.Errorf("U(:,3) out of order: Check = %v", err)
+	}
+
+	sym = fresh()
+	col = sym.UColRows(3)
+	col[1], col[2] = col[2], col[1] // {0,3,1}
+	if err := sym.Check(); err == nil || !strings.Contains(err.Error(), "diagonal as last entry") {
+		t.Errorf("U(:,3) diagonal not last: Check = %v", err)
+	}
+}
+
 // TestRelaxedSupernodesAreNotExact: a relaxed supernode whose columns are
 // merely nested is marked not exact, passing it off as exact is caught,
 // and the engine — which then takes it column by column — produces the

@@ -7,7 +7,9 @@
 // The fill pattern is computed column by column as the reachable set of
 // the column's nonzeros through the directed graph of the already-known L
 // columns (Gilbert–Peierls reachability), accelerated with Eisenstat–Liu
-// symmetric pruning.
+// symmetric pruning. L columns are sorted as stored (pruning searches
+// them); U is sorted once, at the end, by one O(nnz(U) + n) counting
+// transpose. The index slabs start at 2×nnz(A) and double when full.
 package symbolic
 
 import (
@@ -113,9 +115,7 @@ func Factorize(a *sparse.CSC, opts Options) (*Result, error) {
 		UPtr:   make([]int, n+1),
 		Parent: make([]int, n),
 	}
-	// The fill patterns grow monotonically to several times nnz(A);
-	// seeding the slabs at 2×nnz skips the worst of the early doubling
-	// copies (growslice was visible in the analysis profile).
+	// The fill patterns reach several times nnz(A); see grow.
 	if nnz := len(a.RowInd); nnz > 0 {
 		res.LInd = make([]int, 0, 2*nnz)
 		res.UInd = make([]int, 0, 2*nnz+n)
@@ -123,73 +123,44 @@ func Factorize(a *sparse.CSC, opts Options) (*Result, error) {
 	// prunedLen[k]: prefix of L(:,k) that reachability must traverse; the
 	// suffix is provably reachable through earlier rows (symmetric pruning).
 	prunedLen := make([]int, n)
-	pruned := make([]bool, n)
 	mark := make([]int, n)
 	for i := range mark {
 		mark[i] = -1
 	}
-	stack := make([]int, 0, 64)
-	frame := make([]int, 0, 64) // adjacency cursor per stack level
 	lset := make([]int, 0, 64)
 	uset := make([]int, 0, 64)
 
 	for j := 0; j < n; j++ {
 		lset, uset = lset[:0], uset[:0]
 		mark[j] = j // the diagonal is always structural
-		// DFS from every nonzero of A(:,j).
-		for k := a.ColPtr[j]; k < a.ColPtr[j+1]; k++ {
-			root := a.RowInd[k]
-			if mark[root] == j {
-				continue
+		// The reach of A(:,j) through the pruned graph of the L columns
+		// before j: the set Gilbert–Peierls' depth-first search finds, in
+		// work-list order instead (nothing here needs a topological order,
+		// and U is sorted at the end). uset doubles as the work list.
+		rows := a.RowInd[a.ColPtr[j]:a.ColPtr[j+1]]
+		for q := -1; q < len(uset); q++ {
+			if q >= 0 {
+				k := uset[q]
+				rows = res.LInd[res.LPtr[k] : res.LPtr[k]+prunedLen[k]]
 			}
-			mark[root] = j
-			if root >= j {
-				lset = append(lset, root)
-				continue
-			}
-			uset = append(uset, root)
-			// Iterative DFS through columns < j.
-			stack = append(stack[:0], root)
-			frame = append(frame[:0], res.LPtr[root])
-			for len(stack) > 0 {
-				top := len(stack) - 1
-				col := stack[top]
-				cur := frame[top]
-				end := res.LPtr[col] + prunedLen[col]
-				advanced := false
-				for ; cur < end; cur++ {
-					i := res.LInd[cur]
-					if mark[i] == j {
-						continue
-					}
-					mark[i] = j
-					if i >= j {
-						lset = append(lset, i)
-						continue
-					}
+			for _, i := range rows {
+				if mark[i] == j {
+					continue
+				}
+				mark[i] = j
+				if i >= j {
+					lset = append(lset, i)
+				} else {
 					uset = append(uset, i)
-					frame[top] = cur + 1
-					stack = append(stack, i)
-					frame = append(frame, res.LPtr[i])
-					advanced = true
-					break
-				}
-				if !advanced {
-					stack = stack[:top]
-					frame = frame[:top]
 				}
 			}
 		}
+		// Store column j (mark[j] kept the diagonal out of lset): L sorted,
+		// as pruning searches it; U as found, diagonal last (see sortU).
 		sort.Ints(lset)
-		sort.Ints(uset)
-		// Store column j: strictly-lower rows of L exclude the diagonal.
-		for _, i := range lset {
-			if i > j {
-				res.LInd = append(res.LInd, i)
-			}
-		}
+		res.LInd = append(grow(res.LInd, len(lset)), lset...)
 		res.LPtr[j+1] = len(res.LInd)
-		res.UInd = append(res.UInd, uset...)
+		res.UInd = append(grow(res.UInd, len(uset)+1), uset...)
 		res.UInd = append(res.UInd, j) // diagonal pivot lives in U
 		res.UPtr[j+1] = len(res.UInd)
 		prunedLen[j] = res.LPtr[j+1] - res.LPtr[j]
@@ -202,26 +173,68 @@ func Factorize(a *sparse.CSC, opts Options) (*Result, error) {
 
 		// Symmetric pruning: for each k with U(k,j) != 0, if L(j,k) != 0
 		// then paths through rows of L(:,k) beyond j are covered via j.
+		// A pruned prefix ends at a row below j, so the search skips it.
 		for _, k := range uset {
-			if pruned[k] {
+			lo := res.LPtr[k]
+			seg := res.LInd[lo : lo+prunedLen[k]]
+			if len(seg) == 0 || seg[len(seg)-1] < j {
 				continue
 			}
-			lo, hi := res.LPtr[k], res.LPtr[k]+prunedLen[k]
-			seg := res.LInd[lo:hi]
-			idx := sort.SearchInts(seg, j)
-			if idx < len(seg) && seg[idx] == j {
+			if idx := sort.SearchInts(seg, j); seg[idx] == j {
 				prunedLen[k] = idx + 1
-				pruned[k] = true
 			}
 		}
 	}
-
+	res.sortU(prunedLen, mark) // both dead after the loop
 	res.buildSupernodes(maxSuper, opts.Relax)
 	res.countFlops()
 	if check.Enabled {
 		check.Must(res.Check())
 	}
 	return res, nil
+}
+
+// grow returns s with room for m more entries, doubling its capacity when
+// they do not fit.
+func grow(s []int, m int) []int {
+	if len(s)+m <= cap(s) {
+		return s
+	}
+	return append(make([]int, 0, 2*cap(s)+m), s...)
+}
+
+// sortU puts every column of U in ascending order by a counting transpose
+// of its strictly-upper part: scattered to rows in ascending j, then
+// gathered back to columns in ascending row. The diagonal, last in each
+// column, stays where it is. rowEnd and colNext are n-long scratch.
+func (r *Result) sortU(rowEnd, colNext []int) {
+	n := r.N
+	clear(rowEnd)
+	for j := 0; j < n; j++ {
+		for _, i := range r.UInd[r.UPtr[j] : r.UPtr[j+1]-1] {
+			rowEnd[i]++
+		}
+	}
+	start := 0
+	for i, c := range rowEnd {
+		rowEnd[i], start = start, start+c
+	}
+	cols := make([]int, start) // U's strictly-upper part, row by row
+	for j := 0; j < n; j++ {
+		for _, i := range r.UInd[r.UPtr[j] : r.UPtr[j+1]-1] {
+			cols[rowEnd[i]] = j
+			rowEnd[i]++
+		}
+	}
+	copy(colNext, r.UPtr[:n])
+	start = 0
+	for i, end := range rowEnd {
+		for _, j := range cols[start:end] {
+			r.UInd[colNext[j]] = i
+			colNext[j]++
+		}
+		start = end
+	}
 }
 
 // buildSupernodes detects T2 supernodes (identical strictly-lower

@@ -1,12 +1,220 @@
 package symbolic
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
+	"gesp/internal/matching"
+	"gesp/internal/matgen"
+	"gesp/internal/ordering"
 	"gesp/internal/sparse"
 )
+
+// referenceFactorize is Factorize as it was written first, kept as the
+// oracle for the production loop: the same reachability and pruning, but
+// every column of L and U sorted as it is stored and a separate pruned
+// flag per column.
+func referenceFactorize(a *sparse.CSC, opts Options) *Result {
+	n := a.Rows
+	maxSuper := opts.MaxSuper
+	if maxSuper <= 0 {
+		maxSuper = DefaultMaxSuper
+	}
+	res := &Result{
+		N:      n,
+		LPtr:   make([]int, n+1),
+		UPtr:   make([]int, n+1),
+		Parent: make([]int, n),
+	}
+	if nnz := len(a.RowInd); nnz > 0 {
+		res.LInd = make([]int, 0, 2*nnz)
+		res.UInd = make([]int, 0, 2*nnz+n)
+	}
+	prunedLen := make([]int, n)
+	pruned := make([]bool, n)
+	mark := make([]int, n)
+	for i := range mark {
+		mark[i] = -1
+	}
+	var stack, frame, lset, uset []int
+	for j := 0; j < n; j++ {
+		lset, uset = lset[:0], uset[:0]
+		mark[j] = j
+		for k := a.ColPtr[j]; k < a.ColPtr[j+1]; k++ {
+			root := a.RowInd[k]
+			if mark[root] == j {
+				continue
+			}
+			mark[root] = j
+			if root >= j {
+				lset = append(lset, root)
+				continue
+			}
+			uset = append(uset, root)
+			stack = append(stack[:0], root)
+			frame = append(frame[:0], res.LPtr[root])
+			for len(stack) > 0 {
+				top := len(stack) - 1
+				col := stack[top]
+				cur := frame[top]
+				end := res.LPtr[col] + prunedLen[col]
+				advanced := false
+				for ; cur < end; cur++ {
+					i := res.LInd[cur]
+					if mark[i] == j {
+						continue
+					}
+					mark[i] = j
+					if i >= j {
+						lset = append(lset, i)
+						continue
+					}
+					uset = append(uset, i)
+					frame[top] = cur + 1
+					stack = append(stack, i)
+					frame = append(frame, res.LPtr[i])
+					advanced = true
+					break
+				}
+				if !advanced {
+					stack = stack[:top]
+					frame = frame[:top]
+				}
+			}
+		}
+		sort.Ints(lset)
+		sort.Ints(uset)
+		for _, i := range lset {
+			if i > j {
+				res.LInd = append(res.LInd, i)
+			}
+		}
+		res.LPtr[j+1] = len(res.LInd)
+		res.UInd = append(res.UInd, uset...)
+		res.UInd = append(res.UInd, j)
+		res.UPtr[j+1] = len(res.UInd)
+		prunedLen[j] = res.LPtr[j+1] - res.LPtr[j]
+		if res.LPtr[j+1] > res.LPtr[j] {
+			res.Parent[j] = res.LInd[res.LPtr[j]]
+		} else {
+			res.Parent[j] = -1
+		}
+		for _, k := range uset {
+			if pruned[k] {
+				continue
+			}
+			lo, hi := res.LPtr[k], res.LPtr[k]+prunedLen[k]
+			seg := res.LInd[lo:hi]
+			idx := sort.SearchInts(seg, j)
+			if idx < len(seg) && seg[idx] == j {
+				prunedLen[k] = idx + 1
+				pruned[k] = true
+			}
+		}
+	}
+	res.buildSupernodes(maxSuper, opts.Relax)
+	res.countFlops()
+	return res
+}
+
+// sameResult fails unless every field of got is reflect.DeepEqual to the
+// reference's.
+func sameResult(t testing.TB, name string, got, want *Result) {
+	t.Helper()
+	g, w := reflect.ValueOf(got).Elem(), reflect.ValueOf(want).Elem()
+	for f := 0; f < g.NumField(); f++ {
+		if !reflect.DeepEqual(g.Field(f).Interface(), w.Field(f).Interface()) {
+			t.Fatalf("%s: Result.%s differs from the reference", name, g.Type().Field(f).Name)
+		}
+	}
+}
+
+// randomPattern draws an unsymmetric n×n pattern in which each diagonal
+// entry is missing with probability 1/2 and about one column in eight is
+// empty.
+func randomPattern(rng *rand.Rand, n int, density float64) *sparse.CSC {
+	t := sparse.NewTriplet(n, n)
+	for j := 0; j < n; j++ {
+		if rng.Intn(8) == 0 {
+			continue
+		}
+		for i := 0; i < n; i++ {
+			if i == j && rng.Intn(2) == 0 || i != j && rng.Float64() < density {
+				t.Append(i, j, 1)
+			}
+		}
+	}
+	return t.ToCSC()
+}
+
+// analysed applies the pipeline's permutations before the symbolic phase:
+// large entries to the diagonal (MC64), then AMD on A+Aᵀ symmetrically.
+func analysed(t *testing.T, a *sparse.CSC) *sparse.CSC {
+	t.Helper()
+	mc, err := matching.MaxProductMatching(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := a.PermuteRows(mc.RowPerm)
+	return w.PermuteSym(ordering.Order(w, ordering.MinDegAPlusAT))
+}
+
+// TestFactorizeMatchesReference holds Factorize to the per-column-sort
+// oracle field for field, on every option pair: the testbed in natural
+// order (zero diagonals included) and analysed, the benchmark's three
+// classes at its cold and refactor sizes, random patterns with missing
+// diagonals and empty columns, and n = 0 and 1.
+func TestFactorizeMatchesReference(t *testing.T) {
+	type system struct {
+		name string
+		a    *sparse.CSC
+	}
+	var systems []system
+	for _, m := range matgen.Testbed() {
+		a := m.Generate(0.35)
+		systems = append(systems, system{m.Name, a}, system{m.Name + "/analysed", analysed(t, a)})
+	}
+	classes := []func(size int, rng *rand.Rand) *sparse.CSC{
+		func(s int, rng *rand.Rand) *sparse.CSC { return matgen.ConvectionDiffusion2D(s, s, 1.5, 0.5, rng) },
+		func(s int, rng *rand.Rand) *sparse.CSC {
+			return matgen.ConvectionDiffusion3D(s, s, s/2, 1, 1, 1, 1, rng)
+		},
+		func(s int, rng *rand.Rand) *sparse.CSC { return matgen.HarmonicBalance(s, 8, 4, rng) },
+	}
+	for c, sizes := range [][2]int{{76, 112}, {16, 18}, {300, 450}} {
+		for _, size := range sizes {
+			rng := rand.New(rand.NewSource(int64(c)))
+			a := matgen.EnsureFullRank(classes[c](size, rng), rng)
+			systems = append(systems, system{fmt.Sprintf("class %d size %d", c, size), analysed(t, a)})
+		}
+	}
+	rng := rand.New(rand.NewSource(27))
+	for trial := 0; trial < 40; trial++ {
+		n := rng.Intn(60)
+		systems = append(systems, system{fmt.Sprintf("random %d (n=%d)", trial, n), randomPattern(rng, n, 0.02+0.2*rng.Float64())})
+	}
+	for _, n := range []int{0, 1} {
+		systems = append(systems, system{fmt.Sprintf("n=%d", n), sparse.NewTriplet(n, n).ToCSC()})
+	}
+	systems = append(systems, system{"1x1", sparse.Identity(1)})
+
+	for _, s := range systems {
+		for _, maxSuper := range []int{0, 1, 24} {
+			for _, relax := range []int{0, 4} {
+				opts := Options{MaxSuper: maxSuper, Relax: relax}
+				got, err := Factorize(s.a, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameResult(t, fmt.Sprintf("%s %+v", s.name, opts), got, referenceFactorize(s.a, opts))
+			}
+		}
+	}
+}
 
 // denseSymbolicLU simulates no-pivot elimination on a boolean dense
 // pattern, the ground truth for fill.
