@@ -265,27 +265,6 @@ func BenchmarkMC64Matching(b *testing.B) {
 
 // Extension benchmarks (paper §5 future-work features).
 
-func BenchmarkDenseTailSwitch(b *testing.B) {
-	// Compare plain sparse factorization against the dense-tail switch on
-	// a matrix with a genuinely dense trailing block.
-	m, _ := matgen.Lookup("PSMIGR_1")
-	a := m.Generate(benchScale)
-	s, err := core.NewAnalysis(a, core.DefaultOptions())
-	if err != nil {
-		b.Fatal(err)
-	}
-	ap, sym := s.PermutedMatrix(), s.Symbolic()
-	b.ResetTimer()
-	var tail int
-	for i := 0; i < b.N; i++ {
-		_, tail, err = lu.FactorizeDenseTail(ap, sym, lu.Options{ReplaceTinyPivot: true}, 0.5)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(sym.N-tail), "dense-tail-cols")
-}
-
 func BenchmarkILUGMRESWithMC64(b *testing.B) {
 	var rows []experiments.IterativeRow
 	var err error
@@ -424,32 +403,6 @@ func BenchmarkServeThroughput(b *testing.B) {
 		b.ReportMetric(last.MeanBatch, "mean-batch")
 		b.ReportMetric(serve.HitRate(last.Stats.FactorHits, last.Stats.FactorMisses), "factor-hit-rate")
 	}
-}
-
-func BenchmarkSupernodalVsColumnFactor(b *testing.B) {
-	// The SuperLU-style blocked engine vs the scalar column kernel on the
-	// same static structure (the paper's uniprocessor-performance theme).
-	m, _ := matgen.Lookup("EX11")
-	a := m.Generate(benchScale)
-	s, err := core.NewAnalysis(a, core.DefaultOptions())
-	if err != nil {
-		b.Fatal(err)
-	}
-	ap, sym := s.PermutedMatrix(), s.Symbolic()
-	b.Run("column", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := lu.Factorize(ap, sym, lu.Options{ReplaceTinyPivot: true}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("supernodal", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := dist.FactorizeBlocked(ap, sym, lu.Options{ReplaceTinyPivot: true}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 func BenchmarkResilienceLadder(b *testing.B) {

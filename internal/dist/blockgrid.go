@@ -10,9 +10,8 @@ import (
 	"gesp/internal/sparse"
 )
 
-// BlockGrid is the one block store: both engines — the serial blocked
-// factorization and each simulated rank — keep
-// its numbers in dense slices parallel to Structure.LBlocks/UBlocks, so
+// BlockGrid is the one block store: each simulated rank keeps its
+// numbers in dense slices parallel to Structure.LBlocks/UBlocks, so
 // the right-looking loops index blocks directly and no storage is spent
 // on structurally-absent blocks. A rank's grid has the same shape as
 // everyone else's and leaves the slots of blocks it does not own nil.

@@ -117,6 +117,78 @@ func oneRankFactor(a *sparse.CSC, sym *symbolic.Result) *BlockGrid {
 	return blocks
 }
 
+func TestSupernodalMatchesColumnFactorization(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for trial := 0; trial < 10; trial++ {
+		a, sym := prepared(t, 41+int64(trial), 60+rng.Intn(100), 0.06, 8)
+		col, err := lu.Factorize(a, sym, lu.Options{ReplaceTinyPivot: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		blk := oneRankFactor(a, sym).Factors(a)
+		scale := a.MaxAbs()
+		for q := range col.LVal {
+			if d := math.Abs(col.LVal[q] - blk.LVal[q]); d > 1e-10*scale {
+				t.Fatalf("trial %d: L diverges by %g at %d", trial, d, q)
+			}
+		}
+		for p := range col.UVal {
+			if d := math.Abs(col.UVal[p] - blk.UVal[p]); d > 1e-10*scale {
+				t.Fatalf("trial %d: U diverges by %g at %d", trial, d, p)
+			}
+		}
+	}
+}
+
+// relaxedSystem is a random system analysed with relaxed (amalgamated)
+// supernodes, whose symbolic pattern pads beyond the block skeleton.
+func relaxedSystem(t *testing.T) (*sparse.CSC, *symbolic.Result) {
+	t.Helper()
+	a, _ := prepared(t, 23, 100, 0.05, 10)
+	sym, err := symbolic.Factorize(a, symbolic.Options{MaxSuper: 10, Relax: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a, sym
+}
+
+// TestFactorsIndependentOfLayout is the paper's §3 premise as a test:
+// with static pivoting the factors do not depend on the number of
+// processes, the grid shape, EDAG pruning or look-ahead — every
+// distributed run assembles to the bits of the 1-rank worker.
+func TestFactorsIndependentOfLayout(t *testing.T) {
+	strict, strictSym, _, _ := ftSystem(t, 3, 160)
+	relaxed, relaxedSym := relaxedSystem(t)
+	for _, sys := range []struct {
+		name string
+		a    *sparse.CSC
+		sym  *symbolic.Result
+	}{{"strict", strict, strictSym}, {"relaxed", relaxed, relaxedSym}} {
+		want := oneRankFactor(sys.a, sys.sym).Factors(sys.a).Fingerprint()
+		b := make([]float64, sys.a.Rows)
+		for i := range b {
+			b[i] = 1
+		}
+		for _, shape := range [][2]int{{1, 1}, {2, 2}, {1, 4}, {4, 1}, {2, 3}, {3, 5}} {
+			grid := mpisim.Grid{PRow: shape[0], PCol: shape[1]}
+			for _, prune := range []bool{false, true} {
+				for _, pipeline := range []bool{false, true} {
+					o, err := run(job{a: sys.a, sym: sys.sym, bs: [][]float64{b}, opts: Options{
+						Procs: grid.PRow * grid.PCol, Grid: &grid, EDAGPrune: prune, Pipeline: pipeline, ReplaceTinyPivot: true,
+					}})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := mergeGrids(o.grids).Factors(sys.a).Fingerprint(); got != want {
+						t.Errorf("%s %v prune=%v pipeline=%v: fingerprint %016x, 1-rank worker %016x",
+							sys.name, grid, prune, pipeline, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestDistributedManyProcsMoreThanBlocks(t *testing.T) {
 	// More processors than supernodes: idle ranks must not deadlock.
 	a, sym := prepared(t, 11, 30, 0.1, 30)

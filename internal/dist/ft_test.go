@@ -99,17 +99,9 @@ func TestSolveFTMatchesSolve(t *testing.T) {
 		t.Fatal(err)
 	}
 	asm := oneRankFactor(a, sym).Factors(a)
-	// One block schedule, three executions: the serial blocked engine,
-	// the 1-rank worker and the 4-rank fault-tolerant run all assemble to
-	// the same bits.
-	grid, _, err := FactorizeBlocked(a, sym, lu.Options{ReplaceTinyPivot: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// One block schedule, two executions: the 1-rank worker and the
+	// 4-rank fault-tolerant run assemble to the same bits.
 	fp := asm.Fingerprint()
-	if got := grid.Factors(a).Fingerprint(); got != fp {
-		t.Fatalf("FactorizeBlocked fingerprint %x != 1-rank worker %x", got, fp)
-	}
 	if rec.Fingerprint != fp {
 		t.Fatalf("SolveFT fingerprint %x != 1-rank worker %x", rec.Fingerprint, fp)
 	}

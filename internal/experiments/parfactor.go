@@ -18,7 +18,7 @@ import (
 // time); WallNs is real elapsed time for every variant.
 type ParFactorRow struct {
 	Matrix      string  `json:"matrix"`
-	Variant     string  `json:"variant"` // "scalar-serial" | "blocked-serial" | "scalar-parallel" | "mpisim"
+	Variant     string  `json:"variant"` // "scalar-serial" | "scalar-parallel" | "mpisim"
 	Workers     int     `json:"workers"`
 	WallNs      int64   `json:"wall_ns"`
 	SimulatedNs int64   `json:"simulated_ns"`
@@ -42,11 +42,10 @@ func minWall(reps int, f func() error) (int64, error) {
 }
 
 // ParallelFactorSweep benchmarks the factorization engines on the named
-// testbed matrices: the scalar serial reference, the serial blocked
-// engine, the scalar engine on its static parallel schedule at each
-// worker count (the schedule is built once per analysis, outside the
-// timing, as core builds it), and the simulated distributed engine at
-// the largest worker count.
+// testbed matrices: the scalar serial reference, the same engine on its
+// static parallel schedule at each worker count (the schedule is built
+// once per analysis, outside the timing, as core builds it), and the
+// simulated distributed engine at the largest worker count.
 func ParallelFactorSweep(names []string, scale float64, workerCounts []int) ([]ParFactorRow, error) {
 	const reps = 3
 	var rows []ParFactorRow
@@ -74,12 +73,6 @@ func ParallelFactorSweep(names []string, scale float64, workerCounts []int) ([]P
 			return nil, fmt.Errorf("experiments: %s scalar: %w", name, err)
 		}
 		rows = append(rows, ParFactorRow{Matrix: name, Variant: "scalar-serial", Workers: 1, WallNs: ns, Mflops: mflops(ns)})
-
-		ns, err = minWall(reps, func() error { _, _, err := dist.FactorizeBlocked(ap, sym, opts); return err })
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %s blocked: %w", name, err)
-		}
-		rows = append(rows, ParFactorRow{Matrix: name, Variant: "blocked-serial", Workers: 1, WallNs: ns, Mflops: mflops(ns)})
 
 		maxW := 1
 		for _, w := range workerCounts {

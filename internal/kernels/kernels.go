@@ -1,9 +1,8 @@
 // Package kernels holds the register-blocked micro-kernels shared by
-// every execution engine: the serial blocked factorization
-// (dist.FactorizeBlocked), the simulated distributed engine
-// (dist.Solve), the scalar column factorization, serial or statically
-// scheduled (lu.Factorize, lu.Schedule.Factorize), and the batched
-// triangular solves (lu.Factors.SolveMulti). The supernodal panels are
+// every execution engine: the simulated distributed engine's per-rank
+// block updates (dist.Solve), the scalar column factorization, serial or
+// statically scheduled (lu.Factorize, lu.Schedule.Factorize), and the
+// batched triangular solves (lu.Factors.SolveMulti). The supernodal panels are
 // dense column-major tiles sized by the symbolic analysis (the paper
 // uses maxSuper = 24 columns), so the kernels are written for tall
 // skinny operands: fused multi-column axpy sweeps that read each panel

@@ -1,6 +1,7 @@
 package kernels
 
-// Panel-solve and dense-elimination kernels of the supernodal engines.
+// Panel-solve and dense-elimination kernels of the supernodal block
+// engine (internal/dist).
 // The diagonal operand d is a factored diagonal block (unit-lower L and
 // upper U packed together) of leading dimension ldd; the panel b is
 // packed column-major nr×nc. As everywhere in this package, each kernel

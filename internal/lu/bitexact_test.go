@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"gesp/internal/matgen"
@@ -196,6 +197,48 @@ func leafSystem(rng *rand.Rand, leaves, s, sep int, zeros bool) *sparse.CSC {
 	return a
 }
 
+// arrowToDense builds a matrix whose fill produces a genuinely dense
+// trailing block: a banded head plus a dense coupling tail.
+func arrowToDense(rng *rand.Rand, n, tail int) *sparse.CSC {
+	t := sparse.NewTriplet(n, n)
+	for i := 0; i < n; i++ {
+		t.Append(i, i, 6+rng.Float64())
+		if i+1 < n {
+			t.Append(i+1, i, rng.NormFloat64()*0.5)
+			t.Append(i, i+1, rng.NormFloat64()*0.5)
+		}
+	}
+	for i := n - tail; i < n; i++ {
+		for j := n - tail; j < n; j++ {
+			if i != j {
+				t.Append(i, j, rng.NormFloat64()*0.3)
+			}
+		}
+		// Couple the tail to the head so elimination order matters.
+		t.Append(i, i%(n-tail), rng.NormFloat64()*0.2)
+		t.Append(i%(n-tail), i, rng.NormFloat64()*0.2)
+	}
+	return t.ToCSC()
+}
+
+// clippedRuns counts the runs of two or more columns that lie in the
+// supernode of the column they update, where RunLast stops at j-1.
+func clippedRuns(sym *symbolic.Result) int {
+	count := 0
+	for j := 0; j < sym.N; j++ {
+		diag := sym.UPtr[j+1] - 1
+		for p := sym.UPtr[j]; p < diag; {
+			k := sym.UInd[p]
+			e := sym.RunLast(p, diag, j)
+			if e > k && sym.SupOf[k] == sym.SupOf[j] {
+				count++
+			}
+			p += e - k + 1
+		}
+	}
+	return count
+}
+
 // zeroMultiplierRuns counts the supernode runs of two or more columns in
 // which the factorization met an exactly zero U(k,j).
 func zeroMultiplierRuns(f *Factors) int {
@@ -223,10 +266,9 @@ func zeroMultiplierRuns(f *Factors) int {
 // columns of a supernode run through the fused kernels.SpAxpyCols,
 // produces the bits of the column-at-a-time plain loop — for every
 // supernode width and remainder, with relaxed (merely nested)
-// supernodes, with zero multipliers inside a run, under every pivot
-// policy, and on the benchmark's matrix classes. (The blocked engine's
-// counterpart — FactorizeBlocked against the 1-rank distributed worker —
-// lives in internal/dist.)
+// supernodes, with zero multipliers inside a run, with runs clipped at
+// j-1 inside a dense trailing block, under every pivot policy, and on
+// the benchmark's matrix classes.
 func TestColumnFactorizeMatchesPlainLoop(t *testing.T) {
 	t.Parallel()
 	replace := Options{ReplaceTinyPivot: true}
@@ -271,6 +313,21 @@ func TestColumnFactorizeMatchesPlainLoop(t *testing.T) {
 		}
 	}
 
+	// A banded head and a dense trailing block: wide exact supernodes at
+	// the end of the matrix, each of whose columns meets its own
+	// supernode's earlier columns in a run clipped at j-1.
+	for trial := 0; trial < 3; trial++ {
+		n := 60 + rng.Intn(60)
+		a := arrowToDense(rng, n, 12+rng.Intn(10))
+		for _, maxSuper := range []int{5, 24} {
+			sym := symbolicOf(a, symbolic.Options{MaxSuper: maxSuper})
+			if clippedRuns(sym) == 0 {
+				t.Errorf("arrow trial %d MaxSuper=%d: no run clipped at j-1", trial, maxSuper)
+			}
+			checkAgainstPlainLoop(t, fmt.Sprintf("arrow trial %d MaxSuper=%d", trial, maxSuper), a, sym, replace)
+		}
+	}
+
 	// Pivot policies. Zero diagonals at the head of two leaves: replaced
 	// (by the threshold, or by the column maximum with the same
 	// PivotMods), or the same ZeroPivotError at the same column.
@@ -312,6 +369,38 @@ func TestColumnFactorizeMatchesPlainLoop(t *testing.T) {
 		sym := symbolicOf(a, symbolic.Options{})
 		checkAgainstPlainLoop(t, class.name, a, sym, replace)
 		checkAgainstPlainLoop(t, class.name+" aggressive", a, sym, Options{ReplaceTinyPivot: true, Aggressive: true})
+	}
+}
+
+// TestFactorizeSharedSymbolic factors through one symbolic.Result from
+// several goroutines, as NewWithSymbolic's callers do: the structure is
+// read-only to the engine (the race detector is the assertion), and
+// every goroutine gets the same factors.
+func TestFactorizeSharedSymbolic(t *testing.T) {
+	a := arrowToDense(rand.New(rand.NewSource(92)), 80, 14)
+	sym, err := symbolic.Factorize(a, symbolic.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	fps := make([]uint64, 4)
+	for g := range fps {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			f, err := Factorize(a, sym, Options{ReplaceTinyPivot: true})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			fps[g] = f.Fingerprint()
+		}()
+	}
+	wg.Wait()
+	for g, fp := range fps {
+		if fp != fps[0] {
+			t.Errorf("goroutine %d: fingerprint %x, goroutine 0 %x", g, fp, fps[0])
+		}
 	}
 }
 

@@ -3,14 +3,14 @@
 // paper's algorithm, including tiny-pivot replacement), serial or on a
 // static parallel schedule, a Gilbert–Peierls partial pivoting
 // factorization used as the accuracy baseline (the paper's Figure 4
-// compares GESP against GEPP as implemented in SuperLU), the §5
-// dense-tail variant, and the triangular solves.
+// compares GESP against GEPP as implemented in SuperLU), and the
+// triangular solves.
 //
 // The left-looking factorization is column by column with
 // supernode-column updates: one column step (Factors.step), shared by
-// Factorize, Schedule.Factorize and FactorizeDenseTail, applies the
-// columns of L that U(:,j) names, and takes those that lie in one exact
-// supernode as a unit — the rows below the supernode's diagonal block
+// Factorize and Schedule.Factorize, applies the columns of L that U(:,j)
+// names, and takes those that lie in one exact supernode as a unit —
+// the rows below the supernode's diagonal block
 // share one index list, so four columns are applied per gather and
 // scatter of the working column (kernels.SpAxpyCols). Every element
 // still receives its subtractions one rounded product at a time in
@@ -174,7 +174,7 @@ func (f *Factors) step(wk *worker, j int) error {
 	sym, w := f.Sym, wk.w
 	cmax := scatterColumn(wk.a, j, w)
 	f.ColAMax[j] = cmax
-	if !f.update(wk, j, j) {
+	if !f.update(wk, j) {
 		return errAbandoned
 	}
 	piv, err := wk.pick(j, w[j], cmax)
@@ -189,10 +189,9 @@ func (f *Factors) step(wk *worker, j int) error {
 	return nil
 }
 
-// update records U(k,j) = w[k] for the rows k < limit of U(:,j), in
-// ascending order (a topological order), and applies each column:
-// w -= L(:,k)·U(k,j). limit is j for a full step; the dense-tail variant
-// stops at its switch column.
+// update records U(k,j) = w[k] for the strictly-upper rows k of U(:,j),
+// in ascending order (a topological order), and applies each column:
+// w -= L(:,k)·U(k,j).
 //
 // Rows that form a run k..e inside one exact supernode (sym.RunLast) are
 // taken as a unit, SuperLU's sup-col update. Inside the run's diagonal
@@ -212,16 +211,13 @@ func (f *Factors) step(wk *worker, j int) error {
 // which order, so neither do the bits.
 //
 //gesp:hotpath
-func (f *Factors) update(wk *worker, j, limit int) bool {
+func (f *Factors) update(wk *worker, j int) bool {
 	sym, w, top := f.Sym, wk.w, wk.top
 	lptr, lind, lval := sym.LPtr, sym.LInd, f.LVal
 	diag := sym.UPtr[j+1] - 1
 	for p := sym.UPtr[j]; p < diag; {
 		k := sym.UInd[p]
-		if k >= limit {
-			break
-		}
-		e := sym.RunLast(p, diag, limit)
+		e := sym.RunLast(p, diag, j)
 		if top != nil {
 			if e = top.await(k, e, j); e < k {
 				return false

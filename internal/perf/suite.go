@@ -121,8 +121,8 @@ func Run(scale float64, quick bool) (*File, error) {
 			fn:    checked(func() error { _, err := symbolic.Factorize(ap, symbolic.Options{}); return err })},
 	)
 
-	// Engines. The serial engines are deterministic single-thread work,
-	// so their timings gate; the scalar engine on its two-worker schedule
+	// Engines. The serial engine is deterministic single-thread work, so
+	// its timing gates; the same engine on its two-worker schedule
 	// is recorded for the trajectory only (its wall time depends on the
 	// second core), allocs/op included: the factors, one accumulator per
 	// worker and the completion flags.
@@ -132,9 +132,6 @@ func Run(scale float64, quick bool) (*File, error) {
 		bench{name: "engine/scalar-serial/" + Matrix, class: "engine", hot: true,
 			flops: engFlops, iters: 1,
 			fn: checked(func() error { _, err := lu.Factorize(ap, sym, opts); return err })},
-		bench{name: "engine/blocked-serial/" + Matrix, class: "engine", hot: true,
-			flops: engFlops, iters: 1,
-			fn: checked(func() error { _, _, err := dist.FactorizeBlocked(ap, sym, opts); return err })},
 		bench{name: "engine/scalar-parallel/" + Matrix, class: "engine", hot: false, measAll: true,
 			flops: engFlops, iters: 1,
 			fn: checked(func() error { _, err := sched2.Factorize(ap, opts); return err })},

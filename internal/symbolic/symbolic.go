@@ -274,17 +274,18 @@ func (r *Result) buildSupernodes(maxSuper, relax int) {
 }
 
 // RunLast returns the last row e of the supernode run of U(:,j) that
-// starts at position p of UInd (row k = UInd[p] < limit; diag is the
-// position of U(:,j)'s diagonal): the rows k..e of k's supernode below
-// limit, all present in U(:,j) and contiguous in UInd because the static
-// fill is closed (U(k,j) ≠ 0 and the dense diagonal block L(k+1..e,k)
-// fill U(k+1..e,j)). The run's columns of L then share one index list
-// below row e — column e's — and column kk's values for it are the last
+// starts at position p of UInd (row k = UInd[p] < j; diag is the
+// position of U(:,j)'s diagonal): the rows k..e of k's supernode, clipped
+// at j−1 when column j lies in that supernode itself, all present in
+// U(:,j) and contiguous in UInd because the static fill is closed
+// (U(k,j) ≠ 0 and the dense diagonal block L(k+1..e,k) fill
+// U(k+1..e,j)). The run's columns of L then share one index list below
+// row e — column e's — and column kk's values for it are the last
 // LPtr[e+1]−LPtr[e] entries of that column. A supernode that is not
 // exact, or a pattern that does not show the run, gives e = k.
 //
 //gesp:hotpath
-func (r *Result) RunLast(p, diag, limit int) int {
+func (r *Result) RunLast(p, diag, j int) int {
 	k := r.UInd[p]
 	if p+1 >= diag || r.UInd[p+1] != k+1 {
 		return k // no second row: decided without touching the partition
@@ -294,8 +295,8 @@ func (r *Result) RunLast(p, diag, limit int) int {
 		return k
 	}
 	e := r.SupPtr[s+1] - 1
-	if e >= limit {
-		e = limit - 1
+	if e >= j {
+		e = j - 1
 	}
 	if q := p + (e - k); q >= diag || r.UInd[q] != e {
 		return k
