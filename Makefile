@@ -61,20 +61,21 @@ chaos:
 	$(GO) run ./cmd/gesp-bench -exp fleetproc -fleet-workers 4 -fleet-duration 500ms -scale 0.2
 	$(GO) run ./cmd/gesp-bench -exp ha -fleet-workers 4 -fleet-duration 800ms -scale 0.2
 
-# Smoke runs: short closed-loop runs of the commands and one iteration
-# of the benchmarks behind them, to catch wiring breakage in the
-# binaries and the experiment harness without the cost of a sweep.
-#  - serving layer: cmd/gesp-serve's load generator + the serve benchmark;
-#  - fleet: cmd/gesp-fleet's load generator through the router
-#    (replication and a mid-run drain exercised) + the ring and fleet
-#    benchmarks;
+# Smoke runs: short closed-loop runs of the experiment harness and one
+# iteration of the benchmarks behind them, to catch wiring breakage in
+# the binaries and the harness without the cost of a sweep.
+#  - serving layer: the serve study's three batching arms + the serve
+#    benchmark;
+#  - fleet: the fleet study through the router (shard scaling, hedging,
+#    and a mid-run drain that fails the run if it loses a request or
+#    refactors) + the ring and fleet benchmarks;
 #  - distributed fault tolerance: the recovery-overhead table at reduced
 #    scale, which fails if any injected fault (kill, stall, dropped
 #    message) is not recovered with bit-identical factors.
 smoke:
-	$(GO) run ./cmd/gesp-serve -load -clients 8 -duration 300ms -patterns 2 -variants 3 -scale 0.25
+	$(GO) run ./cmd/gesp-bench -exp serve -serve-duration 50ms -scale 0.25
 	$(GO) test -run - -bench BenchmarkServeThroughput -benchtime 1x .
-	$(GO) run ./cmd/gesp-fleet -load -workers 8 -duration 300ms -patterns 3 -variants 3 -scale 0.25 -drain-mid
+	$(GO) run ./cmd/gesp-bench -exp fleet -fleet-duration 50ms -fleet-workers 8 -scale 0.25
 	$(GO) test -run - -bench 'BenchmarkRing|BenchmarkFleet' -benchtime 1x ./internal/fleet/ ./internal/fleetrpc/
 	$(GO) run ./cmd/gesp-bench -exp faults -scale 0.25
 

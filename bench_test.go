@@ -384,15 +384,7 @@ func BenchmarkServeThroughput(b *testing.B) {
 	cfg.Options.Refine = false
 	var last *experiments.ServeLoadResult
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunServeLoad(experiments.ServeLoadConfig{
-			Service:  cfg,
-			Clients:  8,
-			Patterns: 2,
-			Variants: 3,
-			Duration: 200 * time.Millisecond,
-			Scale:    benchScale,
-			Resubmit: 0.05,
-		})
+		res, err := experiments.ServeLoad(cfg, 8, 200*time.Millisecond, benchScale)
 		if err != nil {
 			b.Fatal(err)
 		}

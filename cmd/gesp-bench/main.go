@@ -11,7 +11,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -24,6 +23,9 @@ import (
 	"gesp/internal/fleetha"
 	"gesp/internal/fleetrpc"
 )
+
+// tables is what one experiment renders.
+type tables = []experiments.Table
 
 // main renders benchmark reports to stdout; a failed terminal write has
 // no recovery beyond the OS reporting it on exit.
@@ -40,7 +42,6 @@ func main() {
 		scale    = flag.Float64("scale", 0.5, "matrix scale factor (1.0 = larger, slower)")
 		procsF   = flag.String("procs", "4,8,16,32,64,128,256,512", "processor sweep for tables 3-5")
 		p5       = flag.Int("p5", 64, "processor count for table 5 (paper: 64)")
-		jsonOut  = flag.Bool("json", false, "emit the parfactor sweep as machine-readable JSON on stdout (matrix, variant, workers, wall_ns, simulated_ns, mflops) and exit")
 		workersF = flag.String("workers", "1,2,4,8", "worker sweep for the parfactor experiment")
 		matsF    = flag.String("matrices", "AF23560,BBMAT,EX11", "matrices for the parfactor experiment")
 
@@ -62,15 +63,11 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	parfactor := func() []experiments.ParFactorRow {
-		rows, err := experiments.ParallelFactorSweep(splitNames(*matsF), *scale, workers)
-		must(err)
-		return rows
-	}
 
 	// The experiment table, in output order: the one place an experiment
 	// is named. group is the -exp alias that also selects it; needs is
-	// the shared sweep (run once, before any section) it prints from.
+	// the shared sweep (run once, before any section) it reads from; run
+	// measures and lays out the experiment, ending the run on an error.
 	const (
 		needSerial = iota + 1
 		needScaling
@@ -78,113 +75,95 @@ func main() {
 	type experiment struct {
 		name, group string
 		needs       int
-		run         func()
+		run         func() tables
 	}
 	table := []experiment{
-		{"table1", "serial", 0, func() { experiments.PrintTable1(w, *scale) }},
-		{"fig2", "serial", needSerial, func() { experiments.PrintFigure2(w, serial) }},
-		{"fig3", "serial", needSerial, func() { experiments.PrintFigure3(w, serial) }},
-		{"fig4", "serial", needSerial, func() { experiments.PrintFigure4(w, serial) }},
-		{"fig5", "serial", needSerial, func() { experiments.PrintFigure5(w, serial) }},
-		{"fig6", "serial", needSerial, func() { experiments.PrintFigure6(w, serial) }},
-		{"nopivot", "serial", 0, func() { experiments.PrintNoPivot(w, *scale) }},
-		{"table2", "scaling", 0, func() { experiments.PrintTable2(w, *scale) }},
-		{"table3", "scaling", needScaling, func() { experiments.PrintTable3(w, scaling, procs) }},
-		{"table4", "scaling", needScaling, func() { experiments.PrintTable4(w, scaling, procs) }},
-		{"table5", "scaling", needScaling, func() { experiments.PrintTable5(w, scaling, procs, *p5) }},
-		{"edag", "", 0, func() {
+		{"table1", "serial", 0, func() tables { return tables{experiments.FormatTable1(experiments.Table1(*scale), *scale)} }},
+		{"fig2", "serial", needSerial, func() tables { return tables{experiments.FormatFigure2(serial)} }},
+		{"fig3", "serial", needSerial, func() tables { return tables{experiments.FormatFigure3(serial)} }},
+		{"fig4", "serial", needSerial, func() tables { return tables{experiments.FormatFigure4(serial)} }},
+		{"fig5", "serial", needSerial, func() tables { return tables{experiments.FormatFigure5(serial)} }},
+		{"fig6", "serial", needSerial, func() tables { return tables{experiments.FormatFigure6(serial)} }},
+		{"nopivot", "serial", 0, func() tables { return tables{experiments.FormatNoPivot(experiments.RunNoPivot(*scale))} }},
+		{"table2", "scaling", 0, func() tables { return tables{experiments.FormatTable2(experiments.Table2(*scale), *scale)} }},
+		{"table3", "scaling", needScaling, func() tables { return tables{experiments.FormatTable3(scaling, procs)} }},
+		{"table4", "scaling", needScaling, func() tables { return tables{experiments.FormatTable4(scaling, procs)} }},
+		{"table5", "scaling", needScaling, func() tables { return tables{experiments.FormatTable5(scaling, procs, *p5)} }},
+		{"edag", "", 0, func() tables {
 			r, err := experiments.EDAGAblation("AF23560", *scale, 32)
 			must(err)
-			experiments.PrintAblation(w, "EDAG-pruned communication (paper: 16% fewer messages, AF23560, 32 PEs)", r)
+			return tables{experiments.FormatAblation("EDAG-pruned communication (paper: 16% fewer messages, AF23560, 32 PEs)", r)}
 		}},
-		{"pipeline", "", 0, func() {
+		{"pipeline", "", 0, func() tables {
 			r, err := experiments.PipelineAblation("AF23560", *scale, 64)
 			must(err)
-			experiments.PrintAblation(w, "Pipelined factorization (paper: 10-40% faster on 64 PEs)", r)
+			return tables{experiments.FormatAblation("Pipelined factorization (paper: 10-40% faster on 64 PEs)", r)}
 		}},
-		{"blocksize", "", 0, func() {
-			res, err := experiments.BlockSizeAblation("AF23560", *scale, 16, []int{4, 8, 16, 24, 32, 64, 128})
+		{"blocksize", "", 0, func() tables {
+			rows, err := experiments.BlockSizeAblation("AF23560", *scale, 16, []int{4, 8, 16, 24, 32, 64, 128})
 			must(err)
-			fmt.Fprintln(w, "Maximum block size sweep (paper: 20-30 best on the T3E, 24 used):")
-			fmt.Fprintf(w, "%8s %12s %10s\n", "maxSuper", "factor(s)", "avgSup")
-			for _, r := range res {
-				fmt.Fprintf(w, "%8d %12.4f %10.1f\n", r.MaxSuper, r.FactorTime, r.AvgSuper)
-			}
+			return tables{experiments.FormatBlockSize(rows)}
 		}},
-		{"ordering", "", 0, func() {
-			rows, err := experiments.OrderingAblation(
-				[]string{"AF23560", "MEMPLUS", "SHERMAN4", "TWOTONE", "WANG4"}, *scale)
+		{"ordering", "", 0, func() tables {
+			rows, err := experiments.OrderingAblation([]string{"AF23560", "MEMPLUS", "SHERMAN4", "TWOTONE", "WANG4"}, *scale)
 			must(err)
-			fmt.Fprintln(w, "Fill-reducing ordering comparison, nnz(L+U):")
-			fmt.Fprintf(w, "%-10s %12s %12s %12s %12s %12s\n", "Matrix", "mmd-ata", "mmd-at+a", "rcm", "nd-ata", "natural")
-			for _, r := range rows {
-				fmt.Fprintf(w, "%-10s %12d %12d %12d %12d %12d\n",
-					r.Name, r.Fill["mmd-ata"], r.Fill["mmd-at+a"], r.Fill["rcm"], r.Fill["nd-ata"], r.Fill["natural"])
-			}
+			return tables{experiments.FormatOrdering(rows)}
 		}},
-		{"relax", "", 0, func() {
-			res, err := experiments.RelaxAblation("TWOTONE", *scale, 16, []int{0, 1, 2, 4, 8})
+		{"relax", "", 0, func() tables {
+			rows, err := experiments.RelaxAblation("TWOTONE", *scale, 16, []int{0, 1, 2, 4, 8})
 			must(err)
-			fmt.Fprintln(w, "Supernode amalgamation sweep (paper 5: amalgamate small supernodes):")
-			fmt.Fprintf(w, "%8s %10s %10s %12s\n", "relax", "avgSup", "#sup", "factor(s)")
-			for _, r := range res {
-				fmt.Fprintf(w, "%8d %10.2f %10d %12.4f\n", r.Relax, r.AvgSuper, r.NumSuper, r.FactorTime)
-			}
+			return tables{experiments.FormatRelax(rows)}
 		}},
-		{"gridshape", "", 0, func() {
+		{"gridshape", "", 0, func() tables {
 			rows, err := experiments.GridShapeAblation("AF23560", *scale, 16)
 			must(err)
-			fmt.Fprintln(w, "Process-grid shape on 16 PEs (paper: 2-D beats the natural 1-D layout):")
-			fmt.Fprintf(w, "%8s %12s %12s %14s %8s\n", "grid", "factor(s)", "solve(s)", "volume(bytes)", "B")
-			for _, r := range rows {
-				fmt.Fprintf(w, "%8s %12.4f %12.4f %14d %8.2f\n", r.Shape, r.FactorTime, r.SolveTime, r.Volume, r.Balance)
-			}
+			return tables{experiments.FormatGridShape(rows, 16)}
 		}},
-		{"redist", "", 0, func() {
+		{"redist", "", 0, func() tables {
 			rows, err := experiments.RedistAblation(*scale, 64)
 			must(err)
-			fmt.Fprintln(w, "1-D to 2-D redistribution cost vs factorization (future-work input interface), P=64:")
-			fmt.Fprintf(w, "%-10s %12s %12s %10s %12s\n", "Matrix", "redist(s)", "factor(s)", "msgs", "bytes")
-			for _, r := range rows {
-				fmt.Fprintf(w, "%-10s %12.4f %12.4f %10d %12d\n", r.Name, r.RedistTime, r.FactorTime, r.RedistMsgs, r.RedistBytes)
-			}
+			return tables{experiments.FormatRedist(rows, 64)}
 		}},
-		{"parfactor", "", 0, func() { experiments.PrintParFactor(w, parfactor()) }},
-		{"serve", "", 0, func() {
-			rows, err := experiments.ServeAblation(*serveClients, *serveDuration, *scale)
+		{"parfactor", "", 0, func() tables {
+			rows, err := experiments.ParallelFactorSweep(splitNames(*matsF), *scale, workers)
 			must(err)
-			experiments.PrintServe(w, rows)
+			return tables{experiments.FormatParFactor(rows)}
 		}},
-		{"fleet", "", 0, func() {
-			rows, err := experiments.FleetAblation(*fleetWorkers, *fleetDuration, *scale)
+		{"serve", "", 0, func() tables {
+			res, err := experiments.ServeAblation(*serveClients, *serveDuration, *scale)
 			must(err)
-			experiments.PrintFleet(w, rows)
+			return experiments.FormatServe(res)
 		}},
-		{"fleetproc", "", 0, func() {
-			rows, err := experiments.FleetProcAblation(*fleetWorkers, *fleetDuration, *scale)
+		{"fleet", "", 0, func() tables {
+			res, err := experiments.FleetAblation(*fleetWorkers, *fleetDuration, *scale)
 			must(err)
-			experiments.PrintFleetProc(w, rows)
+			return experiments.FormatFleet(res)
 		}},
-		{"ha", "", 0, func() {
-			rows, err := experiments.HAAblation(*fleetWorkers, *fleetDuration, *scale)
+		{"fleetproc", "", 0, func() tables {
+			res, err := experiments.FleetProcAblation(*fleetWorkers, *fleetDuration, *scale)
 			must(err)
-			experiments.PrintHA(w, rows)
+			return experiments.FormatFleetProc(res)
 		}},
-		{"iterative", "", 0, func() {
+		{"ha", "", 0, func() tables {
+			res, err := experiments.HAAblation(*fleetWorkers, *fleetDuration, *scale)
+			must(err)
+			return experiments.FormatHA(res)
+		}},
+		{"iterative", "", 0, func() tables {
 			rows, err := experiments.IterativeAblation(
 				[]string{"AF23560", "MEMPLUS", "GEMAT11", "WEST2021", "SHERMAN4", "ONETONE1"}, *scale)
 			must(err)
-			experiments.PrintIterative(w, rows)
+			return tables{experiments.FormatIterative(rows)}
 		}},
-		{"resilience", "", 0, func() {
+		{"resilience", "", 0, func() tables {
 			rows, err := experiments.ResilienceAblation(1)
 			must(err)
-			experiments.PrintResilience(w, rows)
+			return tables{experiments.FormatResilience(rows)}
 		}},
-		{"faults", "", 0, func() {
+		{"faults", "", 0, func() tables {
 			rows, err := experiments.FaultAblation(1, *scale)
 			must(err)
-			experiments.PrintFaults(w, rows)
+			return tables{experiments.FormatFaults(rows)}
 		}},
 	}
 	// -exp accepts all, each group alias and every experiment name.
@@ -211,14 +190,6 @@ func main() {
 	if workers, err = parseProcs(*workersF); err != nil {
 		log.Fatal(err)
 	}
-	if *jsonOut {
-		// Machine-readable mode: JSON rows only, suitable for a
-		// BENCH_*.json perf trajectory (gesp-bench -json > BENCH_date.json).
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		must(enc.Encode(parfactor()))
-		return
-	}
 	if procs, err = parseProcs(*procsF); err != nil {
 		log.Fatal(err)
 	}
@@ -242,9 +213,11 @@ func main() {
 		scaling, err = experiments.RunScaling(*scale, procs, true, true)
 		must(err)
 	}
+	// A broken verdict that tests also assert (Table.Fail) ends the run
+	// non-zero once its table is out.
 	for _, e := range table {
 		if selected(e) {
-			e.run()
+			must(experiments.Render(w, e.run()...))
 			fmt.Fprintln(w)
 		}
 	}

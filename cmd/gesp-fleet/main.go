@@ -26,21 +26,15 @@
 //
 // With -ha-id/-ha-peers the process is one of N replicated coordinators
 // (internal/fleetha); only the elected leader routes, followers redirect.
-//
-// Load-generator mode (no server; closed-loop in-process benchmark):
-//
-//	gesp-fleet -load -shards 4 -workers 16 -duration 2s -drain-mid
 package main
 
 import (
 	"flag"
-	"fmt"
 	"log"
 	"net/http"
 	"strings"
 	"time"
 
-	"gesp/internal/experiments"
 	"gesp/internal/fleet"
 	"gesp/internal/fleetha"
 	"gesp/internal/fleetrpc"
@@ -77,16 +71,6 @@ func main() {
 		haLease     = flag.Duration("ha-lease", time.Second, "join+HA: leader lease; followers elect after this long without a heartbeat")
 		haHeartbeat = flag.Duration("ha-heartbeat", 0, "join+HA: leader heartbeat period (0 = lease/4)")
 		haSLO       = flag.Duration("ha-slo", 0, "join+HA: p999 latency SLO driving the replica controller (0 disables the controller)")
-
-		loadMode = flag.Bool("load", false, "run the closed-loop load generator instead of serving HTTP")
-		workers  = flag.Int("workers", 8, "load: concurrent closed-loop workers")
-		duration = flag.Duration("duration", 2*time.Second, "load: measurement duration")
-		patterns = flag.Int("patterns", 6, "load: distinct sparsity patterns")
-		variants = flag.Int("variants", 4, "load: value variants per pattern")
-		scale    = flag.Float64("scale", 0.3, "load: testbed matrix scale")
-		zipfS    = flag.Float64("zipf", 1.2, "load: Zipf skew of the pattern popularity (>1)")
-		diurnal  = flag.Bool("diurnal", true, "load: modulate worker count through burst phases")
-		drainMid = flag.Bool("drain-mid", false, "load: drain the hottest pattern's home shard mid-run")
 	)
 	flag.Parse()
 
@@ -135,27 +119,6 @@ func main() {
 		scfg.Options.Refine = false
 	}
 
-	if *loadMode {
-		res, err := experiments.RunFleetLoad(experiments.FleetLoadConfig{
-			Shards:   *shards,
-			Service:  scfg,
-			Router:   rcfg,
-			Workers:  *workers,
-			Patterns: *patterns,
-			Variants: *variants,
-			Duration: *duration,
-			Scale:    *scale,
-			ZipfS:    *zipfS,
-			Diurnal:  *diurnal,
-			DrainMid: *drainMid,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		printLoad(res, *duration)
-		return
-	}
-
 	if *join != "" {
 		rcfg.Shards = fleetrpc.Dial(strings.Split(*join, ","))
 	} else {
@@ -172,22 +135,4 @@ func main() {
 	log.Printf("routing over %d shards (%s) on %s (replication %d, hedge after %v, budget %.2f)",
 		len(rcfg.Shards), strings.Join(f.Addrs(), ","), *addr, rcfg.Replication, rcfg.HedgeAfter, rcfg.HedgeBudget)
 	log.Fatal(http.ListenAndServe(*addr, fleetrpc.Handler(f, quotas)))
-}
-
-// printLoad renders the load-generator report; stdout write failures
-// have no recovery beyond the OS reporting them on exit.
-//
-//gesp:errok
-func printLoad(res *experiments.FleetLoadResult, elapsed time.Duration) {
-	fmt.Printf("fleet load: %d shards, %d workers, %d systems, %v\n",
-		res.ShardCount, res.Workers, res.Systems, elapsed)
-	fmt.Printf("  solves %d (%.0f/s)  shed %d  failed %d\n",
-		res.Solves, res.Throughput, res.Shed, res.Failed)
-	fmt.Printf("  p50 %v  p99 %v  p999 %v  hedge %.1f%%  heal %.1f%%\n",
-		res.P50, res.P99, res.P999, 100*res.Stats.HedgeRate(), 100*res.Stats.HealRate())
-	fmt.Printf("  factor runs warm/final %d/%d\n", res.FactorRunsWarm, res.FactorRunsFinal)
-	if res.DrainErr != "" {
-		fmt.Printf("  DRAIN ERROR: %s\n", res.DrainErr)
-	}
-	fmt.Print(res.Stats.String())
 }

@@ -17,15 +17,10 @@
 //	GET  /v1/health    -> {"status":"ok"|"draining",...}
 //	POST /v1/handoff   -> drain; returns the resident handles
 //	POST /v1/degraded  -> iterative solve from a raw matrix
-//
-// Load-generator mode (no server; closed-loop in-process benchmark):
-//
-//	gesp-serve -load -clients 16 -duration 2s -patterns 3 -variants 4
 package main
 
 import (
 	"flag"
-	"fmt"
 	"log"
 	"net/http"
 	"time"
@@ -54,13 +49,6 @@ func main() {
 		degrade      = flag.Bool("degrade", false, "on overload, serve a degraded factor-preconditioned GMRES solve instead of shedding with 503")
 
 		chaos = flag.Bool("chaos-delay", false, "accept POST /v1/chaos/delay to inject per-solve latency (testing/benchmarks only)")
-
-		loadMode = flag.Bool("load", false, "run the closed-loop load generator instead of serving HTTP")
-		clients  = flag.Int("clients", 8, "load: concurrent closed-loop clients")
-		duration = flag.Duration("duration", 2*time.Second, "load: measurement duration")
-		patterns = flag.Int("patterns", 3, "load: distinct sparsity patterns")
-		variants = flag.Int("variants", 4, "load: value variants per pattern (same pattern, new numerics)")
-		scale    = flag.Float64("scale", 0.3, "load: testbed matrix scale")
 	)
 	flag.Parse()
 
@@ -79,15 +67,6 @@ func main() {
 	}
 	cfg.SolveTimeout = *solveTimeout
 	cfg.DegradeOnOverload = *degrade
-
-	if *loadMode {
-		rep, err := runLoad(cfg, *clients, *duration, *patterns, *variants, *scale)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Print(rep)
-		return
-	}
 
 	var h http.Handler = fleetrpc.NewLocalShard(*addr, serve.New(cfg)).Mux()
 	if *chaos {

@@ -26,7 +26,7 @@ func TestTable1Complete(t *testing.T) {
 		t.Errorf("only %d matrices with zero diagonals (paper: 22)", zero)
 	}
 	var buf bytes.Buffer
-	PrintTable1(&buf, expScale)
+	render(t, &buf, FormatTable1(rows, expScale))
 	if !strings.Contains(buf.String(), "TWOTONE") {
 		t.Error("rendered Table 1 missing TWOTONE")
 	}
@@ -75,11 +75,7 @@ func TestRunSerialShapes(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	PrintFigure2(&buf, rows)
-	PrintFigure3(&buf, rows)
-	PrintFigure4(&buf, rows)
-	PrintFigure5(&buf, rows)
-	PrintFigure6(&buf, rows)
+	render(t, &buf, FormatFigure2(rows), FormatFigure3(rows), FormatFigure4(rows), FormatFigure5(rows), FormatFigure6(rows))
 	out := buf.String()
 	for _, want := range []string{"Figure 2", "Figure 3", "Figure 4", "Figure 5", "Figure 6"} {
 		if !strings.Contains(out, want) {
@@ -102,7 +98,7 @@ func TestRunNoPivotShape(t *testing.T) {
 		t.Errorf("only %d no-pivot breakdowns (paper: 27)", failed)
 	}
 	var buf bytes.Buffer
-	PrintNoPivot(&buf, expScale)
+	render(t, &buf, FormatNoPivot(rows))
 	if !strings.Contains(buf.String(), "breakdowns") {
 		t.Error("no-pivot rendering incomplete")
 	}
@@ -174,9 +170,7 @@ func TestRunScalingSmall(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	PrintTable3(&buf, rows, procs)
-	PrintTable4(&buf, rows, procs)
-	PrintTable5(&buf, rows, procs, 4)
+	render(t, &buf, FormatTable3(rows, procs), FormatTable4(rows, procs), FormatTable5(rows, procs, 4))
 	out := buf.String()
 	if !strings.Contains(out, "Table 3") || !strings.Contains(out, "Table 5") {
 		t.Error("scaling tables incomplete")
@@ -199,8 +193,7 @@ func TestAblations(t *testing.T) {
 		t.Errorf("pipelining slowed factorization: %g -> %g", pipe.BaseTime, pipe.OnTime)
 	}
 	var buf bytes.Buffer
-	PrintAblation(&buf, "EDAG pruning", edag)
-	PrintAblation(&buf, "Pipelining", pipe)
+	render(t, &buf, FormatAblation("EDAG pruning", edag), FormatAblation("Pipelining", pipe))
 	if !strings.Contains(buf.String(), "fewer") {
 		t.Error("ablation rendering incomplete")
 	}
@@ -260,7 +253,7 @@ func TestIterativeAblation(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	PrintIterative(&buf, rows)
+	render(t, &buf, FormatIterative(rows))
 	if !strings.Contains(buf.String(), "ILU") {
 		t.Error("iterative rendering incomplete")
 	}

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"gesp/internal/dist"
@@ -52,11 +51,7 @@ func FaultAblation(seed int64, scale float64) ([]FaultRow, error) {
 		return nil, fmt.Errorf("experiments: faults symbolic: %w", err)
 	}
 	b := make([]float64, n)
-	x1 := make([]float64, n)
-	for i := range x1 {
-		x1[i] = 1
-	}
-	a.MatVec(b, x1)
+	a.MatVec(b, onesVec(n))
 
 	var rows []FaultRow
 	for _, grid := range []mpisim.Grid{{PRow: 2, PCol: 2}, {PRow: 2, PCol: 4}} {
@@ -117,17 +112,21 @@ func FaultAblation(seed int64, scale float64) ([]FaultRow, error) {
 	return rows, nil
 }
 
-// PrintFaults renders the recovery-overhead table.
-//
-//gesp:errok
-func PrintFaults(w io.Writer, rows []FaultRow) {
-	fmt.Fprintln(w, "Distributed fault tolerance: recovery overhead per injected fault")
-	fmt.Fprintln(w, "(checkpointed factorization; FP-OK = recovered factors bit-identical to fault-free):")
-	fmt.Fprintf(w, "%-12s %6s %9s %6s %10s %12s %10s %9s %9s %9s %8s %6s\n",
-		"Scenario", "Grid", "Restarts", "Ckpts", "Detect(ms)", "Replay(Mfl)", "ExtraMsg", "Added(ms)", "Sim(ms)", "Base(ms)", "Over(%)", "FP-OK")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-12s %6s %9d %6d %10.3f %12.3f %10d %9.3f %9.3f %9.3f %8.1f %6v\n",
-			r.Scenario, r.Grid, r.Restarts, r.Checkpoints, r.DetectMs, r.ReplayMflop,
-			r.ExtraMsgs, r.AddedMs, r.SimMs, r.BaseMs, r.OverPct, r.FPOK)
-	}
+// FormatFaults lays out the recovery-overhead table. A row whose
+// recovered factors differ from the fault-free ones sets Fail.
+func FormatFaults(rows []FaultRow) Table {
+	fail := ""
+	t := tabulate(rows, func(r FaultRow) []any {
+		if !r.FPOK && fail == "" {
+			fail = fmt.Sprintf("faults: %s on %s recovered factors that differ from the fault-free run", r.Scenario, r.Grid)
+		}
+		return []any{r.Scenario, r.Grid, r.Restarts, r.Checkpoints, r.DetectMs, r.ReplayMflop,
+			r.ExtraMsgs, r.AddedMs, r.SimMs, r.BaseMs, r.OverPct, r.FPOK}
+	}, []Col{{"Scenario", -12, ""}, {"Grid", 6, ""}, {"Restarts", 9, ""}, {"Ckpts", 6, ""},
+		{"Detect(ms)", 10, "%.3f"}, {"Replay(Mfl)", 12, "%.3f"}, {"ExtraMsg", 10, ""}, {"Added(ms)", 9, "%.3f"},
+		{"Sim(ms)", 9, "%.3f"}, {"Base(ms)", 9, "%.3f"}, {"Over(%)", 8, "%.1f"}, {"FP-OK", 6, ""}},
+		"Distributed fault tolerance: recovery overhead per injected fault",
+		"(checkpointed factorization; FP-OK = recovered factors bit-identical to fault-free):")
+	t.Fail = fail
+	return t
 }

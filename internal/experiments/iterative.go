@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 
 	"gesp/internal/equil"
 	"gesp/internal/krylov"
@@ -75,17 +74,14 @@ func IterativeAblation(names []string, scale float64) ([]IterativeRow, error) {
 	return rows, nil
 }
 
-// PrintIterative renders the ILU/GMRES preprocessing study.
-//
-//gesp:errok
-func PrintIterative(w io.Writer, rows []IterativeRow) {
-	fmt.Fprintln(w, "ILU(0)+GMRES with and without GESP step-(1) preprocessing")
-	fmt.Fprintln(w, "(Duff & Koster, recounted in the paper's related work: the large-diagonal")
-	fmt.Fprintln(w, "permutation substantially improves ILU-preconditioned convergence)")
-	fmt.Fprintf(w, "%-10s %14s %14s\n", "Matrix", "plain", "equil+MC64")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-10s %14s %14s\n", r.Name, iterLabel(r.PlainILUOK, r.PlainConv, r.PlainIters), iterLabel(r.MC64ILUOK, r.MC64Conv, r.MC64Iters))
-	}
+// FormatIterative lays out the ILU/GMRES preprocessing study.
+func FormatIterative(rows []IterativeRow) Table {
+	return tabulate(rows, func(r IterativeRow) []any {
+		return []any{r.Name, iterLabel(r.PlainILUOK, r.PlainConv, r.PlainIters), iterLabel(r.MC64ILUOK, r.MC64Conv, r.MC64Iters)}
+	}, []Col{{"Matrix", -10, ""}, {"plain", 14, ""}, {"equil+MC64", 14, ""}},
+		"ILU(0)+GMRES with and without GESP step-(1) preprocessing",
+		"(Duff & Koster, recounted in the paper's related work: the large-diagonal",
+		"permutation substantially improves ILU-preconditioned convergence)")
 }
 
 func iterLabel(iluOK, conv bool, iters int) string {

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 
 	"gesp/internal/core"
 	"gesp/internal/dist"
@@ -50,17 +49,13 @@ func Table2(scale float64) []Table2Row {
 	return rows
 }
 
-// PrintTable2 renders Table 2.
-//
-//gesp:errok
-func PrintTable2(w io.Writer, scale float64) {
-	fmt.Fprintf(w, "Table 2: characteristics of the parallel test matrices (scale=%.2f)\n", scale)
-	fmt.Fprintf(w, "%-10s %8s %10s %12s %12s %7s %7s %8s\n",
-		"Matrix", "n", "nnz(A)", "nnz(L+U)", "flops", "StrSym", "NumSym", "avgSup")
-	for _, r := range Table2(scale) {
-		fmt.Fprintf(w, "%-10s %8d %10d %12d %12d %7.2f %7.2f %8.1f\n",
-			r.Name, r.N, r.NnzA, r.NnzLU, r.Flops, r.StrSym, r.NumSym, r.AvgSuper)
-	}
+// FormatTable2 lays out Table 2.
+func FormatTable2(rows []Table2Row, scale float64) Table {
+	return tabulate(rows, func(r Table2Row) []any {
+		return []any{r.Name, r.N, r.NnzA, r.NnzLU, r.Flops, r.StrSym, r.NumSym, r.AvgSuper}
+	}, []Col{{"Matrix", -10, ""}, {"n", 8, ""}, {"nnz(A)", 10, ""}, {"nnz(L+U)", 12, ""}, {"flops", 12, ""},
+		{"StrSym", 7, "%.2f"}, {"NumSym", 7, "%.2f"}, {"avgSup", 8, "%.1f"}},
+		fmt.Sprintf("Table 2: characteristics of the parallel test matrices (scale=%.2f)", scale))
 }
 
 // ScalingCell is one (matrix, P) measurement of the distributed runs.
@@ -107,11 +102,7 @@ func RunScaling(scale float64, procs []int, pipeline, prune bool) ([]ScalingRow,
 			return nil, fmt.Errorf("%s: %w", m.Name, err)
 		}
 		progress("%s: n=%d nnz(L+U)=%d flops=%.3g", m.Name, a.Rows, s.Stats().NnzLU, float64(s.Stats().Flops))
-		b := matgen.OnesRHS(a)
-		ones := make([]float64, a.Rows)
-		for i := range ones {
-			ones[i] = 1
-		}
+		b, ones := matgen.OnesRHS(a), onesVec(a.Rows)
 		row := ScalingRow{Name: m.Name, N: a.Rows, AvgSuper: s.Stats().AvgSuper}
 		for _, p := range procs {
 			x, res, err := s.DistSolve(b, dist.Options{
@@ -140,52 +131,43 @@ func RunScaling(scale float64, procs []int, pipeline, prune bool) ([]ScalingRow,
 	return rows, nil
 }
 
-// PrintTable3 renders factorization time and peak Mflop rate per matrix.
-//
-//gesp:errok
-func PrintTable3(w io.Writer, rows []ScalingRow, procs []int) {
-	fmt.Fprintln(w, "Table 3: LU factorization, simulated seconds on the modelled T3E-900")
-	fmt.Fprintf(w, "%-10s", "Matrix")
-	for _, p := range procs {
-		fmt.Fprintf(w, " %9s", fmt.Sprintf("P=%d", p))
-	}
-	fmt.Fprintf(w, " %10s\n", "Mflops@max")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-10s", r.Name)
-		for _, c := range r.Cells {
-			fmt.Fprintf(w, " %9.3f", c.FactorTime)
-		}
-		fmt.Fprintf(w, " %10.0f\n", r.Cells[len(r.Cells)-1].FactorMflops)
-	}
+// FormatTable3 lays out factorization time and peak Mflop rate per
+// matrix.
+func FormatTable3(rows []ScalingRow, procs []int) Table {
+	return sweepTable("Table 3: LU factorization, simulated seconds on the modelled T3E-900", rows, procs, "%.3f", "%.0f",
+		func(c ScalingCell) (float64, float64) { return c.FactorTime, c.FactorMflops })
 }
 
-// PrintTable4 renders the triangular solve sweep.
-//
-//gesp:errok
-func PrintTable4(w io.Writer, rows []ScalingRow, procs []int) {
-	fmt.Fprintln(w, "Table 4: triangular solves, simulated seconds (paper: flattens beyond 64 PEs)")
-	fmt.Fprintf(w, "%-10s", "Matrix")
-	for _, p := range procs {
-		fmt.Fprintf(w, " %9s", fmt.Sprintf("P=%d", p))
-	}
-	fmt.Fprintf(w, " %10s\n", "Mflops@max")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-10s", r.Name)
-		for _, c := range r.Cells {
-			fmt.Fprintf(w, " %9.4f", c.SolveTime)
-		}
-		fmt.Fprintf(w, " %10.1f\n", r.Cells[len(r.Cells)-1].SolveMflops)
-	}
+// FormatTable4 lays out the triangular solve sweep.
+func FormatTable4(rows []ScalingRow, procs []int) Table {
+	return sweepTable("Table 4: triangular solves, simulated seconds (paper: flattens beyond 64 PEs)", rows, procs, "%.4f", "%.1f",
+		func(c ScalingCell) (float64, float64) { return c.SolveTime, c.SolveMflops })
 }
 
-// Table5At extracts the load-balance/communication table at one processor
-// count (the paper uses 64). If p is not in the sweep, the largest swept
-// count not exceeding p is used (falling back to the first entry), so the
-// table is never silently empty.
-func Table5At(rows []ScalingRow, procs []int, p int) []ScalingRow {
-	if len(procs) == 0 || len(rows) == 0 {
-		return nil
+// sweepTable lays out one time per processor count and the rate at the
+// largest count, per matrix.
+func sweepTable(title string, rows []ScalingRow, procs []int, timeFmt, rateFmt string, of func(ScalingCell) (time, mflops float64)) Table {
+	cols := []Col{{"Matrix", -10, ""}}
+	for _, p := range procs {
+		cols = append(cols, Col{fmt.Sprintf("P=%d", p), 9, timeFmt})
 	}
+	return tabulate(rows, func(r ScalingRow) []any {
+		row := []any{r.Name}
+		for _, c := range r.Cells {
+			tm, _ := of(c)
+			row = append(row, tm)
+		}
+		_, rate := of(r.Cells[len(r.Cells)-1])
+		return append(row, rate)
+	}, append(cols, Col{"Mflops@max", 10, rateFmt}), title)
+}
+
+// FormatTable5 lays out load balance and communication fractions at
+// one processor count (the paper uses 64). If p is not in the sweep,
+// the largest swept count not exceeding p is shown (else the first), so
+// the table is never silently empty.
+func FormatTable5(rows []ScalingRow, procs []int, p int) Table {
+	var title []string
 	idx := 0
 	for i, pp := range procs {
 		if pp <= p {
@@ -195,30 +177,17 @@ func Table5At(rows []ScalingRow, procs []int, p int) []ScalingRow {
 			break
 		}
 	}
-	out := make([]ScalingRow, len(rows))
-	for i, r := range rows {
-		out[i] = ScalingRow{Name: r.Name, N: r.N, AvgSuper: r.AvgSuper, Cells: []ScalingCell{r.Cells[idx]}}
+	if len(procs) > 0 && procs[idx] != p {
+		title = append(title, fmt.Sprintf("(requested P=%d not in the sweep; showing P=%d)", p, procs[idx]))
+		p = procs[idx]
 	}
-	return out
-}
-
-// PrintTable5 renders load balance and communication fractions.
-//
-//gesp:errok
-func PrintTable5(w io.Writer, rows []ScalingRow, procs []int, p int) {
-	shown := Table5At(rows, procs, p)
-	if len(shown) > 0 && shown[0].Cells[0].Procs != p {
-		fmt.Fprintf(w, "(requested P=%d not in the sweep; showing P=%d)\n", p, shown[0].Cells[0].Procs)
-		p = shown[0].Cells[0].Procs
-	}
-	fmt.Fprintf(w, "Table 5: load balance factor B and %%time in communication on %d PEs\n", p)
-	fmt.Fprintln(w, "(paper: B good except TWOTONE; comm >50% in factor, >95% in solve)")
-	fmt.Fprintf(w, "%-10s %8s %8s %10s %10s %8s\n", "Matrix", "B(fact)", "B(solve)", "comm(fact)", "comm(solve)", "avgSup")
-	for _, r := range shown {
-		c := r.Cells[0]
-		fmt.Fprintf(w, "%-10s %8.2f %8.2f %9.1f%% %9.1f%% %8.1f\n",
-			r.Name, c.LoadBalance, c.SolveBalance, 100*c.FactorComm, 100*c.SolveComm, r.AvgSuper)
-	}
+	title = append(title, fmt.Sprintf("Table 5: load balance factor B and %%time in communication on %d PEs", p),
+		"(paper: B good except TWOTONE; comm >50% in factor, >95% in solve)")
+	return tabulate(rows, func(r ScalingRow) []any {
+		c := r.Cells[idx]
+		return []any{r.Name, c.LoadBalance, c.SolveBalance, 100 * c.FactorComm, 100 * c.SolveComm, r.AvgSuper}
+	}, []Col{{"Matrix", -10, ""}, {"B(fact)", 8, "%.2f"}, {"B(solve)", 8, "%.2f"},
+		{"comm(fact)", 10, "%.1f%%"}, {"comm(solve)", 10, "%.1f%%"}, {"avgSup", 8, "%.1f"}}, title...)
 }
 
 // AblationResult compares a toggled feature on one matrix / processor
@@ -234,17 +203,27 @@ type AblationResult struct {
 	OnSolveTime   float64
 }
 
-func runPair(name string, scale float64, procs int, base, on dist.Options) (AblationResult, error) {
+// analysis generates the named testbed matrix at scale and analyses it
+// under the default options as changed by set (when not nil); b is A·1.
+func analysis(name string, scale float64, set func(*core.Options)) (s *core.Solver, b []float64, err error) {
 	m, ok := matgen.Lookup(name)
 	if !ok {
-		return AblationResult{}, fmt.Errorf("unknown matrix %s", name)
+		return nil, nil, fmt.Errorf("unknown matrix %s", name)
 	}
 	a := m.Generate(scale)
-	s, err := core.NewAnalysis(a, core.DefaultOptions())
+	opts := core.DefaultOptions()
+	if set != nil {
+		set(&opts)
+	}
+	s, err = core.NewAnalysis(a, opts)
+	return s, matgen.OnesRHS(a), err
+}
+
+func runPair(name string, scale float64, procs int, base, on dist.Options) (AblationResult, error) {
+	s, b, err := analysis(name, scale, nil)
 	if err != nil {
 		return AblationResult{}, err
 	}
-	b := matgen.OnesRHS(a)
 	base.Procs, on.Procs = procs, procs
 	base.ReplaceTinyPivot, on.ReplaceTinyPivot = true, true
 	_, r1, err := s.DistSolve(b, base)
@@ -279,22 +258,30 @@ func PipelineAblation(name string, scale float64, procs int) (AblationResult, er
 		dist.Options{EDAGPrune: true, Pipeline: true})
 }
 
-// PrintAblation renders one ablation pair.
-//
-//gesp:errok
-func PrintAblation(w io.Writer, label string, r AblationResult) {
-	fmt.Fprintf(w, "%s on %s, P=%d:\n", label, r.Name, r.Procs)
-	fmt.Fprintf(w, "  factor messages : %d -> %d (%.1f%% fewer)\n",
-		r.BaseMessages, r.OnMessages, 100*float64(r.BaseMessages-r.OnMessages)/float64(maxI64(r.BaseMessages, 1)))
-	fmt.Fprintf(w, "  factor sim time : %.4fs -> %.4fs (%.1f%% faster)\n",
-		r.BaseTime, r.OnTime, 100*(r.BaseTime-r.OnTime)/r.BaseTime)
+// FormatAblation lays out one ablation pair.
+func FormatAblation(label string, r AblationResult) Table {
+	return Table{Title: []string{
+		fmt.Sprintf("%s on %s, P=%d:", label, r.Name, r.Procs),
+		fmt.Sprintf("  factor messages : %d -> %d (%.1f%% fewer)",
+			r.BaseMessages, r.OnMessages, pctLess(float64(r.BaseMessages), float64(r.OnMessages))),
+		fmt.Sprintf("  factor sim time : %.4fs -> %.4fs (%.1f%% faster)",
+			r.BaseTime, r.OnTime, pctLess(r.BaseTime, r.OnTime)),
+	}}
 }
 
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
+// pctLess is how much smaller on is than base, in percent of base; 0
+// when base is not positive, so an empty baseline never reads NaN or Inf.
+func pctLess(base, on float64) float64 {
+	if base <= 0 {
+		return 0
 	}
-	return b
+	return 100 * (base - on) / base
+}
+
+// pipelined is the distributed solve the sweeps run: pipelining and
+// EDAG pruning on, tiny pivots replaced.
+func pipelined(procs int) dist.Options {
+	return dist.Options{Procs: procs, Pipeline: true, EDAGPrune: true, ReplaceTinyPivot: true}
 }
 
 // BlockSizeSweep measures factorization time against the maximum block
@@ -307,23 +294,13 @@ type BlockSizeResult struct {
 
 // BlockSizeAblation sweeps the supernode splitting threshold.
 func BlockSizeAblation(name string, scale float64, procs int, sizes []int) ([]BlockSizeResult, error) {
-	m, ok := matgen.Lookup(name)
-	if !ok {
-		return nil, fmt.Errorf("unknown matrix %s", name)
-	}
-	a := m.Generate(scale)
-	b := matgen.OnesRHS(a)
 	var out []BlockSizeResult
 	for _, bs := range sizes {
-		opts := core.DefaultOptions()
-		opts.MaxSuper = bs
-		s, err := core.NewAnalysis(a, opts)
+		s, b, err := analysis(name, scale, func(o *core.Options) { o.MaxSuper = bs })
 		if err != nil {
 			return nil, err
 		}
-		_, res, err := s.DistSolve(b, dist.Options{
-			Procs: procs, Pipeline: true, EDAGPrune: true, ReplaceTinyPivot: true,
-		})
+		_, res, err := s.DistSolve(b, pipelined(procs))
 		if err != nil {
 			return nil, err
 		}
@@ -331,6 +308,17 @@ func BlockSizeAblation(name string, scale float64, procs int, sizes []int) ([]Bl
 	}
 	return out, nil
 }
+
+// FormatBlockSize lays out the block size sweep.
+func FormatBlockSize(rows []BlockSizeResult) Table {
+	return tabulate(rows, func(r BlockSizeResult) []any { return []any{r.MaxSuper, r.FactorTime, r.AvgSuper} },
+		[]Col{{"maxSuper", 8, ""}, {"factor(s)", 12, "%.4f"}, {"avgSup", 10, "%.1f"}},
+		"Maximum block size sweep (paper: 20-30 best on the T3E, 24 used):")
+}
+
+// orderingMethods are the heuristics OrderingAblation compares, in
+// column order.
+var orderingMethods = []ordering.Method{ordering.MinDegATA, ordering.MinDegAPlusAT, ordering.RCM, ordering.NDATA, ordering.Natural}
 
 // OrderingAblationRow compares fill across ordering heuristics.
 type OrderingAblationRow struct {
@@ -342,19 +330,11 @@ type OrderingAblationRow struct {
 // OrderingAblation compares the fill-reducing orderings on a matrix
 // subset (the design decision behind step (2)).
 func OrderingAblation(names []string, scale float64) ([]OrderingAblationRow, error) {
-	methods := []ordering.Method{ordering.MinDegATA, ordering.MinDegAPlusAT, ordering.RCM, ordering.NDATA, ordering.Natural}
 	var rows []OrderingAblationRow
 	for _, name := range names {
-		m, ok := matgen.Lookup(name)
-		if !ok {
-			return nil, fmt.Errorf("unknown matrix %s", name)
-		}
-		a := m.Generate(scale)
 		row := OrderingAblationRow{Name: name, Fill: map[string]int{}, Flops: map[string]int64{}}
-		for _, mm := range methods {
-			opts := core.DefaultOptions()
-			opts.Ordering = mm
-			s, err := core.NewAnalysis(a, opts)
+		for _, mm := range orderingMethods {
+			s, _, err := analysis(name, scale, func(o *core.Options) { o.Ordering = mm })
 			if err != nil {
 				return nil, err
 			}
@@ -364,6 +344,21 @@ func OrderingAblation(names []string, scale float64) ([]OrderingAblationRow, err
 		rows = append(rows, row)
 	}
 	return rows, nil
+}
+
+// FormatOrdering lays out the fill of every ordering heuristic.
+func FormatOrdering(rows []OrderingAblationRow) Table {
+	cols := []Col{{"Matrix", -10, ""}}
+	for _, m := range orderingMethods {
+		cols = append(cols, Col{m.String(), 12, ""})
+	}
+	return tabulate(rows, func(r OrderingAblationRow) []any {
+		row := []any{r.Name}
+		for _, m := range orderingMethods {
+			row = append(row, r.Fill[m.String()])
+		}
+		return row
+	}, cols, "Fill-reducing ordering comparison, nnz(L+U):")
 }
 
 // RelaxResult measures supernode amalgamation (paper §5: "uniprocessor
@@ -377,33 +372,27 @@ type RelaxResult struct {
 
 // RelaxAblation sweeps the amalgamation slack on one matrix.
 func RelaxAblation(name string, scale float64, procs int, relaxes []int) ([]RelaxResult, error) {
-	m, ok := matgen.Lookup(name)
-	if !ok {
-		return nil, fmt.Errorf("unknown matrix %s", name)
-	}
-	a := m.Generate(scale)
-	b := matgen.OnesRHS(a)
 	var out []RelaxResult
 	for _, rx := range relaxes {
-		opts := core.DefaultOptions()
-		opts.Relax = rx
-		s, err := core.NewAnalysis(a, opts)
+		s, b, err := analysis(name, scale, func(o *core.Options) { o.Relax = rx })
 		if err != nil {
 			return nil, err
 		}
-		_, res, err := s.DistSolve(b, dist.Options{
-			Procs: procs, Pipeline: true, EDAGPrune: true, ReplaceTinyPivot: true,
-		})
+		_, res, err := s.DistSolve(b, pipelined(procs))
 		if err != nil {
 			return nil, err
 		}
 		st := s.Stats()
-		out = append(out, RelaxResult{
-			Relax: rx, AvgSuper: st.AvgSuper, NumSuper: st.NumSuper,
-			FactorTime: res.Factor.SimTime,
-		})
+		out = append(out, RelaxResult{Relax: rx, AvgSuper: st.AvgSuper, NumSuper: st.NumSuper, FactorTime: res.Factor.SimTime})
 	}
 	return out, nil
+}
+
+// FormatRelax lays out the amalgamation sweep.
+func FormatRelax(rows []RelaxResult) Table {
+	return tabulate(rows, func(r RelaxResult) []any { return []any{r.Relax, r.AvgSuper, r.NumSuper, r.FactorTime} },
+		[]Col{{"relax", 8, ""}, {"avgSup", 10, "%.2f"}, {"#sup", 10, ""}, {"factor(s)", 12, "%.4f"}},
+		"Supernode amalgamation sweep (paper 5: amalgamate small supernodes):")
 }
 
 // RedistResult compares the 1-D -> 2-D redistribution cost against the
@@ -427,13 +416,7 @@ func RedistAblation(scale float64, procs int) ([]RedistResult, error) {
 			return nil, err
 		}
 		ap, sym := s.PermutedMatrix(), s.Symbolic()
-		b := make([]float64, ap.Rows)
-		for i := range b {
-			b[i] = 1
-		}
-		res, redist, err := dist.SolveFrom1D(ap, sym, b, dist.Uniform1D(ap.Rows, procs), dist.Options{
-			Procs: procs, Pipeline: true, EDAGPrune: true, ReplaceTinyPivot: true,
-		})
+		res, redist, err := dist.SolveFrom1D(ap, sym, onesVec(ap.Rows), dist.Uniform1D(ap.Rows, procs), pipelined(procs))
 		if err != nil {
 			return nil, err
 		}
@@ -443,6 +426,14 @@ func RedistAblation(scale float64, procs int) ([]RedistResult, error) {
 		})
 	}
 	return out, nil
+}
+
+// FormatRedist lays out the redistribution cost on procs processes.
+func FormatRedist(rows []RedistResult, procs int) Table {
+	return tabulate(rows, func(r RedistResult) []any {
+		return []any{r.Name, r.RedistTime, r.FactorTime, r.RedistMsgs, r.RedistBytes}
+	}, []Col{{"Matrix", -10, ""}, {"redist(s)", 12, "%.4f"}, {"factor(s)", 12, "%.4f"}, {"msgs", 10, ""}, {"bytes", 12, ""}},
+		fmt.Sprintf("1-D to 2-D redistribution cost vs factorization (future-work input interface), P=%d:", procs))
 }
 
 // GridShapeResult compares process-grid shapes at a fixed processor
@@ -459,35 +450,30 @@ type GridShapeResult struct {
 // GridShapeAblation runs 1×P (1-D columns), near-square, and P×1 (1-D
 // rows) grids on one matrix.
 func GridShapeAblation(name string, scale float64, procs int) ([]GridShapeResult, error) {
-	m, ok := matgen.Lookup(name)
-	if !ok {
-		return nil, fmt.Errorf("unknown matrix %s", name)
-	}
-	a := m.Generate(scale)
-	s, err := core.NewAnalysis(a, core.DefaultOptions())
+	s, b, err := analysis(name, scale, nil)
 	if err != nil {
 		return nil, err
 	}
-	b := matgen.OnesRHS(a)
-	square := mpisim.NewGrid(procs)
-	shapes := []mpisim.Grid{
-		{PRow: 1, PCol: procs},
-		square,
-		{PRow: procs, PCol: 1},
-	}
+	shapes := []mpisim.Grid{{PRow: 1, PCol: procs}, mpisim.NewGrid(procs), {PRow: procs, PCol: 1}}
 	var out []GridShapeResult
 	for i := range shapes {
-		g := shapes[i]
-		_, res, err := s.DistSolve(b, dist.Options{
-			Procs: procs, Grid: &g, Pipeline: true, EDAGPrune: true, ReplaceTinyPivot: true,
-		})
+		o := pipelined(procs)
+		o.Grid = &shapes[i]
+		_, res, err := s.DistSolve(b, o)
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, GridShapeResult{
-			Shape: g.String(), FactorTime: res.Factor.SimTime, SolveTime: res.Solve.SimTime,
+			Shape: shapes[i].String(), FactorTime: res.Factor.SimTime, SolveTime: res.Solve.SimTime,
 			Volume: res.Factor.Volume, Balance: res.Factor.LoadBalance,
 		})
 	}
 	return out, nil
+}
+
+// FormatGridShape lays out the grid shapes on procs processes.
+func FormatGridShape(rows []GridShapeResult, procs int) Table {
+	return tabulate(rows, func(r GridShapeResult) []any { return []any{r.Shape, r.FactorTime, r.SolveTime, r.Volume, r.Balance} },
+		[]Col{{"grid", 8, ""}, {"factor(s)", 12, "%.4f"}, {"solve(s)", 12, "%.4f"}, {"volume(bytes)", 14, ""}, {"B", 8, "%.2f"}},
+		fmt.Sprintf("Process-grid shape on %d PEs (paper: 2-D beats the natural 1-D layout):", procs))
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"gesp/internal/core"
@@ -11,18 +10,16 @@ import (
 	"gesp/internal/matgen"
 )
 
-// ParFactorRow is one machine-readable measurement of a factorization
-// engine run: the schema of cmd/gesp-bench's -json output, intended for
-// a BENCH_*.json performance trajectory tracked across revisions.
+// ParFactorRow is one measurement of a factorization engine run.
 // SimulatedNs is nonzero only for the mpisim variant (virtual-clock
 // time); WallNs is real elapsed time for every variant.
 type ParFactorRow struct {
-	Matrix      string  `json:"matrix"`
-	Variant     string  `json:"variant"` // "scalar-serial" | "scalar-parallel" | "mpisim"
-	Workers     int     `json:"workers"`
-	WallNs      int64   `json:"wall_ns"`
-	SimulatedNs int64   `json:"simulated_ns"`
-	Mflops      float64 `json:"mflops"`
+	Matrix      string
+	Variant     string // "scalar-serial" | "scalar-parallel" | "mpisim"
+	Workers     int
+	WallNs      int64
+	SimulatedNs int64
+	Mflops      float64
 }
 
 // minWall returns the best of reps timed runs of f in nanoseconds.
@@ -91,9 +88,7 @@ func ParallelFactorSweep(names []string, scale float64, workerCounts []int) ([]P
 		// the virtual-clock trajectory (Tables 3-5 machinery).
 		rhs := matgen.OnesRHS(ap)
 		t0 := time.Now()
-		res, err := dist.Solve(ap, sym, rhs, dist.Options{
-			Procs: maxW, Pipeline: true, EDAGPrune: true, ReplaceTinyPivot: true,
-		})
+		res, err := dist.Solve(ap, sym, rhs, pipelined(maxW))
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s mpisim: %w", name, err)
 		}
@@ -107,19 +102,15 @@ func ParallelFactorSweep(names []string, scale float64, workerCounts []int) ([]P
 	return rows, nil
 }
 
-// PrintParFactor renders the sweep as a human-readable table (the
-// non-JSON output of gesp-bench -exp parfactor).
-//
-//gesp:errok
-func PrintParFactor(w io.Writer, rows []ParFactorRow) {
-	fmt.Fprintln(w, "Factorization engines (wall-clock; mpisim reports the virtual clock too):")
-	fmt.Fprintf(w, "%-10s %-14s %8s %12s %12s %10s\n", "Matrix", "Variant", "workers", "wall(ms)", "sim(ms)", "Mflops")
-	for _, r := range rows {
-		sim := "-"
+// FormatParFactor lays out the engine sweep.
+func FormatParFactor(rows []ParFactorRow) Table {
+	return tabulate(rows, func(r ParFactorRow) []any {
+		sim := any("-")
 		if r.SimulatedNs > 0 {
-			sim = fmt.Sprintf("%.3f", float64(r.SimulatedNs)/1e6)
+			sim = float64(r.SimulatedNs) / 1e6
 		}
-		fmt.Fprintf(w, "%-10s %-14s %8d %12.3f %12s %10.1f\n",
-			r.Matrix, r.Variant, r.Workers, float64(r.WallNs)/1e6, sim, r.Mflops)
-	}
+		return []any{r.Matrix, r.Variant, r.Workers, float64(r.WallNs) / 1e6, sim, r.Mflops}
+	}, []Col{{"Matrix", -10, ""}, {"Variant", -14, ""}, {"workers", 8, ""}, {"wall(ms)", 12, "%.3f"},
+		{"sim(ms)", 12, "%.3f"}, {"Mflops", 10, "%.1f"}},
+		"Factorization engines (wall-clock; mpisim reports the virtual clock too):")
 }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"io"
 	"time"
 
 	"gesp/internal/faultsim"
@@ -98,12 +97,8 @@ func ResilienceAblation(seed int64) ([]ResilienceRow, error) {
 			return nil, fmt.Errorf("experiments: resilience scenario %s: %w", sc.name, err)
 		}
 		l := resilience.NewLadder(a, f, nil, resilience.Policy{})
-		want := make([]float64, a.Rows)
-		for i := range want {
-			want[i] = 1
-		}
 		b := make([]float64, a.Rows)
-		a.MatVec(b, want)
+		a.MatVec(b, onesVec(a.Rows))
 		x := make([]float64, a.Rows)
 		tr, err := l.Solve(context.Background(), x, b)
 		if err != nil {
@@ -140,16 +135,11 @@ func factorGESP(a *sparse.CSC) (*lu.Factors, error) {
 	return lu.Factorize(a, sym, lu.Options{ReplaceTinyPivot: true})
 }
 
-// PrintResilience renders the fault-catalogue table.
-//
-//gesp:errok
-func PrintResilience(w io.Writer, rows []ResilienceRow) {
-	fmt.Fprintln(w, "Resilience ladder under injected faults (rung 0 = static pivoting, 4 = GEPP refactor):")
-	fmt.Fprintf(w, "%-20s %-10s %-10s %6s %6s %12s %10s %6s\n",
-		"Scenario", "FinalRung", "Trigger", "Rungs", "Iters", "Berr", "Fallback", "OK")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-20s %-10s %-10s %6d %6d %12.2e %10s %6v\n",
-			r.Scenario, r.FinalRung, r.Trigger, r.Steps, r.Iters, r.Berr,
-			r.Fallback.Round(10*time.Microsecond), r.Converged)
-	}
+// FormatResilience lays out the fault-catalogue table.
+func FormatResilience(rows []ResilienceRow) Table {
+	return tabulate(rows, func(r ResilienceRow) []any {
+		return []any{r.Scenario, r.FinalRung, r.Trigger, r.Steps, r.Iters, r.Berr, r.Fallback.Round(10 * time.Microsecond), r.Converged}
+	}, []Col{{"Scenario", -20, ""}, {"FinalRung", -10, ""}, {"Trigger", -10, ""}, {"Rungs", 6, ""},
+		{"Iters", 6, ""}, {"Berr", 12, "%.2e"}, {"Fallback", 10, ""}, {"OK", 6, ""}},
+		"Resilience ladder under injected faults (rung 0 = static pivoting, 4 = GEPP refactor):")
 }

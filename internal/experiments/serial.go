@@ -1,13 +1,13 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation. Each experiment returns structured rows (consumed by the
-// root-level benchmarks and by tests) and can render itself as a text
-// table (consumed by cmd/gesp-bench). DESIGN.md carries the experiment
-// index mapping each function to the paper artifact it reproduces.
+// root-level benchmarks and by tests), and its Format function lays the
+// rows out as Tables that Render writes as text (consumed by
+// cmd/gesp-bench). DESIGN.md carries the experiment index mapping each
+// function to the paper artifact it reproduces.
 package experiments
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"sort"
 	"time"
@@ -42,15 +42,11 @@ func Table1(scale float64) []Table1Row {
 	return rows
 }
 
-// PrintTable1 renders Table 1.
-//
-//gesp:errok
-func PrintTable1(w io.Writer, scale float64) {
-	fmt.Fprintf(w, "Table 1: test matrices and their disciplines (synthetic stand-ins, scale=%.2f)\n", scale)
-	fmt.Fprintf(w, "%-10s %-40s %8s %10s %8s\n", "Matrix", "Discipline", "n", "nnz(A)", "zerodiag")
-	for _, r := range Table1(scale) {
-		fmt.Fprintf(w, "%-10s %-40s %8d %10d %8d\n", r.Name, r.Discipline, r.N, r.Nnz, r.ZeroDiag)
-	}
+// FormatTable1 lays out Table 1.
+func FormatTable1(rows []Table1Row, scale float64) Table {
+	return tabulate(rows, func(r Table1Row) []any { return []any{r.Name, r.Discipline, r.N, r.Nnz, r.ZeroDiag} },
+		[]Col{{"Matrix", -10, ""}, {"Discipline", -40, ""}, {"n", 8, ""}, {"nnz(A)", 10, ""}, {"zerodiag", 8, ""}},
+		fmt.Sprintf("Table 1: test matrices and their disciplines (synthetic stand-ins, scale=%.2f)", scale))
 }
 
 // SerialRow carries the per-matrix results of the serial GESP experiment
@@ -91,22 +87,16 @@ func RunSerial(scale float64, withGEPP, withFerr bool) []SerialRow {
 func runOne(m matgen.Matrix, scale float64, withGEPP, withFerr bool) SerialRow {
 	a := m.Generate(scale)
 	row := SerialRow{Name: m.Name, N: a.Rows, NnzA: a.Nnz()}
-	ones := make([]float64, a.Rows)
-	for i := range ones {
-		ones[i] = 1
-	}
+	ones := onesVec(a.Rows)
 	b := matgen.OnesRHS(a)
 
 	s, err := core.New(a, core.DefaultOptions())
-	if err != nil {
-		row.Failed = true
-		row.FailReason = err.Error()
-		return row
+	var x []float64
+	if err == nil {
+		x, err = s.Solve(b)
 	}
-	x, err := s.Solve(b)
 	if err != nil {
-		row.Failed = true
-		row.FailReason = err.Error()
+		row.Failed, row.FailReason = true, err.Error()
 		return row
 	}
 	st := s.Stats()
@@ -144,16 +134,25 @@ func runOne(m matgen.Matrix, scale float64, withGEPP, withFerr bool) SerialRow {
 	return row
 }
 
-// PrintFigure2 renders the matrix characteristics plot data (dimension,
-// nnz(A), nnz(L+U), sorted by factorization time).
-//
-//gesp:errok
-func PrintFigure2(w io.Writer, rows []SerialRow) {
-	fmt.Fprintln(w, "Figure 2: characteristics of the matrices (sorted by factorization time)")
-	fmt.Fprintf(w, "%-10s %8s %10s %12s %12s\n", "Matrix", "n", "nnz(A)", "nnz(L+U)", "factor(ms)")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-10s %8d %10d %12d %12.2f\n", r.Name, r.N, r.NnzA, r.NnzLU, float64(r.FactorTime.Microseconds())/1000)
+// FormatFigure2 lays out the matrix characteristics plot data
+// (dimension, nnz(A), nnz(L+U), sorted by factorization time).
+func FormatFigure2(rows []SerialRow) Table {
+	return tabulate(rows, func(r SerialRow) []any { return []any{r.Name, r.N, r.NnzA, r.NnzLU, ms(r.FactorTime)} },
+		[]Col{{"Matrix", -10, ""}, {"n", 8, ""}, {"nnz(A)", 10, ""}, {"nnz(L+U)", 12, ""}, {"factor(ms)", 12, "%.2f"}},
+		"Figure 2: characteristics of the matrices (sorted by factorization time)")
+}
+
+// ms is d in milliseconds at microsecond resolution.
+func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
+
+// onesVec is the exact solution x = 1 the testbed's right-hand sides
+// b = A·1 are built from.
+func onesVec(n int) []float64 {
+	x := make([]float64, n)
+	for i := range x {
+		x[i] = 1
 	}
+	return x
 }
 
 // Figure3Histogram buckets refinement step counts like the paper's
@@ -173,33 +172,21 @@ func Figure3Histogram(rows []SerialRow) map[int]int {
 	return h
 }
 
-// PrintFigure3 renders the refinement-step histogram.
-//
-//gesp:errok
-func PrintFigure3(w io.Writer, rows []SerialRow) {
-	fmt.Fprintln(w, "Figure 3: iterative refinement steps (paper: 5x1, 31x2, 9x3, 8x>3)")
+// FormatFigure3 lays out the refinement-step histogram.
+func FormatFigure3(rows []SerialRow) Table {
+	title := []string{"Figure 3: iterative refinement steps (paper: 5x1, 31x2, 9x3, 8x>3)"}
 	h := Figure3Histogram(rows)
-	for _, k := range []int{0, 1, 2, 3, 4} {
-		label := fmt.Sprintf("%d", k)
-		if k == 4 {
-			label = ">3"
-		}
-		fmt.Fprintf(w, "  steps %-3s : %d matrices\n", label, h[k])
+	for k, label := range []string{"0", "1", "2", "3", ">3"} {
+		title = append(title, fmt.Sprintf("  steps %s : %d matrices", label, h[k]))
 	}
-	fmt.Fprintf(w, "%-10s %6s\n", "Matrix", "steps")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-10s %6d\n", r.Name, r.RefineSteps)
-	}
+	return tabulate(rows, func(r SerialRow) []any { return []any{r.Name, r.RefineSteps} },
+		[]Col{{"Matrix", -10, ""}, {"steps", 6, ""}}, title...)
 }
 
-// PrintFigure4 renders the GESP vs GEPP error comparison.
-//
-//gesp:errok
-func PrintFigure4(w io.Writer, rows []SerialRow) {
-	fmt.Fprintln(w, "Figure 4: error ||x-x_true||/||x_true||, GESP vs GEPP (paper: GESP smaller 37/53)")
-	fmt.Fprintf(w, "%-10s %12s %12s %s\n", "Matrix", "GESP", "GEPP", "winner")
+// FormatFigure4 lays out the GESP vs GEPP error comparison.
+func FormatFigure4(rows []SerialRow) Table {
 	gespWins, geppWins := 0, 0
-	for _, r := range rows {
+	t := tabulate(rows, func(r SerialRow) []any {
 		winner := "tie"
 		switch {
 		case r.ErrGEPP < 0:
@@ -211,39 +198,33 @@ func PrintFigure4(w io.Writer, rows []SerialRow) {
 			winner = "GEPP"
 			geppWins++
 		}
-		fmt.Fprintf(w, "%-10s %12.3e %12.3e %s\n", r.Name, r.ErrGESP, r.ErrGEPP, winner)
-	}
-	fmt.Fprintf(w, "GESP more accurate on %d, GEPP on %d of %d matrices\n", gespWins, geppWins, len(rows))
+		return []any{r.Name, r.ErrGESP, r.ErrGEPP, winner}
+	}, []Col{{"Matrix", -10, ""}, {"GESP", 12, "%.3e"}, {"GEPP", 12, "%.3e"}, {"winner", 0, ""}},
+		"Figure 4: error ||x-x_true||/||x_true||, GESP vs GEPP (paper: GESP smaller 37/53)")
+	t.Verdict = []string{fmt.Sprintf("GESP more accurate on %d, GEPP on %d of %d matrices", gespWins, geppWins, len(rows))}
+	return t
 }
 
-// PrintFigure5 renders the componentwise backward errors.
-//
-//gesp:errok
-func PrintFigure5(w io.Writer, rows []SerialRow) {
-	fmt.Fprintln(w, "Figure 5: componentwise backward error (paper: near eps, never > ~4e-14)")
-	fmt.Fprintf(w, "%-10s %12s %6s\n", "Matrix", "berr", "iters")
+// FormatFigure5 lays out the componentwise backward errors.
+func FormatFigure5(rows []SerialRow) Table {
 	worst := 0.0
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-10s %12.3e %6d\n", r.Name, r.Berr, r.RefineSteps)
-		if r.Berr > worst {
-			worst = r.Berr
-		}
-	}
-	fmt.Fprintf(w, "worst berr: %.3e (eps = %.3e)\n", worst, lu.Eps)
+	t := tabulate(rows, func(r SerialRow) []any {
+		worst = max(worst, r.Berr)
+		return []any{r.Name, r.Berr, r.RefineSteps}
+	}, []Col{{"Matrix", -10, ""}, {"berr", 12, "%.3e"}, {"iters", 6, ""}},
+		"Figure 5: componentwise backward error (paper: near eps, never > ~4e-14)")
+	t.Verdict = []string{fmt.Sprintf("worst berr: %.3e (eps = %.3e)", worst, lu.Eps)}
+	return t
 }
 
-// PrintFigure6 renders the per-step cost fractions.
-//
-//gesp:errok
-func PrintFigure6(w io.Writer, rows []SerialRow) {
-	fmt.Fprintln(w, "Figure 6: step times relative to factorization (paper: MC64 drops to 1-10%,")
-	fmt.Fprintln(w, "solve < 5% for large matrices, error bound most expensive after factor)")
-	fmt.Fprintf(w, "%-10s %12s %10s %10s %10s %10s\n", "Matrix", "factor(ms)", "rowperm", "solve", "residual", "errbound")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-10s %12.2f %9.1f%% %9.1f%% %9.1f%% %9.1f%%\n",
-			r.Name, float64(r.FactorTime.Microseconds())/1000,
-			100*r.FracRowPerm, 100*r.FracSolve, 100*r.FracResidual, 100*r.FracFerr)
-	}
+// FormatFigure6 lays out the per-step cost fractions.
+func FormatFigure6(rows []SerialRow) Table {
+	return tabulate(rows, func(r SerialRow) []any {
+		return []any{r.Name, ms(r.FactorTime), 100 * r.FracRowPerm, 100 * r.FracSolve, 100 * r.FracResidual, 100 * r.FracFerr}
+	}, []Col{{"Matrix", -10, ""}, {"factor(ms)", 12, "%.2f"}, {"rowperm", 10, "%.1f%%"}, {"solve", 10, "%.1f%%"},
+		{"residual", 10, "%.1f%%"}, {"errbound", 10, "%.1f%%"}},
+		"Figure 6: step times relative to factorization (paper: MC64 drops to 1-10%,",
+		"solve < 5% for large matrices, error bound most expensive after factor)")
 }
 
 // NoPivotRow describes what happens with every stabilization disabled.
@@ -271,11 +252,7 @@ func RunNoPivot(scale float64) []NoPivotRow {
 			if err != nil {
 				row.Failed = true
 			} else {
-				ones := make([]float64, a.Rows)
-				for i := range ones {
-					ones[i] = 1
-				}
-				row.Err = sparse.RelErrInf(x, ones)
+				row.Err = sparse.RelErrInf(x, onesVec(a.Rows))
 			}
 		}
 		rows = append(rows, row)
@@ -283,23 +260,20 @@ func RunNoPivot(scale float64) []NoPivotRow {
 	return rows
 }
 
-// PrintNoPivot renders the no-pivoting failure study.
-//
-//gesp:errok
-func PrintNoPivot(w io.Writer, scale float64) {
-	rows := RunNoPivot(scale)
+// FormatNoPivot lays out the no-pivoting failure study.
+func FormatNoPivot(rows []NoPivotRow) Table {
 	failed, inaccurate := 0, 0
-	fmt.Fprintln(w, "No-pivoting study (paper: 27 of 53 fail outright, most others lose accuracy)")
-	fmt.Fprintf(w, "%-10s %9s %8s %12s\n", "Matrix", "zerodiag", "failed", "rel.err")
-	for _, r := range rows {
-		status := fmt.Sprintf("%12.3e", r.Err)
+	t := tabulate(rows, func(r NoPivotRow) []any {
+		status := any(r.Err)
 		if r.Failed {
-			status = "   (breakdown)"
+			status = "(breakdown)"
 			failed++
 		} else if r.Err > 1e-8 || math.IsNaN(r.Err) || math.IsInf(r.Err, 0) {
 			inaccurate++
 		}
-		fmt.Fprintf(w, "%-10s %9v %8v %s\n", r.Name, r.ZeroDiag, r.Failed, status)
-	}
-	fmt.Fprintf(w, "breakdowns: %d, inaccurate (err>1e-8): %d, of %d\n", failed, inaccurate, len(rows))
+		return []any{r.Name, r.ZeroDiag, r.Failed, status}
+	}, []Col{{"Matrix", -10, ""}, {"zerodiag", 9, ""}, {"failed", 8, ""}, {"rel.err", 12, "%.3e"}},
+		"No-pivoting study (paper: 27 of 53 fail outright, most others lose accuracy)")
+	t.Verdict = []string{fmt.Sprintf("breakdowns: %d, inaccurate (err>1e-8): %d, of %d", failed, inaccurate, len(rows))}
+	return t
 }
