@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"gesp/internal/matgen"
@@ -32,16 +33,19 @@ func bitsEqual(a, b []float64) bool {
 
 // TestSolveBatchBitwiseIndependentOfWorkers: for one factorization, every
 // solution of a batch is bit for bit the one Solve returns, whatever
-// Workers cuts the batch into. (Run under -race by make race: the cut
-// runs one goroutine per block.)
+// Workers cuts the batch into — one block, whole quads, a quad and a
+// remainder. (Run under -race by make race: the cut runs one goroutine
+// per block, which packs, sweeps, refines and unpacks its vectors.)
 func TestSolveBatchBitwiseIndependentOfWorkers(t *testing.T) {
-	for _, name := range []string{"GEMAT11", "AF23560", "TWOTONE"} {
-		m, _ := matgen.Lookup(name)
-		base, err := New(m.Generate(testScale), DefaultOptions())
+	for _, name := range []string{"GEMAT11", "AF23560", "TWOTONE", "GEMAT11 unrefined"} {
+		m, _ := matgen.Lookup(strings.Fields(name)[0])
+		opts := DefaultOptions()
+		opts.Refine = !strings.HasSuffix(name, "unrefined")
+		base, err := New(m.Generate(testScale), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, k := range []int{1, 3, 16, 17} {
+		for _, k := range []int{1, 3, 4, 5, 16, 17} {
 			bs := randomBatch(base, k, int64(k))
 			want := make([][]float64, k)
 			for r := range bs {

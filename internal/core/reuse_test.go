@@ -105,6 +105,17 @@ func TestNewWithSymbolicRejectsMismatch(t *testing.T) {
 	if _, err := NewWithSymbolic(tr.ToCSC(), donor); err == nil {
 		t.Fatal("pattern mismatch not rejected")
 	}
+	// Same nnz, same column counts: one row index moves within its column.
+	moved := a.Clone()
+	for j := 0; j < a.Cols; j++ {
+		if last := a.ColPtr[j+1] - 1; last >= a.ColPtr[j] && a.RowInd[last] < a.Rows-1 {
+			moved.RowInd[last]++
+			break
+		}
+	}
+	if _, err := NewWithSymbolic(moved, donor); err == nil {
+		t.Fatal("a row index moved within its column not rejected")
+	}
 	// Different size.
 	if _, err := NewWithSymbolic(sparse.Identity(3), donor); err == nil {
 		t.Fatal("dimension mismatch not rejected")

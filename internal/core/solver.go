@@ -20,9 +20,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"time"
 
+	"gesp/internal/check"
 	"gesp/internal/dist"
 	"gesp/internal/equil"
 	"gesp/internal/krylov"
@@ -192,7 +194,10 @@ type Solver struct {
 	colMap []int     // original col -> col of the factored matrix
 	dR, dC []float64 // combined row/column scalings (nil = identity)
 
-	ap    *sparse.CSC // the matrix actually factored: Pc·Pr·DR·A·DC·Pcᵀ
+	// ap is the matrix actually factored: Pc·Pr·DR·A·DC·Pcᵀ. A Solver
+	// from NewWithSymbolic owns only ap.Val; the pattern is the donor's.
+	ap    *sparse.CSC
+	in    *inputMap // shared read-only with NewWithSymbolic
 	sym   *symbolic.Result
 	sched *lu.Schedule // Workers > 1 only; shared read-only with NewWithSymbolic
 	fac   *lu.Factors
@@ -203,9 +208,78 @@ type Solver struct {
 	// for concurrent use — same contract as the stats fields.
 	ladder *resilience.Ladder
 
-	patternHash uint64 // structural fingerprint of the ORIGINAL input
-
 	stats Stats
+}
+
+// inputMap is what an analysis keeps of the matrix A it was built from,
+// so that a matrix with A's pattern becomes new values of ap in one pass:
+// A's pattern (the analysis's own copy of ColPtr and RowInd), how many
+// columns store no diagonal entry, and dst — entry k of A is entry dst[k]
+// of ap.
+type inputMap struct {
+	colPtr, rowInd []int
+	dst            []int32
+	missingDiags   int
+}
+
+// values returns ap's values for a matrix with the map's pattern — entry
+// dst[k] is a.Val[k] scaled exactly as ScaleRowsCols(dR, dC) scales it —
+// and the count of a's zero diagonals (Stats.ZeroDiagsIn), in one pass
+// over a that also checks its pattern entry for entry.
+func (m *inputMap) values(a *sparse.CSC, dR, dC []float64) (val []float64, zeroDiags int, err error) {
+	nnz := len(m.rowInd)
+	if !slices.Equal(a.ColPtr, m.colPtr) || len(a.RowInd) < nnz || len(a.Val) < nnz {
+		return nil, 0, errors.New("column pointers or entry count differ from the donor's")
+	}
+	rowInd, aval := a.RowInd[:nnz], a.Val[:nnz]
+	val = make([]float64, nnz)
+	zeroDiags = m.missingDiags
+	for j := 0; j+1 < len(m.colPtr); j++ {
+		cj := dC[j]
+		for k := m.colPtr[j]; k < m.colPtr[j+1]; k++ {
+			i, v := rowInd[k], aval[k]
+			if i != m.rowInd[k] {
+				return nil, 0, fmt.Errorf("row indices of column %d differ from the donor's", j)
+			}
+			val[m.dst[k]] = v * (dR[i] * cj)
+			if i == j && v == 0 {
+				zeroDiags++
+			}
+		}
+	}
+	return val, zeroDiags, nil
+}
+
+// check validates the map against the matrix it maps into: entry (i, j)
+// of A lands in column colMap[j] of ap at row rowMap[i]. A position of ap
+// holds one (row, column), so that makes dst one-to-one, and with equal
+// entry counts a bijection from A's entries onto ap's.
+func (m *inputMap) check(ap *sparse.CSC, rowMap, colMap []int) error {
+	nnz := len(m.rowInd)
+	if len(m.dst) != nnz || ap.Nnz() != nnz {
+		return fmt.Errorf("core: value map has %d entries for %d in A and %d in the factored matrix", len(m.dst), nnz, ap.Nnz())
+	}
+	for j := 0; j+1 < len(m.colPtr); j++ {
+		lo, hi := ap.ColPtr[colMap[j]], ap.ColPtr[colMap[j]+1]
+		for k := m.colPtr[j]; k < m.colPtr[j+1]; k++ {
+			i, p := m.rowInd[k], int(m.dst[k])
+			if p < lo || p >= hi || ap.RowInd[p] != rowMap[i] {
+				return fmt.Errorf("core: value map sends entry (%d,%d) to position %d, not to (%d,%d) of the factored matrix", i, j, p, rowMap[i], colMap[j])
+			}
+		}
+	}
+	return nil
+}
+
+// missingDiagonals counts the columns of a that store no diagonal entry.
+func missingDiagonals(a *sparse.CSC) int {
+	missing := 0
+	for j := 0; j < a.Cols; j++ {
+		if _, ok := slices.BinarySearch(a.RowInd[a.ColPtr[j]:a.ColPtr[j+1]], j); !ok {
+			missing++
+		}
+	}
+	return missing
 }
 
 // New runs GESP steps (1)–(3) on a: preprocessing, symbolic analysis and
@@ -228,13 +302,19 @@ func build(a *sparse.CSC, opts Options, numeric bool) (*Solver, error) {
 	if a.Cols != n {
 		return nil, fmt.Errorf("core: matrix is %dx%d, want square", a.Rows, a.Cols)
 	}
+	nnz := a.Nnz()
+	if nnz > math.MaxInt32 {
+		return nil, fmt.Errorf("core: matrix has %d entries, more than the %d a value map addresses", nnz, math.MaxInt32)
+	}
 	s := &Solver{opts: opts, n: n}
-	s.patternHash = sparse.PatternHash(a)
 	s.stats.N = n
-	s.stats.NnzA = a.Nnz()
+	s.stats.NnzA = nnz
 	s.stats.ZeroDiagsIn = a.ZeroDiagonals()
 
+	// work is scaled in place through step (1); its pattern stays A's and
+	// is what NewWithSymbolic compares against.
 	work := a.Clone()
+	s.in = &inputMap{colPtr: work.ColPtr, rowInd: work.RowInd[:nnz], missingDiags: missingDiagonals(work)}
 	s.dR = make([]float64, n)
 	s.dC = make([]float64, n)
 	for i := 0; i < n; i++ {
@@ -260,8 +340,10 @@ func build(a *sparse.CSC, opts Options, numeric bool) (*Solver, error) {
 		}
 	}
 
-	// Step (1b): permute large entries to the diagonal.
+	// Step (1b): permute large entries to the diagonal. The ordering reads
+	// the row-permuted matrix.
 	s.rowMap = sparse.IdentityPerm(n)
+	ordered := work
 	if opts.RowPermute {
 		s.stats.RowPermRuns++
 		t0 := time.Now()
@@ -281,20 +363,25 @@ func build(a *sparse.CSC, opts Options, numeric bool) (*Solver, error) {
 				s.dC[i] *= mc.Dc[i]
 			}
 		}
-		work = work.PermuteRows(mc.RowPerm)
+		ordered = work.PermuteRows(mc.RowPerm)
 		s.rowMap = mc.RowPerm
 		s.stats.DiagLogProd = mc.LogProd
 	}
 
 	// Step (2): fill-reducing ordering, applied to rows AND columns so the
-	// large diagonal stays on the diagonal.
+	// large diagonal stays on the diagonal. The scaled matrix goes to
+	// Pc·Pr·DR·A·DC·Pcᵀ in one permutation, which also yields the value
+	// map.
 	s.stats.OrderRuns++
 	t0 := time.Now()
-	pc := ordering.Order(work, opts.Ordering)
+	pc := ordering.Order(ordered, opts.Ordering)
 	s.stats.Times.Order = time.Since(t0)
-	work = work.PermuteSym(pc)
 	s.colMap = pc
 	s.rowMap = sparse.ComposePerm(pc, s.rowMap)
+	work, s.in.dst = work.PermuteMap(s.rowMap, s.colMap)
+	if check.Enabled {
+		check.Must(s.in.check(work, s.rowMap, s.colMap))
+	}
 
 	// Symbolic analysis (static: possible precisely because there is no
 	// dynamic pivoting).
@@ -350,7 +437,7 @@ func (s *Solver) factorNumeric() error {
 	}
 	s.stats.Times.Factor = time.Since(t0)
 	s.stats.TinyPivots = fac.TinyPivots
-	s.stats.RecipGrowth = fac.ReciprocalPivotGrowth()
+	s.stats.RecipGrowth = fac.RecipGrowth
 
 	s.fac = fac
 	s.sys = fac
@@ -379,10 +466,12 @@ func (s *Solver) factorNumeric() error {
 // refinement absorb that, the same trade SuperLU_DIST makes for its
 // SamePattern_SameRowPerm option).
 //
-// The donor may have been built by New or NewAnalysis; only its analysis
-// state is read, never written, so one donor may serve concurrent
-// NewWithSymbolic calls. Pattern identity is checked via
-// sparse.PatternHash.
+// The donor may have been built by New, NewAnalysis or NewWithSymbolic;
+// only its analysis state is read, never written, so one donor may serve
+// concurrent NewWithSymbolic calls. The pattern of a is compared with
+// the donor's input entry for entry, in the same pass that writes the
+// new values of the factored matrix through the donor's value map; the
+// Solver shares the donor's pattern and owns only those values.
 func NewWithSymbolic(a *sparse.CSC, donor *Solver) (*Solver, error) {
 	if donor == nil || donor.sym == nil {
 		return nil, fmt.Errorf("core: NewWithSymbolic: donor holds no symbolic analysis")
@@ -390,34 +479,30 @@ func NewWithSymbolic(a *sparse.CSC, donor *Solver) (*Solver, error) {
 	if a.Rows != donor.n || a.Cols != donor.n {
 		return nil, fmt.Errorf("core: NewWithSymbolic: matrix is %dx%d, donor analyzed n=%d", a.Rows, a.Cols, donor.n)
 	}
-	if h := sparse.PatternHash(a); h != donor.patternHash {
-		return nil, fmt.Errorf("core: NewWithSymbolic: pattern fingerprint %#x does not match donor's %#x", h, donor.patternHash)
+	val, zeroDiags, err := donor.in.values(a, donor.dR, donor.dC)
+	if err != nil {
+		return nil, fmt.Errorf("core: NewWithSymbolic: pattern mismatch: %w", err)
 	}
 	s := &Solver{
-		opts:        donor.opts,
-		n:           donor.n,
-		rowMap:      donor.rowMap,
-		colMap:      donor.colMap,
-		dR:          donor.dR,
-		dC:          donor.dC,
-		sym:         donor.sym,
-		sched:       donor.sched,
-		patternHash: donor.patternHash,
+		opts:   donor.opts,
+		n:      donor.n,
+		rowMap: donor.rowMap,
+		colMap: donor.colMap,
+		dR:     donor.dR,
+		dC:     donor.dC,
+		ap:     &sparse.CSC{Rows: donor.n, Cols: donor.n, ColPtr: donor.ap.ColPtr, RowInd: donor.ap.RowInd, Val: val},
+		in:     donor.in,
+		sym:    donor.sym,
+		sched:  donor.sched,
 	}
 	s.stats.N = s.n
-	s.stats.NnzA = a.Nnz()
-	s.stats.ZeroDiagsIn = a.ZeroDiagonals()
+	s.stats.NnzA = len(val)
+	s.stats.ZeroDiagsIn = zeroDiags
 	s.stats.NnzLU = s.sym.FillLU()
 	s.stats.Flops = s.sym.Flops
 	s.stats.NumSuper = s.sym.NumSupernodes()
 	s.stats.AvgSuper = s.sym.AvgSupernode()
 	s.stats.RunWidth = s.sym.RunWidth
-
-	// Rebuild the factored matrix Pc·Pr·DR·A·DC·Pcᵀ from the new values
-	// under the donor's transformations: pure data movement, no analysis.
-	work := a.Clone()
-	work.ScaleRowsCols(s.dR, s.dC)
-	s.ap = work.PermuteRows(s.rowMap).PermuteCols(s.colMap)
 	if err := s.factorNumeric(); err != nil {
 		return nil, err
 	}
@@ -441,10 +526,7 @@ func (s *Solver) DistSolve(b []float64, dopts dist.Options) ([]float64, *dist.Re
 		return nil, nil, fmt.Errorf("core: right-hand side length %d, want %d", len(b), s.n)
 	}
 	dopts.ReplaceTinyPivot = dopts.ReplaceTinyPivot || s.opts.ReplaceTinyPivot
-	bh := make([]float64, s.n)
-	for i := 0; i < s.n; i++ {
-		bh[s.rowMap[i]] = s.dR[i] * b[i]
-	}
+	bh := s.scale(make([]float64, s.n), b)
 	res, err := dist.Solve(s.ap, s.sym, bh, dopts)
 	if err != nil {
 		return nil, res, err
@@ -465,11 +547,7 @@ func (s *Solver) DistSolve(b []float64, dopts dist.Options) ([]float64, *dist.Re
 		s.stats.BerrHistory = []float64{s.stats.Berr}
 		s.stats.Converged = s.stats.Berr <= lu.Eps
 	}
-	x := make([]float64, s.n)
-	for j := 0; j < s.n; j++ {
-		x[j] = s.dC[j] * y[s.colMap[j]]
-	}
-	return x, res, nil
+	return s.unscale(y), res, nil
 }
 
 // Solve computes x with A·x = b (original coordinates), running step (4)
@@ -494,11 +572,8 @@ func (s *Solver) SolveCtx(ctx context.Context, b []float64) ([]float64, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	// b̂[rowMap[i]] = dR[i]·b[i]; solve Â·ŷ = b̂; x[j] = dC[j]·ŷ[colMap[j]].
-	bh := make([]float64, s.n)
-	for i := 0; i < s.n; i++ {
-		bh[s.rowMap[i]] = s.dR[i] * b[i]
-	}
+	// Solve Â·ŷ = b̂, then unscale ŷ.
+	bh := s.scale(make([]float64, s.n), b)
 
 	if s.ladder != nil {
 		y := make([]float64, s.n)
@@ -538,6 +613,15 @@ func (s *Solver) SolveCtx(ctx context.Context, b []float64) ([]float64, error) {
 	}
 
 	return s.unscale(y), nil
+}
+
+// scale maps a right-hand side b into the solver's internal coordinates,
+// b̂[rowMap[i]] = dR[i]·b[i], writing b̂ into bh and returning it.
+func (s *Solver) scale(bh, b []float64) []float64 {
+	for i := 0; i < s.n; i++ {
+		bh[s.rowMap[i]] = s.dR[i] * b[i]
+	}
+	return bh
 }
 
 // unscale maps a solution from the solver's internal coordinates back to
@@ -594,10 +678,7 @@ func (s *Solver) SolveIterative(ctx context.Context, b []float64, opts krylov.Op
 	if s.fac == nil {
 		return nil, krylov.Stats{}, fmt.Errorf("core: Solver holds no numeric factors; use New or NewWithSymbolic")
 	}
-	bh := make([]float64, s.n)
-	for i := 0; i < s.n; i++ {
-		bh[s.rowMap[i]] = s.dR[i] * b[i]
-	}
+	bh := s.scale(make([]float64, s.n), b)
 	prev := opts.Cancel
 	opts.Cancel = func() bool {
 		return ctx.Err() != nil || (prev != nil && prev())
@@ -669,23 +750,35 @@ func (s *Solver) SolveBatchCtx(ctx context.Context, bs [][]float64) (xs [][]floa
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
-	// Pack b̂ᵣ[rowMap[i]] = dR[i]·bᵣ[i] column-major, one sweep, unpack
-	// xᵣ[j] = dC[j]·ŷᵣ[colMap[j]].
+	// Each block of right-hand sides packs its own b̂ᵣ column-major, is
+	// swept, refined and unpacked to xᵣ on its own goroutine; only the
+	// ladder's rungs run one vector after another.
 	t0 := time.Now()
-	packed := make([]float64, s.n*k)
-	for r, b := range bs {
-		seg := packed[r*s.n : (r+1)*s.n]
-		for i := 0; i < s.n; i++ {
-			seg[s.rowMap[i]] = s.dR[i] * b[i]
-		}
-	}
+	n := s.n
+	packed := make([]float64, n*k)
 	refining := s.opts.Refine || s.ladder != nil
 	var bh []float64
 	if refining {
-		bh = append([]float64(nil), packed...)
+		bh = make([]float64, n*k)
 	}
-	n := s.n
-	s.rhsBlocks(k, func(r0, r1 int) { s.fac.SolveMulti(packed[r0*n:r1*n], r1-r0) })
+	xs = make([][]float64, k)
+	unpack := func(r0, r1 int) {
+		for r := r0; r < r1; r++ {
+			xs[r] = s.unscale(packed[r*n : (r+1)*n])
+		}
+	}
+	s.rhsBlocks(k, func(r0, r1 int) {
+		for r := r0; r < r1; r++ {
+			s.scale(packed[r*n:(r+1)*n], bs[r])
+		}
+		if refining {
+			copy(bh[r0*n:r1*n], packed[r0*n:r1*n])
+		}
+		s.fac.SolveMulti(packed[r0*n:r1*n], r1-r0)
+		if !refining {
+			unpack(r0, r1)
+		}
+	})
 	s.stats.Times.Solve = time.Since(t0)
 
 	worst := batchOutcome{berr: math.Inf(-1), converged: true}
@@ -707,6 +800,7 @@ func (s *Solver) SolveBatchCtx(ctx context.Context, bs [][]float64) (xs [][]floa
 		}
 		worst.record(&s.stats)
 		s.stats.Times.Refine = time.Since(t0)
+		s.rhsBlocks(k, unpack)
 	} else if s.opts.Refine {
 		t0 = time.Now()
 		sts := make([]refine.Stats, k)
@@ -715,17 +809,13 @@ func (s *Solver) SolveBatchCtx(ctx context.Context, bs [][]float64) (xs [][]floa
 				MaxIter:        s.opts.MaxRefine,
 				ExtraPrecision: s.opts.ExtraPrecision,
 			}))
+			unpack(r0, r1)
 		})
 		for _, st := range sts {
 			worst.add(st.Steps, st.FinalBerr, st.Berrs, st.Converged, resilience.RungStatic)
 		}
 		worst.record(&s.stats)
 		s.stats.Times.Refine = time.Since(t0)
-	}
-
-	xs = make([][]float64, k)
-	for r := 0; r < k; r++ {
-		xs[r] = s.unscale(packed[r*s.n : (r+1)*s.n])
 	}
 	return xs, errs, nil
 }
@@ -787,11 +877,6 @@ func (o *batchOutcome) record(st *Stats) {
 // solve/refinement stats after Solve).
 func (s *Solver) Stats() Stats { return s.stats }
 
-// PatternHash returns the structural fingerprint of the ORIGINAL input
-// matrix (sparse.PatternHash), the key under which this Solver's
-// analysis may be reused by NewWithSymbolic.
-func (s *Solver) PatternHash() uint64 { return s.patternHash }
-
 // PermutedMatrix exposes the matrix that was actually factored, in the
 // solver's internal coordinates; distributed drivers and tests use it.
 func (s *Solver) PermutedMatrix() *sparse.CSC { return s.ap }
@@ -818,11 +903,8 @@ func (s *Solver) CondEst() float64 {
 func (s *Solver) ForwardErrorBound(x, b []float64) float64 {
 	t0 := time.Now()
 	defer func() { s.stats.Times.Ferr = time.Since(t0) }()
-	bh := make([]float64, s.n)
+	bh := s.scale(make([]float64, s.n), b)
 	yh := make([]float64, s.n)
-	for i := 0; i < s.n; i++ {
-		bh[s.rowMap[i]] = s.dR[i] * b[i]
-	}
 	for j := 0; j < s.n; j++ {
 		yh[s.colMap[j]] = x[j] / s.dC[j]
 	}

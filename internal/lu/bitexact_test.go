@@ -101,7 +101,8 @@ func plainLoopFactorize(a *sparse.CSC, sym *symbolic.Result, opts Options) (*Fac
 }
 
 // SameFactors fails unless got carries the bits of want: factor values,
-// column maxima, pivot growth, and the record of replaced pivots.
+// column maxima, pivot growth (got's as its column steps recorded it, and
+// scanned), and the record of replaced pivots.
 // (Exported for the external parallel-engine tests.)
 func SameFactors(t *testing.T, label string, got, want *Factors) {
 	t.Helper()
@@ -120,6 +121,9 @@ func SameFactors(t *testing.T, label string, got, want *Factors) {
 	}
 	if g, w := got.ReciprocalPivotGrowth(), want.ReciprocalPivotGrowth(); math.Float64bits(g) != math.Float64bits(w) {
 		t.Fatalf("%s: reciprocal pivot growth %g, want %g", label, g, w)
+	}
+	if g, w := got.RecipGrowth, want.ReciprocalPivotGrowth(); math.Float64bits(g) != math.Float64bits(w) {
+		t.Fatalf("%s: growth taken in the column step %g, scan %g", label, g, w)
 	}
 	if got.TinyPivots != want.TinyPivots || len(got.PivotMods) != len(want.PivotMods) {
 		t.Fatalf("%s: %d tiny pivots (%d mods), want %d (%d)", label, got.TinyPivots, len(got.PivotMods), want.TinyPivots, len(want.PivotMods))

@@ -107,6 +107,10 @@ type Factors struct {
 	// ColAMax[j] is max |A(i,j)| of the input, retained for pivot-growth
 	// diagnostics.
 	ColAMax []float64
+	// RecipGrowth is ReciprocalPivotGrowth() with the same bits, taken
+	// in the column steps of Factorize and Schedule.Factorize; factors
+	// built any other way leave it zero.
+	RecipGrowth float64
 }
 
 // Factorize runs the GESP numeric factorization of a (already permuted
@@ -122,27 +126,40 @@ func Factorize(a *sparse.CSC, sym *symbolic.Result, opts Options) (*Factors, err
 			return nil, err
 		}
 	}
-	f.record(wk.mods)
+	f.record(wk.mods, wk.rpg)
 	return f, nil
 }
 
-// record stores the replaced pivots, ascending by column.
-func (f *Factors) record(mods []PivotMod) {
+// record stores the replaced pivots, ascending by column, and the
+// smallest column growth ratio (+Inf when no column had one).
+func (f *Factors) record(mods []PivotMod, rpg float64) {
 	f.PivotMods, f.TinyPivots = mods, len(mods)
+	if math.IsInf(rpg, 1) {
+		rpg = 1
+	}
+	f.RecipGrowth = rpg
 }
 
 // worker is what one goroutine carries through column steps: the
-// matrix, the pivot policy and threshold, its own sparse accumulator and
-// its own record of replaced pivots (ascending by column, as it factors
-// them). top is set only while the worker factors columns of a parallel
-// schedule's top, whose runs update may have to wait for.
+// matrix, the pivot policy and threshold, its own sparse accumulator, its
+// own record of replaced pivots (ascending by column, as it factors
+// them) and the smallest growth ratio of its columns. top is set only
+// while the worker factors columns of a parallel schedule's top, whose
+// runs update may have to wait for.
 type worker struct {
 	a      *sparse.CSC
 	opts   Options
 	thresh float64
 	w      []float64
 	mods   []PivotMod
+	rpg    float64
 	top    *pipeline
+}
+
+// newWorker returns a worker with a zero accumulator of length n and no
+// growth ratio yet.
+func newWorker(a *sparse.CSC, opts Options, thresh float64, n int) *worker {
+	return &worker{a: a, opts: opts, thresh: thresh, w: make([]float64, n), rpg: math.Inf(1)}
 }
 
 // newFactors allocates the factor storage for a in the structure sym
@@ -158,8 +175,7 @@ func newFactors(a *sparse.CSC, sym *symbolic.Result, opts Options) (*Factors, *w
 		UVal:    make([]float64, sym.NnzU()),
 		ColAMax: make([]float64, n),
 	}
-	wk := &worker{a: a, opts: opts, thresh: TinyPivotThreshold(a.Norm1(), opts.Threshold), w: make([]float64, n)}
-	return f, wk, nil
+	return f, newWorker(a, opts, TinyPivotThreshold(a.Norm1(), opts.Threshold), n), nil
 }
 
 // errAbandoned stops a column step whose wait gave up because a lower
@@ -169,7 +185,10 @@ var errAbandoned = errors.New("lu: column abandoned after a lower column failed"
 // step is the left-looking column step, the only one in the package:
 // scatter A(:,j) into the worker's accumulator w (all zero on entry and
 // on a successful return), apply every earlier column of L that U(:,j)
-// names, fix the pivot, scale the strictly-lower part into L.
+// names, fix the pivot, scale the strictly-lower part into L. While the
+// column is hot it takes the column's growth ratio the way
+// ReciprocalPivotGrowth does, with the same expressions: the minimum
+// over columns is exact and ignores the order the columns come in.
 func (f *Factors) step(wk *worker, j int) error {
 	sym, w := f.Sym, wk.w
 	cmax := scatterColumn(wk.a, j, w)
@@ -182,8 +201,22 @@ func (f *Factors) step(wk *worker, j int) error {
 		return err
 	}
 	f.UVal[sym.UPtr[j+1]-1] = piv
+	um := 0.0
+	for _, u := range f.UVal[sym.UPtr[j]:sym.UPtr[j+1]] {
+		if v := math.Abs(u); v > um {
+			um = v
+		}
+	}
 	for q := sym.LPtr[j]; q < sym.LPtr[j+1]; q++ {
 		f.LVal[q] = w[sym.LInd[q]] / piv
+		if v := math.Abs(f.LVal[q] * piv); v > um {
+			um = v
+		}
+	}
+	if um != 0 {
+		if r := cmax / um; r < wk.rpg {
+			wk.rpg = r
+		}
 	}
 	clearColumn(sym, j, w)
 	return nil
@@ -356,7 +389,9 @@ func (f *Factors) SolveT(x []float64) {
 
 // ReciprocalPivotGrowth returns min_j ( max|A(:,j)| / max|(L+U)(:,j)| ),
 // the SuperLU stability diagnostic: values near 1 mean no growth, tiny
-// values signal instability.
+// values signal instability. It scans the stored factors; Factorize
+// and Schedule.Factorize record the same value in RecipGrowth as they
+// go.
 func (f *Factors) ReciprocalPivotGrowth() float64 {
 	sym := f.Sym
 	rpg := math.Inf(1)

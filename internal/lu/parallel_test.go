@@ -3,7 +3,9 @@ package lu_test
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"gesp/internal/core"
@@ -178,6 +180,51 @@ func TestParallelSmallRace(t *testing.T) {
 					t.Fatalf("trial %d workers=%d: %v", trial, w, err)
 				}
 				lu.SameFactors(t, fmt.Sprintf("trial %d workers=%d", trial, w), got, want)
+			}
+		}
+	}
+}
+
+// TestRecipGrowthTakenInColumnStep: the growth the column steps record
+// has the bits of the scan over the finished factors — serially and on
+// one, two and three workers — on the circuit class (growth well below
+// 1), with aggressive replacement of tiny pivots, and with a NaN entry,
+// whose NaN multiples both skip.
+func TestRecipGrowthTakenInColumnStep(t *testing.T) {
+	t.Parallel()
+	rng := rand.New(rand.NewSource(30))
+	circuit := amd(matgen.EnsureFullRank(matgen.HarmonicBalance(24, 8, 4, rng), rng))
+	withNaN := amd(matgen.EnsureFullRank(matgen.ConvectionDiffusion2D(12, 12, 1.5, 0.5, rng), rng))
+	withNaN.Val[withNaN.ColPtr[30]] = math.NaN()
+	for _, c := range []struct {
+		name string
+		a    *sparse.CSC
+		opts lu.Options
+		ok   func(*lu.Factors) bool
+	}{
+		{"circuit", circuit, lu.Options{ReplaceTinyPivot: true}, func(f *lu.Factors) bool { return f.RecipGrowth < 1 }},
+		{"aggressive", faultsim.New(30).NearSingular(120, 1e-12), lu.Options{ReplaceTinyPivot: true, Aggressive: true},
+			func(f *lu.Factors) bool { return f.TinyPivots > 0 }},
+		{"NaN entry", withNaN, lu.Options{ReplaceTinyPivot: true}, func(f *lu.Factors) bool { return slices.ContainsFunc(f.LVal, math.IsNaN) }},
+	} {
+		sym := symbolicOf(t, c.a, symbolic.Options{})
+		f, err := lu.Factorize(c.a, sym, c.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !c.ok(f) {
+			t.Fatalf("%s: the input does not exercise what it is for", c.name)
+		}
+		fs := []*lu.Factors{f}
+		for _, w := range []int{1, 2, 3} {
+			if f, err = lu.NewSchedule(c.a, sym, w).Factorize(c.a, c.opts); err != nil {
+				t.Fatal(err)
+			}
+			fs = append(fs, f)
+		}
+		for i, f := range fs {
+			if g, w := f.RecipGrowth, f.ReciprocalPivotGrowth(); math.Float64bits(g) != math.Float64bits(w) {
+				t.Errorf("%s run %d: growth from the column steps %g, scan %g", c.name, i, g, w)
 			}
 		}
 	}

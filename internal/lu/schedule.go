@@ -3,6 +3,7 @@ package lu
 import (
 	"container/heap"
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -225,9 +226,10 @@ func (sc *Schedule) Check() error {
 // schedule was built from, or any with its pattern) on len(Own)
 // goroutines. Each column runs the one column step, with the same
 // operations in the same order as in Factorize, so the factors, their
-// PivotMods (merged in column order) and a failure — the lowest failing
-// column's *ZeroPivotError — are bit for bit those of Factorize,
-// whatever the number of workers.
+// PivotMods (merged in column order), RecipGrowth (the least of the
+// workers' minima) and a failure — the lowest failing column's
+// *ZeroPivotError — are bit for bit those of Factorize, whatever the
+// number of workers.
 func (sc *Schedule) Factorize(a *sparse.CSC, opts Options) (*Factors, error) {
 	f, lead, err := newFactors(a, sc.Sym, opts)
 	if err != nil {
@@ -241,7 +243,7 @@ func (sc *Schedule) Factorize(a *sparse.CSC, opts Options) (*Factors, error) {
 	for i := range workers {
 		wk := lead
 		if i > 0 {
-			wk = &worker{a: a, opts: opts, thresh: lead.thresh, w: make([]float64, sc.Sym.N)}
+			wk = newWorker(a, opts, lead.thresh, sc.Sym.N)
 		}
 		workers[i] = wk
 		wg.Add(1)
@@ -255,11 +257,13 @@ func (sc *Schedule) Factorize(a *sparse.CSC, opts Options) (*Factors, error) {
 		return nil, p.err
 	}
 	var mods []PivotMod
+	rpg := math.Inf(1)
 	for _, wk := range workers {
 		mods = append(mods, wk.mods...)
+		rpg = min(rpg, wk.rpg)
 	}
 	sort.Slice(mods, func(x, y int) bool { return mods[x].Col < mods[y].Col })
-	f.record(mods)
+	f.record(mods, rpg)
 	return f, nil
 }
 

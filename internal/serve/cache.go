@@ -193,10 +193,10 @@ func (c *cache) occupancy() (symEntries, facEntries int, facBytes int64) {
 }
 
 // factorBytes estimates the resident cost of one cached factorization:
-// the L/U values (8 bytes each over the fill), the permuted copy of the
-// input (value + row index per nonzero), and the per-row bookkeeping
-// slices. Indices of the static structure are shared with the symbolic
-// donor and not charged here.
+// the L/U values (8 bytes each over the fill), the values of the
+// permuted input (8 bytes per nonzero), and the per-row bookkeeping
+// slices. Indices — of the static structure and of the permuted input —
+// are shared with the symbolic donor and not charged here.
 func factorBytes(st core.Stats) int64 {
-	return 8*int64(st.NnzLU) + 16*int64(st.NnzA) + 48*int64(st.N)
+	return 8*int64(st.NnzLU) + 8*int64(st.NnzA) + 48*int64(st.N)
 }

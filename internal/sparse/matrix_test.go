@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -242,6 +243,47 @@ func TestPermRoundTripProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestPermuteMapMatchesTwoPermutes: PermuteMap builds bit for bit what
+// PermuteRows then PermuteCols build, and its map sends every entry of A
+// to the entry of B that holds it — so a gather of new values through
+// the map is the two permutes of a matrix with the same pattern.
+func TestPermuteMapMatchesTwoPermutes(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(40)
+		a := randomCSC(rng, n, 0.2)
+		pr, pc := rng.Perm(n), rng.Perm(n)
+		b, dst := a.PermuteMap(pr, pc)
+		want := a.PermuteRows(pr).PermuteCols(pc)
+		if b.Check() != nil || !samePattern(b, want) || len(dst) != a.Nnz() {
+			return false
+		}
+		for p := range want.Val {
+			if math.Float64bits(b.Val[p]) != math.Float64bits(want.Val[p]) {
+				return false
+			}
+		}
+		seen := make([]bool, len(dst))
+		for j := 0; j < n; j++ {
+			for k := a.ColPtr[j]; k < a.ColPtr[j+1]; k++ {
+				p := int(dst[k])
+				if seen[p] || p < b.ColPtr[pc[j]] || p >= b.ColPtr[pc[j]+1] || b.RowInd[p] != pr[a.RowInd[k]] || b.Val[p] != a.Val[k] {
+					return false
+				}
+				seen[p] = true
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Error(err)
+	}
+}
+
+func samePattern(a, b *CSC) bool {
+	return a.Rows == b.Rows && slices.Equal(a.ColPtr, b.ColPtr) && slices.Equal(a.RowInd, b.RowInd)
 }
 
 func TestPermHelpers(t *testing.T) {

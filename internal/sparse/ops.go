@@ -160,10 +160,49 @@ func (a *CSC) PermuteRows(perm []int) *CSC {
 			b.RowInd[k] = perm[a.RowInd[k]]
 			b.Val[k] = a.Val[k]
 		}
-		seg := colSorter{b.RowInd[lo:hi], b.Val[lo:hi]}
-		sortSeg(seg)
+		sortByRow(b.RowInd[lo:hi], b.Val[lo:hi])
 	}
 	return b
+}
+
+// PermuteMap returns B = Pr·A·Pcᵀ, where row i of A becomes row
+// rowPerm[i] and column j becomes column colPerm[j] — the matrix
+// a.PermuteRows(rowPerm).PermuteCols(colPerm) builds, in one pass — and
+// the map from A's storage to B's: entry k of A is entry dst[k] of B.
+// Any matrix with A's pattern permutes to B's pattern under the same dst,
+// so the map turns a later permutation into one pass over its values.
+// nnz(A) must fit in an int32.
+func (a *CSC) PermuteMap(rowPerm, colPerm []int) (b *CSC, dst []int32) {
+	if err := CheckPerm(rowPerm, a.Rows); err != nil {
+		panic(fmt.Sprintf("sparse: PermuteMap: %v", err))
+	}
+	if err := CheckPerm(colPerm, a.Cols); err != nil {
+		panic(fmt.Sprintf("sparse: PermuteMap: %v", err))
+	}
+	nnz := a.Nnz()
+	if nnz > math.MaxInt32 {
+		panic(fmt.Sprintf("sparse: PermuteMap: %d entries overflow an int32 map", nnz))
+	}
+	b = &CSC{Rows: a.Rows, Cols: a.Cols, ColPtr: make([]int, a.Cols+1), RowInd: make([]int, nnz), Val: make([]float64, nnz)}
+	src := make([]int32, nnz) // entry p of B is entry src[p] of A
+	inv := InversePerm(colPerm)
+	p := 0
+	for jn := 0; jn < a.Cols; jn++ {
+		lo, jo := p, inv[jn]
+		for k := a.ColPtr[jo]; k < a.ColPtr[jo+1]; k++ {
+			b.RowInd[p] = rowPerm[a.RowInd[k]]
+			src[p] = int32(k)
+			p++
+		}
+		sortByRow(b.RowInd[lo:p], src[lo:p])
+		b.ColPtr[jn+1] = p
+	}
+	dst = make([]int32, nnz)
+	for p, k := range src {
+		b.Val[p] = a.Val[k]
+		dst[k] = int32(p)
+	}
+	return b, dst
 }
 
 // PermuteCols returns A*Pcᵀ where column j of A becomes column perm[j] of
@@ -199,19 +238,20 @@ func (a *CSC) PermuteSym(perm []int) *CSC {
 	return a.PermuteRows(perm).PermuteCols(perm)
 }
 
-func sortSeg(s colSorter) {
-	// Insertion sort: permuted columns are mostly short; avoids the
-	// interface-dispatch overhead of sort.Sort dominating profiles.
-	for i := 1; i < len(s.ri); i++ {
-		r, v := s.ri[i], s.vv[i]
+// sortByRow sorts a column's row indices ascending, carrying vv along.
+// Insertion sort: permuted columns are mostly short; avoids the
+// interface-dispatch overhead of sort.Sort dominating profiles.
+func sortByRow[T any](ri []int, vv []T) {
+	for i := 1; i < len(ri); i++ {
+		r, v := ri[i], vv[i]
 		j := i - 1
-		for j >= 0 && s.ri[j] > r {
-			s.ri[j+1] = s.ri[j]
-			s.vv[j+1] = s.vv[j]
+		for j >= 0 && ri[j] > r {
+			ri[j+1] = ri[j]
+			vv[j+1] = vv[j]
 			j--
 		}
-		s.ri[j+1] = r
-		s.vv[j+1] = v
+		ri[j+1] = r
+		vv[j+1] = v
 	}
 }
 
