@@ -20,13 +20,14 @@ lint:
 # Race-check the concurrent engines: the statically scheduled parallel
 # factorization (lu's subtree-plus-pipeline column steps), the batch
 # solve cut into one goroutine per block of right-hand sides (core, over
-# refine's blocked loop and lu's sweeps),
+# refine's blocked loop and lu's sweeps, with the resilience ladder's
+# rung 0 run on those goroutines),
 # the simulated MPI runtime, the distributed engine built on it, the
 # caching, batching solve service, the fleet router above it with its
 # policy primitives and HA control plane, and the shared micro-kernels
 # (read-only operand concurrency).
 race:
-	$(GO) test -race -short ./internal/lu/... ./internal/core/... ./internal/refine/... ./internal/mpisim/... ./internal/dist/... ./internal/serve/... ./internal/fleet/... ./internal/fleetrpc/... ./internal/fleetha/... ./internal/kernels/...
+	$(GO) test -race -short ./internal/lu/... ./internal/core/... ./internal/refine/... ./internal/resilience/... ./internal/mpisim/... ./internal/dist/... ./internal/serve/... ./internal/fleet/... ./internal/fleetrpc/... ./internal/fleetha/... ./internal/kernels/...
 
 # Checked build: rerun the test suite with the gespcheck tag, which
 # re-validates every structural invariant (CSC columns, supernode

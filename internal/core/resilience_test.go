@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"testing"
+	"time"
 
 	"gesp/internal/faultsim"
 	"gesp/internal/resilience"
@@ -138,6 +139,86 @@ func TestResilienceSolveHonorsContext(t *testing.T) {
 	cancel()
 	if _, err := s.SolveCtx(ctx, b); !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
+	}
+}
+
+// TestResilienceUnrecoveredKeepsIterateAfterContextEnds: a ladder that
+// runs out of rungs as its context ends (here OnTrace cancels it) still
+// fails with ErrUnrecovered and hands back its best iterate, in SolveCtx
+// and per vector in SolveBatchCtx.
+func TestResilienceUnrecoveredKeepsIterateAfterContextEnds(t *testing.T) {
+	a := faultsim.New(7).NearSingular(40, 1e-10)
+	b := make([]float64, a.Rows)
+	a.MatVec(b, onesSolution(a.Rows))
+	for _, batch := range []bool{false, true} {
+		ctx, cancel := context.WithCancel(context.Background())
+		opts := DefaultOptions()
+		opts.Equilibrate, opts.RowPermute = false, false // keep the tiny pivot tiny
+		opts.Resilience = &resilience.Policy{MaxRung: resilience.RungExtraPrecision, OnTrace: func(*resilience.Escalation) { cancel() }}
+		s, err := New(a, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var x []float64
+		if batch {
+			xs, errs, berr := s.SolveBatchCtx(ctx, [][]float64{b})
+			if berr != nil || errs == nil {
+				t.Fatalf("batch: batch error %v, vector errors %v; want the vector's ErrUnrecovered", berr, errs)
+			}
+			x, err = xs[0], errs[0]
+		} else {
+			x, err = s.SolveCtx(ctx, b)
+		}
+		if !errors.Is(err, resilience.ErrUnrecovered) || x == nil {
+			t.Fatalf("batch=%v: err %v, iterate %v; want ErrUnrecovered with the iterate", batch, err, x != nil)
+		}
+		if ctx.Err() == nil {
+			t.Fatal("OnTrace did not run")
+		}
+	}
+}
+
+// TestResilienceBlockRung0Deadline: core runs rung 0 on a whole block of
+// right-hand sides, so Policy.RungDeadline bounds the block's refinement;
+// when it passes, every vector climbs on its own and converges.
+func TestResilienceBlockRung0Deadline(t *testing.T) {
+	a := faultsim.New(25).NearSingular(150, 1e-12)
+	opts := DefaultOptions()
+	opts.Equilibrate, opts.RowPermute = false, false // keep the tiny pivot tiny
+	var traces []resilience.Escalation
+	opts.Resilience = &resilience.Policy{RungDeadline: time.Nanosecond, OnTrace: func(tr *resilience.Escalation) {
+		c := *tr
+		c.Steps = append([]resilience.Step(nil), tr.Steps...)
+		traces = append(traces, c)
+	}}
+	s, err := New(a, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bs := randomBatch(s, 8, 5)
+	xs, err := s.SolveBatch(bs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(traces) != len(bs) {
+		t.Fatalf("%d traces for %d vectors", len(traces), len(bs))
+	}
+	for r, tr := range traces {
+		if len(tr.Steps) < 2 || tr.Steps[0].Iterations != 0 || tr.Steps[1].Trigger != resilience.TriggerDeadline || !tr.Converged {
+			t.Fatalf("vector %d: %s; want rung 0 cut by the deadline, then a climb to convergence", r, &tr)
+		}
+	}
+	if st := s.Stats(); st.Escalations != len(bs) || !st.Converged {
+		t.Fatalf("stats: %d escalations, converged %v; want %d, true", st.Escalations, st.Converged, len(bs))
+	}
+	for r, b := range bs {
+		x, err := s.Solve(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bitsEqual(x, xs[r]) {
+			t.Fatalf("vector %d differs from its own Solve", r)
+		}
 	}
 }
 

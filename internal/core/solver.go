@@ -79,13 +79,16 @@ type Options struct {
 	// pivots and their PivotMods (AggressivePivot's SMW recovery
 	// included), and every solution are bit for bit those of Workers=0.
 	Workers int
-	// Resilience, when non-nil, routes every Solve/SolveBatch through the
-	// escalation ladder of internal/resilience: plain GESP refinement
-	// first, then (as the backward error dictates) extra-precision
-	// refinement, SMW recovery, LU-preconditioned GMRES and finally a
-	// partial-pivoting refactorization. It supersedes the Refine/
-	// MaxRefine/ExtraPrecision toggles for those calls. The pointed-to
-	// Policy is read once at factorization time.
+	// Resilience, when non-nil, routes every Solve, SolveBatch and
+	// DistSolve through the escalation ladder of internal/resilience.
+	// Rung 0 is plain GESP refinement, blocked like the sweep: one
+	// refine.RefineMulti per block of right-hand sides. A vector it
+	// leaves above the ladder's tolerance then climbs alone, as the
+	// backward error dictates, through extra-precision refinement, SMW
+	// recovery, LU-preconditioned GMRES and finally a partial-pivoting
+	// refactorization. It supersedes the Refine/MaxRefine/ExtraPrecision
+	// toggles for those calls. The pointed-to Policy is read once at
+	// factorization time.
 	Resilience *resilience.Policy
 }
 
@@ -150,10 +153,11 @@ type Stats struct {
 	RunWidth    float64
 	RecipGrowth float64
 	Times       StepTimes
-	// The last solve's refinement outcome. After SolveBatch these
-	// describe the batch by its worst vector: the largest Berr (NaN
-	// counting as largest) with that vector's BerrHistory, the largest
-	// RefineSteps, and Converged only if every vector converged.
+	// The last solve's refinement outcome (unrefined: its measured berr,
+	// 0 steps). After SolveBatch these describe the batch by its worst
+	// vector: the largest Berr (NaN counting as largest) with that
+	// vector's BerrHistory, the largest RefineSteps, and Converged only
+	// if every vector converged.
 	RefineSteps int
 	Berr        float64
 	BerrHistory []float64
@@ -516,38 +520,22 @@ func NewWithSymbolic(a *sparse.CSC, donor *Solver) (*Solver, error) {
 // coordinates; the dist.Result carries the simulated machine statistics
 // that Tables 3–5 report.
 //
-// Step (4) refinement: when this Solver also holds serial factors (built
-// with New rather than NewAnalysis) and Refine is enabled, the
-// distributed solution is refined serially, correcting any tiny-pivot
-// perturbations. Otherwise the componentwise backward error of the raw
-// distributed solution is still measured and recorded in Stats.
+// Step (4) is Solve's, run on the distributed solution: when this Solver
+// also holds serial factors (built with New rather than NewAnalysis) they
+// refine it, correcting any tiny-pivot perturbations, as Refine or the
+// resilience ladder dictates. Otherwise the componentwise backward error
+// of the raw distributed solution is still measured and recorded in Stats.
 func (s *Solver) DistSolve(b []float64, dopts dist.Options) ([]float64, *dist.Result, error) {
 	if len(b) != s.n {
 		return nil, nil, fmt.Errorf("core: right-hand side length %d, want %d", len(b), s.n)
 	}
 	dopts.ReplaceTinyPivot = dopts.ReplaceTinyPivot || s.opts.ReplaceTinyPivot
-	bh := s.scale(make([]float64, s.n), b)
-	res, err := dist.Solve(s.ap, s.sym, bh, dopts)
+	res, err := dist.Solve(s.ap, s.sym, s.scale(make([]float64, s.n), b), dopts)
 	if err != nil {
 		return nil, res, err
 	}
-	y := append([]float64(nil), res.X...)
-	if s.opts.Refine && s.sys != nil {
-		st := refine.Refine(s.ap, s.sys, y, bh, refine.Options{
-			MaxIter:        s.opts.MaxRefine,
-			ExtraPrecision: s.opts.ExtraPrecision,
-		})
-		s.stats.RefineSteps = st.Steps
-		s.stats.Berr = st.FinalBerr
-		s.stats.BerrHistory = st.Berrs
-		s.stats.Converged = st.Converged
-	} else {
-		s.stats.RefineSteps = 0
-		s.stats.Berr = refine.Berr(s.ap, y, bh)
-		s.stats.BerrHistory = []float64{s.stats.Berr}
-		s.stats.Converged = s.stats.Berr <= lu.Eps
-	}
-	return s.unscale(y), res, nil
+	x, err := first(s.solve(context.Background(), [][]float64{b}, func(y []float64, _ int) { copy(y, res.X) }))
+	return x, res, err
 }
 
 // Solve computes x with A·x = b (original coordinates), running step (4)
@@ -561,58 +549,23 @@ func (s *Solver) Solve(b []float64) ([]float64, error) {
 // honors ctx cancellation and deadlines between refinement iterations
 // and inside the Krylov rung; without one the context is only checked on
 // entry. On ladder exhaustion the best iterate found is returned
-// alongside the error (errors.Is(err, resilience.ErrUnrecovered)).
+// alongside the error (errors.Is(err, resilience.ErrUnrecovered)). It is
+// SolveBatchCtx on a batch of one.
 func (s *Solver) SolveCtx(ctx context.Context, b []float64) ([]float64, error) {
-	if len(b) != s.n {
-		return nil, fmt.Errorf("core: right-hand side length %d, want %d", len(b), s.n)
+	return first(s.SolveBatchCtx(ctx, [][]float64{b}))
+}
+
+// first returns the solution of a batch of one the way Solve reports it:
+// beside ErrUnrecovered the ladder's best iterate, beside any other error
+// none.
+func first(xs [][]float64, errs []error, err error) ([]float64, error) {
+	if err == nil && errs != nil {
+		err = errs[0]
 	}
-	if s.sys == nil {
-		return nil, fmt.Errorf("core: Solver built with NewAnalysis holds no numeric factors; use DistSolve or New")
-	}
-	if err := ctx.Err(); err != nil {
+	if xs == nil || err != nil && !errors.Is(err, resilience.ErrUnrecovered) {
 		return nil, err
 	}
-	// Solve Â·ŷ = b̂, then unscale ŷ.
-	bh := s.scale(make([]float64, s.n), b)
-
-	if s.ladder != nil {
-		y := make([]float64, s.n)
-		t0 := time.Now()
-		tr, err := s.ladder.Solve(ctx, y, bh)
-		s.stats.Times.Solve = time.Since(t0)
-		s.recordEscalation(tr)
-		if err != nil {
-			if tr.Converged || errorsIsUnrecovered(err) {
-				// Best-effort iterate travels with the error.
-				return s.unscale(y), err
-			}
-			return nil, err
-		}
-		return s.unscale(y), nil
-	}
-
-	t0 := time.Now()
-	y := append([]float64(nil), bh...)
-	s.sys.Solve(y)
-	s.stats.Times.Solve = time.Since(t0)
-
-	if s.opts.Refine {
-		t0 = time.Now()
-		st := refine.Refine(s.ap, s.sys, y, bh, refine.Options{
-			MaxIter:        s.opts.MaxRefine,
-			ExtraPrecision: s.opts.ExtraPrecision,
-		})
-		s.stats.Times.Refine = time.Since(t0)
-		s.stats.RefineSteps = st.Steps
-		s.stats.Berr = st.FinalBerr
-		s.stats.BerrHistory = st.Berrs
-		s.stats.Converged = st.Converged
-	} else {
-		s.stats.Berr = refine.Berr(s.ap, y, bh)
-		s.stats.Converged = s.stats.Berr <= lu.Eps
-	}
-
-	return s.unscale(y), nil
+	return xs[0], err
 }
 
 // scale maps a right-hand side b into the solver's internal coordinates,
@@ -624,35 +577,14 @@ func (s *Solver) scale(bh, b []float64) []float64 {
 	return bh
 }
 
-// unscale maps a solution from the solver's internal coordinates back to
-// the original ones: x[j] = dC[j]·ŷ[colMap[j]].
-func (s *Solver) unscale(y []float64) []float64 {
-	x := make([]float64, s.n)
+// unscale maps a solution y from the solver's internal coordinates back
+// to the original ones, x[j] = dC[j]·ŷ[colMap[j]], writing x and
+// returning it.
+func (s *Solver) unscale(x, y []float64) []float64 {
 	for j := 0; j < s.n; j++ {
 		x[j] = s.dC[j] * y[s.colMap[j]]
 	}
 	return x
-}
-
-// recordEscalation folds a ladder trace into the solve statistics.
-func (s *Solver) recordEscalation(tr *resilience.Escalation) {
-	iters := 0
-	for _, st := range tr.Steps {
-		iters += st.Iterations
-	}
-	s.stats.RefineSteps = iters
-	s.stats.Berr = tr.FinalBerr
-	s.stats.Converged = tr.Converged
-	s.stats.LastRung = tr.FinalRung
-	if tr.Escalated() {
-		s.stats.Escalations++
-		s.stats.FallbackTime += tr.FallbackCost()
-	}
-	s.stats.Times.Refine = tr.Total
-}
-
-func errorsIsUnrecovered(err error) bool {
-	return errors.Is(err, resilience.ErrUnrecovered)
 }
 
 // Escalation returns the trace of the most recent resilient solve (nil
@@ -689,9 +621,9 @@ func (s *Solver) SolveIterative(ctx context.Context, b []float64, opts krylov.Op
 		return nil, st, err
 	}
 	if !st.Converged {
-		return s.unscale(y), st, fmt.Errorf("core: iterative solve stopped at relative residual %.3e after %d iterations", st.Residual, st.Iterations)
+		return s.unscale(make([]float64, s.n), y), st, fmt.Errorf("core: iterative solve stopped at relative residual %.3e after %d iterations", st.Residual, st.Iterations)
 	}
-	return s.unscale(y), st, nil
+	return s.unscale(make([]float64, s.n), y), st, nil
 }
 
 // facPreconditioner adapts the LU factors to krylov.Preconditioner.
@@ -705,8 +637,8 @@ func (p facPreconditioner) Apply(x []float64) { p.f.Solve(x) }
 // coordinates) through one column-blocked multi-RHS triangular sweep
 // (lu.Factors.SolveMulti): the factors are walked once per block of
 // right-hand sides instead of once per vector, which is where serving
-// throughput comes from. Refinement, when enabled, is blocked the same
-// way (refine.RefineMulti): each step corrects every vector still
+// throughput comes from. Step (4) is blocked the same way
+// (refine.RefineMulti): each refinement step corrects every vector still
 // refining with one more such sweep, and each vector stops by its own
 // berr, so every solution is bitwise the one Solve returns for that
 // right-hand side. The recorded Berr/RefineSteps/Converged stats
@@ -728,19 +660,16 @@ func (s *Solver) SolveBatch(bs [][]float64) ([][]float64, error) {
 }
 
 // SolveBatchCtx is SolveBatch with a context and per-vector error
-// reporting. With a resilience ladder, each right-hand side is
-// individually escalated after the shared triangular sweep; a vector
-// whose ladder fails keeps its best-effort iterate and its error lands
-// in errs[r] (errs is nil when every vector succeeded), so one poisoned
-// right-hand side cannot fail its batch-mates. The third result is a
-// batch-level failure: validation or context cancellation.
+// reporting. With a resilience ladder, rung 0 is that blocked refinement,
+// run on every block of right-hand sides at once; only a vector it leaves
+// above the ladder's tolerance then climbs, one vector at a time, from
+// rung 1. A vector whose ladder fails keeps its best-effort iterate and
+// its error lands in errs[r] (errs is nil when every vector succeeded),
+// so one poisoned right-hand side cannot fail its batch-mates. The third
+// result is a batch-level failure: validation or context cancellation.
 func (s *Solver) SolveBatchCtx(ctx context.Context, bs [][]float64) (xs [][]float64, errs []error, err error) {
 	if s.fac == nil {
 		return nil, nil, fmt.Errorf("core: Solver holds no numeric factors; use New or NewWithSymbolic")
-	}
-	k := len(bs)
-	if k == 0 {
-		return nil, nil, nil
 	}
 	for r, b := range bs {
 		if len(b) != s.n {
@@ -750,74 +679,91 @@ func (s *Solver) SolveBatchCtx(ctx context.Context, bs [][]float64) (xs [][]floa
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
-	// Each block of right-hand sides packs its own b̂ᵣ column-major, is
-	// swept, refined and unpacked to xᵣ on its own goroutine; only the
-	// ladder's rungs run one vector after another.
-	t0 := time.Now()
-	n := s.n
-	packed := make([]float64, n*k)
-	refining := s.opts.Refine || s.ladder != nil
-	var bh []float64
-	if refining {
-		bh = make([]float64, n*k)
-	}
-	xs = make([][]float64, k)
-	unpack := func(r0, r1 int) {
-		for r := r0; r < r1; r++ {
-			xs[r] = s.unscale(packed[r*n : (r+1)*n])
-		}
-	}
-	s.rhsBlocks(k, func(r0, r1 int) {
-		for r := r0; r < r1; r++ {
-			s.scale(packed[r*n:(r+1)*n], bs[r])
-		}
-		if refining {
-			copy(bh[r0*n:r1*n], packed[r0*n:r1*n])
-		}
-		s.fac.SolveMulti(packed[r0*n:r1*n], r1-r0)
-		if !refining {
-			unpack(r0, r1)
-		}
-	})
-	s.stats.Times.Solve = time.Since(t0)
+	return s.solve(ctx, bs, func(y []float64, k int) { refine.SolveMulti(s.sys, y, k) })
+}
 
-	worst := batchOutcome{berr: math.Inf(-1), converged: true}
-	if s.ladder != nil {
-		t0 = time.Now()
-		for r := 0; r < k; r++ {
-			tr, rerr := s.ladder.Refine(ctx, packed[r*n:(r+1)*n], bh[r*n:(r+1)*n])
-			s.recordEscalation(tr)
-			worst.add(s.stats.RefineSteps, tr.FinalBerr, nil, tr.Converged, tr.FinalRung)
-			if rerr != nil {
-				if ctx.Err() != nil {
-					return nil, nil, rerr
-				}
-				if errs == nil {
-					errs = make([]error, k)
-				}
-				errs[r] = rerr
-			}
-		}
-		worst.record(&s.stats)
-		s.stats.Times.Refine = time.Since(t0)
-		s.rhsBlocks(k, unpack)
-	} else if s.opts.Refine {
-		t0 = time.Now()
-		sts := make([]refine.Stats, k)
-		s.rhsBlocks(k, func(r0, r1 int) {
-			copy(sts[r0:r1], refine.RefineMulti(s.ap, s.sys, packed[r0*n:r1*n], bh[r0*n:r1*n], r1-r0, refine.Options{
-				MaxIter:        s.opts.MaxRefine,
-				ExtraPrecision: s.opts.ExtraPrecision,
-			}))
-			unpack(r0, r1)
-		})
-		for _, st := range sts {
-			worst.add(st.Steps, st.FinalBerr, st.Berrs, st.Converged, resilience.RungStatic)
-		}
-		worst.record(&s.stats)
-		s.stats.Times.Refine = time.Since(t0)
+// solve runs scale → sweep → step (4) → unscale on the right-hand sides
+// bs, each block of them (rhsBlocks) on its own goroutine; then, with a
+// ladder, the vectors rung 0 left above tolerance climb one at a time,
+// and Stats records the batch's worst vector. sweep overwrites the k
+// scaled right-hand sides packed in y with the solutions step (4) starts
+// from.
+func (s *Solver) solve(ctx context.Context, bs [][]float64, sweep func(y []float64, k int)) (xs [][]float64, errs []error, err error) {
+	k, n := len(bs), s.n
+	if k == 0 {
+		return nil, nil, nil
 	}
+	buf := make([]float64, 2*n*k)
+	y, bh := buf[:n*k], buf[n*k:]
+	xs = make([][]float64, k)
+	sts := make([]refine.Stats, k)
+	tSweep, tRefine := s.rhsBlocks(k, func(r0, r1 int) (time.Duration, time.Duration) {
+		t0 := time.Now()
+		yb, bb := y[r0*n:r1*n], bh[r0*n:r1*n]
+		for r := r0; r < r1; r++ {
+			s.scale(bh[r*n:(r+1)*n], bs[r])
+		}
+		copy(yb, bb)
+		sweep(yb, r1-r0)
+		t1 := time.Now()
+		copy(sts[r0:r1], refine.RefineMulti(s.ap, s.sys, yb, bb, r1-r0, s.refineOptions(ctx, t1)))
+		t2 := time.Now()
+		for r := r0; r < r1; r++ {
+			xs[r] = s.unscale(make([]float64, n), y[r*n:(r+1)*n])
+		}
+		return t1.Sub(t0), t2.Sub(t1)
+	})
+	s.stats.Times.Solve = tSweep
+
+	t0 := time.Now()
+	worst := batchOutcome{berr: math.Inf(-1), converged: true}
+	for r, st := range sts {
+		if s.ladder == nil {
+			worst.add(st.Steps, st.FinalBerr, st.Berrs, st.Converged, resilience.RungStatic)
+			continue
+		}
+		yr := y[r*n : (r+1)*n]
+		tr, rerr := s.ladder.Escalate(ctx, yr, bh[r*n:(r+1)*n], st, tRefine)
+		if tr.Escalated() {
+			s.unscale(xs[r], yr)
+			s.stats.Escalations++
+			s.stats.FallbackTime += tr.FallbackCost()
+		}
+		iters := 0
+		for _, step := range tr.Steps {
+			iters += step.Iterations
+		}
+		worst.add(iters, tr.FinalBerr, nil, tr.Converged, tr.FinalRung)
+		if rerr != nil {
+			// Only the context's error ends the batch: ErrUnrecovered
+			// keeps its iterate even if ctx ended during the last rung.
+			if errors.Is(rerr, ctx.Err()) {
+				return nil, nil, rerr
+			}
+			if errs == nil {
+				errs = make([]error, k)
+			}
+			errs[r] = rerr
+		}
+	}
+	worst.record(&s.stats)
+	s.stats.Times.Refine = tRefine + time.Since(t0)
 	return xs, errs, nil
+}
+
+// refineOptions returns step (4)'s options: rung 0 with a ladder, its
+// deadline counted from start, the Refine, MaxRefine and ExtraPrecision
+// options without one, and, with refinement off or no factors to refine
+// with (an analysis-only DistSolve), a loop that measures each vector's
+// berr and stops before its first correction.
+func (s *Solver) refineOptions(ctx context.Context, start time.Time) refine.Options {
+	switch {
+	case s.ladder != nil:
+		return s.ladder.Rung0(ctx, start)
+	case s.opts.Refine && s.sys != nil:
+		return refine.Options{MaxIter: s.opts.MaxRefine, ExtraPrecision: s.opts.ExtraPrecision}
+	}
+	return refine.Options{Cancel: func() bool { return true }}
 }
 
 // rhsQuad is how many right-hand sides one pass over the factors carries
@@ -827,26 +773,31 @@ const rhsQuad = 4
 
 // rhsBlocks runs fn over the k right-hand sides of a batch cut into at
 // most Options.Workers contiguous blocks [r0, r1) of whole quads, one
-// goroutine per block, and returns when all are done. Right-hand sides
-// are independent and every sweep treats a vector the same whatever its
-// block-mates, so the cut changes no bit of any solution; the factors
-// and s.sys are only read.
-func (s *Solver) rhsBlocks(k int, fn func(r0, r1 int)) {
+// goroutine per block, and returns when all are done, with the largest
+// sweep and refinement times fn reported. Right-hand sides are
+// independent and every sweep treats a vector the same whatever its
+// block-mates, so the cut changes no bit of any solution; the factors and
+// s.sys are only read, and so is the ladder, by Rung0.
+func (s *Solver) rhsBlocks(k int, fn func(r0, r1 int) (tSweep, tRefine time.Duration)) (tSweep, tRefine time.Duration) {
 	quads := (k + rhsQuad - 1) / rhsQuad
 	w := min(s.opts.Workers, quads)
 	if w <= 1 {
-		fn(0, k)
-		return
+		return fn(0, k)
 	}
+	times := make([][2]time.Duration, w)
 	var wg sync.WaitGroup
 	for i := 0; i < w; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			fn(rhsQuad*(i*quads/w), min(k, rhsQuad*((i+1)*quads/w)))
+			times[i][0], times[i][1] = fn(rhsQuad*(i*quads/w), min(k, rhsQuad*((i+1)*quads/w)))
 		}()
 	}
 	wg.Wait()
+	for _, t := range times {
+		tSweep, tRefine = max(tSweep, t[0]), max(tRefine, t[1])
+	}
+	return tSweep, tRefine
 }
 
 // batchOutcome folds the per-vector refinement results of a batch into

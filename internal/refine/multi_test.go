@@ -18,7 +18,8 @@ import (
 // refineOracle is the per-vector refinement loop as it stood before the
 // fused kernel and the blocked loop: r and |A|·|x| from sparse.CSC's own
 // sweeps (or the two-array compensated residual), one Solve per step. It
-// carries the one intended change, the NaN stop.
+// carries the intended changes since: the NaN stop, an overflowed
+// residual read as berr +Inf, and the stop on an infinite initial berr.
 func refineOracle(a *sparse.CSC, sys refine.System, x, b []float64, opts refine.Options) refine.Stats {
 	maxIter := opts.MaxIter
 	if maxIter <= 0 {
@@ -69,6 +70,8 @@ func refineOracle(a *sparse.CSC, sys refine.System, x, b []float64, opts refine.
 			switch {
 			case math.IsNaN(d) || math.IsNaN(ri):
 				return math.NaN()
+			case math.IsInf(ri, 1):
+				inf = true
 			case d > 0:
 				if q := ri / d; q > be {
 					be = q
@@ -90,7 +93,7 @@ func refineOracle(a *sparse.CSC, sys refine.System, x, b []float64, opts refine.
 		st.Converged = true
 		return st
 	}
-	for st.Steps < maxIter && !math.IsNaN(prev) {
+	for st.Steps < maxIter && !math.IsNaN(prev) && !math.IsInf(prev, 1) {
 		sys.Solve(r)
 		for i := 0; i < n; i++ {
 			x[i] += r[i]
@@ -278,6 +281,9 @@ func TestRefineMultiMatchesPerVector(t *testing.T) {
 					bv := b[v*n : (v+1)*n]
 					alone := append([]float64(nil), x0[v*n:(v+1)*n]...)
 					st := refine.Refine(c.a, c.sys, alone, bv, opts)
+					if sts[v].Exit != st.Exit {
+						t.Fatalf("%s nrhs=%d opts=%+v vector %d: exit %d, alone %d", c.name, nrhs, opts, v, sts[v].Exit, st.Exit)
+					}
 					old := append([]float64(nil), x0[v*n:(v+1)*n]...)
 					ost := refineOracle(c.a, c.sys, old, bv, opts)
 					for _, cmp := range []struct {
@@ -348,8 +354,8 @@ func FuzzRefineMultiMatchesRefine(f *testing.F) {
 			if err := sameVec(x[v*n:(v+1)*n], alone); err != nil {
 				t.Fatalf("vector %d of %d: x: %v", v, nrhs, err)
 			}
-			if err := sameStats(sts[v], st); err != nil {
-				t.Fatalf("vector %d of %d: %v", v, nrhs, err)
+			if err := sameStats(sts[v], st); err != nil || sts[v].Exit != st.Exit {
+				t.Fatalf("vector %d of %d: %v (exit %d, alone %d)", v, nrhs, err, sts[v].Exit, st.Exit)
 			}
 			if st.Converged && !(st.FinalBerr <= lu.Eps) {
 				t.Fatalf("vector %d converged at berr %g", v, st.FinalBerr)

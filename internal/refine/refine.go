@@ -39,7 +39,36 @@ type Options struct {
 	// ExtraPrecision computes residuals in compensated (roughly doubled)
 	// precision using FMA-based error-free transformations.
 	ExtraPrecision bool
+	// Patient replaces the paper's halving test by a patient stall rule:
+	// a vector refines on while berr decreases at all and stops only when
+	// it stays level or grows. It recovers the slow geometric convergence
+	// the halving test abandons (the resilience ladder's rungs 1, 2, 4).
+	Patient bool
+	// Cancel, when non-nil, is polled before every correction step;
+	// returning true stops every vector still refining with ExitCancelled.
+	// The resilience ladder wires its context and per-rung deadline
+	// through it.
+	Cancel func() bool
 }
+
+// Exit says why the refinement of a vector stopped.
+type Exit int
+
+const (
+	// ExitConverged: berr reached BerrTol.
+	ExitConverged Exit = iota
+	// ExitStall: berr failed to halve (with Patient, failed to decrease)
+	// but did not grow.
+	ExitStall
+	// ExitDiverge: berr grew.
+	ExitDiverge
+	// ExitNonFinite: berr became NaN or +Inf.
+	ExitNonFinite
+	// ExitMaxIter: MaxIter corrections left berr above BerrTol.
+	ExitMaxIter
+	// ExitCancelled: Options.Cancel returned true.
+	ExitCancelled
+)
 
 // Stats reports what the refinement loop did.
 type Stats struct {
@@ -53,15 +82,17 @@ type Stats struct {
 	FinalBerr float64
 	// Converged reports whether FinalBerr reached BerrTol.
 	Converged bool
+	// Exit is why refinement stopped.
+	Exit Exit
 }
 
 // ResidualBerr computes r = b − A·x and returns the componentwise
 // (Oettli–Prager) backward error max_i |r|_i / (|A|·|x| + |b|)_i, both
 // from one pass over A. Rows with a zero denominator and zero residual
-// contribute nothing; a nonzero residual over a zero denominator yields
-// +Inf; a NaN in any row yields NaN (NaN compares false against
-// everything, so it would otherwise pass for berr 0). extra accumulates
-// A·x in compensated precision with FMA-based error-free
+// contribute nothing; a nonzero residual over a zero denominator, or one
+// that overflowed, yields +Inf; a NaN in any row yields NaN (NaN compares
+// false against everything, so it would otherwise pass for berr 0). extra
+// accumulates A·x in compensated precision with FMA-based error-free
 // transformations. work is scratch of n floats, 2n with extra; on return
 // work[:n] holds |A|·|x|. Nothing is allocated.
 //
@@ -123,6 +154,10 @@ func ResidualBerr(a *sparse.CSC, r, work, x, b []float64, extra bool) float64 {
 		switch {
 		case math.IsNaN(d) || math.IsNaN(ri):
 			nan = true
+		case math.IsInf(ri, 1):
+			// The residual overflowed; over an infinite d too its ratio
+			// would be NaN, which no comparison keeps.
+			inf = true
 		case d > 0:
 			if q := ri / d; q > berr {
 				berr = q
@@ -149,27 +184,48 @@ func Berr(a *sparse.CSC, x, b []float64) float64 {
 
 // Refine improves x (an initial solution of A·x = b obtained from sys) in
 // place, following the paper's termination rule: stop when berr is below
-// tolerance, when it fails to halve between iterations (stagnation), or at
-// MaxIter. A berr of NaN (a poisoned iterate) also stops the loop, not
-// converged.
+// tolerance, when it fails to halve between iterations (stagnation; with
+// Options.Patient, when it fails to decrease), or at MaxIter. A berr that
+// is NaN or +Inf stops the loop too, not converged, the initial berr
+// included: NaN is a poisoned iterate, and +Inf an overflowed residual,
+// which no working-precision correction can be trusted to repair.
+// Stats.Exit says which rule fired.
 func Refine(a *sparse.CSC, sys System, x, b []float64, opts Options) Stats {
 	var st [1]Stats
-	refineInto(st[:], a, sys, x, b, opts)
+	var ws Workspace
+	ws.Refine(st[:], a, sys, x, b, opts)
 	return st[0]
 }
 
 // RefineMulti refines the nrhs solutions packed in x (vector v occupies
 // x[v*n : (v+1)*n], the lu.Factors.SolveMulti layout; b likewise) as one
-// batch: every step corrects all vectors still refining with a single
-// blocked sweep when sys offers one (SolveMulti), and falls back to Solve
-// per vector when it does not. Termination is decided per vector by
-// Refine's rules, and because the blocked sweep is bitwise equal to
-// Solve, each vector's iterates and Stats are exactly those of refining
-// it alone.
+// batch: every step corrects all vectors still refining with one
+// SolveMulti. Termination is decided per vector by Refine's rules, and
+// because the blocked sweep is bitwise equal to Solve, each vector's
+// iterates and Stats are exactly those of refining it alone.
 func RefineMulti(a *sparse.CSC, sys System, x, b []float64, nrhs int, opts Options) []Stats {
 	st := make([]Stats, nrhs)
-	refineInto(st, a, sys, x, b, opts)
+	var ws Workspace
+	ws.Refine(st, a, sys, x, b, opts)
 	return st
+}
+
+// SolveMulti overwrites the nrhs vectors packed in x (RefineMulti's
+// layout) with M⁻¹ applied to each: one blocked sweep when sys offers one
+// (*lu.Factors.SolveMulti), Solve per vector when it does not (SMW
+// recovery, the ladder's GEPP rung). Either way each vector gets the bits
+// Solve gives it alone.
+//
+//gesp:hotpath
+func SolveMulti(sys System, x []float64, nrhs int) {
+	if m, ok := sys.(multiSolver); ok && nrhs > 1 {
+		m.SolveMulti(x, nrhs)
+		return
+	}
+	n := len(x) / nrhs
+	for q := 0; q < nrhs; q++ {
+		sys.Solve(x[q*n : (q+1)*n]) //gesp:allocok a System without a blocked sweep (SMW, GEPP rung) owns its solve's allocations; *lu.Factors.Solve makes none
+	}
 }
 
 // historyCap is how many berr values per vector are preallocated; the
@@ -177,25 +233,46 @@ func RefineMulti(a *sparse.CSC, sys System, x, b []float64, nrhs int, opts Optio
 // to 10, so longer histories (which grow by append) are rare.
 const historyCap = 16
 
+// Workspace is the scratch of a refinement: the residual block, the berr
+// histories and the active set. Refine and RefineMulti use a fresh one
+// per call; a caller that refines again and again can keep one, which
+// allocates nothing once it has grown to the widest batch. The Berrs of
+// the Stats it fills are then its own storage, valid until its next use.
+// A Workspace is not safe for concurrent use.
+type Workspace struct {
+	buf, hist []float64
+	act       []int
+}
+
+// grow returns (*s)[:n], reallocating *s when it is too short.
+func grow[T any](s *[]T, n int) []T {
+	if cap(*s) < n {
+		*s = make([]T, n)
+	}
+	return (*s)[:n]
+}
+
 // batch is the state of one blocked refinement. The vectors still
 // refining are act, in ascending order; the residual of act[q] — the
 // right-hand side of its next correction — is r[q*n : (q+1)*n], so the
 // survivors of every step are already packed for the next sweep.
 type batch struct {
-	a     *sparse.CSC
-	sys   System
-	multi multiSolver // nil: correct through sys.Solve, one vector at a time
-	n     int
-	x, b  []float64
-	r     []float64
-	work  []float64
-	extra bool
-	tol   float64
-	act   []int
-	st    []Stats
+	a       *sparse.CSC
+	sys     System
+	n       int
+	x, b    []float64
+	r       []float64
+	work    []float64
+	extra   bool
+	patient bool
+	tol     float64
+	act     []int
+	st      []Stats
 }
 
-func refineInto(st []Stats, a *sparse.CSC, sys System, x, b []float64, opts Options) {
+// Refine is RefineMulti on the len(st) solutions packed in x, writing
+// vector v's outcome to st[v].
+func (ws *Workspace) Refine(st []Stats, a *sparse.CSC, sys System, x, b []float64, opts Options) {
 	maxIter := opts.MaxIter
 	if maxIter <= 0 {
 		maxIter = 10
@@ -205,22 +282,21 @@ func refineInto(st []Stats, a *sparse.CSC, sys System, x, b []float64, opts Opti
 		return
 	}
 	n := len(b) / nrhs
-	w := batch{a: a, sys: sys, n: n, x: x, b: b, extra: opts.ExtraPrecision, tol: opts.BerrTol, st: st}
+	w := batch{a: a, sys: sys, n: n, x: x, b: b, extra: opts.ExtraPrecision, patient: opts.Patient, tol: opts.BerrTol, st: st}
 	if w.tol <= 0 {
 		w.tol = lu.Eps
 	}
-	w.multi, _ = sys.(multiSolver)
 	nwork := n
 	if w.extra {
 		nwork = 2 * n
 	}
-	buf := make([]float64, n*nrhs+nwork)
+	buf := grow(&ws.buf, n*nrhs+nwork)
 	w.r, w.work = buf[:n*nrhs], buf[n*nrhs:]
 	// The histories get their own slab: callers keep Stats.Berrs, and it
 	// must not pin the residual block.
 	stride := min(maxIter+1, historyCap)
-	hist := make([]float64, nrhs*stride)
-	w.act = make([]int, 0, nrhs)
+	hist := grow(&ws.hist, nrhs*stride)
+	w.act = grow(&ws.act, nrhs)[:0]
 
 	for v := range st {
 		be := ResidualBerr(a, w.r[len(w.act)*n:], w.work, x[v*n:(v+1)*n], b[v*n:(v+1)*n], w.extra)
@@ -228,11 +304,19 @@ func refineInto(st []Stats, a *sparse.CSC, sys System, x, b []float64, opts Opti
 		switch {
 		case be <= w.tol:
 			st[v].Converged = true
-		case !math.IsNaN(be):
+		case math.IsNaN(be) || math.IsInf(be, 1):
+			st[v].Exit = ExitNonFinite
+		default:
 			w.act = append(w.act, v)
 		}
 	}
 	for step := 1; len(w.act) > 0 && step <= maxIter; step++ {
+		if opts.Cancel != nil && opts.Cancel() {
+			for _, v := range w.act {
+				st[v].Exit = ExitCancelled
+			}
+			return
+		}
 		w.step()
 		// Exactly the vectors this step corrected are at Steps == step.
 		for v := range st {
@@ -240,6 +324,9 @@ func refineInto(st []Stats, a *sparse.CSC, sys System, x, b []float64, opts Opti
 				st[v].Berrs = append(st[v].Berrs, st[v].FinalBerr)
 			}
 		}
+	}
+	for _, v := range w.act {
+		st[v].Exit = ExitMaxIter
 	}
 }
 
@@ -251,13 +338,7 @@ func refineInto(st []Stats, a *sparse.CSC, sys System, x, b []float64, opts Opti
 //gesp:hotpath
 func (w *batch) step() {
 	n, m := w.n, len(w.act)
-	if m > 1 && w.multi != nil {
-		w.multi.SolveMulti(w.r[:m*n], m)
-	} else {
-		for q := 0; q < m; q++ {
-			w.sys.Solve(w.r[q*n : (q+1)*n]) //gesp:allocok a System without a blocked sweep (SMW, GEPP rung) owns its solve's allocations; *lu.Factors.Solve makes none
-		}
-	}
+	SolveMulti(w.sys, w.r[:m*n], m)
 	k := 0
 	for q, v := range w.act {
 		x := w.x[v*n : (v+1)*n]
@@ -273,9 +354,14 @@ func (w *batch) step() {
 		switch {
 		case be <= w.tol:
 			s.Converged = true
-		case be > prev/2 || math.IsNaN(be):
-			// Stagnation — berr failed to halve, the paper's second
-			// test — or a poisoned iterate.
+		case math.IsNaN(be) || math.IsInf(be, 1):
+			s.Exit = ExitNonFinite
+		case be > prev:
+			s.Exit = ExitDiverge
+		case w.patient && be >= prev, !w.patient && be > prev/2:
+			// Stagnation: the paper's second test, berr failed to halve,
+			// or under the patient rule failed to decrease at all.
+			s.Exit = ExitStall
 		default:
 			w.act[k] = v
 			k++

@@ -61,6 +61,28 @@ func TestBerrInfForInconsistentZeroRowDenominator(t *testing.T) {
 	_ = a
 }
 
+// TestBerrInfWhenResidualOverflows: b − A·x overflowing in a row must not
+// pass for a NaN ratio, which the max would skip, reporting berr 0; and an
+// infinite berr, the initial one included, stops refinement unconverged.
+func TestBerrInfWhenResidualOverflows(t *testing.T) {
+	a := sparse.Identity(2)
+	x, b := []float64{-1e308, 1}, []float64{1e308, 1}
+	if be := Berr(a, x, b); !math.IsInf(be, 1) {
+		t.Errorf("berr = %g, want +Inf", be)
+	}
+	sym, err := symbolic.Factorize(a, symbolic.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := lu.Factorize(a, sym, lu.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := Refine(a, f, x, b, Options{}); st.Exit != ExitNonFinite || st.Steps != 0 || st.Converged {
+		t.Errorf("refining from berr +Inf: %+v, want exit non-finite after 0 steps", st)
+	}
+}
+
 func TestRefineConvergesToMachineEps(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	for trial := 0; trial < 20; trial++ {
@@ -381,5 +403,111 @@ func TestInvNormEstAgainstExact(t *testing.T) {
 		if est < exact/3 {
 			t.Fatalf("trial %d: estimate %g far below exact %g", trial, est, exact)
 		}
+	}
+}
+
+// scaledSystem applies c·M⁻¹: c = 1 is the factors, 0 < c < 1 a damped
+// correction that contracts berr by about 1 − c per step, and c < 0 one
+// that moves away from the solution.
+type scaledSystem struct {
+	f *lu.Factors
+	c float64
+}
+
+func (s scaledSystem) Solve(x []float64) {
+	s.f.Solve(x)
+	for i := range x {
+		x[i] *= s.c
+	}
+}
+func (s scaledSystem) SolveT(x []float64) { s.f.SolveT(x) }
+
+// nanSystem's corrections are NaN.
+type nanSystem struct{}
+
+func (nanSystem) Solve(x []float64) {
+	for i := range x {
+		x[i] = math.NaN()
+	}
+}
+func (nanSystem) SolveT(x []float64) { nanSystem{}.Solve(x) }
+
+// TestRefineExitReasons reaches every Exit, and the patient rule's
+// difference from the halving test.
+func TestRefineExitReasons(t *testing.T) {
+	rng := rand.New(rand.NewSource(97))
+	n := 30
+	a, f := randomSystem(rng, n, 0.1)
+	b := make([]float64, n)
+	for i := range b {
+		b[i] = 1 + float64(i%3)
+	}
+	for _, c := range []struct {
+		name  string
+		sys   System
+		x0    float64 // every entry of the starting iterate; 0.5 ≠ the solution
+		opts  Options
+		exit  Exit
+		steps int
+	}{
+		{"converged", f, 0.5, Options{}, ExitConverged, -1},
+		{"stall: no correction", noopSystem{}, 0.5, Options{}, ExitStall, 1},
+		{"stall: patient, no correction", noopSystem{}, 0.5, Options{Patient: true}, ExitStall, 1},
+		{"stall: berr drops by less than half", scaledSystem{f, 0.3}, 0.5, Options{}, ExitStall, 1},
+		{"max-iter: patient on the same contraction", scaledSystem{f, 0.3}, 0.5, Options{Patient: true, MaxIter: 4}, ExitMaxIter, 4},
+		{"max-iter: halving every step", scaledSystem{f, 0.6}, 0.5, Options{MaxIter: 2}, ExitMaxIter, 2},
+		{"diverge", scaledSystem{f, -3}, 0.5, Options{}, ExitDiverge, 1},
+		{"diverge: patient", scaledSystem{f, -3}, 0.5, Options{Patient: true}, ExitDiverge, 1},
+		{"non-finite: NaN iterate", f, math.NaN(), Options{}, ExitNonFinite, 0},
+		{"non-finite: NaN correction", nanSystem{}, 0.5, Options{}, ExitNonFinite, 1},
+		{"cancelled", f, 0.5, Options{Cancel: func() bool { return true }}, ExitCancelled, 0},
+	} {
+		x := make([]float64, n)
+		for i := range x {
+			x[i] = c.x0
+		}
+		st := Refine(a, c.sys, x, b, c.opts)
+		if st.Exit != c.exit || st.Converged != (c.exit == ExitConverged) || (c.steps >= 0 && st.Steps != c.steps) {
+			t.Errorf("%s: exit %d after %d steps (converged %v, berrs %v), want exit %d after %d", c.name, st.Exit, st.Steps, st.Converged, st.Berrs, c.exit, c.steps)
+		}
+	}
+}
+
+// TestCancelMidBatch: a Cancel that fires between two steps stops the
+// vectors still refining with ExitCancelled and the steps they took;
+// vectors that stopped before keep their own exits.
+func TestCancelMidBatch(t *testing.T) {
+	rng := rand.New(rand.NewSource(101))
+	n := 25
+	a, f := randomSystem(rng, n, 0.1)
+	want := make([]float64, n)
+	for i := range want {
+		want[i] = 1
+	}
+	bv := make([]float64, n)
+	a.MatVec(bv, want)
+	// Vector 0 starts at the solution, 1 at zero, 2 is NaN.
+	x := make([]float64, 3*n)
+	b := make([]float64, 3*n)
+	for v := 0; v < 3; v++ {
+		copy(b[v*n:], bv)
+	}
+	copy(x, want)
+	x[2*n] = math.NaN()
+	polls := 0
+	sts := RefineMulti(a, scaledSystem{f, 0.6}, x, b, 3, Options{Cancel: func() bool { polls++; return polls == 2 }})
+	if polls != 2 {
+		t.Fatalf("Cancel polled %d times, want 2", polls)
+	}
+	for v, w := range []struct {
+		exit  Exit
+		steps int
+	}{{ExitConverged, 0}, {ExitCancelled, 1}, {ExitNonFinite, 0}} {
+		if sts[v].Exit != w.exit || sts[v].Steps != w.steps {
+			t.Errorf("vector %d: exit %d after %d steps, want exit %d after %d", v, sts[v].Exit, sts[v].Steps, w.exit, w.steps)
+		}
+	}
+	if sts[1].Converged || len(sts[1].Berrs) != 2 {
+		t.Errorf("cancelled vector: %+v", sts[1])
 	}
 }

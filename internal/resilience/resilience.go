@@ -16,12 +16,19 @@
 //	rung 3  GMRES preconditioned by the (possibly stale) LU factors
 //	rung 4  Gilbert–Peierls partial-pivoting refactorization
 //
-// Each rung is gated by a berr tolerance, a stall/divergence detector
-// and an optional per-rung deadline; every solve carries a structured
-// Escalation trace recording which rungs ran, why each was entered, and
-// what it cost. The happy path — rung 0 converging, the overwhelmingly
-// common case per the paper's Figure 3 — allocates nothing beyond the
-// ladder's reusable scratch.
+// Each rung is gated by a berr tolerance and an optional per-rung
+// deadline; rungs 0, 1, 2 and 4 are refine's one refinement loop, whose
+// exits (stall, divergence, non-finite berr, iteration budget) are the
+// ladder's triggers. Every solve carries a structured Escalation trace
+// recording which rungs ran, why each was entered, and what it cost.
+//
+// Rung 0 can run outside the ladder: core refines a whole block of
+// right-hand sides with refine.RefineMulti under Ladder.Rung0's options
+// and hands each vector's Stats to Ladder.Escalate, so only the vectors
+// it leaves above tolerance climb, one at a time. Ladder.Solve runs rung
+// 0 itself on the ladder's refine.Workspace; its happy path — rung 0
+// converging, the overwhelmingly common case per the paper's Figure 3 —
+// allocates nothing.
 //
 // The ladder operates in the solver's internal coordinates: the matrix
 // it watches is the permuted, scaled system that was factored
@@ -80,30 +87,36 @@ func (r Rung) String() string {
 }
 
 // Trigger says why the ladder entered a rung (or, for the final trace
-// entry, why the rung below gave up).
+// entry, why the rung below gave up). A refinement rung's trigger is its
+// refine.Exit: the ladder names refine's exits, it does not re-decide them.
 type Trigger int
 
 const (
-	// TriggerNone marks the first rung of a solve.
-	TriggerNone Trigger = iota
+	// TriggerNone marks the first rung of a solve (and a refinement rung
+	// that reached eps yet stayed above a Policy.BerrTol below eps).
+	TriggerNone = Trigger(refine.ExitConverged)
+	// TriggerStall: berr stopped improving above tolerance.
+	TriggerStall = Trigger(refine.ExitStall)
+	// TriggerDiverge: berr grew between iterations.
+	TriggerDiverge = Trigger(refine.ExitDiverge)
+	// TriggerNonFinite: the iterate or its berr became NaN/Inf.
+	TriggerNonFinite = Trigger(refine.ExitNonFinite)
 	// TriggerBerrAboveTol: the rung below exhausted its iteration
 	// budget with berr still above tolerance.
-	TriggerBerrAboveTol
-	// TriggerStall: berr stopped improving above tolerance.
-	TriggerStall
-	// TriggerDiverge: berr grew between iterations.
-	TriggerDiverge
-	// TriggerNonFinite: the iterate or its berr became NaN/Inf.
-	TriggerNonFinite
-	// TriggerDeadline: the rung hit its per-rung deadline.
-	TriggerDeadline
+	TriggerBerrAboveTol = Trigger(refine.ExitMaxIter)
+	// TriggerDeadline: the rung hit its per-rung deadline or the solve's
+	// context ended.
+	TriggerDeadline = Trigger(refine.ExitCancelled)
 	// TriggerCorruptFactors: the factor fingerprint no longer matches
 	// the one recorded at factorization (Policy.VerifyFactors); the
 	// ladder jumps straight to the refactorization rung.
-	TriggerCorruptFactors
+	TriggerCorruptFactors = TriggerDeadline + 1
 )
 
-var triggerNames = [...]string{"none", "berr>tol", "stall", "diverge", "nonfinite", "deadline", "corrupt-factors"}
+var triggerNames = [...]string{
+	TriggerNone: "none", TriggerBerrAboveTol: "berr>tol", TriggerStall: "stall", TriggerDiverge: "diverge",
+	TriggerNonFinite: "nonfinite", TriggerDeadline: "deadline", TriggerCorruptFactors: "corrupt-factors",
+}
 
 // String returns the trigger's short name.
 func (t Trigger) String() string {
@@ -191,7 +204,9 @@ type Policy struct {
 	// 4, which use the patient stall rule; 0 means 60.
 	PatientRefine int
 	// RungDeadline is each rung's wall-clock budget; a rung that
-	// exceeds it is abandoned and the ladder climbs. 0 means none.
+	// exceeds it is abandoned and the ladder climbs. 0 means none. Run by
+	// core on a block of right-hand sides, rung 0's budget covers the
+	// block; every vector it cuts off then climbs on its own budget.
 	RungDeadline time.Duration
 	// GMRES tunes rung 3; zero fields mean Tol 1e-12, MaxIter 500,
 	// Restart 60. Cancel is overwritten by the ladder to honor the
@@ -223,7 +238,8 @@ var (
 // Ladder is the per-factorization escalation engine. It owns reusable
 // scratch sized to the system, so one Ladder serves many solves with
 // zero allocations on the non-escalated path; it is NOT safe for
-// concurrent use (the serving layer serializes solves per factor).
+// concurrent use (the serving layer serializes solves per factor). Only
+// Rung0 may be called concurrently, with itself.
 type Ladder struct {
 	a   *sparse.CSC
 	fac *lu.Factors
@@ -241,10 +257,9 @@ type Ladder struct {
 	gepp     *geppSystem
 	geppErr  error
 
-	// Scratch: r is the residual and, solved in place, the refinement
-	// correction; work is refine.ResidualBerr's (2n, for the compensated
-	// residual).
-	r, work []float64
+	// The refinement rungs' scratch and outcome.
+	ws refine.Workspace
+	st [1]refine.Stats
 
 	steps [NumRungs]Step
 	trace Escalation
@@ -269,9 +284,6 @@ func NewLadder(a *sparse.CSC, fac *lu.Factors, sys refine.System, pol Policy) *L
 	if pol.VerifyFactors && fac != nil {
 		l.fp = fac.Fingerprint()
 	}
-	n := a.Rows
-	l.r = make([]float64, n)
-	l.work = make([]float64, 2*n)
 	return l
 }
 
@@ -282,23 +294,44 @@ func (l *Ladder) Tol() float64 { return l.tol }
 // overwritten by the next solve).
 func (l *Ladder) LastTrace() *Escalation { return &l.trace }
 
-// Solve computes x ≈ A⁻¹b through the ladder: the rung-0 static solve
+// Solve computes x ≈ A⁻¹b through the ladder: the static solve and rung 0
 // first, then escalation as triggered. x and b must have length n; x is
 // overwritten. The returned trace is ladder-owned and valid until the
 // next solve.
 func (l *Ladder) Solve(ctx context.Context, x, b []float64) (*Escalation, error) {
-	return l.run(ctx, x, b, true)
-}
-
-// Refine is Solve for a caller that already holds an initial solution
-// in x (e.g. one vector of a batched triangular sweep): rung 0 starts
-// with refinement of x rather than a fresh solve.
-func (l *Ladder) Refine(ctx context.Context, x, b []float64) (*Escalation, error) {
-	return l.run(ctx, x, b, false)
-}
-
-func (l *Ladder) run(ctx context.Context, x, b []float64, fresh bool) (*Escalation, error) {
 	t0 := time.Now()
+	copy(x, b)
+	l.sys.Solve(x)
+	l.ws.Refine(l.st[:], l.a, l.sys, x, b, l.Rung0(ctx, time.Now()))
+	return l.Escalate(ctx, x, b, l.st[0], time.Since(t0))
+}
+
+// Rung0 returns rung 0's refinement options: the paper's loop (halving
+// test, working-precision residuals, Policy.MaxRefine steps), cancelled
+// when ctx ends or the rung's deadline, counted from start, passes.
+// A caller that runs rung 0 itself refines its solutions with them and
+// hands each vector's Stats to Escalate; core does so with one
+// refine.RefineMulti per block of right-hand sides, so the deadline then
+// covers the whole block.
+func (l *Ladder) Rung0(ctx context.Context, start time.Time) refine.Options {
+	return refine.Options{MaxIter: l.pol.MaxRefine, Cancel: l.cancel(ctx, start)}
+}
+
+// cancel reports whether ctx has ended or Policy.RungDeadline has passed
+// since start. Solve's rung 0 must not allocate, so cancel and Rung0 stay
+// inlinable, and their caller reads the clock.
+func (l *Ladder) cancel(ctx context.Context, start time.Time) func() bool {
+	return func() bool {
+		return ctx.Err() != nil || (l.pol.RungDeadline > 0 && time.Since(start) > l.pol.RungDeadline)
+	}
+}
+
+// Escalate finishes a solve whose rung 0 the caller ran with Rung0's
+// options: x is the vector's rung-0 iterate, st its refine.Stats and cost
+// the rung's wall time. A vector rung 0 left above tolerance climbs from
+// rung 1, and the trace is the one Solve records for it.
+func (l *Ladder) Escalate(ctx context.Context, x, b []float64, st refine.Stats, cost time.Duration) (*Escalation, error) {
+	t0 := time.Now().Add(-cost)
 	l.trace = Escalation{Steps: l.steps[:0], FinalBerr: math.Inf(1)}
 	if !finiteVec(b) {
 		return l.finish(t0, ErrNonFiniteRHS)
@@ -309,22 +342,18 @@ func (l *Ladder) run(ctx context.Context, x, b []float64, fresh bool) (*Escalati
 		// The numeric factors changed underneath us: every rung that
 		// reuses them is compromised, so go straight to refactorization.
 		start, trigger = RungGEPP, TriggerCorruptFactors
-	} else if fresh {
-		copy(x, b)
-		l.sys.Solve(x)
 	}
 
-	berrCur := math.Inf(1)
+	berrCur, res := math.Inf(1), outcome(st)
 	for rung := start; rung <= l.maxRung; rung++ {
 		if err := ctx.Err(); err != nil {
 			return l.finish(t0, err)
 		}
-		rt0 := time.Now()
-		var deadline time.Time
-		if l.pol.RungDeadline > 0 {
-			deadline = rt0.Add(l.pol.RungDeadline)
+		if rung > RungStatic {
+			rt0 := time.Now()
+			res = l.runRung(ctx, rung, x, b, rt0)
+			cost = time.Since(rt0)
 		}
-		res := l.runRung(ctx, rung, x, b, deadline)
 		step := Step{
 			Rung:       rung,
 			Trigger:    trigger,
@@ -332,7 +361,7 @@ func (l *Ladder) run(ctx context.Context, x, b []float64, fresh bool) (*Escalati
 			BerrBefore: res.before,
 			BerrAfter:  res.berr,
 			Iterations: res.iters,
-			Cost:       time.Since(rt0),
+			Cost:       cost,
 		}
 		if res.skipped {
 			step.BerrBefore, step.BerrAfter = berrCur, berrCur
@@ -371,10 +400,17 @@ type rungResult struct {
 	skipped bool
 }
 
-func (l *Ladder) runRung(ctx context.Context, rung Rung, x, b []float64, deadline time.Time) rungResult {
+// outcome is a refinement rung's result.
+func outcome(st refine.Stats) rungResult {
+	return rungResult{before: st.Berrs[0], berr: st.FinalBerr, iters: st.Steps, trig: Trigger(st.Exit)}
+}
+
+// runRung runs rungs 1 to 4. Rungs 1, 2 and 4 refine with compensated
+// residuals and the patient stall rule: from the iterate rung 0 left, from
+// an SMW solve and from a GEPP solve.
+func (l *Ladder) runRung(ctx context.Context, rung Rung, x, b []float64, start time.Time) rungResult {
+	var sys refine.System
 	switch rung {
-	case RungStatic:
-		return l.refineLoop(ctx, l.sys, x, b, false, false, l.maxRefine0(), deadline)
 	case RungExtraPrecision:
 		if !finiteVec(x) {
 			// A non-finite iterate cannot be refined; restart from the
@@ -383,107 +419,40 @@ func (l *Ladder) runRung(ctx context.Context, rung Rung, x, b []float64, deadlin
 			copy(x, b)
 			l.sys.Solve(x)
 		}
-		return l.refineLoop(ctx, l.sys, x, b, true, true, l.maxRefinePatient(), deadline)
+		return l.refinePatient(l.cancel(ctx, start), l.sys, x, b)
 	case RungSMW:
-		sys := l.smwSystem()
-		if sys == nil {
-			return rungResult{skipped: true}
-		}
-		copy(x, b)
-		sys.Solve(x)
-		return l.refineLoop(ctx, sys, x, b, true, true, l.maxRefinePatient(), deadline)
+		sys = l.smwSystem()
 	case RungIterative:
-		return l.runIterative(ctx, x, b, deadline)
+		return l.runIterative(l.cancel(ctx, start), x, b)
 	case RungGEPP:
-		g := l.geppSystem()
-		if g == nil {
-			return rungResult{skipped: true}
+		if g := l.geppSystem(); g != nil {
+			sys = g
 		}
-		copy(x, b)
-		g.Solve(x)
-		return l.refineLoop(ctx, g, x, b, true, true, l.maxRefinePatient(), deadline)
 	}
-	return rungResult{skipped: true}
+	if sys == nil {
+		return rungResult{skipped: true}
+	}
+	copy(x, b)
+	sys.Solve(x)
+	return l.refinePatient(l.cancel(ctx, start), sys, x, b)
 }
 
-func (l *Ladder) maxRefine0() int {
-	if l.pol.MaxRefine > 0 {
-		return l.pol.MaxRefine
+func (l *Ladder) refinePatient(cancel func() bool, sys refine.System, x, b []float64) rungResult {
+	maxIter := l.pol.PatientRefine
+	if maxIter <= 0 {
+		maxIter = 60
 	}
-	return 10
-}
-
-func (l *Ladder) maxRefinePatient() int {
-	if l.pol.PatientRefine > 0 {
-		return l.pol.PatientRefine
-	}
-	return 60
-}
-
-// refineLoop is the ladder's allocation-free refinement loop: berr and
-// residual from refine's fused kernel on ladder-owned scratch, but its
-// own termination — per-rung deadlines, a trigger for every exit, and two
-// stall rules: the paper's halving test (patient=false), or the patient
-// rule that only bails when berr stops decreasing at all (patient=true).
-func (l *Ladder) refineLoop(ctx context.Context, sys refine.System, x, b []float64, extra, patient bool, maxIter int, deadline time.Time) rungResult {
-	be := l.berr(x, b, extra)
-	res := rungResult{before: be, berr: be}
-	if !isFinite(be) {
-		res.trig = TriggerNonFinite
-		return res
-	}
-	if be <= lu.Eps {
-		return res
-	}
-	prev := be
-	for res.iters < maxIter {
-		if ctx.Err() != nil || (!deadline.IsZero() && time.Now().After(deadline)) {
-			res.trig = TriggerDeadline
-			return res
-		}
-		// l.r still holds the residual of the current x.
-		sys.Solve(l.r)
-		for i := range x {
-			x[i] += l.r[i]
-		}
-		res.iters++
-		be = l.berr(x, b, extra)
-		res.berr = be
-		if !isFinite(be) {
-			res.trig = TriggerNonFinite
-			return res
-		}
-		if be <= lu.Eps {
-			return res
-		}
-		if patient {
-			if be >= prev {
-				if be > prev {
-					res.trig = TriggerDiverge
-				} else {
-					res.trig = TriggerStall
-				}
-				return res
-			}
-		} else if be > prev/2 {
-			// The paper's second termination test: berr failed to halve.
-			if be > prev {
-				res.trig = TriggerDiverge
-			} else {
-				res.trig = TriggerStall
-			}
-			return res
-		}
-		prev = be
-	}
-	res.trig = TriggerBerrAboveTol
-	return res
+	l.ws.Refine(l.st[:], l.a, sys, x, b, refine.Options{MaxIter: maxIter, ExtraPrecision: true, Patient: true, Cancel: cancel})
+	return outcome(l.st[0])
 }
 
 // runIterative is rung 3: GMRES on the watched system, preconditioned
 // by whatever rung 0 solves with (the stale or perturbed LU).
-func (l *Ladder) runIterative(ctx context.Context, x, b []float64, deadline time.Time) rungResult {
-	res := rungResult{before: l.berr(x, b, true)}
+func (l *Ladder) runIterative(cancel func() bool, x, b []float64) rungResult {
+	n := len(b)
+	scratch := make([]float64, 3*n)
+	berr := func() float64 { return refine.ResidualBerr(l.a, scratch[:n], scratch[n:], x, b, true) }
+	res := rungResult{before: berr()}
 	opts := l.pol.GMRES
 	if opts.Tol == 0 {
 		opts.Tol = 1e-12
@@ -494,9 +463,7 @@ func (l *Ladder) runIterative(ctx context.Context, x, b []float64, deadline time
 	if opts.Restart == 0 {
 		opts.Restart = 60
 	}
-	opts.Cancel = func() bool {
-		return ctx.Err() != nil || (!deadline.IsZero() && time.Now().After(deadline))
-	}
+	opts.Cancel = cancel
 	if !finiteVec(x) {
 		for i := range x {
 			x[i] = 0
@@ -504,12 +471,12 @@ func (l *Ladder) runIterative(ctx context.Context, x, b []float64, deadline time
 	}
 	_, st := krylov.GMRES(l.a, preconditioner{l.sys}, x, b, opts)
 	res.iters = st.Iterations
-	be := l.berr(x, b, true)
+	be := berr()
 	res.berr = be
 	switch {
 	case st.Canceled:
 		res.trig = TriggerDeadline
-	case !isFinite(be):
+	case math.IsNaN(be) || math.IsInf(be, 0):
 		res.trig = TriggerNonFinite
 	default:
 		res.trig = TriggerBerrAboveTol
@@ -558,13 +525,6 @@ func (l *Ladder) geppSystem() *geppSystem {
 // GEPPError returns the cached rung-4 refactorization failure, if any.
 func (l *Ladder) GEPPError() error { return l.geppErr }
 
-// berr computes the componentwise backward error of x, leaving the
-// residual in l.r (the refinement loop reuses it as the correction).
-// extra selects the compensated-precision residual.
-func (l *Ladder) berr(x, b []float64, extra bool) float64 {
-	return refine.ResidualBerr(l.a, l.r, l.work, x, b, extra)
-}
-
 // preconditioner adapts a refine.System to krylov.Preconditioner.
 type preconditioner struct{ sys refine.System }
 
@@ -599,8 +559,6 @@ func (g *geppSystem) SolveT(x []float64) {
 	}
 	copy(x, g.scratch)
 }
-
-func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 func finiteVec(x []float64) bool {
 	for _, v := range x {

@@ -9,6 +9,7 @@ import (
 
 	"gesp/internal/faultsim"
 	"gesp/internal/lu"
+	"gesp/internal/refine"
 	"gesp/internal/sparse"
 	"gesp/internal/symbolic"
 )
@@ -334,21 +335,54 @@ func TestOnTraceObservesEverySolve(t *testing.T) {
 	}
 }
 
-// Refine escalates a caller-provided iterate the same way Solve does.
-func TestRefineEntryPoint(t *testing.T) {
-	a := faultsim.New(11).WellConditioned(30, 0.1)
-	f := factor(t, a)
-	l := NewLadder(a, f, nil, Policy{})
-	want, b := rhsFor(a)
-	x := append([]float64(nil), b...)
-	f.Solve(x) // the "batched sweep" the caller already did
-	tr, err := l.Refine(context.Background(), x, b)
-	if err != nil || !tr.Converged {
-		t.Fatalf("refine failed: %v (%s)", err, tr)
-	}
-	for i := range want {
-		if math.Abs(x[i]-want[i]) > 1e-6 {
-			t.Fatalf("x[%d] = %g, want %g", i, x[i], want[i])
+// Escalate takes over from a rung 0 the caller ran (core: one
+// refine.RefineMulti per block of right-hand sides) and ends where Solve
+// does, bit for bit: a healthy vector stays on rung 0, a stale one climbs
+// from rung 1 on its rung-0 exit.
+func TestEscalateEntryPoint(t *testing.T) {
+	in := faultsim.New(23)
+	base := in.WellConditioned(60, 0.1)
+	for _, c := range []struct {
+		name string
+		a    *sparse.CSC
+		want Rung
+	}{{"healthy", base, RungStatic}, {"stale", in.PerturbValues(base, 0.20), RungExtraPrecision}} {
+		f := factor(t, base)
+		want, b := rhsFor(c.a)
+		ctx := context.Background()
+		l := NewLadder(c.a, f, nil, Policy{})
+		x := append([]float64(nil), b...)
+		f.Solve(x) // the "batched sweep" the caller already did
+		st := refine.RefineMulti(c.a, f, x, b, 1, l.Rung0(ctx, time.Now()))[0]
+		tr, err := l.Escalate(ctx, x, b, st, 0)
+		if err != nil || !tr.Converged || tr.FinalRung != c.want {
+			t.Fatalf("%s: err %v, trace %s, want convergence on %s", c.name, err, tr, c.want)
+		}
+		if tr.Steps[0].Iterations != st.Steps || tr.Steps[0].BerrAfter != st.FinalBerr {
+			t.Fatalf("%s: rung 0 recorded as %+v, refine reported %+v", c.name, tr.Steps[0], st)
+		}
+		for i := range want {
+			if math.Abs(x[i]-want[i]) > 1e-6 {
+				t.Fatalf("%s: x[%d] = %g, want %g", c.name, i, x[i], want[i])
+			}
+		}
+		got := *tr
+		got.Steps = append([]Step(nil), tr.Steps...)
+		y := make([]float64, len(b))
+		ref, err := NewLadder(c.a, f, nil, Policy{}).Solve(ctx, y, b)
+		if err != nil || len(ref.Steps) != len(got.Steps) {
+			t.Fatalf("%s: Solve: err %v, trace %s against %s", c.name, err, ref, &got)
+		}
+		for i, s := range ref.Steps {
+			g := got.Steps[i]
+			if g.Rung != s.Rung || g.Trigger != s.Trigger || g.Iterations != s.Iterations || g.BerrAfter != s.BerrAfter {
+				t.Fatalf("%s: step %d is %+v, Solve's %+v", c.name, i, g, s)
+			}
+		}
+		for i := range y {
+			if math.Float64bits(x[i]) != math.Float64bits(y[i]) {
+				t.Fatalf("%s: x[%d] = %v, Solve's %v", c.name, i, x[i], y[i])
+			}
 		}
 	}
 }
