@@ -167,6 +167,7 @@ func benchDistFactor(b *testing.B, name string, procs int) {
 	}
 	rhs := matgen.OnesRHS(a)
 	var res *dist.Result
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_, res, err = s.DistSolve(rhs, dist.Options{
@@ -176,6 +177,7 @@ func benchDistFactor(b *testing.B, name string, procs int) {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(res.Factor.Messages), "factor-msgs")
 	b.ReportMetric(res.Factor.SimTime*1000, "factor-sim-ms")
 	b.ReportMetric(res.Factor.Mflops, "sim-Mflops")
 	b.ReportMetric(res.Solve.SimTime*1000, "solve-sim-ms")

@@ -2,7 +2,6 @@ package dist
 
 import (
 	"math"
-	"sort"
 
 	"gesp/internal/kernels"
 )
@@ -32,8 +31,8 @@ func (b *Block) Bytes() int { return 8*len(b.Val) + 4*(len(b.Rows)+len(b.Cols)) 
 // LocalRow maps a global row index to the block-local index; the row must
 // be present.
 func (b *Block) LocalRow(r int) int {
-	i := sort.SearchInts(b.Rows, r)
-	if i >= len(b.Rows) || b.Rows[i] != r {
+	i := lookup(b.Rows, r)
+	if i < 0 {
 		panic("dist: row not in block")
 	}
 	return i
@@ -41,8 +40,8 @@ func (b *Block) LocalRow(r int) int {
 
 // LocalCol maps a global column index to the block-local index.
 func (b *Block) LocalCol(c int) int {
-	i := sort.SearchInts(b.Cols, c)
-	if i >= len(b.Cols) || b.Cols[i] != c {
+	i := lookup(b.Cols, c)
+	if i < 0 {
 		panic("dist: column not in block")
 	}
 	return i
@@ -116,9 +115,16 @@ func (b *Block) SolveLFromLeft(diag *Block) int64 {
 
 // lookup returns the local index of a global id in a sorted slice, or -1.
 func lookup(ids []int, v int) int {
-	i := sort.SearchInts(ids, v)
-	if i < len(ids) && ids[i] == v {
-		return i
+	lo, hi := 0, len(ids)
+	for lo < hi {
+		if h := int(uint(lo+hi) >> 1); ids[h] < v {
+			lo = h + 1
+		} else {
+			hi = h
+		}
+	}
+	if lo < len(ids) && ids[lo] == v {
+		return lo
 	}
 	return -1
 }
@@ -215,14 +221,19 @@ func (t *Block) RankBUpdateInto(l, u *Block, ws *UpdateScratch) int64 {
 	return 2 * int64(nrL) * nz
 }
 
-// MatVecInto accumulates y_local += B·x for the solve phase. x is the
-// supernode-local solution subvector starting at global column colBase;
-// the block's columns may be a proper subset of the supernode (U blocks
-// have skyline structure), so each is mapped through its global index.
-// The product is scattered by global row via out.
-func (b *Block) MatVecInto(out func(globalRow int, v float64), x []float64, colBase int) int64 {
+// MatVecAdd accumulates B·x into dst for the solve phase: dst covers
+// the global rows from rowBase on, and x is the supernode-local solution
+// subvector starting at global column colBase; the block's columns may
+// be a proper subset of the supernode (U blocks have skyline structure),
+// so each is mapped through its global index. The product is formed in
+// *acc, a scratch buffer grown as needed, before it is added.
+func (b *Block) MatVecAdd(dst []float64, rowBase int, x []float64, colBase int, acc *[]float64) int64 {
 	nr := b.NR()
-	acc := make([]float64, nr)
+	if cap(*acc) < nr {
+		*acc = make([]float64, nr)
+	}
+	y := (*acc)[:nr]
+	clear(y)
 	for ci, c := range b.Cols {
 		xc := x[c-colBase]
 		if xc == 0 {
@@ -230,12 +241,12 @@ func (b *Block) MatVecInto(out func(globalRow int, v float64), x []float64, colB
 		}
 		col := b.Val[ci*nr : (ci+1)*nr]
 		for i := 0; i < nr; i++ {
-			acc[i] += col[i] * xc
+			y[i] += col[i] * xc
 		}
 	}
 	for i, r := range b.Rows {
-		if acc[i] != 0 {
-			out(r, acc[i])
+		if y[i] != 0 {
+			dst[r-rowBase] += y[i]
 		}
 	}
 	return 2 * int64(nr) * int64(b.NC())

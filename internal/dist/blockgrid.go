@@ -3,110 +3,149 @@ package dist
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"gesp/internal/check"
 	"gesp/internal/lu"
 	"gesp/internal/sparse"
 )
 
-// BlockGrid is the one block store: each simulated rank keeps its
-// numbers in dense slices parallel to Structure.LBlocks/UBlocks, so
-// the right-looking loops index blocks directly and no storage is spent
-// on structurally-absent blocks. A rank's grid has the same shape as
-// everyone else's and leaves the slots of blocks it does not own nil.
+// BlockGrid is the one block store: a set of the skeleton's blocks,
+// each named by its structural id (see Structure). A rank's grid holds
+// only the blocks the 2-D block-cyclic layout gives it, so a rank's
+// memory and every walk over its grid scale with its own share; the
+// ids name the same block on every rank, so checkpoints are written in
+// their order and mergeGrids overlays the ranks' grids into one.
 type BlockGrid struct {
-	St   *Structure
-	Diag []*Block   // Diag[k] is the dense diagonal block of supernode k
-	L    [][]*Block // L[k] parallel to St.LBlocks[k]
-	U    [][]*Block // U[k] parallel to St.UBlocks[k]
-
-	// slots holds every structural block by id — diagonals first, then
-	// per supernode its L panel followed by its U row; Diag, L[k] and
-	// U[k] are views into it. Ids depend on the structure alone, so they
-	// name the same block on every rank: checkpoints are written in their
-	// order.
-	slots []*Block
-	base  []int // base[k] is the id of L[k][0]
-	own   func(i, j int) bool
+	St     *Structure
+	ids    []int    // structural ids of the blocks held, ascending
+	blocks []*Block // blocks[q] is block ids[q]
 }
 
 // NewGrid allocates the zero-filled structural blocks (i, j) of the
 // fill pattern that own selects — all of them when own is nil.
 func NewGrid(st *Structure, own func(i, j int) bool) *BlockGrid {
+	return newGrids(st, 1, func(i, j int) int {
+		if own == nil || own(i, j) {
+			return 0
+		}
+		return -1
+	})[0]
+}
+
+// newGrids allocates p grids in one pass over the skeleton: block
+// (i, j) goes to grid owner(i, j), or to none when that is negative.
+// Each grid's blocks and values are carved from one slab apiece.
+func newGrids(st *Structure, p int, owner func(i, j int) int) []*BlockGrid {
 	ns := st.N
-	g := &BlockGrid{St: st, L: make([][]*Block, ns), U: make([][]*Block, ns), base: make([]int, ns+1), own: own}
-	g.base[0] = ns
-	for k := 0; k < ns; k++ {
-		g.base[k+1] = g.base[k] + len(st.LBlocks[k]) + len(st.UBlocks[k])
-	}
-	g.slots = make([]*Block, g.base[ns])
-	g.Diag = g.slots[:ns:ns]
-	ids := rangeInts(0, st.Sym.N) // every supernode's index range is a view of it
-	for k := 0; k < ns; k++ {
-		lo, hi := st.SupCols(k)
-		cols := ids[lo:hi:hi]
-		if own == nil || own(k, k) {
-			g.Diag[k] = NewBlock(cols, cols)
+	// each visits every structural block in id order.
+	each := func(f func(id, i, j int, rows, cols []int)) {
+		for k := 0; k < ns; k++ {
+			f(k, k, k, st.supIdx(k), st.supIdx(k))
 		}
-		mid := g.base[k] + len(st.LBlocks[k])
-		g.L[k] = g.slots[g.base[k]:mid:mid]
-		g.U[k] = g.slots[mid:g.base[k+1]:g.base[k+1]]
-		for i, lb := range st.LBlocks[k] {
-			if own == nil || own(lb.I, k) {
-				g.L[k][i] = NewBlock(lb.Rows, cols)
+		for k := 0; k < ns; k++ {
+			cols := st.supIdx(k)
+			for li, lb := range st.LBlocks[k] {
+				f(st.lID(k, li), lb.I, k, lb.Rows, cols)
 			}
-		}
-		for j, ub := range st.UBlocks[k] {
-			if own == nil || own(k, ub.J) {
-				g.U[k][j] = NewBlock(cols, ub.Cols)
+			for ui, ub := range st.UBlocks[k] {
+				f(st.uID(k, ui), k, ub.J, cols, ub.Cols)
 			}
 		}
 	}
-	return g
+	own := make([]int32, st.base[ns])
+	nBlk := make([]int, p)
+	nVal := make([]int, p)
+	each(func(id, i, j int, rows, cols []int) {
+		r := owner(i, j)
+		own[id] = int32(r)
+		if r >= 0 {
+			nBlk[r]++
+			nVal[r] += len(rows) * len(cols)
+		}
+	})
+	grids := make([]*BlockGrid, p)
+	slabs := make([][]Block, p)
+	vals := make([][]float64, p)
+	for r := range grids {
+		grids[r] = &BlockGrid{St: st, ids: make([]int, 0, nBlk[r]), blocks: make([]*Block, 0, nBlk[r])}
+		slabs[r] = make([]Block, nBlk[r])
+		vals[r] = make([]float64, nVal[r])
+	}
+	each(func(id, i, j int, rows, cols []int) {
+		r := own[id]
+		if r < 0 {
+			return
+		}
+		g := grids[r]
+		b := &slabs[r][len(g.blocks)]
+		n := len(rows) * len(cols)
+		*b = Block{Rows: rows, Cols: cols, Val: vals[r][:n:n]}
+		vals[r] = vals[r][n:]
+		g.ids = append(g.ids, id)
+		g.blocks = append(g.blocks, b)
+	})
+	return grids
+}
+
+// block returns the grid's block with structural id id, or nil.
+func (g *BlockGrid) block(id int) *Block {
+	if q := lookup(g.ids, id); q >= 0 {
+		return g.blocks[q]
+	}
+	return nil
 }
 
 // Target returns this grid's block (i, j), or nil when the block is
-// structurally absent or owned elsewhere.
+// structurally absent or held elsewhere.
 func (g *BlockGrid) Target(i, j int) *Block {
-	id := -1
-	switch {
-	case i == j:
-		id = i
-	case i > j:
-		lbs := g.St.LBlocks[j]
-		if p := sort.Search(len(lbs), func(q int) bool { return lbs[q].I >= i }); p < len(lbs) && lbs[p].I == i {
-			id = g.base[j] + p
-		}
-	default:
-		ubs := g.St.UBlocks[i]
-		if p := sort.Search(len(ubs), func(q int) bool { return ubs[q].J >= j }); p < len(ubs) && ubs[p].J == j {
-			id = g.base[i] + len(g.St.LBlocks[i]) + p
-		}
+	if id := g.St.blockID(i, j); id >= 0 {
+		return g.block(id)
 	}
-	if id < 0 {
-		return nil
-	}
-	return g.slots[id]
+	return nil
 }
 
-// Scatter adds the numeric entries of the permuted matrix that fall in
+// Scatter stores the numeric entries of the permuted matrix that fall in
 // this grid's blocks; the blocks must have been freshly allocated (zero).
 func (g *BlockGrid) Scatter(a *sparse.CSC) {
-	sup := g.St.Sym.SupOf
+	scatter(a, []*BlockGrid{g}, func(int, int) int { return 0 })
+}
+
+// scatter stores every entry of a in the block of grid owner(I, J) that
+// holds it, in one pass over a: per column, each run of rows in one
+// supernode resolves its block once and walks the block's ascending
+// rows alongside. An entry whose block that grid does not hold is
+// skipped.
+func scatter(a *sparse.CSC, grids []*BlockGrid, owner func(i, j int) int) {
+	st := grids[0].St
+	sup := st.Sym.SupOf
 	for j := 0; j < a.Cols; j++ {
 		bj := sup[j]
-		for p := a.ColPtr[j]; p < a.ColPtr[j+1]; p++ {
-			i := a.RowInd[p]
-			if g.own != nil && !g.own(sup[i], bj) {
-				continue
+		rows, vals := a.RowInd[a.ColPtr[j]:a.ColPtr[j+1]], a.Val[a.ColPtr[j]:a.ColPtr[j+1]]
+		for p := 0; p < len(rows); {
+			bi := sup[rows[p]]
+			end := p + 1
+			for end < len(rows) && sup[rows[end]] == bi {
+				end++
 			}
-			b := g.Target(sup[i], bj)
-			if b == nil {
+			id := st.blockID(bi, bj)
+			if id < 0 {
 				// A's pattern is contained in L+U's, so the block exists.
 				panic("dist: A entry outside the static block skeleton")
 			}
-			b.Set(i, j, a.Val[p])
+			if b := grids[owner(bi, bj)].block(id); b != nil {
+				col := b.Val[b.LocalCol(j)*b.NR():]
+				ri := 0
+				for ; p < end; p++ {
+					for ri < len(b.Rows) && b.Rows[ri] < rows[p] {
+						ri++
+					}
+					if ri == len(b.Rows) || b.Rows[ri] != rows[p] {
+						panic("dist: row not in block")
+					}
+					col[ri] = vals[p]
+				}
+			}
+			p = end
 		}
 	}
 }
@@ -174,18 +213,20 @@ func (g *BlockGrid) gatherCol(dst []float64, rows []int, j int) {
 // grid over the whole structure (sharing the ranks' blocks), so Factors
 // can read a distributed factorization.
 func mergeGrids(grids []*BlockGrid) *BlockGrid {
-	all := NewGrid(grids[0].St, func(i, j int) bool { return false })
-	all.own = nil
-	for id := range all.slots {
-		owners := 0
-		for _, g := range grids {
-			if b := g.slots[id]; b != nil {
-				all.slots[id] = b
-				owners++
-			}
+	st := grids[0].St
+	all := &BlockGrid{St: st, ids: rangeInts(0, st.base[st.N]), blocks: make([]*Block, st.base[st.N])}
+	owners := make([]int, len(all.blocks))
+	for _, g := range grids {
+		for q, id := range g.ids {
+			all.blocks[id] = g.blocks[q]
+			owners[id]++
 		}
-		if check.Enabled && owners != 1 {
-			check.Must(fmt.Errorf("dist: structural block %d is owned by %d ranks, want exactly one", id, owners))
+	}
+	if check.Enabled {
+		for id, n := range owners {
+			if n != 1 {
+				check.Must(fmt.Errorf("dist: structural block %d is owned by %d ranks, want exactly one", id, n))
+			}
 		}
 	}
 	return all

@@ -62,20 +62,14 @@ func (c *Checkpoint) MaxClock() float64 {
 // Values are raw IEEE-754 bits, so a restore is bit-identical to the
 // checkpointed state.
 func (g *BlockGrid) encode() []byte {
-	n, size := 0, 8
-	for _, b := range g.slots {
-		if b != nil {
-			n++
-			size += 16 + 8*len(b.Val)
-		}
+	size := 8
+	for _, b := range g.blocks {
+		size += 16 + 8*len(b.Val)
 	}
 	buf := make([]byte, 0, size)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(n))
-	for id, b := range g.slots {
-		if b == nil {
-			continue
-		}
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(id))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(g.blocks)))
+	for q, b := range g.blocks {
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(g.ids[q]))
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(len(b.Val)))
 		for _, v := range b.Val {
 			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
@@ -103,19 +97,11 @@ func (g *BlockGrid) decode(blob []byte) error {
 	if err != nil {
 		return err
 	}
-	owned := 0
-	for _, b := range g.slots {
-		if b != nil {
-			owned++
-		}
+	if n != uint64(len(g.blocks)) {
+		return fmt.Errorf("dist: checkpoint has %d blocks, skeleton has %d", n, len(g.blocks))
 	}
-	if n != uint64(owned) {
-		return fmt.Errorf("dist: checkpoint has %d blocks, skeleton has %d", n, owned)
-	}
-	for id, b := range g.slots {
-		if b == nil {
-			continue
-		}
+	for q, b := range g.blocks {
+		id := g.ids[q]
 		key, err := get()
 		if err != nil {
 			return err

@@ -107,12 +107,11 @@ func TestDistributedMatchesSerialFactors(t *testing.T) {
 // owning everything and returns its factored grid.
 func oneRankFactor(a *sparse.CSC, sym *symbolic.Result) *BlockGrid {
 	st := BuildStructure(sym)
-	var blocks *BlockGrid
+	blocks := NewGrid(st, nil)
+	blocks.Scatter(a)
 	mpisim.NewWorld(1, mpisim.T3E900()).Run(func(r *mpisim.Rank) {
-		w := newWorker(r, mpisim.NewGrid(1), st, Options{Procs: 1, ReplaceTinyPivot: true}, lu.TinyPivotThreshold(a.Norm1(), 0))
-		w.bg.Scatter(a)
-		w.factorize()
-		blocks = w.bg
+		p := newPlan(st, mpisim.NewGrid(1), false)
+		newWorker(r, p, blocks, Options{Procs: 1, ReplaceTinyPivot: true}, lu.TinyPivotThreshold(a.Norm1(), 0)).factorize()
 	})
 	return blocks
 }
@@ -574,9 +573,12 @@ func TestSweepTraffic(t *testing.T) {
 	} {
 		opts := Options{Procs: tc.p, ReplaceTinyPivot: true, EDAGPrune: true}
 		snaps := make([][3]mpisim.Snapshot, tc.p)
+		grid := mpisim.NewGrid(tc.p)
+		p := newPlan(st, grid, opts.EDAGPrune)
+		grids := newGrids(st, tc.p, grid.OwnerOfBlock)
+		scatter(a, grids, grid.OwnerOfBlock)
 		mpisim.NewWorld(tc.p, mpisim.T3E900()).Run(func(r *mpisim.Rank) {
-			w := newWorker(r, mpisim.NewGrid(tc.p), st, opts, lu.TinyPivotThreshold(a.Norm1(), 0))
-			w.bg.Scatter(a)
+			w := newWorker(r, p, grids[r.ID()], opts, lu.TinyPivotThreshold(a.Norm1(), 0))
 			w.factorize()
 			r.Barrier()
 			snaps[r.ID()][0] = r.Snap()
@@ -586,7 +588,7 @@ func TestSweepTraffic(t *testing.T) {
 			})
 			r.Barrier()
 			snaps[r.ID()][1] = r.Snap()
-			w.sweep(true, func(k int) []float64 { return ys[k] })
+			w.sweep(true, func(k int) []float64 { return ys[w.diagPos(k)] })
 			r.Barrier()
 			snaps[r.ID()][2] = r.Snap()
 		})

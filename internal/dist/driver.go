@@ -212,6 +212,7 @@ func run(j job) (*outcome, error) {
 		grid = *opts.Grid
 	}
 	st := BuildStructure(sym)
+	pl := newPlan(st, grid, opts.EDAGPrune)
 	thresh := lu.TinyPivotThreshold(a.Norm1(), opts.Threshold)
 
 	out := &outcome{rec: &Recovery{}}
@@ -238,6 +239,12 @@ func run(j job) (*outcome, error) {
 			snaps[q] = make([]mpisim.Snapshot, P)
 		}
 		var stamps [4]time.Time
+		// Every rank's blocks in one pass over the skeleton, and A's
+		// entries into them in one pass over A.
+		grids := newGrids(st, P, grid.OwnerOfBlock)
+		if ck == nil && j.slices == nil {
+			scatter(a, grids, grid.OwnerOfBlock)
+		}
 		workers := make([]*worker, P)
 		restoreErrs := make([]error, P)
 		var factorDone atomic.Bool
@@ -250,7 +257,7 @@ func run(j job) (*outcome, error) {
 					stamps[q] = time.Now()
 				}
 			}
-			w := newWorker(r, grid, st, opts, thresh)
+			w := newWorker(r, pl, grids[id], opts, thresh)
 			w.ckptEvery = j.ckptEvery
 			w.onCkpt = func(k int) { coll.save(id, k, r.Snap(), w.bg.encode(), w.tiny) }
 			workers[id] = w
@@ -266,9 +273,6 @@ func run(j job) (*outcome, error) {
 				}
 				r.Restore(ck.Snaps[id], resumeAt)
 			} else {
-				if j.slices == nil {
-					w.bg.Scatter(a)
-				}
 				// Restart from scratch (failure before the first commit):
 				// clocks still resume at the detection time so the
 				// finish time stays an end-to-end measurement.
@@ -296,7 +300,7 @@ func run(j job) (*outcome, error) {
 					return b[lo:hi]
 				})
 				r.Barrier()
-				sols[q] = w.sweep(true, func(k int) []float64 { return ys[k] })
+				sols[q] = w.sweep(true, func(k int) []float64 { return ys[w.diagPos(k)] })
 				r.Barrier()
 			}
 			mark(3)
@@ -365,9 +369,8 @@ func run(j job) (*outcome, error) {
 				rec.FinishSimTime = s.Clock
 			}
 		}
-		out.grids = make([]*BlockGrid, P)
-		for i, w := range workers {
-			out.grids[i] = w.bg
+		out.grids = grids
+		for _, w := range workers {
 			out.res.TinyPivots += w.tiny
 		}
 		for i, w := range workers {

@@ -42,14 +42,23 @@ func tagOf(typ, k int) int { return k*numTags + typ }
 
 // worker is the per-rank state of the distributed factorization/solve.
 type worker struct {
-	r      *mpisim.Rank
-	g      mpisim.Grid
-	st     *Structure
-	bg     *BlockGrid // the blocks this rank owns; every other slot is nil
-	opts   Options
-	myR    int
-	myC    int
-	thresh float64
+	r  *mpisim.Rank
+	p  *plan
+	g  mpisim.Grid
+	st *Structure
+	bg *BlockGrid // the blocks this rank owns
+	// diags are the supernodes whose diagonal block this rank owns,
+	// ascending: the grid's first blocks, so diag k is bg.blocks[d] at
+	// its position d here.
+	diags []int
+	// lAt[K/PCol] is the position in bg.blocks of the first L block of
+	// panel K this rank owns, uAt[K/PRow] that of block row K's first U
+	// block (-1 if none); a panel's owned blocks follow contiguously.
+	lAt, uAt []int32
+	opts     Options
+	myR      int
+	myC      int
+	thresh   float64
 
 	panelDone []bool
 	tiny      int
@@ -58,11 +67,15 @@ type worker struct {
 	// rank keeps the update hot path allocation-free across the whole
 	// factorization instead of allocating per block pair.
 	ws UpdateScratch
-	// lBlk/uBlk hold iteration k's operand blocks, parallel to
-	// st.LBlocks[k]/UBlocks[k] (nil where this rank takes no part); sent
-	// marks the ranks a broadcast has already reached.
-	lBlk, uBlk []*Block
-	sent       []bool
+	// lRecv/uRecv hold the operand blocks of the current panel received
+	// from other ranks; sent marks the ranks a broadcast has already
+	// reached.
+	lRecv, uRecv []*Block
+	sent         []bool
+	// sweeps[0] and sweeps[1] are the lower and upper solve schedules,
+	// built on first use; sw is the scratch one sweep runs in.
+	sweeps [2]*sweepPlan
+	sw     sweepScratch
 
 	// Checkpoint/restart hooks (zero values = plain fault-free run).
 	// start is the first panel to execute (earlier panels were restored
@@ -78,17 +91,86 @@ type worker struct {
 	onCkpt    func(k int)
 }
 
-// newWorker prepares rank r's state over an empty grid of the blocks
-// the 2-D block-cyclic layout assigns to it.
-func newWorker(r *mpisim.Rank, g mpisim.Grid, st *Structure, opts Options, thresh float64) *worker {
-	myR, myC := g.Coords(r.ID())
+// newWorker prepares rank r's state over bg, the grid of the blocks the
+// plan's 2-D block-cyclic layout assigns to it.
+func newWorker(r *mpisim.Rank, p *plan, bg *BlockGrid, opts Options, thresh float64) *worker {
+	myR, myC := p.g.Coords(r.ID())
+	st, g := p.st, p.g
+	nd := 0
+	for nd < len(bg.ids) && bg.ids[nd] < st.N {
+		nd++
+	}
 	w := &worker{
-		r: r, g: g, st: st, opts: opts, myR: myR, myC: myC, thresh: thresh,
+		r: r, p: p, g: g, st: st, bg: bg, diags: bg.ids[:nd:nd], opts: opts, myR: myR, myC: myC, thresh: thresh,
+		lAt: make([]int32, st.N/g.PCol+1), uAt: make([]int32, st.N/g.PRow+1),
 		panelDone: make([]bool, st.N), sent: make([]bool, r.Size()),
 	}
-	w.bg = NewGrid(st, func(i, j int) bool { return w.owner(i, j) == w.me() })
+	for k := myC; k < st.N; k += g.PCol {
+		w.lAt[k/g.PCol] = -1
+		if li := p.l.group(k, myR); li != nil {
+			w.lAt[k/g.PCol] = int32(lookup(bg.ids, st.lID(k, int(li[0]))))
+		}
+	}
+	for k := myR; k < st.N; k += g.PRow {
+		w.uAt[k/g.PRow] = -1
+		if ui := p.u.group(k, myC); ui != nil {
+			w.uAt[k/g.PRow] = int32(lookup(bg.ids, st.uID(k, int(ui[0]))))
+		}
+	}
 	return w
 }
+
+// lPanel returns the L blocks of panel K this rank owns, parallel to
+// plan.l.group(K, myR); K must lie on the rank's process column. uRow is
+// the analogue for block row K's U blocks, K on the process row.
+func (w *worker) lPanel(k int) []*Block {
+	return w.held(w.lAt[k/w.g.PCol], len(w.p.l.group(k, w.myR)))
+}
+
+func (w *worker) uRow(k int) []*Block {
+	return w.held(w.uAt[k/w.g.PRow], len(w.p.u.group(k, w.myC)))
+}
+
+func (w *worker) held(at int32, n int) []*Block {
+	if at < 0 {
+		return nil
+	}
+	return w.bg.blocks[at : int(at)+n : int(at)+n]
+}
+
+// target returns this rank's block (i, j) — a block on its process row
+// and column — or nil when the block is structurally absent.
+func (w *worker) target(i, j int) *Block {
+	switch {
+	case i == j:
+		return w.bg.blocks[w.diagPos(i)]
+	case i > j:
+		return pick(w.lPanel(j), w.p.l.group(j, w.myR), w.st.ColL[j], i)
+	default:
+		return pick(w.uRow(i), w.p.u.group(i, w.myC), w.st.RowU[i], j)
+	}
+}
+
+// pick returns the block of blks whose panel index list[members[x]] is
+// v, or nil; members ascend, and so does list.
+func pick(blks []*Block, members []int32, list []int, v int) *Block {
+	lo, hi := 0, len(members)
+	for lo < hi {
+		if h := int(uint(lo+hi) >> 1); list[members[h]] < v {
+			lo = h + 1
+		} else {
+			hi = h
+		}
+	}
+	if lo < len(members) && list[members[lo]] == v {
+		return blks[lo]
+	}
+	return nil
+}
+
+// diagPos returns the position of supernode k in w.diags; the rank must
+// own k's diagonal block.
+func (w *worker) diagPos(k int) int { return lookup(w.diags, k) }
 
 func (w *worker) owner(i, j int) int { return w.g.OwnerOfBlock(i, j) }
 func (w *worker) me() int            { return w.r.ID() }
@@ -108,50 +190,6 @@ func (w *worker) clearSent() {
 	}
 }
 
-// procColsNeedingL returns the process columns that must receive panel K's
-// L blocks: with pruning, the columns owning a supernode J with
-// U(K,J) ≠ 0; without, every process column ("send-to-all").
-func (w *worker) procColsNeedingL(k int) []int {
-	if !w.opts.EDAGPrune {
-		return rangeInts(0, w.g.PCol)
-	}
-	seen := make([]bool, w.g.PCol)
-	var cols []int
-	for _, ub := range w.st.UBlocks[k] {
-		c := ub.J % w.g.PCol
-		if !seen[c] {
-			seen[c] = true
-		}
-	}
-	for c := 0; c < w.g.PCol; c++ {
-		if seen[c] {
-			cols = append(cols, c)
-		}
-	}
-	return cols
-}
-
-// procRowsNeedingU is the columnwise analogue for panel K's U blocks.
-func (w *worker) procRowsNeedingU(k int) []int {
-	if !w.opts.EDAGPrune {
-		return rangeInts(0, w.g.PRow)
-	}
-	seen := make([]bool, w.g.PRow)
-	var rows []int
-	for _, lb := range w.st.LBlocks[k] {
-		rr := lb.I % w.g.PRow
-		if !seen[rr] {
-			seen[rr] = true
-		}
-	}
-	for rr := 0; rr < w.g.PRow; rr++ {
-		if seen[rr] {
-			rows = append(rows, rr)
-		}
-	}
-	return rows
-}
-
 // doPanel performs steps (1) and (2) of the paper's Figure 8 for
 // iteration K as far as this rank participates: factor the diagonal
 // block, compute the L panel and U panel, and launch their broadcasts.
@@ -160,11 +198,13 @@ func (w *worker) doPanel(k int) {
 		return
 	}
 	w.panelDone[k] = true
-	diagOwner := w.owner(k, k)
+	p, g := w.p, w.g
+	kr, kc := k%g.PRow, k%g.PCol
+	diagOwner := g.RankOf(kr, kc)
 	var diag *Block
 
 	if diagOwner == w.me() {
-		diag = w.bg.Diag[k]
+		diag = w.bg.blocks[w.diagPos(k)]
 		tiny, flops, ok := diag.FactorDiag(w.thresh, w.opts.ReplaceTinyPivot)
 		if !ok {
 			w.zeroPivot = true
@@ -174,156 +214,146 @@ func (w *worker) doPanel(k int) {
 		}
 		w.tiny += tiny
 		w.r.Compute(flops)
-		// Send down the process column to L-panel owners.
-		w.clearSent()
-		for _, lb := range w.st.LBlocks[k] {
-			w.sendOnce(w.owner(lb.I, k), tagOf(tagDiagForL, k), diag, diag.Bytes())
+		// Send down the process column to the L-panel owners, then along
+		// the process row to the U-panel owners, in block order.
+		for _, pr := range p.l.keys(k) {
+			if dst := g.RankOf(int(pr), kc); dst != w.me() {
+				w.r.Send(dst, tagOf(tagDiagForL, k), diag, diag.Bytes())
+			}
 		}
-		// Send along the process row to U-panel owners.
-		w.clearSent()
-		for _, ub := range w.st.UBlocks[k] {
-			w.sendOnce(w.owner(k, ub.J), tagOf(tagDiagForU, k), diag, diag.Bytes())
+		for _, pc := range p.u.keys(k) {
+			if dst := g.RankOf(kr, int(pc)); dst != w.me() {
+				w.r.Send(dst, tagOf(tagDiagForU, k), diag, diag.Bytes())
+			}
 		}
 	}
 
-	// L panel: procs in column K mod PCol owning L(I,K) blocks.
-	if w.myC == k%w.g.PCol {
-		ownsAny := false
-		for _, lb := range w.st.LBlocks[k] {
-			if w.owner(lb.I, k) == w.me() {
-				ownsAny = true
-				break
-			}
+	// L panel: the rank at (my row, K mod PCol) owns the L(I,K) blocks of
+	// its process row and sends each along the row.
+	if li := p.l.group(k, w.myR); w.myC == kc && len(li) > 0 {
+		if diag == nil {
+			diag = w.r.Recv(diagOwner, tagOf(tagDiagForL, k)).(*Block)
 		}
-		if ownsAny {
-			if diag == nil {
-				diag = w.r.Recv(diagOwner, tagOf(tagDiagForL, k)).(*Block)
-			}
-			cols := w.procColsNeedingL(k)
-			for li, lb := range w.st.LBlocks[k] {
-				b := w.bg.L[k][li]
-				if b == nil {
-					continue
-				}
-				w.r.Compute(b.SolveUFromRight(diag))
-				for _, c := range cols {
-					dst := w.g.RankOf(lb.I%w.g.PRow, c)
-					if dst != w.me() {
-						w.r.Send(dst, tagOf(tagLPanel, k), b, b.Bytes())
-					}
+		for _, b := range w.lPanel(k) {
+			w.r.Compute(b.SolveUFromRight(diag))
+			for c := 0; c < g.PCol; c++ {
+				if c != w.myC && p.getsL(k, c) {
+					w.r.Send(g.RankOf(w.myR, c), tagOf(tagLPanel, k), b, b.Bytes())
 				}
 			}
 		}
 	}
 
-	// U panel: procs in row K mod PRow owning U(K,J) blocks.
-	if w.myR == k%w.g.PRow {
-		ownsAny := false
-		for _, ub := range w.st.UBlocks[k] {
-			if w.owner(k, ub.J) == w.me() {
-				ownsAny = true
-				break
-			}
+	// U panel: the rank at (K mod PRow, my column) owns the U(K,J) blocks
+	// of its process column and sends each down the column.
+	if ui := p.u.group(k, w.myC); w.myR == kr && len(ui) > 0 {
+		if diag == nil {
+			diag = w.r.Recv(diagOwner, tagOf(tagDiagForU, k)).(*Block)
 		}
-		if ownsAny {
-			if diag == nil {
-				diag = w.r.Recv(diagOwner, tagOf(tagDiagForU, k)).(*Block)
-			}
-			rows := w.procRowsNeedingU(k)
-			for ui, ub := range w.st.UBlocks[k] {
-				b := w.bg.U[k][ui]
-				if b == nil {
-					continue
-				}
-				w.r.Compute(b.SolveLFromLeft(diag))
-				for _, rr := range rows {
-					dst := w.g.RankOf(rr, ub.J%w.g.PCol)
-					if dst != w.me() {
-						w.r.Send(dst, tagOf(tagUPanel, k), b, b.Bytes())
-					}
+		for _, b := range w.uRow(k) {
+			w.r.Compute(b.SolveLFromLeft(diag))
+			for r := 0; r < g.PRow; r++ {
+				if r != w.myR && p.getsU(k, r) {
+					w.r.Send(g.RankOf(r, w.myC), tagOf(tagUPanel, k), b, b.Bytes())
 				}
 			}
 		}
 	}
 }
 
+// operands returns the L and U blocks of panel K this rank holds for the
+// rank-b update — those of its process row and column, owned or received
+// from the single source in this row/column in ascending order — with
+// their positions in the panel.
+func (w *worker) operands(k int) (lBlk []*Block, li []int32, uBlk []*Block, ui []int32) {
+	p, g := w.p, w.g
+	kr, kc := k%g.PRow, k%g.PCol
+	if li = p.l.group(k, w.myR); len(li) > 0 && p.getsL(k, w.myC) {
+		if w.myC == kc {
+			lBlk = w.lPanel(k)
+		} else {
+			w.lRecv = w.lRecv[:0]
+			for range li {
+				w.lRecv = append(w.lRecv, w.r.Recv(g.RankOf(w.myR, kc), tagOf(tagLPanel, k)).(*Block))
+			}
+			lBlk = w.lRecv
+		}
+	} else {
+		li = nil
+	}
+	if ui = p.u.group(k, w.myC); len(ui) > 0 && p.getsU(k, w.myR) {
+		if w.myR == kr {
+			uBlk = w.uRow(k)
+		} else {
+			w.uRecv = w.uRecv[:0]
+			for range ui {
+				w.uRecv = append(w.uRecv, w.r.Recv(g.RankOf(kr, w.myC), tagOf(tagUPanel, k)).(*Block))
+			}
+			uBlk = w.uRecv
+		}
+	} else {
+		ui = nil
+	}
+	return lBlk, li, uBlk, ui
+}
+
 // factorize runs the right-looking distributed LU of the paper's
 // Figure 8, with optional pipelining, starting at panel w.start (0 in
 // a fresh run, the checkpoint frontier after a restart).
 func (w *worker) factorize() {
-	ns := w.st.N
+	st, ns := w.st, w.st.N
 	for k := w.start; k < ns; k++ {
 		if w.ckptEvery > 0 && k > w.start && (k-w.start)%w.ckptEvery == 0 {
 			w.r.Barrier()
 			w.onCkpt(k)
 		}
 		w.doPanel(k)
+		lBlk, li, uBlk, ui := w.operands(k)
 
-		// Gather the L and U blocks this rank needs for the rank-b update
-		// (local blocks directly; remote blocks from the single source in
-		// this row/column, in deterministic ascending order).
-		lbs, ubs := w.st.LBlocks[k], w.st.UBlocks[k]
-		needL := w.receivesL(k)
-		needU := w.receivesU(k)
-		lBlk := append(w.lBlk[:0], w.bg.L[k]...)
-		uBlk := append(w.uBlk[:0], w.bg.U[k]...)
-		w.lBlk, w.uBlk = lBlk, uBlk
-		srcL := w.g.RankOf(w.myR, k%w.g.PCol)
-		srcU := w.g.RankOf(k%w.g.PRow, w.myC)
-		for li, lb := range lbs {
-			if lBlk[li] == nil && needL && lb.I%w.g.PRow == w.myR {
-				lBlk[li] = w.r.Recv(srcL, tagOf(tagLPanel, k)).(*Block)
-			}
-		}
-		for ui, ub := range ubs {
-			if uBlk[ui] == nil && needU && ub.J%w.g.PCol == w.myC {
-				uBlk[ui] = w.r.Recv(srcU, tagOf(tagUPanel, k)).(*Block)
-			}
-		}
-
-		apply := func(li, ui int) {
-			l, u := lBlk[li], uBlk[ui]
-			if l == nil || u == nil {
-				return
-			}
+		// Every pair of held operands updates a block of this rank: (I, J)
+		// sits at (I mod PRow, J mod PCol), this rank's coordinates.
+		apply := func(a, b int) {
 			// A nil target is possible only with relaxed (amalgamated)
 			// supernodes: the block-level crossing exists but every
 			// elementwise contribution hits structural-zero padding, so no
 			// target block was ever allocated.
-			if t := w.bg.Target(lbs[li].I, ubs[ui].J); t != nil {
-				w.r.Compute(t.RankBUpdateInto(l, u, &w.ws))
+			if t := w.target(st.ColL[k][li[a]], st.RowU[k][ui[b]]); t != nil {
+				w.r.Compute(t.RankBUpdateInto(lBlk[a], uBlk[b], &w.ws))
 			}
 		}
 
 		// Pipelined: update block column K+1 and block row K+1 first, then
 		// factor panel K+1 immediately — this shortens the critical path of
 		// step (1), exactly the paper's pipelined organization. Block lists
-		// ascend, so the operands in block row/column K+1, where present,
-		// are the first of each (index 0).
-		l1, u1 := -1, -1
+		// ascend, so the operands in block row/column K+1, where held, are
+		// the first of each (index 0).
+		a1, b1 := -1, -1
 		if w.opts.Pipeline && k+1 < ns {
-			if len(lbs) > 0 && lbs[0].I == k+1 {
-				l1 = 0
+			if len(li) > 0 && li[0] == 0 && st.ColL[k][0] == k+1 {
+				a1 = 0
 			}
-			if len(ubs) > 0 && ubs[0].J == k+1 {
-				u1 = 0
-				for li := range lbs {
-					apply(li, u1)
+			if len(ui) > 0 && ui[0] == 0 && st.RowU[k][0] == k+1 {
+				b1 = 0
+				for a := range lBlk {
+					apply(a, b1)
 				}
 			}
-			if l1 == 0 {
-				for ui := range ubs {
-					if ui != u1 { // (k+1,k+1) was applied by the loop above
-						apply(l1, ui)
+			if a1 == 0 {
+				for b := range uBlk {
+					if b != b1 { // (k+1,k+1) was applied by the loop above
+						apply(a1, b)
 					}
 				}
 			}
 			w.doPanel(k + 1)
 		}
-		for li := range lbs {
-			for ui := range ubs {
-				if li != l1 && ui != u1 {
-					apply(li, ui)
+		for a := range lBlk {
+			if a == a1 {
+				continue
+			}
+			for b := range uBlk {
+				if b != b1 {
+					apply(a, b)
 				}
 			}
 		}
@@ -334,37 +364,4 @@ func (w *worker) factorize() {
 		w.r.Barrier()
 		w.onCkpt(ns)
 	}
-}
-
-// receivesL reports whether this rank is a broadcast destination for
-// panel K's L blocks (it is when unpruned, or when its process column
-// hosts a supernode with U(K,J) ≠ 0).
-func (w *worker) receivesL(k int) bool {
-	if w.myC == k%w.g.PCol {
-		return false // owners use local blocks
-	}
-	if !w.opts.EDAGPrune {
-		return true
-	}
-	for _, ub := range w.st.UBlocks[k] {
-		if ub.J%w.g.PCol == w.myC {
-			return true
-		}
-	}
-	return false
-}
-
-func (w *worker) receivesU(k int) bool {
-	if w.myR == k%w.g.PRow {
-		return false
-	}
-	if !w.opts.EDAGPrune {
-		return true
-	}
-	for _, lb := range w.st.LBlocks[k] {
-		if lb.I%w.g.PRow == w.myR {
-			return true
-		}
-	}
-	return false
 }

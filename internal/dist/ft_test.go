@@ -292,10 +292,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		blocks.Scatter(a)
 		// Deface the values so the round trip is not testing zeros.
 		i := 0
-		for _, b := range blocks.slots {
-			if b == nil {
-				continue
-			}
+		for _, b := range blocks.blocks {
 			total++
 			for j := range b.Val {
 				b.Val[j] = math.Sqrt(2)*float64(i) + 1e-9
@@ -306,23 +303,20 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		if err := got.decode(blocks.encode()); err != nil {
 			t.Fatal(err)
 		}
-		for id, b := range blocks.slots {
-			rb := got.slots[id]
-			if (b == nil) != (rb == nil) {
+		for q, b := range blocks.blocks {
+			rb := got.blocks[q]
+			if id := blocks.ids[q]; got.ids[q] != id {
 				t.Fatalf("rank %d block %d: ownership differs after restore", rank, id)
-			}
-			if b == nil {
-				continue
 			}
 			for j := range b.Val {
 				if math.Float64bits(rb.Val[j]) != math.Float64bits(b.Val[j]) {
-					t.Fatalf("rank %d block %d value %d not bit-identical", rank, id, j)
+					t.Fatalf("rank %d block %d value %d not bit-identical", rank, blocks.ids[q], j)
 				}
 			}
 		}
 	}
-	if total != len(NewGrid(st, nil).slots) {
-		t.Fatalf("the four ranks own %d blocks, the structure has %d", total, len(NewGrid(st, nil).slots))
+	if total != len(NewGrid(st, nil).blocks) {
+		t.Fatalf("the four ranks own %d blocks, the structure has %d", total, len(NewGrid(st, nil).blocks))
 	}
 }
 

@@ -8,77 +8,150 @@ package dist
 // on RecvAny and reacts to whichever partial sum or solution subvector
 // arrives.
 
+// sweepPlan is one rank's static schedule for one sweep direction. Every
+// block row i the rank touches lies on its process row and every block
+// column j on its process column, so rows are indexed by i / PRow and
+// columns by j / PCol: the schedule's size is the rank's share.
+type sweepPlan struct {
+	// mod[i/PRow] counts this rank's local contributions to row i, one
+	// per block (i, j) it owns (the paper's fmod/bmod). remaining[k/PRow],
+	// for an owned diagonal, counts the contributions x(K) waits for: one
+	// partial sum per remote contributing process (each a message to
+	// expect) plus one if this rank contributes locally. expect counts the
+	// messages the rank will receive: those sums, and one x(J) for every
+	// block column J in which it owns a block but not the diagonal.
+	mod, remaining []int32
+	expect         int
+	// The blocks (i, j) this rank owns, by column j: with c = j/PCol,
+	// rows[col[c]:col[c+1]] and blks alongside, ascending in i.
+	col  []int32
+	rows []int32
+	blks []*Block
+}
+
+// sweepScratch is the state one sweep mutates, reused across sweeps.
+type sweepScratch struct {
+	mod, remaining []int32
+	sum            [][]float64 // by row, like mod
+	acc            []float64
+}
+
+// sweepPlan builds (once per attempt) this rank's schedule for the lower
+// (upper false) or upper sweep from the blocks it owns.
+func (w *worker) sweepPlan(upper bool) *sweepPlan {
+	d := 0
+	if upper {
+		d = 1
+	}
+	if sp := w.sweeps[d]; sp != nil {
+		return sp
+	}
+	st, p, g, ns := w.st, w.p, w.g, w.st.N
+	nr, nc := ns/g.PRow+1, ns/g.PCol+1
+	sp := &sweepPlan{mod: make([]int32, nr), remaining: make([]int32, nr), col: make([]int32, nc+1)}
+	// owned visits the owned off-diagonal blocks of the direction, (i, j)
+	// with i in ColL[j] (lower) or ColU[j] (upper), panel by panel.
+	owned := func(f func(i, j int, b *Block)) {
+		if !upper {
+			for j := w.myC; j < ns; j += g.PCol {
+				li := p.l.group(j, w.myR)
+				for q, b := range w.lPanel(j) {
+					f(st.ColL[j][li[q]], j, b)
+				}
+			}
+			return
+		}
+		for i := w.myR; i < ns; i += g.PRow {
+			ui := p.u.group(i, w.myC)
+			for q, b := range w.uRow(i) {
+				f(i, st.RowU[i][ui[q]], b)
+			}
+		}
+	}
+	owned(func(i, j int, _ *Block) {
+		sp.mod[i/g.PRow]++
+		sp.col[j/g.PCol+1]++
+	})
+	for j := w.myC; j < ns; j += g.PCol {
+		if sp.col[j/g.PCol+1] > 0 && j%g.PRow != w.myR {
+			sp.expect++ // a column whose diagonal lives elsewhere
+		}
+	}
+	for c := 0; c < nc; c++ {
+		sp.col[c+1] += sp.col[c]
+	}
+	sp.rows = make([]int32, sp.col[nc])
+	sp.blks = make([]*Block, sp.col[nc])
+	fill := append([]int32(nil), sp.col[:nc]...)
+	owned(func(i, j int, b *Block) {
+		c := j / g.PCol
+		sp.rows[fill[c]], sp.blks[fill[c]] = int32(i), b
+		fill[c]++
+	})
+	// The blocks (k, j) feeding x(K) sit on process row K mod PRow, one
+	// process per distinct column j mod PCol.
+	row := st.RowL
+	if upper {
+		row = st.RowU
+	}
+	seen := make([]bool, g.PCol)
+	for _, k := range w.diags {
+		kr := k / g.PRow
+		for _, j := range row[k] {
+			if c := j % g.PCol; c != w.myC && !seen[c] {
+				seen[c] = true
+				sp.remaining[kr]++
+			}
+		}
+		for _, j := range row[k] {
+			seen[j%g.PCol] = false
+		}
+		sp.expect += int(sp.remaining[kr])
+		if sp.mod[kr] > 0 {
+			sp.remaining[kr]++
+		}
+	}
+	w.sweeps[d] = sp
+	return sp
+}
+
 // sweep computes x = L⁻¹·rhs (upper false) or x = U⁻¹·rhs (upper true).
 // rhs(k) is the right-hand side of supernode k, asked of k's diagonal
-// owner only; on return that owner holds x(k) in the result's slot k.
+// owner only. The result holds x(k) for every supernode k whose diagonal
+// this rank owns, at k's position in w.diags.
 func (w *worker) sweep(upper bool, rhs func(k int) []float64) [][]float64 {
-	st, ns := w.st, w.st.N
+	st, pr, pc := w.st, w.g.PRow, w.g.PCol
+	sp := w.sweepPlan(upper)
 	// The direction: col[k] lists the block rows i of the off-diagonal
 	// blocks (i, k) that x(k) is multiplied into — the destinations of
-	// its broadcast — and row[k] the block columns j of the blocks (k, j)
-	// whose products x(k) waits for.
-	col, row, diagSolve := st.ColL, st.RowL, (*Block).ForwardSolveDiag
+	// its broadcast.
+	col, diagSolve := st.ColL, (*Block).ForwardSolveDiag
 	if upper {
-		col, row, diagSolve = st.ColU, st.RowU, (*Block).BackSolveDiag
+		col, diagSolve = st.ColU, (*Block).BackSolveDiag
 	}
-
-	// mod[i] counts this rank's pending local contributions to row i, one
-	// per block (i, j) it owns (the paper's fmod/bmod); expect counts the
-	// messages it will receive, first one x(J) for every block column J in
-	// which it owns a block but not the diagonal.
-	mod := make([]int, ns)
-	expect := 0
-	for j := 0; j < ns; j++ {
-		ownsAny := false
-		for _, i := range col[j] {
-			if w.owner(i, j) == w.me() {
-				mod[i]++
-				ownsAny = true
-			}
-		}
-		if ownsAny && w.owner(j, j) != w.me() {
-			expect++
-		}
+	sc := &w.sw
+	sc.mod = append(sc.mod[:0], sp.mod...)
+	sc.remaining = append(sc.remaining[:0], sp.remaining...)
+	if sc.sum == nil {
+		sc.sum = make([][]float64, len(sp.mod))
 	}
+	clear(sc.sum)
+	mod, remaining, sum := sc.mod, sc.remaining, sc.sum
+	xs := make([][]float64, len(w.diags))
 
-	// Per owned diagonal block: how many contributions remain before x(K)
-	// can be solved — one partial sum per remote contributing process
-	// (each a message to expect) plus one if this rank contributes locally.
-	remaining := make([]int, ns)
-	for k := 0; k < ns; k++ {
-		if w.owner(k, k) != w.me() {
-			continue
+	// sumOf returns row i's partial-sum accumulator, allocated on first use.
+	sumOf := func(i int) []float64 {
+		if sum[i/pr] == nil {
+			sum[i/pr] = make([]float64, st.SupWidth(i))
 		}
-		w.clearSent()
-		for _, j := range row[k] {
-			if o := w.owner(k, j); o != w.me() && !w.sent[o] {
-				w.sent[o] = true
-				remaining[k]++
-			}
-		}
-		expect += remaining[k]
-		if mod[k] > 0 {
-			remaining[k]++
-		}
-	}
-
-	sum := make([][]float64, ns)
-	xs := make([][]float64, ns)
-
-	addSum := func(i int, local []float64) {
-		if sum[i] == nil {
-			sum[i] = make([]float64, st.SupWidth(i))
-		}
-		for q, v := range local {
-			sum[i][q] += v
-		}
+		return sum[i/pr]
 	}
 
 	var solveK func(k int)
 
 	arrived := func(k int) {
-		remaining[k]--
-		if remaining[k] == 0 {
+		remaining[k/pr]--
+		if remaining[k/pr] == 0 {
 			solveK(k)
 		}
 	}
@@ -86,37 +159,30 @@ func (w *worker) sweep(upper bool, rhs func(k int) []float64) [][]float64 {
 	// applyX multiplies x(j) into every block (i, j) this rank owns.
 	applyX := func(j int, x []float64) {
 		jLo, _ := st.SupCols(j)
-		for _, i := range col[j] {
-			if w.owner(i, j) != w.me() {
-				continue
-			}
-			blk := w.bg.Target(i, j)
-			local := make([]float64, st.SupWidth(i))
+		for q := sp.col[j/pc]; q < sp.col[j/pc+1]; q++ {
+			i, blk := int(sp.rows[q]), sp.blks[q]
 			lo, _ := st.SupCols(i)
-			w.r.Compute(blk.MatVecInto(func(r int, v float64) {
-				local[r-lo] += v
-			}, x, jLo))
-			addSum(i, local)
-			mod[i]--
-			if mod[i] > 0 {
+			w.r.Compute(blk.MatVecAdd(sumOf(i), lo, x, jLo, &sc.acc))
+			if mod[i/pr]--; mod[i/pr] > 0 {
 				continue
 			}
 			// All local contributions to row i are in: route the partial sum.
 			if dst := w.owner(i, i); dst == w.me() {
 				arrived(i)
 			} else {
-				w.r.Send(dst, tagOf(tagLSum, i), sum[i], 8*len(sum[i]))
+				w.r.Send(dst, tagOf(tagLSum, i), sum[i/pr], 8*len(sum[i/pr]))
 			}
 		}
 	}
 
 	solveK = func(k int) {
 		x := append([]float64(nil), rhs(k)...)
-		for q, v := range sum[k] {
+		for q, v := range sum[k/pr] {
 			x[q] -= v
 		}
-		w.r.Compute(diagSolve(w.bg.Diag[k], x))
-		xs[k] = x
+		d := w.diagPos(k)
+		w.r.Compute(diagSolve(w.bg.blocks[d], x))
+		xs[d] = x
 		// Broadcast x(K) along the process column to the owners of the
 		// blocks it feeds.
 		w.clearSent()
@@ -129,23 +195,26 @@ func (w *worker) sweep(upper bool, rhs func(k int) []float64) [][]float64 {
 	// Kick off, in the sweep's direction: solvable diagonals with no
 	// pending contributions. The xs-guard matters: a solveK cascade (via
 	// applyX) may already have solved a later supernode.
-	for q := 0; q < ns; q++ {
-		k := q
+	for q := range w.diags {
+		d := q
 		if upper {
-			k = ns - 1 - q
+			d = len(w.diags) - 1 - q
 		}
-		if w.owner(k, k) == w.me() && remaining[k] == 0 && xs[k] == nil {
+		if k := w.diags[d]; remaining[k/pr] == 0 && xs[d] == nil {
 			solveK(k)
 		}
 	}
 	// Message-driven main loop (the paper's "while I have more work" with
 	// receives of type LSUM and XSOL).
-	for got := 0; got < expect; got++ {
+	for got := 0; got < sp.expect; got++ {
 		_, tag, payload := w.r.RecvAny()
 		k := tag / numTags
 		switch tag % numTags {
 		case tagLSum:
-			addSum(k, payload.([]float64))
+			acc := sumOf(k)
+			for q, v := range payload.([]float64) {
+				acc[q] += v
+			}
 			arrived(k)
 		case tagXSol:
 			applyX(k, payload.([]float64))
@@ -156,23 +225,24 @@ func (w *worker) sweep(upper bool, rhs func(k int) []float64) [][]float64 {
 	return xs
 }
 
-// gatherX assembles the distributed solution at rank 0.
+// gatherX assembles the distributed solution at rank 0 from every
+// rank's sweep result xs.
 func (w *worker) gatherX(xs [][]float64, out []float64) {
-	ns := w.st.N
-	if w.me() == 0 {
-		for k := 0; k < ns; k++ {
-			lo, hi := w.st.SupCols(k)
-			x := xs[k]
-			if o := w.owner(k, k); o != 0 {
-				x = w.r.Recv(o, tagOf(tagGather, k)).([]float64)
-			}
-			copy(out[lo:hi], x)
+	diags := w.diags
+	if w.me() != 0 {
+		for d, k := range diags {
+			w.r.Send(0, tagOf(tagGather, k), xs[d], 8*len(xs[d]))
 		}
 		return
 	}
-	for k := 0; k < ns; k++ {
-		if w.owner(k, k) == w.me() {
-			w.r.Send(0, tagOf(tagGather, k), xs[k], 8*len(xs[k]))
+	d := 0
+	for k := 0; k < w.st.N; k++ {
+		lo, hi := w.st.SupCols(k)
+		if d < len(diags) && diags[d] == k {
+			copy(out[lo:hi], xs[d])
+			d++
+		} else {
+			copy(out[lo:hi], w.r.Recv(w.owner(k, k), tagOf(tagGather, k)).([]float64))
 		}
 	}
 }

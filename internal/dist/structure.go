@@ -40,13 +40,12 @@ type Structure struct {
 	ColL [][]int
 	RowU [][]int
 
-	// UpdateTargets[K] lists the (I, J) pairs updated by panel K's outer
-	// product, i.e. the EDAG successors of supernode K in block form.
-	// (Derived from LBlocks/UBlocks crossing; kept explicit for the
-	// receive bookkeeping.)
-
-	// RowProcsNeedingU / ColProcsNeedingL are derived per iteration by the
-	// factorization from LBlocks/UBlocks and the grid.
+	// Structural block ids name every block the same way on every rank:
+	// the diagonal blocks are 0..N-1, then per supernode K its L panel
+	// followed by its U row, from base[K] on; base[N] counts the blocks.
+	base []int
+	// idx is 0..n-1; a supernode's index range is a view of it.
+	idx []int
 }
 
 // LBlockInfo describes one nonzero off-diagonal block L(I, K).
@@ -201,6 +200,12 @@ func BuildStructure(sym *symbolic.Result) *Structure {
 		s.ColL[k] = colLSlab[len(colLSlab)-len(s.LBlocks[k]):]
 		s.RowU[k] = rowUSlab[len(rowUSlab)-len(s.UBlocks[k]):]
 	}
+	s.base = make([]int, ns+1)
+	s.base[0] = ns
+	for k := 0; k < ns; k++ {
+		s.base[k+1] = s.base[k] + len(s.LBlocks[k]) + len(s.UBlocks[k])
+	}
+	s.idx = rangeInts(0, sym.N)
 	s.RowL = make([][]int, ns)
 	s.ColU = make([][]int, ns)
 	cntRowL := make([]int, ns)
@@ -254,6 +259,35 @@ func (s *Structure) SupWidth(k int) int { return s.Sym.SupPtr[k+1] - s.Sym.SupPt
 
 // SupCols returns the half-open global column range of supernode K.
 func (s *Structure) SupCols(k int) (int, int) { return s.Sym.SupPtr[k], s.Sym.SupPtr[k+1] }
+
+// supIdx returns supernode K's global indices.
+func (s *Structure) supIdx(k int) []int {
+	lo, hi := s.SupCols(k)
+	return s.idx[lo:hi:hi]
+}
+
+// blockID returns the structural id of block (i, j), or -1 when the
+// block is structurally absent.
+func (s *Structure) blockID(i, j int) int {
+	switch {
+	case i == j:
+		return i
+	case i > j:
+		if p := lookup(s.ColL[j], i); p >= 0 {
+			return s.base[j] + p
+		}
+	default:
+		if p := lookup(s.RowU[i], j); p >= 0 {
+			return s.base[i] + len(s.ColL[i]) + p
+		}
+	}
+	return -1
+}
+
+// lID and uID are the structural ids of L(ColL[K][li], K) and
+// U(K, RowU[K][ui]).
+func (s *Structure) lID(k, li int) int { return s.base[k] + li }
+func (s *Structure) uID(k, ui int) int { return s.base[k] + len(s.ColL[k]) + ui }
 
 func rangeInts(lo, hi int) []int {
 	r := make([]int, hi-lo)

@@ -40,10 +40,7 @@ func (r *Rank) BarrierTimeout() error {
 		w.barrierCond.Broadcast()
 		release := w.barrierClock
 		w.barrierMu.Unlock()
-		if release > r.clock {
-			r.commTime += release - r.clock
-			r.clock = release
-		}
+		r.waitUntil(release)
 		return nil
 	}
 	w.barrierMu.Unlock()
@@ -61,25 +58,23 @@ func (r *Rank) BarrierTimeout() error {
 	if !released {
 		return r.failed(w.sup.failure.Load())
 	}
-	if release > r.clock {
-		r.commTime += release - r.clock
-		r.clock = release
-	}
+	r.waitUntil(release)
 	return nil
 }
 
 // Probe reports whether a message from src with tag is already queued.
 func (r *Rank) Probe(src, tag int) bool {
-	return r.world.mail[r.id].queued(src, tag)
+	return src >= 0 && r.world.mail[r.id].queued(src, tag)
 }
 
 // RecvAny blocks until any message is queued for this rank, then returns
-// the queued message with the earliest virtual arrival time (ties broken
-// by source then tag, keeping the discrete-event order as deterministic
-// as the real scheduling allows). It returns the source, tag and payload.
-// This is the MPI_ANY_SOURCE receive of the paper's message-driven
-// triangular solve. On world failure the rank unwinds (see World.Run);
-// use RecvAnyTimeout to handle the failure in place.
+// the one with the earliest virtual arrival among the heads of the
+// (source, tag) FIFOs (ties broken by source then tag, keeping the
+// discrete-event order as deterministic as the real scheduling allows).
+// It returns the source, tag and payload. This is the MPI_ANY_SOURCE
+// receive of the paper's message-driven triangular solve. On world
+// failure the rank unwinds (see World.Run); use RecvAnyTimeout to handle
+// the failure in place.
 func (r *Rank) RecvAny() (src, tag int, payload any) {
 	src, tag, payload, err := r.RecvAnyTimeout()
 	if err != nil {
@@ -91,31 +86,11 @@ func (r *Rank) RecvAny() (src, tag int, payload any) {
 // RecvAnyTimeout is RecvAny with watchdog protection surfaced as an
 // error (ErrRankDead or ErrTimeout, clock advanced to detection time).
 func (r *Rank) RecvAnyTimeout() (src, tag int, payload any, err error) {
-	r.applyFaults()
-	w := r.world
-	mb := w.mail[r.id]
-	for {
-		if f := w.sup.failure.Load(); f != nil {
-			return -1, -1, nil, r.failed(f)
-		}
-		mb.mu.Lock()
-		m := mb.tryTakeAny(w.Model)
-		gen := mb.gen
-		mb.mu.Unlock()
-		if m != nil {
-			r.deliver(m)
-			return m.src, m.tag, m.payload, nil
-		}
-		if berr := w.sup.block(r.id, waiter{kind: waitRecvAny, clock: r.clock}); berr != nil {
-			return -1, -1, nil, r.failed(w.sup.failure.Load())
-		}
-		mb.mu.Lock()
-		for mb.gen == gen && w.sup.failure.Load() == nil {
-			mb.cond.Wait()
-		}
-		mb.mu.Unlock()
-		w.sup.unblock(r.id)
+	m, err := r.recv(-1, 0)
+	if err != nil {
+		return -1, -1, nil, err
 	}
+	return m.src, m.tag, m.payload, nil
 }
 
 // Tags reserved for collectives; user tags must stay below tagCollective.
@@ -138,36 +113,32 @@ func (r *Rank) Bcast(root int, value any, bytes int) any {
 // AllreduceSum sums a float64 contribution across all ranks and returns
 // the total on every rank (gather to rank 0, then broadcast).
 func (r *Rank) AllreduceSum(v float64) float64 {
-	const bytes = 8
-	if r.id == 0 {
-		total := v
-		for src := 1; src < r.world.P; src++ {
-			total += r.Recv(src, tagCollective+1).(float64)
-		}
-		for dst := 1; dst < r.world.P; dst++ {
-			r.Send(dst, tagCollective+2, total, bytes)
-		}
-		return total
-	}
-	r.Send(0, tagCollective+1, v, bytes)
-	return r.Recv(0, tagCollective+2).(float64)
+	return r.allreduce(v, tagCollective+1, func(acc, x float64) float64 { return acc + x })
 }
 
 // AllreduceMax returns the maximum of the contributions on every rank.
 func (r *Rank) AllreduceMax(v float64) float64 {
+	return r.allreduce(v, tagCollective+3, func(acc, x float64) float64 {
+		if x > acc {
+			return x
+		}
+		return acc
+	})
+}
+
+// allreduce folds every rank's v into rank 0's in rank order with op,
+// on tag, and broadcasts the result on tag+1.
+func (r *Rank) allreduce(v float64, tag int, op func(acc, x float64) float64) float64 {
 	const bytes = 8
-	if r.id == 0 {
-		best := v
-		for src := 1; src < r.world.P; src++ {
-			if got := r.Recv(src, tagCollective+3).(float64); got > best {
-				best = got
-			}
-		}
-		for dst := 1; dst < r.world.P; dst++ {
-			r.Send(dst, tagCollective+4, best, bytes)
-		}
-		return best
+	if r.id != 0 {
+		r.Send(0, tag, v, bytes)
+		return r.Recv(0, tag+1).(float64)
 	}
-	r.Send(0, tagCollective+3, v, bytes)
-	return r.Recv(0, tagCollective+4).(float64)
+	for src := 1; src < r.world.P; src++ {
+		v = op(v, r.Recv(src, tag).(float64))
+	}
+	for dst := 1; dst < r.world.P; dst++ {
+		r.Send(dst, tag+1, v, bytes)
+	}
+	return v
 }

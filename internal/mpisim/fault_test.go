@@ -176,6 +176,36 @@ func TestDroppedMessageWedges(t *testing.T) {
 	}
 }
 
+// A rank blocked on a dropped message still wedges the world when other
+// messages from the same source sit in its mailbox: only a match counts.
+func TestDroppedMessageWedgesBehindOtherTags(t *testing.T) {
+	w := NewWorld(2, T3E900())
+	w.InstallFaults(planWith(func(p *FaultPlan) {
+		p.DropProb = 1
+		p.MaxDrops = 1
+	}))
+	var recvErr error
+	w.Run(func(r *Rank) {
+		if r.ID() == 0 {
+			r.Send(1, 3, "lost", 64) // the whole drop budget
+			r.Send(1, 4, "kept", 64)
+			r.Send(1, 5, "kept", 64)
+		} else {
+			_, recvErr = r.RecvTimeout(0, 3)
+		}
+	})
+	f := w.Failure()
+	if f == nil || !errors.Is(f.Err, ErrTimeout) || f.Kind != "wedge" || f.Rank != -1 {
+		t.Fatalf("report = %+v, want ErrTimeout wedge with no implicated rank", f)
+	}
+	if !errors.Is(recvErr, ErrTimeout) {
+		t.Fatalf("RecvTimeout error = %v, want ErrTimeout", recvErr)
+	}
+	if !w.mail[1].queued(0, 4) || !w.mail[1].queued(0, 5) {
+		t.Fatal("the non-matching messages are not queued at the wedge")
+	}
+}
+
 // Duplicated sends are discarded by sequence-number dedup: delivery is
 // idempotent and FIFO order per (src, tag) is preserved.
 func TestDuplicateDelivery(t *testing.T) {

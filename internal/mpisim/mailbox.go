@@ -6,121 +6,148 @@ import "sync"
 // traffic between disjoint rank pairs never contends (the original
 // whole-world mutex serialized a 512-rank simulation onto one core).
 //
-// Blocking lives in the Rank receive methods, which coordinate with the
-// watchdog supervisor; the mailbox itself only offers non-blocking
-// dequeues plus a generation counter the wait loops key off.
+// Messages wait in one FIFO queue per source, held by value: once a
+// queue has grown to its traffic's depth its slots are reused, so a
+// send allocates nothing. A receive removes its message in place; the
+// queues are short, the messages a rank has not yet asked for. Blocking lives in the Rank receive methods,
+// which coordinate with the watchdog supervisor; the mailbox records
+// what its owner waits for, so a put wakes the owner only when the new
+// message can satisfy that wait.
 type mailbox struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 	//gesp:guardedby:mu
-	gen uint64 // bumped on every put; wait loops recheck on change
+	from []queue // from[src] holds src's undelivered messages in send order
 	//gesp:guardedby:mu
-	boxes map[int][]*message // key: src<<20 | tag
-	// lastSeq is the idempotent-delivery watermark per (src, tag) key.
-	// Sender sequence numbers are strictly increasing per destination,
-	// so a message at or below the watermark is a duplicate delivery
-	// and is discarded on arrival (ack-free dedup).
+	n int // messages queued over all sources
 	//gesp:guardedby:mu
-	lastSeq map[int]int64
+	want int // what the owner waits on: tagKey(src, tag), wantAny or wantNone
+	//gesp:guardedby:mu
+	seen []int // takeAny's scratch: the tags already passed in one queue
 }
 
-func newMailbox() *mailbox {
-	mb := &mailbox{boxes: make(map[int][]*message), lastSeq: make(map[int]int64)}
+const (
+	wantNone = -1
+	wantAny  = -2
+)
+
+// queue is one source's undelivered messages, in send order.
+type queue struct {
+	msgs []message
+	// lastSeq is the idempotent-delivery watermark. Sequence numbers
+	// count per (src, dst) and a source's puts happen in sequence order,
+	// so a message at or below the watermark is a duplicate delivery and
+	// is discarded on arrival (ack-free dedup).
+	lastSeq int64
+}
+
+func newMailbox(p int) *mailbox {
+	mb := &mailbox{from: make([]queue, p), want: wantNone}
 	mb.cond = sync.NewCond(&mb.mu)
 	return mb
 }
 
-// put enqueues a message, discarding duplicate (src, tag, seq)
-// deliveries. It reports whether the message was discarded.
-func (mb *mailbox) put(m *message) (dup bool) {
-	key := tagKey(m.src, m.tag)
+// put enqueues m, discarding a duplicate delivery, and wakes the owner
+// if m satisfies what it waits on. It reports whether m was discarded.
+func (mb *mailbox) put(m message) (dup bool) {
 	mb.mu.Lock()
-	if m.seq <= mb.lastSeq[key] {
+	q := &mb.from[m.src]
+	if m.seq <= q.lastSeq {
 		mb.mu.Unlock()
 		return true
 	}
-	mb.lastSeq[key] = m.seq
-	mb.boxes[key] = append(mb.boxes[key], m)
-	mb.gen++
+	q.lastSeq = m.seq
+	q.msgs = append(q.msgs, m)
+	mb.n++
+	wake := mb.want == wantAny || mb.want == tagKey(m.src, m.tag)
 	mb.mu.Unlock()
-	mb.cond.Broadcast()
+	if wake {
+		mb.cond.Signal()
+	}
 	return false
 }
 
-// tryTake dequeues a (src, tag) message if one is queued. Caller holds
-// mb.mu.
+// take dequeues the first (src, tag) message, or with src < 0 the
+// message RecvAny delivers: the earliest virtual arrival among the
+// (src, tag) FIFO heads — in each source queue, the first message of
+// every tag — ties broken by the lower (src, tag) key, so the choice is
+// a function of the queued messages alone. Caller holds mb.mu.
 //
 //gesp:holds:mb.mu
-func (mb *mailbox) tryTake(src, tag int) *message {
-	key := tagKey(src, tag)
-	q := mb.boxes[key]
-	if len(q) == 0 {
-		return nil
+func (mb *mailbox) take(src, tag int) (message, bool) {
+	pos := -1
+	if src >= 0 {
+		pos = mb.from[src].find(tag)
+	} else if mb.n > 0 {
+		bestKey, bestArrival := 0, 0.0
+		for s := range mb.from {
+			q := &mb.from[s]
+			seen := mb.seen[:0]
+		scan:
+			for p := range q.msgs {
+				m := &q.msgs[p]
+				if pos >= 0 && m.floor > bestArrival {
+					break // this and every later message from s arrive after the best
+				}
+				for _, t := range seen {
+					if t == m.tag {
+						continue scan // behind the head of its (src, tag) FIFO
+					}
+				}
+				seen = append(seen, m.tag)
+				key := tagKey(s, m.tag)
+				// The arrival tie-break must be exact: equal virtual arrivals
+				// are common (same-size messages) and fall through to the key
+				// order, which is what makes the dequeue deterministic.
+				//gesp:floateq
+				if pos < 0 || m.arrival < bestArrival || (m.arrival == bestArrival && key < bestKey) {
+					src, pos, bestKey, bestArrival = s, p, key, m.arrival
+				}
+			}
+			mb.seen = seen
+		}
 	}
-	m := q[0]
-	if len(q) == 1 {
-		delete(mb.boxes, key)
-	} else {
-		mb.boxes[key] = q[1:]
+	if pos < 0 {
+		return message{}, false
 	}
-	return m
+	mb.n--
+	return mb.from[src].remove(pos), true
 }
 
-// tryTakeAny dequeues the queued message with the earliest virtual
-// arrival (ties broken by key for determinism), or nil if the mailbox
-// is empty. Caller holds mb.mu.
+// ready reports whether take(src, tag) would find a message. Caller
+// holds mb.mu.
 //
 //gesp:holds:mb.mu
-func (mb *mailbox) tryTakeAny(model CostModel) *message {
-	bestKey := -1
-	bestArrival := 0.0
-	// Strict-min reduction with a total tie-break order, so the
-	// winner is independent of map iteration order.
-	//gesp:unordered
-	for key, q := range mb.boxes {
-		if len(q) == 0 {
-			continue
-		}
-		m := q[0]
-		arr := m.sentAt + model.Latency + float64(m.bytes)*model.CostPerByte + m.delay
-		// The arrival tie-break must be exact: equal virtual arrivals
-		// are common (same-size messages) and fall through to the key
-		// order, which is what makes the dequeue deterministic.
-		//gesp:floateq
-		if bestKey == -1 || arr < bestArrival || (arr == bestArrival && key < bestKey) {
-			bestKey, bestArrival = key, arr
-		}
+func (mb *mailbox) ready(src, tag int) bool {
+	if src < 0 {
+		return mb.n > 0
 	}
-	if bestKey < 0 {
-		return nil
-	}
-	q := mb.boxes[bestKey]
-	m := q[0]
-	if len(q) == 1 {
-		delete(mb.boxes, bestKey)
-	} else {
-		mb.boxes[bestKey] = q[1:]
-	}
-	return m
+	return mb.from[src].find(tag) >= 0
 }
 
-// queued reports whether a (src, tag) message is waiting.
+// queued reports whether a (src, tag) message is waiting — any message
+// when src < 0.
 func (mb *mailbox) queued(src, tag int) bool {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
-	return len(mb.boxes[tagKey(src, tag)]) > 0
+	return mb.ready(src, tag)
 }
 
-// queuedAny reports whether any message is waiting.
-func (mb *mailbox) queuedAny() bool {
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
-	// Existence check only: no order dependence.
-	//gesp:unordered
-	for _, q := range mb.boxes {
-		if len(q) > 0 {
-			return true
+// find returns the position of the first tag message, or -1.
+func (q *queue) find(tag int) int {
+	for p := range q.msgs {
+		if q.msgs[p].tag == tag {
+			return p
 		}
 	}
-	return false
+	return -1
+}
+
+// remove dequeues the message at position p, keeping the others in order.
+func (q *queue) remove(p int) message {
+	m, last := q.msgs[p], len(q.msgs)-1
+	copy(q.msgs[p:], q.msgs[p+1:])
+	q.msgs[last] = message{}
+	q.msgs = q.msgs[:last]
+	return m
 }

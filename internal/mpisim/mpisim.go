@@ -15,6 +15,11 @@
 // Simulated time is deterministic and machine independent, which is what
 // the scaling tables (paper Tables 3–5) are measured in; wall-clock time
 // is also real because ranks genuinely run in parallel.
+//
+// A message's arrival is fixed when it is sent. Each rank's mailbox
+// keeps one FIFO queue per source, deduplicated by a per-source
+// sequence watermark, and a send wakes the receiver only when it waits
+// on that (source, tag) or on any message.
 package mpisim
 
 import (
@@ -48,10 +53,11 @@ func T3E900() CostModel {
 type message struct {
 	src, tag int
 	payload  any
-	bytes    int
-	sentAt   float64 // sender's virtual clock at send time
-	seq      int64   // per-(src,dst) sequence number, for idempotent delivery
-	delay    float64 // extra transit time injected by the fault plan
+	seq      int64 // per-(src,dst) sequence number, for idempotent delivery
+	// floor is the send clock plus latency, arrival adds bytes·cost and
+	// any injected delay. A source's floors never decrease along its
+	// sends, and floor ≤ arrival.
+	floor, arrival float64
 }
 
 // World is one simulated machine: P ranks with per-rank mailboxes.
@@ -91,7 +97,7 @@ func NewWorld(p int, model CostModel) *World {
 	w.mail = make([]*mailbox, p)
 	w.ranks = make([]*Rank, p)
 	for i := 0; i < p; i++ {
-		w.mail[i] = newMailbox()
+		w.mail[i] = newMailbox(p)
 		w.ranks[i] = &Rank{world: w, id: i, seqTo: make([]int64, p)}
 		w.ranks[i].lastRecvKey.Store(-1)
 	}
@@ -200,11 +206,17 @@ func (r *Rank) applyFaults() {
 // returns the failure error. It also clears any stale block record.
 func (r *Rank) failed(f *FailureReport) error {
 	r.world.sup.unblock(r.id)
-	if f.DetectedAt > r.clock {
-		r.commTime += f.DetectedAt - r.clock
-		r.clock = f.DetectedAt
-	}
+	r.waitUntil(f.DetectedAt)
 	return f.Err
+}
+
+// waitUntil advances the clock to t, if later, charging the gap to
+// communication.
+func (r *Rank) waitUntil(t float64) {
+	if t > r.clock {
+		r.commTime += t - r.clock
+		r.clock = t
+	}
 }
 
 // deliver advances the rank's clock to a received message's arrival
@@ -212,12 +224,7 @@ func (r *Rank) failed(f *FailureReport) error {
 func (r *Rank) deliver(m *message) {
 	r.lastRecvKey.Store(int64(tagKey(m.src, m.tag)))
 	r.lastRecvSeq.Store(m.seq)
-	model := r.world.Model
-	arrival := m.sentAt + model.Latency + float64(m.bytes)*model.CostPerByte + m.delay
-	if arrival > r.clock {
-		r.commTime += arrival - r.clock
-		r.clock = arrival
-	}
+	r.waitUntil(m.arrival)
 }
 
 // Compute advances the rank's virtual clock by the cost of the given
@@ -245,41 +252,38 @@ func (r *Rank) Send(dst, tag int, payload any, bytes int) {
 	if dst == r.id {
 		panic("mpisim: send to self")
 	}
+	tagKey(r.id, tag) // range check
 	r.applyFaults()
 	w := r.world
 	if f := w.sup.failure.Load(); f != nil {
 		panic(rankAbort{r.failed(f)})
 	}
-	m := &message{src: r.id, tag: tag, payload: payload, bytes: bytes}
 	r.clock += w.Model.SendOverhead
 	r.commTime += w.Model.SendOverhead
-	m.sentAt = r.clock
 	r.seqTo[dst]++
-	m.seq = r.seqTo[dst]
+	m := message{src: r.id, tag: tag, payload: payload, seq: r.seqTo[dst]}
 	r.sent++
 	r.sentVol += int64(bytes)
+	delay := 0.0
+	dup := false
 	if p := w.plan; p != nil {
 		if p.dropMessage(r.id, dst, tag, m.seq) {
 			w.dropped.Add(1)
 			return
 		}
-		m.delay = p.delayFor(r.id, dst, tag, m.seq)
-		if m.delay > 0 {
+		if delay = p.delayFor(r.id, dst, tag, m.seq); delay > 0 {
 			w.delayed.Add(1)
 		}
-		if p.dupMessage(r.id, dst, tag, m.seq) {
+		if dup = p.dupMessage(r.id, dst, tag, m.seq); dup {
 			w.duplicated.Add(1)
-			second := *m
-			if w.mail[dst].put(m) {
-				w.deduped.Add(1)
-			}
-			if w.mail[dst].put(&second) {
-				w.deduped.Add(1)
-			}
-			return
 		}
 	}
+	m.floor = r.clock + w.Model.Latency
+	m.arrival = m.floor + float64(bytes)*w.Model.CostPerByte + delay
 	if w.mail[dst].put(m) {
+		w.deduped.Add(1)
+	}
+	if dup && w.mail[dst].put(m) {
 		w.deduped.Add(1)
 	}
 }
@@ -305,28 +309,43 @@ func (r *Rank) Recv(src, tag int) any {
 // it returns ErrRankDead or ErrTimeout (the rank's clock advanced to
 // the detection time) instead of blocking forever.
 func (r *Rank) RecvTimeout(src, tag int) (any, error) {
+	m, err := r.recv(src, tag)
+	return m.payload, err
+}
+
+// recv is the one blocking receive: the first (src, tag) message, or
+// with src < 0 the message RecvAny's rule picks (see mailbox.take).
+// While it waits, the mailbox knows what for, so only a message that
+// can satisfy the wait wakes it.
+func (r *Rank) recv(src, tag int) (message, error) {
 	r.applyFaults()
 	w := r.world
 	mb := w.mail[r.id]
+	wt, want := waiter{kind: waitRecvAny}, wantAny
+	if src >= 0 {
+		wt, want = waiter{kind: waitRecv, src: src, tag: tag}, tagKey(src, tag)
+	}
 	for {
 		if f := w.sup.failure.Load(); f != nil {
-			return nil, r.failed(f)
+			return message{}, r.failed(f)
 		}
 		mb.mu.Lock()
-		m := mb.tryTake(src, tag)
-		gen := mb.gen
+		m, ok := mb.take(src, tag)
 		mb.mu.Unlock()
-		if m != nil {
-			r.deliver(m)
-			return m.payload, nil
+		if ok {
+			r.deliver(&m)
+			return m, nil
 		}
-		if err := w.sup.block(r.id, waiter{kind: waitRecv, src: src, tag: tag, clock: r.clock}); err != nil {
-			return nil, r.failed(w.sup.failure.Load())
+		wt.clock = r.clock
+		if err := w.sup.block(r.id, wt); err != nil {
+			return message{}, r.failed(w.sup.failure.Load())
 		}
 		mb.mu.Lock()
-		for mb.gen == gen && w.sup.failure.Load() == nil {
+		mb.want = want
+		for !mb.ready(src, tag) && w.sup.failure.Load() == nil {
 			mb.cond.Wait()
 		}
+		mb.want = wantNone
 		mb.mu.Unlock()
 		w.sup.unblock(r.id)
 	}
@@ -376,28 +395,7 @@ type Stats struct {
 
 // GatherStats summarizes the world's counters.
 func (w *World) GatherStats() Stats {
-	var s Stats
-	var sumClock, sumComm float64
-	var maxFlops int64
-	for _, r := range w.ranks {
-		if r.clock > s.Time {
-			s.Time = r.clock
-		}
-		sumClock += r.clock
-		sumComm += r.commTime
-		s.Messages += r.sent
-		s.Volume += r.sentVol
-		s.TotalFlops += r.flops
-		if r.flops > maxFlops {
-			maxFlops = r.flops
-		}
-	}
-	if sumClock > 0 {
-		s.CommFraction = sumComm / sumClock
-	}
-	if maxFlops > 0 {
-		s.LoadBalance = float64(s.TotalFlops) / float64(w.P) / float64(maxFlops)
-	}
+	s := PhaseStats(make([]Snapshot, w.P), w.Snapshots())
 	s.Dropped = w.dropped.Load()
 	s.Duplicated = w.duplicated.Load()
 	s.Deduped = w.deduped.Load()

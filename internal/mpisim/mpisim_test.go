@@ -1,7 +1,9 @@
 package mpisim
 
 import (
+	"fmt"
 	"math"
+	"runtime"
 	"sync/atomic"
 	"testing"
 )
@@ -114,27 +116,127 @@ func TestBarrierSynchronizesClocks(t *testing.T) {
 	})
 }
 
+// RecvAny's choice is a function of the queued messages alone: every
+// message is queued before the first RecvAny (senders send, then all
+// ranks meet at a barrier), and they come back in virtual-arrival order,
+// equal arrivals by the lower (src, tag) key, and never ahead of an
+// earlier message on their own (src, tag).
 func TestRecvAnyPicksEarliestArrival(t *testing.T) {
-	w := NewWorld(3, T3E900())
+	model := CostModel{Latency: 10e-6, CostPerByte: 1e-9, CostPerFlop: 1e-9, SendOverhead: 1e-6}
+	w := NewWorld(4, model)
+	var got []string
 	w.Run(func(r *Rank) {
 		switch r.ID() {
 		case 0:
-			r.Compute(100000) // late sender
-			r.Send(2, 5, "late", 100)
-		case 1:
-			r.Send(2, 6, "early", 100)
-		case 2:
-			// Ensure both are queued before receiving: real-time sleep via
-			// barrier-free spin is racy, so receive twice and check the
-			// second call can never return an earlier arrival than the
-			// first when both were queued.
-			src1, _, _ := r.RecvAny()
-			src2, _, _ := r.RecvAny()
-			if src1 == src2 {
-				t.Error("same source received twice")
+			r.Compute(100000) // a late sender: arrives at 111.008µs
+			r.Send(3, 5, "late", 8)
+		case 1, 2:
+			// Ranks 1 and 2 send mirror images, so their arrivals tie
+			// bit for bit: 111µs, 12.008µs and 13.008µs.
+			tagBig, tagTie := 6, 7
+			if r.ID() == 2 {
+				tagBig, tagTie = 8, 4
+			}
+			name := func(s string) string { return s + string(rune('0'+r.ID())) }
+			r.Send(3, tagBig, name("big"), 100000)
+			r.Send(3, tagBig, name("small"), 8) // earlier arrival, but FIFO behind big
+			r.Send(3, tagTie, name("tie"), 8)
+		}
+		r.Barrier()
+		if r.ID() == 3 {
+			for i := 0; i < 7; i++ {
+				_, _, payload := r.RecvAny()
+				got = append(got, payload.(string))
 			}
 		}
 	})
+	want := []string{"tie1", "tie2", "big1", "small1", "big2", "small2", "late"}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("RecvAny order %v, want %v", got, want)
+	}
+}
+
+// awaitWaiting spins until rank id's mailbox records that it waits on
+// want, so the next put exercises the wake rule rather than the check
+// before the wait.
+func awaitWaiting(w *World, id, want int) {
+	mb := w.mail[id]
+	for {
+		mb.mu.Lock()
+		ok := mb.want == want
+		mb.mu.Unlock()
+		if ok {
+			return
+		}
+		runtime.Gosched()
+	}
+}
+
+// A Recv waiting on (0, A) is not woken by (0, B) traffic, completes
+// when its message arrives behind 1,000 others, and the (0, B) messages
+// still come out in order afterwards.
+func TestRecvBehindOtherTags(t *testing.T) {
+	w := NewWorld(2, T3E900())
+	w.InstallFaults(planWith(func(*FaultPlan) {}))
+	var got []int
+	w.Run(func(r *Rank) {
+		if r.ID() == 0 {
+			awaitWaiting(w, 1, tagKey(0, 1))
+			for i := 0; i < 1000; i++ {
+				r.Send(1, 2, i, 8)
+			}
+			r.Send(1, 1, -1, 8)
+			return
+		}
+		got = append(got, r.Recv(0, 1).(int))
+		for i := 0; i < 1000; i++ {
+			got = append(got, r.Recv(0, 2).(int))
+		}
+	})
+	if f := w.Failure(); f != nil {
+		t.Fatalf("world failed: %+v", f)
+	}
+	for i, v := range got {
+		if v != i-1 {
+			t.Fatalf("receive %d returned %d, want %d", i, v, i-1)
+		}
+	}
+	if len(got) != 1001 {
+		t.Fatalf("%d receives completed, want 1001", len(got))
+	}
+}
+
+// A put of any tag wakes a waiting RecvAny.
+func TestRecvAnyWakesOnAnyTag(t *testing.T) {
+	w := NewWorld(3, T3E900())
+	w.InstallFaults(planWith(func(*FaultPlan) {}))
+	var tags []int
+	var first atomic.Bool
+	w.Run(func(r *Rank) {
+		switch r.ID() {
+		case 0:
+			awaitWaiting(w, 2, wantAny)
+			r.Send(2, 11, nil, 8)
+		case 1:
+			for !first.Load() {
+				runtime.Gosched()
+			}
+			awaitWaiting(w, 2, wantAny)
+			r.Send(2, 12, nil, 8)
+		case 2:
+			for i := 0; i < 2; i++ {
+				_, tag, _ := r.RecvAny()
+				tags = append(tags, tag)
+				first.Store(true)
+			}
+		}
+	})
+	if f := w.Failure(); f != nil {
+		t.Fatalf("world failed: %+v", f)
+	}
+	if fmt.Sprint(tags) != "[11 12]" {
+		t.Fatalf("RecvAny returned tags %v, want [11 12]", tags)
+	}
 }
 
 func TestGatherStats(t *testing.T) {

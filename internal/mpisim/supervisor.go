@@ -95,21 +95,13 @@ const (
 type waitKind int8
 
 const (
-	waitRecv waitKind = iota
+	waitNone waitKind = iota // not blocked
+	waitRecv
 	waitRecvAny
 	waitBarrier
 )
 
-func (k waitKind) String() string {
-	switch k {
-	case waitRecv:
-		return "recv"
-	case waitRecvAny:
-		return "recvany"
-	default:
-		return "barrier"
-	}
-}
+func (k waitKind) String() string { return [...]string{"", "recv", "recvany", "barrier"}[k] }
 
 // waiter describes what a blocked rank is waiting for, precisely enough
 // for the wedge check to decide whether anything queued can satisfy it.
@@ -128,7 +120,7 @@ type supervisor struct {
 	//gesp:guardedby:mu
 	state []rankState
 	//gesp:guardedby:mu
-	blocked []*waiter
+	blocked []waiter // blocked[id].kind is waitNone while rank id runs
 	//gesp:guardedby:mu
 	active int // ranks still running (not done, not dead)
 	//gesp:guardedby:mu
@@ -146,7 +138,7 @@ type supervisor struct {
 func newSupervisor(w *World) *supervisor {
 	s := &supervisor{w: w, deadRank: -1}
 	s.state = make([]rankState, w.P)
-	s.blocked = make([]*waiter, w.P)
+	s.blocked = make([]waiter, w.P)
 	s.active = w.P
 	return s
 }
@@ -159,10 +151,10 @@ func (s *supervisor) block(id int, wt waiter) error {
 		return f.Err
 	}
 	s.mu.Lock()
-	if s.blocked[id] == nil {
+	if s.blocked[id].kind == waitNone {
 		s.nBlocked++
 	}
-	s.blocked[id] = &wt
+	s.blocked[id] = wt
 	s.checkWedge()
 	s.mu.Unlock()
 	if f := s.failure.Load(); f != nil {
@@ -173,11 +165,18 @@ func (s *supervisor) block(id int, wt waiter) error {
 
 func (s *supervisor) unblock(id int) {
 	s.mu.Lock()
-	if s.blocked[id] != nil {
-		s.blocked[id] = nil
+	s.clearBlocked(id)
+	s.mu.Unlock()
+}
+
+// clearBlocked drops rank id's block record. Caller holds s.mu.
+//
+//gesp:holds:s.mu
+func (s *supervisor) clearBlocked(id int) {
+	if s.blocked[id].kind != waitNone {
+		s.blocked[id] = waiter{}
 		s.nBlocked--
 	}
-	s.mu.Unlock()
 }
 
 // rankDead marks a rank dead (kill, over-deadline stall, or panic). The
@@ -189,10 +188,7 @@ func (s *supervisor) rankDead(id int, kind string, clock float64, panicValue any
 	if s.state[id] == stRunning {
 		s.state[id] = stDead
 		s.active--
-		if s.blocked[id] != nil {
-			s.blocked[id] = nil
-			s.nBlocked--
-		}
+		s.clearBlocked(id)
 		if s.deadRank < 0 {
 			s.deadRank, s.deadKind, s.deadClock, s.deadPanic = id, kind, clock, panicValue
 		}
@@ -223,16 +219,15 @@ func (s *supervisor) checkWedge() {
 	w := s.w
 	maxClock := 0.0
 	for id, wt := range s.blocked {
-		if wt == nil {
-			continue
-		}
 		switch wt.kind {
+		case waitNone:
+			continue
 		case waitRecv:
 			if w.mail[id].queued(wt.src, wt.tag) {
 				return // deliverable: the rank just hasn't woken yet
 			}
 		case waitRecvAny:
-			if w.mail[id].queuedAny() {
+			if w.mail[id].queued(-1, 0) {
 				return
 			}
 		case waitBarrier:
@@ -265,7 +260,7 @@ func (s *supervisor) checkWedge() {
 		f.LastRecv[i] = RecvStamp{Src: int(key >> 20), Tag: int(key & (1<<20 - 1)), Seq: r.lastRecvSeq.Load()}
 	}
 	for id, wt := range s.blocked {
-		if wt == nil {
+		if wt.kind == waitNone {
 			continue
 		}
 		wi := WaitInfo{Rank: id, Op: wt.kind.String(), Src: -1, Tag: -1, Clock: wt.clock}
