@@ -23,7 +23,7 @@ type mailbox struct {
 	//gesp:guardedby:mu
 	want int // what the owner waits on: tagKey(src, tag), wantAny or wantNone
 	//gesp:guardedby:mu
-	seen []int // takeAny's scratch: the tags already passed in one queue
+	seen []int // RecvAny's take: the tags already passed in one queue
 }
 
 const (
