@@ -11,7 +11,8 @@
 //
 // Calls that leave the program (stdlib) are assumed to allocate unless
 // the callee's package is on the allocation-free allowlist (math,
-// math/bits, sync, sync/atomic, and the sort.Search* family): the
+// math/bits, sync, sync/atomic, the sort.Search* family and
+// slices.BinarySearch): the
 // analyzer cannot see those bodies, and a hot kernel has no business
 // calling anything heavier. A call the author knows to be safe (or
 // intentionally cold, e.g. a panic-path formatter) is waived with
@@ -48,6 +49,7 @@ var allowedPkgs = map[string]bool{
 var allowedFuncs = map[string]bool{
 	"sort.Search": true, "sort.SearchInts": true,
 	"sort.SearchFloat64s": true, "sort.SearchStrings": true,
+	"slices.BinarySearch": true,
 }
 
 type site struct {

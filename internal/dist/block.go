@@ -2,6 +2,7 @@ package dist
 
 import (
 	"math"
+	"slices"
 
 	"gesp/internal/kernels"
 )
@@ -115,16 +116,8 @@ func (b *Block) SolveLFromLeft(diag *Block) int64 {
 
 // lookup returns the local index of a global id in a sorted slice, or -1.
 func lookup(ids []int, v int) int {
-	lo, hi := 0, len(ids)
-	for lo < hi {
-		if h := int(uint(lo+hi) >> 1); ids[h] < v {
-			lo = h + 1
-		} else {
-			hi = h
-		}
-	}
-	if lo < len(ids) && ids[lo] == v {
-		return lo
+	if i, ok := slices.BinarySearch(ids, v); ok {
+		return i
 	}
 	return -1
 }

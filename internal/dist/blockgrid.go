@@ -21,17 +21,6 @@ type BlockGrid struct {
 	blocks []*Block // blocks[q] is block ids[q]
 }
 
-// NewGrid allocates the zero-filled structural blocks (i, j) of the
-// fill pattern that own selects — all of them when own is nil.
-func NewGrid(st *Structure, own func(i, j int) bool) *BlockGrid {
-	return newGrids(st, 1, func(i, j int) int {
-		if own == nil || own(i, j) {
-			return 0
-		}
-		return -1
-	})[0]
-}
-
 // newGrids allocates p grids in one pass over the skeleton: block
 // (i, j) goes to grid owner(i, j), or to none when that is negative.
 // Each grid's blocks and values are carved from one slab apiece.
@@ -104,49 +93,62 @@ func (g *BlockGrid) Target(i, j int) *Block {
 	return nil
 }
 
-// Scatter stores the numeric entries of the permuted matrix that fall in
-// this grid's blocks; the blocks must have been freshly allocated (zero).
-func (g *BlockGrid) Scatter(a *sparse.CSC) {
-	scatter(a, []*BlockGrid{g}, func(int, int) int { return 0 })
-}
-
 // scatter stores every entry of a in the block of grid owner(I, J) that
-// holds it, in one pass over a: per column, each run of rows in one
-// supernode resolves its block once and walks the block's ascending
-// rows alongside. An entry whose block that grid does not hold is
-// skipped.
+// holds it, in one pass over a; the blocks must be freshly allocated
+// (zero). An entry whose block that grid does not hold is skipped.
 func scatter(a *sparse.CSC, grids []*BlockGrid, owner func(i, j int) int) {
 	st := grids[0].St
 	sup := st.Sym.SupOf
 	for j := 0; j < a.Cols; j++ {
 		bj := sup[j]
 		rows, vals := a.RowInd[a.ColPtr[j]:a.ColPtr[j+1]], a.Val[a.ColPtr[j]:a.ColPtr[j+1]]
-		for p := 0; p < len(rows); {
-			bi := sup[rows[p]]
-			end := p + 1
-			for end < len(rows) && sup[rows[end]] == bi {
-				end++
-			}
+		blockOf := func(bi int) *Block {
 			id := st.blockID(bi, bj)
 			if id < 0 {
 				// A's pattern is contained in L+U's, so the block exists.
 				panic("dist: A entry outside the static block skeleton")
 			}
-			if b := grids[owner(bi, bj)].block(id); b != nil {
-				col := b.Val[b.LocalCol(j)*b.NR():]
-				ri := 0
-				for ; p < end; p++ {
-					for ri < len(b.Rows) && b.Rows[ri] < rows[p] {
-						ri++
-					}
-					if ri == len(b.Rows) || b.Rows[ri] != rows[p] {
-						panic("dist: row not in block")
-					}
-					col[ri] = vals[p]
+			return grids[owner(bi, bj)].block(id)
+		}
+		walkCol(sup, rows, j, blockOf, func(p int, v *float64) {
+			if v == nil {
+				panic("dist: A entry not in its block")
+			}
+			*v = vals[p]
+		})
+	}
+}
+
+// walkCol visits column j at the ascending global rows. Each run of rows
+// in one supernode bi resolves its block once, with blockOf(bi), and
+// walks the block's ascending rows alongside; f(p, v) receives each
+// row's position p in rows and its entry v in the block, nil when the
+// block has no such row or column. A run whose block is nil is skipped.
+func walkCol(sup, rows []int, j int, blockOf func(bi int) *Block, f func(p int, v *float64)) {
+	for p := 0; p < len(rows); {
+		bi := sup[rows[p]]
+		end := p + 1
+		for end < len(rows) && sup[rows[end]] == bi {
+			end++
+		}
+		if b := blockOf(bi); b != nil {
+			var col []float64
+			if c := lookup(b.Cols, j); c >= 0 {
+				col = b.Val[c*b.NR() : (c+1)*b.NR()]
+			}
+			ri := 0
+			for ; p < end; p++ {
+				for ri < len(b.Rows) && b.Rows[ri] < rows[p] {
+					ri++
+				}
+				if col != nil && ri < len(b.Rows) && b.Rows[ri] == rows[p] {
+					f(p, &col[ri])
+				} else {
+					f(p, nil)
 				}
 			}
-			p = end
 		}
+		p = end
 	}
 }
 
@@ -181,32 +183,15 @@ func (g *BlockGrid) Factors(a *sparse.CSC) *lu.Factors {
 }
 
 // gatherCol copies column j's entries at the ascending global rows into
-// dst (zero on entry), resolving the block once per run of rows in one
-// supernode and walking its ascending row list alongside.
+// dst (zero on entry).
 func (g *BlockGrid) gatherCol(dst []float64, rows []int, j int) {
 	sup := g.St.Sym.SupOf
-	for p := 0; p < len(rows); {
-		bi := sup[rows[p]]
-		end := p + 1
-		for end < len(rows) && sup[rows[end]] == bi {
-			end++
+	blockOf := func(bi int) *Block { return g.Target(bi, sup[j]) }
+	walkCol(sup, rows, j, blockOf, func(p int, v *float64) {
+		if v != nil {
+			dst[p] = *v
 		}
-		if b := g.Target(bi, sup[j]); b != nil {
-			if c := lookup(b.Cols, j); c >= 0 {
-				col := b.Val[c*b.NR() : (c+1)*b.NR()]
-				ri := 0
-				for ; p < end; p++ {
-					for ri < len(b.Rows) && b.Rows[ri] < rows[p] {
-						ri++
-					}
-					if ri < len(b.Rows) && b.Rows[ri] == rows[p] {
-						dst[p] = col[ri]
-					}
-				}
-			}
-		}
-		p = end
-	}
+	})
 }
 
 // mergeGrids overlays the per-rank grids of one distributed run into a

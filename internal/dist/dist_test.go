@@ -103,12 +103,18 @@ func TestDistributedMatchesSerialFactors(t *testing.T) {
 	}
 }
 
+// wholeGrid is the grid of every structural block, the one rank's grid
+// on a 1×1 layout.
+func wholeGrid(st *Structure) *BlockGrid {
+	return newGrids(st, 1, func(int, int) int { return 0 })[0]
+}
+
 // oneRankFactor runs the distributed worker machinery on one rank
 // owning everything and returns its factored grid.
 func oneRankFactor(a *sparse.CSC, sym *symbolic.Result) *BlockGrid {
 	st := BuildStructure(sym)
-	blocks := NewGrid(st, nil)
-	blocks.Scatter(a)
+	blocks := wholeGrid(st)
+	scatter(a, []*BlockGrid{blocks}, func(int, int) int { return 0 })
 	mpisim.NewWorld(1, mpisim.T3E900()).Run(func(r *mpisim.Rank) {
 		p := newPlan(st, mpisim.NewGrid(1), false)
 		newWorker(r, p, blocks, Options{Procs: 1, ReplaceTinyPivot: true}, lu.TinyPivotThreshold(a.Norm1(), 0)).factorize()

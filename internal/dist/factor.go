@@ -138,36 +138,6 @@ func (w *worker) held(at int32, n int) []*Block {
 	return w.bg.blocks[at : int(at)+n : int(at)+n]
 }
 
-// target returns this rank's block (i, j) — a block on its process row
-// and column — or nil when the block is structurally absent.
-func (w *worker) target(i, j int) *Block {
-	switch {
-	case i == j:
-		return w.bg.blocks[w.diagPos(i)]
-	case i > j:
-		return pick(w.lPanel(j), w.p.l.group(j, w.myR), w.st.ColL[j], i)
-	default:
-		return pick(w.uRow(i), w.p.u.group(i, w.myC), w.st.RowU[i], j)
-	}
-}
-
-// pick returns the block of blks whose panel index list[members[x]] is
-// v, or nil; members ascend, and so does list.
-func pick(blks []*Block, members []int32, list []int, v int) *Block {
-	lo, hi := 0, len(members)
-	for lo < hi {
-		if h := int(uint(lo+hi) >> 1); list[members[h]] < v {
-			lo = h + 1
-		} else {
-			hi = h
-		}
-	}
-	if lo < len(members) && list[members[lo]] == v {
-		return blks[lo]
-	}
-	return nil
-}
-
 // diagPos returns the position of supernode k in w.diags; the rank must
 // own k's diagonal block.
 func (w *worker) diagPos(k int) int { return lookup(w.diags, k) }
@@ -317,7 +287,7 @@ func (w *worker) factorize() {
 			// supernodes: the block-level crossing exists but every
 			// elementwise contribution hits structural-zero padding, so no
 			// target block was ever allocated.
-			if t := w.target(st.ColL[k][li[a]], st.RowU[k][ui[b]]); t != nil {
+			if t := w.bg.Target(st.ColL[k][li[a]], st.RowU[k][ui[b]]); t != nil {
 				w.r.Compute(t.RankBUpdateInto(lBlk[a], uBlk[b], &w.ws))
 			}
 		}

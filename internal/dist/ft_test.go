@@ -285,11 +285,11 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	a, sym, _, _ := ftSystem(t, 31, 80)
 	st := BuildStructure(sym)
 	grid := mpisim.NewGrid(4)
+	grids := newGrids(st, 4, grid.OwnerOfBlock)
+	scatter(a, grids, grid.OwnerOfBlock)
+	restored := newGrids(st, 4, grid.OwnerOfBlock)
 	total := 0
-	for rank := 0; rank < 4; rank++ {
-		own := func(i, j int) bool { return grid.OwnerOfBlock(i, j) == rank }
-		blocks := NewGrid(st, own)
-		blocks.Scatter(a)
+	for rank, blocks := range grids {
 		// Deface the values so the round trip is not testing zeros.
 		i := 0
 		for _, b := range blocks.blocks {
@@ -299,7 +299,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 				i++
 			}
 		}
-		got := NewGrid(st, own)
+		got := restored[rank]
 		if err := got.decode(blocks.encode()); err != nil {
 			t.Fatal(err)
 		}
@@ -315,8 +315,8 @@ func TestCheckpointRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	if total != len(NewGrid(st, nil).blocks) {
-		t.Fatalf("the four ranks own %d blocks, the structure has %d", total, len(NewGrid(st, nil).blocks))
+	if n := len(wholeGrid(st).blocks); total != n {
+		t.Fatalf("the four ranks own %d blocks, the structure has %d", total, n)
 	}
 }
 
@@ -324,32 +324,37 @@ func TestCheckpointRoundTrip(t *testing.T) {
 func TestCheckpointRejectsCorruptBlob(t *testing.T) {
 	a, sym, _, _ := ftSystem(t, 31, 80)
 	st := BuildStructure(sym)
-	full := NewGrid(st, nil)
-	full.Scatter(a)
+	full := wholeGrid(st)
+	scatter(a, []*BlockGrid{full}, func(int, int) int { return 0 })
 	blob := full.encode()
-	if err := NewGrid(st, nil).decode(blob[:len(blob)-4]); err == nil {
+	if err := wholeGrid(st).decode(blob[:len(blob)-4]); err == nil {
 		t.Fatal("truncated blob restored without error")
 	}
-	if err := NewGrid(st, nil).decode(blob[8:]); err == nil {
+	if err := wholeGrid(st).decode(blob[8:]); err == nil {
 		t.Fatal("misaligned blob restored without error")
 	}
 	// A blob of another rank's blocks: the block count differs.
-	part := NewGrid(st, func(i, j int) bool { return (i+j)%2 == 0 })
+	part := evenGrid(st)
 	if err := part.decode(blob); err == nil {
 		t.Fatal("blob with a different block count restored without error")
 	}
 	// Same count, but the first block's value count is wrong.
 	bad := append([]byte(nil), blob...)
 	bad[16]++
-	if err := NewGrid(st, nil).decode(bad); err == nil {
+	if err := wholeGrid(st).decode(bad); err == nil {
 		t.Fatal("blob with a wrong value count restored without error")
 	}
 	// Same count, but a block id the skeleton does not expect there.
 	bad = append([]byte(nil), blob...)
 	bad[8]++
-	if err := NewGrid(st, nil).decode(bad); err == nil {
+	if err := wholeGrid(st).decode(bad); err == nil {
 		t.Fatal("blob naming the wrong block restored without error")
 	}
+}
+
+// evenGrid holds the structural blocks (i, j) with i+j even.
+func evenGrid(st *Structure) *BlockGrid {
+	return newGrids(st, 1, func(i, j int) int { return -((i + j) % 2) })[0]
 }
 
 // Under gespcheck, merging per-rank grids rejects a block owned twice or
@@ -360,9 +365,9 @@ func TestMergeGridsChecksOwnership(t *testing.T) {
 	}
 	_, sym, _, _ := ftSystem(t, 31, 80)
 	st := BuildStructure(sym)
-	even := NewGrid(st, func(i, j int) bool { return (i+j)%2 == 0 })
+	even := evenGrid(st)
 	for name, grids := range map[string][]*BlockGrid{
-		"owned twice": {NewGrid(st, nil), even},
+		"owned twice": {wholeGrid(st), even},
 		"unowned":     {even},
 	} {
 		func() {

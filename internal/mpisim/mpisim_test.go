@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestPingPongClockSemantics(t *testing.T) {
@@ -156,20 +157,35 @@ func TestRecvAnyPicksEarliestArrival(t *testing.T) {
 	}
 }
 
-// awaitWaiting spins until rank id's mailbox records that it waits on
-// want, so the next put exercises the wake rule rather than the check
-// before the wait.
-func awaitWaiting(w *World, id, want int) {
-	mb := w.mail[id]
-	for {
-		mb.mu.Lock()
-		ok := mb.want == want
-		mb.mu.Unlock()
-		if ok {
-			return
+// spinUntil yields until cond holds and reports true, or fails the test
+// and reports false once the world has failed or 10 s have passed, so a
+// rank that calls it always returns.
+func spinUntil(t *testing.T, w *World, what string, cond func() bool) bool {
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if f := w.Failure(); f != nil {
+			t.Errorf("world failed while waiting for %s: %+v", what, f)
+			return false
+		}
+		if time.Now().After(deadline) {
+			t.Errorf("gave up waiting for %s", what)
+			return false
 		}
 		runtime.Gosched()
 	}
+	return true
+}
+
+// awaitWaiting waits until rank id's mailbox records that it waits on
+// want, so the next put exercises the wake rule rather than the check
+// before the wait.
+func awaitWaiting(t *testing.T, w *World, id, want int) bool {
+	mb := w.mail[id]
+	return spinUntil(t, w, fmt.Sprintf("rank %d to wait on key %d", id, want), func() bool {
+		mb.mu.Lock()
+		defer mb.mu.Unlock()
+		return mb.want == want
+	})
 }
 
 // A Recv waiting on (0, A) is not woken by (0, B) traffic, completes
@@ -181,7 +197,9 @@ func TestRecvBehindOtherTags(t *testing.T) {
 	var got []int
 	w.Run(func(r *Rank) {
 		if r.ID() == 0 {
-			awaitWaiting(w, 1, tagKey(0, 1))
+			if !awaitWaiting(t, w, 1, tagKey(0, 1)) {
+				return
+			}
 			for i := 0; i < 1000; i++ {
 				r.Send(1, 2, i, 8)
 			}
@@ -215,14 +233,13 @@ func TestRecvAnyWakesOnAnyTag(t *testing.T) {
 	w.Run(func(r *Rank) {
 		switch r.ID() {
 		case 0:
-			awaitWaiting(w, 2, wantAny)
-			r.Send(2, 11, nil, 8)
-		case 1:
-			for !first.Load() {
-				runtime.Gosched()
+			if awaitWaiting(t, w, 2, wantAny) {
+				r.Send(2, 11, nil, 8)
 			}
-			awaitWaiting(w, 2, wantAny)
-			r.Send(2, 12, nil, 8)
+		case 1:
+			if spinUntil(t, w, "the first RecvAny", first.Load) && awaitWaiting(t, w, 2, wantAny) {
+				r.Send(2, 12, nil, 8)
+			}
 		case 2:
 			for i := 0; i < 2; i++ {
 				_, tag, _ := r.RecvAny()
