@@ -59,12 +59,14 @@ func checkRecovered(t *testing.T, name string, res *Result, rec *Recovery, base 
 	if e := sparse.RelErrInf(res.X, want); e > 1e-9 {
 		t.Fatalf("%s: recovered solution error %g", name, e)
 	}
-	// The factors are bit-identical (fingerprint above); the solution
-	// agrees to roundoff only, because the message-driven triangular
-	// solve reduces partial sums in RecvAny arrival-resolution order,
-	// which depends on host scheduling.
-	if e := sparse.RelErrInf(res.X, base.X); e > 1e-9 {
-		t.Fatalf("%s: recovered solution differs from fault-free by %g", name, e)
+	// The solve runs on the scheduler's virtual-time order, so it is as
+	// deterministic as the factors: the recovered X is the fault-free one
+	// bit for bit.
+	for i := range res.X {
+		if math.Float64bits(res.X[i]) != math.Float64bits(base.X[i]) {
+			t.Errorf("%s: recovered X[%d] = %v, fault-free %v", name, i, res.X[i], base.X[i])
+			break
+		}
 	}
 	if len(rec.Failures) != rec.Restarts {
 		t.Fatalf("%s: %d failure reports for %d restarts", name, len(rec.Failures), rec.Restarts)
@@ -268,12 +270,17 @@ func TestSolveFTDeterminism(t *testing.T) {
 		rec1.AddedSimTime != rec2.AddedSimTime || rec1.DetectLatency != rec2.DetectLatency {
 		t.Fatalf("recovery accounting differs across identical chaos runs:\n%+v\n%+v", rec1, rec2)
 	}
-	// Factor-phase times are exactly reproducible (tag-directed receives
-	// serialize the dataflow); the solve phase is compared by message
-	// count only, since its RecvAny reduction order tracks host timing.
+	// Both phases are exactly reproducible: tag-directed receives
+	// serialize the factor's dataflow, and the scheduler picks the
+	// solve's RecvAny order in virtual time.
 	if r1.Factor.SimTime != r2.Factor.SimTime || r1.Factor.Messages != r2.Factor.Messages ||
-		r1.Solve.Messages != r2.Solve.Messages {
-		t.Fatalf("phase stats differ across identical chaos runs:\n%+v\n%+v", r1.Factor, r2.Factor)
+		r1.Solve.SimTime != r2.Solve.SimTime || r1.Solve.Messages != r2.Solve.Messages {
+		t.Fatalf("phase stats differ across identical chaos runs:\n%+v %+v\n%+v %+v", r1.Factor, r1.Solve, r2.Factor, r2.Solve)
+	}
+	for i := range r1.X {
+		if math.Float64bits(r1.X[i]) != math.Float64bits(r2.X[i]) {
+			t.Fatalf("X[%d] differs across identical chaos runs: %v vs %v", i, r1.X[i], r2.X[i])
+		}
 	}
 	if rec1.Restarts < 1 {
 		t.Fatal("determinism scenario never failed; pick a different killAt")

@@ -1,9 +1,6 @@
 package mpisim
 
-import (
-	"sync"
-	"time"
-)
+import "time"
 
 // This file is the chaos-injection layer: a deterministic fault plan the
 // runtime consults on every send and at every runtime-call boundary. The
@@ -40,7 +37,8 @@ type RankFault struct {
 // identically. One-shot state (fired rank faults, the drop budget) is
 // mutable: share a single plan across restart attempts so a fault is
 // not re-injected into the recovered run, and build a fresh plan (see
-// faultsim.Chaos) for each independent run.
+// faultsim.Chaos) for each independent run. Worlds that share a plan
+// must run one after another, as a restart lineage does.
 type FaultPlan struct {
 	// Seed drives every probabilistic decision.
 	Seed int64
@@ -70,10 +68,7 @@ type FaultPlan struct {
 	// nondeterministic and excluded from every determinism guarantee).
 	WallBackstop time.Duration
 
-	mu sync.Mutex
-	//gesp:guardedby:mu
 	fired []bool
-	//gesp:guardedby:mu
 	drops int
 }
 
@@ -91,8 +86,6 @@ func (p *FaultPlan) nextRankFault(rank int, clock float64) *RankFault {
 	if len(p.RankFaults) == 0 {
 		return nil
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if p.fired == nil {
 		p.fired = make([]bool, len(p.RankFaults))
 	}
@@ -112,8 +105,6 @@ func (p *FaultPlan) dropMessage(src, dst, tag int, seq int64) bool {
 	if p.DropProb <= 0 || chance(p.Seed, saltDrop, src, dst, tag, seq) >= p.DropProb {
 		return false
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	budget := p.MaxDrops
 	if budget <= 0 {
 		budget = 1
@@ -171,10 +162,7 @@ func fnvMix64(h, v uint64) uint64 {
 	return h
 }
 
-// rankDeath unwinds the goroutine of a rank the fault plan just killed;
-// rankAbort unwinds a rank that hit a world failure through the
-// panic-on-error legacy API (Send/Recv/Barrier without the Timeout
-// suffix). World.Run recovers both.
-type rankDeath struct{}
-
-type rankAbort struct{ err error }
+// rankUnwind unwinds a rank's coroutine: a rank the fault plan just
+// killed, a rank that met a world failure, or a rank whose coroutine Run
+// is stopping. World.Run recovers it.
+type rankUnwind struct{}

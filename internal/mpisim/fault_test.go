@@ -2,13 +2,14 @@ package mpisim
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 )
 
-// Tests for the chaos layer and the watchdog supervisor. Every plan
-// arms the wall backstop so a supervisor bug fails the test instead of
-// hanging it (go test's own -timeout is the second backstop).
+// Tests for the chaos layer and the watchdog. Every plan arms the wall
+// backstop so a scheduler bug fails the test instead of hanging it (go
+// test's own -timeout is the second backstop).
 
 const testBackstop = 10 * time.Second
 
@@ -18,16 +19,72 @@ func planWith(f func(p *FaultPlan)) *FaultPlan {
 	return p
 }
 
+// Test-program collectives over Send/Recv: a flat broadcast from root,
+// and a sum gathered to rank 0 in rank order and broadcast back.
+const tagBcast, tagReduce = 100, 101
+
+func bcast(r *Rank, root int, v any) any {
+	if r.ID() != root {
+		return r.Recv(root, tagBcast)
+	}
+	for dst := 0; dst < r.Size(); dst++ {
+		if dst != root {
+			r.Send(dst, tagBcast, v, 8)
+		}
+	}
+	return v
+}
+
+func allreduceSum(r *Rank, v float64) float64 {
+	if r.ID() != 0 {
+		r.Send(0, tagReduce, v, 8)
+		return bcast(r, 0, nil).(float64)
+	}
+	for src := 1; src < r.Size(); src++ {
+		v += r.Recv(src, tagReduce).(float64)
+	}
+	return bcast(r, 0, v).(float64)
+}
+
+// checkUnwound checks that every rank but skip (the dead or finished
+// one) was charged the watchdog's detection time: each blocked, then
+// unwound at DetectedAt.
+func checkUnwound(t *testing.T, w *World, f *FailureReport, skip int) {
+	t.Helper()
+	for id, s := range w.Snapshots() {
+		if id != skip && s.Clock != f.DetectedAt {
+			t.Errorf("rank %d clock %g, want DetectedAt %g", id, s.Clock, f.DetectedAt)
+		}
+	}
+	if f.DetectedAt <= f.FaultTime {
+		t.Errorf("DetectedAt %g not after FaultTime %g", f.DetectedAt, f.FaultTime)
+	}
+}
+
+// checkWaits checks the report's waits against want, in rank order.
+func checkWaits(t *testing.T, f *FailureReport, want ...WaitInfo) {
+	t.Helper()
+	got := make([]WaitInfo, len(f.Waits))
+	for i, wi := range f.Waits {
+		wi.Clock = 0
+		got[i] = wi
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("waits %+v, want %+v", got, want)
+	}
+}
+
 // A dead rank must fail Barrier with ErrRankDead, not hang it.
 func TestDeadRankFailsBarrier(t *testing.T) {
 	w := NewWorld(4, T3E900())
 	w.InstallFaults(planWith(func(p *FaultPlan) {
 		p.RankFaults = []RankFault{{Rank: 2, At: 0}}
 	}))
-	errs := make([]error, 4)
+	passed := make([]bool, 4)
 	w.Run(func(r *Rank) {
 		r.Compute(100) // rank 2 dies here
-		errs[r.ID()] = r.BarrierTimeout()
+		r.Barrier()
+		passed[r.ID()] = true
 	})
 	f := w.Failure()
 	if f == nil {
@@ -36,25 +93,21 @@ func TestDeadRankFailsBarrier(t *testing.T) {
 	if !errors.Is(f.Err, ErrRankDead) || f.Kind != "kill" || f.Rank != 2 {
 		t.Fatalf("report = %+v, want ErrRankDead kill of rank 2", f)
 	}
-	if f.DetectedAt <= f.FaultTime {
-		t.Fatalf("DetectedAt %g not after FaultTime %g", f.DetectedAt, f.FaultTime)
+	if fmt.Sprint(passed) != "[false false false false]" {
+		t.Fatalf("ranks past the barrier %v, want none", passed)
 	}
-	for id, err := range errs {
-		if id == 2 {
-			continue // never reached the barrier
-		}
-		if !errors.Is(err, ErrRankDead) {
-			t.Fatalf("rank %d barrier error = %v, want ErrRankDead", id, err)
-		}
-	}
-	if len(f.Waits) == 0 || len(f.LastRecv) != 4 {
-		t.Fatalf("wait graph %d entries, last-recv %d entries; want >0 and 4",
-			len(f.Waits), len(f.LastRecv))
+	checkUnwound(t, w, f, 2)
+	b := WaitInfo{Op: "barrier", Src: -1, Tag: -1}
+	b0, b1, b3 := b, b, b
+	b1.Rank, b3.Rank = 1, 3
+	checkWaits(t, f, b0, b1, b3)
+	if len(f.LastRecv) != 4 {
+		t.Fatalf("last-recv %d entries, want 4", len(f.LastRecv))
 	}
 }
 
-// A dead rank must fail Allreduce (which uses the legacy panic-on-error
-// API) by unwinding the survivors, not hanging them.
+// A dead rank must fail an allreduce by unwinding the survivors, not
+// hanging them.
 func TestDeadRankFailsAllreduce(t *testing.T) {
 	w := NewWorld(4, T3E900())
 	w.InstallFaults(planWith(func(p *FaultPlan) {
@@ -63,7 +116,7 @@ func TestDeadRankFailsAllreduce(t *testing.T) {
 	finished := make([]bool, 4)
 	w.Run(func(r *Rank) {
 		r.Compute(10)
-		r.AllreduceSum(1.0)
+		allreduceSum(r, 1.0)
 		finished[r.ID()] = true
 	})
 	f := w.Failure()
@@ -75,6 +128,9 @@ func TestDeadRankFailsAllreduce(t *testing.T) {
 			t.Fatalf("rank %d finished an allreduce missing a participant", id)
 		}
 	}
+	checkUnwound(t, w, f, 1)
+	checkWaits(t, f, WaitInfo{Rank: 0, Op: "recv", Src: 1, Tag: tagReduce},
+		WaitInfo{Rank: 2, Op: "recv", Src: 0, Tag: tagBcast}, WaitInfo{Rank: 3, Op: "recv", Src: 0, Tag: tagBcast})
 }
 
 // Killing the broadcast root wedges every receiver; the watchdog must
@@ -86,12 +142,15 @@ func TestKillRootFailsBcast(t *testing.T) {
 	}))
 	w.Run(func(r *Rank) {
 		r.Compute(1) // root dies before sending
-		r.Bcast(0, 42, 8)
+		bcast(r, 0, 42)
 	})
 	f := w.Failure()
 	if f == nil || !errors.Is(f.Err, ErrRankDead) || f.Kind != "kill" || f.Rank != 0 {
 		t.Fatalf("report = %+v, want kill of rank 0", f)
 	}
+	checkUnwound(t, w, f, 0)
+	checkWaits(t, f, WaitInfo{Rank: 1, Op: "recv", Src: 0, Tag: tagBcast},
+		WaitInfo{Rank: 2, Op: "recv", Src: 0, Tag: tagBcast}, WaitInfo{Rank: 3, Op: "recv", Src: 0, Tag: tagBcast})
 }
 
 // Stalling the reduction root past the watchdog deadline counts as
@@ -103,12 +162,15 @@ func TestStallRootFailsReduce(t *testing.T) {
 	}))
 	w.Run(func(r *Rank) {
 		r.Compute(1)
-		r.AllreduceMax(float64(r.ID()))
+		allreduceSum(r, float64(r.ID()))
 	})
 	f := w.Failure()
 	if f == nil || !errors.Is(f.Err, ErrRankDead) || f.Kind != "stall" || f.Rank != 0 {
 		t.Fatalf("report = %+v, want stall-death of rank 0", f)
 	}
+	checkUnwound(t, w, f, 0)
+	checkWaits(t, f, WaitInfo{Rank: 1, Op: "recv", Src: 0, Tag: tagBcast},
+		WaitInfo{Rank: 2, Op: "recv", Src: 0, Tag: tagBcast}, WaitInfo{Rank: 3, Op: "recv", Src: 0, Tag: tagBcast})
 }
 
 // A stall shorter than the watchdog deadline is a survivable hiccup:
@@ -146,20 +208,24 @@ func TestDroppedMessageWedges(t *testing.T) {
 		p.DropProb = 1
 		p.MaxDrops = 1
 	}))
-	var recvErr error
+	received := false
 	w.Run(func(r *Rank) {
 		if r.ID() == 0 {
 			r.Send(1, 3, "lost", 64)
 		} else {
-			_, recvErr = r.RecvTimeout(0, 3)
+			r.Recv(0, 3)
+			received = true
 		}
 	})
 	f := w.Failure()
 	if f == nil || !errors.Is(f.Err, ErrTimeout) || f.Kind != "wedge" || f.Rank != -1 {
 		t.Fatalf("report = %+v, want ErrTimeout wedge with no implicated rank", f)
 	}
-	if !errors.Is(recvErr, ErrTimeout) {
-		t.Fatalf("RecvTimeout error = %v, want ErrTimeout", recvErr)
+	if received {
+		t.Fatal("the receive of a dropped message completed")
+	}
+	if c := w.Snapshots()[1].Clock; c != f.DetectedAt || f.DetectedAt != DefaultWatchdogDeadline {
+		t.Fatalf("receiver clock %g, DetectedAt %g; want both the watchdog deadline", c, f.DetectedAt)
 	}
 	if s := w.GatherStats(); s.Dropped != 1 {
 		t.Fatalf("Dropped = %d, want 1", s.Dropped)
@@ -184,24 +250,26 @@ func TestDroppedMessageWedgesBehindOtherTags(t *testing.T) {
 		p.DropProb = 1
 		p.MaxDrops = 1
 	}))
-	var recvErr error
+	received := false
 	w.Run(func(r *Rank) {
 		if r.ID() == 0 {
 			r.Send(1, 3, "lost", 64) // the whole drop budget
 			r.Send(1, 4, "kept", 64)
 			r.Send(1, 5, "kept", 64)
 		} else {
-			_, recvErr = r.RecvTimeout(0, 3)
+			r.Recv(0, 3)
+			received = true
 		}
 	})
 	f := w.Failure()
 	if f == nil || !errors.Is(f.Err, ErrTimeout) || f.Kind != "wedge" || f.Rank != -1 {
 		t.Fatalf("report = %+v, want ErrTimeout wedge with no implicated rank", f)
 	}
-	if !errors.Is(recvErr, ErrTimeout) {
-		t.Fatalf("RecvTimeout error = %v, want ErrTimeout", recvErr)
+	if received {
+		t.Fatal("the receive of a dropped message completed")
 	}
-	if !w.mail[1].queued(0, 4) || !w.mail[1].queued(0, 5) {
+	checkUnwound(t, w, f, 0) // rank 0 finished its sends
+	if q := &w.mail[1].from[0]; q.find(4) < 0 || q.find(5) < 0 {
 		t.Fatal("the non-matching messages are not queued at the wedge")
 	}
 }
@@ -278,7 +346,7 @@ func TestChaosRepeatability(t *testing.T) {
 				r.Recv(prev, 9)
 				r.Barrier()
 			}
-			r.AllreduceSum(float64(r.ID()))
+			allreduceSum(r, float64(r.ID()))
 		})
 		if f := w.Failure(); f != nil {
 			t.Fatalf("chaos program failed: %+v", f)
@@ -335,23 +403,29 @@ func TestFailureDeterminism(t *testing.T) {
 	}
 }
 
-// RecvTimeout on a healthy world behaves exactly like Recv.
-func TestRecvTimeoutHealthy(t *testing.T) {
-	w := NewWorld(2, T3E900())
-	var got any
-	var err error
-	w.Run(func(r *Rank) {
-		if r.ID() == 0 {
-			r.Compute(500)
-			r.Send(1, 11, "payload", 32)
-		} else {
-			got, err = r.RecvTimeout(0, 11)
+// An armed watchdog stays silent on a healthy world: a world with an
+// empty fault plan runs the same program to the same clocks as one
+// without.
+func TestWatchdogQuietWhenHealthy(t *testing.T) {
+	run := func(plan *FaultPlan) []Snapshot {
+		w := NewWorld(2, T3E900())
+		if plan != nil {
+			w.InstallFaults(plan)
 		}
-	})
-	if err != nil || got != "payload" {
-		t.Fatalf("got %v, %v", got, err)
+		w.Run(func(r *Rank) {
+			if r.ID() == 0 {
+				r.Compute(500)
+				r.Send(1, 11, "payload", 32)
+			} else if got := r.Recv(0, 11); got != "payload" {
+				t.Errorf("received %v", got)
+			}
+		})
+		if f := w.Failure(); f != nil {
+			t.Fatalf("healthy run reported a failure: %+v", f)
+		}
+		return w.Snapshots()
 	}
-	if w.Failure() != nil {
-		t.Fatal("healthy run reported a failure")
+	if with, without := run(planWith(func(*FaultPlan) {})), run(nil); fmt.Sprint(with) != fmt.Sprint(without) {
+		t.Fatalf("clocks under an empty plan %+v, without one %+v", with, without)
 	}
 }

@@ -2,9 +2,10 @@
 // the Cray T3E (see DESIGN.md: the build environment has no MPI, so the
 // distributed algorithms run on an in-process runtime).
 //
-// Each rank is a goroutine. Point-to-point messages carry a tag and are
-// matched by (source, tag) like MPI_Recv. On top of real concurrency the
-// runtime keeps a LogGP-style *virtual clock* per rank:
+// Each rank runs its body as a coroutine, and a virtual-time scheduler
+// resumes one rank at a time (sched.go). Point-to-point messages carry a
+// tag and are matched by (source, tag) like MPI_Recv. The runtime keeps
+// a LogGP-style *virtual clock* per rank:
 //
 //   - computation advances the local clock by flops·CostPerFlop,
 //   - a message send costs SendOverhead on the sender,
@@ -12,19 +13,21 @@
 //     Latency + bytes·CostPerByte), and the receiver's waiting time is
 //     accounted as communication time.
 //
-// Simulated time is deterministic and machine independent, which is what
-// the scaling tables (paper Tables 3–5) are measured in; wall-clock time
-// is also real because ranks genuinely run in parallel.
+// Simulated time is what the scaling tables (paper Tables 3–5) are
+// measured in. It is deterministic and machine independent, and so is
+// every choice the runtime makes: RecvAny takes the earliest message in
+// virtual time once no rank could still send an earlier one, so a run —
+// its clocks, its message order, its floating-point results — is a
+// function of the program and the fault plan alone.
 //
 // A message's arrival is fixed when it is sent. Each rank's mailbox
 // keeps one FIFO queue per source, deduplicated by a per-source
-// sequence watermark, and a send wakes the receiver only when it waits
-// on that (source, tag) or on any message.
+// sequence watermark, and a send queues the receiver only when the
+// message can end its wait.
 package mpisim
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 )
 
@@ -65,43 +68,35 @@ type World struct {
 	P     int
 	Model CostModel
 
-	mail []*mailbox
-	plan *FaultPlan
-	sup  *supervisor
+	mail  []mailbox
+	ranks []*Rank
+	plan  *FaultPlan
+
+	// The scheduler's state (sched.go): the runnable ranks, the declared
+	// failure (atomic only for the wall backstop's timer), and the first
+	// rank death, which becomes its root cause.
+	queue   runQueue
+	failure atomic.Pointer[FailureReport]
+	death   *FailureReport
 
 	// Chaos accounting (only nonzero under a fault plan).
-	dropped    atomic.Int64
-	duplicated atomic.Int64
-	deduped    atomic.Int64
-	delayed    atomic.Int64
-	stalls     atomic.Int64
+	dropped, duplicated, deduped, delayed, stalls int64
 
-	barrierMu   sync.Mutex
-	barrierCond *sync.Cond
-	//gesp:guardedby:barrierMu
-	barrierCount int
-	//gesp:guardedby:barrierMu
-	barrierGen int
-	//gesp:guardedby:barrierMu
-	barrierClock float64
-	//gesp:guardedby:barrierMu
-	barrierClockPending float64
-
-	ranks []*Rank
+	// The barrier in progress: ranks arrived, their latest clock, and the
+	// count and release clock of completed barriers.
+	barrierCount   int
+	barrierPending float64
+	barrierGen     int
+	barrierClock   float64
 }
 
 // NewWorld creates a simulator with p ranks.
 func NewWorld(p int, model CostModel) *World {
-	w := &World{P: p, Model: model}
-	w.barrierCond = sync.NewCond(&w.barrierMu)
-	w.mail = make([]*mailbox, p)
-	w.ranks = make([]*Rank, p)
-	for i := 0; i < p; i++ {
-		w.mail[i] = newMailbox(p)
-		w.ranks[i] = &Rank{world: w, id: i, seqTo: make([]int64, p)}
-		w.ranks[i].lastRecvKey.Store(-1)
+	w := &World{P: p, Model: model, mail: make([]mailbox, p), ranks: make([]*Rank, p)}
+	for i := range w.ranks {
+		w.mail[i].from = make([]queue, p)
+		w.ranks[i] = &Rank{world: w, id: i, seqTo: make([]int64, p), lastRecv: RecvStamp{Src: -1, Tag: -1}, slot: -1}
 	}
-	w.sup = newSupervisor(w)
 	return w
 }
 
@@ -111,44 +106,6 @@ func NewWorld(p int, model CostModel) *World {
 // budget) fire at most once across the whole lineage.
 func (w *World) InstallFaults(p *FaultPlan) { w.plan = p }
 
-// Run executes body on every rank concurrently and waits for all to
-// finish. It is the moral equivalent of mpirun.
-//
-// Unlike a bare goroutine fan-out, a rank that dies — killed by the
-// fault plan, aborted by a world failure, or panicking on its own —
-// does not hang the world: the supervisor marks it dead, the survivors
-// run to a quiescent state, and the watchdog converts the inevitable
-// wedge into a FailureReport (see Failure). A panic unrelated to the
-// runtime is reported with Kind "panic" and its value preserved.
-func (w *World) Run(body func(r *Rank)) {
-	w.sup = newSupervisor(w) // fresh supervision per Run (worlds may Run repeatedly)
-	if w.plan != nil && w.plan.WallBackstop > 0 {
-		stop := w.startWallBackstop(w.plan.WallBackstop) //gesp:wallclock sanctioned backstop: host timer only converts a wedged simulation into a report
-		defer stop()
-	}
-	var wg sync.WaitGroup
-	wg.Add(w.P)
-	for i := 0; i < w.P; i++ {
-		go func(r *Rank) {
-			defer wg.Done()
-			defer func() {
-				switch e := recover(); e.(type) {
-				case nil:
-					w.sup.rankDone(r.id)
-				case rankDeath, rankAbort:
-					// Already accounted by the supervisor (death) or a
-					// consequence of an existing failure (abort).
-					w.sup.rankDone(r.id)
-				default:
-					w.sup.rankDead(r.id, "panic", r.clock, e)
-				}
-			}()
-			body(r)
-		}(w.ranks[i])
-	}
-	wg.Wait()
-}
-
 // Rank is one simulated processor.
 type Rank struct {
 	world *World
@@ -157,14 +114,20 @@ type Rank struct {
 	clock    float64 // virtual time (seconds)
 	commTime float64 // part of clock spent sending/waiting
 	flops    int64
-	sent     int64   // messages sent
-	sentVol  int64   // payload bytes sent
-	seqTo    []int64 // per-destination send sequence numbers
+	sent     int64     // messages sent
+	sentVol  int64     // payload bytes sent
+	seqTo    []int64   // per-destination send sequence numbers
+	lastRecv RecvStamp // last delivered message, for failure reports
 
-	// Last delivered message, for failure reports (read by the
-	// supervisor while this rank may still be running).
-	lastRecvKey atomic.Int64 // src<<20|tag, -1 if none yet
-	lastRecvSeq atomic.Int64
+	// Scheduling (sched.go): liveness, what the rank waits on while
+	// suspended, its run-queue key and position, and its coroutine.
+	state rankState
+	wait  waiter
+	at    float64
+	slot  int
+	yield func(handoff) bool
+	next  func() (handoff, bool)
+	stop  func()
 }
 
 // ID returns the rank number in [0, P).
@@ -174,10 +137,9 @@ func (r *Rank) ID() int { return r.id }
 func (r *Rank) Size() int { return r.world.P }
 
 // applyFaults consults the fault plan at a runtime-call boundary: a
-// pending kill unwinds the rank (marking it dead with the supervisor),
-// a short stall just advances the virtual clock, and a stall past the
-// watchdog deadline counts as death (no watchdog could tell the
-// difference).
+// pending kill unwinds the rank, marking it dead, a short stall just
+// advances the virtual clock, and a stall past the watchdog deadline
+// counts as death (no watchdog could tell the difference).
 func (r *Rank) applyFaults() {
 	p := r.world.plan
 	if p == nil {
@@ -190,24 +152,25 @@ func (r *Rank) applyFaults() {
 		}
 		if rf.Stall > 0 && rf.Stall < p.watchdog() {
 			r.clock += rf.Stall
-			r.world.stalls.Add(1)
+			r.world.stalls++
 			continue
 		}
 		kind := "kill"
 		if rf.Stall > 0 {
 			kind = "stall"
 		}
-		r.world.sup.rankDead(r.id, kind, r.clock, nil)
-		panic(rankDeath{})
+		r.world.rankDead(r, kind, nil)
+		panic(rankUnwind{})
 	}
 }
 
-// failed charges the watchdog's detection time to the rank's clock and
-// returns the failure error. It also clears any stale block record.
-func (r *Rank) failed(f *FailureReport) error {
-	r.world.sup.unblock(r.id)
-	r.waitUntil(f.DetectedAt)
-	return f.Err
+// abortIfFailed unwinds the rank once the world has failed, charging the
+// watchdog's detection time to its clock.
+func (r *Rank) abortIfFailed() {
+	if f := r.world.failure.Load(); f != nil {
+		r.waitUntil(f.DetectedAt)
+		panic(rankUnwind{})
+	}
 }
 
 // waitUntil advances the clock to t, if later, charging the gap to
@@ -219,12 +182,13 @@ func (r *Rank) waitUntil(t float64) {
 	}
 }
 
-// deliver advances the rank's clock to a received message's arrival
-// time and records the receive stamp for failure reports.
-func (r *Rank) deliver(m *message) {
-	r.lastRecvKey.Store(int64(tagKey(m.src, m.tag)))
-	r.lastRecvSeq.Store(m.seq)
+// deliver removes the message at position pos of src's queue, advances
+// the clock to its arrival and records the receive for failure reports.
+func (r *Rank) deliver(src, pos int) message {
+	m := r.world.mail[r.id].take(src, pos)
+	r.lastRecv = RecvStamp{Src: m.src, Tag: m.tag, Seq: m.seq}
 	r.waitUntil(m.arrival)
+	return m
 }
 
 // Compute advances the rank's virtual clock by the cost of the given
@@ -233,13 +197,6 @@ func (r *Rank) Compute(flops int64) {
 	r.applyFaults()
 	r.flops += flops
 	r.clock += float64(flops) * r.world.Model.CostPerFlop
-}
-
-// Elapse advances the virtual clock by a fixed amount of non-flop work
-// (indexing, packing); cost accounting only.
-func (r *Rank) Elapse(seconds float64) {
-	r.applyFaults()
-	r.clock += seconds
 }
 
 // Send delivers payload to rank dst with the given tag. bytes is the
@@ -254,10 +211,8 @@ func (r *Rank) Send(dst, tag int, payload any, bytes int) {
 	}
 	tagKey(r.id, tag) // range check
 	r.applyFaults()
+	r.abortIfFailed()
 	w := r.world
-	if f := w.sup.failure.Load(); f != nil {
-		panic(rankAbort{r.failed(f)})
-	}
 	r.clock += w.Model.SendOverhead
 	r.commTime += w.Model.SendOverhead
 	r.seqTo[dst]++
@@ -268,24 +223,31 @@ func (r *Rank) Send(dst, tag int, payload any, bytes int) {
 	dup := false
 	if p := w.plan; p != nil {
 		if p.dropMessage(r.id, dst, tag, m.seq) {
-			w.dropped.Add(1)
+			w.dropped++
 			return
 		}
 		if delay = p.delayFor(r.id, dst, tag, m.seq); delay > 0 {
-			w.delayed.Add(1)
+			w.delayed++
 		}
 		if dup = p.dupMessage(r.id, dst, tag, m.seq); dup {
-			w.duplicated.Add(1)
+			w.duplicated++
 		}
 	}
 	m.floor = r.clock + w.Model.Latency
 	m.arrival = m.floor + float64(bytes)*w.Model.CostPerByte + delay
-	if w.mail[dst].put(m) {
-		w.deduped.Add(1)
+	w.post(dst, &m)
+	if dup {
+		w.post(dst, &m)
 	}
-	if dup && w.mail[dst].put(m) {
-		w.deduped.Add(1)
+}
+
+// post puts m in dst's mailbox and queues dst if m can end its wait.
+func (w *World) post(dst int, m *message) {
+	if w.mail[dst].put(*m) {
+		w.deduped++
+		return
 	}
+	w.wake(w.ranks[dst], m)
 }
 
 // Recv blocks until a message with the given source and tag arrives, then
@@ -293,61 +255,16 @@ func (r *Rank) Send(dst, tag int, payload any, bytes int) {
 // arrival time (transit = latency + bytes·cost + injected delay), and
 // any gap the rank spent blocked is accounted as communication time.
 // If the watchdog declares the world failed while waiting, Recv unwinds
-// the rank instead of blocking forever (see Run); use RecvTimeout to
-// handle the failure in place.
+// the rank instead of blocking forever (see Run).
 func (r *Rank) Recv(src, tag int) any {
-	payload, err := r.RecvTimeout(src, tag)
-	if err != nil {
-		panic(rankAbort{err})
-	}
-	return payload
-}
-
-// RecvTimeout is Recv with watchdog protection surfaced as an error:
-// when the awaited message can no longer arrive — the sender died, the
-// message was dropped and the world wedged, or the wall backstop fired —
-// it returns ErrRankDead or ErrTimeout (the rank's clock advanced to
-// the detection time) instead of blocking forever.
-func (r *Rank) RecvTimeout(src, tag int) (any, error) {
-	m, err := r.recv(src, tag)
-	return m.payload, err
-}
-
-// recv is the one blocking receive: the first (src, tag) message, or
-// with src < 0 the message RecvAny's rule picks (see mailbox.take).
-// While it waits, the mailbox knows what for, so only a message that
-// can satisfy the wait wakes it.
-func (r *Rank) recv(src, tag int) (message, error) {
 	r.applyFaults()
-	w := r.world
-	mb := w.mail[r.id]
-	wt, want := waiter{kind: waitRecvAny}, wantAny
-	if src >= 0 {
-		wt, want = waiter{kind: waitRecv, src: src, tag: tag}, tagKey(src, tag)
-	}
+	q := &r.world.mail[r.id].from[src]
 	for {
-		if f := w.sup.failure.Load(); f != nil {
-			return message{}, r.failed(f)
+		r.abortIfFailed()
+		if pos := q.find(tag); pos >= 0 {
+			return r.deliver(src, pos).payload
 		}
-		mb.mu.Lock()
-		m, ok := mb.take(src, tag)
-		mb.mu.Unlock()
-		if ok {
-			r.deliver(&m)
-			return m, nil
-		}
-		wt.clock = r.clock
-		if err := w.sup.block(r.id, wt); err != nil {
-			return message{}, r.failed(w.sup.failure.Load())
-		}
-		mb.mu.Lock()
-		mb.want = want
-		for !mb.ready(src, tag) && w.sup.failure.Load() == nil {
-			mb.cond.Wait()
-		}
-		mb.want = wantNone
-		mb.mu.Unlock()
-		w.sup.unblock(r.id)
+		r.suspend(waiter{kind: waitRecv, src: src, tag: tag})
 	}
 }
 
@@ -396,11 +313,7 @@ type Stats struct {
 // GatherStats summarizes the world's counters.
 func (w *World) GatherStats() Stats {
 	s := PhaseStats(make([]Snapshot, w.P), w.Snapshots())
-	s.Dropped = w.dropped.Load()
-	s.Duplicated = w.duplicated.Load()
-	s.Deduped = w.deduped.Load()
-	s.Delayed = w.delayed.Load()
-	s.Stalls = w.stalls.Load()
+	s.Dropped, s.Duplicated, s.Deduped, s.Delayed, s.Stalls = w.dropped, w.duplicated, w.deduped, w.delayed, w.stalls
 	return s
 }
 
@@ -461,7 +374,7 @@ func (r *Rank) Snap() Snapshot {
 // resumeAt is later, fast-forwards the clock to it (the failure
 // detection time, so a restarted attempt's timeline continues where the
 // failed one was declared dead). For checkpoint/restart drivers; call
-// from the rank's own goroutine before it does any work.
+// from the rank's own body before it does any work.
 func (r *Rank) Restore(s Snapshot, resumeAt float64) {
 	r.clock, r.commTime = s.Clock, s.Comm
 	r.flops, r.sent, r.sentVol = s.Flops, s.Msgs, s.Bytes

@@ -3,10 +3,7 @@ package mpisim
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync/atomic"
 	"testing"
-	"time"
 )
 
 func TestPingPongClockSemantics(t *testing.T) {
@@ -59,22 +56,22 @@ func TestFIFOOrderPerSourceTag(t *testing.T) {
 
 func TestRecvBlocksUntilSend(t *testing.T) {
 	w := NewWorld(2, T3E900())
-	var order int64
+	sent := false
 	w.Run(func(r *Rank) {
 		if r.ID() == 0 {
-			// Let rank 1 block first in real time; virtual semantics are
-			// unaffected either way.
+			r.Recv(1, 2) // rank 1 is blocked in Recv(0, 1) from here on
 			for i := 0; i < 1000; i++ {
 				r.Compute(1)
 			}
-			atomic.StoreInt64(&order, 1)
+			sent = true
 			r.Send(1, 1, 42, 8)
 		} else {
+			r.Send(0, 2, nil, 8)
 			v := r.Recv(0, 1).(int)
 			if v != 42 {
 				t.Errorf("got %d", v)
 			}
-			if atomic.LoadInt64(&order) != 1 {
+			if !sent {
 				t.Error("receive completed before send")
 			}
 		}
@@ -157,38 +154,7 @@ func TestRecvAnyPicksEarliestArrival(t *testing.T) {
 	}
 }
 
-// spinUntil yields until cond holds and reports true, or fails the test
-// and reports false once the world has failed or 10 s have passed, so a
-// rank that calls it always returns.
-func spinUntil(t *testing.T, w *World, what string, cond func() bool) bool {
-	deadline := time.Now().Add(10 * time.Second)
-	for !cond() {
-		if f := w.Failure(); f != nil {
-			t.Errorf("world failed while waiting for %s: %+v", what, f)
-			return false
-		}
-		if time.Now().After(deadline) {
-			t.Errorf("gave up waiting for %s", what)
-			return false
-		}
-		runtime.Gosched()
-	}
-	return true
-}
-
-// awaitWaiting waits until rank id's mailbox records that it waits on
-// want, so the next put exercises the wake rule rather than the check
-// before the wait.
-func awaitWaiting(t *testing.T, w *World, id, want int) bool {
-	mb := w.mail[id]
-	return spinUntil(t, w, fmt.Sprintf("rank %d to wait on key %d", id, want), func() bool {
-		mb.mu.Lock()
-		defer mb.mu.Unlock()
-		return mb.want == want
-	})
-}
-
-// A Recv waiting on (0, A) is not woken by (0, B) traffic, completes
+// A Recv waiting on (0, A) is not queued by (0, B) traffic, completes
 // when its message arrives behind 1,000 others, and the (0, B) messages
 // still come out in order afterwards.
 func TestRecvBehindOtherTags(t *testing.T) {
@@ -197,15 +163,17 @@ func TestRecvBehindOtherTags(t *testing.T) {
 	var got []int
 	w.Run(func(r *Rank) {
 		if r.ID() == 0 {
-			if !awaitWaiting(t, w, 1, tagKey(0, 1)) {
-				return
-			}
+			r.Recv(1, 3) // rank 1 waits on (0, 1) from here on
 			for i := 0; i < 1000; i++ {
 				r.Send(1, 2, i, 8)
+			}
+			if rk := w.ranks[1]; rk.wait.kind != waitRecv || rk.slot >= 0 {
+				t.Errorf("other-tag traffic queued rank 1 (wait %v, slot %d)", rk.wait.kind, rk.slot)
 			}
 			r.Send(1, 1, -1, 8)
 			return
 		}
+		r.Send(0, 3, nil, 8)
 		got = append(got, r.Recv(0, 1).(int))
 		for i := 0; i < 1000; i++ {
 			got = append(got, r.Recv(0, 2).(int))
@@ -224,27 +192,26 @@ func TestRecvBehindOtherTags(t *testing.T) {
 	}
 }
 
-// A put of any tag wakes a waiting RecvAny.
+// A put of any tag wakes a RecvAny suspended on an empty mailbox.
 func TestRecvAnyWakesOnAnyTag(t *testing.T) {
 	w := NewWorld(3, T3E900())
 	w.InstallFaults(planWith(func(*FaultPlan) {}))
 	var tags []int
-	var first atomic.Bool
 	w.Run(func(r *Rank) {
 		switch r.ID() {
-		case 0:
-			if awaitWaiting(t, w, 2, wantAny) {
-				r.Send(2, 11, nil, 8)
+		case 0, 1:
+			r.Recv(2, 1) // rank 2 is in RecvAny from here on
+			if rk := w.ranks[2]; rk.wait.kind != waitRecvAny {
+				t.Errorf("rank %d sends while rank 2 waits on %v, want recvany", r.ID(), rk.wait.kind)
 			}
-		case 1:
-			if spinUntil(t, w, "the first RecvAny", first.Load) && awaitWaiting(t, w, 2, wantAny) {
-				r.Send(2, 12, nil, 8)
-			}
+			r.Compute(int64(1000 * r.ID())) // rank 1's message arrives second
+			r.Send(2, 11+r.ID(), nil, 8)
 		case 2:
+			r.Send(0, 1, nil, 8)
+			r.Send(1, 1, nil, 8)
 			for i := 0; i < 2; i++ {
 				_, tag, _ := r.RecvAny()
 				tags = append(tags, tag)
-				first.Store(true)
 			}
 		}
 	})
@@ -253,6 +220,41 @@ func TestRecvAnyWakesOnAnyTag(t *testing.T) {
 	}
 	if fmt.Sprint(tags) != "[11 12]" {
 		t.Fatalf("RecvAny returned tags %v, want [11 12]", tags)
+	}
+}
+
+// RecvAny follows virtual time, not the order the host ran the sends in.
+// Rank 0 sends a large message first; rank 1, released later, computes
+// and then sends a small one that arrives earlier. When rank 2 first
+// asks, only the large message is queued, yet the small one comes first.
+func TestRecvAnyVirtualOrderBeatsHostOrder(t *testing.T) {
+	model := CostModel{Latency: 10e-6, CostPerByte: 1e-9, CostPerFlop: 1e-9, SendOverhead: 1e-6}
+	w := NewWorld(3, model)
+	var got []string
+	w.Run(func(r *Rank) {
+		switch r.ID() {
+		case 0:
+			r.Send(2, 1, "large", 1000000) // arrives at 1.011 ms
+		case 1:
+			r.Recv(2, 9)
+			r.Compute(100000) // sends at ~0.112 ms
+			r.Send(2, 2, "small", 8)
+		case 2:
+			r.Send(1, 9, nil, 8)
+			if n := w.mail[2].n; n != 1 {
+				t.Errorf("%d messages queued at the first RecvAny, want only the large one", n)
+			}
+			for i := 0; i < 2; i++ {
+				_, _, payload := r.RecvAny()
+				got = append(got, payload.(string))
+			}
+		}
+	})
+	if fmt.Sprint(got) != "[small large]" {
+		t.Fatalf("RecvAny order %v, want [small large]", got)
+	}
+	if c := w.ranks[2].Clock(); math.Abs(c-1.011e-3) > 1e-12 {
+		t.Errorf("rank 2 clock %g, want the large arrival 1.011 ms", c)
 	}
 }
 
@@ -319,24 +321,6 @@ func TestGridMath(t *testing.T) {
 	}
 }
 
-func TestProbe(t *testing.T) {
-	w := NewWorld(2, T3E900())
-	w.Run(func(r *Rank) {
-		if r.ID() == 0 {
-			r.Send(1, 9, 1, 8)
-			r.Send(1, 9, 2, 8)
-		} else {
-			r.Recv(0, 9)
-			// After one receive, one message may or may not have arrived
-			// in real time yet; drain deterministically.
-			r.Recv(0, 9)
-			if r.Probe(0, 9) {
-				t.Error("Probe found a message after draining")
-			}
-		}
-	})
-}
-
 func TestSendToSelfPanics(t *testing.T) {
 	w := NewWorld(1, T3E900())
 	w.Run(func(r *Rank) {
@@ -346,29 +330,5 @@ func TestSendToSelfPanics(t *testing.T) {
 			}
 		}()
 		r.Send(0, 1, nil, 0)
-	})
-}
-
-func TestBcast(t *testing.T) {
-	w := NewWorld(5, T3E900())
-	w.Run(func(r *Rank) {
-		got := r.Bcast(2, r.ID()*100, 8)
-		if got.(int) != 200 {
-			t.Errorf("rank %d: Bcast = %v, want 200", r.ID(), got)
-		}
-	})
-}
-
-func TestAllreduce(t *testing.T) {
-	w := NewWorld(6, T3E900())
-	w.Run(func(r *Rank) {
-		sum := r.AllreduceSum(float64(r.ID()))
-		if sum != 15 {
-			t.Errorf("rank %d: sum = %g, want 15", r.ID(), sum)
-		}
-		max := r.AllreduceMax(float64(r.ID() * r.ID()))
-		if max != 25 {
-			t.Errorf("rank %d: max = %g, want 25", r.ID(), max)
-		}
 	})
 }
