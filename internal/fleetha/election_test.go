@@ -313,7 +313,11 @@ func TestTakeoverUnionsFollowerRegistries(t *testing.T) {
 	// and the handle must actually solve through the new leader
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()
-	x, err := c.nodes[1].Solve(ctx, h, b)
+	fl, _, err := c.nodes[1].leaderFleet()
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err := fl.Solve(ctx, h, b)
 	if err != nil {
 		t.Fatalf("solve of the unioned handle: %v", err)
 	}

@@ -6,6 +6,7 @@ package fleetha_test
 
 import (
 	"context"
+	"encoding/json"
 	"math/rand"
 	"os"
 	"sync"
@@ -451,6 +452,10 @@ func TestHAControllerSpawn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	body, err := json.Marshal(fleetrpc.SolveRequest{Handle: h.String(), B: b})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	start := time.Now()
 	stop := make(chan struct{})
@@ -466,7 +471,7 @@ func TestHAControllerSpawn(t *testing.T) {
 				default:
 				}
 				sctx, cancel := context.WithTimeout(ctx, 10*time.Second)
-				node.Solve(sctx, h, b) //gesp:errok — load generator; failures surface via trace assertions
+				node.SolveWire(sctx, h, body) //gesp:errok — load generator; failures surface via trace assertions
 				cancel()
 			}
 		}()

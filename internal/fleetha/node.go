@@ -781,13 +781,14 @@ func (n *Node) Submit(ctx context.Context, wire fleetrpc.MatrixRequest) (serve.H
 	return h, nil
 }
 
-// Solve routes one right-hand side through the leading node's fleet.
-func (n *Node) Solve(ctx context.Context, h serve.Handle, b []float64) ([]float64, error) {
+// SolveWire routes one encoded solve through the leading node's fleet,
+// as bytes.
+func (n *Node) SolveWire(ctx context.Context, h serve.Handle, body []byte) ([]byte, error) {
 	fl, _, err := n.leaderFleet()
 	if err != nil {
 		return nil, err
 	}
-	return fl.Solve(ctx, h, b)
+	return fl.SolveWire(ctx, h, body)
 }
 
 // Stats is the leading node's fleet counters (zero on a follower,

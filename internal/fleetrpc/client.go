@@ -105,49 +105,37 @@ func RetryAfterHint(err error) time.Duration {
 	return 0
 }
 
-// drainLimit bounds how much of a response body DoJSON reads past the
-// decoded value before closing it. The encoder's trailing newline and
-// the chunked terminator sit there; leaving them unread makes net/http
-// discard the connection instead of pooling it.
-const drainLimit = 4 << 10
-
-// DoJSON is the one JSON round trip of the stack: send in (nil for no
-// body) to url, decode a 200 response into out (nil to ignore it).
-// Non-200 responses come back as *RemoteError; transport failures wrap
+// DoBytes is the one HTTP round trip of the stack: send body (nil for
+// none) to url and return a 200 response's body, read to the end so
+// the connection goes back to the pool. Non-200 responses come back as
+// *RemoteError; transport failures, a body cut short included, wrap
 // ErrUnreachable; the context's own error surfaces as itself so a
 // retry layer can tell "peer gone" from "budget spent".
-func DoJSON(ctx context.Context, hc *http.Client, method, url string, in, out any) error {
-	var body io.Reader
-	if in != nil {
-		buf, err := json.Marshal(in)
-		if err != nil {
-			return fmt.Errorf("fleetrpc: marshal %s body: %w", url, err)
-		}
-		body = bytes.NewReader(buf)
+func DoBytes(ctx context.Context, hc *http.Client, method, url string, body []byte) ([]byte, error) {
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
 	}
-	req, err := http.NewRequestWithContext(ctx, method, url, body)
+	req, err := http.NewRequestWithContext(ctx, method, url, rd)
 	if err != nil {
-		return fmt.Errorf("fleetrpc: build %s request: %w", url, err)
+		return nil, fmt.Errorf("fleetrpc: build %s request: %w", url, err)
 	}
-	if in != nil {
+	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
 	resp, err := hc.Do(req)
 	if err != nil {
 		if cerr := ctx.Err(); cerr != nil {
-			return cerr
+			return nil, cerr
 		}
-		return fmt.Errorf("%w: %s: %v", ErrUnreachable, req.URL.Host, err)
+		return nil, fmt.Errorf("%w: %s: %v", ErrUnreachable, req.URL.Host, err)
 	}
-	defer func() {
-		//gesp:errok — best-effort drain so the connection is reusable; a failure only costs a redial
-		_, _ = io.CopyN(io.Discard, resp.Body, drainLimit)
-		//gesp:errok — close of a response body; nothing to recover
-		_ = resp.Body.Close()
-	}()
+	res, err := io.ReadAll(resp.Body)
+	//gesp:errok — close of a response body already read; nothing to recover
+	_ = resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		var eres ErrorResponse
-		if derr := json.NewDecoder(resp.Body).Decode(&eres); derr != nil || eres.Error == "" {
+		if derr := json.Unmarshal(res, &eres); derr != nil || eres.Error == "" {
 			eres.Error = resp.Status
 		}
 		hint := time.Duration(eres.RetryAfterNS)
@@ -156,16 +144,34 @@ func DoJSON(ctx context.Context, hc *http.Client, method, url string, in, out an
 		}
 		re := StatusError(resp.StatusCode, eres.Error, hint)
 		re.Location = resp.Header.Get("Location")
-		return re
+		return nil, re
 	}
-	if out == nil {
-		return nil
-	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+	if err != nil {
 		if cerr := ctx.Err(); cerr != nil {
-			return cerr
+			return nil, cerr
 		}
-		return fmt.Errorf("%w: %s: bad response body: %v", ErrUnreachable, req.URL.Host, err)
+		return nil, fmt.Errorf("%w: %s: bad response body: %v", ErrUnreachable, req.URL.Host, err)
+	}
+	return res, nil
+}
+
+// DoJSON is DoBytes over JSON values: send in (nil for no body), decode
+// a 200 response into out (nil to ignore it). An undecodable answer is
+// a broken peer: ErrUnreachable.
+func DoJSON(ctx context.Context, hc *http.Client, method, url string, in, out any) error {
+	var body []byte
+	if in != nil {
+		var err error
+		if body, err = json.Marshal(in); err != nil {
+			return fmt.Errorf("fleetrpc: marshal %s body: %w", url, err)
+		}
+	}
+	res, err := DoBytes(ctx, hc, method, url, body)
+	if err != nil || out == nil {
+		return err
+	}
+	if err := json.Unmarshal(res, out); err != nil {
+		return fmt.Errorf("%w: %s: bad response body: %v", ErrUnreachable, url, err)
 	}
 	return nil
 }
@@ -210,13 +216,16 @@ func Dial(addrs []string) []Shard {
 // Addr is the shard's host:port.
 func (c *Client) Addr() string { return c.addr }
 
-// do runs one round trip against the shard. A request that died in
-// transport or timed out also drops the pooled keep-alive connections:
-// a long-running coordinator must not hold sockets to a killed or
-// frozen shard process for its own lifetime, and a healthy shard just
-// redials.
+// do runs one JSON round trip against the shard.
 func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
-	err := DoJSON(ctx, c.hc, method, "http://"+c.addr+path, in, out)
+	return c.dropIdleOn(DoJSON(ctx, c.hc, method, "http://"+c.addr+path, in, out))
+}
+
+// dropIdleOn passes err through; a request that died in transport or
+// timed out also drops the pooled keep-alive connections: a
+// long-running coordinator must not hold sockets to a killed or frozen
+// shard process for its own lifetime, and a healthy shard just redials.
+func (c *Client) dropIdleOn(err error) error {
 	if errors.Is(err, ErrUnreachable) || errors.Is(err, context.DeadlineExceeded) {
 		c.hc.CloseIdleConnections()
 	}
@@ -232,16 +241,37 @@ func (c *Client) Submit(ctx context.Context, req MatrixRequest) (serve.Handle, e
 	return serve.ParseHandle(res.Handle)
 }
 
-// Solve sends one right-hand side against a handle.
+// Solve sends one right-hand side against a handle: the encoded
+// request through SolveWire, the checked answer decoded.
 func (c *Client) Solve(ctx context.Context, h serve.Handle, b []float64) ([]float64, error) {
-	var res SolveResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/solve", SolveRequest{Handle: h.String(), B: b}, &res); err != nil {
+	body, err := json.Marshal(SolveRequest{Handle: h.String(), B: b})
+	if err != nil {
+		return nil, fmt.Errorf("fleetrpc: marshal /v1/solve body: %w", err)
+	}
+	out, err := c.SolveWire(ctx, h, body)
+	if err != nil {
 		return nil, err
 	}
-	if len(res.X) != h.N {
-		return nil, fmt.Errorf("%w: %s: solution length %d, want %d", ErrUnreachable, c.addr, len(res.X), h.N)
+	var res SolveResponse
+	if err := json.Unmarshal(out, &res); err != nil {
+		return nil, fmt.Errorf("%w: %s: bad response body: %v", ErrUnreachable, c.addr, err)
 	}
 	return res.X, nil
+}
+
+// SolveWire posts an encoded /v1/solve body as it is and returns the
+// shard's answer as it is, once it has the shape of a SolveResponse
+// with h.N elements (solutionShaped). A short or malformed answer is a
+// broken peer, retryable like any other: ErrUnreachable.
+func (c *Client) SolveWire(ctx context.Context, h serve.Handle, body []byte) ([]byte, error) {
+	out, err := DoBytes(ctx, c.hc, http.MethodPost, "http://"+c.addr+"/v1/solve", body)
+	if err = c.dropIdleOn(err); err != nil {
+		return nil, err
+	}
+	if !solutionShaped(out, h.N) {
+		return nil, fmt.Errorf("%w: %s: answer is not a solution of length %d", ErrUnreachable, c.addr, h.N)
+	}
+	return out, nil
 }
 
 // SolveDegraded asks the shard for an iterative solve from the raw

@@ -703,8 +703,38 @@ func (f *Fleet) RegistryLen() int {
 // re-submit on eviction, and — when every placement is gone — answered
 // by the degraded iterative path on any live member.
 func (f *Fleet) Solve(ctx context.Context, h serve.Handle, b []float64) ([]float64, error) {
+	return route(f, ctx, h, b, Shard.Solve, func(ctx context.Context) ([]float64, error) {
+		return f.solveDegraded(ctx, h, b)
+	})
+}
+
+// SolveWire is Solve on an encoded /v1/solve body, answered with the
+// shard's encoded response: the coordinator routes on h and forwards
+// bytes through the same ladder. Only the degraded rung, when it is
+// reached, decodes b.
+func (f *Fleet) SolveWire(ctx context.Context, h serve.Handle, body []byte) ([]byte, error) {
+	return route(f, ctx, h, body, Shard.SolveWire, func(ctx context.Context) ([]byte, error) {
+		var req SolveRequest
+		if err := decodeBody(body, &req); err != nil {
+			return nil, fmt.Errorf("bad /v1/solve body: %w", err)
+		}
+		x, err := f.solveDegraded(ctx, h, req.B)
+		if err != nil {
+			return nil, err
+		}
+		return encodeSolution(x)
+	})
+}
+
+// route is the resilience ladder behind Solve and SolveWire, written
+// once over the payload: b and x in-process, the encoded request and
+// response bodies on the HTTP route. leg solves on one member;
+// degraded is the bottom rung.
+func route[P payload](f *Fleet, ctx context.Context, h serve.Handle, b P,
+	leg func(Shard, context.Context, serve.Handle, P) (P, error), degraded func(context.Context) (P, error)) (P, error) {
+	var none P
 	if f.closed.Load() {
-		return nil, serve.ErrClosed
+		return none, serve.ErrClosed
 	}
 	t0 := time.Now()
 	f.m.routed.Add(1)
@@ -722,7 +752,7 @@ func (f *Fleet) Solve(ctx context.Context, h serve.Handle, b []float64) ([]float
 			f.m.retries.Add(1)
 			if err := f.sleep(ctx, attempt-1, lastSick, RetryAfterHint(lastErr)); err != nil {
 				f.m.failed.Add(1)
-				return nil, err
+				return none, err
 			}
 		}
 		healed = false
@@ -738,7 +768,7 @@ func (f *Fleet) Solve(ctx context.Context, h serve.Handle, b []float64) ([]float
 		if n > 1 {
 			replica = buf[1]
 		}
-		x, err := f.solvePlaced(ctx, primary, replica, h, b)
+		x, err := solvePlaced(f, ctx, primary, replica, h, b, leg)
 		if err == nil {
 			f.lat.Observe(time.Since(t0))
 			return x, nil
@@ -761,27 +791,31 @@ func (f *Fleet) Solve(ctx context.Context, h serve.Handle, b []float64) ([]float
 				lastErr = herr
 			default:
 				f.m.failed.Add(1)
-				return nil, err
+				return none, err
 			}
 		case !Retryable(err):
 			f.m.failed.Add(1)
-			return nil, err
+			return none, err
 		}
 	}
 	if f.cfg.DegradedFallback {
-		if x, derr := f.solveDegraded(ctx, h, b); derr == nil {
+		if x, derr := degraded(ctx); derr == nil {
 			f.m.degraded.Add(1)
 			f.lat.Observe(time.Since(t0))
 			return x, nil
 		}
 	}
 	f.m.failed.Add(1)
-	return nil, lastErr
+	return none, lastErr
 }
 
+// payload is what the solve ladder carries: a right-hand side and its
+// solution in-process, or the encoded request and response bodies.
+type payload interface{ []float64 | []byte }
+
 // placedResult is one leg of a placed attempt.
-type placedResult struct {
-	x    []float64
+type placedResult[P payload] struct {
+	x    P
 	err  error
 	from *member
 }
@@ -791,16 +825,18 @@ type placedResult struct {
 // an immediate failover to the replica when the primary fails fast
 // with a retryable error. First success wins; the loser's wait is
 // cancelled with the attempt context.
-func (f *Fleet) solvePlaced(ctx context.Context, primary, replica *member, h serve.Handle, b []float64) ([]float64, error) {
+func solvePlaced[P payload](f *Fleet, ctx context.Context, primary, replica *member, h serve.Handle, b P,
+	leg func(Shard, context.Context, serve.Handle, P) (P, error)) (P, error) {
+	var none P
 	actx, cancel := context.WithTimeout(ctx, f.cfg.RequestTimeout)
 	defer cancel()
-	ch := make(chan placedResult, 2)
+	ch := make(chan placedResult[P], 2)
 	launch := func(mb *member) {
 		mb.inflight.Add(1)
-		x, err := mb.sh.Solve(actx, h, b)
+		x, err := leg(mb.sh, actx, h, b)
 		mb.inflight.Add(-1)
 		f.noteResult(mb, err)
-		ch <- placedResult{x: x, err: err, from: mb}
+		ch <- placedResult[P]{x: x, err: err, from: mb}
 	}
 	go launch(primary)
 	inFlight := 1
@@ -839,9 +875,9 @@ func (f *Fleet) solvePlaced(ctx context.Context, primary, replica *member, h ser
 				if primErr != nil {
 					// the primary's error is the one the retry ladder
 					// classifies (overload, eviction, unreachable)
-					return nil, primErr
+					return none, primErr
 				}
-				return nil, r.err
+				return none, r.err
 			}
 		case <-hedgeC:
 			hedgeC = nil

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"strconv"
@@ -16,10 +17,12 @@ import (
 )
 
 // API is what the client-facing routes need from whatever answers
-// them: a shard (LocalShard), a coordinator (Fleet), or an HA node.
+// them: a shard (LocalShard), a coordinator (Fleet), or an HA node. A
+// solve arrives as its encoded body, routed by handle, and its answer
+// leaves as the encoded response: only a shard parses the numbers.
 type API[S any] interface {
 	Submit(ctx context.Context, wire MatrixRequest) (serve.Handle, error)
-	Solve(ctx context.Context, h serve.Handle, b []float64) ([]float64, error)
+	SolveWire(ctx context.Context, h serve.Handle, body []byte) ([]byte, error)
 	Stats() S
 }
 
@@ -40,7 +43,7 @@ var maxBodyBytes int64 = 256 << 20
 //
 //	POST /v1/matrix  {"n":N,"rows":[...],"cols":[...],"vals":[...]}
 //	                 -> {"handle":"p….v….n…","n":N,"nnz":…[,"shard":K]}
-//	POST /v1/solve   {"handle":"…","b":[...]}  -> {"x":[...]}
+//	POST /v1/solve   {"handle":"…","b":[...]}  -> {"x":[...]}  (bytes in, bytes out)
 //	GET  /v1/stats   -> api.Stats() as JSON
 //	POST /v1/drain   {"shard":K} -> {"drained":K}   (coordinators only)
 //
@@ -68,21 +71,33 @@ func Handler[S any](api API[S], q *fleet.Quotas) *http.ServeMux {
 		WriteJSON(w, http.StatusOK, res)
 	})
 	mux.HandleFunc("POST /v1/solve", func(w http.ResponseWriter, r *http.Request) {
-		var req SolveRequest
-		if !admit(w, r, q) || !DecodeJSON(w, r, &req) {
+		if !admit(w, r, q) {
 			return
 		}
-		h, err := serve.ParseHandle(req.Handle)
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+		var hs string
+		if err == nil {
+			hs, err = wireHandle(body)
+		}
+		if err != nil {
+			WriteErr(w, fmt.Errorf("bad %s body: %w", r.URL.Path, err))
+			return
+		}
+		h, err := serve.ParseHandle(hs)
 		if err != nil {
 			WriteErr(w, err)
 			return
 		}
-		x, err := api.Solve(r.Context(), h, req.B)
+		res, err := api.SolveWire(r.Context(), h, body)
 		if err != nil {
 			WriteErr(w, err)
 			return
 		}
-		WriteJSON(w, http.StatusOK, SolveResponse{X: x})
+		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("Content-Length", strconv.Itoa(len(res)))
+		w.WriteHeader(http.StatusOK)
+		//gesp:errok — the client hung up mid-answer; there is no one left to tell
+		_, _ = w.Write(res)
 	})
 	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
 		WriteJSON(w, http.StatusOK, api.Stats())

@@ -25,6 +25,10 @@ type Shard interface {
 	Submit(ctx context.Context, wire MatrixRequest) (serve.Handle, error)
 	// Solve solves one right-hand side against a submitted handle.
 	Solve(ctx context.Context, h serve.Handle, b []float64) ([]float64, error)
+	// SolveWire is Solve on an encoded /v1/solve body routed by h,
+	// answered with the encoded SolveResponse: the leg a coordinator
+	// forwards bytes through.
+	SolveWire(ctx context.Context, h serve.Handle, body []byte) ([]byte, error)
 	// SolveDegraded solves iteratively from the raw matrix, touching no
 	// cache — the request of last resort.
 	SolveDegraded(ctx context.Context, wire MatrixRequest, b []float64) ([]float64, error)
@@ -84,6 +88,24 @@ func (s *LocalShard) Submit(_ context.Context, wire MatrixRequest) (serve.Handle
 
 func (s *LocalShard) Solve(ctx context.Context, h serve.Handle, b []float64) ([]float64, error) {
 	return s.svc.SolveCtx(ctx, h, b)
+}
+
+// SolveWire decodes and validates the whole body here, beside the
+// factors. A body whose handle disagrees with the one it was routed by
+// is refused: the route and the solve must name the same system.
+func (s *LocalShard) SolveWire(ctx context.Context, h serve.Handle, body []byte) ([]byte, error) {
+	var req SolveRequest
+	if err := decodeBody(body, &req); err != nil {
+		return nil, fmt.Errorf("bad /v1/solve body: %w", err)
+	}
+	if bh, err := serve.ParseHandle(req.Handle); err != nil || bh != h {
+		return nil, fmt.Errorf("bad /v1/solve body: handle %q, routed as %v", req.Handle, h)
+	}
+	x, err := s.Solve(ctx, h, req.B)
+	if err != nil {
+		return nil, err
+	}
+	return encodeSolution(x)
 }
 
 // Stats is the shard's serve-layer counters.

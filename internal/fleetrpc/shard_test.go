@@ -1,10 +1,13 @@
 package fleetrpc
 
 import (
+	"context"
+	"errors"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -50,21 +53,40 @@ func TestShardConformance(t *testing.T) {
 			_, err := sh.Solve(bg, h, sysA.b)
 			return err
 		}, errClass{failed: true, expired: true}},
-		{"overloaded queue", func(c *serve.Config) { c.QueueCap, c.MaxDelay = 1, queueDelay }, func(t *testing.T, sh Shard, svc *serve.Service) error {
+		{"overloaded queue", func(c *serve.Config) { c.QueueCap, c.MaxDelay = 1, queueDelay }, func(t *testing.T, sh Shard, _ *serve.Service) error {
+			// A lone request is cut at once, so the one queue slot fills
+			// only behind a running batch: race solvers until one is shed.
 			h := mustSubmit(t, sh, sysA)
-			done := make(chan error, 1)
-			go func() { // fills the one queue slot until its batch is cut
-				_, err := sh.Solve(bg, h, sysA.b)
-				done <- err
-			}()
-			for svc.QueueDepth() == 0 {
-				time.Sleep(time.Millisecond)
+			ctx, cancel := context.WithTimeout(bg, 10*time.Second)
+			defer cancel()
+			shed := make(chan error, 1)
+			var wg sync.WaitGroup
+			for w := 0; w < 4; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for ctx.Err() == nil {
+						_, err := sh.Solve(ctx, h, sysA.b)
+						if errors.Is(err, serve.ErrOverloaded) {
+							select {
+							case shed <- err:
+							default:
+							}
+							cancel()
+						} else if err != nil && ctx.Err() == nil {
+							t.Errorf("solve beside the full queue: %v", err)
+						}
+					}
+				}()
 			}
-			_, err := sh.Solve(bg, h, sysA.b)
-			if qerr := <-done; qerr != nil {
-				t.Fatalf("queued solve: %v", qerr)
+			wg.Wait()
+			select {
+			case err := <-shed:
+				return err
+			default:
+				t.Fatal("no solve was shed within 10s")
+				return nil
 			}
-			return err
 		}, errClass{failed: true, retryable: true, hint: queueDelay}},
 		{"closed shard", nil, func(t *testing.T, sh Shard, svc *serve.Service) error {
 			h := mustSubmit(t, sh, sysA)

@@ -38,6 +38,8 @@
 package fleetrpc
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 
 	"gesp/internal/sparse"
@@ -117,6 +119,85 @@ type DrainRequest struct {
 // DrainResponse answers a completed drain.
 type DrainResponse struct {
 	Drained int `json:"drained"`
+}
+
+// A coordinator forwards /v1/solve as bytes: it routes on the handle
+// alone and leaves the numbers to the shard, which decodes and
+// validates every byte before anything reaches a kernel. These are the
+// byte-level reads that make that possible without parsing a float.
+
+var (
+	// solveHead and solveMid frame the handle in the order
+	// encoding/json writes a SolveRequest.
+	solveHead = []byte(`{"handle":"`)
+	solveMid  = []byte(`","b":`)
+	// solutionHead and solutionTail frame x in an encoded SolveResponse.
+	solutionHead = []byte(`{"x":[`)
+	solutionTail = []byte(`]}`)
+)
+
+// wireHandle returns the handle string of an encoded SolveRequest. On
+// the canonical form — {"handle":"…","b": with a plain-ASCII,
+// escape-free handle and no further quote in the body, so no other key
+// can follow — it slices the handle out; anything else (another key
+// order, escapes, duplicate keys) takes one encoding/json decode of the
+// handle alone. On every body encoding/json accepts as a SolveRequest
+// the two agree (FuzzWireHandle).
+func wireHandle(body []byte) (string, error) {
+	if rest, ok := bytes.CutPrefix(body, solveHead); ok {
+		if end := bytes.IndexByte(rest, '"'); end >= 0 && plainASCII(rest[:end]) {
+			if tail, ok := bytes.CutPrefix(rest[end:], solveMid); ok && bytes.IndexByte(tail, '"') < 0 {
+				return string(rest[:end]), nil
+			}
+		}
+	}
+	var req struct {
+		Handle string `json:"handle"`
+	}
+	if err := decodeBody(body, &req); err != nil {
+		return "", err
+	}
+	return req.Handle, nil
+}
+
+// plainASCII reports whether s is printable ASCII without a backslash:
+// bytes encoding/json reads back unchanged inside a string.
+func plainASCII(s []byte) bool {
+	for _, c := range s {
+		if c < 0x20 || c > 0x7e || c == '\\' {
+			return false
+		}
+	}
+	return true
+}
+
+// decodeBody decodes the first JSON value of body into v, the way the
+// handlers have always read a request (trailing bytes are not looked
+// at).
+func decodeBody(body []byte, v any) error {
+	return json.NewDecoder(bytes.NewReader(body)).Decode(v)
+}
+
+// encodeSolution is the encoded SolveResponse for x, newline-terminated
+// like every other response body.
+func encodeSolution(x []float64) ([]byte, error) {
+	out, err := json.Marshal(SolveResponse{X: x})
+	if err != nil {
+		return nil, fmt.Errorf("fleetrpc: encode solution: %w", err)
+	}
+	return append(out, '\n'), nil
+}
+
+// solutionShaped is the byte-level length guard on a shard's answer:
+// body is {"x":[…]} with n ≥ 1 comma-separated elements and no nested
+// array, counted without parsing a float. The decoded path keeps the
+// same guard by decoding what passed it.
+func solutionShaped(body []byte, n int) bool {
+	inner, ok := bytes.CutPrefix(bytes.TrimRight(body, " \t\r\n"), solutionHead)
+	if ok {
+		inner, ok = bytes.CutSuffix(inner, solutionTail)
+	}
+	return ok && len(inner) > 0 && bytes.IndexByte(inner, ']') < 0 && bytes.Count(inner, []byte{','})+1 == n
 }
 
 // WireMatrix encodes a CSC matrix as the triplet wire form.

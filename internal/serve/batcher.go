@@ -7,12 +7,18 @@ import (
 )
 
 // batcher coalesces solve requests against one factorization into
-// multi-RHS batches. Admission policy: a batch is cut as soon as
-// maxBatch requests are queued, or when the oldest queued request has
-// waited maxDelay, whichever comes first. The queue is bounded at
-// queueCap; requests beyond that are shed immediately with
-// ErrOverloaded rather than blocking the caller — under overload the
-// service degrades by rejecting, never by stalling.
+// multi-RHS batches. Admission policy: a lone request is cut at once; a
+// batch of several is cut as soon as maxBatch requests are queued, or
+// when the oldest queued request has waited maxDelay, whichever comes
+// first. Waiting only pays when company is already there: a short
+// timer fires on the runtime's millisecond netpoller tick rather than
+// after maxDelay, so holding a lone request costs it about a
+// millisecond and almost never buys a second one. Requests that arrive
+// while a batch runs queue up and are cut together as its backlog.
+//
+// The queue is bounded at queueCap; requests beyond that are shed
+// immediately with ErrOverloaded rather than blocking the caller —
+// under overload the service degrades by rejecting, never by stalling.
 //
 // Execution is single-flight per factor: at most one goroutine runs
 // batches for a batcher at a time (core.Solver.SolveBatch is not
@@ -147,11 +153,13 @@ func (b *batcher) run() {
 			b.mu.Unlock()
 			return
 		}
-		if len(b.queue) < b.maxBatch && !b.closed {
-			// Not full: hold admission until the oldest request has
-			// waited out maxDelay or the queue fills, then cut. A closed
-			// batcher skips the wait — nothing further can arrive, so
-			// drain at full speed.
+		if n := len(b.queue); n > 1 && n < b.maxBatch && !b.closed {
+			// Several queued but not full: hold admission until the oldest
+			// request has waited out maxDelay or the queue fills, then cut.
+			// No batch is in flight here (the cutter is single-flight), so
+			// a lone request has nothing to wait for and is cut at once. A
+			// closed batcher skips the wait — nothing further can arrive,
+			// so drain at full speed.
 			wait := b.maxDelay - time.Since(b.queue[0].enq)
 			if wait > 0 {
 				b.mu.Unlock()

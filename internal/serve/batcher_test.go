@@ -183,6 +183,54 @@ func TestBatcherPropagatesError(t *testing.T) {
 	}
 }
 
+// TestBatcherLoneCut: the delay window holds a batch only when there
+// is company to wait for. Under an hour-long maxDelay, a lone submit on
+// an idle batcher returns at once, and requests that queue behind a
+// blocked batch still leave together.
+func TestBatcherLoneCut(t *testing.T) {
+	var m Metrics
+	fb := &fakeBackend{}
+	bat := newBatcher(fb, 3, time.Hour, 64, &m)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if x, err := bat.submit(ctx, []float64{7}); err != nil || x[0] != 7 {
+		t.Fatalf("lone submit on an idle batcher: %v, %v — it waited on the delay window", x, err)
+	}
+
+	fb.mu.Lock()
+	fb.gate, fb.entered = make(chan struct{}), make(chan struct{}, 8)
+	fb.mu.Unlock()
+	var wg sync.WaitGroup
+	submit := func(tag float64) {
+		defer wg.Done()
+		if _, err := bat.submit(ctx, []float64{tag}); err != nil {
+			t.Errorf("submit %v: %v", tag, err)
+		}
+	}
+	wg.Add(1)
+	go submit(1)
+	select {
+	case <-fb.entered: // cutter blocked inside batch [1]
+	case <-ctx.Done():
+		t.Fatal("a lone submit was never cut")
+	}
+	for i := 2; i <= 4; i++ {
+		wg.Add(1)
+		go submit(float64(i))
+	}
+	for m.queueDepth.Load() < 3 {
+		if ctx.Err() != nil {
+			t.Fatal("requests never queued")
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
+	fb.release()
+	wg.Wait()
+	if sizes := fb.sizes(); len(sizes) != 3 || sizes[1] != 1 || sizes[2] != 3 {
+		t.Fatalf("batch sizes %v, want [1 1 3]", sizes)
+	}
+}
+
 // TestBatcherZeroDelay checks that MaxDelay=0 cuts singleton batches
 // immediately — the batching-off configuration.
 func TestBatcherZeroDelay(t *testing.T) {

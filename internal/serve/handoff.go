@@ -73,6 +73,8 @@ func (s *Service) ExportSymbolic(pattern uint64) *core.Solver {
 // fingerprint; a pattern already resident keeps its incumbent. Imports
 // count separately from misses — no analysis ran here.
 func (s *Service) ImportSymbolic(pattern uint64, donor *core.Solver) error {
+	s.admit.RLock()
+	defer s.admit.RUnlock()
 	if s.closed.Load() {
 		return ErrClosed
 	}
@@ -92,6 +94,8 @@ func (s *Service) ImportSymbolic(pattern uint64, donor *core.Solver) error {
 // tests prove a rebalance re-factored nothing. The caller must not
 // keep solving on the exported solver; ownership moves here.
 func (s *Service) ImportFactor(f ExportedFactor) (Handle, error) {
+	s.admit.RLock()
+	defer s.admit.RUnlock()
 	if s.closed.Load() {
 		return Handle{}, ErrClosed
 	}

@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -179,6 +180,11 @@ type Service struct {
 	m      Metrics
 	c      *cache
 	closed atomic.Bool
+	// admit is held shared by every call that may insert into the caches
+	// (Submit, the imports) and exclusively by Close while it flips
+	// closed, so Close waits out an insert that passed the closed check
+	// and Drain's export misses nothing that lands after it.
+	admit sync.RWMutex
 
 	symFlight flightGroup[uint64, *core.Solver]
 	facFlight flightGroup[FactorKey, *facEntry]
@@ -216,6 +222,8 @@ func New(cfg Config) *Service {
 // resubmission is a pure cache hit and does no numerical work at all.
 // Concurrent submissions of the same system factor once (singleflight).
 func (s *Service) Submit(a *sparse.CSC) (Handle, error) {
+	s.admit.RLock()
+	defer s.admit.RUnlock()
 	if s.closed.Load() {
 		return Handle{}, ErrClosed
 	}
@@ -365,11 +373,15 @@ func (s *Service) Stats() Stats {
 func (s *Service) QueueDepth() int64 { return s.m.queueDepth.Load() }
 
 // Close stops admitting work (Submit and Solve return ErrClosed), then
-// drains gracefully: it blocks until every batcher has solved the
+// drains gracefully: it blocks until submits and imports already
+// admitted have landed in the caches, and every batcher has solved the
 // requests already queued and its cutter goroutine has exited. Safe to
 // call concurrently and more than once; only the first call drains.
 func (s *Service) Close() {
-	if !s.closed.CompareAndSwap(false, true) {
+	s.admit.Lock()
+	first := s.closed.CompareAndSwap(false, true)
+	s.admit.Unlock()
+	if !first {
 		return
 	}
 	// The closed flag stops new enqueues at the Service layer; the

@@ -23,12 +23,11 @@ func TestBatcherCloseDrains(t *testing.T) {
 		_, err := bat.submit(context.Background(), []float64{tag})
 		results <- err
 	}
-	// Two submits fill maxBatch, so the first cut happens immediately
-	// instead of waiting out the (deliberately huge) delay window.
-	const inflight = 2
+	// A lone submit on an idle batcher is cut at once, whatever the
+	// (deliberately huge) delay window.
+	const inflight = 1
 	go submit(1)
-	go submit(2)
-	<-fb.entered // cutter blocked inside batch [1 2]
+	<-fb.entered // cutter blocked inside batch [1]
 	const queued = 5
 	for i := 0; i < queued; i++ {
 		go submit(float64(3 + i))
@@ -135,6 +134,52 @@ func TestServiceCloseDrains(t *testing.T) {
 		t.Fatalf("queue depth %d after Close returned, want 0 (Close must drain)", d)
 	}
 	svc.Close() // idempotent
+}
+
+// TestDrainWaitsForSubmits races Drain against submits that factor: a
+// submit that was acked lands in the export, and nothing lands in the
+// drained service's emptied cache behind the export's back.
+func TestDrainWaitsForSubmits(t *testing.T) {
+	const rounds, submits = 20, 4
+	systems := make([]system, rounds*submits)
+	for i := range systems {
+		systems[i] = testbedSystem(t, "SHERMAN4", int64(i+1))
+	}
+	for r := 0; r < rounds; r++ {
+		svc := New(DefaultConfig())
+		var mu sync.Mutex
+		var acked []Handle
+		var wg sync.WaitGroup
+		for _, sys := range systems[r*submits : (r+1)*submits] {
+			wg.Add(1)
+			go func(sys system) {
+				defer wg.Done()
+				h, err := svc.Submit(sys.a)
+				switch {
+				case err == nil:
+					mu.Lock()
+					acked = append(acked, h)
+					mu.Unlock()
+				case !errors.Is(err, ErrClosed):
+					t.Errorf("submit racing drain: %v", err)
+				}
+			}(sys)
+		}
+		exp := svc.Drain()
+		wg.Wait()
+		if n := svc.Stats().FactorEntries; n != 0 {
+			t.Fatalf("round %d: %d factors cached after the drain's export", r, n)
+		}
+		exported := make(map[FactorKey]bool)
+		for _, f := range exp.Factors {
+			exported[f.Key] = true
+		}
+		for _, h := range acked {
+			if !exported[h.Key] {
+				t.Fatalf("round %d: acked submit %v missing from the export", r, h)
+			}
+		}
+	}
 }
 
 // TestOverloadedErrorTyped pins the typed overload rejection: it must
