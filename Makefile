@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint race checktest chaos smoke perfsmoke verify bench bench-e2e
+.PHONY: build test vet lint race checktest chaos smoke perfsmoke verify bench bench-e2e fuzz-wire
 
 build:
 	$(GO) build ./...
@@ -61,6 +61,15 @@ chaos:
 	$(GO) test -race -count=1 -run 'TestHA' ./internal/fleetha/
 	$(GO) run ./cmd/gesp-bench -exp fleetproc -fleet-workers 4 -fleet-duration 500ms -scale 0.2
 	$(GO) run ./cmd/gesp-bench -exp ha -fleet-workers 4 -fleet-duration 800ms -scale 0.2
+
+# Fuzz the wire decoders — the solve body's handle read, the matrix
+# frame (and the degraded body around it), the HA replicate/state
+# frame — for 10 s each. `make test` runs only their seed corpora; this
+# gives them real fuzzing time, outside verify.
+fuzz-wire:
+	$(GO) test -run '^$$' -fuzz '^FuzzWireHandle$$' -fuzztime 10s ./internal/fleetrpc/
+	$(GO) test -run '^$$' -fuzz '^FuzzMatrixFrame$$' -fuzztime 10s ./internal/fleetrpc/
+	$(GO) test -run '^$$' -fuzz '^FuzzReplicateFrame$$' -fuzztime 10s ./internal/fleetha/
 
 # Smoke runs: short closed-loop runs of the experiment harness and one
 # iteration of the benchmarks behind them, to catch wiring breakage in

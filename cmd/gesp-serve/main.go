@@ -9,14 +9,15 @@
 // process a shard any fleetrpc coordinator (gesp-fleet -join) can
 // route over, health-check, drain, and fail over from:
 //
-//	POST /v1/matrix    {"n":N,"rows":[...],"cols":[...],"vals":[...]}
+//	POST /v1/matrix    {"n":N,"rows":[...],"cols":[...],"vals":[...]},
+//	                   or a fleetrpc.Matrix frame (what a coordinator sends)
 //	                   -> {"handle":"p….v….n…","n":N,"nnz":…}
 //	POST /v1/solve     {"handle":"…","b":[...]}
 //	                   -> {"x":[...]}
 //	GET  /v1/stats     -> serve.Stats JSON
 //	GET  /v1/health    -> {"status":"ok"|"draining",...}
 //	POST /v1/handoff   -> drain; returns the resident handles
-//	POST /v1/degraded  -> iterative solve from a raw matrix
+//	POST /v1/degraded  -> iterative solve from a raw matrix frame and b
 package main
 
 import (

@@ -2,6 +2,7 @@ package fleetha
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -109,8 +110,9 @@ func (c *Client) noteFailure() {
 }
 
 // do runs one logical request through leader discovery, redirect
-// following, and the retry ladder.
-func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
+// following, and the retry ladder: body (nil for none) sent as
+// contentType, a 200 answer's JSON decoded into out.
+func (c *Client) do(ctx context.Context, method, path, contentType string, body []byte, out any) error {
 	var lastErr error
 	for attempt := 0; attempt < c.retry.Attempts; attempt++ {
 		if attempt > 0 {
@@ -120,7 +122,7 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 		}
 		for _, addr := range c.targets() {
 			actx, cancel := context.WithTimeout(ctx, c.timeout)
-			err := c.doOnce(actx, addr, method, path, in, out)
+			err := c.doOnce(actx, addr, method, path, contentType, body, out)
 			cancel()
 			if err == nil {
 				return nil
@@ -147,10 +149,10 @@ func redirectMiss(to string) error {
 
 // doOnce issues one attempt against one coordinator, following at
 // most one redirect hop (the follower's 307 to the leader).
-func (c *Client) doOnce(ctx context.Context, addr, method, path string, in, out any) error {
+func (c *Client) doOnce(ctx context.Context, addr, method, path, contentType string, body []byte, out any) error {
 	hop := addr
 	for redirects := 0; redirects < 2; redirects++ {
-		err := fleetrpc.DoJSON(ctx, c.hc, method, "http://"+hop+path, in, out)
+		err := fleetrpc.DoJSON(ctx, c.hc, method, "http://"+hop+path, contentType, body, out)
 		var re *fleetrpc.RemoteError
 		if !errors.As(err, &re) || re.Status != http.StatusTemporaryRedirect {
 			if err == nil {
@@ -188,10 +190,11 @@ func (c *Client) sleep(ctx context.Context, attempt int, retryAfter time.Duratio
 	return fleetrpc.Sleep(ctx, c.retry.Wait(eff, u, retryAfter))
 }
 
-// Submit registers a matrix with the coordinator fleet.
+// Submit registers a matrix with the coordinator fleet, sent as its
+// frame.
 func (c *Client) Submit(ctx context.Context, a *sparse.CSC) (serve.Handle, error) {
 	var res fleetrpc.MatrixResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/matrix", fleetrpc.WireMatrix(a), &res); err != nil {
+	if err := c.do(ctx, http.MethodPost, "/v1/matrix", fleetrpc.FrameContentType, fleetrpc.WireMatrix(a).Bytes(), &res); err != nil {
 		return serve.Handle{}, err
 	}
 	return serve.ParseHandle(res.Handle)
@@ -199,8 +202,12 @@ func (c *Client) Submit(ctx context.Context, a *sparse.CSC) (serve.Handle, error
 
 // Solve routes one right-hand side.
 func (c *Client) Solve(ctx context.Context, h serve.Handle, b []float64) ([]float64, error) {
+	body, err := json.Marshal(fleetrpc.SolveRequest{Handle: h.String(), B: b})
+	if err != nil {
+		return nil, fmt.Errorf("fleetha: marshal /v1/solve body: %w", err)
+	}
 	var res fleetrpc.SolveResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/solve", fleetrpc.SolveRequest{Handle: h.String(), B: b}, &res); err != nil {
+	if err := c.do(ctx, http.MethodPost, "/v1/solve", "application/json", body, &res); err != nil {
 		return nil, err
 	}
 	if len(res.X) != h.N {
@@ -212,7 +219,7 @@ func (c *Client) Solve(ctx context.Context, h serve.Handle, b []float64) ([]floa
 // Stats fetches the leader's coordinator stats.
 func (c *Client) Stats(ctx context.Context) (fleetrpc.Stats, error) {
 	var res fleetrpc.Stats
-	err := c.do(ctx, http.MethodGet, "/v1/stats", nil, &res)
+	err := c.do(ctx, http.MethodGet, "/v1/stats", "", nil, &res)
 	return res, err
 }
 
@@ -220,14 +227,14 @@ func (c *Client) Stats(ctx context.Context) (fleetrpc.Stats, error) {
 // redirect — status is answered by every node).
 func (c *Client) Status(ctx context.Context, addr string) (StatusResponse, error) {
 	var res StatusResponse
-	err := fleetrpc.DoJSON(ctx, c.hc, http.MethodGet, "http://"+addr+"/ha/v1/status", nil, &res)
+	err := fleetrpc.DoJSON(ctx, c.hc, http.MethodGet, "http://"+addr+"/ha/v1/status", "", nil, &res)
 	return res, err
 }
 
 // Trace fetches the leader's controller decision log.
 func (c *Client) Trace(ctx context.Context) (TraceResponse, error) {
 	var res TraceResponse
-	err := c.do(ctx, http.MethodGet, "/ha/v1/trace", nil, &res)
+	err := c.do(ctx, http.MethodGet, "/ha/v1/trace", "", nil, &res)
 	return res, err
 }
 

@@ -145,8 +145,12 @@ func ConfigureCoordinators(addrs []string, template ConfigureRequest) error {
 		} else {
 			req.Seed += int64(i)
 		}
+		body, err := json.Marshal(req)
+		if err != nil {
+			return fmt.Errorf("fleetha: encode configure for coordinator %d: %w", i, err)
+		}
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		err := fleetrpc.DoJSON(ctx, hc, http.MethodPost, "http://"+addr+"/ha/v1/configure", req, nil)
+		err = fleetrpc.DoJSON(ctx, hc, http.MethodPost, "http://"+addr+"/ha/v1/configure", "application/json", body, nil)
 		cancel()
 		if err != nil {
 			return fmt.Errorf("fleetha: configure coordinator %d at %s: %w", i, addr, err)

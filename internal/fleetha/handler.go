@@ -1,6 +1,7 @@
 package fleetha
 
 import (
+	"fmt"
 	"net/http"
 
 	"gesp/internal/fleet"
@@ -26,13 +27,24 @@ func (n *Node) Mux(q *fleet.Quotas) *http.ServeMux {
 		fleetrpc.WriteJSON(w, http.StatusOK, n.Status())
 	})
 	mux.HandleFunc("GET /ha/v1/state", func(w http.ResponseWriter, _ *http.Request) {
-		fleetrpc.WriteJSON(w, http.StatusOK, n.ExportState())
+		body, err := n.ExportState().MarshalBinary()
+		if err != nil {
+			fleetrpc.WriteErr(w, err)
+			return
+		}
+		fleetrpc.WriteBytes(w, fleetrpc.FrameContentType, body)
 	})
 	mux.HandleFunc("POST /ha/v1/replicate", func(w http.ResponseWriter, r *http.Request) {
-		var req ReplicateRequest
-		if fleetrpc.DecodeJSON(w, r, &req) {
-			fleetrpc.WriteJSON(w, http.StatusOK, n.handleReplicate(req))
+		body, ok := fleetrpc.ReadBody(w, r)
+		if !ok {
+			return
 		}
+		var req ReplicateRequest
+		if err := req.UnmarshalBinary(body); err != nil {
+			fleetrpc.WriteErr(w, fmt.Errorf("bad %s body: %w", r.URL.Path, err))
+			return
+		}
+		fleetrpc.WriteJSON(w, http.StatusOK, n.handleReplicate(req))
 	})
 	mux.HandleFunc("GET /ha/v1/trace", func(w http.ResponseWriter, _ *http.Request) {
 		fleetrpc.WriteJSON(w, http.StatusOK, TraceResponse{Decisions: n.Trace()})

@@ -2,6 +2,7 @@ package fleetha
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net/http"
@@ -184,11 +185,12 @@ type haPeer struct {
 }
 
 // call runs one control-plane round trip against the peer, bounded by
-// half a lease.
-func (p *haPeer) call(lease time.Duration, method, path string, in, out any) error {
+// half a lease: body (nil for none) goes out as contentType, and a 200
+// answer's body comes back.
+func (p *haPeer) call(lease time.Duration, method, path, contentType string, body []byte) ([]byte, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), lease/2)
 	defer cancel()
-	return fleetrpc.DoJSON(ctx, p.hc, method, "http://"+p.addr+path, in, out)
+	return fleetrpc.DoBytes(ctx, p.hc, method, "http://"+p.addr+path, contentType, body)
 }
 
 // spawnedShard records one controller-spawned shard by the member id
@@ -329,7 +331,10 @@ func (n *Node) runElection(now time.Time) {
 		probes++
 		go func(p *haPeer) {
 			var st StatusResponse
-			err := p.call(n.cfg.Lease, http.MethodGet, "/ha/v1/status", nil, &st)
+			res, err := p.call(n.cfg.Lease, http.MethodGet, "/ha/v1/status", "", nil)
+			if err == nil {
+				err = json.Unmarshal(res, &st)
+			}
 			results <- probeRes{id: p.id, st: st, ok: err == nil}
 		}(p)
 	}
@@ -411,7 +416,11 @@ func (n *Node) readQuorum(reachable []int) bool {
 		launched++
 		go func(p *haPeer) {
 			var st StateResponse
-			if err := p.call(n.cfg.Lease, http.MethodGet, "/ha/v1/state", nil, &st); err != nil {
+			res, err := p.call(n.cfg.Lease, http.MethodGet, "/ha/v1/state", "", nil)
+			if err == nil {
+				err = st.UnmarshalBinary(res)
+			}
+			if err != nil {
 				ch <- false
 				return
 			}
@@ -594,7 +603,13 @@ func (n *Node) broadcastReplicate(extra []RegistryEntry) (acks int) {
 		launched++
 		go func(p *haPeer, req ReplicateRequest, sent []string) {
 			var resp ReplicateResponse
-			err := p.call(n.cfg.Lease, http.MethodPost, "/ha/v1/replicate", req, &resp)
+			body, err := req.MarshalBinary()
+			if err == nil {
+				body, err = p.call(n.cfg.Lease, http.MethodPost, "/ha/v1/replicate", fleetrpc.FrameContentType, body)
+			}
+			if err == nil {
+				err = json.Unmarshal(body, &resp)
+			}
 			ch <- res{p: p, sent: sent, resp: resp, err: err}
 		}(p, req, sent)
 	}
@@ -759,17 +774,17 @@ func (n *Node) leaderFleet() (*fleetrpc.Fleet, string, error) {
 // Paired with the election's read-quorum, this is the durability
 // contract that makes leader SIGKILL lose nothing: every possible
 // winner's read set intersects the entry's write set.
-func (n *Node) Submit(ctx context.Context, wire fleetrpc.MatrixRequest) (serve.Handle, error) {
+func (n *Node) Submit(ctx context.Context, m fleetrpc.Matrix) (serve.Handle, error) {
 	fl, _, err := n.leaderFleet()
 	if err != nil {
 		return serve.Handle{}, err
 	}
-	h, err := fl.Submit(ctx, wire)
+	h, err := fl.Submit(ctx, m)
 	if err != nil {
 		return serve.Handle{}, err
 	}
 	if need := n.submitAcksNeeded(); need > 0 {
-		acks := n.broadcastReplicate([]RegistryEntry{{Handle: h.String(), Matrix: wire}})
+		acks := n.broadcastReplicate([]RegistryEntry{{Handle: h.String(), Matrix: m}})
 		if acks < need {
 			if n.Role() != Leader {
 				return serve.Handle{}, errNotLeader

@@ -14,7 +14,7 @@ import (
 type replState struct {
 	mu sync.Mutex
 	//gesp:guardedby:mu
-	registry map[serve.Handle]fleetrpc.MatrixRequest
+	registry map[serve.Handle]fleetrpc.Matrix
 	//gesp:guardedby:mu
 	shards []string
 	//gesp:guardedby:mu
@@ -37,7 +37,7 @@ type replState struct {
 
 func newReplState(shards []string) *replState {
 	return &replState{
-		registry: make(map[serve.Handle]fleetrpc.MatrixRequest),
+		registry: make(map[serve.Handle]fleetrpc.Matrix),
 		shards:   append([]string(nil), shards...),
 	}
 }
@@ -48,7 +48,7 @@ func (s *replState) apply(req ReplicateRequest) (appliedSeq uint64, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if req.Full {
-		s.registry = make(map[serve.Handle]fleetrpc.MatrixRequest, len(req.Entries))
+		s.registry = make(map[serve.Handle]fleetrpc.Matrix, len(req.Entries))
 		s.gen++
 	}
 	for _, e := range req.Entries {
@@ -78,10 +78,10 @@ func (s *replState) apply(req ReplicateRequest) (appliedSeq uint64, err error) {
 // snapshot copies the replica for a takeover: the registry seeds the
 // new leader's fleet, the shard/dead lists rebuild its membership, and
 // gen lets the caller detect entries applied after the copy.
-func (s *replState) snapshot() (registry map[serve.Handle]fleetrpc.MatrixRequest, shards []string, dead []int, gen uint64) {
+func (s *replState) snapshot() (registry map[serve.Handle]fleetrpc.Matrix, shards []string, dead []int, gen uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	registry = make(map[serve.Handle]fleetrpc.MatrixRequest, len(s.registry))
+	registry = make(map[serve.Handle]fleetrpc.Matrix, len(s.registry))
 	//gesp:unordered — map copy; the seeded fleet re-sorts its own views
 	for h, w := range s.registry {
 		registry[h] = w
@@ -98,7 +98,7 @@ func (s *replState) generation() uint64 {
 
 // mergeFromFleet folds a deposed leader's fleet view back into the
 // replica: registry entries union in, membership is replaced.
-func (s *replState) mergeFromFleet(registry map[serve.Handle]fleetrpc.MatrixRequest, shards []string, dead []int) {
+func (s *replState) mergeFromFleet(registry map[serve.Handle]fleetrpc.Matrix, shards []string, dead []int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	//gesp:unordered — map union; last-writer-wins per key, keys disjointly owned

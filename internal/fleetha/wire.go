@@ -1,12 +1,23 @@
 package fleetha
 
-import "gesp/internal/fleetrpc"
+import (
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
+	"errors"
+	"fmt"
 
-// The HA wire format rides the same HTTP+JSON transport as the shard
-// protocol, under /ha/v1/. Three verbs: status (election probes and
+	"gesp/internal/fleetrpc"
+)
+
+// The HA wire format rides the same HTTP transport as the shard
+// protocol, under /ha/v1/. Four verbs: status (election probes and
 // operator introspection), replicate (heartbeat + registry stream,
-// one endpoint — a heartbeat is a replicate with no entries), and
-// trace (the controller's decision log). Client-facing solve traffic
+// one endpoint — a heartbeat is a replicate with no entries), state
+// (a replica, for the election's read-quorum) and trace (the
+// controller's decision log). Status and trace are JSON; replicate's
+// request and state's answer carry registry matrices, so they are one
+// binary frame each (see encodeFrame). Client-facing solve traffic
 // uses the existing /v1/ shard-protocol paths on every node, with
 // followers answering 307 redirects to the leader.
 
@@ -36,12 +47,12 @@ type StatusResponse struct {
 	RingGen uint64 `json:"ring_gen"`
 }
 
-// RegistryEntry is one replicated handle: the wire matrix under its
+// RegistryEntry is one replicated handle: the matrix frame under its
 // serve handle, exactly what a takeover leader needs to seed its
 // fleet's registry.
 type RegistryEntry struct {
-	Handle string                 `json:"handle"`
-	Matrix fleetrpc.MatrixRequest `json:"matrix"`
+	Handle string
+	Matrix fleetrpc.Matrix
 }
 
 // ReplicateRequest is the leader→follower stream: term-fenced
@@ -56,7 +67,7 @@ type ReplicateRequest struct {
 	// carry it back so the leader knows the follower's high-water mark.
 	Seq     uint64          `json:"seq"`
 	Full    bool            `json:"full,omitempty"`
-	Entries []RegistryEntry `json:"entries,omitempty"`
+	Entries []RegistryEntry `json:"-"`
 	// Shards/Dead/Epoch/RingGen are the leader's membership view: the
 	// shard address list (ids = indexes), the dead ids, the epoch that
 	// versions this view, and the leader's ring generation.
@@ -83,7 +94,7 @@ type StateResponse struct {
 	ID         int             `json:"id"`
 	Term       uint64          `json:"term"`
 	AppliedSeq uint64          `json:"applied_seq"`
-	Entries    []RegistryEntry `json:"entries,omitempty"`
+	Entries    []RegistryEntry `json:"-"`
 	Shards     []string        `json:"shards,omitempty"`
 	Dead       []int           `json:"dead,omitempty"`
 	Epoch      uint64          `json:"epoch"`
@@ -114,4 +125,113 @@ type ConfigureRequest struct {
 	HedgeAfterMS int64 `json:"hedge_after_ms,omitempty"`
 	// Controller, when non-nil, runs the SLO controller on the leader.
 	Controller *ControllerConfig `json:"controller,omitempty"`
+}
+
+// The replicate request and the state answer are each one frame: the
+// rest of the value as a JSON header, then every entry's handle and
+// Matrix frame, length-prefixed, so no matrix is ever JSON:
+//
+//	"GHA1" | u32 len | header JSON | { u32 len | handle | u32 len | Matrix frame }*
+//
+// Lengths are little-endian; the entries run to the exact end of the
+// body. The header must be in the form encoding/json writes, so a frame
+// that decodes re-encodes to the same bytes.
+var frameMagic = []byte("GHA1")
+
+// errBadFrame is the class of a replicate or state frame the decoder
+// refuses (a bad matrix inside one is a fleetrpc.ErrBadMatrix): a 400.
+var errBadFrame = errors.New("fleetha: malformed frame")
+
+func encodeFrame(head any, entries []RegistryEntry) ([]byte, error) {
+	hdr, err := json.Marshal(head)
+	if err != nil {
+		return nil, fmt.Errorf("fleetha: encode frame header: %w", err)
+	}
+	size := len(frameMagic) + 4 + len(hdr)
+	for _, e := range entries {
+		size += 8 + len(e.Handle) + len(e.Matrix.Bytes())
+	}
+	b := make([]byte, 0, size)
+	b = append(b, frameMagic...)
+	b = appendChunk(b, hdr)
+	for _, e := range entries {
+		b = appendChunk(b, []byte(e.Handle))
+		b = appendChunk(b, e.Matrix.Bytes())
+	}
+	return b, nil
+}
+
+func appendChunk(b, chunk []byte) []byte {
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(chunk)))
+	return append(b, chunk...)
+}
+
+// cutChunk splits one length-prefixed chunk off b.
+func cutChunk(b []byte) (chunk, rest []byte, err error) {
+	if len(b) < 4 {
+		return nil, nil, fmt.Errorf("%w: %d bytes left, want a length", errBadFrame, len(b))
+	}
+	n := binary.LittleEndian.Uint32(b)
+	if uint64(n) > uint64(len(b)-4) {
+		return nil, nil, fmt.Errorf("%w: chunk of %d bytes, %d left", errBadFrame, n, len(b)-4)
+	}
+	return b[4 : 4+n], b[4+n:], nil
+}
+
+// decodeFrame decodes a frame's header into head and returns its
+// entries. Each entry's matrix is copied out of body, so a registry
+// that keeps it does not pin the whole batch.
+func decodeFrame(body []byte, head any) ([]RegistryEntry, error) {
+	rest, ok := bytes.CutPrefix(body, frameMagic)
+	if !ok {
+		return nil, fmt.Errorf("%w: no magic", errBadFrame)
+	}
+	hdr, rest, err := cutChunk(rest)
+	if err != nil {
+		return nil, err
+	}
+	if err := json.Unmarshal(hdr, head); err != nil {
+		return nil, fmt.Errorf("%w: header: %v", errBadFrame, err)
+	}
+	if canon, err := json.Marshal(head); err != nil || !bytes.Equal(canon, hdr) {
+		return nil, fmt.Errorf("%w: header not in canonical form", errBadFrame)
+	}
+	var entries []RegistryEntry
+	for len(rest) > 0 {
+		var hs, fr []byte
+		if hs, rest, err = cutChunk(rest); err != nil {
+			return nil, err
+		}
+		if fr, rest, err = cutChunk(rest); err != nil {
+			return nil, err
+		}
+		m, err := fleetrpc.DecodeMatrix(bytes.Clone(fr))
+		if err != nil {
+			return nil, fmt.Errorf("entry %d: %w", len(entries), err)
+		}
+		entries = append(entries, RegistryEntry{Handle: string(hs), Matrix: m})
+	}
+	return entries, nil
+}
+
+// MarshalBinary is the /ha/v1/replicate body.
+func (r ReplicateRequest) MarshalBinary() ([]byte, error) { return encodeFrame(r, r.Entries) }
+
+// UnmarshalBinary decodes a /ha/v1/replicate body.
+func (r *ReplicateRequest) UnmarshalBinary(b []byte) error {
+	var err error
+	*r = ReplicateRequest{}
+	r.Entries, err = decodeFrame(b, r)
+	return err
+}
+
+// MarshalBinary is the /ha/v1/state answer.
+func (s StateResponse) MarshalBinary() ([]byte, error) { return encodeFrame(s, s.Entries) }
+
+// UnmarshalBinary decodes a /ha/v1/state answer.
+func (s *StateResponse) UnmarshalBinary(b []byte) error {
+	var err error
+	*s = StateResponse{}
+	s.Entries, err = decodeFrame(b, s)
+	return err
 }

@@ -106,12 +106,13 @@ func RetryAfterHint(err error) time.Duration {
 }
 
 // DoBytes is the one HTTP round trip of the stack: send body (nil for
-// none) to url and return a 200 response's body, read to the end so
-// the connection goes back to the pool. Non-200 responses come back as
-// *RemoteError; transport failures, a body cut short included, wrap
-// ErrUnreachable; the context's own error surfaces as itself so a
-// retry layer can tell "peer gone" from "budget spent".
-func DoBytes(ctx context.Context, hc *http.Client, method, url string, body []byte) ([]byte, error) {
+// none) to url as contentType — FrameContentType or JSON, the codec the
+// receiver picks by — and return a 200 response's body, read to the end
+// so the connection goes back to the pool. Non-200 responses come back
+// as *RemoteError; transport failures, a body cut short included, wrap
+// ErrUnreachable; the context's own error surfaces as itself so a retry
+// layer can tell "peer gone" from "budget spent".
+func DoBytes(ctx context.Context, hc *http.Client, method, url, contentType string, body []byte) ([]byte, error) {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
@@ -121,7 +122,7 @@ func DoBytes(ctx context.Context, hc *http.Client, method, url string, body []by
 		return nil, fmt.Errorf("fleetrpc: build %s request: %w", url, err)
 	}
 	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set("Content-Type", contentType)
 	}
 	resp, err := hc.Do(req)
 	if err != nil {
@@ -155,18 +156,11 @@ func DoBytes(ctx context.Context, hc *http.Client, method, url string, body []by
 	return res, nil
 }
 
-// DoJSON is DoBytes over JSON values: send in (nil for no body), decode
-// a 200 response into out (nil to ignore it). An undecodable answer is
-// a broken peer: ErrUnreachable.
-func DoJSON(ctx context.Context, hc *http.Client, method, url string, in, out any) error {
-	var body []byte
-	if in != nil {
-		var err error
-		if body, err = json.Marshal(in); err != nil {
-			return fmt.Errorf("fleetrpc: marshal %s body: %w", url, err)
-		}
-	}
-	res, err := DoBytes(ctx, hc, method, url, body)
+// DoJSON is DoBytes with a JSON answer: a 200 response's body decoded
+// into out (nil to ignore it). An undecodable answer is a broken peer:
+// ErrUnreachable.
+func DoJSON(ctx context.Context, hc *http.Client, method, url, contentType string, body []byte, out any) error {
+	res, err := DoBytes(ctx, hc, method, url, contentType, body)
 	if err != nil || out == nil {
 		return err
 	}
@@ -216,9 +210,11 @@ func Dial(addrs []string) []Shard {
 // Addr is the shard's host:port.
 func (c *Client) Addr() string { return c.addr }
 
-// do runs one JSON round trip against the shard.
-func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
-	return c.dropIdleOn(DoJSON(ctx, c.hc, method, "http://"+c.addr+path, in, out))
+// do runs one round trip against the shard: body (nil for none) sent
+// as contentType, a 200 answer's JSON decoded into out (nil to ignore
+// it).
+func (c *Client) do(ctx context.Context, method, path, contentType string, body []byte, out any) error {
+	return c.dropIdleOn(DoJSON(ctx, c.hc, method, "http://"+c.addr+path, contentType, body, out))
 }
 
 // dropIdleOn passes err through; a request that died in transport or
@@ -232,10 +228,10 @@ func (c *Client) dropIdleOn(err error) error {
 	return err
 }
 
-// Submit sends a matrix and returns its handle.
-func (c *Client) Submit(ctx context.Context, req MatrixRequest) (serve.Handle, error) {
+// Submit sends a matrix, as its frame, and returns its handle.
+func (c *Client) Submit(ctx context.Context, m Matrix) (serve.Handle, error) {
 	var res MatrixResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/matrix", req, &res); err != nil {
+	if err := c.do(ctx, http.MethodPost, "/v1/matrix", FrameContentType, m.Bytes(), &res); err != nil {
 		return serve.Handle{}, err
 	}
 	return serve.ParseHandle(res.Handle)
@@ -264,7 +260,7 @@ func (c *Client) Solve(ctx context.Context, h serve.Handle, b []float64) ([]floa
 // with h.N elements (solutionShaped). A short or malformed answer is a
 // broken peer, retryable like any other: ErrUnreachable.
 func (c *Client) SolveWire(ctx context.Context, h serve.Handle, body []byte) ([]byte, error) {
-	out, err := DoBytes(ctx, c.hc, http.MethodPost, "http://"+c.addr+"/v1/solve", body)
+	out, err := DoBytes(ctx, c.hc, http.MethodPost, "http://"+c.addr+"/v1/solve", "application/json", body)
 	if err = c.dropIdleOn(err); err != nil {
 		return nil, err
 	}
@@ -275,17 +271,18 @@ func (c *Client) SolveWire(ctx context.Context, h serve.Handle, body []byte) ([]
 }
 
 // SolveDegraded asks the shard for an iterative solve from the raw
-// matrix — no handle, no factors, no cache.
-func (c *Client) SolveDegraded(ctx context.Context, m MatrixRequest, b []float64) ([]float64, error) {
+// matrix — no handle, no factors, no cache. The matrix frame and b
+// travel as one frame.
+func (c *Client) SolveDegraded(ctx context.Context, m Matrix, b []float64) ([]float64, error) {
 	var res SolveResponse
-	err := c.do(ctx, http.MethodPost, "/v1/degraded", DegradedRequest{Matrix: m, B: b}, &res)
+	err := c.do(ctx, http.MethodPost, "/v1/degraded", FrameContentType, encodeDegraded(m, b), &res)
 	return res.X, err
 }
 
 // Health probes the shard.
 func (c *Client) Health(ctx context.Context) (HealthResponse, error) {
 	var res HealthResponse
-	err := c.do(ctx, http.MethodGet, "/v1/health", nil, &res)
+	err := c.do(ctx, http.MethodGet, "/v1/health", "", nil, &res)
 	return res, err
 }
 
@@ -294,7 +291,7 @@ func (c *Client) Health(ctx context.Context) (HealthResponse, error) {
 // dimension) and carries nothing to import.
 func (c *Client) Handoff(ctx context.Context) (serve.Export, error) {
 	var res HandoffResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/handoff", nil, &res); err != nil {
+	if err := c.do(ctx, http.MethodPost, "/v1/handoff", "", nil, &res); err != nil {
 		return serve.Export{}, err
 	}
 	var exp serve.Export

@@ -96,13 +96,13 @@ type Config struct {
 	// error.
 	DegradedFallback bool
 
-	// SeedRegistry pre-populates the wire-matrix registry. This is the
+	// SeedRegistry pre-populates the matrix registry. This is the
 	// HA takeover path: a follower coordinator that wins an election
 	// rebuilds its Fleet with the registry its leader streamed to it, so
 	// every handle the old leader ever acked survives the failover. The
 	// new coordinator re-replicates the seeded patterns in the
 	// background at startup.
-	SeedRegistry map[serve.Handle]MatrixRequest
+	SeedRegistry map[serve.Handle]Matrix
 	// DeadMembers are Shards indexes to treat as dead from birth — the
 	// previous leader's replicated membership view, so a failed-over
 	// coordinator starts with the ring its predecessor was routing on
@@ -191,11 +191,11 @@ type Fleet struct {
 	ringGen atomic.Uint64
 
 	mu sync.Mutex
-	// registry keeps every submitted system in wire form: the router
-	// re-sends it to heal evictions, to re-replicate after a membership
-	// change, and to feed the degraded path.
+	// registry keeps every submitted system as its Matrix frame: the
+	// router re-sends those bytes to heal evictions, to re-replicate
+	// after a membership change, and to feed the degraded path.
 	//gesp:guardedby:mu
-	registry map[serve.Handle]MatrixRequest
+	registry map[serve.Handle]Matrix
 	// replBoost widens a single pattern's placement beyond
 	// cfg.Replication (pattern -> extra replicas) — the SLO controller's
 	// promote/demote knob.
@@ -227,7 +227,7 @@ func New(cfg Config) (*Fleet, error) {
 	f := &Fleet{
 		cfg:       cfg,
 		hedge:     fleet.NewHedgeBudget(cfg.HedgeBudget, cfg.HedgeBurst),
-		registry:  make(map[serve.Handle]MatrixRequest),
+		registry:  make(map[serve.Handle]Matrix),
 		replBoost: make(map[uint64]int),
 		popCount:  make(map[uint64]uint64),
 		rng:       rand.New(rand.NewSource(cfg.Seed)),
@@ -438,14 +438,14 @@ func (f *Fleet) rereplicateWhere(keep func(pattern uint64) bool) {
 	}
 	type entry struct {
 		pattern uint64
-		wire    MatrixRequest
+		m       Matrix
 	}
 	f.mu.Lock()
 	entries := make([]entry, 0, len(f.registry))
 	//gesp:unordered — each pattern re-homes independently; placement order is irrelevant
-	for h, w := range f.registry {
+	for h, m := range f.registry {
 		if keep(h.Key.Pattern) {
-			entries = append(entries, entry{pattern: h.Key.Pattern, wire: w})
+			entries = append(entries, entry{pattern: h.Key.Pattern, m: m})
 		}
 	}
 	f.mu.Unlock()
@@ -464,7 +464,7 @@ func (f *Fleet) rereplicateWhere(keep func(pattern uint64) bool) {
 			var buf [maxReplication]*member
 			n := f.placementInto(buf[:], e.pattern)
 			for i := 0; i < n; i++ {
-				if _, err := f.submitTo(context.Background(), buf[i], buf[0], e.pattern, e.wire); err == nil {
+				if _, err := f.submitTo(context.Background(), buf[i], buf[0], e.pattern, e.m); err == nil {
 					f.m.rereplicated.Add(1)
 				}
 			}
@@ -472,10 +472,10 @@ func (f *Fleet) rereplicateWhere(keep func(pattern uint64) bool) {
 	}()
 }
 
-// submitTo factors wire on mb. When donor is another member, its
+// submitTo factors m on mb. When donor is another member, its
 // analysis of the pattern is offered to mb first, so a replica that can
 // adopt it (one sharing the donor's address space) skips re-analysis.
-func (f *Fleet) submitTo(ctx context.Context, mb, donor *member, pattern uint64, wire MatrixRequest) (serve.Handle, error) {
+func (f *Fleet) submitTo(ctx context.Context, mb, donor *member, pattern uint64, m Matrix) (serve.Handle, error) {
 	sctx, cancel := context.WithTimeout(ctx, f.cfg.SubmitTimeout)
 	defer cancel()
 	if donor != mb {
@@ -484,7 +484,7 @@ func (f *Fleet) submitTo(ctx context.Context, mb, donor *member, pattern uint64,
 			_, _ = mb.sh.Import(sctx, exp)
 		}
 	}
-	h, err := mb.sh.Submit(sctx, wire)
+	h, err := mb.sh.Submit(sctx, m)
 	f.noteResult(mb, err)
 	return h, err
 }
@@ -630,11 +630,11 @@ func (f *Fleet) sleep(ctx context.Context, attempt, sick int, retryAfter time.Du
 // Submit registers a system with the fleet: the matrix is factored on
 // its pattern's owner and replicas, and kept in the router's registry
 // for healing, re-replication, and the degraded path.
-func (f *Fleet) Submit(ctx context.Context, wire MatrixRequest) (serve.Handle, error) {
+func (f *Fleet) Submit(ctx context.Context, m Matrix) (serve.Handle, error) {
 	if f.closed.Load() {
 		return serve.Handle{}, serve.ErrClosed
 	}
-	a, err := AssembleMatrix(wire)
+	a, err := m.CSC()
 	if err != nil {
 		return serve.Handle{}, err
 	}
@@ -655,7 +655,7 @@ func (f *Fleet) Submit(ctx context.Context, wire MatrixRequest) (serve.Handle, e
 			lastSick = 0
 			continue
 		}
-		h, err := f.submitTo(ctx, buf[0], buf[0], pattern, wire)
+		h, err := f.submitTo(ctx, buf[0], buf[0], pattern, m)
 		if err != nil {
 			lastErr = err
 			lastSick = buf[0].failureCount()
@@ -665,23 +665,23 @@ func (f *Fleet) Submit(ctx context.Context, wire MatrixRequest) (serve.Handle, e
 			continue
 		}
 		f.mu.Lock()
-		f.registry[h] = wire
+		f.registry[h] = m
 		f.mu.Unlock()
 		for i := 1; i < n; i++ {
 			//gesp:errok — replica population is best-effort; the owner holds the factors and re-replication retries on the next membership change
-			_, _ = f.submitTo(ctx, buf[i], buf[0], pattern, wire)
+			_, _ = f.submitTo(ctx, buf[i], buf[0], pattern, m)
 		}
 		return h, nil
 	}
 	return serve.Handle{}, lastErr
 }
 
-// Registry snapshots the wire-matrix registry — the state the HA layer
+// Registry snapshots the matrix registry — the state the HA layer
 // replicates to follower coordinators so a takeover loses no handles.
-func (f *Fleet) Registry() map[serve.Handle]MatrixRequest {
+func (f *Fleet) Registry() map[serve.Handle]Matrix {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	out := make(map[serve.Handle]MatrixRequest, len(f.registry))
+	out := make(map[serve.Handle]Matrix, len(f.registry))
 	//gesp:unordered — map copy; the replication layer tracks per-handle acks, not order
 	for h, w := range f.registry {
 		out[h] = w
@@ -892,10 +892,10 @@ func solvePlaced[P payload](f *Fleet, ctx context.Context, primary, replica *mem
 }
 
 // heal re-factors an evicted handle at its current owner from the
-// registered wire matrix.
+// registered matrix.
 func (f *Fleet) heal(ctx context.Context, h serve.Handle) error {
 	f.mu.Lock()
-	wire, ok := f.registry[h]
+	m, ok := f.registry[h]
 	f.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("fleetrpc: handle %v has no registered matrix", h.Key)
@@ -905,7 +905,7 @@ func (f *Fleet) heal(ctx context.Context, h serve.Handle) error {
 	if n == 0 {
 		return ErrNoLiveShards
 	}
-	_, err := f.submitTo(ctx, buf[0], buf[0], h.Key.Pattern, wire)
+	_, err := f.submitTo(ctx, buf[0], buf[0], h.Key.Pattern, m)
 	return err
 }
 
@@ -915,7 +915,7 @@ func (f *Fleet) heal(ctx context.Context, h serve.Handle) error {
 // to hit).
 func (f *Fleet) solveDegraded(ctx context.Context, h serve.Handle, b []float64) ([]float64, error) {
 	f.mu.Lock()
-	wire, ok := f.registry[h]
+	m, ok := f.registry[h]
 	f.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("fleetrpc: handle %v has no registered matrix", h.Key)
@@ -927,7 +927,7 @@ func (f *Fleet) solveDegraded(ctx context.Context, h serve.Handle, b []float64) 
 				continue
 			}
 			dctx, cancel := context.WithTimeout(ctx, f.cfg.SubmitTimeout)
-			x, err := mb.sh.SolveDegraded(dctx, wire, b)
+			x, err := mb.sh.SolveDegraded(dctx, m, b)
 			cancel()
 			f.noteResult(mb, err)
 			if err == nil {

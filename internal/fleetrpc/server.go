@@ -21,7 +21,7 @@ import (
 // solve arrives as its encoded body, routed by handle, and its answer
 // leaves as the encoded response: only a shard parses the numbers.
 type API[S any] interface {
-	Submit(ctx context.Context, wire MatrixRequest) (serve.Handle, error)
+	Submit(ctx context.Context, m Matrix) (serve.Handle, error)
 	SolveWire(ctx context.Context, h serve.Handle, body []byte) ([]byte, error)
 	Stats() S
 }
@@ -41,7 +41,8 @@ var maxBodyBytes int64 = 256 << 20
 // Handler is the one set of client-facing routes, mounted by every
 // binary that serves them:
 //
-//	POST /v1/matrix  {"n":N,"rows":[...],"cols":[...],"vals":[...]}
+//	POST /v1/matrix  {"n":N,"rows":[...],"cols":[...],"vals":[...]}, or a
+//	                 Matrix frame under FrameContentType
 //	                 -> {"handle":"p….v….n…","n":N,"nnz":…[,"shard":K]}
 //	POST /v1/solve   {"handle":"…","b":[...]}  -> {"x":[...]}  (bytes in, bytes out)
 //	GET  /v1/stats   -> api.Stats() as JSON
@@ -54,16 +55,19 @@ func Handler[S any](api API[S], q *fleet.Quotas) *http.ServeMux {
 	co, _ := api.(coordinator)
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/matrix", func(w http.ResponseWriter, r *http.Request) {
-		var req MatrixRequest
-		if !admit(w, r, q) || !DecodeJSON(w, r, &req) {
+		if !admit(w, r, q) {
 			return
 		}
-		h, err := api.Submit(r.Context(), req)
+		m, ok := readMatrix(w, r)
+		if !ok {
+			return
+		}
+		h, err := api.Submit(r.Context(), m)
 		if err != nil {
 			WriteErr(w, err)
 			return
 		}
-		res := MatrixResponse{Handle: h.String(), N: h.N, Nnz: len(req.Vals)}
+		res := MatrixResponse{Handle: h.String(), N: h.N, Nnz: m.Nnz()}
 		if co != nil {
 			owner := co.Owner(h.Key.Pattern)
 			res.Shard = &owner
@@ -74,11 +78,11 @@ func Handler[S any](api API[S], q *fleet.Quotas) *http.ServeMux {
 		if !admit(w, r, q) {
 			return
 		}
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-		var hs string
-		if err == nil {
-			hs, err = wireHandle(body)
+		body, ok := ReadBody(w, r)
+		if !ok {
+			return
 		}
+		hs, err := wireHandle(body)
 		if err != nil {
 			WriteErr(w, fmt.Errorf("bad %s body: %w", r.URL.Path, err))
 			return
@@ -93,11 +97,7 @@ func Handler[S any](api API[S], q *fleet.Quotas) *http.ServeMux {
 			WriteErr(w, err)
 			return
 		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("Content-Length", strconv.Itoa(len(res)))
-		w.WriteHeader(http.StatusOK)
-		//gesp:errok — the client hung up mid-answer; there is no one left to tell
-		_, _ = w.Write(res)
+		WriteBytes(w, "application/json", res)
 	})
 	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
 		WriteJSON(w, http.StatusOK, api.Stats())
@@ -142,6 +142,42 @@ func DecodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	return true
 }
 
+// ReadBody reads one bounded request body; over the bound it answers
+// 413. A failure is already written.
+func ReadBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err != nil {
+		WriteErr(w, fmt.Errorf("bad %s body: %w", r.URL.Path, err))
+		return nil, false
+	}
+	return body, true
+}
+
+// readMatrix reads a /v1/matrix body in the codec its Content-Type
+// names: a Matrix frame, or else the JSON triplet form, framed here
+// once. A failure is already written.
+func readMatrix(w http.ResponseWriter, r *http.Request) (Matrix, bool) {
+	body, ok := ReadBody(w, r)
+	if !ok {
+		return Matrix{}, false
+	}
+	var m Matrix
+	var err error
+	if r.Header.Get("Content-Type") == FrameContentType {
+		m, err = DecodeMatrix(body)
+	} else {
+		var req MatrixRequest
+		if err = decodeBody(body, &req); err == nil {
+			m, err = encodeMatrix(req)
+		}
+	}
+	if err != nil {
+		WriteErr(w, fmt.Errorf("bad %s body: %w", r.URL.Path, err))
+		return Matrix{}, false
+	}
+	return m, true
+}
+
 // WriteJSON answers with status and v as the JSON body.
 func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
@@ -149,6 +185,15 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 	if err := json.NewEncoder(w).Encode(v); err != nil {
 		log.Printf("fleetrpc: encode response: %v", err)
 	}
+}
+
+// WriteBytes answers 200 with an encoded body of the given type.
+func WriteBytes(w http.ResponseWriter, contentType string, body []byte) {
+	w.Header().Set("Content-Type", contentType)
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(http.StatusOK)
+	//gesp:errok — the client hung up mid-answer; there is no one left to tell
+	_, _ = w.Write(body)
 }
 
 // WriteErr maps the one error taxonomy onto HTTP statuses — the
@@ -207,7 +252,8 @@ func SetRetryAfter(w http.ResponseWriter, d time.Duration) {
 //
 //	GET  /v1/health    cheap liveness + load signal for the prober
 //	POST /v1/handoff   drain: finish queued work, return resident handles
-//	POST /v1/degraded  iterative solve from a raw matrix (no factoring)
+//	POST /v1/degraded  iterative solve from a raw matrix (no factoring):
+//	                   a Matrix frame followed by b as n float64s
 func (s *LocalShard) Mux() *http.ServeMux {
 	mux := Handler(s, nil)
 	mux.HandleFunc("GET /v1/health", func(w http.ResponseWriter, r *http.Request) {
@@ -228,11 +274,16 @@ func (s *LocalShard) Mux() *http.ServeMux {
 		WriteJSON(w, http.StatusOK, res)
 	})
 	mux.HandleFunc("POST /v1/degraded", func(w http.ResponseWriter, r *http.Request) {
-		var req DegradedRequest
-		if !DecodeJSON(w, r, &req) {
+		body, ok := ReadBody(w, r)
+		if !ok {
 			return
 		}
-		x, err := s.SolveDegraded(r.Context(), req.Matrix, req.B)
+		m, b, err := decodeDegraded(body)
+		if err != nil {
+			WriteErr(w, fmt.Errorf("bad %s body: %w", r.URL.Path, err))
+			return
+		}
+		x, err := s.SolveDegraded(r.Context(), m, b)
 		if err != nil {
 			WriteErr(w, err)
 			return

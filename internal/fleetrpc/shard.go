@@ -22,7 +22,7 @@ type Shard interface {
 	// in-process one. It is what membership reports and HA replicates.
 	Addr() string
 	// Submit factors (or finds cached) the system and returns its handle.
-	Submit(ctx context.Context, wire MatrixRequest) (serve.Handle, error)
+	Submit(ctx context.Context, m Matrix) (serve.Handle, error)
 	// Solve solves one right-hand side against a submitted handle.
 	Solve(ctx context.Context, h serve.Handle, b []float64) ([]float64, error)
 	// SolveWire is Solve on an encoded /v1/solve body routed by h,
@@ -31,7 +31,7 @@ type Shard interface {
 	SolveWire(ctx context.Context, h serve.Handle, body []byte) ([]byte, error)
 	// SolveDegraded solves iteratively from the raw matrix, touching no
 	// cache — the request of last resort.
-	SolveDegraded(ctx context.Context, wire MatrixRequest, b []float64) ([]float64, error)
+	SolveDegraded(ctx context.Context, m Matrix, b []float64) ([]float64, error)
 	// Health is the prober's cheap liveness and load check.
 	Health(ctx context.Context) (HealthResponse, error)
 	// Handoff drains the shard — admission closes, queued solves finish —
@@ -78,8 +78,8 @@ func LocalShards(svcs ...*serve.Service) []Shard {
 
 func (s *LocalShard) Addr() string { return s.addr }
 
-func (s *LocalShard) Submit(_ context.Context, wire MatrixRequest) (serve.Handle, error) {
-	a, err := AssembleMatrix(wire)
+func (s *LocalShard) Submit(_ context.Context, m Matrix) (serve.Handle, error) {
+	a, err := m.CSC()
 	if err != nil {
 		return serve.Handle{}, err
 	}
@@ -168,8 +168,8 @@ func (s *LocalShard) Import(_ context.Context, exp serve.Export) (int, error) {
 // a hopeless system cannot pin a surviving shard.
 var degradedOptions = krylov.Options{Tol: 1e-8, MaxIter: 2000, Restart: 60}
 
-func (s *LocalShard) SolveDegraded(ctx context.Context, wire MatrixRequest, b []float64) ([]float64, error) {
-	a, err := AssembleMatrix(wire)
+func (s *LocalShard) SolveDegraded(ctx context.Context, m Matrix, b []float64) ([]float64, error) {
+	a, err := m.CSC()
 	if err != nil {
 		return nil, err
 	}

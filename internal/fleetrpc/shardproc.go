@@ -135,7 +135,11 @@ type ChaosDelayRequest struct {
 // SetChaosDelay points a shard's straggler injector at ms milliseconds
 // per solve (0 cures it).
 func (c *Client) SetChaosDelay(ctx context.Context, ms int64) error {
-	return c.do(ctx, http.MethodPost, "/v1/chaos/delay", ChaosDelayRequest{MS: ms}, nil)
+	body, err := json.Marshal(ChaosDelayRequest{MS: ms})
+	if err != nil {
+		return fmt.Errorf("chaos: encode delay: %w", err)
+	}
+	return c.do(ctx, http.MethodPost, "/v1/chaos/delay", "application/json", body, nil)
 }
 
 // SpawnShards re-executes the current binary n times as shard

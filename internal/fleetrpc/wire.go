@@ -1,7 +1,9 @@
 // Package fleetrpc is the solve fleet: one router (Fleet) that places
 // requests by consistent-hashing each system's sparsity-pattern
-// fingerprint over a set of shards, and the HTTP/JSON wire format that
-// lets a shard be a separate gesp-serve process.
+// fingerprint over a set of shards, and the HTTP wire format that lets
+// a shard be a separate gesp-serve process: JSON at the client-facing
+// front door, a binary Matrix frame for every matrix between the
+// stack's own processes.
 //
 // A shard is anything behind the Shard interface. Two implementations
 // exist: LocalShard wraps an in-process serve.Service, and Client
@@ -30,7 +32,7 @@
 //   - graceful drain: a leaving shard's Handoff export is imported by
 //     the post-drain owners before the ring swaps, and whatever an
 //     export cannot carry (everything, across a process boundary) is
-//     re-factored from the wire-matrix registry;
+//     re-factored from the matrix registry;
 //   - graceful degradation: when every placement is down and healing
 //     fails, the solve falls back to the resilience ladder's iterative
 //     path (ILU0-preconditioned GMRES on the registered matrix) on any
@@ -39,14 +41,20 @@ package fleetrpc
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math"
 
+	"gesp/internal/resilience"
 	"gesp/internal/sparse"
 )
 
-// MatrixRequest is the POST /v1/matrix body: a triplet (COO) matrix.
-// Duplicate (row, col) entries are summed, the usual assembly rule.
+// MatrixRequest is the JSON POST /v1/matrix body a client sends: a
+// triplet (COO) matrix. Duplicate (row, col) entries are summed, the
+// usual assembly rule. The front door frames it once (Matrix); no hop
+// after it carries JSON.
 type MatrixRequest struct {
 	N    int       `json:"n"`
 	Rows []int     `json:"rows"`
@@ -91,16 +99,6 @@ type HealthResponse struct {
 // re-submitting its registered matrix to the new ring owner.
 type HandoffResponse struct {
 	Handles []string `json:"handles"`
-}
-
-// DegradedRequest is the POST /v1/degraded body: solve A·x = b
-// iteratively from the raw matrix, without factoring or caching — the
-// request of last resort when a pattern's owner and replicas are all
-// dead and the caller still holds the matrix. The answer is a
-// SolveResponse.
-type DegradedRequest struct {
-	Matrix MatrixRequest `json:"matrix"`
-	B      []float64     `json:"b"`
 }
 
 // ErrorResponse is every non-200 body. RetryAfterNS repeats the
@@ -200,48 +198,216 @@ func solutionShaped(body []byte, n int) bool {
 	return ok && len(inner) > 0 && bytes.IndexByte(inner, ']') < 0 && bytes.Count(inner, []byte{','})+1 == n
 }
 
-// WireMatrix encodes a CSC matrix as the triplet wire form.
-func WireMatrix(a *sparse.CSC) MatrixRequest {
-	nnz := a.Nnz()
-	req := MatrixRequest{
-		N:    a.Rows,
-		Rows: make([]int, 0, nnz),
-		Cols: make([]int, 0, nnz),
-		Vals: make([]float64, 0, nnz),
+// FrameContentType marks a body in one of the binary frame layouts.
+// Between the stack's own processes — coordinator to shard, leader to
+// follower — a matrix always travels as a frame; the receiving side
+// picks the codec by Content-Type, so the JSON front door stays.
+const FrameContentType = "application/x-gesp-frame"
+
+// ErrBadMatrix is the class of every matrix a decoder refuses, in
+// either codec: a frame of the wrong length, a non-positive or
+// oversized dimension, fewer entries than columns, an index outside
+// the matrix, a value that is not finite. WriteErr answers it 400.
+var ErrBadMatrix = errors.New("fleetrpc: bad matrix")
+
+// matrixMagic opens every matrix frame; matrixHead is the header size.
+var matrixMagic = [4]byte{'G', 'M', 'X', '1'}
+
+const matrixHead = 20
+
+// Matrix is a validated triplet matrix in its binary frame, the form a
+// matrix takes on every hop between the stack's own processes and the
+// form the registry keeps: encoded once per submit, the same bytes go
+// to the owner, its replicas and the follower coordinators.
+//
+//	offset    size    field
+//	0         4       magic "GMX1"
+//	4         8       n, uint64: 1 ≤ n ≤ MaxInt32
+//	12        8       nnz, uint64: nnz ≥ n
+//	20        4·nnz   rows, int32: 0 ≤ i < n
+//	20+4nnz   4·nnz   cols, int32: 0 ≤ j < n
+//	20+8nnz   8·nnz   vals, float64 bits: finite
+//
+// Every field is little-endian and a frame is exactly 20+16·nnz bytes:
+// 16 B per entry against MatrixRequest's 24. Duplicate (row, col)
+// entries are summed, as in the JSON form. A Matrix is immutable; its
+// constructors are DecodeMatrix and encodeMatrix, which check every
+// rule, and WireMatrix, whose CSC input has valid indices by
+// construction (CSC checks its values).
+type Matrix struct{ b []byte }
+
+// Bytes is the frame.
+func (m Matrix) Bytes() []byte { return m.b }
+
+// N is the dimension, 0 for the zero Matrix.
+func (m Matrix) N() int { return m.field(4) }
+
+// Nnz is the number of triplet entries, 0 for the zero Matrix.
+func (m Matrix) Nnz() int { return m.field(12) }
+
+func (m Matrix) field(off int) int {
+	if len(m.b) < matrixHead {
+		return 0
 	}
-	for j := 0; j < a.Cols; j++ {
-		for p := a.ColPtr[j]; p < a.ColPtr[j+1]; p++ {
-			req.Rows = append(req.Rows, a.RowInd[p])
-			req.Cols = append(req.Cols, j)
-			req.Vals = append(req.Vals, a.Val[p])
-		}
-	}
-	return req
+	return int(binary.LittleEndian.Uint64(m.b[off:]))
 }
 
-// AssembleMatrix validates and assembles the wire triplet form into a
-// CSC matrix, summing duplicate entries.
-func AssembleMatrix(req MatrixRequest) (*sparse.CSC, error) {
-	if req.N <= 0 {
-		return nil, fmt.Errorf("matrix dimension %d, want positive", req.N)
+// entry reads triplet k.
+func (m Matrix) entry(k int) (i, j int, v float64) {
+	nnz := m.Nnz()
+	le := binary.LittleEndian
+	i = int(int32(le.Uint32(m.b[matrixHead+4*k:])))
+	j = int(int32(le.Uint32(m.b[matrixHead+4*(nnz+k):])))
+	v = math.Float64frombits(le.Uint64(m.b[matrixHead+8*(nnz+k):]))
+	return i, j, v
+}
+
+// newMatrix allocates a frame for n and nnz; put fills it.
+func newMatrix(n, nnz int) Matrix {
+	b := make([]byte, matrixHead+16*nnz)
+	copy(b, matrixMagic[:])
+	binary.LittleEndian.PutUint64(b[4:], uint64(n))
+	binary.LittleEndian.PutUint64(b[12:], uint64(nnz))
+	return Matrix{b}
+}
+
+func (m Matrix) put(k, i, j int, v float64) {
+	nnz := m.Nnz()
+	le := binary.LittleEndian
+	le.PutUint32(m.b[matrixHead+4*k:], uint32(int32(i)))
+	le.PutUint32(m.b[matrixHead+4*(nnz+k):], uint32(int32(j)))
+	le.PutUint64(m.b[matrixHead+8*(nnz+k):], math.Float64bits(v))
+}
+
+// checkDims is the size rule both codecs apply. Fewer entries than
+// columns leaves a column empty: structurally singular. Checking that
+// before the size bound also bounds the O(n) assembly allocation by
+// the size of the body that was actually sent.
+func checkDims(n, nnz int64) error {
+	switch {
+	case n <= 0:
+		return fmt.Errorf("%w: dimension %d, want positive", ErrBadMatrix, n)
+	case nnz < n:
+		return fmt.Errorf("%w: %d entries for a %dx%d matrix: structurally singular", ErrBadMatrix, nnz, n, n)
+	case n > math.MaxInt32:
+		return fmt.Errorf("%w: dimension %d exceeds %d", ErrBadMatrix, n, math.MaxInt32)
 	}
+	return nil
+}
+
+// DecodeMatrix checks a frame against every rule of the layout and
+// returns it as a Matrix, aliasing b.
+func DecodeMatrix(b []byte) (Matrix, error) {
+	if len(b) < matrixHead || [4]byte(b[:4]) != matrixMagic {
+		return Matrix{}, fmt.Errorf("%w: not a matrix frame", ErrBadMatrix)
+	}
+	m := Matrix{b}
+	n, nnz := m.N(), uint64(m.Nnz())
+	if body := uint64(len(b) - matrixHead); body%16 != 0 || body/16 != nnz {
+		return Matrix{}, fmt.Errorf("%w: %d-byte frame for %d entries", ErrBadMatrix, len(b), nnz)
+	}
+	if err := checkDims(int64(n), int64(nnz)); err != nil {
+		return Matrix{}, err
+	}
+	for k := 0; k < int(nnz); k++ {
+		i, j, v := m.entry(k)
+		if i < 0 || i >= n || j < 0 || j >= n {
+			return Matrix{}, fmt.Errorf("%w: entry %d at (%d,%d) outside %dx%d", ErrBadMatrix, k, i, j, n, n)
+		}
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return Matrix{}, fmt.Errorf("%w: entry %d at (%d,%d) is %v", ErrBadMatrix, k, i, j, v)
+		}
+	}
+	return m, nil
+}
+
+// encodeMatrix checks the JSON triplet form and frames it: the front
+// door's one conversion. JSON cannot spell a non-finite number, so the
+// values need no check.
+func encodeMatrix(req MatrixRequest) (Matrix, error) {
 	if len(req.Rows) != len(req.Vals) || len(req.Cols) != len(req.Vals) {
-		return nil, fmt.Errorf("triplet arrays disagree: %d rows, %d cols, %d vals",
-			len(req.Rows), len(req.Cols), len(req.Vals))
+		return Matrix{}, fmt.Errorf("%w: triplet arrays disagree: %d rows, %d cols, %d vals",
+			ErrBadMatrix, len(req.Rows), len(req.Cols), len(req.Vals))
 	}
-	if len(req.Vals) < req.N {
-		// Fewer entries than columns leaves a column empty: structurally
-		// singular. Rejecting it here also bounds the O(n) assembly
-		// allocation by the size of the body that was actually sent.
-		return nil, fmt.Errorf("%d entries for a %dx%d matrix: structurally singular", len(req.Vals), req.N, req.N)
+	if err := checkDims(int64(req.N), int64(len(req.Vals))); err != nil {
+		return Matrix{}, err
 	}
-	t := sparse.NewTriplet(req.N, req.N)
-	for k := range req.Vals {
+	m := newMatrix(req.N, len(req.Vals))
+	for k, v := range req.Vals {
 		i, j := req.Rows[k], req.Cols[k]
 		if i < 0 || i >= req.N || j < 0 || j >= req.N {
-			return nil, fmt.Errorf("entry %d at (%d,%d) outside %dx%d", k, i, j, req.N, req.N)
+			return Matrix{}, fmt.Errorf("%w: entry %d at (%d,%d) outside %dx%d", ErrBadMatrix, k, i, j, req.N, req.N)
 		}
-		t.Append(i, j, req.Vals[k])
+		m.put(k, i, j, v)
+	}
+	return m, nil
+}
+
+// WireMatrix frames a CSC matrix, column by column.
+func WireMatrix(a *sparse.CSC) Matrix {
+	m := newMatrix(a.Rows, a.Nnz())
+	k := 0
+	for j := 0; j < a.Cols; j++ {
+		for p := a.ColPtr[j]; p < a.ColPtr[j+1]; p++ {
+			m.put(k, a.RowInd[p], j, a.Val[p])
+			k++
+		}
+	}
+	return m
+}
+
+// CSC assembles the matrix, summing duplicate entries. A non-finite
+// value — possible only in a WireMatrix of such a CSC, the decoders
+// refuse one — is an ErrBadMatrix: no shard is handed one.
+func (m Matrix) CSC() (*sparse.CSC, error) {
+	n, nnz := m.N(), m.Nnz()
+	t := sparse.NewTriplet(n, n)
+	for k := 0; k < nnz; k++ {
+		i, j, v := m.entry(k)
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("%w: entry %d at (%d,%d) is %v", ErrBadMatrix, k, i, j, v)
+		}
+		t.Append(i, j, v)
 	}
 	return t.ToCSC(), nil
+}
+
+// encodeDegraded is the POST /v1/degraded body: the matrix frame, then
+// b as n little-endian float64s.
+func encodeDegraded(m Matrix, b []float64) []byte {
+	out := make([]byte, 0, len(m.b)+8*len(b))
+	out = append(out, m.b...)
+	for _, v := range b {
+		out = binary.LittleEndian.AppendUint64(out, math.Float64bits(v))
+	}
+	return out
+}
+
+// decodeDegraded splits and checks a /v1/degraded body. A non-finite b
+// is poisoned input (422), as on the solve path.
+func decodeDegraded(body []byte) (Matrix, []float64, error) {
+	if len(body) < matrixHead {
+		return Matrix{}, nil, fmt.Errorf("%w: not a matrix frame", ErrBadMatrix)
+	}
+	nnz := binary.LittleEndian.Uint64(body[12:])
+	if nnz > uint64(len(body)-matrixHead)/16 {
+		return Matrix{}, nil, fmt.Errorf("%w: %d-byte body for %d entries", ErrBadMatrix, len(body), nnz)
+	}
+	end := matrixHead + 16*int(nnz)
+	m, err := DecodeMatrix(body[:end])
+	if err != nil {
+		return Matrix{}, nil, err
+	}
+	rest := body[end:]
+	if len(rest) != 8*m.N() {
+		return Matrix{}, nil, fmt.Errorf("%w: %d bytes of right-hand side for n=%d", ErrBadMatrix, len(rest), m.N())
+	}
+	b := make([]float64, m.N())
+	for i := range b {
+		b[i] = math.Float64frombits(binary.LittleEndian.Uint64(rest[8*i:]))
+		if math.IsNaN(b[i]) || math.IsInf(b[i], 0) {
+			return Matrix{}, nil, fmt.Errorf("right-hand side entry %d is %v: %w", i, b[i], resilience.ErrNonFiniteRHS)
+		}
+	}
+	return m, b, nil
 }

@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"maps"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
+	"gesp/internal/resilience"
 	"gesp/internal/serve"
 )
 
@@ -39,7 +42,7 @@ func TestWireSolveForwardsBytes(t *testing.T) {
 	owner := f.Owner(h.Key.Pattern)
 
 	body := solveBody(t, h, sys.b)
-	direct, err := DoBytes(bg, NewHTTPClient(), http.MethodPost, "http://"+shards[owner].Addr()+"/v1/solve", body)
+	direct, err := DoBytes(bg, NewHTTPClient(), http.MethodPost, "http://"+shards[owner].Addr()+"/v1/solve", "application/json", body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,6 +210,47 @@ func FuzzWireHandle(f *testing.F) {
 		}
 		if err != nil || got != req.Handle {
 			t.Fatalf("body %q: wireHandle %q, %v; encoding/json %q", body, got, err, req.Handle)
+		}
+	})
+}
+
+// FuzzMatrixFrame: no input makes the frame decoders panic; each gives
+// a typed error (ErrBadMatrix, or ErrNonFiniteRHS for a degraded b) or
+// a value, and an accepted frame round-trips byte for byte through the
+// JSON triplet form and encodeMatrix — and assembles. The same bytes
+// go through the /v1/degraded decoder, which must round-trip too.
+func FuzzMatrixFrame(f *testing.F) {
+	good := smallFrame()
+	m, err := DecodeMatrix(good)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(good)
+	f.Add(encodeDegraded(m, []float64{1, 2}))
+	f.Add(encodeDegraded(m, []float64{1, math.Inf(-1)}))
+	for _, rule := range slices.Sorted(maps.Keys(badFrames())) {
+		f.Add(badFrames()[rule])
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		if m, err := DecodeMatrix(body); err != nil {
+			if !errors.Is(err, ErrBadMatrix) {
+				t.Fatalf("frame %x: untyped error %v", body, err)
+			}
+		} else {
+			again, err := encodeMatrix(triplets(m))
+			if err != nil || !bytes.Equal(again.Bytes(), body) {
+				t.Fatalf("frame %x: re-encoded as %x, %v", body, again.Bytes(), err)
+			}
+			if _, err := m.CSC(); err != nil {
+				t.Fatalf("frame %x: accepted, but assembly says %v", body, err)
+			}
+		}
+		if m, b, err := decodeDegraded(body); err != nil {
+			if !errors.Is(err, ErrBadMatrix) && !errors.Is(err, resilience.ErrNonFiniteRHS) {
+				t.Fatalf("degraded body %x: untyped error %v", body, err)
+			}
+		} else if again := encodeDegraded(m, b); !bytes.Equal(again, body) {
+			t.Fatalf("degraded body %x: re-encoded as %x", body, again)
 		}
 	})
 }
