@@ -77,8 +77,8 @@ fuzz-wire:
 #  - serving layer: the serve study's three batching arms + the serve
 #    benchmark;
 #  - fleet: the fleet study through the router (shard scaling, hedging,
-#    and a mid-run drain that fails the run if it loses a request or
-#    refactors) + the ring and fleet benchmarks;
+#    and a mid-run drain that fails the run if it loses a request) + the
+#    ring and fleet benchmarks;
 #  - distributed fault tolerance: the recovery-overhead table at reduced
 #    scale, which fails if any injected fault (kill, stall, dropped
 #    message) is not recovered with bit-identical factors.

@@ -1,20 +1,16 @@
-// Command gesp-fleet runs the solve fleet's router (internal/fleetrpc)
-// over one of two kinds of shard.
-//
-// Default (in-process): -shards serve.Service shards in this process.
-//
-// -join (cross-process): no shards of its own — a coordinator over
-// already-running gesp-serve processes:
+// Command gesp-fleet is a coordinator: it runs the solve fleet's router
+// (internal/fleetrpc) over already-running gesp-serve processes, named
+// by the required -join flag, and holds no shards of its own:
 //
 //	gesp-serve -addr :9001 &
 //	gesp-serve -addr :9002 &
 //	gesp-fleet -join 127.0.0.1:9001,127.0.0.1:9002
 //
-// Either way it is the same router — consistent-hash placement,
-// replication, health-checked membership, retry/backoff, budget-gated
-// hedging, eviction heal, graceful drain, degraded fallback — behind
-// the same HTTP JSON API (fleetrpc.Handler); tenants identify
-// themselves with an X-Tenant header.
+// The router — consistent-hash placement, replication, health-checked
+// membership, retry/backoff, budget-gated hedging, eviction heal,
+// graceful drain, degraded fallback — sits behind the gesp-serve HTTP
+// JSON API (fleetrpc.Handler); tenants identify themselves with an
+// X-Tenant header.
 //
 //	POST /v1/matrix  {"n":N,"rows":[...],"cols":[...],"vals":[...]}
 //	                 -> {"handle":"p….v….n…","n":N,"nnz":…,"shard":…}
@@ -22,7 +18,8 @@
 //	                 -> {"x":[...]}
 //	GET  /v1/stats   -> fleetrpc.Stats JSON
 //	POST /v1/drain   {"shard":K}
-//	                 -> {"drained":K}  (in-process caches hand off; no refactorization)
+//	                 -> {"drained":K}  (the shard's entries re-factor on the
+//	                    survivors from the registry)
 //
 // With -ha-id/-ha-peers the process is one of N replicated coordinators
 // (internal/fleetha); only the elected leader routes, followers redirect.
@@ -38,7 +35,6 @@ import (
 	"gesp/internal/fleet"
 	"gesp/internal/fleetha"
 	"gesp/internal/fleetrpc"
-	"gesp/internal/serve"
 )
 
 func main() {
@@ -46,7 +42,6 @@ func main() {
 	log.SetPrefix("gesp-fleet: ")
 	var (
 		addr        = flag.String("addr", ":8743", "HTTP listen address")
-		shards      = flag.Int("shards", 4, "number of in-process solve shards")
 		vnodes      = flag.Int("vnodes", fleet.DefaultVNodes, "consistent-hash virtual nodes per shard")
 		replication = flag.Int("replication", 2, "shards holding each pattern, owner included")
 		hedgeAfter  = flag.Duration("hedge-after", 100*time.Millisecond, "hedge to the replica when the primary hasn't answered in this long (0 disables)")
@@ -55,24 +50,22 @@ func main() {
 		tenantRate  = flag.Float64("tenant-rate", 0, "per-tenant admitted requests per second (0 = no admission control)")
 		tenantBurst = flag.Float64("tenant-burst", 0, "per-tenant token-bucket burst")
 
-		maxBatch = flag.Int("max-batch", 16, "per-shard max right-hand sides per batched sweep")
-		maxDelay = flag.Duration("max-delay", 200*time.Microsecond, "per-shard max time a solve waits for its batch to fill")
-		queueCap = flag.Int("queue-cap", 256, "per-shard per-factor solve queue bound")
-		maxFac   = flag.Int("max-factors", 1024, "per-shard factor cache entry cap")
-		noRefine = flag.Bool("no-refine", false, "skip iterative refinement on served solves")
-
-		join       = flag.String("join", "", "cross-process mode: comma-separated gesp-serve shard addresses to coordinate over")
+		join       = flag.String("join", "", "comma-separated gesp-serve shard addresses to coordinate over (required)")
 		probeEvery = flag.Duration("probe-interval", 50*time.Millisecond, "health-check period")
 		reqTimeout = flag.Duration("request-timeout", 2*time.Second, "per-attempt solve deadline")
 		degraded   = flag.Bool("degraded-fallback", true, "answer via a live shard's iterative path when every placement is down")
 
-		haID        = flag.Int("ha-id", -1, "join+HA: this coordinator's id (index into -ha-peers; -1 disables HA)")
-		haPeers     = flag.String("ha-peers", "", "join+HA: comma-separated coordinator addresses, one per replica, ours at index -ha-id")
-		haLease     = flag.Duration("ha-lease", time.Second, "join+HA: leader lease; followers elect after this long without a heartbeat")
-		haHeartbeat = flag.Duration("ha-heartbeat", 0, "join+HA: leader heartbeat period (0 = lease/4)")
-		haSLO       = flag.Duration("ha-slo", 0, "join+HA: p999 latency SLO driving the replica controller (0 disables the controller)")
+		haID        = flag.Int("ha-id", -1, "HA: this coordinator's id (index into -ha-peers; -1 disables HA)")
+		haPeers     = flag.String("ha-peers", "", "HA: comma-separated coordinator addresses, one per replica, ours at index -ha-id")
+		haLease     = flag.Duration("ha-lease", time.Second, "HA: leader lease; followers elect after this long without a heartbeat")
+		haHeartbeat = flag.Duration("ha-heartbeat", 0, "HA: leader heartbeat period (0 = lease/4)")
+		haSLO       = flag.Duration("ha-slo", 0, "HA: p999 latency SLO driving the replica controller (0 disables the controller)")
 	)
 	flag.Parse()
+	if *join == "" {
+		log.Fatal("-join is required: comma-separated gesp-serve shard addresses")
+	}
+	shards := strings.Split(*join, ",")
 
 	rcfg := fleetrpc.DefaultConfig(nil)
 	rcfg.Replication = *replication
@@ -85,10 +78,10 @@ func main() {
 	rcfg.DegradedFallback = *degraded
 	quotas := fleet.NewQuotas(*tenantRate, *tenantBurst)
 
-	if *join != "" && *haID >= 0 {
+	if *haID >= 0 {
 		// HA mode: this process is one of N replicated coordinators
 		// running leader election; only the lease holder owns a fleet.
-		shards, peers := strings.Split(*join, ","), strings.Split(*haPeers, ",")
+		peers := strings.Split(*haPeers, ",")
 		ncfg := fleetha.Config{
 			ID:        *haID,
 			Peers:     peers,
@@ -110,24 +103,7 @@ func main() {
 		log.Fatal(http.ListenAndServe(*addr, node.Mux(quotas)))
 	}
 
-	scfg := serve.DefaultConfig()
-	scfg.MaxBatch = *maxBatch
-	scfg.MaxDelay = *maxDelay
-	scfg.QueueCap = *queueCap
-	scfg.MaxFactors = *maxFac
-	if *noRefine {
-		scfg.Options.Refine = false
-	}
-
-	if *join != "" {
-		rcfg.Shards = fleetrpc.Dial(strings.Split(*join, ","))
-	} else {
-		svcs := make([]*serve.Service, *shards)
-		for i := range svcs {
-			svcs[i] = serve.New(scfg)
-		}
-		rcfg.Shards = fleetrpc.LocalShards(svcs...)
-	}
+	rcfg.Shards = fleetrpc.Dial(shards)
 	f, err := fleetrpc.New(rcfg)
 	if err != nil {
 		log.Fatal(err)

@@ -16,7 +16,7 @@
 //	                   -> {"x":[...]}
 //	GET  /v1/stats     -> serve.Stats JSON
 //	GET  /v1/health    -> {"status":"ok"|"draining",...}
-//	POST /v1/handoff   -> drain; returns the resident handles
+//	POST /v1/handoff   -> drain: admission closes, queued solves finish; {}
 //	POST /v1/degraded  -> iterative solve from a raw matrix frame and b
 package main
 

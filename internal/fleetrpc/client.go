@@ -286,30 +286,8 @@ func (c *Client) Health(ctx context.Context) (HealthResponse, error) {
 	return res, err
 }
 
-// Handoff drains the shard. Factors and analyses cannot cross a
-// process boundary, so the export names the resident factors (key and
-// dimension) and carries nothing to import.
-func (c *Client) Handoff(ctx context.Context) (serve.Export, error) {
-	var res HandoffResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/handoff", "", nil, &res); err != nil {
-		return serve.Export{}, err
-	}
-	var exp serve.Export
-	for _, hs := range res.Handles {
-		h, err := serve.ParseHandle(hs)
-		if err != nil {
-			return serve.Export{}, fmt.Errorf("%w: %s: %v", ErrUnreachable, c.addr, err)
-		}
-		exp.Factors = append(exp.Factors, serve.ExportedFactor{Key: h.Key, N: h.N})
-	}
-	return exp, nil
+// Handoff drains the shard: it returns once admission has closed and
+// the queued solves have finished.
+func (c *Client) Handoff(ctx context.Context) error {
+	return c.do(ctx, http.MethodPost, "/v1/handoff", "", nil, nil)
 }
-
-// ExportSymbolic has nothing to share across a process boundary.
-func (c *Client) ExportSymbolic(context.Context, uint64) (serve.Export, error) {
-	return serve.Export{}, nil
-}
-
-// Import adopts nothing: in-memory solvers do not cross a wire. The
-// router re-submits the registered matrices instead.
-func (c *Client) Import(context.Context, serve.Export) (int, error) { return 0, nil }

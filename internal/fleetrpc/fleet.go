@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -208,6 +207,9 @@ type Fleet struct {
 	// guarded because rand.Rand is not concurrency-safe.
 	//gesp:guardedby:mu
 	rng *rand.Rand
+
+	// drainMu serializes Drain's check-and-mark: one drain at a time.
+	drainMu sync.Mutex
 
 	closed atomic.Bool
 	stop   chan struct{}
@@ -427,11 +429,11 @@ func (f *Fleet) rebuildRing() {
 // rereplicateWhere re-submits the registered patterns selected by keep
 // to their placement under the current ring, in the background:
 // factors appear at their new owners ahead of the traffic that will
-// want them, and members already holding them — from before, or from a
-// drain's Import — answer from cache (the serve layer's factor cache
-// makes a duplicate submit a lookup, not a refactorization). The
-// registry key already carries the pattern fingerprint
-// (Handle.Key.Pattern), so selection costs no matrix assembly.
+// want them, and members already holding them answer from cache (the
+// serve layer's factor cache makes a duplicate submit a lookup, not a
+// refactorization). The registry key already carries the pattern
+// fingerprint (Handle.Key.Pattern), so selection costs no matrix
+// assembly.
 func (f *Fleet) rereplicateWhere(keep func(pattern uint64) bool) {
 	if f.closed.Load() {
 		return
@@ -464,7 +466,7 @@ func (f *Fleet) rereplicateWhere(keep func(pattern uint64) bool) {
 			var buf [maxReplication]*member
 			n := f.placementInto(buf[:], e.pattern)
 			for i := 0; i < n; i++ {
-				if _, err := f.submitTo(context.Background(), buf[i], buf[0], e.pattern, e.m); err == nil {
+				if _, err := f.submitTo(context.Background(), buf[i], e.m); err == nil {
 					f.m.rereplicated.Add(1)
 				}
 			}
@@ -472,18 +474,10 @@ func (f *Fleet) rereplicateWhere(keep func(pattern uint64) bool) {
 	}()
 }
 
-// submitTo factors m on mb. When donor is another member, its
-// analysis of the pattern is offered to mb first, so a replica that can
-// adopt it (one sharing the donor's address space) skips re-analysis.
-func (f *Fleet) submitTo(ctx context.Context, mb, donor *member, pattern uint64, m Matrix) (serve.Handle, error) {
+// submitTo factors m on mb under the submit deadline.
+func (f *Fleet) submitTo(ctx context.Context, mb *member, m Matrix) (serve.Handle, error) {
 	sctx, cancel := context.WithTimeout(ctx, f.cfg.SubmitTimeout)
 	defer cancel()
-	if donor != mb {
-		if exp, err := donor.sh.ExportSymbolic(sctx, pattern); err == nil {
-			//gesp:errok — sharing the analysis is an optimization; the submit below re-analyzes without it
-			_, _ = mb.sh.Import(sctx, exp)
-		}
-	}
 	h, err := mb.sh.Submit(sctx, m)
 	f.noteResult(mb, err)
 	return h, err
@@ -655,7 +649,7 @@ func (f *Fleet) Submit(ctx context.Context, m Matrix) (serve.Handle, error) {
 			lastSick = 0
 			continue
 		}
-		h, err := f.submitTo(ctx, buf[0], buf[0], pattern, m)
+		h, err := f.submitTo(ctx, buf[0], m)
 		if err != nil {
 			lastErr = err
 			lastSick = buf[0].failureCount()
@@ -669,7 +663,7 @@ func (f *Fleet) Submit(ctx context.Context, m Matrix) (serve.Handle, error) {
 		f.mu.Unlock()
 		for i := 1; i < n; i++ {
 			//gesp:errok — replica population is best-effort; the owner holds the factors and re-replication retries on the next membership change
-			_, _ = f.submitTo(ctx, buf[i], buf[0], pattern, m)
+			_, _ = f.submitTo(ctx, buf[i], m)
 		}
 		return h, nil
 	}
@@ -905,7 +899,7 @@ func (f *Fleet) heal(ctx context.Context, h serve.Handle) error {
 	if n == 0 {
 		return ErrNoLiveShards
 	}
-	_, err := f.submitTo(ctx, buf[0], buf[0], h.Key.Pattern, m)
+	_, err := f.submitTo(ctx, buf[0], m)
 	return err
 }
 
@@ -942,16 +936,18 @@ func (f *Fleet) solveDegraded(ctx context.Context, h serve.Handle, b []float64) 
 	return nil, lastErr
 }
 
-// Drain administratively removes member id: its shard finishes queued
-// work and closes admission (Handoff), every cache entry its export
-// carries is adopted by the member that replaces the leaver in that
-// entry's placement under the post-drain ring — no numeric work — and
-// only then does the ring drop the leaver. Requests that race the
-// handoff see a closed shard, back off, and land on the new ring, where
-// the factors already are. Whatever the export could not carry
-// re-factors onto the survivors from the registry. The shard itself
-// stays up, answering "draining" to probes, until its owner stops it.
+// Drain administratively removes member id: its shard closes
+// admission and finishes its queued solves (Handoff), the member is
+// marked dead, and the rebalance re-homes every registered pattern onto
+// the post-drain ring from the registry. Requests that race the drain
+// see a closed shard, back off, and land on the new ring, healing from
+// the registry where the re-home has not reached yet. Drains run one at
+// a time and count live members by state, so concurrent drains can
+// never retire the last one between them. The shard itself stays up,
+// answering "draining" to probes, until its owner stops it.
 func (f *Fleet) Drain(ctx context.Context, id int) error {
+	f.drainMu.Lock()
+	defer f.drainMu.Unlock()
 	members := f.memberList()
 	if id < 0 || id >= len(members) {
 		return fmt.Errorf("fleetrpc: no member %d", id)
@@ -960,48 +956,20 @@ func (f *Fleet) Drain(ctx context.Context, id int) error {
 	if mb.currentState() == StateDead {
 		return fmt.Errorf("fleetrpc: member %d is already dead or drained", id)
 	}
-	if len(f.ring.Load().Shards()) < 2 {
+	live := 0
+	for _, other := range members {
+		if other.currentState() != StateDead {
+			live++
+		}
+	}
+	if live < 2 {
 		return errors.New("fleetrpc: cannot drain the last live member")
 	}
-	exp, err := mb.sh.Handoff(ctx)
-	if err != nil {
+	if err := mb.sh.Handoff(ctx); err != nil {
 		return err
 	}
 	mb.markDead(time.Now())
 	f.m.drains.Add(1)
-	// Dropping the leaver shifts each of its patterns' placements by one:
-	// the survivors of the old placement already hold the entry, so it
-	// goes to the one member the new placement adds.
-	old, next := f.ring.Load(), f.liveRing()
-	newcomer := func(pattern uint64) int {
-		var was, now [maxReplication]int
-		rf := f.replWidth(pattern)
-		held := was[:old.ReplicasInto(was[:rf], pattern)]
-		for _, id := range now[:next.ReplicasInto(now[:rf], pattern)] {
-			if !slices.Contains(held, id) {
-				return id
-			}
-		}
-		return -1
-	}
-	parts := make([]serve.Export, len(members))
-	for _, es := range exp.Symbolic {
-		if o := newcomer(es.Pattern); o >= 0 {
-			parts[o].Symbolic = append(parts[o].Symbolic, es)
-		}
-	}
-	for _, ef := range exp.Factors {
-		if o := newcomer(ef.Key.Pattern); o >= 0 {
-			parts[o].Factors = append(parts[o].Factors, ef)
-		}
-	}
-	for o, part := range parts {
-		if len(part.Symbolic)+len(part.Factors) > 0 {
-			//gesp:errok — adoption is best-effort; re-replication below re-factors whatever was not adopted
-			n, _ := members[o].sh.Import(ctx, part)
-			f.m.handedOff.Add(uint64(n))
-		}
-	}
 	f.rebalance()
 	return nil
 }

@@ -459,6 +459,64 @@ func testEvictionHeal(t *testing.T, kind string) {
 	}
 }
 
+// TestFleetConcurrentDrainsKeepOneLive: drains run one at a time, so
+// two concurrent drains of a two-member fleet cannot both pass the
+// last-live-member check — exactly one succeeds and the fleet still
+// solves — and two concurrent drains of one member count one drain.
+// Each handoff lingers a moment so the racing drains overlap.
+func TestFleetConcurrentDrainsKeepOneLive(t *testing.T) {
+	sys := testbedSystem(t, "SHERMAN4", 0)
+	race := func(t *testing.T, a, b int) {
+		shards, _ := testShards(t, "local", 2, serve.DefaultConfig())
+		for i, sh := range shards {
+			shards[i] = lingeringShard{sh}
+		}
+		f := newTestFleet(t, drainConfig(shards))
+		h, err := f.Submit(bg, WireMatrix(sys.a))
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := make(chan struct{})
+		errs := make(chan error, 2)
+		for _, id := range []int{a, b} {
+			go func(id int) {
+				<-start
+				errs <- f.Drain(bg, id)
+			}(id)
+		}
+		close(start)
+		var ok int
+		for range 2 {
+			if err := <-errs; err == nil {
+				ok++
+			}
+		}
+		if ok != 1 {
+			t.Fatalf("drains %d ∥ %d: %d succeeded, want exactly 1", a, b, ok)
+		}
+		if st := f.Stats(); st.Drains != 1 {
+			t.Fatalf("drains %d ∥ %d counted %d drains, want 1", a, b, st.Drains)
+		}
+		x, err := f.Solve(bg, h, sys.b)
+		if err != nil {
+			t.Fatalf("solve after drains %d ∥ %d: %v", a, b, err)
+		}
+		checkSolution(t, x, sys.want)
+	}
+	for round := 0; round < 20; round++ {
+		race(t, 0, 1)
+		race(t, 0, 0)
+	}
+}
+
+// lingeringShard holds every Handoff open for a moment.
+type lingeringShard struct{ Shard }
+
+func (s lingeringShard) Handoff(ctx context.Context) error {
+	time.Sleep(2 * time.Millisecond)
+	return s.Shard.Handoff(ctx)
+}
+
 // TestFleetDrainStaysDead: a drained shard keeps answering, so only
 // the prober — which can read the "draining" health status — must
 // decide it never rejoins the ring.

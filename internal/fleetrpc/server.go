@@ -251,7 +251,7 @@ func SetRetryAfter(w http.ResponseWriter, d time.Duration) {
 // Handler plus the three a coordinator's Client drives.
 //
 //	GET  /v1/health    cheap liveness + load signal for the prober
-//	POST /v1/handoff   drain: finish queued work, return resident handles
+//	POST /v1/handoff   drain: close admission, finish queued work -> {}
 //	POST /v1/degraded  iterative solve from a raw matrix (no factoring):
 //	                   a Matrix frame followed by b as n float64s
 func (s *LocalShard) Mux() *http.ServeMux {
@@ -261,17 +261,10 @@ func (s *LocalShard) Mux() *http.ServeMux {
 		res, _ := s.Health(r.Context())
 		WriteJSON(w, http.StatusOK, res)
 	})
-	// The factors themselves die with the process — over a wire, moving
-	// them means re-factoring from the registered matrices, which the
-	// coordinator does against the post-drain ring.
 	mux.HandleFunc("POST /v1/handoff", func(w http.ResponseWriter, r *http.Request) {
 		//gesp:errok — a LocalShard's handoff cannot fail
-		exp, _ := s.Handoff(r.Context())
-		res := HandoffResponse{Handles: make([]string, 0, len(exp.Factors))}
-		for _, f := range exp.Factors {
-			res.Handles = append(res.Handles, serve.Handle{Key: f.Key, N: f.N}.String())
-		}
-		WriteJSON(w, http.StatusOK, res)
+		_ = s.Handoff(r.Context())
+		WriteJSON(w, http.StatusOK, struct{}{})
 	})
 	mux.HandleFunc("POST /v1/degraded", func(w http.ResponseWriter, r *http.Request) {
 		body, ok := ReadBody(w, r)

@@ -34,18 +34,10 @@ type Shard interface {
 	SolveDegraded(ctx context.Context, m Matrix, b []float64) ([]float64, error)
 	// Health is the prober's cheap liveness and load check.
 	Health(ctx context.Context) (HealthResponse, error)
-	// Handoff drains the shard — admission closes, queued solves finish —
-	// and exports what its caches held. Whatever cannot leave the shard's
-	// address space (solvers, analysis donors) is simply absent.
-	Handoff(ctx context.Context) (serve.Export, error)
-	// ExportSymbolic peeks the analysis donor for one pattern without
-	// disturbing the shard, so a replica can skip re-analysis. Empty
-	// when there is none to share.
-	ExportSymbolic(ctx context.Context, pattern uint64) (serve.Export, error)
-	// Import adopts as much of an export as it can use and reports how
-	// many entries that was; the router re-submits from its registry
-	// whatever is still missing.
-	Import(ctx context.Context, exp serve.Export) (adopted int, err error)
+	// Handoff drains the shard: admission closes and queued solves
+	// finish. Its cached factors stay behind; the router re-homes them
+	// from its registry.
+	Handoff(ctx context.Context) error
 }
 
 // LocalShard is the Shard over an in-process serve.Service. Its Mux is
@@ -123,43 +115,10 @@ func (s *LocalShard) Health(context.Context) (HealthResponse, error) {
 	}, nil
 }
 
-func (s *LocalShard) Handoff(context.Context) (serve.Export, error) {
+func (s *LocalShard) Handoff(context.Context) error {
 	s.draining.Store(true)
-	return s.svc.Drain(), nil
-}
-
-func (s *LocalShard) ExportSymbolic(_ context.Context, pattern uint64) (serve.Export, error) {
-	donor := s.svc.ExportSymbolic(pattern)
-	if donor == nil {
-		return serve.Export{}, nil
-	}
-	return serve.Export{Symbolic: []serve.ExportedSymbolic{{Pattern: pattern, Donor: donor}}}, nil
-}
-
-// Import adopts every entry that carries its in-memory payload. The
-// solvers move — never shared — so the single-writer contract on
-// core.Solver survives the handoff; no numeric work runs.
-func (s *LocalShard) Import(_ context.Context, exp serve.Export) (int, error) {
-	adopted := 0
-	for _, es := range exp.Symbolic {
-		if es.Donor == nil {
-			continue
-		}
-		if err := s.svc.ImportSymbolic(es.Pattern, es.Donor); err != nil {
-			return adopted, err
-		}
-		adopted++
-	}
-	for _, ef := range exp.Factors {
-		if ef.Solver == nil {
-			continue
-		}
-		if _, err := s.svc.ImportFactor(ef); err != nil {
-			return adopted, err
-		}
-		adopted++
-	}
-	return adopted, nil
+	s.svc.Close()
+	return nil
 }
 
 // degradedOptions bound the last-resort iterative solve: a looser

@@ -23,7 +23,6 @@ type metrics struct {
 	deaths       atomic.Uint64
 	rejoins      atomic.Uint64
 	drains       atomic.Uint64
-	handedOff    atomic.Uint64 // cache entries a drain's export moved without re-factoring
 	rebuilds     atomic.Uint64 // ring swaps
 	rereplicated atomic.Uint64 // successful re-home submits after membership changes
 	promotions   atomic.Uint64 // pattern replication boosts (SLO controller)
@@ -50,7 +49,6 @@ type Stats struct {
 	Deaths       uint64 `json:"deaths"`
 	Rejoins      uint64 `json:"rejoins"`
 	Drains       uint64 `json:"drains"`
-	HandedOff    uint64 `json:"handed_off"`
 	Rebuilds     uint64 `json:"rebuilds"`
 	Rereplicated uint64 `json:"rereplicated"`
 	Promotions   uint64 `json:"promotions"`
@@ -87,7 +85,6 @@ func (m *metrics) snapshot() Stats {
 		Deaths:       m.deaths.Load(),
 		Rejoins:      m.rejoins.Load(),
 		Drains:       m.drains.Load(),
-		HandedOff:    m.handedOff.Load(),
 		Rebuilds:     m.rebuilds.Load(),
 		Rereplicated: m.rereplicated.Load(),
 		Promotions:   m.promotions.Load(),
@@ -120,8 +117,8 @@ func (s Stats) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "routed %d  retries %d  failovers %d  hedged %d (wins %d, budget-denied %d)  resubmits %d  degraded %d  failed %d\n",
 		s.Routed, s.Retries, s.Failovers, s.Hedged, s.HedgeWins, s.HedgeDenied, s.Resubmits, s.Degraded, s.Failed)
-	fmt.Fprintf(&b, "probes %d (%d failed)  deaths %d  rejoins %d  drains %d (%d entries handed off)  ring rebuilds %d (gen %d)  re-replicated %d\n",
-		s.Probes, s.ProbeFails, s.Deaths, s.Rejoins, s.Drains, s.HandedOff, s.Rebuilds, s.RingGen, s.Rereplicated)
+	fmt.Fprintf(&b, "probes %d (%d failed)  deaths %d  rejoins %d  drains %d  ring rebuilds %d (gen %d)  re-replicated %d\n",
+		s.Probes, s.ProbeFails, s.Deaths, s.Rejoins, s.Drains, s.Rebuilds, s.RingGen, s.Rereplicated)
 	fmt.Fprintf(&b, "promotions %d  demotions %d  scale-ups %d  boosted %d  registry %d  p50 %v  p99 %v  p999 %v\n",
 		s.Promotions, s.Demotions, s.ScaleUps, s.Promoted, s.RegistryLen, s.P50, s.P99, s.P999)
 	for _, m := range s.Members {

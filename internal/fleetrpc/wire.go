@@ -29,10 +29,10 @@
 //   - one replication policy: every submit lands on Replication
 //     members, and PromotePattern/DemotePattern widen or restore a
 //     single pattern at runtime (the SLO controller's lever);
-//   - graceful drain: a leaving shard's Handoff export is imported by
-//     the post-drain owners before the ring swaps, and whatever an
-//     export cannot carry (everything, across a process boundary) is
-//     re-factored from the matrix registry;
+//   - graceful drain: a leaving shard closes admission and finishes
+//     its queued solves (Handoff), leaves the ring, and its entries are
+//     re-factored onto their post-drain placement from the matrix
+//     registry;
 //   - graceful degradation: when every placement is down and healing
 //     fails, the solve falls back to the resilience ladder's iterative
 //     path (ILU0-preconditioned GMRES on the registered matrix) on any
@@ -90,15 +90,6 @@ type HealthResponse struct {
 	Status     string `json:"status"`
 	QueueDepth int64  `json:"queue_depth"`
 	Factors    int    `json:"factors"`
-}
-
-// HandoffResponse answers POST /v1/handoff: the shard has drained
-// (queued solves finished, admission closed) and these are the handles
-// whose factors were resident. Factors themselves cannot cross a
-// process boundary, so the coordinator re-homes each handle by
-// re-submitting its registered matrix to the new ring owner.
-type HandoffResponse struct {
-	Handles []string `json:"handles"`
 }
 
 // ErrorResponse is every non-200 body. RetryAfterNS repeats the

@@ -151,8 +151,8 @@ func (c *cache) insertSym(pattern uint64, donor *core.Solver) {
 }
 
 // factorEntries snapshots every resident factor entry in LRU order
-// (most recent first) — the deterministic iteration Close and the
-// drain-handoff path both need (the map's range order would leak).
+// (most recent first) — the deterministic iteration Close needs (the
+// map's range order would leak).
 func (c *cache) factorEntries() []*facEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -161,28 +161,6 @@ func (c *cache) factorEntries() []*facEntry {
 		out = append(out, c.fac[el.Value.(FactorKey)])
 	}
 	return out
-}
-
-// exportAll strips the cache: every symbolic and factor entry is
-// unlinked and returned, in LRU order (most recent first), leaving the
-// cache empty. Exported entries are not counted as evictions — they
-// are leaving for another shard, not dying.
-func (c *cache) exportAll() (syms []ExportedSymbolic, facs []*facEntry) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for el := c.symLRU.Front(); el != nil; el = el.Next() {
-		p := el.Value.(uint64)
-		syms = append(syms, ExportedSymbolic{Pattern: p, Donor: c.sym[p].donor})
-	}
-	for el := c.facLRU.Front(); el != nil; el = el.Next() {
-		facs = append(facs, c.fac[el.Value.(FactorKey)])
-	}
-	c.sym = make(map[uint64]*symEntry)
-	c.symLRU.Init()
-	c.fac = make(map[FactorKey]*facEntry)
-	c.facLRU.Init()
-	c.bytes = 0
-	return syms, facs
 }
 
 // occupancy reports entry counts and factor bytes for stats snapshots.

@@ -180,10 +180,10 @@ type Service struct {
 	m      Metrics
 	c      *cache
 	closed atomic.Bool
-	// admit is held shared by every call that may insert into the caches
-	// (Submit, the imports) and exclusively by Close while it flips
-	// closed, so Close waits out an insert that passed the closed check
-	// and Drain's export misses nothing that lands after it.
+	// admit is held shared by Submit, the one call that inserts into the
+	// caches, and exclusively by Close while it flips closed, so Close
+	// waits out a Submit that passed the closed check: no batcher can
+	// appear after Close has closed them all.
 	admit sync.RWMutex
 
 	symFlight flightGroup[uint64, *core.Solver]
@@ -373,10 +373,10 @@ func (s *Service) Stats() Stats {
 func (s *Service) QueueDepth() int64 { return s.m.queueDepth.Load() }
 
 // Close stops admitting work (Submit and Solve return ErrClosed), then
-// drains gracefully: it blocks until submits and imports already
-// admitted have landed in the caches, and every batcher has solved the
-// requests already queued and its cutter goroutine has exited. Safe to
-// call concurrently and more than once; only the first call drains.
+// drains gracefully: it blocks until submits already admitted have
+// landed in the caches, and every batcher has solved the requests
+// already queued and its cutter goroutine has exited. Safe to call
+// concurrently and more than once; only the first call drains.
 func (s *Service) Close() {
 	s.admit.Lock()
 	first := s.closed.CompareAndSwap(false, true)

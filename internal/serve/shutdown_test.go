@@ -136,10 +136,12 @@ func TestServiceCloseDrains(t *testing.T) {
 	svc.Close() // idempotent
 }
 
-// TestDrainWaitsForSubmits races Drain against submits that factor: a
-// submit that was acked lands in the export, and nothing lands in the
-// drained service's emptied cache behind the export's back.
-func TestDrainWaitsForSubmits(t *testing.T) {
+// TestCloseWaitsForSubmits races Close against submits that factor.
+// Close must wait out every submit that passed its closed check, so no
+// factor entry — and no batcher — appears after Close has closed them
+// all: the cache stops changing once Close returns, and every acked
+// handle answers ErrClosed promptly, at the service and at its batcher.
+func TestCloseWaitsForSubmits(t *testing.T) {
 	const rounds, submits = 20, 4
 	systems := make([]system, rounds*submits)
 	for i := range systems {
@@ -161,22 +163,30 @@ func TestDrainWaitsForSubmits(t *testing.T) {
 					acked = append(acked, h)
 					mu.Unlock()
 				case !errors.Is(err, ErrClosed):
-					t.Errorf("submit racing drain: %v", err)
+					t.Errorf("submit racing close: %v", err)
 				}
 			}(sys)
 		}
-		exp := svc.Drain()
+		svc.Close()
+		atClose := svc.Stats().FactorEntries
 		wg.Wait()
-		if n := svc.Stats().FactorEntries; n != 0 {
-			t.Fatalf("round %d: %d factors cached after the drain's export", r, n)
+		if n := svc.Stats().FactorEntries; n != atClose {
+			t.Fatalf("round %d: %d factors cached when Close returned, %d after", r, atClose, n)
 		}
-		exported := make(map[FactorKey]bool)
-		for _, f := range exp.Factors {
-			exported[f.Key] = true
-		}
+		b := systems[r*submits].b
 		for _, h := range acked {
-			if !exported[h.Key] {
-				t.Fatalf("round %d: acked submit %v missing from the export", r, h)
+			if _, err := svc.Solve(h, b); !errors.Is(err, ErrClosed) {
+				t.Fatalf("round %d: solve on a closed service: %v, want ErrClosed", r, err)
+			}
+			e := svc.c.lookupFactor(h.Key)
+			if e == nil {
+				t.Fatalf("round %d: acked submit %v not resident", r, h)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			_, err := e.bat.submit(ctx, b)
+			cancel()
+			if !errors.Is(err, ErrClosed) {
+				t.Fatalf("round %d: batcher of %v after Close: %v, want ErrClosed", r, h, err)
 			}
 		}
 	}

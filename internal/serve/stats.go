@@ -49,14 +49,12 @@ const numBatchBuckets = 6
 // GatherStats idiom of mpisim). All counters are cumulative since the
 // service started; QueueDepth is the only instantaneous gauge.
 type Metrics struct {
-	symHits    atomic.Uint64
-	symMisses  atomic.Uint64
-	facHits    atomic.Uint64
-	facMisses  atomic.Uint64
-	symEvicts  atomic.Uint64
-	facEvicts  atomic.Uint64
-	symImports atomic.Uint64
-	facImports atomic.Uint64
+	symHits   atomic.Uint64
+	symMisses atomic.Uint64
+	facHits   atomic.Uint64
+	facMisses atomic.Uint64
+	symEvicts atomic.Uint64
+	facEvicts atomic.Uint64
 
 	submits atomic.Uint64
 	solves  atomic.Uint64
@@ -138,11 +136,6 @@ type Stats struct {
 	FactorMisses      uint64 `json:"factor_misses"`
 	SymbolicEvictions uint64 `json:"symbolic_evictions"`
 	FactorEvictions   uint64 `json:"factor_evictions"`
-	// Imports count entries adopted from another shard via the handoff
-	// API (ImportSymbolic/ImportFactor): cache population that cost no
-	// analysis or factorization here.
-	SymbolicImports uint64 `json:"symbolic_imports,omitempty"`
-	FactorImports   uint64 `json:"factor_imports,omitempty"`
 
 	Submits uint64 `json:"submits"`
 	Solves  uint64 `json:"solves"`
@@ -195,8 +188,6 @@ func (m *Metrics) snapshot() Stats {
 		FactorMisses:      m.facMisses.Load(),
 		SymbolicEvictions: m.symEvicts.Load(),
 		FactorEvictions:   m.facEvicts.Load(),
-		SymbolicImports:   m.symImports.Load(),
-		FactorImports:     m.facImports.Load(),
 		Submits:           m.submits.Load(),
 		Solves:            m.solves.Load(),
 		Batches:           m.batches.Load(),
