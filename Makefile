@@ -62,12 +62,15 @@ chaos:
 	$(GO) run ./cmd/gesp-bench -exp fleetproc -fleet-workers 4 -fleet-duration 500ms -scale 0.2
 	$(GO) run ./cmd/gesp-bench -exp ha -fleet-workers 4 -fleet-duration 800ms -scale 0.2
 
-# Fuzz the wire decoders — the solve body's handle read, the matrix
-# frame (and the degraded body around it), the HA replicate/state
-# frame — for 10 s each. `make test` runs only their seed corpora; this
-# gives them real fuzzing time, outside verify.
+# Fuzz the wire decoders — the solve body's handle read, the JSON
+# front doors' scanned MatrixRequest and SolveRequest (each against
+# encoding/json), the matrix frame (and the degraded body around it),
+# the HA replicate/state frame — for 10 s each. `make test` runs only
+# their seed corpora; this gives them real fuzzing time, outside verify.
 fuzz-wire:
 	$(GO) test -run '^$$' -fuzz '^FuzzWireHandle$$' -fuzztime 10s ./internal/fleetrpc/
+	$(GO) test -run '^$$' -fuzz '^FuzzMatrixRequest$$' -fuzztime 10s ./internal/fleetrpc/
+	$(GO) test -run '^$$' -fuzz '^FuzzSolveRequest$$' -fuzztime 10s ./internal/fleetrpc/
 	$(GO) test -run '^$$' -fuzz '^FuzzMatrixFrame$$' -fuzztime 10s ./internal/fleetrpc/
 	$(GO) test -run '^$$' -fuzz '^FuzzReplicateFrame$$' -fuzztime 10s ./internal/fleetha/
 

@@ -708,8 +708,8 @@ func (f *Fleet) Solve(ctx context.Context, h serve.Handle, b []float64) ([]float
 // reached, decodes b.
 func (f *Fleet) SolveWire(ctx context.Context, h serve.Handle, body []byte) ([]byte, error) {
 	return route(f, ctx, h, body, Shard.SolveWire, func(ctx context.Context) ([]byte, error) {
-		var req SolveRequest
-		if err := decodeBody(body, &req); err != nil {
+		req, err := DecodeSolveRequest(body)
+		if err != nil {
 			return nil, fmt.Errorf("bad /v1/solve body: %w", err)
 		}
 		x, err := f.solveDegraded(ctx, h, req.B)

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -346,10 +347,14 @@ func TestFleetFailoverOnShardDeath(t *testing.T) {
 		checkSolution(t, x, sys.want)
 	}
 	waitState(t, f, owner, "dead", 2*time.Second)
-	for _, id := range f.Ring().Shards() {
-		if id == owner {
+	// The ring rebuild follows the state change (noteFailure reports the
+	// death, then rebalances), so the member leaves the ring just after
+	// it reads dead.
+	for deadline := time.Now().Add(2 * time.Second); slices.Contains(f.Ring().Shards(), owner); {
+		if time.Now().After(deadline) {
 			t.Fatal("dead member still on the ring")
 		}
+		time.Sleep(time.Millisecond)
 	}
 	st := f.Stats()
 	if st.Failed != 0 {

@@ -161,16 +161,11 @@ func readMatrix(w http.ResponseWriter, r *http.Request) (Matrix, bool) {
 	if !ok {
 		return Matrix{}, false
 	}
-	var m Matrix
-	var err error
+	decode := DecodeMatrixRequest
 	if r.Header.Get("Content-Type") == FrameContentType {
-		m, err = DecodeMatrix(body)
-	} else {
-		var req MatrixRequest
-		if err = decodeBody(body, &req); err == nil {
-			m, err = encodeMatrix(req)
-		}
+		decode = DecodeMatrix
 	}
+	m, err := decode(body)
 	if err != nil {
 		WriteErr(w, fmt.Errorf("bad %s body: %w", r.URL.Path, err))
 		return Matrix{}, false

@@ -86,8 +86,8 @@ func (s *LocalShard) Solve(ctx context.Context, h serve.Handle, b []float64) ([]
 // factors. A body whose handle disagrees with the one it was routed by
 // is refused: the route and the solve must name the same system.
 func (s *LocalShard) SolveWire(ctx context.Context, h serve.Handle, body []byte) ([]byte, error) {
-	var req SolveRequest
-	if err := decodeBody(body, &req); err != nil {
+	req, err := DecodeSolveRequest(body)
+	if err != nil {
 		return nil, fmt.Errorf("bad /v1/solve body: %w", err)
 	}
 	if bh, err := serve.ParseHandle(req.Handle); err != nil || bh != h {

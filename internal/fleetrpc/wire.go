@@ -46,6 +46,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strconv"
 
 	"gesp/internal/resilience"
 	"gesp/internal/sparse"
@@ -126,19 +127,14 @@ var (
 )
 
 // wireHandle returns the handle string of an encoded SolveRequest. On
-// the canonical form — {"handle":"…","b": with a plain-ASCII,
-// escape-free handle and no further quote in the body, so no other key
-// can follow — it slices the handle out; anything else (another key
-// order, escapes, duplicate keys) takes one encoding/json decode of the
-// handle alone. On every body encoding/json accepts as a SolveRequest
-// the two agree (FuzzWireHandle).
+// the canonical head (cutSolveHead) with no further quote in the body,
+// so no other key can follow, it slices the handle out; anything else
+// (another key order, escapes, duplicate keys) takes one encoding/json
+// decode of the handle alone. On every body encoding/json accepts as a
+// SolveRequest the two agree (FuzzWireHandle).
 func wireHandle(body []byte) (string, error) {
-	if rest, ok := bytes.CutPrefix(body, solveHead); ok {
-		if end := bytes.IndexByte(rest, '"'); end >= 0 && plainASCII(rest[:end]) {
-			if tail, ok := bytes.CutPrefix(rest[end:], solveMid); ok && bytes.IndexByte(tail, '"') < 0 {
-				return string(rest[:end]), nil
-			}
-		}
+	if handle, rest, ok := cutSolveHead(body); ok && bytes.IndexByte(rest, '"') < 0 {
+		return string(handle), nil
 	}
 	var req struct {
 		Handle string `json:"handle"`
@@ -147,6 +143,24 @@ func wireHandle(body []byte) (string, error) {
 		return "", err
 	}
 	return req.Handle, nil
+}
+
+// cutSolveHead cuts the canonical head {"handle":"…","b": off an
+// encoded SolveRequest: the one framing of a solve body, shared by the
+// coordinator's routing read and the shard's decode. The handle must be
+// plain ASCII, so the bytes are the string encoding/json reads.
+func cutSolveHead(body []byte) (handle, rest []byte, ok bool) {
+	rest, ok = bytes.CutPrefix(body, solveHead)
+	if !ok {
+		return nil, nil, false
+	}
+	end := bytes.IndexByte(rest, '"')
+	if end < 0 || !plainASCII(rest[:end]) {
+		return nil, nil, false
+	}
+	handle = rest[:end]
+	rest, ok = bytes.CutPrefix(rest[end:], solveMid)
+	return handle, rest, ok
 }
 
 // plainASCII reports whether s is printable ASCII without a backslash:
@@ -158,6 +172,245 @@ func plainASCII(s []byte) bool {
 		}
 	}
 	return true
+}
+
+// The two JSON front-door bodies decode without reflection when they
+// are in the canonical form encoding/json writes: keys in declaration
+// order, no whitespace inside, only whitespace after the closing brace.
+// Every number passes the JSON grammar (numberLen) before strconv reads
+// it, since ParseFloat alone also takes +1, inf, 0x1p-2, 1_0, .5 and 01,
+// and an index must be a plain integer inside the matrix. Any other
+// body — another key order, escapes, null, duplicate or case-variant
+// keys, a trailing value, a number strconv refuses, a matrix
+// encodeMatrix refuses — takes the one encoding/json decode it always
+// took, so the contract and its errors are unchanged and the values are
+// bitwise what encoding/json gives (FuzzMatrixRequest, FuzzSolveRequest).
+
+var (
+	matrixKeyN    = []byte(`{"n":`)
+	matrixKeyRows = []byte(`,"rows":[`)
+	matrixKeyCols = []byte(`,"cols":[`)
+	matrixKeyVals = []byte(`,"vals":[`)
+)
+
+// DecodeMatrixRequest reads a JSON /v1/matrix body and frames it: the
+// front door's one conversion.
+func DecodeMatrixRequest(body []byte) (Matrix, error) {
+	if m, ok := scanMatrixRequest(body); ok {
+		return m, nil
+	}
+	var req MatrixRequest
+	if err := decodeBody(body, &req); err != nil {
+		return Matrix{}, err
+	}
+	return encodeMatrix(req)
+}
+
+// scanMatrixRequest frames a canonical MatrixRequest straight from its
+// bytes under every rule encodeMatrix checks. ok is false for any body
+// it does not accept, well-formed or not.
+func scanMatrixRequest(body []byte) (Matrix, bool) {
+	rest, ok := bytes.CutPrefix(body, matrixKeyN)
+	if !ok {
+		return Matrix{}, false
+	}
+	dim, l := indexLen(rest)
+	if rest, ok = bytes.CutPrefix(rest[l:], matrixKeyRows); l == 0 || !ok {
+		return Matrix{}, false
+	}
+	nnz := elements(rest)
+	if checkDims(dim, int64(nnz)) != nil {
+		return Matrix{}, false
+	}
+	m := newMatrix(int(dim), nnz)
+	rows := m.b[matrixHead : matrixHead+4*nnz]
+	cols := m.b[matrixHead+4*nnz : matrixHead+8*nnz]
+	vals := m.b[matrixHead+8*nnz:]
+	index := func(dst []byte) func(k int, b []byte) int {
+		return func(k int, b []byte) int {
+			i, l := indexLen(b)
+			if l == 0 || i >= dim {
+				return 0
+			}
+			binary.LittleEndian.PutUint32(dst[4*k:], uint32(i))
+			return l
+		}
+	}
+	if rest, ok = scanArray(rest, nnz, index(rows)); !ok {
+		return Matrix{}, false
+	}
+	if rest, ok = bytes.CutPrefix(rest, matrixKeyCols); !ok {
+		return Matrix{}, false
+	}
+	if rest, ok = scanArray(rest, nnz, index(cols)); !ok {
+		return Matrix{}, false
+	}
+	if rest, ok = bytes.CutPrefix(rest, matrixKeyVals); !ok {
+		return Matrix{}, false
+	}
+	rest, ok = scanArray(rest, nnz, func(k int, b []byte) int {
+		v, l := floatLen(b)
+		binary.LittleEndian.PutUint64(vals[8*k:], math.Float64bits(v))
+		return l
+	})
+	if !ok || !closingBrace(rest) {
+		return Matrix{}, false
+	}
+	return m, true
+}
+
+// DecodeSolveRequest reads a JSON /v1/solve body.
+func DecodeSolveRequest(body []byte) (SolveRequest, error) {
+	if req, ok := scanSolveRequest(body); ok {
+		return req, nil
+	}
+	var req SolveRequest
+	err := decodeBody(body, &req)
+	return req, err
+}
+
+// scanSolveRequest decodes a canonical SolveRequest in two allocations,
+// the handle and b. ok is false for any body it does not accept.
+func scanSolveRequest(body []byte) (SolveRequest, bool) {
+	handle, rest, ok := cutSolveHead(body)
+	if !ok {
+		return SolveRequest{}, false
+	}
+	if rest, ok = bytes.CutPrefix(rest, []byte{'['}); !ok {
+		return SolveRequest{}, false
+	}
+	b := make([]float64, elements(rest))
+	rest, ok = scanArray(rest, len(b), func(k int, tok []byte) int {
+		v, l := floatLen(tok)
+		b[k] = v
+		return l
+	})
+	if !ok || !closingBrace(rest) {
+		return SolveRequest{}, false
+	}
+	return SolveRequest{Handle: string(handle), B: b}, true
+}
+
+// elements counts the elements of the array whose '[' was just cut off
+// rest, from its commas up to the first ']': a canonical array of
+// numbers holds no other bracket or comma. On any other body the count
+// is wrong and scanArray refutes it; it is never more than one element
+// per two bytes, so it sizes no allocation beyond what a canonical body
+// of that length would.
+func elements(rest []byte) int {
+	end := bytes.IndexByte(rest, ']')
+	if end <= 0 {
+		return 0
+	}
+	if c := bytes.Count(rest[:end], []byte{','}) + 1; 2*c-1 <= end {
+		return c
+	}
+	return 0
+}
+
+// scanArray reads count comma-separated elements and the closing ']'
+// off rest. elem stores element k from the start of its bytes and
+// returns its length, 0 if it is not canonical.
+func scanArray(rest []byte, count int, elem func(k int, b []byte) int) ([]byte, bool) {
+	for k := 0; k < count; k++ {
+		if k > 0 {
+			if len(rest) == 0 || rest[0] != ',' {
+				return nil, false
+			}
+			rest = rest[1:]
+		}
+		l := elem(k, rest)
+		if l == 0 {
+			return nil, false
+		}
+		rest = rest[l:]
+	}
+	if len(rest) == 0 || rest[0] != ']' {
+		return nil, false
+	}
+	return rest[1:], true
+}
+
+// closingBrace reports whether rest is the body's closing '}' and only
+// JSON whitespace after it.
+func closingBrace(rest []byte) bool {
+	rest, ok := bytes.CutPrefix(rest, []byte{'}'})
+	return ok && len(bytes.TrimLeft(rest, " \t\r\n")) == 0
+}
+
+// indexLen reads the canonical non-negative integer at the start of b —
+// 0, or a nonzero digit and at most nine more: a longer one exceeds
+// every dimension — and returns it with its length (0: none).
+func indexLen(b []byte) (v int64, l int) {
+	for l < len(b) && l < 10 && '0' <= b[l] && b[l] <= '9' {
+		if l == 1 && v == 0 {
+			return 0, 0 // a leading zero
+		}
+		v = 10*v + int64(b[l]-'0')
+		l++
+	}
+	if l < len(b) && '0' <= b[l] && b[l] <= '9' {
+		return 0, 0
+	}
+	return v, l
+}
+
+// floatLen reads the JSON number at the start of b as encoding/json
+// does, ParseFloat on its text, and returns it with its length (0: not
+// a number strconv turns into a float64).
+func floatLen(b []byte) (float64, int) {
+	l := numberLen(b)
+	if l == 0 {
+		return 0, 0
+	}
+	v, err := strconv.ParseFloat(string(b[:l]), 64)
+	if err != nil {
+		return 0, 0
+	}
+	return v, l
+}
+
+// numberLen is the length of the JSON number at the start of b,
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, or 0 if none starts
+// there.
+func numberLen(b []byte) int {
+	digits := func(i int) int {
+		for i < len(b) && '0' <= b[i] && b[i] <= '9' {
+			i++
+		}
+		return i
+	}
+	i := 0
+	if i < len(b) && b[i] == '-' {
+		i++
+	}
+	switch {
+	case i < len(b) && b[i] == '0':
+		i++
+	case i < len(b) && '1' <= b[i] && b[i] <= '9':
+		i = digits(i + 1)
+	default:
+		return 0
+	}
+	if i < len(b) && b[i] == '.' {
+		j := digits(i + 1)
+		if j == i+1 {
+			return 0
+		}
+		i = j
+	}
+	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		i++
+		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+			i++
+		}
+		j := digits(i)
+		if j == i {
+			return 0
+		}
+		i = j
+	}
+	return i
 }
 
 // decodeBody decodes the first JSON value of body into v, the way the

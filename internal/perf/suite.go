@@ -2,6 +2,7 @@ package perf
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -168,7 +169,11 @@ func Run(scale float64, quick bool) (*File, error) {
 		svcs[i] = serve.New(scfg)
 		defer svcs[i].Close()
 	}
-	fl, err := fleetrpc.New(fleetrpc.DefaultConfig(fleetrpc.LocalShards(svcs...)))
+	// No health probe fires during the run: the prober's allocations
+	// would land in whichever entry's allocs/op window they hit.
+	fcfg := fleetrpc.DefaultConfig(fleetrpc.LocalShards(svcs...))
+	fcfg.ProbeInterval = time.Hour
+	fl, err := fleetrpc.New(fcfg)
 	if err != nil {
 		return nil, fmt.Errorf("perf: fleet: %w", err)
 	}
@@ -187,6 +192,34 @@ func Run(scale float64, quick bool) (*File, error) {
 		flops: float64(2 * (len(f.LVal) + len(f.UVal))), iters: 1,
 		fn: checked(func() error { _, err := fl.Solve(ctx, fh, fb); return err }),
 	})
+
+	// The JSON front doors: a submit's MatrixRequest framed where it
+	// enters the fleet, a solve's SolveRequest decoded at the shard, both
+	// as encoding/json writes them (a client's form). Each allocates only
+	// what it returns, so the counts gate.
+	mreq := fleetrpc.MatrixRequest{N: a.Rows, Vals: a.Val}
+	for j := 0; j < a.Cols; j++ {
+		for p := a.ColPtr[j]; p < a.ColPtr[j+1]; p++ {
+			mreq.Rows = append(mreq.Rows, a.RowInd[p])
+			mreq.Cols = append(mreq.Cols, j)
+		}
+	}
+	mbody, err := json.Marshal(mreq)
+	if err != nil {
+		return nil, fmt.Errorf("perf: encode matrix request: %w", err)
+	}
+	sbody, err := json.Marshal(fleetrpc.SolveRequest{Handle: fh.String(), B: fb})
+	if err != nil {
+		return nil, fmt.Errorf("perf: encode solve request: %w", err)
+	}
+	benches = append(benches,
+		bench{name: "wire/decode-matrix/" + Matrix, class: "wire", hot: true, measAll: true,
+			iters: 1,
+			fn:    checked(func() error { _, err := fleetrpc.DecodeMatrixRequest(mbody); return err })},
+		bench{name: "wire/decode-solve/" + Matrix, class: "wire", hot: true, measAll: true,
+			iters: 1,
+			fn:    checked(func() error { _, err := fleetrpc.DecodeSolveRequest(sbody); return err })},
+	)
 
 	out := &File{
 		SchemaVersion: SchemaVersion,
