@@ -57,7 +57,7 @@ func main() {
 
 		haID        = flag.Int("ha-id", -1, "HA: this coordinator's id (index into -ha-peers; -1 disables HA)")
 		haPeers     = flag.String("ha-peers", "", "HA: comma-separated coordinator addresses, one per replica, ours at index -ha-id")
-		haLease     = flag.Duration("ha-lease", time.Second, "HA: leader lease; followers elect after this long without a heartbeat")
+		haLease     = flag.Duration("ha-lease", time.Second, "HA: leader lease; a follower elects after this long without a heartbeat, a fresh coordinator after one heartbeat of silence")
 		haHeartbeat = flag.Duration("ha-heartbeat", 0, "HA: leader heartbeat period (0 = lease/4)")
 		haSLO       = flag.Duration("ha-slo", 0, "HA: p999 latency SLO driving the replica controller (0 disables the controller)")
 	)

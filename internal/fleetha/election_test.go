@@ -2,10 +2,12 @@ package fleetha
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -411,4 +413,102 @@ func TestManualClockLease(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+}
+
+// TestManualClockFirstElection pins when a node runs its first
+// election, on a manual clock with ticks driven by hand (no sleeps). A
+// node that has heard no leader stays a follower through one heartbeat
+// of silence and leads once the silence passes one heartbeat plus the
+// lease jitter's ceiling (30% of the lease); its "leading" log line
+// says how long after node start that was. A node that has heard a
+// heartbeat still waits a full lease.
+func TestManualClockFirstElection(t *testing.T) {
+	const lease, beat = time.Second, 250 * time.Millisecond
+	past := beat + 3*lease/10 + time.Millisecond // above any fresh node's jittered limit
+	shards := testShardServers(t, 1)
+	// The second peer answers every probe 503: no lower id, no leader,
+	// and with two coordinators a claimant needs no peer replica.
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		w.WriteHeader(http.StatusServiceUnavailable)
+	}))
+	t.Cleanup(peer.Close)
+	addr := strings.TrimPrefix(peer.URL, "http://")
+
+	start := func(t *testing.T) (*Node, *ManualClock, func() []string) {
+		clk := NewManualClock(time.Unix(1000, 0))
+		fcfg := fleetrpc.DefaultConfig(nil)
+		fcfg.ProbeInterval = time.Hour
+		var mu sync.Mutex
+		var lines []string
+		n, err := NewNode(Config{
+			ID: 0, Peers: []string{addr, addr}, Shards: shards,
+			Lease: lease, Heartbeat: beat, Fleet: fcfg, Clock: clk,
+			Logf: func(format string, args ...any) {
+				mu.Lock()
+				defer mu.Unlock()
+				lines = append(lines, fmt.Sprintf(format, args...))
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(n.Close)
+		return n, clk, func() []string {
+			mu.Lock()
+			defer mu.Unlock()
+			return append([]string(nil), lines...)
+		}
+	}
+	// stays ticks the node by hand and requires it still to follow.
+	stays := func(t *testing.T, n *Node, when string) {
+		t.Helper()
+		n.tick()
+		if n.Role() != Follower {
+			t.Fatalf("node led %s", when)
+		}
+	}
+	// leads ticks the node by hand until it leads (bounded).
+	leads := func(t *testing.T, n *Node, when string) {
+		t.Helper()
+		deadline := time.Now().Add(3 * time.Second)
+		for n.tick(); n.Role() != Leader; n.tick() {
+			if time.Now().After(deadline) {
+				t.Fatalf("node never led %s", when)
+			}
+		}
+	}
+
+	t.Run("fresh", func(t *testing.T) {
+		n, clk, logs := start(t)
+		clk.Advance(beat - time.Millisecond)
+		stays(t, n, "before one heartbeat of silence")
+		clk.Advance(past - (beat - time.Millisecond))
+		leads(t, n, "after one heartbeat plus the jitter ceiling")
+		if st := n.Status(); st.Term != 1 {
+			t.Fatalf("first election at term %d, want 1", st.Term)
+		}
+		want := fmt.Sprintf("leading at term 1, %v after node start", past)
+		for _, l := range logs() {
+			if strings.Contains(l, want) {
+				return
+			}
+		}
+		t.Fatalf("no log line %q in %q", want, logs())
+	})
+
+	t.Run("heard-a-leader", func(t *testing.T) {
+		n, clk, _ := start(t)
+		if resp := n.handleReplicate(ReplicateRequest{Term: 1, LeaderID: 1, LeaderAddr: addr, Shards: shards}); !resp.OK {
+			t.Fatalf("heartbeat rejected: %+v", resp)
+		}
+		clk.Advance(past)
+		stays(t, n, "within a lease of the last heartbeat")
+		clk.Advance(lease - past)
+		stays(t, n, "exactly one lease after the heartbeat")
+		clk.Advance(3*lease/10 + time.Millisecond)
+		leads(t, n, "after a full lease plus the jitter ceiling")
+		if st := n.Status(); st.Term != 2 {
+			t.Fatalf("takeover at term %d, want 2", st.Term)
+		}
+	})
 }

@@ -16,7 +16,8 @@ import (
 
 // Election design: deterministic bully-with-lease. Every node knows
 // the full coordinator list (ids = indexes). The leader streams
-// jittered heartbeats; a follower whose lease expires probes every
+// jittered heartbeats; a follower whose lease expires (a node that has
+// never heard a leader: one heartbeat of silence) probes every
 // peer's /ha/v1/status — if any *lower-id* peer answers, it defers
 // (the lower id will claim, or already has); if none does, it claims
 // leadership at term max(seen)+1. The term is the fencing token:
@@ -78,7 +79,8 @@ type Config struct {
 	Shards []string
 	// Lease is how long a follower tolerates heartbeat silence before
 	// probing for an election (0 takes 1s). Failover detection latency
-	// is roughly one lease plus one probe round.
+	// is roughly one lease plus one probe round. A node that has never
+	// heard a leader probes after one Heartbeat of silence instead.
 	Lease time.Duration
 	// Heartbeat is the leader's replication cadence (0 takes Lease/4,
 	// and is clamped to at most Lease/3 so a healthy leader can always
@@ -132,8 +134,9 @@ type peerRepl struct {
 
 // Node is one replicated coordinator.
 type Node struct {
-	cfg Config
-	clk Clock
+	cfg     Config
+	clk     Clock
+	started time.Time // clk at NewNode
 
 	mu sync.Mutex
 	//gesp:guardedby:mu
@@ -218,9 +221,9 @@ func (n *Node) electionReadsNeeded() int {
 }
 
 // NewNode builds and starts a coordinator node. Every node starts as
-// a follower with a fresh lease; the lowest live id claims leadership
-// one lease later (or immediately adopts an existing leader's first
-// heartbeat).
+// a follower that has heard no leader; the lowest live id claims
+// leadership after one heartbeat of silence (or adopts an existing
+// leader, from its first heartbeat or the election's probe).
 func NewNode(cfg Config) (*Node, error) {
 	if cfg.ID < 0 || cfg.ID >= len(cfg.Peers) {
 		return nil, fmt.Errorf("fleetha: node id %d outside peer list of %d", cfg.ID, len(cfg.Peers))
@@ -235,7 +238,8 @@ func NewNode(cfg Config) (*Node, error) {
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
 		stop:     make(chan struct{}),
 	}
-	n.lastBeat = n.clk.Now()
+	n.started = n.clk.Now()
+	n.lastBeat = n.started
 	n.peers = make([]*haPeer, len(cfg.Peers))
 	for i, addr := range cfg.Peers {
 		if i == cfg.ID {
@@ -292,7 +296,7 @@ func (n *Node) tick() {
 	n.mu.Lock()
 	role := n.role
 	now := n.clk.Now()
-	leaseExpired := role == Follower && now.Sub(n.lastBeat) > n.leaseJitteredLocked()
+	leaseExpired := role == Follower && now.Sub(n.lastBeat) > n.silenceLimitLocked()
 	n.mu.Unlock()
 	switch {
 	case role == Leader:
@@ -303,12 +307,22 @@ func (n *Node) tick() {
 	}
 }
 
-// leaseJitteredLocked widens the lease by up to +30% from the seeded
-// source so co-expiring followers don't probe in lockstep.
+// silenceLimitLocked is how much heartbeat silence a follower
+// tolerates before it runs an election: the lease once it has heard a
+// leader (its term is then ≥ 1, as every leader's is), one heartbeat
+// before that. A fresh node need not wait out a lease, because the
+// election's probe and read quorum, not the wait, find an existing
+// leader. Either way the limit is widened by up to 30% of the lease
+// from the seeded source so co-expiring followers don't probe in
+// lockstep.
 //
 //gesp:holds:n.mu
-func (n *Node) leaseJitteredLocked() time.Duration {
-	return time.Duration(float64(n.cfg.Lease) * (1 + 0.3*n.rng.Float64()))
+func (n *Node) silenceLimitLocked() time.Duration {
+	base := n.cfg.Lease
+	if n.term == 0 {
+		base = n.cfg.Heartbeat
+	}
+	return base + time.Duration(float64(n.cfg.Lease)*0.3*n.rng.Float64())
 }
 
 // runElection probes every peer; any reachable lower id means defer,
@@ -491,8 +505,8 @@ func (n *Node) becomeLeader(term uint64, now time.Time) {
 		}
 		n.startControllerLocked(fl, now)
 		n.mu.Unlock()
-		n.cfg.Logf("fleetha node %d: leading at term %d (%d seeded handles, %d shards, %d dead)",
-			n.cfg.ID, term, len(registry), len(shards), len(dead))
+		n.cfg.Logf("fleetha node %d: leading at term %d, %v after node start (%d seeded handles, %d shards, %d dead)",
+			n.cfg.ID, term, n.clk.Now().Sub(n.started).Round(time.Millisecond), len(registry), len(shards), len(dead))
 		n.broadcastReplicate(nil)
 		return
 	}

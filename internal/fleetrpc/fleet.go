@@ -465,13 +465,35 @@ func (f *Fleet) rereplicateWhere(keep func(pattern uint64) bool) {
 			}
 			var buf [maxReplication]*member
 			n := f.placementInto(buf[:], e.pattern)
-			for i := 0; i < n; i++ {
-				if _, err := f.submitTo(context.Background(), buf[i], e.m); err == nil {
+			_, errs := f.populate(context.Background(), buf[:n], e.m)
+			for _, err := range errs[:n] {
+				if err == nil {
 					f.m.rereplicated.Add(1)
 				}
 			}
 		}
 	}()
+}
+
+// populate sends the registered frame m to every member of a placement
+// at once and returns after all of them have answered: the owner's
+// (placement[0]'s) handle, and each member's error at its index. Under
+// static pivoting each member's factorization depends on nothing but m,
+// so owner and replicas factor side by side.
+func (f *Fleet) populate(ctx context.Context, placement []*member, m Matrix) (h serve.Handle, errs [maxReplication]error) {
+	var wg sync.WaitGroup
+	for i := 1; i < len(placement); i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, errs[i] = f.submitTo(ctx, placement[i], m)
+		}()
+	}
+	if len(placement) > 0 {
+		h, errs[0] = f.submitTo(ctx, placement[0], m)
+	}
+	wg.Wait()
+	return h, errs
 }
 
 // submitTo factors m on mb under the submit deadline.
@@ -622,8 +644,9 @@ func (f *Fleet) sleep(ctx context.Context, attempt, sick int, retryAfter time.Du
 }
 
 // Submit registers a system with the fleet: the matrix is factored on
-// its pattern's owner and replicas, and kept in the router's registry
-// for healing, re-replication, and the degraded path.
+// its pattern's owner and replicas at once, and — once the owner has
+// it — kept in the router's registry for healing, re-replication, and
+// the degraded path.
 func (f *Fleet) Submit(ctx context.Context, m Matrix) (serve.Handle, error) {
 	if f.closed.Load() {
 		return serve.Handle{}, serve.ErrClosed
@@ -649,8 +672,11 @@ func (f *Fleet) Submit(ctx context.Context, m Matrix) (serve.Handle, error) {
 			lastSick = 0
 			continue
 		}
-		h, err := f.submitTo(ctx, buf[0], m)
-		if err != nil {
+		// Replica errors are not read: replica population is best-effort;
+		// the owner holds the factors and re-replication retries on the
+		// next membership change.
+		h, errs := f.populate(ctx, buf[:n], m)
+		if err := errs[0]; err != nil {
 			lastErr = err
 			lastSick = buf[0].failureCount()
 			if !Retryable(err) {
@@ -661,10 +687,6 @@ func (f *Fleet) Submit(ctx context.Context, m Matrix) (serve.Handle, error) {
 		f.mu.Lock()
 		f.registry[h] = m
 		f.mu.Unlock()
-		for i := 1; i < n; i++ {
-			//gesp:errok — replica population is best-effort; the owner holds the factors and re-replication retries on the next membership change
-			_, _ = f.submitTo(ctx, buf[i], m)
-		}
 		return h, nil
 	}
 	return serve.Handle{}, lastErr

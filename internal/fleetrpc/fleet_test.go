@@ -7,8 +7,10 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -569,4 +571,194 @@ func testDrainStaysDead(t *testing.T, kind string) {
 	if err := f.Drain(bg, target); err == nil {
 		t.Fatal("double drain must error")
 	}
+}
+
+// gatedShard is a fake member whose Submit announces itself on entered,
+// then answers only with the error the test sends on release (nil:
+// success). inFlight counts calls that have entered and not returned.
+// Only Addr and Submit are ever called: the tests' prober sleeps an
+// hour.
+type gatedShard struct {
+	Shard
+	addr     string
+	entered  chan struct{}
+	release  chan error
+	inFlight atomic.Int32
+}
+
+func newGatedShard(addr string) *gatedShard {
+	return &gatedShard{addr: addr, entered: make(chan struct{}, 4), release: make(chan error, 4)}
+}
+
+func (s *gatedShard) Addr() string { return s.addr }
+
+func (s *gatedShard) Submit(_ context.Context, m Matrix) (serve.Handle, error) {
+	s.inFlight.Add(1)
+	defer s.inFlight.Add(-1)
+	s.entered <- struct{}{}
+	if err := <-s.release; err != nil {
+		return serve.Handle{}, err
+	}
+	a, err := m.CSC()
+	if err != nil {
+		return serve.Handle{}, err
+	}
+	return serve.Handle{Key: serve.FactorKey{Pattern: sparse.PatternHash(a)}, N: a.Rows}, nil
+}
+
+// awaitEntered fails the test unless every shard's Submit has been
+// entered (and not yet answered) within the bound.
+func awaitEntered(t *testing.T, what string, shards ...*gatedShard) {
+	t.Helper()
+	timeout := time.After(5 * time.Second)
+	for _, s := range shards {
+		select {
+		case <-s.entered:
+		case <-timeout:
+			t.Fatalf("%s: %s's submit never started", what, s.addr)
+		}
+	}
+}
+
+// awaitReturned spins (bounded) until s's Submit has returned.
+func awaitReturned(t *testing.T, s *gatedShard) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for s.inFlight.Load() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s's submit never returned", s.addr)
+		}
+		runtime.Gosched()
+	}
+}
+
+// gatedFleet builds a fleet over n gated shards at replication 2 and
+// returns the shards of sys's placement, owner first.
+func gatedFleet(t *testing.T, n int, sys system) (*Fleet, []*gatedShard, *gatedShard, *gatedShard) {
+	t.Helper()
+	gated := make([]*gatedShard, n)
+	shards := make([]Shard, n)
+	for i := range gated {
+		gated[i] = newGatedShard(fmt.Sprintf("gated-%d", i))
+		shards[i] = gated[i]
+	}
+	cfg := quietConfig(shards)
+	cfg.Replication = 2
+	f := newTestFleet(t, cfg)
+	var ids [2]int
+	if f.Ring().ReplicasInto(ids[:], sys.pattern()) != 2 {
+		t.Fatal("placement narrower than 2")
+	}
+	return f, gated, gated[ids[0]], gated[ids[1]]
+}
+
+// TestSubmitPopulatesConcurrently: a submit's owner and replica calls
+// are in flight at the same time, and the population keeps the
+// sequential rules — the registry entry appears only once the owner
+// has succeeded, a failing replica does not fail the submit, an owner
+// 4xx is the submit's error with no entry, and Submit returns only
+// after every call has returned. A re-home (PromotePattern) populates
+// its whole placement at once too. Every wait is a channel hand-off.
+func TestSubmitPopulatesConcurrently(t *testing.T) {
+	sys := testbedSystem(t, "SHERMAN4", 0)
+	m := WireMatrix(sys.a)
+	type result struct {
+		h   serve.Handle
+		err error
+	}
+	submit := func(f *Fleet) chan result {
+		ch := make(chan result, 1)
+		go func() {
+			h, err := f.Submit(bg, m)
+			ch <- result{h, err}
+		}()
+		return ch
+	}
+	settled := func(t *testing.T, gated []*gatedShard) {
+		t.Helper()
+		for _, s := range gated {
+			if n := s.inFlight.Load(); n != 0 {
+				t.Fatalf("Submit returned with %d call(s) still in flight on %s", n, s.addr)
+			}
+			if len(s.entered) != 0 {
+				t.Fatalf("%s was submitted to again", s.addr)
+			}
+		}
+	}
+
+	t.Run("replica-fails", func(t *testing.T) {
+		f, gated, owner, replica := gatedFleet(t, 2, sys)
+		res := submit(f)
+		awaitEntered(t, "owner and replica in flight together", owner, replica)
+		replica.release <- StatusError(http.StatusInternalServerError, "replica broke", 0)
+		awaitReturned(t, replica)
+		if n := f.RegistryLen(); n != 0 {
+			t.Fatalf("registry holds %d entries before the owner answered", n)
+		}
+		owner.release <- nil
+		r := <-res
+		if r.err != nil {
+			t.Fatalf("a failing replica failed the submit: %v", r.err)
+		}
+		if _, ok := f.Registry()[r.h]; !ok || f.RegistryLen() != 1 {
+			t.Fatalf("registry %v after the owner succeeded, want just %v", f.Registry(), r.h)
+		}
+		settled(t, gated)
+	})
+
+	t.Run("owner-first", func(t *testing.T) {
+		f, gated, owner, replica := gatedFleet(t, 2, sys)
+		res := submit(f)
+		awaitEntered(t, "owner and replica in flight together", owner, replica)
+		owner.release <- nil
+		awaitReturned(t, owner)
+		select {
+		case r := <-res:
+			t.Fatalf("Submit returned (%v) while the replica's call was in flight", r.err)
+		default:
+		}
+		replica.release <- nil
+		if r := <-res; r.err != nil || f.RegistryLen() != 1 {
+			t.Fatalf("submit: %v, registry %d entries", r.err, f.RegistryLen())
+		}
+		settled(t, gated)
+	})
+
+	t.Run("owner-4xx", func(t *testing.T) {
+		f, gated, owner, replica := gatedFleet(t, 2, sys)
+		res := submit(f)
+		awaitEntered(t, "owner and replica in flight together", owner, replica)
+		bad := StatusError(http.StatusBadRequest, "bad matrix", 0)
+		owner.release <- bad
+		replica.release <- nil
+		r := <-res
+		if r.err != bad {
+			t.Fatalf("submit error %v, want the owner's %v", r.err, bad)
+		}
+		if n := f.RegistryLen(); n != 0 {
+			t.Fatalf("registry holds %d entries after the owner refused", n)
+		}
+		settled(t, gated)
+	})
+
+	t.Run("rehome", func(t *testing.T) {
+		f, gated, owner, replica := gatedFleet(t, 3, sys)
+		res := submit(f)
+		awaitEntered(t, "owner and replica in flight together", owner, replica)
+		owner.release <- nil
+		replica.release <- nil
+		if r := <-res; r.err != nil {
+			t.Fatal(r.err)
+		}
+		f.PromotePattern(sys.pattern(), 1)
+		awaitEntered(t, "the widened placement populated at once", gated...)
+		for _, s := range gated {
+			s.release <- nil
+		}
+		f.Close() // waits for the re-home
+		if got := f.Stats().Rereplicated; got != 3 {
+			t.Fatalf("rereplicated %d, want 3", got)
+		}
+		settled(t, gated)
+	})
 }
