@@ -246,9 +246,10 @@ func TestFailoverPreservesRegistry(t *testing.T) {
 // durability regression: an entry the old leader replicated to only
 // the *higher-id* follower must survive a takeover by the lower-id
 // follower — the claimant's read-quorum fetch must union the peer's
-// registry before it seeds its fleet. Without the read quorum, node 1
-// would win on id alone with an empty registry and its Full snapshot
-// broadcast would erase the entry fleet-wide.
+// registry before its fleet routes. Without the read quorum, node 1
+// would win on id alone with an empty registry: follower 2 would keep
+// the entry (apply only unions), but the leader could neither route
+// nor heal the handle.
 func TestTakeoverUnionsFollowerRegistries(t *testing.T) {
 	shards := testShardServers(t, 2)
 	c := startCluster(t, 3, shards, func(id int, cfg *Config) {
@@ -283,7 +284,7 @@ func TestTakeoverUnionsFollowerRegistries(t *testing.T) {
 	// only follower 2; follower 1 saw just a heartbeat at the same term
 	if resp := c.nodes[2].handleReplicate(ReplicateRequest{
 		Term: 5, LeaderID: 0, LeaderAddr: c.addrs[0], Shards: shards,
-		Entries: []RegistryEntry{{Handle: h.String(), Matrix: wire}},
+		Entries: []fleetrpc.RegistryEntry{{Handle: h, Matrix: wire}},
 	}); !resp.OK {
 		t.Fatalf("injected replicate rejected: %+v", resp)
 	}

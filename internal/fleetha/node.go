@@ -87,7 +87,7 @@ type Config struct {
 	// refresh the lease with margin).
 	Heartbeat time.Duration
 	// Fleet is the template for the leader's shard coordinator; Shards,
-	// SeedRegistry, and DeadMembers are overwritten at takeover.
+	// Registry, and DeadMembers are overwritten at takeover.
 	Fleet fleetrpc.Config
 	// Controller, when non-nil, runs the SLO control loop on the leader.
 	Controller *ControllerConfig
@@ -122,16 +122,6 @@ func (c *Config) fill() {
 	}
 }
 
-// peerRepl is the leader's per-follower replication bookkeeping.
-type peerRepl struct {
-	// acked holds the handles this follower has confirmed; entries not
-	// in it ride the next heartbeat.
-	acked map[string]bool
-	// needFull forces a snapshot on the next contact (set at takeover —
-	// a new leader cannot know what its predecessor streamed where).
-	needFull bool
-}
-
 // Node is one replicated coordinator.
 type Node struct {
 	cfg     Config
@@ -151,10 +141,19 @@ type Node struct {
 	lastBeat time.Time
 	//gesp:guardedby:mu
 	fleet *fleetrpc.Fleet
+	// acked is, per peer id, the registry log position that follower
+	// has confirmed while this node leads: its next batch carries the
+	// log from there on. A takeover starts every peer at 0 — a new
+	// leader cannot know what its predecessor streamed where, and its
+	// log is in its own order.
 	//gesp:guardedby:mu
-	repl map[int]*peerRepl
+	acked []int
 	//gesp:guardedby:mu
 	seq uint64
+	// view is the replicated membership and its high-water mark; a
+	// leader adopts its own batches, so it stays current there too.
+	//gesp:guardedby:mu
+	view view
 	//gesp:guardedby:mu
 	rng *rand.Rand
 	//gesp:guardedby:mu
@@ -172,7 +171,9 @@ type Node struct {
 	//gesp:guardedby:mu
 	spawnedShards []spawnedShard
 
-	state *replState
+	// reg is the node's registry for its lifetime: follower apply, the
+	// election's read-quorum merge and the leader's fleet all write it.
+	reg   *fleetrpc.Registry
 	peers []*haPeer // nil at own index
 
 	stop    chan struct{}
@@ -233,8 +234,8 @@ func NewNode(cfg Config) (*Node, error) {
 		cfg:      cfg,
 		clk:      cfg.Clock,
 		leaderID: -1,
-		state:    newReplState(cfg.Shards),
-		repl:     make(map[int]*peerRepl),
+		view:     view{shards: cfg.Shards},
+		reg:      new(fleetrpc.Registry),
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
 		stop:     make(chan struct{}),
 	}
@@ -300,7 +301,7 @@ func (n *Node) tick() {
 	n.mu.Unlock()
 	switch {
 	case role == Leader:
-		n.broadcastReplicate(nil)
+		n.broadcastReplicate()
 		n.controllerTick(now)
 	case leaseExpired:
 		n.runElection(now)
@@ -438,7 +439,12 @@ func (n *Node) readQuorum(reachable []int) bool {
 				ch <- false
 				return
 			}
-			n.state.mergeRemote(st)
+			for _, e := range st.Entries {
+				n.reg.Put(e)
+			}
+			n.mu.Lock()
+			n.view.adopt(st.view())
+			n.mu.Unlock()
 			ch <- true
 		}(p)
 	}
@@ -451,70 +457,54 @@ func (n *Node) readQuorum(reachable []int) bool {
 	return fetched >= need
 }
 
-// becomeLeader builds a fleet seeded with the replicated registry and
-// membership view, claims the term, and announces with a full
-// snapshot broadcast. The snapshot and the role flip are made atomic
-// by the replState generation: a replicate from a still-live old
-// leader that lands (and is acked) between the snapshot and the flip
-// bumps the generation, and the flip is retried from a fresher
-// snapshot — so no entry can be acked to the old leader yet missing
-// from the new leader's seeded fleet. The retry window is one fleet
-// construction (no network), so a live old leader cannot starve it;
-// once the flip lands, its next batch is term-fenced and un-acked.
+// becomeLeader builds a fleet over the node's registry and replicated
+// membership, claims the term, and announces with a broadcast that
+// sends every follower the whole log. No entry can be acked to a
+// still-live old leader yet missing from the new fleet: one applied
+// before the role flip is already in the registry the fleet reads, and
+// the term fence rejects every batch after it.
 func (n *Node) becomeLeader(term uint64, now time.Time) {
-	for {
-		registry, shards, dead, gen := n.state.snapshot()
-		fcfg := n.cfg.Fleet
-		fcfg.Shards = fleetrpc.Dial(shards)
-		fcfg.SeedRegistry = registry
-		fcfg.DeadMembers = dead
-		if fcfg.Seed == 0 {
-			fcfg.Seed = n.cfg.Seed
-		}
-		fl, err := fleetrpc.New(fcfg)
-		if err != nil {
-			n.cfg.Logf("fleetha node %d: cannot take leadership: %v", n.cfg.ID, err)
-			n.mu.Lock()
-			n.lastBeat = n.clk.Now()
-			n.mu.Unlock()
-			return
-		}
+	n.mu.Lock()
+	v := n.view
+	n.mu.Unlock()
+	fcfg := n.cfg.Fleet
+	fcfg.Shards = fleetrpc.Dial(v.shards)
+	fcfg.Registry = n.reg
+	fcfg.DeadMembers = v.dead
+	if fcfg.Seed == 0 {
+		fcfg.Seed = n.cfg.Seed
+	}
+	fl, err := fleetrpc.New(fcfg)
+	if err != nil {
+		n.cfg.Logf("fleetha node %d: cannot take leadership: %v", n.cfg.ID, err)
 		n.mu.Lock()
-		if n.role == Leader || n.term >= term {
-			// lost a race with an incoming higher-term heartbeat
-			n.mu.Unlock()
-			fl.Close()
-			return
-		}
-		if n.state.generation() != gen {
-			// an entry was replicated to us (and acked to the old leader)
-			// while the fleet was building; rebuild from a fresh snapshot
-			n.mu.Unlock()
-			fl.Close()
-			continue
-		}
-		n.role = Leader
-		n.term = term
-		n.leaderID = n.cfg.ID
-		n.leaderAddr = n.cfg.Peers[n.cfg.ID]
-		n.fleet = fl
-		for _, p := range n.peers {
-			if p != nil {
-				n.repl[p.id] = &peerRepl{acked: make(map[string]bool), needFull: true}
-			}
-		}
-		n.startControllerLocked(fl, now)
+		n.lastBeat = n.clk.Now()
 		n.mu.Unlock()
-		n.cfg.Logf("fleetha node %d: leading at term %d, %v after node start (%d seeded handles, %d shards, %d dead)",
-			n.cfg.ID, term, n.clk.Now().Sub(n.started).Round(time.Millisecond), len(registry), len(shards), len(dead))
-		n.broadcastReplicate(nil)
 		return
 	}
+	n.mu.Lock()
+	if n.role == Leader || n.term >= term {
+		// lost a race with an incoming higher-term heartbeat
+		n.mu.Unlock()
+		fl.Close()
+		return
+	}
+	n.role = Leader
+	n.term = term
+	n.leaderID = n.cfg.ID
+	n.leaderAddr = n.cfg.Peers[n.cfg.ID]
+	n.fleet = fl
+	n.acked = make([]int, len(n.peers))
+	n.startControllerLocked(fl, now)
+	n.mu.Unlock()
+	n.cfg.Logf("fleetha node %d: leading at term %d, %v after node start (%d handles, %d shards, %d dead)",
+		n.cfg.ID, term, n.clk.Now().Sub(n.started).Round(time.Millisecond), n.reg.Len(), len(v.shards), len(v.dead))
+	n.broadcastReplicate()
 }
 
-// stepDown demotes a deposed leader: the fleet's registry and
-// membership fold back into the replica state (nothing newer than the
-// last stream is lost locally) and the fleet closes.
+// stepDown demotes a deposed leader and closes its fleet. The registry
+// and the membership view (adopted from its own last batch) stay the
+// node's.
 func (n *Node) stepDown(newTerm uint64, newLeaderID int) {
 	n.mu.Lock()
 	if n.role != Leader {
@@ -537,85 +527,52 @@ func (n *Node) stepDown(newTerm uint64, newLeaderID int) {
 	n.lastBeat = n.clk.Now()
 	n.mu.Unlock()
 	if fl != nil {
-		n.state.mergeFromFleet(fl.Registry(), fl.Addrs(), fl.DeadIDs())
 		fl.Close()
 	}
 	n.cfg.Logf("fleetha node %d: stepping down to term %d (leader %d)", n.cfg.ID, newTerm, newLeaderID)
 }
 
-// buildReplicate assembles one peer's batch under mu: full snapshot on
-// first contact, un-acked entries after. extra (a just-submitted
-// entry) rides along regardless.
-func (n *Node) buildReplicate(p *haPeer, extra []RegistryEntry) (ReplicateRequest, []string, bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.role != Leader || n.fleet == nil {
-		return ReplicateRequest{}, nil, false
+// broadcastReplicate streams one batch to every peer and returns how
+// many acked. A peer's batch is the registry log from its acked
+// position on: the whole log on first contact, a submit's entry once,
+// no entries once it has caught up, and after a failed call the same
+// tail again. A response carrying a higher term — or an equal term
+// from a lower id — deposes this leader on the spot.
+func (n *Node) broadcastReplicate() (acks int) {
+	type res struct {
+		p    *haPeer
+		end  int
+		resp ReplicateResponse
+		err  error
 	}
-	pr := n.repl[p.id]
-	if pr == nil {
-		pr = &peerRepl{acked: make(map[string]bool), needFull: true}
-		n.repl[p.id] = pr
+	n.mu.Lock()
+	if n.role != Leader || n.fleet == nil {
+		n.mu.Unlock()
+		return 0
 	}
 	n.seq++
-	req := ReplicateRequest{
+	hdr := ReplicateRequest{
 		Term:       n.term,
 		LeaderID:   n.cfg.ID,
 		LeaderAddr: n.cfg.Peers[n.cfg.ID],
 		Seq:        n.seq,
-		Full:       pr.needFull,
 		Shards:     n.fleet.Addrs(),
 		Dead:       n.fleet.DeadIDs(),
-		Epoch:      n.seq,
 		RingGen:    n.fleet.RingGen(),
 	}
-	var sent []string
-	reg := n.fleet.Registry()
-	//gesp:unordered — entries are keyed by handle on the receiver; batch order is irrelevant
-	for h, w := range reg {
-		hs := h.String()
-		if pr.needFull || !pr.acked[hs] {
-			req.Entries = append(req.Entries, RegistryEntry{Handle: hs, Matrix: w})
-			sent = append(sent, hs)
-		}
-	}
-	for _, e := range extra {
-		if !pr.acked[e.Handle] {
-			req.Entries = append(req.Entries, e)
-			sent = append(sent, e.Handle)
-		}
-	}
-	return req, sent, true
-}
-
-// broadcastReplicate streams one batch to every peer and returns how
-// many acked. A response carrying a higher term — or an equal term
-// from a lower id — deposes this leader on the spot.
-func (n *Node) broadcastReplicate(extra []RegistryEntry) (acks int) {
-	type res struct {
-		p    *haPeer
-		sent []string
-		resp ReplicateResponse
-		err  error
-	}
-	var live []*haPeer
-	for _, p := range n.peers {
-		if p != nil {
-			live = append(live, p)
-		}
-	}
-	if len(live) == 0 {
-		return 0
-	}
-	ch := make(chan res, len(live))
+	n.view.adopt(hdr.view())
+	from := append([]int(nil), n.acked...)
+	n.mu.Unlock()
+	ch := make(chan res, len(n.peers))
 	launched := 0
-	for _, p := range live {
-		req, sent, ok := n.buildReplicate(p, extra)
-		if !ok {
-			break
+	for _, p := range n.peers {
+		if p == nil {
+			continue
 		}
 		launched++
-		go func(p *haPeer, req ReplicateRequest, sent []string) {
+		req := hdr
+		req.Entries = n.reg.Since(from[p.id])
+		go func(p *haPeer, req ReplicateRequest, end int) {
 			var resp ReplicateResponse
 			body, err := req.MarshalBinary()
 			if err == nil {
@@ -624,19 +581,16 @@ func (n *Node) broadcastReplicate(extra []RegistryEntry) (acks int) {
 			if err == nil {
 				err = json.Unmarshal(body, &resp)
 			}
-			ch <- res{p: p, sent: sent, resp: resp, err: err}
-		}(p, req, sent)
+			ch <- res{p: p, end: end, resp: resp, err: err}
+		}(p, req, from[p.id]+len(req.Entries))
 	}
 	for i := 0; i < launched; i++ {
 		r := <-ch
 		if r.err != nil {
 			continue
 		}
-		n.mu.Lock()
-		myTerm := n.term
-		n.mu.Unlock()
 		if !r.resp.OK {
-			if r.resp.Term > myTerm || (r.resp.Term == myTerm && r.p.id < n.cfg.ID) {
+			if r.resp.Term > hdr.Term || (r.resp.Term == hdr.Term && r.p.id < n.cfg.ID) {
 				// fenced: a newer (or lower-id same-term) leader exists
 				n.stepDown(r.resp.Term, -1)
 			}
@@ -644,11 +598,8 @@ func (n *Node) broadcastReplicate(extra []RegistryEntry) (acks int) {
 		}
 		acks++
 		n.mu.Lock()
-		if pr := n.repl[r.p.id]; pr != nil {
-			pr.needFull = false
-			for _, hs := range r.sent {
-				pr.acked[hs] = true
-			}
+		if n.role == Leader && n.term == hdr.Term && r.end > n.acked[r.p.id] {
+			n.acked[r.p.id] = r.end
 		}
 		n.mu.Unlock()
 	}
@@ -656,11 +607,12 @@ func (n *Node) broadcastReplicate(extra []RegistryEntry) (acks int) {
 }
 
 // handleReplicate is the follower side of the stream: term fencing,
-// then state application. The fence check and the apply hold n.mu
-// together: a batch must not slip in between becomeLeader's snapshot
-// generation check and its role flip, or the old leader would ack a
-// submit whose entry the new leader's fleet never saw. (Lock order is
-// always n.mu → state.mu; no path takes them reversed.)
+// then the apply — the entries union into the registry (none is ever
+// dropped, so no leader's batch can erase what a follower holds) and
+// the membership view is adopted if it is newer. The fence check and
+// the apply hold n.mu together, so a batch is either applied before a
+// takeover's role flip or fenced after it. (Lock order is always n.mu
+// → the registry's lock; no path takes them reversed.)
 func (n *Node) handleReplicate(req ReplicateRequest) ReplicateResponse {
 	n.mu.Lock()
 	switch {
@@ -690,65 +642,43 @@ func (n *Node) handleReplicate(req ReplicateRequest) ReplicateResponse {
 	n.leaderID = req.LeaderID
 	n.leaderAddr = req.LeaderAddr
 	n.lastBeat = n.clk.Now()
-	applied, err := n.state.apply(req)
-	n.mu.Unlock()
-	if err != nil {
-		return ReplicateResponse{OK: false, Term: req.Term, AppliedSeq: applied}
+	for _, e := range req.Entries {
+		n.reg.Put(e)
 	}
-	return ReplicateResponse{OK: true, Term: req.Term, AppliedSeq: applied}
+	n.view.adopt(req.view())
+	resp := ReplicateResponse{OK: true, Term: req.Term, AppliedSeq: n.view.seq}
+	n.mu.Unlock()
+	return resp
 }
 
 // Status snapshots the node's election view.
 func (n *Node) Status() StatusResponse {
 	n.mu.Lock()
+	defer n.mu.Unlock()
 	st := StatusResponse{
-		ID:       n.cfg.ID,
-		Term:     n.term,
-		Role:     n.role.String(),
-		LeaderID: n.leaderID,
+		ID:          n.cfg.ID,
+		Term:        n.term,
+		Role:        n.role.String(),
+		LeaderID:    n.leaderID,
+		AppliedSeq:  n.view.seq,
+		RegistryLen: n.reg.Len(),
+		RingGen:     n.view.ringGen,
 	}
 	if n.leaderID >= 0 && n.leaderID < len(n.cfg.Peers) {
 		st.LeaderAddr = n.cfg.Peers[n.leaderID]
 	}
-	fl, seq := n.fleet, n.seq
-	n.mu.Unlock()
-	if fl != nil {
-		st.AppliedSeq, st.RegistryLen, st.Epoch, st.RingGen = seq, fl.RegistryLen(), seq, fl.RingGen()
-	} else {
-		st.AppliedSeq, st.RegistryLen, st.Epoch, st.RingGen = n.state.stats()
-	}
 	return st
 }
 
-// ExportState dumps the node's replica — the live fleet view when
-// leading, the replicated state otherwise — for a peer's read-quorum
-// fetch during its election.
+// ExportState dumps the node's replica — the registry log and the
+// membership view — for a peer's read-quorum fetch during its
+// election.
 func (n *Node) ExportState() StateResponse {
 	n.mu.Lock()
-	fl := n.fleet
-	term := n.term
-	seq := n.seq
+	v := n.view
 	n.mu.Unlock()
-	var st StateResponse
-	if fl != nil {
-		reg := fl.Registry()
-		st = StateResponse{
-			AppliedSeq: seq,
-			Shards:     fl.Addrs(),
-			Dead:       fl.DeadIDs(),
-			Epoch:      seq,
-			RingGen:    fl.RingGen(),
-		}
-		st.Entries = make([]RegistryEntry, 0, len(reg))
-		//gesp:unordered — entries are keyed by handle on the receiver; export order is irrelevant
-		for h, w := range reg {
-			st.Entries = append(st.Entries, RegistryEntry{Handle: h.String(), Matrix: w})
-		}
-	} else {
-		st = n.state.export()
-	}
-	st.ID, st.Term = n.cfg.ID, term
-	return st
+	return StateResponse{ID: n.cfg.ID, Term: v.term, AppliedSeq: v.seq, Entries: n.reg.Since(0),
+		Shards: v.shards, Dead: v.dead, RingGen: v.ringGen}
 }
 
 // Role reports the node's current role.
@@ -798,7 +728,7 @@ func (n *Node) Submit(ctx context.Context, m fleetrpc.Matrix) (serve.Handle, err
 		return serve.Handle{}, err
 	}
 	if need := n.submitAcksNeeded(); need > 0 {
-		acks := n.broadcastReplicate([]RegistryEntry{{Handle: h.String(), Matrix: m}})
+		acks := n.broadcastReplicate()
 		if acks < need {
 			if n.Role() != Leader {
 				return serve.Handle{}, errNotLeader

@@ -8,6 +8,7 @@ import (
 	"fmt"
 
 	"gesp/internal/fleetrpc"
+	"gesp/internal/serve"
 )
 
 // The HA wire format rides the same HTTP transport as the shard
@@ -36,44 +37,32 @@ type StatusResponse struct {
 	Role       string `json:"role"`
 	LeaderID   int    `json:"leader_id"` // -1 when unknown
 	LeaderAddr string `json:"leader_addr,omitempty"`
-	// AppliedSeq is the follower's replication high-water mark;
-	// RegistryLen its replicated handle count. On the leader these
-	// describe its live fleet.
+	// AppliedSeq is the sequence of the last leader batch the node's
+	// membership view came from (a leader's own last batch);
+	// RegistryLen its registry's entry count; RingGen the leader's
+	// placement generation in that batch.
 	AppliedSeq  uint64 `json:"applied_seq"`
 	RegistryLen int    `json:"registry_len"`
-	// Epoch is the membership epoch (monotonic per topology change) and
-	// RingGen the leader's placement generation at last stream.
-	Epoch   uint64 `json:"epoch"`
-	RingGen uint64 `json:"ring_gen"`
-}
-
-// RegistryEntry is one replicated handle: the matrix frame under its
-// serve handle, exactly what a takeover leader needs to seed its
-// fleet's registry.
-type RegistryEntry struct {
-	Handle string
-	Matrix fleetrpc.Matrix
+	RingGen     uint64 `json:"ring_gen"`
 }
 
 // ReplicateRequest is the leader→follower stream: term-fenced
-// heartbeat, registry entries the follower hasn't acked, and the
-// leader's membership view. Full marks a snapshot (first contact each
-// term): the follower replaces its registry instead of merging.
+// heartbeat, the registry log from the follower's acked position on,
+// and the leader's membership view. A follower unions the entries into
+// its registry; it never drops one.
 type ReplicateRequest struct {
 	Term       uint64 `json:"term"`
 	LeaderID   int    `json:"leader_id"`
 	LeaderAddr string `json:"leader_addr"`
 	// Seq is the leader's replication sequence for this batch; acks
 	// carry it back so the leader knows the follower's high-water mark.
-	Seq     uint64          `json:"seq"`
-	Full    bool            `json:"full,omitempty"`
-	Entries []RegistryEntry `json:"-"`
-	// Shards/Dead/Epoch/RingGen are the leader's membership view: the
-	// shard address list (ids = indexes), the dead ids, the epoch that
-	// versions this view, and the leader's ring generation.
+	Seq     uint64                   `json:"seq"`
+	Entries []fleetrpc.RegistryEntry `json:"-"`
+	// Shards/Dead/RingGen are the leader's membership view: the shard
+	// address list (ids = indexes), the dead ids, and the leader's ring
+	// generation.
 	Shards  []string `json:"shards"`
 	Dead    []int    `json:"dead,omitempty"`
-	Epoch   uint64   `json:"epoch"`
 	RingGen uint64   `json:"ring_gen"`
 }
 
@@ -89,16 +78,17 @@ type ReplicateResponse struct {
 // StateResponse is one node's exported replica — what an electing
 // follower reads from every reachable peer (the read-quorum) so the
 // union of a write-quorum ack and a read-quorum fetch always covers
-// every acked handle, whichever follower wins the election.
+// every acked handle, whichever follower wins the election. Term and
+// AppliedSeq are the membership view's high-water mark: the term and
+// sequence of the leader batch it came from.
 type StateResponse struct {
-	ID         int             `json:"id"`
-	Term       uint64          `json:"term"`
-	AppliedSeq uint64          `json:"applied_seq"`
-	Entries    []RegistryEntry `json:"-"`
-	Shards     []string        `json:"shards,omitempty"`
-	Dead       []int           `json:"dead,omitempty"`
-	Epoch      uint64          `json:"epoch"`
-	RingGen    uint64          `json:"ring_gen"`
+	ID         int                      `json:"id"`
+	Term       uint64                   `json:"term"`
+	AppliedSeq uint64                   `json:"applied_seq"`
+	Entries    []fleetrpc.RegistryEntry `json:"-"`
+	Shards     []string                 `json:"shards,omitempty"`
+	Dead       []int                    `json:"dead,omitempty"`
+	RingGen    uint64                   `json:"ring_gen"`
 }
 
 // TraceResponse is the controller's decision log.
@@ -134,28 +124,29 @@ type ConfigureRequest struct {
 //	"GHA1" | u32 len | header JSON | { u32 len | handle | u32 len | Matrix frame }*
 //
 // Lengths are little-endian; the entries run to the exact end of the
-// body. The header must be in the form encoding/json writes, so a frame
-// that decodes re-encodes to the same bytes.
+// body. The header must be in the form encoding/json writes and each
+// handle in the form serve.Handle.String writes, so a frame that
+// decodes re-encodes to the same bytes.
 var frameMagic = []byte("GHA1")
 
 // errBadFrame is the class of a replicate or state frame the decoder
 // refuses (a bad matrix inside one is a fleetrpc.ErrBadMatrix): a 400.
 var errBadFrame = errors.New("fleetha: malformed frame")
 
-func encodeFrame(head any, entries []RegistryEntry) ([]byte, error) {
+func encodeFrame(head any, entries []fleetrpc.RegistryEntry) ([]byte, error) {
 	hdr, err := json.Marshal(head)
 	if err != nil {
 		return nil, fmt.Errorf("fleetha: encode frame header: %w", err)
 	}
 	size := len(frameMagic) + 4 + len(hdr)
 	for _, e := range entries {
-		size += 8 + len(e.Handle) + len(e.Matrix.Bytes())
+		size += 8 + len(e.Handle.String()) + len(e.Matrix.Bytes())
 	}
 	b := make([]byte, 0, size)
 	b = append(b, frameMagic...)
 	b = appendChunk(b, hdr)
 	for _, e := range entries {
-		b = appendChunk(b, []byte(e.Handle))
+		b = appendChunk(b, []byte(e.Handle.String()))
 		b = appendChunk(b, e.Matrix.Bytes())
 	}
 	return b, nil
@@ -181,7 +172,7 @@ func cutChunk(b []byte) (chunk, rest []byte, err error) {
 // decodeFrame decodes a frame's header into head and returns its
 // entries. Each entry's matrix is copied out of body, so a registry
 // that keeps it does not pin the whole batch.
-func decodeFrame(body []byte, head any) ([]RegistryEntry, error) {
+func decodeFrame(body []byte, head any) ([]fleetrpc.RegistryEntry, error) {
 	rest, ok := bytes.CutPrefix(body, frameMagic)
 	if !ok {
 		return nil, fmt.Errorf("%w: no magic", errBadFrame)
@@ -196,7 +187,7 @@ func decodeFrame(body []byte, head any) ([]RegistryEntry, error) {
 	if canon, err := json.Marshal(head); err != nil || !bytes.Equal(canon, hdr) {
 		return nil, fmt.Errorf("%w: header not in canonical form", errBadFrame)
 	}
-	var entries []RegistryEntry
+	var entries []fleetrpc.RegistryEntry
 	for len(rest) > 0 {
 		var hs, fr []byte
 		if hs, rest, err = cutChunk(rest); err != nil {
@@ -205,11 +196,15 @@ func decodeFrame(body []byte, head any) ([]RegistryEntry, error) {
 		if fr, rest, err = cutChunk(rest); err != nil {
 			return nil, err
 		}
+		h, err := serve.ParseHandle(string(hs))
+		if err != nil || h.String() != string(hs) {
+			return nil, fmt.Errorf("%w: entry %d: handle %q", errBadFrame, len(entries), hs)
+		}
 		m, err := fleetrpc.DecodeMatrix(bytes.Clone(fr))
 		if err != nil {
 			return nil, fmt.Errorf("entry %d: %w", len(entries), err)
 		}
-		entries = append(entries, RegistryEntry{Handle: string(hs), Matrix: m})
+		entries = append(entries, fleetrpc.RegistryEntry{Handle: h, Matrix: m})
 	}
 	return entries, nil
 }

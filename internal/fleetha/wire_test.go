@@ -27,16 +27,17 @@ func smallMatrix() fleetrpc.Matrix {
 }
 
 // frameSeeds are encoded replicate requests and state answers: a
-// snapshot, a heartbeat, an export.
+// first contact's whole log, a heartbeat, an export.
 func frameSeeds(t testing.TB) [][]byte {
 	m := smallMatrix()
-	h := serve.Handle{Key: serve.FactorKey{Pattern: 1, Values: 2}, N: 2}.String()
+	h := serve.Handle{Key: serve.FactorKey{Pattern: 0xab, Values: 2}, N: 2}
+	h2 := serve.Handle{Key: serve.FactorKey{Pattern: 0xab, Values: 3}, N: 2}
 	var out [][]byte
 	for _, v := range []interface{ MarshalBinary() ([]byte, error) }{
-		ReplicateRequest{Term: 3, LeaderAddr: "127.0.0.1:1", Seq: 9, Full: true, Shards: []string{"a:1", "b:2"}, Dead: []int{1}, Epoch: 9, RingGen: 2,
-			Entries: []RegistryEntry{{Handle: h, Matrix: m}, {Handle: "x", Matrix: m}}},
+		ReplicateRequest{Term: 3, LeaderAddr: "127.0.0.1:1", Seq: 9, Shards: []string{"a:1", "b:2"}, Dead: []int{1}, RingGen: 2,
+			Entries: []fleetrpc.RegistryEntry{{Handle: h, Matrix: m}, {Handle: h2, Matrix: m}}},
 		ReplicateRequest{Term: 4, LeaderID: 1, Seq: 10},
-		StateResponse{ID: 2, Term: 3, AppliedSeq: 9, Shards: []string{"a:1"}, Entries: []RegistryEntry{{Handle: h, Matrix: m}}},
+		StateResponse{ID: 2, Term: 3, AppliedSeq: 9, Shards: []string{"a:1"}, Entries: []fleetrpc.RegistryEntry{{Handle: h, Matrix: m}}},
 	} {
 		b, err := v.MarshalBinary()
 		if err != nil {
@@ -61,6 +62,7 @@ func FuzzReplicateFrame(f *testing.F) {
 	f.Add(bytes.Replace(snap, []byte(`{"term"`), []byte(`{ "term"`), 1))                // header not canonical
 	f.Add(bytes.Replace(snap, []byte(`"term"`), []byte(`"TERM"`), 1))                   // key case
 	f.Add(bytes.Replace(snap, []byte("GMX1"), []byte("GMX0"), 1))                       // bad matrix inside
+	f.Add(bytes.Replace(snap, []byte("00ab.v"), []byte("00AB.v"), 1))                   // handle not canonical
 	f.Add(append([]byte("GHA1\x02\x00\x00\x00{}"), 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff)) // chunk past the end
 	f.Add([]byte(`{"term":1}`))
 	f.Add([]byte{})
@@ -98,9 +100,9 @@ func TestReplicateSpeaksFrames(t *testing.T) {
 	hc := fleetrpc.NewHTTPClient()
 	url := "http://" + c.addrs[0] + "/ha/v1/"
 	m := smallMatrix()
-	h := serve.Handle{Key: serve.FactorKey{Pattern: 1, Values: 2}, N: 2}.String()
+	h := serve.Handle{Key: serve.FactorKey{Pattern: 1, Values: 2}, N: 2}
 	req := ReplicateRequest{Term: 7, LeaderID: 1, LeaderAddr: c.addrs[1], Seq: 1, Shards: shards,
-		Entries: []RegistryEntry{{Handle: h, Matrix: m}}}
+		Entries: []fleetrpc.RegistryEntry{{Handle: h, Matrix: m}}}
 
 	asJSON, err := json.Marshal(req)
 	if err != nil {
@@ -143,7 +145,7 @@ func TestReplicateSpeaksFrames(t *testing.T) {
 // harmonic-balance circuits — each entry a fresh value variant, in
 // turn. The registry never drops an entry, so one grows by every
 // refactor-submit a window makes.
-func snapshotRegistry(k int) []RegistryEntry {
+func snapshotRegistry(k int) []fleetrpc.RegistryEntry {
 	rng := rand.New(rand.NewSource(1))
 	patterns := []*sparse.CSC{
 		matgen.ConvectionDiffusion2D(76, 76, 1.5, 0.5, rng),
@@ -153,20 +155,21 @@ func snapshotRegistry(k int) []RegistryEntry {
 		matgen.ConvectionDiffusion3D(14, 14, 7, 1, 1, 1, 1, rng),
 		matgen.HarmonicBalance(300, 8, 4, rng),
 	}
-	entries := make([]RegistryEntry, k)
+	entries := make([]fleetrpc.RegistryEntry, k)
 	for i := range entries {
 		a := patterns[i%len(patterns)].Clone()
 		for p := range a.Val {
 			a.Val[p] *= 1 + 0.1*rng.NormFloat64()
 		}
 		h := serve.Handle{Key: serve.FactorKey{Pattern: uint64(i % len(patterns)), Values: uint64(i)}, N: a.Rows}
-		entries[i] = RegistryEntry{Handle: h.String(), Matrix: fleetrpc.WireMatrix(a)}
+		entries[i] = fleetrpc.RegistryEntry{Handle: h, Matrix: fleetrpc.WireMatrix(a)}
 	}
 	return entries
 }
 
-// BenchmarkSnapshotCodec times the encode and the decode of a full
-// replicate snapshot and of a /ha/v1/state answer: a registry of the
+// BenchmarkSnapshotCodec times the encode and the decode of a
+// replicate batch carrying the whole registry log (a first contact
+// after a takeover) and of a /ha/v1/state answer: a registry of the
 // fleet-churn set-up's 12 systems, then of 82 and 176, what one 10 s
 // fleet-churn window leaves behind (30 % of its operations are
 // submits). A peer call's deadline is Lease/2.
@@ -179,7 +182,7 @@ func BenchmarkSnapshotCodec(b *testing.B) {
 			enc  interface{ MarshalBinary() ([]byte, error) }
 			dec  interface{ UnmarshalBinary([]byte) error }
 		}{
-			{"replicate-full", ReplicateRequest{Term: 2, Seq: 9, Full: true, Entries: entries, Shards: shards}, &ReplicateRequest{}},
+			{"replicate-log", ReplicateRequest{Term: 2, Seq: 9, Entries: entries, Shards: shards}, &ReplicateRequest{}},
 			{"state", StateResponse{Term: 2, AppliedSeq: 9, Entries: entries, Shards: shards}, &StateResponse{}},
 		} {
 			body, err := c.enc.MarshalBinary()

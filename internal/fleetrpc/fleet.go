@@ -95,13 +95,13 @@ type Config struct {
 	// error.
 	DegradedFallback bool
 
-	// SeedRegistry pre-populates the matrix registry. This is the
-	// HA takeover path: a follower coordinator that wins an election
-	// rebuilds its Fleet with the registry its leader streamed to it, so
-	// every handle the old leader ever acked survives the failover. The
-	// new coordinator re-replicates the seeded patterns in the
-	// background at startup.
-	SeedRegistry map[serve.Handle]Matrix
+	// Registry is the matrix registry the router writes and heals
+	// from; nil takes a fresh one. An HA coordinator passes the one it
+	// owns for its lifetime, so a follower that wins an election routes
+	// over every entry its leader streamed to it and every handle the
+	// old leader ever acked survives the failover. New re-replicates
+	// the entries already in it in the background.
+	Registry *Registry
 	// DeadMembers are Shards indexes to treat as dead from birth — the
 	// previous leader's replicated membership view, so a failed-over
 	// coordinator starts with the ring its predecessor was routing on
@@ -189,12 +189,12 @@ type Fleet struct {
 	ring    atomic.Pointer[fleet.Ring]
 	ringGen atomic.Uint64
 
-	mu sync.Mutex
 	// registry keeps every submitted system as its Matrix frame: the
 	// router re-sends those bytes to heal evictions, to re-replicate
 	// after a membership change, and to feed the degraded path.
-	//gesp:guardedby:mu
-	registry map[serve.Handle]Matrix
+	registry *Registry
+
+	mu sync.Mutex
 	// replBoost widens a single pattern's placement beyond
 	// cfg.Replication (pattern -> extra replicas) — the SLO controller's
 	// promote/demote knob.
@@ -225,11 +225,14 @@ func New(cfg Config) (*Fleet, error) {
 		return nil, errors.New("fleetrpc: no shards")
 	}
 	cfg.fillDefaults()
+	if cfg.Registry == nil {
+		cfg.Registry = new(Registry)
+	}
 	now := time.Now()
 	f := &Fleet{
 		cfg:       cfg,
 		hedge:     fleet.NewHedgeBudget(cfg.HedgeBudget, cfg.HedgeBurst),
-		registry:  make(map[serve.Handle]Matrix),
+		registry:  cfg.Registry,
 		replBoost: make(map[uint64]int),
 		popCount:  make(map[uint64]uint64),
 		rng:       rand.New(rand.NewSource(cfg.Seed)),
@@ -245,10 +248,6 @@ func New(cfg Config) (*Fleet, error) {
 		}
 	}
 	f.members.Store(&members)
-	//gesp:unordered — map copy into the registry; placement derives from each key alone
-	for h, w := range cfg.SeedRegistry {
-		f.registry[h] = w
-	}
 	// A takeover coordinator re-homes its inherited registry under its
 	// own ring before traffic needs the factors; the shards' caches make
 	// the duplicate submits lookups, not refactors.
@@ -438,19 +437,7 @@ func (f *Fleet) rereplicateWhere(keep func(pattern uint64) bool) {
 	if f.closed.Load() {
 		return
 	}
-	type entry struct {
-		pattern uint64
-		m       Matrix
-	}
-	f.mu.Lock()
-	entries := make([]entry, 0, len(f.registry))
-	//gesp:unordered — each pattern re-homes independently; placement order is irrelevant
-	for h, m := range f.registry {
-		if keep(h.Key.Pattern) {
-			entries = append(entries, entry{pattern: h.Key.Pattern, m: m})
-		}
-	}
-	f.mu.Unlock()
+	entries := f.registry.Since(0)
 	if len(entries) == 0 {
 		return
 	}
@@ -458,14 +445,17 @@ func (f *Fleet) rereplicateWhere(keep func(pattern uint64) bool) {
 	go func() {
 		defer f.wg.Done()
 		for _, e := range entries {
+			if !keep(e.Handle.Key.Pattern) {
+				continue
+			}
 			select {
 			case <-f.stop:
 				return
 			default:
 			}
 			var buf [maxReplication]*member
-			n := f.placementInto(buf[:], e.pattern)
-			_, errs := f.populate(context.Background(), buf[:n], e.m)
+			n := f.placementInto(buf[:], e.Handle.Key.Pattern)
+			_, errs := f.populate(context.Background(), buf[:n], e.Matrix)
 			for _, err := range errs[:n] {
 				if err == nil {
 					f.m.rereplicated.Add(1)
@@ -684,32 +674,10 @@ func (f *Fleet) Submit(ctx context.Context, m Matrix) (serve.Handle, error) {
 			}
 			continue
 		}
-		f.mu.Lock()
-		f.registry[h] = m
-		f.mu.Unlock()
+		f.registry.Put(RegistryEntry{Handle: h, Matrix: m})
 		return h, nil
 	}
 	return serve.Handle{}, lastErr
-}
-
-// Registry snapshots the matrix registry — the state the HA layer
-// replicates to follower coordinators so a takeover loses no handles.
-func (f *Fleet) Registry() map[serve.Handle]Matrix {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	out := make(map[serve.Handle]Matrix, len(f.registry))
-	//gesp:unordered — map copy; the replication layer tracks per-handle acks, not order
-	for h, w := range f.registry {
-		out[h] = w
-	}
-	return out
-}
-
-// RegistryLen is the number of registered systems.
-func (f *Fleet) RegistryLen() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return len(f.registry)
 }
 
 // Solve routes one right-hand side through the full resilience
@@ -910,9 +878,7 @@ func solvePlaced[P payload](f *Fleet, ctx context.Context, primary, replica *mem
 // heal re-factors an evicted handle at its current owner from the
 // registered matrix.
 func (f *Fleet) heal(ctx context.Context, h serve.Handle) error {
-	f.mu.Lock()
-	m, ok := f.registry[h]
-	f.mu.Unlock()
+	m, ok := f.registry.Get(h)
 	if !ok {
 		return fmt.Errorf("fleetrpc: handle %v has no registered matrix", h.Key)
 	}
@@ -930,9 +896,7 @@ func (f *Fleet) heal(ctx context.Context, h serve.Handle) error {
 // over every member (placement no longer matters — there is no cache
 // to hit).
 func (f *Fleet) solveDegraded(ctx context.Context, h serve.Handle, b []float64) ([]float64, error) {
-	f.mu.Lock()
-	m, ok := f.registry[h]
-	f.mu.Unlock()
+	m, ok := f.registry.Get(h)
 	if !ok {
 		return nil, fmt.Errorf("fleetrpc: handle %v has no registered matrix", h.Key)
 	}
@@ -1064,8 +1028,8 @@ func (f *Fleet) Stats() Stats {
 	s.HedgeStaked, s.HedgeDenied = f.hedge.Counts()
 	s.Members = f.Members()
 	s.RingGen = f.ringGen.Load()
+	s.RegistryLen = f.registry.Len()
 	f.mu.Lock()
-	s.RegistryLen = len(f.registry)
 	s.Promoted = len(f.replBoost)
 	f.mu.Unlock()
 	s.P50 = f.lat.Quantile(0.50)

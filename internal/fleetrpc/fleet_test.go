@@ -692,7 +692,7 @@ func TestSubmitPopulatesConcurrently(t *testing.T) {
 		awaitEntered(t, "owner and replica in flight together", owner, replica)
 		replica.release <- StatusError(http.StatusInternalServerError, "replica broke", 0)
 		awaitReturned(t, replica)
-		if n := f.RegistryLen(); n != 0 {
+		if n := f.registry.Len(); n != 0 {
 			t.Fatalf("registry holds %d entries before the owner answered", n)
 		}
 		owner.release <- nil
@@ -700,8 +700,8 @@ func TestSubmitPopulatesConcurrently(t *testing.T) {
 		if r.err != nil {
 			t.Fatalf("a failing replica failed the submit: %v", r.err)
 		}
-		if _, ok := f.Registry()[r.h]; !ok || f.RegistryLen() != 1 {
-			t.Fatalf("registry %v after the owner succeeded, want just %v", f.Registry(), r.h)
+		if _, ok := f.registry.Get(r.h); !ok || f.registry.Len() != 1 {
+			t.Fatalf("registry of %d after the owner succeeded, want just %v", f.registry.Len(), r.h)
 		}
 		settled(t, gated)
 	})
@@ -718,8 +718,8 @@ func TestSubmitPopulatesConcurrently(t *testing.T) {
 		default:
 		}
 		replica.release <- nil
-		if r := <-res; r.err != nil || f.RegistryLen() != 1 {
-			t.Fatalf("submit: %v, registry %d entries", r.err, f.RegistryLen())
+		if r := <-res; r.err != nil || f.registry.Len() != 1 {
+			t.Fatalf("submit: %v, registry %d entries", r.err, f.registry.Len())
 		}
 		settled(t, gated)
 	})
@@ -735,7 +735,7 @@ func TestSubmitPopulatesConcurrently(t *testing.T) {
 		if r.err != bad {
 			t.Fatalf("submit error %v, want the owner's %v", r.err, bad)
 		}
-		if n := f.RegistryLen(); n != 0 {
+		if n := f.registry.Len(); n != 0 {
 			t.Fatalf("registry holds %d entries after the owner refused", n)
 		}
 		settled(t, gated)
