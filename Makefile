@@ -84,13 +84,16 @@ fuzz-wire:
 #    ring and fleet benchmarks;
 #  - distributed fault tolerance: the recovery-overhead table at reduced
 #    scale, which fails if any injected fault (kill, stall, dropped
-#    message) is not recovered with bit-identical factors.
+#    message) is not recovered with bit-identical factors;
+#  - the §4 complex application: the quantum-chemistry example, which
+#    fails if its refinement does not converge.
 smoke:
 	$(GO) run ./cmd/gesp-bench -exp serve -serve-duration 50ms -scale 0.25
 	$(GO) test -run - -bench BenchmarkServeThroughput -benchtime 1x .
 	$(GO) run ./cmd/gesp-bench -exp fleet -fleet-duration 50ms -fleet-workers 8 -scale 0.25
 	$(GO) test -run - -bench 'BenchmarkRing|BenchmarkFleet' -benchtime 1x ./internal/fleet/ ./internal/fleetrpc/
 	$(GO) run ./cmd/gesp-bench -exp faults -scale 0.25
+	$(GO) run ./examples/quantumchem
 
 # Perf-gate smoke: regenerate the bench file quickly (1 rep, no
 # min-time floor) and diff it against the committed baseline

@@ -5,17 +5,13 @@ import (
 
 	"gesp/internal/core"
 	"gesp/internal/ordering"
-	"gesp/internal/zsolver"
 )
 
 // The default ordering is decided in core.DefaultOptions and nowhere
-// else: the complex driver and this command's -ordering flag follow it,
-// and every Method's name is one the flag accepts.
+// else: this command's -ordering flag follows it, and every Method's
+// name is one the flag accepts.
 func TestDefaultOrderingHasOneSource(t *testing.T) {
 	want := core.DefaultOptions().Ordering
-	if got := zsolver.DefaultOptions().Ordering; got != want {
-		t.Errorf("zsolver default ordering %v, core default %v", got, want)
-	}
 	if got, ok := ordering.ParseMethod(defaultOrdering.String()); !ok || got != want {
 		t.Errorf("-ordering default %q parses to %v (ok=%v), core default %v", defaultOrdering, got, ok, want)
 	}

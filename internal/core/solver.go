@@ -838,6 +838,16 @@ func (s *Solver) Symbolic() *symbolic.Result { return s.sym }
 // Factors exposes the numeric factors.
 func (s *Solver) Factors() *lu.Factors { return s.fac }
 
+// Mapping exposes, read-only, how the analysis carries A's values and
+// vectors into PermutedMatrix's coordinates: entry k of A (CSC order),
+// at (i, j), is entry dst[k] of the factored matrix, scaled by
+// dR[i]·dC[j]; row i of a right-hand side goes to rowMap[i] scaled by
+// dR[i], and column j of the solution is dC[j]·y[colMap[j]]. A solver
+// over another value type with A's pattern writes its values through it.
+func (s *Solver) Mapping() (rowMap, colMap []int, dR, dC []float64, dst []int32) {
+	return s.rowMap, s.colMap, s.dR, s.dC, s.in.dst
+}
+
 // CondEst estimates the 1-norm condition number of the factored
 // (permuted, scaled) matrix, recording the estimate and Hager
 // convergence flag in Stats.

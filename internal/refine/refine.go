@@ -301,12 +301,9 @@ func (ws *Workspace) Refine(st []Stats, a *sparse.CSC, sys System, x, b []float6
 	for v := range st {
 		be := ResidualBerr(a, w.r[len(w.act)*n:], w.work, x[v*n:(v+1)*n], b[v*n:(v+1)*n], w.extra)
 		st[v] = Stats{Berrs: append(hist[v*stride:v*stride:(v+1)*stride], be), FinalBerr: be}
-		switch {
-		case be <= w.tol:
-			st[v].Converged = true
-		case math.IsNaN(be) || math.IsInf(be, 1):
-			st[v].Exit = ExitNonFinite
-		default:
+		if exit, stop := Stop(be, math.Inf(1), w.tol, w.patient); stop {
+			st[v].Exit, st[v].Converged = exit, exit == ExitConverged
+		} else {
 			w.act = append(w.act, v)
 		}
 	}
@@ -351,21 +348,32 @@ func (w *batch) step() {
 		prev := s.FinalBerr
 		s.Steps++
 		s.FinalBerr = be
-		switch {
-		case be <= w.tol:
-			s.Converged = true
-		case math.IsNaN(be) || math.IsInf(be, 1):
-			s.Exit = ExitNonFinite
-		case be > prev:
-			s.Exit = ExitDiverge
-		case w.patient && be >= prev, !w.patient && be > prev/2:
-			// Stagnation: the paper's second test, berr failed to halve,
-			// or under the patient rule failed to decrease at all.
-			s.Exit = ExitStall
-		default:
+		if exit, stop := Stop(be, prev, w.tol, w.patient); stop {
+			s.Exit, s.Converged = exit, exit == ExitConverged
+		} else {
 			w.act[k] = v
 			k++
 		}
 	}
 	w.act = w.act[:k]
+}
+
+// Stop is step (4)'s termination rule for a vector whose berr is be
+// after a correction from berr prev (+Inf before the first correction):
+// stop converged when be ≤ tol; stop on a NaN or +Inf be; stop when be
+// grew (diverge) or failed to halve — the paper's stagnation test — or,
+// with patient, failed to decrease at all (stall). stop false means
+// refine on; exit says which rule fired.
+func Stop(be, prev, tol float64, patient bool) (exit Exit, stop bool) {
+	switch {
+	case be <= tol:
+		return ExitConverged, true
+	case math.IsNaN(be) || math.IsInf(be, 1):
+		return ExitNonFinite, true
+	case be > prev:
+		return ExitDiverge, true
+	case patient && be >= prev, !patient && be > prev/2:
+		return ExitStall, true
+	}
+	return 0, false
 }

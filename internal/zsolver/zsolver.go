@@ -1,9 +1,9 @@
-// Package zsolver is the complex-valued GESP driver: the same static
-// pipeline as internal/core — equilibrate, permute large moduli to the
-// diagonal, order symmetrically, factor without pivoting (tiny pivots
-// replaced), refine — over complex128 arithmetic. All structural stages
-// run on the real magnitude shadow of the matrix, so the matching,
-// ordering and symbolic code is shared with the real solver verbatim.
+// Package zsolver is the complex-valued GESP driver. Steps (1)–(2) —
+// equilibration, the large-diagonal matching, the symmetric ordering and
+// the symbolic structure — read only magnitudes and structure, so they are
+// internal/core's analysis run on the real magnitude shadow of the matrix;
+// this package keeps only the complex numeric phase: the static-pivot
+// factorization (tiny pivots replaced) and refinement in complex128.
 //
 // This is the capability behind the paper's §4 application report: "a
 // complex unsymmetric system of order 200,000 has been solved within 2
@@ -13,77 +13,19 @@ package zsolver
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/cmplx"
 
 	"gesp/internal/core"
-	"gesp/internal/equil"
 	"gesp/internal/lu"
-	"gesp/internal/matching"
-	"gesp/internal/ordering"
-	"gesp/internal/sparse"
+	"gesp/internal/refine"
 	"gesp/internal/symbolic"
 	"gesp/internal/zsparse"
 )
 
-// Options mirror the real solver's toggles.
-type Options struct {
-	Equilibrate      bool
-	RowPermute       bool
-	ColScale         bool
-	Ordering         ordering.Method
-	ReplaceTinyPivot bool
-	Refine           bool
-	MaxRefine        int
-	MaxSuper         int
-}
-
-// DefaultOptions returns the real solver's default configuration; the
-// ordering follows core.DefaultOptions, which says why it is A+Aᵀ.
-func DefaultOptions() Options {
-	return Options{
-		Equilibrate:      true,
-		RowPermute:       true,
-		ColScale:         true,
-		Ordering:         core.DefaultOptions().Ordering,
-		ReplaceTinyPivot: true,
-		Refine:           true,
-	}
-}
-
-// ErrZeroPivot mirrors lu.ErrZeroPivot for the complex factorization.
-// Concrete failures are *ZeroPivotError values carrying the breaking
-// column; errors.Is(err, ErrZeroPivot) matches them.
-var ErrZeroPivot = errors.New("zsolver: zero pivot encountered (tiny-pivot replacement disabled)")
-
-// ZeroPivotError mirrors lu.ZeroPivotError: the column whose pivot was
-// exactly zero and the replacement threshold in force.
-type ZeroPivotError struct {
-	Col       int
-	Threshold float64
-}
-
-func (e *ZeroPivotError) Error() string {
-	return fmt.Sprintf("zsolver: column %d: zero pivot encountered (tiny-pivot replacement disabled, threshold %.6e)", e.Col, e.Threshold)
-}
-
-// Is preserves the sentinel contract: errors.Is(err, ErrZeroPivot).
-func (e *ZeroPivotError) Is(target error) bool { return target == ErrZeroPivot }
-
-// Stats summarizes the complex solve.
-type Stats struct {
-	N           int
-	NnzA        int
-	NnzLU       int
-	Flops       int64
-	TinyPivots  int
-	RefineSteps int
-	Berr        float64
-	Converged   bool
-}
-
 // Solver is a factored complex system.
 type Solver struct {
-	opts Options
+	opts core.Options
 	n    int
 
 	rowMap []int
@@ -95,83 +37,41 @@ type Solver struct {
 	lVal []complex128
 	uVal []complex128
 
-	stats Stats
+	stats core.Stats
 }
 
-// New runs the complex GESP analysis and factorization.
-func New(a *zsparse.CSC, opts Options) (*Solver, error) {
-	n := a.Rows
-	if a.Cols != n {
-		return nil, fmt.Errorf("zsolver: matrix is %dx%d, want square", a.Rows, a.Cols)
+// New runs core's GESP analysis on the magnitude shadow of a, writes a's
+// values into the analysis's pattern through its value map, and factors
+// them. Options with no complex counterpart (AggressivePivot,
+// ExtraPrecision, Resilience, Workers > 1) are refused. Stats.Flops
+// counts real flops: a complex multiply-add is about 4 of them.
+func New(a *zsparse.CSC, opts core.Options) (*Solver, error) {
+	if opts.AggressivePivot || opts.ExtraPrecision || opts.Resilience != nil || opts.Workers > 1 {
+		return nil, errors.New("zsolver: no complex counterpart for AggressivePivot, ExtraPrecision, Resilience or Workers > 1")
 	}
-	s := &Solver{opts: opts, n: n}
-	s.stats.N = n
-	s.stats.NnzA = a.Nnz()
-
-	work := a.Clone()
-	s.dR = make([]float64, n)
-	s.dC = make([]float64, n)
-	for i := 0; i < n; i++ {
-		s.dR[i] = 1
-		s.dC[i] = 1
-	}
-
-	// All structural decisions run on the magnitude shadow.
-	if opts.Equilibrate {
-		eq, err := equil.Equilibrate(work.Magnitude())
-		if err != nil {
-			return nil, fmt.Errorf("zsolver: equilibration: %w", err)
-		}
-		if eq.NeedsScaling() {
-			work.ScaleRowsCols(eq.R, eq.C)
-			for i := 0; i < n; i++ {
-				s.dR[i] *= eq.R[i]
-				s.dC[i] *= eq.C[i]
-			}
-		}
-	}
-	s.rowMap = sparse.IdentityPerm(n)
-	if opts.RowPermute {
-		mc, err := matching.MaxProductMatching(work.Magnitude())
-		if err != nil {
-			return nil, fmt.Errorf("zsolver: large-diagonal permutation: %w", err)
-		}
-		dc := mc.Dc
-		if !opts.ColScale {
-			dc = nil
-		}
-		work.ScaleRowsCols(mc.Dr, dc)
-		for i := 0; i < n; i++ {
-			s.dR[i] *= mc.Dr[i]
-			if dc != nil {
-				s.dC[i] *= mc.Dc[i]
-			}
-		}
-		work = work.PermuteRows(mc.RowPerm)
-		s.rowMap = mc.RowPerm
-	}
-	pc := ordering.Order(work.Magnitude(), opts.Ordering)
-	work = work.PermuteSym(pc)
-	s.colMap = pc
-	s.rowMap = sparse.ComposePerm(pc, s.rowMap)
-
-	sym, err := symbolic.Factorize(work.Magnitude(), symbolic.Options{MaxSuper: opts.MaxSuper})
+	an, err := core.NewAnalysis(a.Magnitude(), opts)
 	if err != nil {
-		return nil, fmt.Errorf("zsolver: symbolic: %w", err)
+		return nil, fmt.Errorf("zsolver: %w", err)
 	}
-	s.sym = sym
-	s.ap = work
-	s.stats.NnzLU = sym.FillLU()
-	s.stats.Flops = 4 * sym.Flops // a complex mul-add is ~4 real flops
-
+	s := &Solver{opts: opts, n: a.Rows, sym: an.Symbolic(), stats: an.Stats()}
+	var dst []int32
+	s.rowMap, s.colMap, s.dR, s.dC, dst = an.Mapping()
+	pat := an.PermutedMatrix()
+	s.ap = &zsparse.CSC{Rows: s.n, Cols: s.n, ColPtr: pat.ColPtr, RowInd: pat.RowInd, Val: make([]complex128, len(dst))}
+	for j := 0; j < a.Cols; j++ {
+		for k := a.ColPtr[j]; k < a.ColPtr[j+1]; k++ {
+			s.ap.Val[dst[k]] = a.Val[k] * complex(s.dR[a.RowInd[k]]*s.dC[j], 0)
+		}
+	}
+	s.stats.Flops *= 4
 	if err := s.factorize(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("zsolver: factorization: %w", err)
 	}
 	return s, nil
 }
 
-// factorize is the complex left-looking static-pivot kernel, mirroring
-// lu.Factorize.
+// factorize is the complex left-looking static-pivot kernel, the plain
+// one-column-at-a-time loop lu.Factorize's bits are defined by.
 func (s *Solver) factorize() error {
 	sym, a := s.sym, s.ap
 	n := sym.N
@@ -198,7 +98,7 @@ func (s *Solver) factorize() error {
 		if cmplx.Abs(piv) < thresh {
 			if !s.opts.ReplaceTinyPivot {
 				if piv == 0 {
-					return &ZeroPivotError{Col: j, Threshold: thresh}
+					return &lu.ZeroPivotError{Col: j, Threshold: thresh}
 				}
 			} else {
 				// Preserve the phase of the tiny pivot; a zero pivot gets
@@ -251,7 +151,7 @@ func (s *Solver) solveFactored(x []complex128) {
 }
 
 // Solve computes x with A·x = b in original coordinates, with iterative
-// refinement when enabled.
+// refinement when enabled, stopped by refine.Stop as the real solver's is.
 func (s *Solver) Solve(b []complex128) ([]complex128, error) {
 	if len(b) != s.n {
 		return nil, fmt.Errorf("zsolver: right-hand side length %d, want %d", len(b), s.n)
@@ -263,38 +163,28 @@ func (s *Solver) Solve(b []complex128) ([]complex128, error) {
 	y := append([]complex128(nil), bh...)
 	s.solveFactored(y)
 
-	if s.opts.Refine {
-		maxIter := s.opts.MaxRefine
-		if maxIter <= 0 {
-			maxIter = 10
-		}
-		prev := zsparse.Berr(s.ap, y, bh)
-		s.stats.Berr = prev
-		s.stats.RefineSteps = 0
-		s.stats.Converged = prev <= lu.Eps
-		r := make([]complex128, s.n)
-		for !s.stats.Converged && s.stats.RefineSteps < maxIter {
-			s.ap.Residual(r, bh, y)
-			s.solveFactored(r)
-			for i := range y {
-				y[i] += r[i]
-			}
-			s.stats.RefineSteps++
-			be := zsparse.Berr(s.ap, y, bh)
-			s.stats.Berr = be
-			if be <= lu.Eps {
-				s.stats.Converged = true
-				break
-			}
-			if be > prev/2 {
-				break // stagnation, the paper's second test
-			}
-			prev = be
-		}
-	} else {
-		s.stats.Berr = zsparse.Berr(s.ap, y, bh)
-		s.stats.Converged = s.stats.Berr <= lu.Eps
+	maxIter := s.opts.MaxRefine
+	if maxIter <= 0 {
+		maxIter = 10
 	}
+	st := &s.stats
+	be := zsparse.Berr(s.ap, y, bh)
+	st.RefineSteps, st.Berr, st.BerrHistory = 0, be, []float64{be}
+	exit, stop := refine.Stop(be, math.Inf(1), lu.Eps, false)
+	r := make([]complex128, s.n)
+	for s.opts.Refine && !stop && st.RefineSteps < maxIter {
+		s.ap.Residual(r, bh, y)
+		s.solveFactored(r)
+		for i := range y {
+			y[i] += r[i]
+		}
+		st.RefineSteps++
+		prev := be
+		be = zsparse.Berr(s.ap, y, bh)
+		st.Berr, st.BerrHistory = be, append(st.BerrHistory, be)
+		exit, stop = refine.Stop(be, prev, lu.Eps, false)
+	}
+	st.Converged = stop && exit == refine.ExitConverged
 
 	x := make([]complex128, s.n)
 	for j := 0; j < s.n; j++ {
@@ -303,5 +193,7 @@ func (s *Solver) Solve(b []complex128) ([]complex128, error) {
 	return x, nil
 }
 
-// Stats returns solve statistics.
-func (s *Solver) Stats() Stats { return s.stats }
+// Stats returns the analysis statistics core reported for the magnitude
+// shadow, with the complex factorization's Flops and TinyPivots and the
+// last Solve's refinement outcome.
+func (s *Solver) Stats() core.Stats { return s.stats }

@@ -2,10 +2,12 @@ package zsolver
 
 import (
 	"errors"
+	"math"
 	"math/cmplx"
 	"math/rand"
 	"testing"
 
+	"gesp/internal/core"
 	"gesp/internal/lu"
 	"gesp/internal/ordering"
 	"gesp/internal/zsparse"
@@ -37,7 +39,7 @@ func TestComplexSolveRandomSystems(t *testing.T) {
 		}
 		b := make([]complex128, n)
 		a.MatVec(b, want)
-		s, err := New(a, DefaultOptions())
+		s, err := New(a, core.DefaultOptions())
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -66,7 +68,7 @@ func TestComplexQuantumChemWorkload(t *testing.T) {
 	}
 	b := make([]complex128, n)
 	a.MatVec(b, want)
-	s, err := New(a, DefaultOptions())
+	s, err := New(a, core.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,11 +96,11 @@ func TestComplexZeroDiagonalNeedsMatching(t *testing.T) {
 	tr.Append(2, 2, complex(3, 0))
 	a := tr.ToCSC()
 
-	bare := Options{Ordering: ordering.Natural}
+	bare := core.Options{Ordering: ordering.Natural}
 	if _, err := New(a, bare); err == nil {
 		t.Error("plain no-pivoting accepted a zero-diagonal complex matrix")
 	}
-	s, err := New(a, DefaultOptions())
+	s, err := New(a, core.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +123,7 @@ func TestComplexTinyPivotReplacement(t *testing.T) {
 	tr.Append(0, 1, complex(1, 1))
 	tr.Append(1, 0, complex(1, -1))
 	a := tr.ToCSC()
-	opts := DefaultOptions()
+	opts := core.DefaultOptions()
 	opts.RowPermute = false // keep the tiny diagonal in place
 	opts.Equilibrate = false
 	opts.Ordering = ordering.Natural // the elimination must meet the tiny pivot first
@@ -165,6 +167,29 @@ func TestComplexBerrProperties(t *testing.T) {
 	}
 }
 
+// A NaN right-hand side poisons berr; refinement stops before its first
+// correction and does not report convergence.
+func TestComplexNaNRHSStopsRefinement(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	a := randomComplex(rng, 30, 0.1, true)
+	s, err := New(a, core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := make([]complex128, 30)
+	for i := range b {
+		b[i] = complex(1, -1)
+	}
+	b[3] = complex(math.NaN(), 0)
+	if _, err := s.Solve(b); err != nil {
+		t.Fatal(err)
+	}
+	st := s.Stats()
+	if st.RefineSteps != 0 || st.Converged || !math.IsNaN(st.Berr) {
+		t.Errorf("RefineSteps=%d Converged=%v Berr=%g, want 0, false, NaN", st.RefineSteps, st.Converged, st.Berr)
+	}
+}
+
 func TestComplexMagnitudeShadow(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	a := randomComplex(rng, 25, 0.15, true)
@@ -185,7 +210,7 @@ func TestComplexMagnitudeShadow(t *testing.T) {
 func TestComplexWrongSizeRHS(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	a := randomComplex(rng, 10, 0.2, true)
-	s, err := New(a, DefaultOptions())
+	s, err := New(a, core.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,13 +231,13 @@ func TestComplexZeroPivotTypedError(t *testing.T) {
 	tr.Append(2, 2, complex(3, 0))
 	a := tr.ToCSC()
 
-	_, err := New(a, Options{Ordering: ordering.Natural})
+	_, err := New(a, core.Options{Ordering: ordering.Natural})
 	if err == nil {
 		t.Fatal("plain no-pivoting accepted a zero-diagonal complex matrix")
 	}
-	var zp *ZeroPivotError
+	var zp *lu.ZeroPivotError
 	if !errors.As(err, &zp) {
-		t.Fatalf("error %T is not a *ZeroPivotError: %v", err, err)
+		t.Fatalf("error %T is not a *lu.ZeroPivotError: %v", err, err)
 	}
 	if zp.Col != 0 {
 		t.Errorf("Col = %d, want 0", zp.Col)
@@ -220,7 +245,7 @@ func TestComplexZeroPivotTypedError(t *testing.T) {
 	if zp.Threshold <= 0 {
 		t.Errorf("Threshold = %g, want > 0", zp.Threshold)
 	}
-	if !errors.Is(err, ErrZeroPivot) {
+	if !errors.Is(err, lu.ErrZeroPivot) {
 		t.Error("typed error no longer matches the ErrZeroPivot sentinel")
 	}
 }
@@ -237,7 +262,7 @@ func TestComplexZeroDiagonalReplacementCounts(t *testing.T) {
 	tr.Append(2, 2, complex(3, 0))
 	a := tr.ToCSC()
 
-	s, err := New(a, Options{Ordering: ordering.Natural, ReplaceTinyPivot: true, Refine: true})
+	s, err := New(a, core.Options{Ordering: ordering.Natural, ReplaceTinyPivot: true, Refine: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,17 +30,6 @@ type CSC struct {
 // Nnz reports the number of stored entries.
 func (a *CSC) Nnz() int { return a.ColPtr[a.Cols] }
 
-// Clone returns a deep copy.
-func (a *CSC) Clone() *CSC {
-	return &CSC{
-		Rows:   a.Rows,
-		Cols:   a.Cols,
-		ColPtr: append([]int(nil), a.ColPtr...),
-		RowInd: append([]int(nil), a.RowInd...),
-		Val:    append([]complex128(nil), a.Val...),
-	}
-}
-
 // At returns the entry at (i, j) or 0.
 func (a *CSC) At(i, j int) complex128 {
 	lo, hi := a.ColPtr[j], a.ColPtr[j+1]
@@ -186,74 +175,6 @@ func (a *CSC) Norm1() float64 {
 	return best
 }
 
-// ScaleRowsCols overwrites A with Dr·A·Dc for real diagonal scalings.
-func (a *CSC) ScaleRowsCols(dr, dc []float64) {
-	for j := 0; j < a.Cols; j++ {
-		cj := 1.0
-		if dc != nil {
-			cj = dc[j]
-		}
-		for k := a.ColPtr[j]; k < a.ColPtr[j+1]; k++ {
-			ri := 1.0
-			if dr != nil {
-				ri = dr[a.RowInd[k]]
-			}
-			a.Val[k] *= complex(ri*cj, 0)
-		}
-	}
-}
-
-// PermuteRows returns Pr·A (perm maps old row to new row).
-func (a *CSC) PermuteRows(perm []int) *CSC {
-	b := &CSC{Rows: a.Rows, Cols: a.Cols, ColPtr: append([]int(nil), a.ColPtr...)}
-	b.RowInd = make([]int, a.Nnz())
-	b.Val = make([]complex128, a.Nnz())
-	for j := 0; j < a.Cols; j++ {
-		lo, hi := a.ColPtr[j], a.ColPtr[j+1]
-		for k := lo; k < hi; k++ {
-			b.RowInd[k] = perm[a.RowInd[k]]
-			b.Val[k] = a.Val[k]
-		}
-		// Insertion sort within the column.
-		for x := lo + 1; x < hi; x++ {
-			r, v := b.RowInd[x], b.Val[x]
-			y := x - 1
-			for y >= lo && b.RowInd[y] > r {
-				b.RowInd[y+1] = b.RowInd[y]
-				b.Val[y+1] = b.Val[y]
-				y--
-			}
-			b.RowInd[y+1] = r
-			b.Val[y+1] = v
-		}
-	}
-	return b
-}
-
-// PermuteCols returns A·Pcᵀ (perm maps old column to new column).
-func (a *CSC) PermuteCols(perm []int) *CSC {
-	b := &CSC{Rows: a.Rows, Cols: a.Cols, ColPtr: make([]int, a.Cols+1)}
-	b.RowInd = make([]int, a.Nnz())
-	b.Val = make([]complex128, a.Nnz())
-	inv := sparse.InversePerm(perm)
-	p := 0
-	for jn := 0; jn < a.Cols; jn++ {
-		jo := inv[jn]
-		for k := a.ColPtr[jo]; k < a.ColPtr[jo+1]; k++ {
-			b.RowInd[p] = a.RowInd[k]
-			b.Val[p] = a.Val[k]
-			p++
-		}
-		b.ColPtr[jn+1] = p
-	}
-	return b
-}
-
-// PermuteSym returns P·A·Pᵀ.
-func (a *CSC) PermuteSym(perm []int) *CSC {
-	return a.PermuteRows(perm).PermuteCols(perm)
-}
-
 // RelErrInf returns ‖x−y‖∞/‖y‖∞ with complex moduli.
 func RelErrInf(x, y []complex128) float64 {
 	num, den := 0.0, 0.0
@@ -282,7 +203,11 @@ func VecNormInf(x []complex128) float64 {
 	return best
 }
 
-// Berr computes the componentwise backward error of x for A·x = b.
+// Berr computes the componentwise backward error of x for A·x = b, on
+// refine.ResidualBerr's contract: rows with a zero denominator and zero
+// residual contribute nothing; a nonzero residual over a zero
+// denominator, or one that overflowed, yields +Inf; a NaN in any row
+// yields NaN.
 func Berr(a *CSC, x, b []complex128) float64 {
 	n := len(b)
 	r := make([]complex128, n)
@@ -293,18 +218,28 @@ func Berr(a *CSC, x, b []complex128) float64 {
 	}
 	den := make([]float64, n)
 	a.AbsMatVec(den, absx)
-	berr := 0.0
+	berr, inf, nan := 0.0, false, false
 	for i := 0; i < n; i++ {
 		d := den[i] + cmplx.Abs(b[i])
 		ri := cmplx.Abs(r[i])
 		switch {
+		case math.IsNaN(d) || math.IsNaN(ri):
+			nan = true
+		case math.IsInf(ri, 1):
+			inf = true
 		case d > 0:
 			if q := ri / d; q > berr {
 				berr = q
 			}
 		case ri > 0:
-			return math.Inf(1)
+			inf = true
 		}
+	}
+	switch {
+	case nan:
+		return math.NaN()
+	case inf:
+		return math.Inf(1)
 	}
 	return berr
 }
