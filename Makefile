@@ -8,8 +8,12 @@ build:
 test:
 	$(GO) test ./...
 
+# vet's asmdecl pass checks the AVX2 tile kernel's frame and argument
+# names against its Go declaration; the arm64 pass keeps the build
+# without assembly (the kernels' pure-Go bodies) compiling.
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./internal/kernels/... ./internal/lu/... ./internal/refine/... ./internal/core/...
 
 # Project-specific static analysis: the gesp-lint suite (detclock,
 # hotalloc, mapiter, floatcmp) over the whole module. See DESIGN.md

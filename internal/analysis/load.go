@@ -211,7 +211,9 @@ func (l *Loader) parseDir(dir string) ([]*ast.File, error) {
 
 // fileIncluded evaluates the file's //go:build (or legacy +build)
 // constraints against the loader's tag set. GOOS/GOARCH file-name
-// suffixes are not interpreted; the project has none.
+// suffixes are not interpreted, so the project's architecture-specific
+// files (internal/kernels/tile_amd64.go, tile_other.go) state their
+// architecture in a //go:build line as well.
 func (l *Loader) fileIncluded(f *ast.File) bool {
 	for _, cg := range f.Comments {
 		if cg.Pos() >= f.Package {

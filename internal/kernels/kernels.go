@@ -2,7 +2,8 @@
 // every execution engine: the simulated distributed engine's per-rank
 // block updates (dist.Solve), the scalar column factorization, serial or
 // statically scheduled (lu.Factorize, lu.Schedule.Factorize), and the
-// batched triangular solves (lu.Factors.SolveMulti). The supernodal panels are
+// batched triangular solves (lu.Factors.SolveMulti, over the
+// row-interleaved tiles of tile.go). The supernodal panels are
 // dense column-major tiles sized by the symbolic analysis (the paper
 // uses maxSuper = 24 columns), so the kernels are written for tall
 // skinny operands: fused multi-column axpy sweeps that read each panel
@@ -23,6 +24,11 @@
 // xj == 0 skip of the triangular solves, which the tests pin bitwise),
 // the kernels preserve the skip exactly, advancing the affected
 // vectors one at a time.
+//
+// One kernel has an assembly body: the tile sweeps' all-lane
+// scatter-subtract (tileAxpyAVX2, amd64 with AVX2), chosen once at
+// package init from CPUID and XGETBV. Its Go twin, tileAxpy, runs on
+// every other CPU and architecture and is the tests' bitwise reference.
 //
 // Flop accounting is the caller's: kernels never report flops, so the
 // simulated distributed engine's virtual clock is fed the model's flop

@@ -369,8 +369,12 @@ func TestSolveSparseMultiGolden(t *testing.T) {
 
 // TestConcurrentReadOnlyOperands drives the kernels from many
 // goroutines sharing the read-only operands (the broadcast L and U
-// panels of the distributed engine) with private outputs; run under
-// -race this proves the kernels never write to their inputs.
+// panels of the distributed engine, the factors of the tile sweeps) with
+// private outputs (each goroutine's own tile); run under -race this
+// proves the kernels never write to their inputs, and that a tile sweep
+// writes only its own tile. The race detector sees Go's memory accesses
+// only, so the sweeps run with the Go body too; the assembly body writes
+// exactly the rows its twin does (TestTileAVX2MatchesGo).
 func TestConcurrentReadOnlyOperands(t *testing.T) {
 	t.Parallel()
 	r := &rng{s: 8}
@@ -384,6 +388,9 @@ func TestConcurrentReadOnlyOperands(t *testing.T) {
 	for i := 0; i < n; i++ {
 		d[i*n+i] = 2
 	}
+	const nt = 40
+	lptr, lind, lval := sparseTriangular(r, nt, true)
+	uptr, uind, uval := sparseTriangular(r, nt, false)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -393,9 +400,15 @@ func TestConcurrentReadOnlyOperands(t *testing.T) {
 			p := make([]float64, m*n)
 			bb := make([]float64, m*n)
 			gr.fill(bb)
+			tile := make([]float64, Lanes*nt)
 			for iter := 0; iter < 50; iter++ {
 				MatMul(p, a, b, m, n, k)
 				TrsmUpperRight(bb, m, n, d, n)
+				for _, avx := range []bool{false, useAVX2} {
+					gr.fill(tile)
+					solveTileL(tile, nt, lptr, lind, lval, avx)
+					solveTileU(tile, nt, uptr, uind, uval, avx)
+				}
 			}
 		}(uint64(g) + 100)
 	}
@@ -424,6 +437,7 @@ func TestKernelsZeroAlloc(t *testing.T) {
 	lptr, lind, lval := sparseTriangular(r, 32, true)
 	uptr, uind, uval := sparseTriangular(r, 32, false)
 	x := make([]float64, 32*8)
+	tile := make([]float64, Lanes*32)
 	// Seven columns, one multiplier zero: the 4-column group falls back
 	// to single columns, the 2-column body and the odd column run.
 	run, runEnd := supernodeRun(r, 7, len(ind))
@@ -442,6 +456,11 @@ func TestKernelsZeroAlloc(t *testing.T) {
 		r.fill(x)
 		SolveSparseLMulti(x, 32, 8, lptr, lind, lval)
 		SolveSparseUMulti(x, 32, 8, uptr, uind, uval)
+		r.fill(x)
+		PackTile(tile, x, 32, 5)
+		SolveTileL(tile, 32, lptr, lind, lval)
+		SolveTileU(tile, 32, uptr, uind, uval)
+		UnpackTile(x, tile, 32, 5)
 	})
 	if allocs != 0 {
 		t.Errorf("%v allocs/op, want 0", allocs)

@@ -2,7 +2,7 @@ package kernels
 
 // Sparse-column kernels: the inner loops of the left-looking column
 // factorization (lu.Factorize), the single-RHS triangular solves and
-// the batched multi-RHS solves. A factor column is a sorted index list
+// the column-major multi-RHS solves. A factor column is a sorted index list
 // ind with parallel values val; indices within one column are strictly
 // ascending, hence distinct, so unrolling over the column is always
 // exact.
@@ -169,7 +169,10 @@ func SpDotSub(s float64, ind []int, val []float64, x []float64) float64 {
 // SolveSparseLMulti applies L⁻¹ (unit lower triangle in ptr/ind/val
 // column form, strictly-lower entries only) to nrhs right-hand sides
 // packed column-major in x with stride n: forward substitution with
-// each factor column loaded once per RHS quad. The per-RHS xj == 0 skip
+// each factor column loaded once per RHS quad. Production sweeps go
+// through the row-interleaved tiles (SolveTileL, lu.Factors.SolveMulti);
+// this column-major form stays as the tests' reference and the
+// end-to-end benchmark's kernel probe. The per-RHS xj == 0 skip
 // of the single-vector solve is preserved exactly: a quad takes the
 // fused path only when all four pivots are nonzero (then a per-vector
 // loop would skip nothing either), otherwise each vector is advanced
@@ -237,7 +240,8 @@ func solveLColumn(xr []float64, xj float64, ind []int, val []float64) {
 // form, diagonal stored as the last entry of each column) to nrhs
 // right-hand sides packed column-major in x with stride n: backward
 // substitution with the same quad fusion and exact-skip contract as
-// SolveSparseLMulti.
+// SolveSparseLMulti, and like it kept beside the tile sweeps
+// (SolveTileU) as their reference.
 //
 //gesp:hotpath
 func SolveSparseUMulti(x []float64, n, nrhs int, ptr, ind []int, val []float64) {

@@ -407,37 +407,3 @@ func TestFactorizeSharedSymbolic(t *testing.T) {
 		}
 	}
 }
-
-// TestSolveMultiMatchesSolve pins the batched multi-RHS solve bitwise
-// to repeated single-RHS solves, zeros in the right-hand sides included.
-func TestSolveMultiMatchesSolve(t *testing.T) {
-	t.Parallel()
-	rng := rand.New(rand.NewSource(48))
-	a, sym := randomSystem(rng, 120, 0.06)
-	f, err := Factorize(a, sym, Options{ReplaceTinyPivot: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := sym.N
-	const nrhs = 11
-	rhs := make([]float64, n*nrhs)
-	for i := range rhs {
-		rhs[i] = rng.NormFloat64()
-		if i%7 == 0 {
-			rhs[i] = 0
-		}
-	}
-	multi := make([]float64, len(rhs))
-	copy(multi, rhs)
-	f.SolveMulti(multi, nrhs)
-	for r := 0; r < nrhs; r++ {
-		one := make([]float64, n)
-		copy(one, rhs[r*n:(r+1)*n])
-		f.Solve(one)
-		for i := range one {
-			if math.Float64bits(one[i]) != math.Float64bits(multi[r*n+i]) {
-				t.Fatalf("SolveMulti rhs %d element %d differs from Solve", r, i)
-			}
-		}
-	}
-}

@@ -3,37 +3,39 @@ package lu
 import "gesp/internal/kernels"
 
 // Multi-RHS triangular solves. The serving layer batches queued solve
-// requests against one factorization into a single column-blocked sweep:
-// each factor column's indices and values are loaded once and applied to
-// every right-hand side in the block, instead of re-walking L and U per
-// RHS as repeated Solve calls would. Per-RHS arithmetic is identical to
-// SolveL/SolveU (same updates in the same order), so each column of the
-// result is bitwise equal to the corresponding single-RHS solve — the
-// register-blocked kernels preserve that contract, including the
-// per-RHS zero-pivot skip (see kernels.SolveSparseLMulti).
-
-// rhsBlock caps how many right-hand sides one sweep carries. The block
-// of vectors must stay cache-resident while a factor column streams
-// through; 8 doubles per updated row keeps the working set near one
-// cache line per row touched.
-const rhsBlock = 8
+// requests against one factorization into a single sweep: each factor
+// column's indices and values are loaded once and applied to every
+// right-hand side of a tile (kernels.Lanes of them, interleaved by row),
+// instead of re-walking L and U per RHS as repeated Solve calls would.
+// Per-RHS arithmetic is identical to SolveL/SolveU (same updates in the
+// same order, the per-RHS zero-pivot skip included), so each column of
+// the result is bitwise equal to the corresponding single-RHS solve; see
+// kernels.SolveTileL.
 
 // SolveMulti overwrites the nrhs right-hand sides packed column-major in
 // x (vector r occupies x[r*n : (r+1)*n]) with A⁻¹ applied to each, where
-// n = f.Sym.N. It is the batched equivalent of calling Solve on every
-// vector and allocates nothing.
+// n = f.Sym.N. Vectors go kernels.Lanes at a time through a tile in work,
+// which must hold kernels.Lanes*n values when nrhs > 1; a group of one
+// vector is solved in place by Solve's sweeps. It is the batched
+// equivalent of calling Solve on every vector and allocates nothing.
 //
 //gesp:hotpath
-func (f *Factors) SolveMulti(x []float64, nrhs int) {
+func (f *Factors) SolveMulti(x []float64, nrhs int, work []float64) {
 	n := f.Sym.N
 	sym := f.Sym
-	for r0 := 0; r0 < nrhs; r0 += rhsBlock {
-		b := nrhs - r0
-		if b > rhsBlock {
-			b = rhsBlock
-		}
+	for r0 := 0; r0 < nrhs; r0 += kernels.Lanes {
+		b := min(nrhs-r0, kernels.Lanes)
 		blk := x[r0*n : (r0+b)*n]
-		kernels.SolveSparseLMulti(blk, n, b, sym.LPtr, sym.LInd, f.LVal)
-		kernels.SolveSparseUMulti(blk, n, b, sym.UPtr, sym.UInd, f.UVal)
+		if b == 1 {
+			f.Solve(blk)
+			continue
+		}
+		// The index bound the tile sweeps rely on is the symbolic
+		// analysis's: every row in LInd and UInd is below n
+		// (symbolic.Result.Check, under gespcheck).
+		kernels.PackTile(work, blk, n, b)
+		kernels.SolveTileL(work, n, sym.LPtr, sym.LInd, f.LVal)
+		kernels.SolveTileU(work, n, sym.UPtr, sym.UInd, f.UVal)
+		kernels.UnpackTile(blk, work, n, b)
 	}
 }

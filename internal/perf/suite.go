@@ -71,6 +71,7 @@ func Run(scale float64, quick bool) (*File, error) {
 	const nrhs = 8
 	n := sym.N
 	x := make([]float64, n*nrhs)
+	tile := make([]float64, kernels.Lanes*n)
 	rng := rand.New(rand.NewSource(7))
 	solveFlops := float64(2*(len(f.LVal)+len(f.UVal))) * nrhs
 	benches = append(benches, bench{
@@ -80,7 +81,7 @@ func Run(scale float64, quick bool) (*File, error) {
 			for i := range x {
 				x[i] = rng.NormFloat64()
 			}
-			f.SolveMulti(x, nrhs)
+			f.SolveMulti(x, nrhs, tile)
 		},
 	})
 
@@ -98,7 +99,7 @@ func Run(scale float64, quick bool) (*File, error) {
 		ap.MatVec(bh[r*n:(r+1)*n], xt)
 	}
 	swept := append([]float64(nil), bh...)
-	f.SolveMulti(swept, batch)
+	f.SolveMulti(swept, batch, tile)
 	xb := make([]float64, n*batch)
 	benches = append(benches, bench{
 		name: fmt.Sprintf("refine/batch%d/%s", batch, Matrix), class: "refine", hot: true, measAll: true,

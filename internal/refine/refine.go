@@ -11,6 +11,7 @@ package refine
 import (
 	"math"
 
+	"gesp/internal/kernels"
 	"gesp/internal/lu"
 	"gesp/internal/sparse"
 )
@@ -24,9 +25,10 @@ type System interface {
 
 // multiSolver is the blocked sweep a System may offer besides Solve:
 // M⁻¹ applied to nrhs vectors packed with stride n, each bitwise equal
-// to Solve on that vector alone (*lu.Factors.SolveMulti).
+// to Solve on that vector alone, with work as the sweep's tile
+// (*lu.Factors.SolveMulti).
 type multiSolver interface {
-	SolveMulti(x []float64, nrhs int)
+	SolveMulti(x []float64, nrhs int, work []float64)
 }
 
 // Options tune the refinement loop.
@@ -214,12 +216,13 @@ func RefineMulti(a *sparse.CSC, sys System, x, b []float64, nrhs int, opts Optio
 // layout) with M⁻¹ applied to each: one blocked sweep when sys offers one
 // (*lu.Factors.SolveMulti), Solve per vector when it does not (SMW
 // recovery, the ladder's GEPP rung). Either way each vector gets the bits
-// Solve gives it alone.
+// Solve gives it alone. work is the blocked sweep's tile,
+// kernels.Lanes·n values; with nrhs ≤ 1 it may be nil.
 //
 //gesp:hotpath
-func SolveMulti(sys System, x []float64, nrhs int) {
+func SolveMulti(sys System, x []float64, nrhs int, work []float64) {
 	if m, ok := sys.(multiSolver); ok && nrhs > 1 {
-		m.SolveMulti(x, nrhs)
+		m.SolveMulti(x, nrhs, work)
 		return
 	}
 	n := len(x) / nrhs
@@ -233,11 +236,12 @@ func SolveMulti(sys System, x []float64, nrhs int) {
 // to 10, so longer histories (which grow by append) are rare.
 const historyCap = 16
 
-// Workspace is the scratch of a refinement: the residual block, the berr
-// histories and the active set. Refine and RefineMulti use a fresh one
-// per call; a caller that refines again and again can keep one, which
-// allocates nothing once it has grown to the widest batch. The Berrs of
-// the Stats it fills are then its own storage, valid until its next use.
+// Workspace is the scratch of a refinement: the residual block, the
+// blocked sweep's tile, the berr histories and the active set. Refine and
+// RefineMulti use a fresh one per call; a caller that refines again and
+// again can keep one, which allocates nothing once it has grown to the
+// widest batch. The Berrs of the Stats it fills are then its own
+// storage, valid until its next use.
 // A Workspace is not safe for concurrent use.
 type Workspace struct {
 	buf, hist []float64
@@ -263,6 +267,7 @@ type batch struct {
 	x, b    []float64
 	r       []float64
 	work    []float64
+	tile    []float64
 	extra   bool
 	patient bool
 	tol     float64
@@ -290,8 +295,12 @@ func (ws *Workspace) Refine(st []Stats, a *sparse.CSC, sys System, x, b []float6
 	if w.extra {
 		nwork = 2 * n
 	}
-	buf := grow(&ws.buf, n*nrhs+nwork)
-	w.r, w.work = buf[:n*nrhs], buf[n*nrhs:]
+	ntile := 0
+	if nrhs > 1 {
+		ntile = kernels.Lanes * n
+	}
+	buf := grow(&ws.buf, n*nrhs+nwork+ntile)
+	w.r, w.work, w.tile = buf[:n*nrhs], buf[n*nrhs:n*nrhs+nwork], buf[n*nrhs+nwork:]
 	// The histories get their own slab: callers keep Stats.Berrs, and it
 	// must not pin the residual block.
 	stride := min(maxIter+1, historyCap)
@@ -335,7 +344,7 @@ func (ws *Workspace) Refine(st []Stats, a *sparse.CSC, sys System, x, b []float6
 //gesp:hotpath
 func (w *batch) step() {
 	n, m := w.n, len(w.act)
-	SolveMulti(w.sys, w.r[:m*n], m)
+	SolveMulti(w.sys, w.r[:m*n], m, w.tile)
 	k := 0
 	for q, v := range w.act {
 		x := w.x[v*n : (v+1)*n]
