@@ -65,6 +65,49 @@ func checkSolveMulti(t *testing.T, f *Factors, rhs []float64, k int) {
 	}
 }
 
+// TestSolveMultiGolden checks the batched kernel against repeated
+// single-RHS Solve calls on plain right-hand sides. The tile sweep
+// performs the same per-RHS updates in the same order, so the agreement
+// should be exact (TestSolveMultiMatchesSolve pins it bitwise); the
+// round-off tolerance guards the contract rather than the implementation.
+func TestSolveMultiGolden(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	for _, n := range []int{1, 7, 60} {
+		a := randomSolvable(rng, n, 0.15)
+		sym, err := symbolic.Factorize(a, symbolic.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := Factorize(a, sym, Options{ReplaceTinyPivot: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range []int{1, 3, 17} {
+			// One packed multi-RHS buffer and the equivalent k singles.
+			multi := make([]float64, n*k)
+			singles := make([][]float64, k)
+			for r := 0; r < k; r++ {
+				singles[r] = make([]float64, n)
+				for i := 0; i < n; i++ {
+					v := rng.NormFloat64()
+					if rng.Intn(4) == 0 {
+						v = 0 // exercise the zero-skip path
+					}
+					multi[r*n+i] = v
+					singles[r][i] = v
+				}
+			}
+			f.SolveMulti(multi, k, make([]float64, kernels.Lanes*n))
+			for r := 0; r < k; r++ {
+				f.Solve(singles[r])
+				if e := sparse.RelErrInf(multi[r*n:(r+1)*n], singles[r]); e > 1e-13 {
+					t.Fatalf("n=%d k=%d rhs %d: SolveMulti diverges from Solve by %g", n, k, r, e)
+				}
+			}
+		}
+	}
+}
+
 // TestSolveMultiMatchesSolve pins the batched multi-RHS solve bitwise to
 // repeated single-RHS solves at every tile boundary (k below, at and
 // past one and two tiles of kernels.Lanes), with zeros, -0, NaN and ±Inf
