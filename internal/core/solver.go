@@ -535,7 +535,7 @@ func (s *Solver) DistSolve(b []float64, dopts dist.Options) ([]float64, *dist.Re
 	if err != nil {
 		return nil, res, err
 	}
-	x, err := first(s.solve(context.Background(), [][]float64{b}, func(y []float64, _ int, _ []float64) { copy(y, res.X) }))
+	x, err := first(s.solve(context.Background(), [][]float64{b}, res.X))
 	return x, res, err
 }
 
@@ -680,40 +680,41 @@ func (s *Solver) SolveBatchCtx(ctx context.Context, bs [][]float64) (xs [][]floa
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
-	return s.solve(ctx, bs, func(y []float64, k int, tile []float64) { refine.SolveMulti(s.sys, y, k, tile) })
+	return s.solve(ctx, bs, nil)
 }
 
 // solve runs scale → sweep → step (4) → unscale on the right-hand sides
 // bs, each block of them (rhsBlocks) on its own goroutine; then, with a
 // ladder, the vectors rung 0 left above tolerance climb one at a time,
-// and Stats records the batch's worst vector. sweep overwrites the k
-// scaled right-hand sides packed in y with the solutions step (4) starts
-// from; tile is its block's scratch for the blocked sweep, kernels.Lanes·n
-// values (nil for a batch of one).
-func (s *Solver) solve(ctx context.Context, bs [][]float64, sweep func(y []float64, k int, tile []float64)) (xs [][]float64, errs []error, err error) {
+// and Stats records the batch's worst vector. Each block's initial
+// sweep and its refinement share one refine.Workspace, so one tile per
+// block serves every sweep of it. x0, when not nil, is the scaled
+// starting iterate of a batch of one (DistSolve's distributed solution)
+// and replaces the initial sweep.
+func (s *Solver) solve(ctx context.Context, bs [][]float64, x0 []float64) (xs [][]float64, errs []error, err error) {
 	k, n := len(bs), s.n
 	if k == 0 {
 		return nil, nil, nil
 	}
-	ntile := 0
-	if k > 1 {
-		ntile = kernels.Lanes * n
-	}
-	blocks := s.rhsBlockCount(k)
-	buf := make([]float64, 2*n*k+blocks*ntile)
-	y, bh, tiles := buf[:n*k], buf[n*k:2*n*k], buf[2*n*k:]
+	buf := make([]float64, 2*n*k)
+	y, bh := buf[:n*k], buf[n*k:]
 	xs = make([][]float64, k)
 	sts := make([]refine.Stats, k)
-	tSweep, tRefine := s.rhsBlocks(k, blocks, func(i, r0, r1 int) (time.Duration, time.Duration) {
+	tSweep, tRefine := s.rhsBlocks(k, func(r0, r1 int) (time.Duration, time.Duration) {
 		t0 := time.Now()
 		yb, bb := y[r0*n:r1*n], bh[r0*n:r1*n]
 		for r := r0; r < r1; r++ {
 			s.scale(bh[r*n:(r+1)*n], bs[r])
 		}
-		copy(yb, bb)
-		sweep(yb, r1-r0, tiles[i*ntile:(i+1)*ntile])
+		var ws refine.Workspace
+		if x0 != nil {
+			copy(yb, x0)
+		} else {
+			copy(yb, bb)
+			ws.SolveMulti(s.sys, yb, r1-r0)
+		}
 		t1 := time.Now()
-		copy(sts[r0:r1], refine.RefineMulti(s.ap, s.sys, yb, bb, r1-r0, s.refineOptions(ctx, t1)))
+		ws.Refine(sts[r0:r1], s.ap, s.sys, yb, bb, s.refineOptions(ctx, t1))
 		t2 := time.Now()
 		for r := r0; r < r1; r++ {
 			xs[r] = s.unscale(make([]float64, n), y[r*n:(r+1)*n])
@@ -773,33 +774,29 @@ func (s *Solver) refineOptions(ctx context.Context, start time.Time) refine.Opti
 	return refine.Options{Cancel: func() bool { return true }}
 }
 
-// rhsBlockCount is how many blocks rhsBlocks cuts a batch of k
-// right-hand sides into: at most Options.Workers, each of whole tiles
-// (kernels.Lanes vectors share a pass over the factors), since a
-// narrower block walks L and U for less than a pass's worth of vectors.
-func (s *Solver) rhsBlockCount(k int) int {
-	return max(1, min(s.opts.Workers, (k+kernels.Lanes-1)/kernels.Lanes))
-}
-
-// rhsBlocks runs fn over the k right-hand sides of a batch cut into w =
-// rhsBlockCount(k) contiguous blocks [r0, r1), block i on its own
-// goroutine, and returns when all are done, with the largest sweep and
-// refinement times fn reported. Right-hand sides are independent and
-// every sweep treats a vector the same whatever its block-mates, so the
-// cut changes no bit of any solution; the factors and s.sys are only
-// read, and so is the ladder, by Rung0.
-func (s *Solver) rhsBlocks(k, w int, fn func(i, r0, r1 int) (tSweep, tRefine time.Duration)) (tSweep, tRefine time.Duration) {
-	if w <= 1 {
-		return fn(0, 0, k)
-	}
+// rhsBlocks runs fn over the k right-hand sides of a batch cut into at
+// most Options.Workers contiguous blocks [r0, r1) of whole tiles
+// (kernels.Lanes vectors share a pass over the factors, and a narrower
+// block walks L and U for less than a pass's worth), one goroutine per
+// block, and returns when all are done, with the largest sweep and
+// refinement times fn reported. A batch of k vectors thus runs on at
+// most ⌈k/Lanes⌉ goroutines whatever Workers is. Right-hand sides are
+// independent and every sweep treats a vector the same whatever its
+// block-mates, so the cut changes no bit of any solution; the factors
+// and s.sys are only read, and so is the ladder, by Rung0.
+func (s *Solver) rhsBlocks(k int, fn func(r0, r1 int) (tSweep, tRefine time.Duration)) (tSweep, tRefine time.Duration) {
 	ntiles := (k + kernels.Lanes - 1) / kernels.Lanes
+	w := min(s.opts.Workers, ntiles)
+	if w <= 1 {
+		return fn(0, k)
+	}
 	times := make([][2]time.Duration, w)
 	var wg sync.WaitGroup
 	for i := 0; i < w; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			times[i][0], times[i][1] = fn(i, kernels.Lanes*(i*ntiles/w), min(k, kernels.Lanes*((i+1)*ntiles/w)))
+			times[i][0], times[i][1] = fn(kernels.Lanes*(i*ntiles/w), min(k, kernels.Lanes*((i+1)*ntiles/w)))
 		}()
 	}
 	wg.Wait()

@@ -340,7 +340,6 @@ func TestSolveSparseMultiGolden(t *testing.T) {
 	r := &rng{s: 7}
 	for _, n := range []int{1, 2, 5, 16, 33} {
 		lptr, lind, lval := sparseTriangular(r, n, true)
-		uptr, uind, uval := sparseTriangular(r, n, false)
 		for _, nrhs := range []int{1, 2, 3, 4, 5, 7, 8, 9, 12} {
 			want := make([]float64, n*nrhs)
 			r.fill(want)
@@ -356,9 +355,7 @@ func TestSolveSparseMultiGolden(t *testing.T) {
 			got := make([]float64, len(want))
 			copy(got, want)
 			solveSparseLMultiScalar(want, n, nrhs, lptr, lind, lval)
-			solveSparseUMultiScalar(want, n, nrhs, uptr, uind, uval)
 			SolveSparseLMulti(got, n, nrhs, lptr, lind, lval)
-			SolveSparseUMulti(got, n, nrhs, uptr, uind, uval)
 			if i, ok := bitsEqual(want, got); !ok {
 				t.Fatalf("n=%d nrhs=%d: element %d differs: oracle %x kernel %x",
 					n, nrhs, i, math.Float64bits(want[i]), math.Float64bits(got[i]))
@@ -455,7 +452,6 @@ func TestKernelsZeroAlloc(t *testing.T) {
 		_ = SpDotSub(1, ind, val, w)
 		r.fill(x)
 		SolveSparseLMulti(x, 32, 8, lptr, lind, lval)
-		SolveSparseUMulti(x, 32, 8, uptr, uind, uval)
 		r.fill(x)
 		PackTile(tile, x, 32, 5)
 		SolveTileL(tile, 32, lptr, lind, lval)

@@ -171,8 +171,8 @@ func SpDotSub(s float64, ind []int, val []float64, x []float64) float64 {
 // packed column-major in x with stride n: forward substitution with
 // each factor column loaded once per RHS quad. Production sweeps go
 // through the row-interleaved tiles (SolveTileL, lu.Factors.SolveMulti);
-// this column-major form stays as the tests' reference and the
-// end-to-end benchmark's kernel probe. The per-RHS xj == 0 skip
+// this column-major form stays only as the end-to-end benchmark's
+// kernel probe. The per-RHS xj == 0 skip
 // of the single-vector solve is preserved exactly: a quad takes the
 // fused path only when all four pivots are nonzero (then a per-vector
 // loop would skip nothing either), otherwise each vector is advanced
@@ -233,60 +233,5 @@ func solveLColumn(xr []float64, xj float64, ind []int, val []float64) {
 	}
 	for q, i := range ind {
 		xr[i] -= val[q] * xj
-	}
-}
-
-// SolveSparseUMulti applies U⁻¹ (upper triangle in ptr/ind/val column
-// form, diagonal stored as the last entry of each column) to nrhs
-// right-hand sides packed column-major in x with stride n: backward
-// substitution with the same quad fusion and exact-skip contract as
-// SolveSparseLMulti, and like it kept beside the tile sweeps
-// (SolveTileU) as their reference.
-//
-//gesp:hotpath
-func SolveSparseUMulti(x []float64, n, nrhs int, ptr, ind []int, val []float64) {
-	r := 0
-	for ; r+4 <= nrhs; r += 4 {
-		x0 := x[(r+0)*n : (r+1)*n]
-		x1 := x[(r+1)*n : (r+2)*n]
-		x2 := x[(r+2)*n : (r+3)*n]
-		x3 := x[(r+3)*n : (r+4)*n]
-		for j := n - 1; j >= 0; j-- {
-			lo, hi := ptr[j], ptr[j+1]-1
-			d := val[hi] // diagonal is the last entry of the column
-			xj0 := x0[j] / d
-			xj1 := x1[j] / d
-			xj2 := x2[j] / d
-			xj3 := x3[j] / d
-			x0[j], x1[j], x2[j], x3[j] = xj0, xj1, xj2, xj3
-			if xj0 != 0 && xj1 != 0 && xj2 != 0 && xj3 != 0 {
-				for q := lo; q < hi; q++ {
-					ui, uv := ind[q], val[q]
-					x0[ui] -= uv * xj0
-					x1[ui] -= uv * xj1
-					x2[ui] -= uv * xj2
-					x3[ui] -= uv * xj3
-				}
-				continue
-			}
-			solveLColumn(x0, xj0, ind[lo:hi], val[lo:hi])
-			solveLColumn(x1, xj1, ind[lo:hi], val[lo:hi])
-			solveLColumn(x2, xj2, ind[lo:hi], val[lo:hi])
-			solveLColumn(x3, xj3, ind[lo:hi], val[lo:hi])
-		}
-	}
-	for ; r < nrhs; r++ {
-		xr := x[r*n : (r+1)*n]
-		for j := n - 1; j >= 0; j-- {
-			lo, hi := ptr[j], ptr[j+1]-1
-			xj := xr[j] / val[hi]
-			xr[j] = xj
-			if xj == 0 {
-				continue
-			}
-			for q := lo; q < hi; q++ {
-				xr[ind[q]] -= val[q] * xj
-			}
-		}
 	}
 }

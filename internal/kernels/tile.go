@@ -66,8 +66,8 @@ func SolveTileL(t []float64, n int, ptr, ind []int, val []float64) {
 }
 
 // SolveTileU applies U⁻¹ (upper triangle in ptr/ind/val column form,
-// diagonal stored last in each column, as SolveSparseUMulti takes it) to
-// every lane of the tile t in place: backward substitution.
+// diagonal stored last in each column, as lu.Factors holds it) to every
+// lane of the tile t in place: backward substitution.
 //
 //gesp:hotpath
 func SolveTileU(t []float64, n int, ptr, ind []int, val []float64) {

@@ -248,6 +248,29 @@ type Workspace struct {
 	act       []int
 }
 
+// SolveMulti is the package's SolveMulti with the tile taken from ws:
+// the initial sweep of a batch that ws then refines. It sizes ws's slab
+// for that refinement (ExtraPrecision's 2·n residual scratch included),
+// so the sweep and every correction after it share one tile.
+func (ws *Workspace) SolveMulti(sys System, x []float64, nrhs int) {
+	n := len(x) / nrhs
+	tile, _, _ := ws.slab(n, nrhs, 2*n)
+	SolveMulti(sys, x, nrhs, tile)
+}
+
+// slab cuts ws.buf into the blocked sweep's tile (kernels.Lanes·n
+// values, none for a single vector), the nrhs residuals and nwork values
+// of residual scratch. The tile comes first, so a slab sized by
+// Workspace.SolveMulti keeps its tile in place for Refine.
+func (ws *Workspace) slab(n, nrhs, nwork int) (tile, r, work []float64) {
+	ntile := 0
+	if nrhs > 1 {
+		ntile = kernels.Lanes * n
+	}
+	buf := grow(&ws.buf, ntile+n*nrhs+nwork)
+	return buf[:ntile], buf[ntile : ntile+n*nrhs], buf[ntile+n*nrhs:]
+}
+
 // grow returns (*s)[:n], reallocating *s when it is too short.
 func grow[T any](s *[]T, n int) []T {
 	if cap(*s) < n {
@@ -295,12 +318,7 @@ func (ws *Workspace) Refine(st []Stats, a *sparse.CSC, sys System, x, b []float6
 	if w.extra {
 		nwork = 2 * n
 	}
-	ntile := 0
-	if nrhs > 1 {
-		ntile = kernels.Lanes * n
-	}
-	buf := grow(&ws.buf, n*nrhs+nwork+ntile)
-	w.r, w.work, w.tile = buf[:n*nrhs], buf[n*nrhs:n*nrhs+nwork], buf[n*nrhs+nwork:]
+	w.tile, w.r, w.work = ws.slab(n, nrhs, nwork)
 	// The histories get their own slab: callers keep Stats.Berrs, and it
 	// must not pin the residual block.
 	stride := min(maxIter+1, historyCap)
