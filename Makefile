@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint race checktest chaos smoke perfsmoke verify bench bench-e2e fuzz-wire
+.PHONY: build test vet lint race checktest chaos smoke perfsmoke verify bench bench-e2e fuzz-wire fuzz-kernels
 
 build:
 	$(GO) build ./...
@@ -77,6 +77,17 @@ fuzz-wire:
 	$(GO) test -run '^$$' -fuzz '^FuzzSolveRequest$$' -fuzztime 10s ./internal/fleetrpc/
 	$(GO) test -run '^$$' -fuzz '^FuzzMatrixFrame$$' -fuzztime 10s ./internal/fleetrpc/
 	$(GO) test -run '^$$' -fuzz '^FuzzReplicateFrame$$' -fuzztime 10s ./internal/fleetha/
+
+# Fuzz the numeric kernels against their plain-loop oracles for 10 s
+# each: the column engines against each other (FuzzFactorizeEnginesAgree:
+# Factorize, the schedule at 2 and 3 workers, the plain loop, on random
+# matgen systems with planted zero diagonals, tiny pivots and non-finite
+# entries), the supernode-run update and the dense product. `make test`
+# runs their seed corpora; like fuzz-wire this stays outside verify.
+fuzz-kernels:
+	$(GO) test -run '^$$' -fuzz '^FuzzFactorizeEnginesAgree$$' -fuzztime 10s ./internal/lu/
+	$(GO) test -run '^$$' -fuzz '^FuzzSpAxpyColsMatchesOracle$$' -fuzztime 10s ./internal/kernels/
+	$(GO) test -run '^$$' -fuzz '^FuzzMatMulMatchesOracle$$' -fuzztime 10s ./internal/kernels/
 
 # Smoke runs: short closed-loop runs of the experiment harness and one
 # iteration of the benchmarks behind them, to catch wiring breakage in

@@ -114,9 +114,9 @@ func BenchmarkSpAxpy(bb *testing.B) {
 	}
 }
 
-// BenchmarkSpAxpy4 applies a 24-column supernode with 192 rows below its
-// diagonal block to one accumulator, four columns per pass.
-func BenchmarkSpAxpy4(bb *testing.B) {
+// BenchmarkSpAxpyCols applies a 24-column supernode run with 192 rows
+// below its diagonal block to one accumulator, through each run body.
+func BenchmarkSpAxpyCols(bb *testing.B) {
 	rng := rand.New(rand.NewSource(16))
 	const rows, cols = 192, 24
 	w := make([]float64, 4096)
@@ -128,13 +128,25 @@ func BenchmarkSpAxpy4(bb *testing.B) {
 	for i := range val {
 		val[i] = rng.NormFloat64()
 	}
-	col := func(c int) []float64 { return val[c*rows : (c+1)*rows] }
-	bb.ReportAllocs()
-	bb.ResetTimer()
-	for i := 0; i < bb.N; i++ {
-		for c := 0; c < cols; c += 4 {
-			SpAxpy4(w, ind, col(c), col(c+1), col(c+2), col(c+3), 0.5, 0.25, -0.5, 0.125)
-		}
+	end := make([]int, cols)
+	u := make([]float64, cols)
+	for c := range end {
+		end[c] = (c + 1) * rows
+		u[c] = rng.NormFloat64()
 	}
-	bb.ReportMetric(2*rows*cols*float64(bb.N)/bb.Elapsed().Seconds()/1e6, "Mflops")
+	for _, body := range []struct {
+		name string
+		avx  bool
+	}{{"go", false}, {"avx2", true}} {
+		if body.avx && !useAVX2 {
+			continue
+		}
+		bb.Run(body.name, func(bb *testing.B) {
+			bb.ReportAllocs()
+			for i := 0; i < bb.N; i++ {
+				spAxpyCols(w, ind, val, end, u, body.avx)
+			}
+			bb.ReportMetric(2*rows*cols*float64(bb.N)/bb.Elapsed().Seconds()/1e6, "Mflops")
+		})
+	}
 }

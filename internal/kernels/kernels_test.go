@@ -1,6 +1,7 @@
 package kernels
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -179,12 +180,22 @@ func TestSpAxpyGolden(t *testing.T) {
 	}
 }
 
+// defaultNaN is the NaN the hardware makes from Inf·0 (on amd64 the
+// "real indefinite" 0xfff8000000000000), computed at run time; its bits
+// differ from math.NaN()'s payload.
+var defaultNaN = func() float64 {
+	inf, zero := math.Inf(1), 0.0
+	return inf * zero
+}()
+
 // fillSpecial is fill with about one element in six replaced by a value
 // the fused kernels must treat exactly as the plain loop does: -0, ±Inf,
-// NaN (one payload, so the result does not depend on which operand of a
-// product the hardware propagates).
+// and NaN with two payloads, math.NaN()'s and the default NaN. Inf·0 and
+// Inf−Inf inside a run make further default NaNs. Where both operands of
+// a product or a subtraction are NaN the hardware returns the first
+// one's payload, so these inputs pin the kernels' operand order too.
 func (r *rng) fillSpecial(x []float64) {
-	specials := [...]float64{math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN()}
+	specials := [...]float64{math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), defaultNaN}
 	r.fill(x)
 	for i := range x {
 		if u := r.next(); u%6 == 0 {
@@ -206,43 +217,65 @@ func supernodeRun(r *rng, nc, m int) (val []float64, end []int) {
 	return val, end
 }
 
-// checkSpAxpyCols compares the grouped kernel and, where the run is wide
-// enough, the two bodies with their plain-loop oracles on one supernode
-// run of nc columns over m shared rows.
+// runBodies are the run kernels' bodies to test: the Go twin always, the
+// assembly where the CPU has it.
+func runBodies() []bool {
+	if useAVX2 {
+		return []bool{false, true}
+	}
+	return []bool{false}
+}
+
+// checkRun compares both bodies of SpAxpyCols and SpTriCols with their
+// plain-loop oracles on one supernode run: val/end as supernodeRun lays
+// them out, u the multipliers of the rows below the block, want the
+// working column before the update.
+func checkRun(t *testing.T, label string, ind []int, val []float64, end []int, u, want []float64) {
+	t.Helper()
+	nc := len(u)
+	ref := append([]float64(nil), want...)
+	spAxpyColsScalar(ref, ind, val, end, u)
+	// The run's diagonal block: its columns start where the shared rows
+	// of the previous column end.
+	start := append([]int{0}, end[:max(nc-1, 0)]...)
+	triRef := append([]float64(nil), want...)
+	uRef := make([]float64, nc)
+	spTriColsScalar(triRef[:nc], val, start, uRef)
+	for _, avx := range runBodies() {
+		got := append([]float64(nil), want...)
+		spAxpyCols(got, ind, val, end, u, avx)
+		if i, ok := bitsEqual(ref, got); !ok {
+			t.Fatalf("SpAxpyCols %s avx=%v: element %d differs: oracle %x kernel %x",
+				label, avx, i, math.Float64bits(ref[i]), math.Float64bits(got[i]))
+		}
+		got = append(got[:0], want...)
+		uGot := make([]float64, nc)
+		spTriCols(got[:nc], val, start, uGot, avx)
+		if i, ok := bitsEqual(append(triRef, uRef...), append(got, uGot...)); !ok {
+			t.Fatalf("SpTriCols %s avx=%v: element %d differs", label, avx, i)
+		}
+	}
+}
+
+// checkSpAxpyCols compares the run kernels' bodies and the Go twin's
+// four- and two-column bodies with their plain-loop oracles on one
+// supernode run of nc columns over m shared rows.
 func checkSpAxpyCols(t *testing.T, r *rng, nc, m int) {
 	t.Helper()
 	const n = 80
 	ind := ascendingIndices(r, m, n)
 	val, end := supernodeRun(r, nc, len(ind))
 	u := make([]float64, nc)
-	r.fillSpecial(u) // zeros and -0 among them: the per-column fallback
-	col := func(c int) []float64 { return val[end[c]-len(ind) : end[c]] }
+	r.fillSpecial(u) // zeros and -0 among them: they cut the run into stretches
 	want := make([]float64, n)
 	r.fillSpecial(want)
-	got := make([]float64, n)
+	checkRun(t, fmt.Sprintf("nc=%d m=%d", nc, m), ind, val, end, u, want)
 
-	copy(got, want)
-	ref := append([]float64(nil), want...)
-	spAxpyColsScalar(ref, ind, val, end, u)
-	SpAxpyCols(got, ind, val, end, u)
-	if i, ok := bitsEqual(ref, got); !ok {
-		t.Fatalf("SpAxpyCols nc=%d m=%d: element %d differs: oracle %x kernel %x",
-			nc, m, i, math.Float64bits(ref[i]), math.Float64bits(got[i]))
-	}
-	// The run's diagonal block: its columns start where the shared rows
-	// of the previous column end.
-	start := append([]int{0}, end[:max(nc-1, 0)]...)
-	uRef, uGot := make([]float64, nc), make([]float64, nc)
-	copy(got, want)
-	ref = append(ref[:0], want...)
-	spTriColsScalar(ref[:nc], val, start, uRef)
-	SpTriCols(got[:nc], val, start, uGot)
-	if i, ok := bitsEqual(append(ref, uRef...), append(got, uGot...)); !ok {
-		t.Fatalf("SpTriCols nc=%d: element %d differs", nc, i)
-	}
+	col := func(c int) []float64 { return val[end[c]-len(ind) : end[c]] }
+	got := make([]float64, n)
 	if nc >= 4 {
 		copy(got, want)
-		ref = append(ref[:0], want...)
+		ref := append([]float64(nil), want...)
 		spAxpy4Scalar(ref, ind, col(0), col(1), col(2), col(3), u[0], u[1], u[2], u[3])
 		SpAxpy4(got, ind, col(0), col(1), col(2), col(3), u[0], u[1], u[2], u[3])
 		if i, ok := bitsEqual(ref, got); !ok {
@@ -251,7 +284,7 @@ func checkSpAxpyCols(t *testing.T, r *rng, nc, m int) {
 	}
 	if nc >= 2 {
 		copy(got, want)
-		ref = append(ref[:0], want...)
+		ref := append([]float64(nil), want...)
 		spAxpy2Scalar(ref, ind, col(0), col(1), u[0], u[1])
 		SpAxpy2(got, ind, col(0), col(1), u[0], u[1])
 		if i, ok := bitsEqual(ref, got); !ok {
@@ -260,13 +293,164 @@ func checkSpAxpyCols(t *testing.T, r *rng, nc, m int) {
 	}
 }
 
+// runRows are the row counts the run tests cover: every count around the
+// assembly's eight- and four-row turns and its first sixteen-row turn, a
+// count that takes every turn and the tail (16+8+4+3), and a tall run.
+var runRows = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 31, 64}
+
 func TestSpAxpyColsGolden(t *testing.T) {
 	t.Parallel()
 	r := &rng{s: 10}
-	for _, m := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 64} {
-		for _, nc := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 24} {
+	for _, m := range runRows {
+		// Run widths up to and beyond the default MaxSuper of 24.
+		for _, nc := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 24, 32, 33, 40} {
 			for rep := 0; rep < 4; rep++ {
 				checkSpAxpyCols(t, r, nc, m)
+			}
+		}
+	}
+}
+
+// TestSpAxpyColsNaNOrder pins the operand order of the run kernels'
+// products and subtractions. Each case puts two NaNs of different
+// payload into one operation — math.NaN() and a default NaN planted or
+// made inside the run by Inf·0 or Inf−Inf — whose result carries the
+// first operand's payload, on row counts that reach every turn of the
+// assembly.
+func TestSpAxpyColsNaNOrder(t *testing.T) {
+	t.Parallel()
+	payload, inf := math.NaN(), math.Inf(1)
+	if math.Float64bits(payload) == math.Float64bits(defaultNaN) {
+		t.Fatal("math.NaN() is the default NaN: the cases below cannot tell operand order")
+	}
+	const nc = 3
+	for _, c := range []struct {
+		name     string
+		u, v, w0 float64 // column 1's multiplier and values; w before the run
+		u2       float64 // column 2's multiplier
+	}{
+		// The product of two NaNs: the value's payload, not u's.
+		{"val default u payload", payload, defaultNaN, 1, 1},
+		{"val payload u default", defaultNaN, payload, 1, 1},
+		// w − Inf·0: w's payload, not the default NaN the product makes.
+		{"w payload minus Inf·0", inf, 0, payload, 1},
+		// Inf − Inf makes the default NaN in w, which then meets a
+		// payload product: w's.
+		{"Inf−Inf minus payload", inf, 1, inf, payload},
+	} {
+		for _, m := range []int{1, 4, 7, 8, 13, 17, 31} {
+			ind := make([]int, m)
+			for q := range ind {
+				ind[q] = nc + 2*q
+			}
+			val, end := supernodeRun(&rng{s: 13}, nc, m)
+			for q := range val {
+				val[q] = 0.5
+			}
+			for q := end[1] - m; q < end[1]; q++ {
+				val[q] = c.v
+			}
+			u := []float64{1, c.u, c.u2}
+			want := make([]float64, nc+2*m)
+			for i := range want {
+				want[i] = c.w0
+			}
+			checkRun(t, fmt.Sprintf("%s m=%d", c.name, m), ind, val, end, u, want)
+		}
+	}
+	// The diagonal block makes its own multipliers: Inf − Inf in row 1
+	// gives column 1 a default-NaN multiplier against payload values over
+	// finite rows, and an Inf multiplier over zero values meets payload
+	// rows. Eight rows: column 0 updates seven, column 1 six, each through
+	// the four-row step and the one-row tail.
+	const nb = 8
+	for _, c := range []struct {
+		name        string
+		w0, w1, w   float64 // rows 0, 1 and the rest
+		v0, v0r, v1 float64 // column 0's value for row 1 and the rest, column 1's values
+	}{
+		{"made default u times payload", 1, inf, 1, inf, 0.25, payload},
+		{"payload rows minus Inf·0", inf, payload, payload, 0, 0, 1},
+	} {
+		val, end := supernodeRun(&rng{s: 14}, nb, 0)
+		for q := range val {
+			val[q] = 0.25
+		}
+		val[0] = c.v0
+		for q := 1; q < end[0]; q++ {
+			val[q] = c.v0r
+		}
+		for q := end[0]; q < end[1]; q++ {
+			val[q] = c.v1
+		}
+		want := make([]float64, nb)
+		for i := range want {
+			want[i] = c.w
+		}
+		want[0], want[1] = c.w0, c.w1
+		checkRun(t, c.name, nil, val, end, make([]float64, nb), want)
+	}
+}
+
+// TestSpAxpyColsAVX2MatchesGo runs the assembly bodies and their Go
+// twins on the same operands — rows, values and multipliers drawn with
+// zeros, -0, both NaNs and ±Inf among them, row counts across the
+// sixteen-, eight- and four-row turns, up to 40 columns — and compares
+// every bit of the result.
+func TestSpAxpyColsAVX2MatchesGo(t *testing.T) {
+	if !useAVX2 {
+		t.Skip("CPU without AVX2: the Go body is the only one")
+	}
+	t.Parallel()
+	r := &rng{s: 15}
+	odd := []float64{0, math.Copysign(0, -1), math.NaN(), defaultNaN, math.Inf(1), math.Inf(-1)}
+	draw := func() float64 {
+		if u := r.next() % 16; u < uint64(len(odd)) {
+			return odd[u]
+		}
+		return r.wide()
+	}
+	fill := func(x []float64) {
+		for i := range x {
+			x[i] = draw()
+		}
+	}
+	const n = 80
+	for _, m := range append(runRows, 63) {
+		for _, nc := range []int{1, 2, 3, 4, 5, 7, 8, 24, 40} {
+			for trial := 0; trial < 4; trial++ {
+				ind := ascendingIndices(r, m, n)
+				// Columns at scattered places in val.
+				val := make([]float64, nc*(m+3))
+				fill(val)
+				end := make([]int, nc)
+				u := make([]float64, nc)
+				for k := range end {
+					end[k] = m + int(r.next()%uint64(len(val)-m+1))
+				}
+				fill(u)
+				want := make([]float64, n)
+				fill(want)
+				got := append([]float64(nil), want...)
+				spAxpyRun(want, ind, val, end, u)
+				spAxpyRunAVX2(got, ind, val, end, u)
+				if i, ok := bitsEqual(want, got); !ok {
+					t.Fatalf("run m=%d nc=%d trial %d: element %d differs: Go %x AVX2 %x",
+						m, nc, trial, i, math.Float64bits(want[i]), math.Float64bits(got[i]))
+				}
+			}
+		}
+		for trial := 0; trial < 8; trial++ {
+			x, y := make([]float64, m), make([]float64, m)
+			fill(x)
+			fill(y)
+			a := draw()
+			got := append([]float64(nil), y...)
+			axpy(y, x, a)
+			axpyAVX2(got, x, a)
+			if i, ok := bitsEqual(y, got); !ok {
+				t.Fatalf("axpy m=%d trial %d: element %d differs: Go %x AVX2 %x",
+					m, trial, i, math.Float64bits(y[i]), math.Float64bits(got[i]))
 			}
 		}
 	}
@@ -366,12 +550,14 @@ func TestSolveSparseMultiGolden(t *testing.T) {
 
 // TestConcurrentReadOnlyOperands drives the kernels from many
 // goroutines sharing the read-only operands (the broadcast L and U
-// panels of the distributed engine, the factors of the tile sweeps) with
-// private outputs (each goroutine's own tile); run under -race this
-// proves the kernels never write to their inputs, and that a tile sweep
-// writes only its own tile. The race detector sees Go's memory accesses
-// only, so the sweeps run with the Go body too; the assembly body writes
-// exactly the rows its twin does (TestTileAVX2MatchesGo).
+// panels of the distributed engine, the factors of the tile sweeps and
+// of the supernode-column update) with private outputs (each
+// goroutine's own tile and working column); run under -race this proves
+// the kernels never write to their inputs, and that a sweep or an update
+// writes only its own output. The race detector sees Go's memory
+// accesses only, so every kernel with an assembly body runs its Go body
+// too; the assembly writes exactly the elements its twin does
+// (TestTileAVX2MatchesGo, TestSpAxpyColsAVX2MatchesGo).
 func TestConcurrentReadOnlyOperands(t *testing.T) {
 	t.Parallel()
 	r := &rng{s: 8}
@@ -388,6 +574,14 @@ func TestConcurrentReadOnlyOperands(t *testing.T) {
 	const nt = 40
 	lptr, lind, lval := sparseTriangular(r, nt, true)
 	uptr, uind, uval := sparseTriangular(r, nt, false)
+	// A 40-column supernode run over 21 shared rows (every row turn of
+	// the run body and the tail), its multipliers shared too.
+	const nc, nw = 40, 64
+	runInd := ascendingIndices(r, 21, nw)
+	run, runEnd := supernodeRun(r, nc, len(runInd))
+	runU := make([]float64, nc)
+	r.fill(runU)
+	runStart := append([]int{0}, runEnd[:nc-1]...)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -398,6 +592,8 @@ func TestConcurrentReadOnlyOperands(t *testing.T) {
 			bb := make([]float64, m*n)
 			gr.fill(bb)
 			tile := make([]float64, Lanes*nt)
+			w := make([]float64, nw)
+			u := make([]float64, nc)
 			for iter := 0; iter < 50; iter++ {
 				MatMul(p, a, b, m, n, k)
 				TrsmUpperRight(bb, m, n, d, n)
@@ -405,6 +601,9 @@ func TestConcurrentReadOnlyOperands(t *testing.T) {
 					gr.fill(tile)
 					solveTileL(tile, nt, lptr, lind, lval, avx)
 					solveTileU(tile, nt, uptr, uind, uval, avx)
+					gr.fill(w)
+					spTriCols(w[:nc], run, runStart, u, avx)
+					spAxpyCols(w, runInd, run, runEnd, runU, avx)
 				}
 			}
 		}(uint64(g) + 100)
@@ -412,8 +611,8 @@ func TestConcurrentReadOnlyOperands(t *testing.T) {
 	wg.Wait()
 }
 
-// Zero-allocation proof for the hot kernels. Not parallel:
-// testing.AllocsPerRun panics inside a parallel test.
+// Zero-allocation proof for the hot kernels, every body of those with
+// two. Not parallel: testing.AllocsPerRun panics inside a parallel test.
 func TestKernelsZeroAlloc(t *testing.T) {
 	r := &rng{s: 9}
 	const m, n, k = 24, 24, 24
@@ -435,11 +634,18 @@ func TestKernelsZeroAlloc(t *testing.T) {
 	uptr, uind, uval := sparseTriangular(r, 32, false)
 	x := make([]float64, 32*8)
 	tile := make([]float64, Lanes*32)
-	// Seven columns, one multiplier zero: the 4-column group falls back
-	// to single columns, the 2-column body and the odd column run.
-	run, runEnd := supernodeRun(r, 7, len(ind))
-	runU := []float64{0.5, 0, 0.25, 1, 2, -1, 0.125}
-	runStart := append([]int{0}, runEnd[:6]...)
+	// A 40-column run, one multiplier in four zero: the run goes through
+	// in stretches of three columns.
+	const nc = 40
+	run, runEnd := supernodeRun(r, nc, len(ind))
+	runU := make([]float64, nc)
+	for c := range runU {
+		if c%4 != 1 {
+			runU[c] = 0.5 + float64(c)/64
+		}
+	}
+	runStart := append([]int{0}, runEnd[:nc-1]...)
+	uOut := make([]float64, nc)
 
 	allocs := testing.AllocsPerRun(10, func() {
 		MatMul(p, a, b, m, n, k)
@@ -447,8 +653,12 @@ func TestKernelsZeroAlloc(t *testing.T) {
 		TrsmLowerUnitLeft(p, m, n, d, m)
 		Rank1Trailing(d, n, 3)
 		SpAxpy(w, ind, val, 0.5)
-		SpTriCols(w[:len(runU)], run, runStart, runU)
+		SpTriCols(w[:nc], run, runStart, uOut)
 		SpAxpyCols(w, ind, run, runEnd, runU)
+		for _, avx := range []bool{false, useAVX2} {
+			spTriCols(w[:nc], run, runStart, uOut, avx)
+			spAxpyCols(w, ind, run, runEnd, runU, avx)
+		}
 		_ = SpDotSub(1, ind, val, w)
 		r.fill(x)
 		SolveSparseLMulti(x, 32, 8, lptr, lind, lval)
@@ -480,6 +690,8 @@ func FuzzSpAxpyColsMatchesOracle(f *testing.F) {
 	f.Add(uint8(24), uint8(64), uint64(1))
 	f.Add(uint8(7), uint8(3), uint64(2))
 	f.Add(uint8(0), uint8(9), uint64(3))
+	f.Add(uint8(33), uint8(17), uint64(4))
+	f.Add(uint8(40), uint8(31), uint64(5))
 	f.Fuzz(func(t *testing.T, nc, m uint8, seed uint64) {
 		checkSpAxpyCols(t, &rng{s: seed}, int(nc)%41, int(m)%81)
 	})

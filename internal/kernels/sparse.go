@@ -41,6 +41,16 @@ func SpAxpy(w []float64, ind []int, val []float64, alpha float64) {
 //gesp:hotpath
 //go:noinline
 func SpTriCols(w, val []float64, start []int, u []float64) {
+	spTriCols(w, val, start, u, useAVX2)
+}
+
+// spTriCols is SpTriCols with the body of the trailing update chosen by
+// avx: a column's rows below the diagonal are contiguous in w and in
+// val, so an update of four rows or more goes through axpyAVX2 when avx
+// is true, and through its Go twin axpy otherwise (the tests run both).
+//
+//gesp:hotpath
+func spTriCols(w, val []float64, start []int, u []float64, avx bool) {
 	w, start = w[:len(u)], start[:len(u)]
 	for c := range u {
 		uc := w[c]
@@ -50,9 +60,23 @@ func SpTriCols(w, val []float64, start []int, u []float64) {
 		}
 		wb := w[c+1:]
 		col := val[start[c]:][:len(wb)]
-		for t := range wb {
-			wb[t] -= col[t] * uc
+		if avx && len(wb) >= 4 {
+			axpyAVX2(wb, col, uc)
+			continue
 		}
+		axpy(wb, col, uc)
+	}
+}
+
+// axpy is y[t] -= x[t]·a for every t < len(y): the Go twin of axpyAVX2
+// (each product rounded before it is subtracted, the same operations per
+// element) and the body on CPUs without AVX2.
+//
+//gesp:hotpath
+func axpy(y, x []float64, a float64) {
+	x = x[:len(y)]
+	for t := range y {
+		y[t] -= x[t] * a
 	}
 }
 
@@ -61,54 +85,82 @@ func SpTriCols(w, val []float64, start []int, u []float64) {
 // w[ind[q]] -= val_c[q]·u[c] for c ascending, where column c's values are
 // the len(ind) entries of val that end at end[c] (in a column-compressed
 // L with the supernode's rows ind last in every column, end is a window
-// of the column pointers). Columns go four at a time through SpAxpy4,
-// then two through SpAxpy2, then one through SpAxpy. The u[c] == 0 skip
-// of the column-by-column loop stays exact the way SolveSparseLMulti
-// keeps it: a group is fused only when all its multipliers are nonzero,
-// otherwise its columns are applied alone, each with the skip.
+// of the column pointers).
+//
+// One body applies a whole stretch of columns per gather and scatter of
+// w's rows, whatever the run's width. The u[c] == 0 skip of the
+// column-by-column loop stays exact: a stretch holds only nonzero
+// multipliers, so a zero one ends it and the next stretch starts after
+// it (zero multipliers are rare; a run usually is one stretch). Each
+// w[i] still receives its subtractions one rounded product at a time in
+// ascending column order, so the result is bit for bit the
+// column-by-column loop's.
 //
 //gesp:hotpath
 func SpAxpyCols(w []float64, ind []int, val []float64, end []int, u []float64) {
-	m := len(ind)
-	end = end[:len(u)]
-	c := 0
-	for ; c+4 <= len(u); c += 4 {
-		v0, v1 := val[end[c]-m:end[c]], val[end[c+1]-m:end[c+1]]
-		v2, v3 := val[end[c+2]-m:end[c+2]], val[end[c+3]-m:end[c+3]]
-		if u[c] != 0 && u[c+1] != 0 && u[c+2] != 0 && u[c+3] != 0 {
-			SpAxpy4(w, ind, v0, v1, v2, v3, u[c], u[c+1], u[c+2], u[c+3])
-			continue
-		}
-		spAxpySkip(w, ind, v0, u[c])
-		spAxpySkip(w, ind, v1, u[c+1])
-		spAxpySkip(w, ind, v2, u[c+2])
-		spAxpySkip(w, ind, v3, u[c+3])
-	}
-	if c+2 <= len(u) {
-		v0, v1 := val[end[c]-m:end[c]], val[end[c+1]-m:end[c+1]]
-		if u[c] != 0 && u[c+1] != 0 {
-			SpAxpy2(w, ind, v0, v1, u[c], u[c+1])
-		} else {
-			spAxpySkip(w, ind, v0, u[c])
-			spAxpySkip(w, ind, v1, u[c+1])
-		}
-		c += 2
-	}
-	if c < len(u) {
-		spAxpySkip(w, ind, val[end[c]-m:end[c]], u[c])
-	}
+	spAxpyCols(w, ind, val, end, u, useAVX2)
 }
 
-// spAxpySkip is SpAxpy behind the alpha == 0 skip.
+// spAxpyCols is SpAxpyCols with the body chosen by avx: the assembly
+// spAxpyRunAVX2 when true, its Go twin spAxpyRun when false (the tests
+// run both).
+//
+// The assembly does not check its indices, and relies on the column
+// contract for them: ind ascends and end ascends (a window of column
+// pointers), so bounding the first and last row by len(w) bounds every
+// row, and bounding the stretch's first and last column by len(val)
+// bounds every column between them.
 //
 //gesp:hotpath
-func spAxpySkip(w []float64, ind []int, val []float64, alpha float64) {
-	if alpha != 0 {
-		SpAxpy(w, ind, val, alpha)
+func spAxpyCols(w []float64, ind []int, val []float64, end []int, u []float64, avx bool) {
+	m := len(ind)
+	if m == 0 {
+		return
+	}
+	end = end[:len(u)]
+	for c := 0; c < len(u); {
+		if u[c] == 0 {
+			c++
+			continue
+		}
+		d := c + 1
+		for d < len(u) && u[d] != 0 {
+			d++
+		}
+		if avx {
+			_, _, _ = w[ind[0]], w[ind[m-1]], val[end[c]-m:end[d-1]]
+			spAxpyRunAVX2(w, ind, val, end[c:d], u[c:d])
+		} else {
+			spAxpyRun(w, ind, val, end[c:d], u[c:d])
+		}
+		c = d
 	}
 }
 
-// SpAxpy4 is the four-column body of SpAxpyCols: per row one index load,
+// spAxpyRun is the Go twin of spAxpyRunAVX2 and the body on CPUs without
+// AVX2: the columns (values ending at end[k], multiplier u[k], none of
+// them zero) go four at a time through SpAxpy4, then two through
+// SpAxpy2, then one through SpAxpy.
+//
+//gesp:hotpath
+func spAxpyRun(w []float64, ind []int, val []float64, end []int, u []float64) {
+	m := len(ind)
+	end = end[:len(u)]
+	k := 0
+	for ; k+4 <= len(u); k += 4 {
+		SpAxpy4(w, ind, val[end[k]-m:end[k]], val[end[k+1]-m:end[k+1]],
+			val[end[k+2]-m:end[k+2]], val[end[k+3]-m:end[k+3]], u[k], u[k+1], u[k+2], u[k+3])
+	}
+	if k+2 <= len(u) {
+		SpAxpy2(w, ind, val[end[k]-m:end[k]], val[end[k+1]-m:end[k+1]], u[k], u[k+1])
+		k += 2
+	}
+	if k < len(u) {
+		SpAxpy(w, ind, val[end[k]-m:end[k]], u[k])
+	}
+}
+
+// SpAxpy4 is the four-column body of spAxpyRun: per row one index load,
 // one gather and one scatter of w for four multiply-adds. Each w[i] sees
 // the subtractions v0·u0, v1·u1, v2·u2, v3·u3 in that order, each product
 // rounded before it is subtracted (no fused multiply-add), so the result

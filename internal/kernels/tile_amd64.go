@@ -2,9 +2,11 @@
 
 package kernels
 
-// useAVX2 is decided once, at package init: the tile sweeps run
-// tileAxpyAVX2 when the CPU has AVX2 and the operating system saves the
-// YMM registers across context switches, tileAxpy otherwise.
+// useAVX2 is decided once, at package init: the tile sweeps and the
+// supernode-column update run their assembly bodies (tileAxpyAVX2,
+// spAxpyRunAVX2, axpyAVX2) when the CPU has AVX2 and the operating system
+// saves the YMM registers across context switches, their Go twins
+// otherwise.
 var useAVX2 = cpuHasAVX2()
 
 // cpuHasAVX2 reports CPUID's AVX2 bit, with AVX and OSXSAVE set and the

@@ -2,7 +2,8 @@
 
 package kernels
 
-// useAVX2 is false off amd64: the tile sweeps run tileAxpy.
+// useAVX2 is false off amd64: every kernel with an assembly body runs
+// its Go twin.
 const useAVX2 = false
 
 // tileAxpyAVX2 is never called off amd64; it forwards to the Go body so

@@ -10,13 +10,14 @@
 // supernode-column updates: one column step (Factors.step), shared by
 // Factorize and Schedule.Factorize, applies the columns of L that U(:,j)
 // names, and takes those that lie in one exact supernode as a unit —
-// the rows below the supernode's diagonal block
-// share one index list, so four columns are applied per gather and
-// scatter of the working column (kernels.SpAxpyCols). Every element
-// still receives its subtractions one rounded product at a time in
-// ascending column order, and a zero multiplier is still skipped, so the
-// factors carry the bits of the plain one-column-at-a-time loop (the
-// test oracle plainLoopFactorize) — whichever goroutine runs the step.
+// the rows below the supernode's diagonal block share one index list, so
+// the whole run is applied per gather and scatter of the working column
+// (kernels.SpAxpyCols: one AVX2 kernel, with a pure-Go twin on other
+// CPUs). Every element still receives its subtractions one rounded
+// product at a time in ascending column order, and a zero multiplier is
+// still skipped, so the factors carry the bits of the plain
+// one-column-at-a-time loop (the test oracle plainLoopFactorize) —
+// whichever goroutine runs the step.
 // Single columns, supernodes that relaxation merged while merely nested,
 // and structures without the exactness marks take the one-column path;
 // nothing selects or tunes this but the symbolic.Result.
@@ -230,11 +231,13 @@ func (f *Factors) step(wk *worker, j int) error {
 // taken as a unit, SuperLU's sup-col update. Inside the run's diagonal
 // block the columns go one by one (kernels.SpTriCols), which fixes every
 // U(kk,j); below row e the run's columns have one index list — column
-// e's — and kernels.SpAxpyCols applies them four (then two, then one) at
-// a time, one gather and one scatter of w per row instead of one per
-// multiply-add. Every w[i] still sees its subtractions one product at a
-// time in ascending column order, and a zero U(kk,j) is still skipped,
-// so the factors keep the bits of the column-by-column loop.
+// e's — and kernels.SpAxpyCols applies the whole run per row, one
+// gather and one scatter of w per row instead of one per multiply-add.
+// Every w[i] still sees its subtractions one product at a time in
+// ascending column order, and a zero U(kk,j) is still skipped, so the
+// factors keep the bits of the column-by-column loop. A run of one
+// column (most runs, on 2-D meshes) is that loop's step itself, one
+// kernels.SpAxpy without the two run kernels around it.
 //
 // In a parallel schedule's top the columns of a run may still be in
 // another worker's hands: update then applies the run's prefix that is
@@ -256,14 +259,21 @@ func (f *Factors) update(wk *worker, j int) bool {
 				return false
 			}
 		}
+		if e == k {
+			ukj := w[k]
+			f.UVal[p] = ukj
+			if ukj != 0 {
+				kernels.SpAxpy(w, lind[lptr[k]:lptr[k+1]], lval[lptr[k]:lptr[k+1]], ukj)
+			}
+			p++
+			continue
+		}
 		u := f.UVal[p : p+(e-k)+1]
 		// Diagonal block: column kk reaches rows kk+1..e, its first e-kk
-		// entries (none when the run is a single column). This fixes
-		// every U(kk,j) of the run.
+		// entries. This fixes every U(kk,j) of the run.
 		kernels.SpTriCols(w[k:e+1], lval, lptr[k:e+1], u)
 		// Below the block: the rows of L(:,e), whose values are the last
-		// entries of every column of the run. A single column goes
-		// through kernels.SpAxpy as it always did.
+		// entries of every column of the run.
 		kernels.SpAxpyCols(w, lind[lptr[e]:lptr[e+1]], lval, lptr[k+1:e+2], u)
 		p += len(u)
 	}
@@ -271,10 +281,12 @@ func (f *Factors) update(wk *worker, j int) bool {
 }
 
 // pick applies step (3)'s tiny-pivot policy to the pivot of column col,
-// recording a replacement in the worker's mods.
+// recording a replacement in the worker's mods. Only a pivot whose
+// magnitude compares below the threshold is tiny: a NaN pivot is kept,
+// as the column-by-column loop keeps it.
 func (wk *worker) pick(col int, piv, cmax float64) (float64, error) {
 	thresh := wk.thresh
-	if math.Abs(piv) >= thresh {
+	if !(math.Abs(piv) < thresh) {
 		return piv, nil
 	}
 	if !wk.opts.ReplaceTinyPivot {

@@ -277,12 +277,7 @@ func localNeighbor(i, n int, rng *rand.Rand) int {
 	if rng.Intn(2) == 0 {
 		off = -off
 	}
-	j := i + off
-	switch {
-	case j < 0:
-		j += n
-	case j >= n:
-		j -= n
-	}
-	return j
+	// Wrap around the ring; an offset longer than the ring (small n)
+	// wraps more than once.
+	return ((i+off)%n + n) % n
 }
