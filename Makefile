@@ -8,16 +8,17 @@ build:
 test:
 	$(GO) test ./...
 
-# vet's asmdecl pass checks the AVX2 tile kernel's frame and argument
-# names against its Go declaration; the arm64 pass keeps the build
-# without assembly (the kernels' pure-Go bodies) compiling.
+# vet's asmdecl pass checks the frames and argument names of the AVX2
+# kernels (tileAxpyAVX2, spAxpyRunAVX2, axpyAVX2) against their Go
+# declarations; the arm64 pass keeps the build without assembly (the
+# kernels' pure-Go bodies) compiling.
 vet:
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./internal/kernels/... ./internal/lu/... ./internal/refine/... ./internal/core/...
 
 # Project-specific static analysis: the gesp-lint suite (detclock,
-# hotalloc, mapiter, floatcmp) over the whole module. See DESIGN.md
-# "Static analysis & checked builds".
+# errdrop, floatcmp, guardedby, hotalloc, mapiter) over the whole
+# module. See DESIGN.md "Static analysis & checked builds".
 lint:
 	$(GO) run ./cmd/gesp-lint ./...
 
@@ -82,12 +83,14 @@ fuzz-wire:
 # each: the column engines against each other (FuzzFactorizeEnginesAgree:
 # Factorize, the schedule at 2 and 3 workers, the plain loop, on random
 # matgen systems with planted zero diagonals, tiny pivots and non-finite
-# entries), the supernode-run update and the dense product. `make test`
-# runs their seed corpora; like fuzz-wire this stays outside verify.
+# entries), the supernode-run update, the dense product and the batched
+# tile sweeps. `make test` runs their seed corpora; like fuzz-wire this
+# stays outside verify.
 fuzz-kernels:
 	$(GO) test -run '^$$' -fuzz '^FuzzFactorizeEnginesAgree$$' -fuzztime 10s ./internal/lu/
 	$(GO) test -run '^$$' -fuzz '^FuzzSpAxpyColsMatchesOracle$$' -fuzztime 10s ./internal/kernels/
 	$(GO) test -run '^$$' -fuzz '^FuzzMatMulMatchesOracle$$' -fuzztime 10s ./internal/kernels/
+	$(GO) test -run '^$$' -fuzz '^FuzzSolveTileMatchesOracle$$' -fuzztime 10s ./internal/kernels/
 
 # Smoke runs: short closed-loop runs of the experiment harness and one
 # iteration of the benchmarks behind them, to catch wiring breakage in

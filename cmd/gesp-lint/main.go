@@ -1,9 +1,10 @@
 // Command gesp-lint is the multichecker driver for the project's custom
 // static analyzers (see internal/analysis): structural and determinism
 // invariants of the static-pivot pipeline that go vet cannot see. It
-// runs per-package analyzers over every requested package and
-// whole-program analyzers (hotalloc-ip, detclock-ip) once over the
-// loaded package set with a shared call graph.
+// runs the per-package analyzers (errdrop, floatcmp, guardedby, mapiter)
+// over every requested package and the whole-program analyzers
+// (detclock, hotalloc) once over the loaded package set with a shared
+// call graph.
 //
 // Usage:
 //
@@ -28,27 +29,23 @@ import (
 
 	"gesp/internal/analysis"
 	"gesp/internal/analysis/detclock"
-	"gesp/internal/analysis/detclockip"
 	"gesp/internal/analysis/errdrop"
 	"gesp/internal/analysis/floatcmp"
 	"gesp/internal/analysis/guardedby"
 	"gesp/internal/analysis/hotalloc"
-	"gesp/internal/analysis/hotallocip"
 	"gesp/internal/analysis/mapiter"
 )
 
 var allPkg = []*analysis.Analyzer{
-	detclock.Analyzer,
 	errdrop.Analyzer,
 	floatcmp.Analyzer,
 	guardedby.Analyzer,
-	hotalloc.Analyzer,
 	mapiter.Analyzer,
 }
 
 var allProg = []*analysis.ProgramAnalyzer{
-	detclockip.Analyzer,
-	hotallocip.Analyzer,
+	detclock.Analyzer,
+	hotalloc.Analyzer,
 }
 
 // finding is one diagnostic in driver-neutral form, ready for either

@@ -31,7 +31,7 @@
 //	                    unsynchronized (say why); silences guardedby.
 //	//gesp:allocok    — the annotated call may allocate even though it
 //	                    is reachable from a //gesp:hotpath function
-//	                    (say why); silences hotalloc-ip for that edge.
+//	                    (say why); silences hotalloc for that edge.
 //
 // Waiver directives (errok, wallclock on a call site, unsync, allocok)
 // must carry a justification: free text after the directive token, or a
@@ -138,7 +138,7 @@ func NewProgram(fset *token.FileSet, pkgs []*Package) *Program {
 
 // Cached returns the artifact stored under key, building and memoizing
 // it on first use. The whole-program call graph is built this way so
-// the three interprocedural analyzers share one construction.
+// both whole-program analyzers share one construction.
 func (p *Program) Cached(key any, build func() (any, error)) (any, error) {
 	if v, ok := p.cache[key]; ok {
 		return v, nil

@@ -9,6 +9,7 @@ package analysistest
 import (
 	"fmt"
 	"go/token"
+	"os"
 	"path/filepath"
 	"regexp"
 	"strconv"
@@ -86,6 +87,45 @@ func RunProgram(t *testing.T, testdata string, a *analysis.ProgramAnalyzer, pkgs
 		wants = append(wants, w...)
 	}
 	check(t, loader.Fset(), diags, wants)
+}
+
+// RunModule loads the named packages of the enclosing module (plus
+// everything they import from it) into one program, applies the
+// whole-program analyzer once, and fails t on every diagnostic: the
+// real tree must be clean.
+func RunModule(t *testing.T, a *analysis.ProgramAnalyzer, pkgs ...string) {
+	t.Helper()
+	root, err := filepath.Abs(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for {
+		if _, err := os.Stat(filepath.Join(root, "go.mod")); err == nil {
+			break
+		}
+		parent := filepath.Dir(root)
+		if parent == root {
+			t.Fatal("no go.mod above the test directory")
+		}
+		root = parent
+	}
+	loader, err := analysis.NewLoader(root, nil)
+	if err != nil {
+		t.Fatalf("loading module: %v", err)
+	}
+	for _, pkg := range pkgs {
+		if _, err := loader.Load(pkg); err != nil {
+			t.Fatalf("loading %s: %v", pkg, err)
+		}
+	}
+	prog := analysis.NewProgram(loader.Fset(), loader.Loaded())
+	diags, err := analysis.RunProgramAnalyzer(a, prog)
+	if err != nil {
+		t.Fatalf("running %s: %v", a.Name, err)
+	}
+	for _, d := range diags {
+		t.Errorf("%s: %s (%s)", prog.Fset.Position(d.Pos), d.Message, a.Name)
+	}
 }
 
 // check claims each diagnostic against the wants and reports both

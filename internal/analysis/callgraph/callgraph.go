@@ -1,6 +1,6 @@
 // Package callgraph builds a conservative whole-program call graph
 // over every package a gesp-lint run loads: the substrate of the
-// interprocedural analyzers (hotalloc-ip, detclock-ip). Resolution is
+// whole-program analyzers (hotalloc, detclock). Resolution is
 // class-hierarchy style (CHA):
 //
 //   - direct calls of declared functions and methods are static edges;
@@ -167,12 +167,6 @@ type Graph struct {
 	byName map[string][]*Node
 	ext    map[*types.Func]*Node
 }
-
-// NodeOf returns the module node of a declared function, or nil.
-func (g *Graph) NodeOf(f *types.Func) *Node { return g.byFunc[f] }
-
-// LitNode returns the node of a function literal, or nil.
-func (g *Graph) LitNode(l *ast.FuncLit) *Node { return g.byLit[l] }
 
 // Lookup returns the unique node with the given Name, or nil.
 func (g *Graph) Lookup(name string) *Node {

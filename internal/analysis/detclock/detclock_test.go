@@ -8,5 +8,15 @@ import (
 )
 
 func TestDetclock(t *testing.T) {
-	analysistest.Run(t, analysistest.TestData(), detclock.Analyzer, "mpisim", "outofscope")
+	analysistest.RunProgram(t, analysistest.TestData(), detclock.Analyzer,
+		"mpisim", "outofscope", "faultsim", "clockutil")
+}
+
+// TestDeterministicPackagesClean runs detclock over the real simulator,
+// distributed engine, fault injector and kernels, so a wall-clock read
+// or an unseeded rand call in them fails the test suite, not only the
+// lint run.
+func TestDeterministicPackagesClean(t *testing.T) {
+	analysistest.RunModule(t, detclock.Analyzer, "gesp/internal/mpisim", "gesp/internal/dist",
+		"gesp/internal/faultsim", "gesp/internal/kernels")
 }

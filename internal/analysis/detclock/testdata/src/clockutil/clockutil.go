@@ -1,5 +1,5 @@
 // Package clockutil is the non-scoped helper package of the
-// detclock-ip fixtures: taint must flow through it into scoped callers.
+// detclock fixtures: taint must flow through it into scoped callers.
 package clockutil
 
 import (

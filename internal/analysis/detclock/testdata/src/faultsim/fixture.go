@@ -1,6 +1,7 @@
-// Package faultsim (a scoped name) exercises detclock-ip: transitive
-// wall-clock and rand taint entering deterministic code, the sanctioned
-// //gesp:wallclock backstop mechanism, and waiver justification.
+// Package faultsim (a scoped name) exercises detclock's call-graph
+// reach: transitive wall-clock and rand taint entering deterministic
+// code, the sanctioned //gesp:wallclock backstop mechanism, and waiver
+// justification.
 package faultsim
 
 import (
@@ -26,9 +27,11 @@ func UsesSeeded() int {
 	return clockutil.Seeded(42).Intn(10)
 }
 
-// Direct stays silent *here*: the intraprocedural detclock already
-// reports this exact site.
-func Direct() time.Time { return time.Now() }
+// Direct reads the host clock itself: reported at the call, with the
+// direct-site text.
+func Direct() time.Time {
+	return time.Now() // want `time\.Now depends on the host wall clock`
+}
 
 // Backstop intentionally arms a host timer to catch simulator wedges;
 // wall time never feeds the virtual clock.

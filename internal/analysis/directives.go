@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"regexp"
+	"slices"
 	"strings"
 	"unicode"
 )
@@ -183,16 +184,76 @@ func (d *Directives) Find(pos token.Pos, name string) (Directive, bool) {
 	return Directive{}, false
 }
 
-// OnLine returns every directive written on the given line.
-func (d *Directives) OnLine(line int) []Directive {
-	return d.lines[line]
-}
-
 // Justified reports whether the directive carries a reason: inline text
 // after its token, or a plain (non-directive) comment on its own line
 // or the line directly above.
 func (d *Directives) Justified(dir Directive) bool {
 	return dir.Inline != "" || d.prose[dir.Line] || d.prose[dir.Line-1]
+}
+
+// Waivers is the ledger of one site-level waiver directive (allocok,
+// unsync, wallclock) over the files an analyzer visits. A waiver on a
+// site's line or the line directly above silences that site; a bare
+// one still does (one site, one diagnostic) but is listed by Bare, so
+// suppressions stay auditable.
+type Waivers struct {
+	name  string
+	fset  *token.FileSet
+	files map[*ast.File]*Directives
+	// uses maps each directive's position to the first site it waived
+	// and whether it carries a reason.
+	uses map[token.Pos]waiverUse
+}
+
+type waiverUse struct {
+	at        token.Pos
+	justified bool
+}
+
+// NewWaivers returns an empty ledger for //gesp:<name>.
+func NewWaivers(fset *token.FileSet, name string) *Waivers {
+	return &Waivers{name: name, fset: fset,
+		files: make(map[*ast.File]*Directives), uses: make(map[token.Pos]waiverUse)}
+}
+
+// Dirs returns the directive index of f, scanned once per file.
+func (w *Waivers) Dirs(f *ast.File) *Directives {
+	d, ok := w.files[f]
+	if !ok {
+		d = FileDirectives(w.fset, f)
+		w.files[f] = d
+	}
+	return d
+}
+
+// At reports whether a waiver covers pos in file f (nil for code
+// outside the program, which nothing waives).
+func (w *Waivers) At(f *ast.File, pos token.Pos) bool {
+	if f == nil {
+		return false
+	}
+	d := w.Dirs(f)
+	dir, ok := d.Find(pos, w.name)
+	if !ok {
+		return false
+	}
+	if _, seen := w.uses[dir.Pos]; !seen {
+		w.uses[dir.Pos] = waiverUse{at: pos, justified: d.Justified(dir)}
+	}
+	return true
+}
+
+// Bare returns, in position order, the first site waived by each
+// waiver that gives no reason: where that waiver is reported.
+func (w *Waivers) Bare() []token.Pos {
+	var out []token.Pos
+	for _, u := range w.uses { //gesp:unordered
+		if !u.justified {
+			out = append(out, u.at)
+		}
+	}
+	slices.Sort(out)
+	return out
 }
 
 // EnclosingFuncHasDirective reports whether the innermost enclosing

@@ -38,11 +38,6 @@ var Analyzer = &analysis.Analyzer{
 	Run: run,
 }
 
-type waiverUse struct {
-	at        token.Pos
-	justified bool
-}
-
 type checker struct {
 	pass    *analysis.Pass
 	guarded map[*types.Var]string // field -> sibling mutex field name
@@ -51,8 +46,7 @@ type checker struct {
 	// plain-access reporting.
 	atomicArgs map[*ast.SelectorExpr]bool
 	decls      map[*types.Func]*ast.FuncDecl
-	dirs       map[*ast.File]*analysis.Directives
-	waivers    map[token.Pos]waiverUse
+	waivers    *analysis.Waivers
 	// lits queues function literals for analysis under an empty held
 	// set, unless already analyzed as an immediately-invoked literal.
 	lits []*ast.FuncLit
@@ -66,8 +60,7 @@ func run(pass *analysis.Pass) error {
 		atomic:     make(map[*types.Var]bool),
 		atomicArgs: make(map[*ast.SelectorExpr]bool),
 		decls:      make(map[*types.Func]*ast.FuncDecl),
-		dirs:       make(map[*ast.File]*analysis.Directives),
-		waivers:    make(map[token.Pos]waiverUse),
+		waivers:    analysis.NewWaivers(pass.Fset, "unsync"),
 		done:       make(map[*ast.FuncLit]bool),
 	}
 	for _, f := range pass.Files {
@@ -97,11 +90,9 @@ func run(pass *analysis.Pass) error {
 			}
 		}
 	}
-	for _, w := range c.waivers { //gesp:unordered
-		if !w.justified {
-			c.pass.Reportf(w.at, "//gesp:unsync without justification; "+
-				"say why the unsynchronized access is safe, inline or on the line above")
-		}
+	for _, at := range c.waivers.Bare() {
+		c.pass.Reportf(at, "//gesp:unsync without justification; "+
+			"say why the unsynchronized access is safe, inline or on the line above")
 	}
 	return nil
 }
@@ -109,7 +100,7 @@ func run(pass *analysis.Pass) error {
 // collect gathers guarded-field annotations, function declarations, and
 // atomic field uses from one file.
 func (c *checker) collect(f *ast.File) {
-	dirs := c.fileDirs(f)
+	dirs := c.waivers.Dirs(f)
 	ast.Inspect(f, func(n ast.Node) bool {
 		switch x := n.(type) {
 		case *ast.FuncDecl:
@@ -227,28 +218,6 @@ func isMutexType(t types.Type) bool {
 	obj := n.Obj()
 	return obj.Pkg() != nil && obj.Pkg().Path() == "sync" &&
 		(obj.Name() == "Mutex" || obj.Name() == "RWMutex")
-}
-
-func (c *checker) fileDirs(f *ast.File) *analysis.Directives {
-	d, ok := c.dirs[f]
-	if !ok {
-		d = analysis.FileDirectives(c.pass.Fset, f)
-		c.dirs[f] = d
-	}
-	return d
-}
-
-// waived honors a justified //gesp:unsync at pos, recording bare ones.
-func (c *checker) waived(f *ast.File, pos token.Pos) bool {
-	d := c.fileDirs(f)
-	dir, ok := d.Find(pos, "unsync")
-	if !ok {
-		return false
-	}
-	if _, seen := c.waivers[dir.Pos]; !seen {
-		c.waivers[dir.Pos] = waiverUse{at: pos, justified: d.Justified(dir)}
-	}
-	return true
 }
 
 // walker carries the per-function lock-held state.
@@ -419,14 +388,14 @@ func (w *walker) checkAccess(sel *ast.SelectorExpr, h held) {
 	}
 	if mu, ok := w.c.guarded[v]; ok {
 		want := types.ExprString(sel.X) + "." + mu
-		if !h[want] && !w.c.waived(w.file, sel.Pos()) {
+		if !h[want] && !w.c.waivers.At(w.file, sel.Pos()) {
 			w.c.pass.Reportf(sel.Pos(),
 				"%s is //gesp:guardedby:%s, but %s is not held here; lock it, declare "+
 					"//gesp:holds:%s on the enclosing helper, or waive with //gesp:unsync + reason",
 				types.ExprString(sel), mu, want, want)
 		}
 	}
-	if w.c.atomic[v] && !w.c.atomicArgs[sel] && !w.c.waived(w.file, sel.Pos()) {
+	if w.c.atomic[v] && !w.c.atomicArgs[sel] && !w.c.waivers.At(w.file, sel.Pos()) {
 		w.c.pass.Reportf(sel.Pos(),
 			"%s is updated through sync/atomic elsewhere but accessed plainly here; "+
 				"use atomic ops consistently or waive with //gesp:unsync + reason",
@@ -458,7 +427,7 @@ func (w *walker) checkHoldsCall(call *ast.CallExpr, h held) {
 			continue
 		}
 		want := types.ExprString(sel.X) + "." + mu
-		if !h[want] && !w.c.waived(w.file, call.Pos()) {
+		if !h[want] && !w.c.waivers.At(w.file, call.Pos()) {
 			w.c.pass.Reportf(call.Pos(),
 				"%s declares //gesp:holds:%s, but %s is not held at this call",
 				fn.Name(), d.Arg, want)

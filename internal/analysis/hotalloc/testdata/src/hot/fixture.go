@@ -1,6 +1,7 @@
-// Package hot exercises hotalloc-ip: //gesp:hotpath roots whose whole
-// transitive call closure must be allocation-free, with blame paths
-// through static calls, interface dispatch, closures, and externals.
+// Package hot exercises hotalloc's call-graph reach: //gesp:hotpath
+// roots whose whole transitive call closure must be allocation-free,
+// with blame paths through static calls, interface dispatch, closures,
+// and externals.
 package hot
 
 import (
@@ -53,12 +54,14 @@ func Sizes(ss []sizer) int {
 }
 
 // Closured passes an allocating closure into a higher-order helper:
-// the blame path runs through the dynamic dispatch inside Apply.
+// the blame path runs through the dynamic dispatch inside Apply. The
+// literal and the append written inside it are direct sites of the
+// root as well.
 //
 //gesp:hotpath
 func Closured(s []int) {
-	hutil.Apply(func(x int) { // want `hot\.Closured → hutil\.Apply \(call at fixture\.go:\d+\) → hot\.Closured\$1 \(call at hutil\.go:\d+\): append at fixture\.go:\d+`
-		s = append(s, x)
+	hutil.Apply(func(x int) { // want `hot\.Closured → hutil\.Apply \(call at fixture\.go:\d+\) → hot\.Closured\$1 \(call at hutil\.go:\d+\): append at fixture\.go:\d+` `function literal allocates a closure inside //gesp:hotpath function Closured`
+		s = append(s, x) // want `append allocates inside //gesp:hotpath function Closured`
 	})
 }
 

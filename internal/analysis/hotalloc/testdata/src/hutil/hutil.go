@@ -1,4 +1,4 @@
-// Package hutil provides callees for the hotalloc-ip fixtures,
+// Package hutil provides callees for the hotalloc fixtures,
 // including the deliberately-planted allocating callee Grow that the
 // crosscheck test also convicts at runtime with testing.AllocsPerRun.
 package hutil

@@ -6,7 +6,7 @@
 //
 // The canonical instantiation is Taint — "can this function's
 // transitive call closure do the forbidden thing, and via which path" —
-// used by hotalloc-ip (allocation) and detclock-ip (wall-clock and
+// used by hotalloc (allocation) and detclock (wall-clock and
 // unseeded randomness). Each tainted function records one witness: a
 // local site or the call edge to a tainted callee, so a diagnostic can
 // carry the full blame path from an annotated root down to the

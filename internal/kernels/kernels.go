@@ -25,10 +25,13 @@
 // the kernels preserve the skip exactly, advancing the affected
 // vectors one at a time.
 //
-// One kernel has an assembly body: the tile sweeps' all-lane
-// scatter-subtract (tileAxpyAVX2, amd64 with AVX2), chosen once at
-// package init from CPUID and XGETBV. Its Go twin, tileAxpy, runs on
-// every other CPU and architecture and is the tests' bitwise reference.
+// Three kernels have assembly bodies (amd64 with AVX2): the tile sweeps'
+// all-lane scatter-subtract (tileAxpyAVX2), the supernode-run update of
+// the working column (spAxpyRunAVX2) and the diagonal block's contiguous
+// axpy (axpyAVX2). All three are chosen by useAVX2, decided once at
+// package init from CPUID and XGETBV. Their Go twins (tileAxpy,
+// spAxpyRun, axpy) run on every other CPU and architecture and are the
+// tests' bitwise references.
 //
 // Flop accounting is the caller's: kernels never report flops, so the
 // simulated distributed engine's virtual clock is fed the model's flop

@@ -39,52 +39,89 @@ func specials(r *rng, x []float64, n, b int) {
 func TestTileSweepsMatchOracle(t *testing.T) {
 	t.Parallel()
 	r := &rng{s: 11}
+	for _, n := range []int{1, 2, 5, 16, 33, 80} {
+		lo, up := tileFactors(r, n)
+		for _, b := range []int{1, 2, 3, 7, 8} {
+			for trial := 0; trial <= b; trial++ {
+				checkTileSweeps(t, r, n, b, trial, lo, up)
+			}
+		}
+	}
+}
+
+// FuzzSolveTileMatchesOracle extends TestTileSweepsMatchOracle to any
+// order n in 1..64, batch of 1..Lanes vectors, trial and seed. The AVX2
+// body does not check its row indices, so every shape must land where
+// the scalar sweep lands, bit for bit.
+func FuzzSolveTileMatchesOracle(f *testing.F) {
+	f.Add(uint8(16), uint8(8), uint8(0), uint64(1))
+	f.Add(uint8(1), uint8(1), uint8(1), uint64(2))
+	f.Add(uint8(63), uint8(3), uint8(2), uint64(3))
+	f.Add(uint8(33), uint8(7), uint8(5), uint64(4))
+	f.Fuzz(func(t *testing.T, n, b, trial uint8, seed uint64) {
+		r := &rng{s: seed}
+		nn, bb := 1+int(n)%64, 1+int(b)%Lanes
+		lo, up := tileFactors(r, nn)
+		checkTileSweeps(t, r, nn, bb, int(trial)%(bb+1), lo, up)
+	})
+}
+
+// triangle is a sparse triangle in the column form the sweeps take.
+type triangle struct {
+	ptr, ind []int
+	val      []float64
+}
+
+// tileFactors draws the L and U of an n-row sweep, L's values with full
+// mantissas so products round.
+func tileFactors(r *rng, n int) (lo, up triangle) {
+	lo.ptr, lo.ind, lo.val = sparseTriangular(r, n, true)
+	up.ptr, up.ind, up.val = sparseTriangular(r, n, false)
+	for i := range lo.val {
+		lo.val[i] = r.wide()
+	}
+	return lo, up
+}
+
+// checkTileSweeps runs one trial of b vectors of length n through
+// PackTile, solveTileL and solveTileU on every body the CPU has, and
+// UnpackTile, and compares every bit with the scalar oracle. Trial 0:
+// one in four entries an exact zero of either sign. Trial l+1: every
+// lane dense but lane l, three in four of whose entries are such zeros
+// — a column whose pivots are zero in that lane alone, over a -0 row, is
+// where skipping the column for that lane and applying it to all differ
+// — plus the planted specials.
+func checkTileSweeps(t *testing.T, r *rng, n, b, trial int, lo, up triangle) {
+	t.Helper()
+	special, sparse := trial > 0, trial-1
+	want := make([]float64, n*b)
+	for i := range want {
+		want[i] = r.wide()
+		switch u := r.next() % 4; {
+		case !special && u == 0, special && i/n == sparse && u < 3:
+			want[i] = math.Copysign(0, want[i])
+		}
+	}
+	if special {
+		specials(r, want, n, b)
+	}
+	x0 := append([]float64(nil), want...)
+	solveSparseLMultiScalar(want, n, b, lo.ptr, lo.ind, lo.val)
+	solveSparseUMultiScalar(want, n, b, up.ptr, up.ind, up.val)
 	bodies := []bool{false}
 	if useAVX2 {
 		bodies = append(bodies, true)
 	}
-	for _, n := range []int{1, 2, 5, 16, 33, 80} {
-		lptr, lind, lval := sparseTriangular(r, n, true)
-		uptr, uind, uval := sparseTriangular(r, n, false)
-		for i := range lval {
-			lval[i] = r.wide()
-		}
-		for _, b := range []int{1, 2, 3, 7, 8} {
-			for trial := 0; trial <= b; trial++ {
-				// Trial 0: one in four entries an exact zero of either
-				// sign. Trial l+1: every lane dense but lane l, three in
-				// four of whose entries are such zeros — a column whose
-				// pivots are zero in that lane alone, over a -0 row, is
-				// where skipping the column for that lane and applying
-				// it to all differ — plus the planted specials.
-				special, sparse := trial > 0, trial-1
-				want := make([]float64, n*b)
-				for i := range want {
-					want[i] = r.wide()
-					switch u := r.next() % 4; {
-					case !special && u == 0, special && i/n == sparse && u < 3:
-						want[i] = math.Copysign(0, want[i])
-					}
-				}
-				if special {
-					specials(r, want, n, b)
-				}
-				x0 := append([]float64(nil), want...)
-				solveSparseLMultiScalar(want, n, b, lptr, lind, lval)
-				solveSparseUMultiScalar(want, n, b, uptr, uind, uval)
-				for _, avx := range bodies {
-					tile := make([]float64, Lanes*n)
-					got := append([]float64(nil), x0...)
-					PackTile(tile, got, n, b)
-					solveTileL(tile, n, lptr, lind, lval, avx)
-					solveTileU(tile, n, uptr, uind, uval, avx)
-					UnpackTile(got, tile, n, b)
-					if i, ok := bitsEqual(want, got); !ok {
-						t.Fatalf("n=%d b=%d special=%v avx=%v: element %d differs: oracle %x tile %x",
-							n, b, special, avx, i, math.Float64bits(want[i]), math.Float64bits(got[i]))
-					}
-				}
-			}
+	for _, avx := range bodies {
+		tile := make([]float64, Lanes*n)
+		got := append([]float64(nil), x0...)
+		PackTile(tile, got, n, b)
+		solveTileL(tile, n, lo.ptr, lo.ind, lo.val, avx)
+		solveTileU(tile, n, up.ptr, up.ind, up.val, avx)
+		UnpackTile(got, tile, n, b)
+		if i, ok := bitsEqual(want, got); !ok {
+			t.Fatalf("n=%d b=%d trial=%d avx=%v: element %d differs: oracle %x tile %x",
+				n, b, trial, avx, i, math.Float64bits(want[i]), math.Float64bits(got[i]))
 		}
 	}
 }

@@ -183,93 +183,3 @@ func GMRES(a *sparse.CSC, m Preconditioner, x, b []float64, opts Options) ([]flo
 	}
 	return x, st
 }
-
-// BiCGSTAB solves A·x = b with the preconditioned stabilized biconjugate
-// gradient method.
-func BiCGSTAB(a *sparse.CSC, m Preconditioner, x, b []float64, opts Options) ([]float64, Stats) {
-	opts = opts.fill()
-	n := len(b)
-	r := make([]float64, n)
-	a.Residual(r, b, x)
-	rhat := append([]float64(nil), r...)
-	bnorm := norm2(b)
-	if bnorm == 0 {
-		bnorm = 1
-	}
-	st := Stats{Residual: norm2(r) / bnorm}
-	if st.Residual <= opts.Tol {
-		st.Converged = true
-		return x, st
-	}
-	var rho, alpha, omega float64 = 1, 1, 1
-	vv := make([]float64, n)
-	p := make([]float64, n)
-	ph := make([]float64, n)
-	s := make([]float64, n)
-	sh := make([]float64, n)
-	t := make([]float64, n)
-
-	for st.Iterations < opts.MaxIter {
-		if math.IsNaN(st.Residual) || math.IsInf(st.Residual, 0) {
-			return x, st
-		}
-		if opts.Cancel != nil && opts.Cancel() {
-			st.Canceled = true
-			return x, st
-		}
-		st.Iterations++
-		rhoNew := dot(rhat, r)
-		if rhoNew == 0 {
-			break // breakdown
-		}
-		if st.Iterations == 1 {
-			copy(p, r)
-		} else {
-			beta := (rhoNew / rho) * (alpha / omega)
-			for i := 0; i < n; i++ {
-				p[i] = r[i] + beta*(p[i]-omega*vv[i])
-			}
-		}
-		rho = rhoNew
-		copy(ph, p)
-		m.Apply(ph)
-		a.MatVec(vv, ph)
-		d := dot(rhat, vv)
-		if d == 0 {
-			break
-		}
-		alpha = rho / d
-		for i := 0; i < n; i++ {
-			s[i] = r[i] - alpha*vv[i]
-		}
-		if ns := norm2(s); ns/bnorm <= opts.Tol {
-			for i := 0; i < n; i++ {
-				x[i] += alpha * ph[i]
-			}
-			st.Residual = ns / bnorm
-			st.Converged = true
-			return x, st
-		}
-		copy(sh, s)
-		m.Apply(sh)
-		a.MatVec(t, sh)
-		tt := dot(t, t)
-		if tt == 0 {
-			break
-		}
-		omega = dot(t, s) / tt
-		for i := 0; i < n; i++ {
-			x[i] += alpha*ph[i] + omega*sh[i]
-			r[i] = s[i] - omega*t[i]
-		}
-		st.Residual = norm2(r) / bnorm
-		if st.Residual <= opts.Tol {
-			st.Converged = true
-			return x, st
-		}
-		if omega == 0 {
-			break
-		}
-	}
-	return x, st
-}

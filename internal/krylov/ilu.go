@@ -1,5 +1,5 @@
-// Package krylov provides preconditioned iterative solvers — ILU(0) with
-// GMRES(m) and BiCGSTAB. The paper's related-work section highlights the
+// Package krylov provides a preconditioned iterative solver — ILU(0) with
+// restarted GMRES(m). The paper's related-work section highlights the
 // Duff–Koster result that permuting large entries to the diagonal (GESP's
 // step (1)) "substantially improves" the convergence of ILU-preconditioned
 // iterative methods; this package exists to reproduce that observation on

@@ -107,28 +107,6 @@ func TestGMRESWithILUConvergesFaster(t *testing.T) {
 	t.Logf("GMRES iterations: plain=%d ilu=%d", stPlain.Iterations, stPrec.Iterations)
 }
 
-func TestBiCGSTABWithILU(t *testing.T) {
-	a := laplacian2D(18)
-	n := a.Rows
-	want := make([]float64, n)
-	for i := range want {
-		want[i] = math.Sin(float64(i))
-	}
-	b := rhsFor(a, want)
-	p, err := NewILU0(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := make([]float64, n)
-	_, st := BiCGSTAB(a, p, x, b, Options{Tol: 1e-10, MaxIter: 2000})
-	if !st.Converged {
-		t.Fatalf("BiCGSTAB did not converge: %g after %d", st.Residual, st.Iterations)
-	}
-	if e := sparse.RelErrInf(x, want); e > 1e-6 {
-		t.Errorf("error %g", e)
-	}
-}
-
 func TestGMRESRestartIndependence(t *testing.T) {
 	a := laplacian2D(12)
 	n := a.Rows
@@ -159,11 +137,6 @@ func TestSolversHandleZeroRHS(t *testing.T) {
 	if !st.Converged {
 		t.Error("GMRES on zero rhs did not converge instantly")
 	}
-	x2 := make([]float64, n)
-	_, st2 := BiCGSTAB(a, Identity{}, x2, b, Options{})
-	if !st2.Converged {
-		t.Error("BiCGSTAB on zero rhs did not converge instantly")
-	}
 }
 
 func TestGMRESCancelStopsTheSolve(t *testing.T) {
@@ -189,28 +162,6 @@ func TestGMRESCancelStopsTheSolve(t *testing.T) {
 	}
 	if st.Iterations > 10 {
 		t.Fatalf("solve ran %d iterations after cancellation", st.Iterations)
-	}
-}
-
-func TestBiCGSTABCancelStopsTheSolve(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	a := laplacian2D(8)
-	n := a.Rows
-	b := make([]float64, n)
-	for i := range b {
-		b[i] = rng.NormFloat64()
-	}
-	x := make([]float64, n)
-	_, st := BiCGSTAB(a, Identity{}, x, b, Options{
-		Tol:     1e-14,
-		MaxIter: 1000,
-		Cancel:  func() bool { return true },
-	})
-	if !st.Canceled {
-		t.Fatal("Canceled not set after Cancel returned true")
-	}
-	if st.Iterations != 0 {
-		t.Fatalf("solve ran %d iterations after immediate cancellation", st.Iterations)
 	}
 }
 
