@@ -8,8 +8,13 @@ import (
 )
 
 func TestDetclock(t *testing.T) {
-	analysistest.RunProgram(t, analysistest.TestData(), detclock.Analyzer,
-		"mpisim", "outofscope", "faultsim", "clockutil")
+	analysistest.RunProgram(t, analysistest.TestData(), detclock.Analyzer, "mpisim", "outofscope")
+}
+
+// TestFixtures covers the interprocedural reach: faultsim's scoped
+// functions reach wall-clock reads through clockutil.
+func TestFixtures(t *testing.T) {
+	analysistest.RunProgram(t, analysistest.TestData(), detclock.Analyzer, "faultsim")
 }
 
 // TestDeterministicPackagesClean runs detclock over the real simulator,

@@ -8,7 +8,13 @@ import (
 )
 
 func TestHotalloc(t *testing.T) {
-	analysistest.RunProgram(t, analysistest.TestData(), hotalloc.Analyzer, "kernels", "hot", "hutil")
+	analysistest.RunProgram(t, analysistest.TestData(), hotalloc.Analyzer, "kernels")
+}
+
+// TestFixtures covers the interprocedural reach: hot's roots reach
+// allocating callees in hutil.
+func TestFixtures(t *testing.T) {
+	analysistest.RunProgram(t, analysistest.TestData(), hotalloc.Analyzer, "hot")
 }
 
 // plantedGrow mirrors the fixture's deliberately-planted allocating
