@@ -9,7 +9,8 @@ test:
 	$(GO) test ./...
 
 # vet's asmdecl pass checks the frames and argument names of the AVX2
-# kernels (tileAxpyAVX2, spAxpyRunAVX2, axpyAVX2) against their Go
+# kernels (tileAxpyAVX2, tileDivAVX2, spAxpyRunAVX2, axpyAVX2,
+# residualRunAVX2, residualBerrAVX2) against their Go
 # declarations; the arm64 pass keeps the build without assembly (the
 # kernels' pure-Go bodies) compiling.
 vet:
@@ -83,14 +84,16 @@ fuzz-wire:
 # each: the column engines against each other (FuzzFactorizeEnginesAgree:
 # Factorize, the schedule at 2 and 3 workers, the plain loop, on random
 # matgen systems with planted zero diagonals, tiny pivots and non-finite
-# entries), the supernode-run update, the dense product and the batched
-# tile sweeps. `make test` runs their seed corpora; like fuzz-wire this
+# entries), the supernode-run update, the dense product, the batched
+# tile sweeps and the tile residual pass (against ResidualBerr per
+# vector). `make test` runs their seed corpora; like fuzz-wire this
 # stays outside verify.
 fuzz-kernels:
 	$(GO) test -run '^$$' -fuzz '^FuzzFactorizeEnginesAgree$$' -fuzztime 10s ./internal/lu/
 	$(GO) test -run '^$$' -fuzz '^FuzzSpAxpyColsMatchesOracle$$' -fuzztime 10s ./internal/kernels/
 	$(GO) test -run '^$$' -fuzz '^FuzzMatMulMatchesOracle$$' -fuzztime 10s ./internal/kernels/
 	$(GO) test -run '^$$' -fuzz '^FuzzSolveTileMatchesOracle$$' -fuzztime 10s ./internal/kernels/
+	$(GO) test -run '^$$' -fuzz '^FuzzResidualTileMatchesOracle$$' -fuzztime 10s ./internal/kernels/
 
 # Smoke runs: short closed-loop runs of the experiment harness and one
 # iteration of the benchmarks behind them, to catch wiring breakage in

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"gesp/internal/faultsim"
@@ -171,6 +172,49 @@ func TestSolveBatchStatsDescribeWorstVector(t *testing.T) {
 	if got.RefineSteps != worst.RefineSteps || got.Berr != worst.Berr || !bitsEqual(got.BerrHistory, worst.BerrHistory) || !got.Converged {
 		t.Errorf("batch stats %d steps, berr %g, history %v, converged %v; want the worst vector's %d, %g, %v, true",
 			got.RefineSteps, got.Berr, got.BerrHistory, got.Converged, worst.RefineSteps, worst.Berr, worst.BerrHistory)
+	}
+}
+
+// TestBatchHistoryOutlivesNextBatch: the berr history a batch's Stats
+// report must be the batch's own, not storage the next batch refines in
+// (the tiles are pooled across batches and solvers). Two solvers run
+// batches one after the other, and on two goroutines at once, before the
+// first batch's history is read.
+func TestBatchHistoryOutlivesNextBatch(t *testing.T) {
+	m, _ := matgen.Lookup("GEMAT11")
+	a := m.Generate(testScale)
+	s1, err := New(a, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2, err := New(a, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := randomBatch(s1, 9, 21)
+	if _, err := s1.SolveBatch(first); err != nil {
+		t.Fatal(err)
+	}
+	kept := s1.Stats()
+	want := append([]float64(nil), kept.BerrHistory...)
+	if len(want) < 2 {
+		t.Fatalf("first batch took no step: history %v", want)
+	}
+	var wg sync.WaitGroup
+	for g, s := range []*Solver{s1, s2} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < 4; k++ {
+				if _, err := s.SolveBatch(randomBatch(s, 9+k, int64(100*g+k))); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if !bitsEqual(kept.BerrHistory, want) || len(kept.BerrHistory) != len(want) {
+		t.Fatalf("first batch's history changed under later batches: %v, was %v", kept.BerrHistory, want)
 	}
 }
 

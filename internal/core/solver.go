@@ -83,8 +83,8 @@ type Options struct {
 	// Resilience, when non-nil, routes every Solve, SolveBatch and
 	// DistSolve through the escalation ladder of internal/resilience.
 	// Rung 0 is plain GESP refinement, blocked like the sweep: one
-	// refine.RefineMulti per block of right-hand sides. A vector it
-	// leaves above the ladder's tolerance then climbs alone, as the
+	// refine.Workspace tile loop per block of right-hand sides. A vector
+	// it leaves above the ladder's tolerance then climbs alone, as the
 	// backward error dictates, through extra-precision refinement, SMW
 	// recovery, LU-preconditioned GMRES and finally a partial-pivoting
 	// refactorization. It supersedes the Refine/MaxRefine/ExtraPrecision
@@ -130,7 +130,7 @@ type StepTimes struct {
 	Order    time.Duration
 	Symbolic time.Duration
 	Factor   time.Duration
-	Solve    time.Duration // triangular solves of the last Solve call
+	Solve    time.Duration // initial triangular solve of the last Solve call; a batch block of ≥ 2 vectors counts it in Refine
 	Residual time.Duration // residual computations during refinement
 	Refine   time.Duration // whole refinement loop
 	Ferr     time.Duration // forward-error estimation, if requested
@@ -635,15 +635,15 @@ type facPreconditioner struct{ f *lu.Factors }
 func (p facPreconditioner) Apply(x []float64) { p.f.Solve(x) }
 
 // SolveBatch solves A·xᵣ = bᵣ for every right-hand side in bs (original
-// coordinates) through one column-blocked multi-RHS triangular sweep
-// (lu.Factors.SolveMulti): the factors are walked once per block of
+// coordinates) kernels.Lanes vectors to a tile
+// (refine.Workspace.SolveRefine): the initial sweep and each refinement
+// step walk the factors, and A for the residuals, once per tile of
 // right-hand sides instead of once per vector, which is where serving
-// throughput comes from. Step (4) is blocked the same way
-// (refine.RefineMulti): each refinement step corrects every vector still
-// refining with one more such sweep, and each vector stops by its own
-// berr, so every solution is bitwise the one Solve returns for that
-// right-hand side. The recorded Berr/RefineSteps/Converged stats
-// describe the batch's worst vector (see Stats).
+// throughput comes from. Each vector stops by its own berr, and every
+// tile kernel gives each lane the bits of the single-vector one, so
+// every solution is bitwise the one Solve returns for that right-hand
+// side. The recorded Berr/RefineSteps/Converged stats describe the
+// batch's worst vector (see Stats).
 //
 // SolveBatch is not safe for concurrent use on one Solver (it mutates
 // solve statistics); the serving layer serializes batches per factor.
@@ -687,10 +687,10 @@ func (s *Solver) SolveBatchCtx(ctx context.Context, bs [][]float64) (xs [][]floa
 // bs, each block of them (rhsBlocks) on its own goroutine; then, with a
 // ladder, the vectors rung 0 left above tolerance climb one at a time,
 // and Stats records the batch's worst vector. Each block's initial
-// sweep and its refinement share one refine.Workspace, so one tile per
-// block serves every sweep of it. x0, when not nil, is the scaled
-// starting iterate of a batch of one (DistSolve's distributed solution)
-// and replaces the initial sweep.
+// sweep and its refinement run in one refine.Workspace's tiles, b packed
+// once and x unpacked once. x0, when not nil, is the scaled starting
+// iterate of a batch of one (DistSolve's distributed solution) and
+// replaces the initial sweep.
 func (s *Solver) solve(ctx context.Context, bs [][]float64, x0 []float64) (xs [][]float64, errs []error, err error) {
 	k, n := len(bs), s.n
 	if k == 0 {
@@ -706,15 +706,22 @@ func (s *Solver) solve(ctx context.Context, bs [][]float64, x0 []float64) (xs []
 		for r := r0; r < r1; r++ {
 			s.scale(bh[r*n:(r+1)*n], bs[r])
 		}
+		// A block of two or more runs its initial sweep inside the
+		// refinement's tiles; a single vector is swept here, so that its
+		// sweep is timed apart.
 		var ws refine.Workspace
-		if x0 != nil {
+		refineFrom := ws.SolveRefine
+		switch {
+		case x0 != nil:
 			copy(yb, x0)
-		} else {
+			refineFrom = ws.Refine
+		case r1-r0 == 1:
 			copy(yb, bb)
-			ws.SolveMulti(s.sys, yb, r1-r0)
+			s.sys.Solve(yb)
+			refineFrom = ws.Refine
 		}
 		t1 := time.Now()
-		ws.Refine(sts[r0:r1], s.ap, s.sys, yb, bb, s.refineOptions(ctx, t1))
+		refineFrom(sts[r0:r1], s.ap, s.sys, yb, bb, s.refineOptions(ctx, t1))
 		t2 := time.Now()
 		for r := r0; r < r1; r++ {
 			xs[r] = s.unscale(make([]float64, n), y[r*n:(r+1)*n])

@@ -1,9 +1,11 @@
 // Package kernels holds the register-blocked micro-kernels shared by
 // every execution engine: the simulated distributed engine's per-rank
 // block updates (dist.Solve), the scalar column factorization, serial or
-// statically scheduled (lu.Factorize, lu.Schedule.Factorize), and the
-// batched triangular solves (lu.Factors.SolveMulti, over the
-// row-interleaved tiles of tile.go). The supernodal panels are
+// statically scheduled (lu.Factorize, lu.Schedule.Factorize), the
+// batched triangular solves (lu.Factors.SolveMulti and SolveTile, over
+// the row-interleaved tiles of tile.go) and step (4)'s residual and
+// backward error, per vector or per tile (residual.go). The supernodal
+// panels are
 // dense column-major tiles sized by the symbolic analysis (the paper
 // uses maxSuper = 24 columns), so the kernels are written for tall
 // skinny operands: fused multi-column axpy sweeps that read each panel
@@ -25,13 +27,15 @@
 // the kernels preserve the skip exactly, advancing the affected
 // vectors one at a time.
 //
-// Three kernels have assembly bodies (amd64 with AVX2): the tile sweeps'
-// all-lane scatter-subtract (tileAxpyAVX2), the supernode-run update of
-// the working column (spAxpyRunAVX2) and the diagonal block's contiguous
-// axpy (axpyAVX2). All three are chosen by useAVX2, decided once at
-// package init from CPUID and XGETBV. Their Go twins (tileAxpy,
-// spAxpyRun, axpy) run on every other CPU and architecture and are the
-// tests' bitwise references.
+// Six kernels have assembly bodies (amd64 with AVX2): the tile sweeps'
+// all-lane scatter-subtract (tileAxpyAVX2) and pivot division
+// (tileDivAVX2), the supernode-run update of the working column
+// (spAxpyRunAVX2), the diagonal block's contiguous axpy (axpyAVX2), and
+// the tile residual pass's accumulation (residualRunAVX2) and berr pass
+// (residualBerrAVX2). All are chosen by useAVX2, decided once at package
+// init from CPUID and XGETBV. Their Go twins (tileAxpy, tileDiv,
+// spAxpyRun, axpy, residualColumn, residualBerr) run on every other CPU
+// and architecture and are the tests' bitwise references.
 //
 // Flop accounting is the caller's: kernels never report flops, so the
 // simulated distributed engine's virtual clock is fed the model's flop

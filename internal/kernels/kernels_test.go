@@ -551,13 +551,15 @@ func TestSolveSparseMultiGolden(t *testing.T) {
 // TestConcurrentReadOnlyOperands drives the kernels from many
 // goroutines sharing the read-only operands (the broadcast L and U
 // panels of the distributed engine, the factors of the tile sweeps and
-// of the supernode-column update) with private outputs (each
-// goroutine's own tile and working column); run under -race this proves
-// the kernels never write to their inputs, and that a sweep or an update
+// of the supernode-column update, the matrix and right-hand-side tile of
+// the residual pass) with private outputs (each goroutine's own tiles
+// and working column); run under -race this proves the kernels never
+// write to their inputs, and that a sweep, an update or a residual pass
 // writes only its own output. The race detector sees Go's memory
 // accesses only, so every kernel with an assembly body runs its Go body
 // too; the assembly writes exactly the elements its twin does
-// (TestTileAVX2MatchesGo, TestSpAxpyColsAVX2MatchesGo).
+// (TestTileAVX2MatchesGo, TestSpAxpyColsAVX2MatchesGo,
+// TestResidualTileMatchesResidualBerr).
 func TestConcurrentReadOnlyOperands(t *testing.T) {
 	t.Parallel()
 	r := &rng{s: 8}
@@ -582,6 +584,11 @@ func TestConcurrentReadOnlyOperands(t *testing.T) {
 	runU := make([]float64, nc)
 	r.fill(runU)
 	runStart := append([]int{0}, runEnd[:nc-1]...)
+	// One matrix and one right-hand-side tile shared by every residual
+	// pass; each goroutine has its own iterate, residual and |A|·|x|.
+	ra := residualMatrix(r, nt)
+	rb := make([]float64, Lanes*nt)
+	r.fill(rb)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -594,6 +601,8 @@ func TestConcurrentReadOnlyOperands(t *testing.T) {
 			tile := make([]float64, Lanes*nt)
 			w := make([]float64, nw)
 			u := make([]float64, nc)
+			rr, rd, rc := make([]float64, Lanes*nt), make([]float64, Lanes*nt), make([]float64, Lanes*nt)
+			var berr [Lanes]float64
 			for iter := 0; iter < 50; iter++ {
 				MatMul(p, a, b, m, n, k)
 				TrsmUpperRight(bb, m, n, d, n)
@@ -601,10 +610,12 @@ func TestConcurrentReadOnlyOperands(t *testing.T) {
 					gr.fill(tile)
 					solveTileL(tile, nt, lptr, lind, lval, avx)
 					solveTileU(tile, nt, uptr, uind, uval, avx)
+					residualTile(rr, rd, nil, nt, ra.ptr, ra.ind, ra.val, tile, rb, 0xff, &berr, avx)
 					gr.fill(w)
 					spTriCols(w[:nc], run, runStart, u, avx)
 					spAxpyCols(w, runInd, run, runEnd, runU, avx)
 				}
+				residualTile(rr, rd, rc, nt, ra.ptr, ra.ind, ra.val, tile, rb, 0x13, &berr, false)
 			}
 		}(uint64(g) + 100)
 	}
@@ -646,6 +657,11 @@ func TestKernelsZeroAlloc(t *testing.T) {
 	}
 	runStart := append([]int{0}, runEnd[:nc-1]...)
 	uOut := make([]float64, nc)
+	ra := residualMatrix(r, 32)
+	rb, rr, rd, rc := make([]float64, Lanes*32), make([]float64, Lanes*32), make([]float64, Lanes*32), make([]float64, Lanes*32)
+	r.fill(rb)
+	var berr [Lanes]float64
+	res, work := make([]float64, 32), make([]float64, 64)
 
 	allocs := testing.AllocsPerRun(10, func() {
 		MatMul(p, a, b, m, n, k)
@@ -666,6 +682,18 @@ func TestKernelsZeroAlloc(t *testing.T) {
 		PackTile(tile, x, 32, 5)
 		SolveTileL(tile, 32, lptr, lind, lval)
 		SolveTileU(tile, 32, uptr, uind, uval)
+		ResidualTile(rr, rd, nil, 32, ra.ptr, ra.ind, ra.val, tile, rb, 0xff, &berr)
+		for _, avx := range []bool{false, useAVX2} {
+			residualTile(rr, rd, nil, 32, ra.ptr, ra.ind, ra.val, tile, rb, 0xff, &berr, avx)
+			residualTile(rr, rd, nil, 32, ra.ptr, ra.ind, ra.val, tile, rb, 0x03, &berr, avx)
+		}
+		ResidualTile(rr, rd, rc, 32, ra.ptr, ra.ind, ra.val, tile, rb, 0x81, &berr)
+		for _, extra := range []bool{false, true} {
+			ResidualBerr(ra.ptr, ra.ind, ra.val, res, work, x[:32], rb[:32], extra)
+		}
+		MirrorLanes(tile, 32, 1, 0xf0)
+		UnpackLane(x[:32], tile, 32, 3)
+		PackLane(tile, x[:32], 32, 6)
 		UnpackTile(x, tile, 32, 5)
 	})
 	if allocs != 0 {

@@ -1,12 +1,12 @@
 package kernels
 
 // Row-interleaved triangular sweeps: the batched solves of
-// lu.Factors.SolveMulti. A tile holds Lanes right-hand sides of length n
-// interleaved by row, t[i*Lanes+l] being row i of vector l, so the Lanes
-// values one factor entry updates are one contiguous 64-byte row: per
-// entry one index load, one value load, and one load and one store of
-// the row, where the column-major SolveSparseLMulti does a gather and a
-// scatter per vector.
+// lu.Factors.SolveMulti and SolveTile. A tile holds Lanes right-hand
+// sides of length n interleaved by row, t[i*Lanes+l] being row i of
+// vector l, so the Lanes values one factor entry updates are one
+// contiguous 64-byte row: per entry one index load, one value load, and
+// one load and one store of the row, where the column-major
+// SolveSparseLMulti does a gather and a scatter per vector.
 //
 // Bits: per lane the sweep applies t[i] -= val·xj in the single-vector
 // solve's column order, each product rounded before it is subtracted (no
@@ -51,6 +51,45 @@ func UnpackTile(x, t []float64, n, b int) {
 		r := (*[Lanes]float64)(t[i*Lanes:])
 		for l := 0; l < b; l++ {
 			x[l*n+i] = r[l]
+		}
+	}
+}
+
+// UnpackLane copies lane l of the tile t to the vector x of length n.
+//
+//gesp:hotpath
+func UnpackLane(x, t []float64, n, l int) {
+	t, x = t[:Lanes*n], x[:n]
+	for i := range x {
+		x[i] = t[i*Lanes+l]
+	}
+}
+
+// PackLane copies the vector x of length n into lane l of the tile t.
+//
+//gesp:hotpath
+func PackLane(t, x []float64, n, l int) {
+	t, x = t[:Lanes*n], x[:n]
+	for i, v := range x {
+		t[i*Lanes+l] = v
+	}
+}
+
+// MirrorLanes sets every lane of the tile t in the bit set lanes to a
+// copy of lane src. A lane that mirrors a live one is zero exactly where
+// that lane is, so it sends no column of a sweep or a residual pass onto
+// the per-lane path that the live lanes would not.
+//
+//gesp:hotpath
+func MirrorLanes(t []float64, n, src int, lanes uint8) {
+	t = t[:Lanes*n]
+	for i := 0; i < n; i++ {
+		r := (*[Lanes]float64)(t[i*Lanes:])
+		v := r[src]
+		for l := range r {
+			if lanes&(1<<l) != 0 {
+				r[l] = v
+			}
 		}
 	}
 }
@@ -107,12 +146,24 @@ func solveTileU(t []float64, n int, ptr, ind []int, val []float64, avx bool) {
 		lo, hi := ptr[j], ptr[j+1]-1
 		d := val[hi] // diagonal is the last entry of the column
 		x := (*[Lanes]float64)(t[j*Lanes:])
-		for l := range x {
-			x[l] /= d
+		if avx {
+			tileDivAVX2(x, d)
+		} else {
+			tileDiv(x, d)
 		}
 		if lo < hi {
 			tileColumn(t, ind[lo:hi], val[lo:hi], x, avx)
 		}
+	}
+}
+
+// tileDiv divides every lane of the pivot row x by the diagonal d, the
+// Go twin of tileDivAVX2 (IEEE division per lane, so the same bits).
+//
+//gesp:hotpath
+func tileDiv(x *[Lanes]float64, d float64) {
+	for l := range x {
+		x[l] /= d
 	}
 }
 

@@ -2,11 +2,12 @@
 
 package kernels
 
-// useAVX2 is decided once, at package init: the tile sweeps and the
-// supernode-column update run their assembly bodies (tileAxpyAVX2,
-// spAxpyRunAVX2, axpyAVX2) when the CPU has AVX2 and the operating system
-// saves the YMM registers across context switches, their Go twins
-// otherwise.
+// useAVX2 is decided once, at package init: the tile sweeps, the tile
+// residual pass and the supernode-column update run their assembly
+// bodies (tileAxpyAVX2, tileDivAVX2, residualRunAVX2, residualBerrAVX2,
+// spAxpyRunAVX2, axpyAVX2) when the CPU has AVX2 and the operating
+// system saves the YMM registers across context switches, their Go
+// twins otherwise.
 var useAVX2 = cpuHasAVX2()
 
 // cpuHasAVX2 reports CPUID's AVX2 bit, with AVX and OSXSAVE set and the
@@ -21,3 +22,9 @@ func cpuHasAVX2() bool
 //
 //go:noescape
 func tileAxpyAVX2(t []float64, ind []int, val []float64, x *[Lanes]float64)
+
+// tileDivAVX2 is tileDiv with the row in two YMM registers: one
+// broadcast of d and two VDIVPD, each lane the DIVSD of the scalar loop.
+//
+//go:noescape
+func tileDivAVX2(x *[Lanes]float64, d float64)

@@ -99,3 +99,18 @@ tail:
 done:
 	VZEROUPPER
 	RET
+
+// func tileDivAVX2(x *[8]float64, d float64)
+//
+// x = x / d, lanes 0-3 in Y0 and 4-7 in Y1 (the row the first source).
+TEXT ·tileDivAVX2(SB), NOSPLIT, $0-16
+	MOVQ         x+0(FP), AX
+	VBROADCASTSD d+8(FP), Y2
+	VMOVUPD      (AX), Y0
+	VMOVUPD      32(AX), Y1
+	VDIVPD       Y2, Y0, Y0
+	VDIVPD       Y2, Y1, Y1
+	VMOVUPD      Y0, (AX)
+	VMOVUPD      Y1, 32(AX)
+	VZEROUPPER
+	RET

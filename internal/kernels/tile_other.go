@@ -11,3 +11,8 @@ const useAVX2 = false
 func tileAxpyAVX2(t []float64, ind []int, val []float64, x *[Lanes]float64) {
 	tileAxpy(t, ind, val, x)
 }
+
+// tileDivAVX2 is never called off amd64; it forwards to the Go body.
+func tileDivAVX2(x *[Lanes]float64, d float64) {
+	tileDiv(x, d)
+}

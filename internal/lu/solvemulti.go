@@ -22,7 +22,6 @@ import "gesp/internal/kernels"
 //gesp:hotpath
 func (f *Factors) SolveMulti(x []float64, nrhs int, work []float64) {
 	n := f.Sym.N
-	sym := f.Sym
 	for r0 := 0; r0 < nrhs; r0 += kernels.Lanes {
 		b := min(nrhs-r0, kernels.Lanes)
 		blk := x[r0*n : (r0+b)*n]
@@ -30,12 +29,24 @@ func (f *Factors) SolveMulti(x []float64, nrhs int, work []float64) {
 			f.Solve(blk)
 			continue
 		}
-		// The index bound the tile sweeps rely on is the symbolic
-		// analysis's: every row in LInd and UInd is below n
-		// (symbolic.Result.Check, under gespcheck).
 		kernels.PackTile(work, blk, n, b)
-		kernels.SolveTileL(work, n, sym.LPtr, sym.LInd, f.LVal)
-		kernels.SolveTileU(work, n, sym.UPtr, sym.UInd, f.UVal)
+		f.SolveTile(work)
 		kernels.UnpackTile(blk, work, n, b)
 	}
+}
+
+// SolveTile overwrites every lane of the tile t (kernels.Lanes vectors of
+// length f.Sym.N interleaved by row, kernels.PackTile's layout) with A⁻¹
+// applied to it, each lane bitwise what Solve gives that vector alone:
+// the batched refinement's sweep, on tiles it keeps from one step to the
+// next.
+//
+//gesp:hotpath
+func (f *Factors) SolveTile(t []float64) {
+	// The index bound the tile sweeps rely on is the symbolic
+	// analysis's: every row in LInd and UInd is below n
+	// (symbolic.Result.Check, under gespcheck).
+	sym := f.Sym
+	kernels.SolveTileL(t, sym.N, sym.LPtr, sym.LInd, f.LVal)
+	kernels.SolveTileU(t, sym.N, sym.UPtr, sym.UInd, f.UVal)
 }

@@ -85,10 +85,29 @@ func Run(scale float64, quick bool) (*File, error) {
 		},
 	})
 
-	// Blocked refinement of a swept batch, as core.SolveBatch runs it:
-	// per step one fused residual/berr pass per vector and one sweep over
-	// all of them. It allocates its Stats and scratch once per call,
-	// whatever the number of steps, so the count gates.
+	// The batched refinement's residual pass: one walk over A for a tile
+	// of kernels.Lanes iterates, r = b − A·x, |A|·|x| and each lane's
+	// berr (two products and two sums per entry and lane).
+	rtile, dtile := make([]float64, kernels.Lanes*n), make([]float64, kernels.Lanes*n)
+	xtile, btile := make([]float64, kernels.Lanes*n), make([]float64, kernels.Lanes*n)
+	for i := range xtile {
+		xtile[i], btile[i] = 0.5+rng.Float64(), rng.NormFloat64()
+	}
+	var berr [kernels.Lanes]float64
+	benches = append(benches, bench{
+		name: "kernel/residual-tile/" + Matrix, class: "kernel", hot: true, measAll: true,
+		flops: float64(4 * kernels.Lanes * len(ap.Val)), iters: 1,
+		fn: func() {
+			kernels.ResidualTile(rtile, dtile, nil, n, ap.ColPtr, ap.RowInd, ap.Val, xtile, btile, 1<<kernels.Lanes-1, &berr)
+		},
+	})
+
+	// Refinement of a swept batch, as core.SolveBatch runs it: per step
+	// one residual pass over A and one sweep per tile of kernels.Lanes
+	// vectors. It allocates its Stats and berr histories once per call,
+	// whatever the number of steps (the tiles come from refine's pool),
+	// so the count gates. The batch of two is the guard for a tile with
+	// six of its eight lanes idle.
 	const batch = 16
 	bh := make([]float64, n*batch)
 	xt := make([]float64, n)
@@ -101,14 +120,16 @@ func Run(scale float64, quick bool) (*File, error) {
 	swept := append([]float64(nil), bh...)
 	f.SolveMulti(swept, batch, tile)
 	xb := make([]float64, n*batch)
-	benches = append(benches, bench{
-		name: fmt.Sprintf("refine/batch%d/%s", batch, Matrix), class: "refine", hot: true, measAll: true,
-		iters: 1,
-		fn: func() {
-			copy(xb, swept)
-			refine.RefineMulti(ap, f, xb, bh, batch, refine.Options{})
-		},
-	})
+	for _, k := range []int{batch, 2} {
+		benches = append(benches, bench{
+			name: fmt.Sprintf("refine/batch%d/%s", k, Matrix), class: "refine", hot: true, measAll: true,
+			iters: 1,
+			fn: func() {
+				copy(xb[:k*n], swept)
+				refine.RefineMulti(ap, f, xb[:k*n], bh[:k*n], k, refine.Options{})
+			},
+		})
+	}
 
 	// Analysis: the two phases a cold solve spends most of its time in,
 	// on the graph the engines below factor. Both are deterministic

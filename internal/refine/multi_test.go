@@ -394,7 +394,7 @@ func TestNaNIsNotConvergence(t *testing.T) {
 }
 
 // TestRefineAllocations pins the fused kernel at zero allocations and the
-// blocked loop at a count that does not grow with the steps it takes.
+// tile loop at a count that does not grow with the steps it takes.
 func TestRefineAllocations(t *testing.T) {
 	inj := faultsim.New(21)
 	a := inj.WellConditioned(80, 0.08)
@@ -429,9 +429,15 @@ func TestRefineAllocations(t *testing.T) {
 	if manySteps < fewSteps+2 {
 		t.Fatalf("stale system took %d steps against %d: not a longer loop", manySteps, fewSteps)
 	}
-	// The Stats, the residual block with its scratch, the berr histories
-	// and the active set.
-	if few != 4 || many != 4 {
-		t.Errorf("RefineMulti allocates %v times over %d steps and %v over %d, want 4 and 4", few, fewSteps, many, manySteps)
+	// The Stats and the berr histories; the tiles are borrowed from the
+	// pool, which AllocsPerRun's warm-up run has filled. A race-detector
+	// build's pool drops a random share of what is put back, so there a
+	// borrow may allocate afresh and the count is not fixed.
+	if raceEnabled {
+		t.Logf("race build: RefineMulti allocates %v times over %d steps and %v over %d; not checked", few, fewSteps, many, manySteps)
+		return
+	}
+	if few != 2 || many != 2 {
+		t.Errorf("RefineMulti allocates %v times over %d steps and %v over %d, want 2 and 2", few, fewSteps, many, manySteps)
 	}
 }

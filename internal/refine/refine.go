@@ -10,6 +10,8 @@ package refine
 
 import (
 	"math"
+	"math/bits"
+	"sync"
 
 	"gesp/internal/kernels"
 	"gesp/internal/lu"
@@ -21,14 +23,6 @@ import (
 type System interface {
 	Solve(x []float64)
 	SolveT(x []float64)
-}
-
-// multiSolver is the blocked sweep a System may offer besides Solve:
-// M⁻¹ applied to nrhs vectors packed with stride n, each bitwise equal
-// to Solve on that vector alone, with work as the sweep's tile
-// (*lu.Factors.SolveMulti).
-type multiSolver interface {
-	SolveMulti(x []float64, nrhs int, work []float64)
 }
 
 // Options tune the refinement loop.
@@ -90,91 +84,17 @@ type Stats struct {
 
 // ResidualBerr computes r = b − A·x and returns the componentwise
 // (Oettli–Prager) backward error max_i |r|_i / (|A|·|x| + |b|)_i, both
-// from one pass over A. Rows with a zero denominator and zero residual
-// contribute nothing; a nonzero residual over a zero denominator, or one
-// that overflowed, yields +Inf; a NaN in any row yields NaN (NaN compares
-// false against everything, so it would otherwise pass for berr 0). extra
-// accumulates A·x in compensated precision with FMA-based error-free
-// transformations. work is scratch of n floats, 2n with extra; on return
-// work[:n] holds |A|·|x|. Nothing is allocated.
+// from one pass over A: kernels.ResidualBerr on a's columns. Rows with a
+// zero denominator and zero residual contribute nothing; a nonzero
+// residual over a zero denominator, or one that overflowed, yields +Inf;
+// a NaN in any row yields NaN. extra accumulates A·x in compensated
+// precision with FMA-based error-free transformations. work is scratch
+// of n floats, 2n with extra; on return work[:n] holds |A|·|x|. Nothing
+// is allocated.
 //
 //gesp:hotpath
 func ResidualBerr(a *sparse.CSC, r, work, x, b []float64, extra bool) float64 {
-	n := len(b)
-	r, den := r[:n], work[:n]
-	var comp []float64
-	if extra {
-		comp = work[n : 2*n]
-	}
-	clear(r)
-	clear(den)
-	clear(comp)
-	// r accumulates A·x and den |A|·|x| column by column, so each row's
-	// sum has the order of sparse.CSC.MatVec and AbsMatVec.
-	for j := 0; j < a.Cols; j++ {
-		xj := x[j]
-		axj := math.Abs(xj)
-		lo, hi := a.ColPtr[j], a.ColPtr[j+1]
-		ind, val := a.RowInd[lo:hi], a.Val[lo:hi]
-		switch {
-		case xj == 0:
-			// A·x skips the column; |A|·|x| must not, or a non-finite
-			// entry of A would stop poisoning its row.
-			for q, i := range ind {
-				den[i] += math.Abs(val[q]) * axj
-			}
-		case !extra:
-			for q, i := range ind {
-				v := val[q]
-				r[i] += v * xj
-				den[i] += math.Abs(v) * axj
-			}
-		default:
-			for q, i := range ind {
-				v := val[q]
-				p := v * xj
-				e := math.FMA(v, xj, -p) // exact product error
-				// TwoSum accumulate p into r[i].
-				s := r[i] + p
-				bv := s - r[i]
-				err := (r[i] - (s - bv)) + (p - bv)
-				r[i] = s
-				comp[i] += err + e
-				den[i] += math.Abs(v) * axj
-			}
-		}
-	}
-	berr, inf, nan := 0.0, false, false
-	for i, bi := range b {
-		ri := bi - r[i]
-		if extra {
-			ri -= comp[i] // the small part last
-		}
-		r[i] = ri
-		ri = math.Abs(ri)
-		d := den[i] + math.Abs(bi)
-		switch {
-		case math.IsNaN(d) || math.IsNaN(ri):
-			nan = true
-		case math.IsInf(ri, 1):
-			// The residual overflowed; over an infinite d too its ratio
-			// would be NaN, which no comparison keeps.
-			inf = true
-		case d > 0:
-			if q := ri / d; q > berr {
-				berr = q
-			}
-		case ri > 0:
-			inf = true
-		}
-	}
-	switch {
-	case nan:
-		return math.NaN()
-	case inf:
-		return math.Inf(1)
-	}
-	return berr
+	return kernels.ResidualBerr(a.ColPtr, a.RowInd, a.Val, r, work, x, b, extra)
 }
 
 // Berr computes the componentwise backward error of x (see ResidualBerr).
@@ -195,16 +115,17 @@ func Berr(a *sparse.CSC, x, b []float64) float64 {
 func Refine(a *sparse.CSC, sys System, x, b []float64, opts Options) Stats {
 	var st [1]Stats
 	var ws Workspace
-	ws.Refine(st[:], a, sys, x, b, opts)
+	ws.vector(st[:], a, sys, x, b, opts, false)
 	return st[0]
 }
 
 // RefineMulti refines the nrhs solutions packed in x (vector v occupies
 // x[v*n : (v+1)*n], the lu.Factors.SolveMulti layout; b likewise) as one
-// batch: every step corrects all vectors still refining with one
-// SolveMulti. Termination is decided per vector by Refine's rules, and
-// because the blocked sweep is bitwise equal to Solve, each vector's
-// iterates and Stats are exactly those of refining it alone.
+// batch, kernels.Lanes vectors to a tile: every step makes one residual
+// pass over A and one sweep per tile for all its vectors still refining.
+// Termination is decided per vector by Refine's rules, and because the
+// tile kernels give every lane the bits of the single-vector ones, each
+// vector's iterates and Stats are exactly those of refining it alone.
 func RefineMulti(a *sparse.CSC, sys System, x, b []float64, nrhs int, opts Options) []Stats {
 	st := make([]Stats, nrhs)
 	var ws Workspace
@@ -212,23 +133,11 @@ func RefineMulti(a *sparse.CSC, sys System, x, b []float64, nrhs int, opts Optio
 	return st
 }
 
-// SolveMulti overwrites the nrhs vectors packed in x (RefineMulti's
-// layout) with M⁻¹ applied to each: one blocked sweep when sys offers one
-// (*lu.Factors.SolveMulti), Solve per vector when it does not (SMW
-// recovery, the ladder's GEPP rung). Either way each vector gets the bits
-// Solve gives it alone. work is the blocked sweep's tile,
-// kernels.Lanes·n values; with nrhs ≤ 1 it may be nil.
-//
-//gesp:hotpath
-func SolveMulti(sys System, x []float64, nrhs int, work []float64) {
-	if m, ok := sys.(multiSolver); ok && nrhs > 1 {
-		m.SolveMulti(x, nrhs, work)
-		return
-	}
-	n := len(x) / nrhs
-	for q := 0; q < nrhs; q++ {
-		sys.Solve(x[q*n : (q+1)*n]) //gesp:allocok a System without a blocked sweep (SMW, GEPP rung) owns its solve's allocations; *lu.Factors.Solve makes none
-	}
+// tileSolver is the sweep a System may offer besides Solve: M⁻¹ applied
+// in place to every lane of a tile (kernels.PackTile's layout), each lane
+// bitwise what Solve gives that vector alone (*lu.Factors.SolveTile).
+type tileSolver interface {
+	SolveTile(t []float64)
 }
 
 // historyCap is how many berr values per vector are preallocated; the
@@ -236,39 +145,132 @@ func SolveMulti(sys System, x []float64, nrhs int, work []float64) {
 // to 10, so longer histories (which grow by append) are rare.
 const historyCap = 16
 
-// Workspace is the scratch of a refinement: the residual block, the
-// blocked sweep's tile, the berr histories and the active set. Refine and
-// RefineMulti use a fresh one per call; a caller that refines again and
-// again can keep one, which allocates nothing once it has grown to the
-// widest batch. The Berrs of the Stats it fills are then its own
-// storage, valid until its next use.
+// Workspace is the scratch of a refinement: a single vector's residual
+// and the berr histories. Refine and RefineMulti use a fresh one per
+// call; a caller that refines again and again can keep one, which
+// allocates nothing once it has grown to the widest batch. The Berrs of
+// the Stats it fills are then its own storage, valid until its next use.
+// A batch's tiles are not kept in it but borrowed from tilePool for the
+// call, so that a fresh Workspace per batch (core, RefineMulti) neither
+// allocates nor clears them, and no Stats.Berrs is pooled storage.
 // A Workspace is not safe for concurrent use.
 type Workspace struct {
 	buf, hist []float64
-	act       []int
 }
 
-// SolveMulti is the package's SolveMulti with the tile taken from ws:
-// the initial sweep of a batch that ws then refines. It sizes ws's slab
-// for that refinement (ExtraPrecision's 2·n residual scratch included),
-// so the sweep and every correction after it share one tile.
-func (ws *Workspace) SolveMulti(sys System, x []float64, nrhs int) {
-	n := len(x) / nrhs
-	tile, _, _ := ws.slab(n, nrhs, 2*n)
-	SolveMulti(sys, x, nrhs, tile)
+// tiles is the storage of a batch's tiles, held by tilePool between
+// batches.
+type tiles struct{ buf []float64 }
+
+// tilePool lends batches their tiles.
+var tilePool = sync.Pool{New: func() any { return new(tiles) }}
+
+// running is the Exit of a vector still refining; every vector has its
+// own exit by the time Refine returns.
+const running Exit = -1
+
+// Refine is RefineMulti on the len(st) solutions packed in x, writing
+// vector v's outcome to st[v].
+func (ws *Workspace) Refine(st []Stats, a *sparse.CSC, sys System, x, b []float64, opts Options) {
+	ws.refine(st, a, sys, x, b, opts, false)
 }
 
-// slab cuts ws.buf into the blocked sweep's tile (kernels.Lanes·n
-// values, none for a single vector), the nrhs residuals and nwork values
-// of residual scratch. The tile comes first, so a slab sized by
-// Workspace.SolveMulti keeps its tile in place for Refine.
-func (ws *Workspace) slab(n, nrhs, nwork int) (tile, r, work []float64) {
-	ntile := 0
-	if nrhs > 1 {
-		ntile = kernels.Lanes * n
+// SolveRefine is Refine from M⁻¹b: it overwrites the len(st) vectors
+// packed in x with sys applied to those of b, then refines them. A batch
+// packs b into its tiles once, runs the initial sweep there and unpacks
+// x once, each vector when it stops.
+func (ws *Workspace) SolveRefine(st []Stats, a *sparse.CSC, sys System, x, b []float64, opts Options) {
+	ws.refine(st, a, sys, x, b, opts, true)
+}
+
+func (ws *Workspace) refine(st []Stats, a *sparse.CSC, sys System, x, b []float64, opts Options, solve bool) {
+	switch len(st) {
+	case 0:
+		return
+	case 1:
+		ws.vector(st, a, sys, x, b, opts, solve)
+		return
 	}
-	buf := grow(&ws.buf, ntile+n*nrhs+nwork)
-	return buf[:ntile], buf[ntile : ntile+n*nrhs], buf[ntile+n*nrhs:]
+	t := tilePool.Get().(*tiles)
+	w := newBatch(t, st, a, sys, x, b, ws.start(st, opts), opts.ExtraPrecision)
+	w.run(solve, opts.Cancel)
+	tilePool.Put(t)
+}
+
+// start readies st for a refinement under opts and returns its rule.
+// The histories get their own slab: callers keep Stats.Berrs, and it
+// must not pin the tiles.
+func (ws *Workspace) start(st []Stats, opts Options) rule {
+	u := rule{maxIter: opts.MaxIter, tol: opts.BerrTol, patient: opts.Patient}
+	if u.maxIter <= 0 {
+		u.maxIter = 10
+	}
+	if u.tol <= 0 {
+		u.tol = lu.Eps
+	}
+	stride := min(u.maxIter+1, historyCap)
+	hist := grow(&ws.hist, len(st)*stride)
+	for v := range st {
+		st[v] = Stats{Berrs: hist[v*stride : v*stride : (v+1)*stride], Exit: running}
+	}
+	return u
+}
+
+// rule is a refinement's termination rule and step bound.
+type rule struct {
+	maxIter int
+	tol     float64
+	patient bool
+}
+
+// record appends be to s's history — the initial berr when the history
+// is empty, else the berr after one more correction — and reports
+// whether the vector refines on; when it does not, s.Exit says why.
+func (u *rule) record(s *Stats, be float64) (refining bool) {
+	prev := math.Inf(1)
+	if len(s.Berrs) > 0 {
+		prev = s.FinalBerr
+		s.Steps++
+	}
+	s.Berrs = append(s.Berrs, be) //gesp:allocok only a history past historyCap grows, and MaxIter < historyCap never does
+	s.FinalBerr = be
+	if exit, stop := Stop(be, prev, u.tol, u.patient); stop {
+		s.Exit, s.Converged = exit, exit == ExitConverged
+		return false
+	}
+	return true
+}
+
+// vector is the loop on the single vector of st: with solve the initial
+// sweep, then per step one Solve and one fused residual/berr pass.
+func (ws *Workspace) vector(st []Stats, a *sparse.CSC, sys System, x, b []float64, opts Options, solve bool) {
+	u, s := ws.start(st, opts), &st[0]
+	if solve {
+		copy(x, b)
+		sys.Solve(x)
+	}
+	n, extra := len(b), opts.ExtraPrecision
+	nwork := n
+	if extra {
+		nwork = 2 * n
+	}
+	buf := grow(&ws.buf, n+nwork)
+	r, work := buf[:n], buf[n:]
+	refining := u.record(s, ResidualBerr(a, r, work, x, b, extra))
+	for refining && s.Steps < u.maxIter {
+		if opts.Cancel != nil && opts.Cancel() {
+			s.Exit = ExitCancelled
+			return
+		}
+		sys.Solve(r)
+		for i, d := range r {
+			x[i] += d
+		}
+		refining = u.record(s, ResidualBerr(a, r, work, x, b, extra))
+	}
+	if refining {
+		s.Exit = ExitMaxIter
+	}
 }
 
 // grow returns (*s)[:n], reallocating *s when it is too short.
@@ -279,110 +281,180 @@ func grow[T any](s *[]T, n int) []T {
 	return (*s)[:n]
 }
 
-// batch is the state of one blocked refinement. The vectors still
-// refining are act, in ascending order; the residual of act[q] — the
-// right-hand side of its next correction — is r[q*n : (q+1)*n], so the
-// survivors of every step are already packed for the next sweep.
+// batch is the state of a refinement of two or more vectors, kernels.Lanes
+// to a tile: tile k holds vectors k·Lanes … k·Lanes+Lanes-1, lane l being
+// vector k·Lanes+l, as three tiles, the iterate X, the right-hand side B
+// and the residual R, which each step sweeps in place into the
+// correction. Lanes past the last vector, and the lanes of vectors that
+// stopped (whose x was unpacked then), mirror a lane still refining
+// (kernels.MirrorLanes), so they cost nothing but their share of the
+// tile's passes.
 type batch struct {
 	a       *sparse.CSC
 	sys     System
-	n       int
-	x, b    []float64
-	r       []float64
-	work    []float64
-	tile    []float64
-	extra   bool
-	patient bool
-	tol     float64
-	act     []int
+	ts      tileSolver // nil: sys solves lane by lane
+	u       rule
 	st      []Stats
+	n       int
+	x, b    []float64 // the caller's vectors, packed with stride n
+	xt, bt  []float64 // the X and B tiles, tile k at [k·Lanes·n, (k+1)·Lanes·n)
+	rt      []float64 // the R tiles
+	d, comp []float64 // the residual pass's |A|·|X| and compensation tiles
+	vec     []float64 // one vector, for a sys without a tile sweep
 }
 
-// Refine is RefineMulti on the len(st) solutions packed in x, writing
-// vector v's outcome to st[v].
-func (ws *Workspace) Refine(st []Stats, a *sparse.CSC, sys System, x, b []float64, opts Options) {
-	maxIter := opts.MaxIter
-	if maxIter <= 0 {
-		maxIter = 10
+// newBatch cuts t for a refinement of len(st) ≥ 2 vectors.
+func newBatch(t *tiles, st []Stats, a *sparse.CSC, sys System, x, b []float64, u rule, extra bool) batch {
+	n := len(b) / len(st)
+	tn := kernels.Lanes * n
+	g := (len(st) + kernels.Lanes - 1) / kernels.Lanes
+	w := batch{a: a, sys: sys, u: u, st: st, n: n, x: x, b: b}
+	w.ts, _ = sys.(tileSolver)
+	size := 3*g*tn + tn
+	if extra {
+		size += tn
 	}
-	nrhs := len(st)
-	if nrhs == 0 {
-		return
+	if w.ts == nil {
+		size += n
 	}
-	n := len(b) / nrhs
-	w := batch{a: a, sys: sys, n: n, x: x, b: b, extra: opts.ExtraPrecision, patient: opts.Patient, tol: opts.BerrTol, st: st}
-	if w.tol <= 0 {
-		w.tol = lu.Eps
+	buf := grow(&t.buf, size)
+	w.xt, w.bt, w.rt, w.d = buf[:g*tn], buf[g*tn:2*g*tn], buf[2*g*tn:3*g*tn], buf[3*g*tn:3*g*tn+tn]
+	rest := buf[3*g*tn+tn:]
+	if extra {
+		w.comp, rest = rest[:tn], rest[tn:]
 	}
-	nwork := n
-	if w.extra {
-		nwork = 2 * n
-	}
-	w.tile, w.r, w.work = ws.slab(n, nrhs, nwork)
-	// The histories get their own slab: callers keep Stats.Berrs, and it
-	// must not pin the residual block.
-	stride := min(maxIter+1, historyCap)
-	hist := grow(&ws.hist, nrhs*stride)
-	w.act = grow(&ws.act, nrhs)[:0]
+	w.vec = rest
+	return w
+}
 
-	for v := range st {
-		be := ResidualBerr(a, w.r[len(w.act)*n:], w.work, x[v*n:(v+1)*n], b[v*n:(v+1)*n], w.extra)
-		st[v] = Stats{Berrs: append(hist[v*stride:v*stride:(v+1)*stride], be), FinalBerr: be}
-		if exit, stop := Stop(be, math.Inf(1), w.tol, w.patient); stop {
-			st[v].Exit, st[v].Converged = exit, exit == ExitConverged
-		} else {
-			w.act = append(w.act, v)
+// tile returns tile k's X, B and R, its first vector and how many it
+// holds.
+func (w *batch) tile(k int) (xt, bt, rt []float64, v0, m int) {
+	tn := kernels.Lanes * w.n
+	v0 = k * kernels.Lanes
+	m = min(kernels.Lanes, len(w.st)-v0)
+	return w.xt[k*tn : (k+1)*tn], w.bt[k*tn : (k+1)*tn], w.rt[k*tn : (k+1)*tn], v0, m
+}
+
+// live returns the lanes of tile k whose vectors are still refining.
+func (w *batch) live(k int) uint8 {
+	var live uint8
+	v0 := k * kernels.Lanes
+	for l, s := range w.st[v0:min(v0+kernels.Lanes, len(w.st))] {
+		if s.Exit == running {
+			live |= 1 << l
 		}
 	}
-	for step := 1; len(w.act) > 0 && step <= maxIter; step++ {
-		if opts.Cancel != nil && opts.Cancel() {
-			for _, v := range w.act {
-				st[v].Exit = ExitCancelled
-			}
+	return live
+}
+
+// run refines the batch: the tiles are packed (and, with solve, X swept
+// from B), then every step, cancel permitting, sweeps each tile's R,
+// adds it to X and measures the new residual, until every vector has
+// stopped.
+func (w *batch) run(solve bool, cancel func() bool) {
+	n, ntiles := w.n, (len(w.st)+kernels.Lanes-1)/kernels.Lanes
+	for k := 0; k < ntiles; k++ {
+		xt, bt, _, v0, m := w.tile(k)
+		kernels.PackTile(bt, w.b[v0*n:(v0+m)*n], n, m)
+		if solve {
+			copy(xt, bt)
+			w.sweep(xt, 1<<m-1)
+		} else {
+			kernels.PackTile(xt, w.x[v0*n:(v0+m)*n], n, m)
+		}
+		w.measure(k)
+	}
+	for step := 1; step <= w.u.maxIter; step++ {
+		refining := false
+		for k := 0; k < ntiles && !refining; k++ {
+			refining = w.live(k) != 0
+		}
+		if !refining {
 			return
 		}
-		w.step()
-		// Exactly the vectors this step corrected are at Steps == step.
-		for v := range st {
-			if st[v].Steps == step {
-				st[v].Berrs = append(st[v].Berrs, st[v].FinalBerr)
+		if cancel != nil && cancel() {
+			w.finish(ExitCancelled)
+			return
+		}
+		for k := 0; k < ntiles; k++ {
+			live := w.live(k)
+			if live == 0 {
+				continue
 			}
+			xt, _, rt, _, _ := w.tile(k)
+			w.sweep(rt, live)
+			for i, c := range rt {
+				xt[i] += c
+			}
+			w.measure(k)
 		}
 	}
-	for _, v := range w.act {
-		st[v].Exit = ExitMaxIter
+	w.finish(ExitMaxIter)
+}
+
+// sweep applies M⁻¹ to the lanes live of the tile t: the tile sweep when
+// sys has one (every lane), else Solve lane by lane, the other lanes
+// then mirroring the first live one.
+//
+//gesp:hotpath
+func (w *batch) sweep(t []float64, live uint8) {
+	if w.ts != nil {
+		w.ts.SolveTile(t)
+		return
+	}
+	for l := 0; l < kernels.Lanes; l++ {
+		if live&(1<<l) != 0 {
+			kernels.UnpackLane(w.vec, t, w.n, l)
+			w.sys.Solve(w.vec) //gesp:allocok a System without a tile sweep (SMW, GEPP rung) owns its solve's allocations
+			kernels.PackLane(t, w.vec, w.n, l)
+		}
+	}
+	if live != 1<<kernels.Lanes-1 {
+		kernels.MirrorLanes(t, w.n, bits.TrailingZeros8(live), ^live)
 	}
 }
 
-// step runs one refinement iteration on every active vector: one sweep
-// over the packed residuals, then per vector the update, the fused
-// residual/berr pass and the termination tests, writing each survivor's
-// new residual to the front of r.
+// measure runs the residual pass over tile k and records each refining
+// vector's berr. A vector that stops has its x unpacked. Every lane not
+// refining then mirrors the lowest one that is: its X and B from the
+// stop on, and its R after every pass (the pass may skip idle lanes),
+// so that it always holds that lane's values.
 //
 //gesp:hotpath
-func (w *batch) step() {
-	n, m := w.n, len(w.act)
-	SolveMulti(w.sys, w.r[:m*n], m, w.tile)
-	k := 0
-	for q, v := range w.act {
-		x := w.x[v*n : (v+1)*n]
-		for i, d := range w.r[q*n : (q+1)*n] {
-			x[i] += d
-		}
-		// Slot k ≤ q: its correction has been applied already.
-		be := ResidualBerr(w.a, w.r[k*n:(k+1)*n], w.work, x, w.b[v*n:(v+1)*n], w.extra)
-		s := &w.st[v]
-		prev := s.FinalBerr
-		s.Steps++
-		s.FinalBerr = be
-		if exit, stop := Stop(be, prev, w.tol, w.patient); stop {
-			s.Exit, s.Converged = exit, exit == ExitConverged
-		} else {
-			w.act[k] = v
-			k++
+func (w *batch) measure(k int) {
+	a, n := w.a, w.n
+	xt, bt, rt, v0, m := w.tile(k)
+	var be [kernels.Lanes]float64
+	kernels.ResidualTile(rt, w.d, w.comp, n, a.ColPtr, a.RowInd, a.Val, xt, bt, w.live(k), &be)
+	stopped := false
+	for l := 0; l < m; l++ {
+		if s := &w.st[v0+l]; s.Exit == running && !w.u.record(s, be[l]) {
+			kernels.UnpackLane(w.x[(v0+l)*n:(v0+l+1)*n], xt, n, l)
+			stopped = true
 		}
 	}
-	w.act = w.act[:k]
+	if live := w.live(k); live != 0 && live != 1<<kernels.Lanes-1 {
+		src := bits.TrailingZeros8(live)
+		if stopped {
+			kernels.MirrorLanes(xt, n, src, ^live)
+			kernels.MirrorLanes(bt, n, src, ^live)
+		}
+		kernels.MirrorLanes(rt, n, src, ^live)
+	}
+}
+
+// finish gives every vector still refining the exit exit and unpacks its
+// x.
+func (w *batch) finish(exit Exit) {
+	for v := range w.st {
+		if s := &w.st[v]; s.Exit == running {
+			s.Exit = exit
+			k, l := v/kernels.Lanes, v%kernels.Lanes
+			xt, _, _, _, _ := w.tile(k)
+			kernels.UnpackLane(w.x[v*w.n:(v+1)*w.n], xt, w.n, l)
+		}
+	}
 }
 
 // Stop is step (4)'s termination rule for a vector whose berr is be

@@ -23,7 +23,7 @@
 // recording which rungs ran, why each was entered, and what it cost.
 //
 // Rung 0 can run outside the ladder: core refines a whole block of
-// right-hand sides with refine.RefineMulti under Ladder.Rung0's options
+// right-hand sides in refine.Workspace's tiles under Ladder.Rung0's options
 // and hands each vector's Stats to Ladder.Escalate, so only the vectors
 // it leaves above tolerance climb, one at a time. Ladder.Solve runs rung
 // 0 itself on the ladder's refine.Workspace; its happy path — rung 0
@@ -311,8 +311,9 @@ func (l *Ladder) Solve(ctx context.Context, x, b []float64) (*Escalation, error)
 // when ctx ends or the rung's deadline, counted from start, passes.
 // A caller that runs rung 0 itself refines its solutions with them and
 // hands each vector's Stats to Escalate; core does so with one
-// refine.RefineMulti per block of right-hand sides, so the deadline then
-// covers the whole block.
+// refine.Workspace refinement per block of right-hand sides, so the
+// deadline then covers the whole block, its initial sweep included when
+// the block has two vectors or more.
 func (l *Ladder) Rung0(ctx context.Context, start time.Time) refine.Options {
 	return refine.Options{MaxIter: l.pol.MaxRefine, Cancel: l.cancel(ctx, start)}
 }

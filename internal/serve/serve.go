@@ -11,10 +11,11 @@
 // keyed by sparse.PatternHash, numeric factors keyed by pattern + value
 // fingerprints, LRU with a memory budget, singleflight so concurrent
 // misses factor once) and an RHS batcher per factor that coalesces
-// queued solves into one column-blocked multi-RHS triangular sweep
-// (lu.Factors.SolveMulti). Bounded queues shed load with explicit
-// errors instead of blocking. cmd/gesp-serve wraps this in an HTTP JSON
-// API and a closed-loop load generator.
+// queued solves into one batched solve (core.Solver.SolveBatch: sweeps
+// and refinement on tiles of eight right-hand sides, each factor and
+// matrix entry loaded once per tile). Bounded queues shed load with
+// explicit errors instead of blocking. cmd/gesp-serve wraps this in an
+// HTTP JSON API and a closed-loop load generator.
 package serve
 
 import (
