@@ -41,3 +41,17 @@
 // simulated distributed engine's virtual clock is fed the model's flop
 // counts, not anything measured here.
 package kernels
+
+import "math/bits"
+
+// Lanewise reports whether a tile whose live lanes are the set live is
+// cheaper handled one live lane at a time than by the tile kernels: so
+// it is on a CPU without the assembly bodies (useAVX2), where a tile
+// pass costs every lane's scalar work, once half the lanes or more are
+// idle. ResidualTile follows it; a caller with its own per-lane path
+// (refine's batched sweep) asks it.
+func Lanewise(live uint8) bool { return lanewise(live, useAVX2) }
+
+func lanewise(live uint8, avx bool) bool {
+	return !avx && bits.OnesCount8(live) <= Lanes/2
+}

@@ -601,7 +601,7 @@ func TestConcurrentReadOnlyOperands(t *testing.T) {
 			tile := make([]float64, Lanes*nt)
 			w := make([]float64, nw)
 			u := make([]float64, nc)
-			rr, rd, rc := make([]float64, Lanes*nt), make([]float64, Lanes*nt), make([]float64, Lanes*nt)
+			rr, rd, rw := make([]float64, Lanes*nt), make([]float64, Lanes*nt), make([]float64, Lanes*nt)
 			var berr [Lanes]float64
 			for iter := 0; iter < 50; iter++ {
 				MatMul(p, a, b, m, n, k)
@@ -610,12 +610,12 @@ func TestConcurrentReadOnlyOperands(t *testing.T) {
 					gr.fill(tile)
 					solveTileL(tile, nt, lptr, lind, lval, avx)
 					solveTileU(tile, nt, uptr, uind, uval, avx)
-					residualTile(rr, rd, nil, nt, ra.ptr, ra.ind, ra.val, tile, rb, 0xff, &berr, avx)
+					residualTile(rr, rd, rw, nt, ra.ptr, ra.ind, ra.val, tile, rb, 0xff, false, &berr, avx)
 					gr.fill(w)
 					spTriCols(w[:nc], run, runStart, u, avx)
 					spAxpyCols(w, runInd, run, runEnd, runU, avx)
 				}
-				residualTile(rr, rd, rc, nt, ra.ptr, ra.ind, ra.val, tile, rb, 0x13, &berr, false)
+				residualTile(rr, rd, rw, nt, ra.ptr, ra.ind, ra.val, tile, rb, 0x13, true, &berr, false)
 			}
 		}(uint64(g) + 100)
 	}
@@ -658,7 +658,7 @@ func TestKernelsZeroAlloc(t *testing.T) {
 	runStart := append([]int{0}, runEnd[:nc-1]...)
 	uOut := make([]float64, nc)
 	ra := residualMatrix(r, 32)
-	rb, rr, rd, rc := make([]float64, Lanes*32), make([]float64, Lanes*32), make([]float64, Lanes*32), make([]float64, Lanes*32)
+	rb, rr, rd, rw := make([]float64, Lanes*32), make([]float64, Lanes*32), make([]float64, Lanes*32), make([]float64, Lanes*32)
 	r.fill(rb)
 	var berr [Lanes]float64
 	res, work := make([]float64, 32), make([]float64, 64)
@@ -682,12 +682,12 @@ func TestKernelsZeroAlloc(t *testing.T) {
 		PackTile(tile, x, 32, 5)
 		SolveTileL(tile, 32, lptr, lind, lval)
 		SolveTileU(tile, 32, uptr, uind, uval)
-		ResidualTile(rr, rd, nil, 32, ra.ptr, ra.ind, ra.val, tile, rb, 0xff, &berr)
+		ResidualTile(rr, rd, rw, 32, ra.ptr, ra.ind, ra.val, tile, rb, 0xff, false, &berr)
 		for _, avx := range []bool{false, useAVX2} {
-			residualTile(rr, rd, nil, 32, ra.ptr, ra.ind, ra.val, tile, rb, 0xff, &berr, avx)
-			residualTile(rr, rd, nil, 32, ra.ptr, ra.ind, ra.val, tile, rb, 0x03, &berr, avx)
+			residualTile(rr, rd, rw, 32, ra.ptr, ra.ind, ra.val, tile, rb, 0xff, false, &berr, avx)
+			residualTile(rr, rd, rw, 32, ra.ptr, ra.ind, ra.val, tile, rb, 0x03, false, &berr, avx)
 		}
-		ResidualTile(rr, rd, rc, 32, ra.ptr, ra.ind, ra.val, tile, rb, 0x81, &berr)
+		ResidualTile(rr, rd, rw, 32, ra.ptr, ra.ind, ra.val, tile, rb, 0x81, true, &berr)
 		for _, extra := range []bool{false, true} {
 			ResidualBerr(ra.ptr, ra.ind, ra.val, res, work, x[:32], rb[:32], extra)
 		}

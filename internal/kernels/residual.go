@@ -1,9 +1,6 @@
 package kernels
 
-import (
-	"math"
-	"math/bits"
-)
+import "math"
 
 // The residual pass of step (4): r = b − A·x and the componentwise
 // backward error berr = max_i |r|_i / (|A|·|x| + |b|)_i, for one vector
@@ -116,42 +113,35 @@ func ResidualBerr(ptr, ind []int, val []float64, r, work, x, b []float64, extra 
 // tiles x and b (n rows each, interleaved by row as PackTile lays them
 // out), A being n×n in column form: it sets the tile r to b − A·x, the
 // tile d to |A|·|x| and berr[l] to lane l's backward error, with one
-// pass over A for every lane. comp, when not nil, is a further tile of
-// scratch, and the accumulation is then compensated (ResidualBerr's
-// extra, in the Go body on every CPU). Each lane in the set lanes (bit l
-// for lane l) gets exactly the bits ResidualBerr gives that vector
-// alone; the r, d and berr of the other lanes are unspecified (the
-// assembly computes them too, the Go bodies skip them when lanes holds
-// at most half the tile). Every row index of A must be below n (the
-// assembly does not check it). Nothing is allocated.
+// pass over A for every lane (a compensated pass, and a Lanewise one,
+// make ResidualBerr's own pass per lane in lanes). extra is
+// ResidualBerr's compensated accumulation; work is a
+// further tile of scratch. Each lane in the set lanes (bit l for lane l)
+// gets exactly the bits ResidualBerr gives that vector alone; the r, d
+// and berr of the other lanes are unspecified. Every row index of A
+// must be below n (the assembly does not check it). Nothing is
+// allocated.
 //
 //gesp:hotpath
-func ResidualTile(r, d, comp []float64, n int, ptr, ind []int, val []float64, x, b []float64, lanes uint8, berr *[Lanes]float64) {
-	residualTile(r, d, comp, n, ptr, ind, val, x, b, lanes, berr, useAVX2)
+func ResidualTile(r, d, work []float64, n int, ptr, ind []int, val []float64, x, b []float64, lanes uint8, extra bool, berr *[Lanes]float64) {
+	residualTile(r, d, work, n, ptr, ind, val, x, b, lanes, extra, berr, useAVX2)
 }
 
 // residualTile is ResidualTile with the bodies chosen by avx: the
 // assembly accumulate and berr passes when true, their Go twins when
-// false (the tests run both).
+// false (the tests run both). A Lanewise tile, and a compensated pass,
+// run ResidualBerr on each lane in lanes alone (residualEach).
 //
 //gesp:hotpath
-func residualTile(r, d, comp []float64, n int, ptr, ind []int, val []float64, x, b []float64, lanes uint8, berr *[Lanes]float64, avx bool) {
+func residualTile(r, d, work []float64, n int, ptr, ind []int, val []float64, x, b []float64, lanes uint8, extra bool, berr *[Lanes]float64, avx bool) {
 	r, d, x, b = r[:Lanes*n], d[:Lanes*n], x[:Lanes*n], b[:Lanes*n]
 	ptr = ptr[:n+1]
-	extra := comp != nil
-	if extra {
-		comp = comp[:Lanes*n]
-		clear(comp)
+	if extra || lanewise(lanes, avx) {
+		residualEach(r, d, work[:Lanes*n], n, ptr, ind, val, x, b, lanes, extra, berr)
+		return
 	}
 	clear(r)
 	clear(d)
-	// The Go all-lane body does every lane's work; with half the lanes
-	// idle or more, each needed lane alone is cheaper.
-	avx = avx && !extra
-	perLane := extra || !avx && bits.OnesCount8(lanes) <= Lanes/2
-	if !avx && !perLane {
-		lanes = 1<<Lanes - 1
-	}
 	for j := 0; j < n; j++ {
 		if avx {
 			// The assembly runs up to the next column with a zero lane.
@@ -161,8 +151,8 @@ func residualTile(r, d, comp []float64, n int, ptr, ind []int, val []float64, x,
 		}
 		xj := (*[Lanes]float64)(x[j*Lanes:])
 		lo, hi := ptr[j], ptr[j+1]
-		if perLane || anyZero(xj) {
-			residualLanes(r, d, comp, ind[lo:hi], val[lo:hi], xj, lanes)
+		if anyZero(xj) {
+			residualLanes(r, d, ind[lo:hi], val[lo:hi], xj)
 		} else {
 			residualColumn(r, d, ind[lo:hi], val[lo:hi], xj)
 		}
@@ -171,7 +161,7 @@ func residualTile(r, d, comp []float64, n int, ptr, ind []int, val []float64, x,
 	if avx {
 		nan, inf = residualBerrAVX2(r, d, b, berr)
 	} else {
-		nan, inf = residualBerr(r, d, comp, b, lanes, berr)
+		nan, inf = residualBerr(r, d, b, berr)
 	}
 	for l := range berr {
 		switch {
@@ -179,6 +169,29 @@ func residualTile(r, d, comp []float64, n int, ptr, ind []int, val []float64, x,
 			berr[l] = math.NaN()
 		case inf&(1<<l) != 0:
 			berr[l] = math.Inf(1)
+		}
+	}
+}
+
+// residualEach is the tile pass as ResidualBerr on each lane in lanes
+// alone: the lane's x and b are unpacked into work, which holds them and
+// ResidualBerr's r and scratch (5n floats with extra, else 4n), and its
+// r and |A|·|x| are packed back. Its berr of the other lanes is zero.
+//
+//gesp:hotpath
+func residualEach(r, d, work []float64, n int, ptr, ind []int, val []float64, x, b []float64, lanes uint8, extra bool, berr *[Lanes]float64) {
+	xv, bv, rv, wv := work[:n], work[n:2*n], work[2*n:3*n], work[3*n:]
+	*berr = [Lanes]float64{}
+	for l := 0; l < Lanes; l++ {
+		if lanes&(1<<l) == 0 {
+			continue
+		}
+		for i := range xv {
+			xv[i], bv[i] = x[i*Lanes+l], b[i*Lanes+l]
+		}
+		berr[l] = ResidualBerr(ptr, ind, val, rv, wv, xv, bv, extra)
+		for i, ri := range rv {
+			r[i*Lanes+l], d[i*Lanes+l] = ri, wv[i]
 		}
 	}
 }
@@ -227,73 +240,44 @@ func residualColumn(r, d []float64, ind []int, val []float64, x *[Lanes]float64)
 	}
 }
 
-// residualLanes applies one column of A to each lane of the set lanes
-// alone, by ResidualBerr's three cases: |A|·|x| only where the lane's x
-// is zero, the compensated accumulation where comp is not nil, the plain
-// one otherwise.
+// residualLanes applies one column of A to each lane alone, by
+// ResidualBerr's two cases: |A|·|x| only where the lane's x is zero,
+// both products otherwise.
 //
 //gesp:hotpath
-func residualLanes(r, d, comp []float64, ind []int, val []float64, x *[Lanes]float64, lanes uint8) {
+func residualLanes(r, d []float64, ind []int, val []float64, x *[Lanes]float64) {
 	val = val[:len(ind)]
 	for l, xl := range x {
-		if lanes&(1<<l) == 0 {
-			continue
-		}
 		axl := math.Abs(xl)
-		switch {
-		case xl == 0:
+		if xl == 0 {
 			for q, i := range ind {
 				d[i*Lanes+l] += math.Abs(val[q]) * axl
 			}
-		case comp == nil:
-			for q, i := range ind {
-				k := i*Lanes + l
-				r[k] += val[q] * xl
-				d[k] += math.Abs(val[q]) * axl
-			}
-		default:
-			for q, i := range ind {
-				k := i*Lanes + l
-				v := val[q]
-				p := v * xl
-				e := math.FMA(v, xl, -p)
-				s := r[k] + p
-				bv := s - r[k]
-				err := (r[k] - (s - bv)) + (p - bv)
-				r[k] = s
-				comp[k] += err + e
-				d[k] += math.Abs(v) * axl
-			}
+			continue
+		}
+		for q, i := range ind {
+			k := i*Lanes + l
+			r[k] += val[q] * xl
+			d[k] += math.Abs(val[q]) * axl
 		}
 	}
 }
 
 // residualBerr is the berr pass of the tile, the Go twin of
-// residualBerrAVX2, over the lanes in the set lanes, one lane at a time:
-// r becomes b − r (− comp), berr the per-lane maximum of |r|/(d + |b|)
-// over the rows with a positive denominator, and the two masks the
-// lanes with a NaN row and those with an overflowed residual or a
-// nonzero residual over a zero denominator, which ResidualTile turns
-// into berr NaN and +Inf.
+// residualBerrAVX2, one lane at a time: r becomes b − r, berr the
+// per-lane maximum of |r|/(d + |b|) over the rows with a positive
+// denominator, and the two masks the lanes with a NaN row and those with
+// an overflowed residual or a nonzero residual over a zero denominator,
+// which ResidualTile turns into berr NaN and +Inf.
 //
 //gesp:hotpath
-func residualBerr(r, d, comp, b []float64, lanes uint8, berr *[Lanes]float64) (nan, inf uint8) {
+func residualBerr(r, d, b []float64, berr *[Lanes]float64) (nan, inf uint8) {
 	r, d = r[:len(b)], d[:len(b)]
-	if comp != nil {
-		comp = comp[:len(b)]
-	}
-	*berr = [Lanes]float64{}
 	for l := 0; l < Lanes; l++ {
-		if lanes&(1<<l) == 0 {
-			continue
-		}
 		be := 0.0
 		for k := l; k < len(b); k += Lanes {
 			bk := b[k]
 			rk := bk - r[k]
-			if comp != nil {
-				rk -= comp[k]
-			}
 			r[k] = rk
 			rk = math.Abs(rk)
 			dk := d[k] + math.Abs(bk)

@@ -17,5 +17,5 @@ func residualRunAVX2(r, d []float64, ptr, ind []int, val, x []float64, j int) in
 
 // residualBerrAVX2 is never called off amd64; it forwards to the Go body.
 func residualBerrAVX2(r, d, b []float64, berr *[Lanes]float64) (nan, inf uint8) {
-	return residualBerr(r, d, nil, b, 1<<Lanes-1, berr)
+	return residualBerr(r, d, b, berr)
 }

@@ -88,7 +88,7 @@ func Run(scale float64, quick bool) (*File, error) {
 	// The batched refinement's residual pass: one walk over A for a tile
 	// of kernels.Lanes iterates, r = b − A·x, |A|·|x| and each lane's
 	// berr (two products and two sums per entry and lane).
-	rtile, dtile := make([]float64, kernels.Lanes*n), make([]float64, kernels.Lanes*n)
+	rtile, dtile, wtile := make([]float64, kernels.Lanes*n), make([]float64, kernels.Lanes*n), make([]float64, kernels.Lanes*n)
 	xtile, btile := make([]float64, kernels.Lanes*n), make([]float64, kernels.Lanes*n)
 	for i := range xtile {
 		xtile[i], btile[i] = 0.5+rng.Float64(), rng.NormFloat64()
@@ -98,7 +98,7 @@ func Run(scale float64, quick bool) (*File, error) {
 		name: "kernel/residual-tile/" + Matrix, class: "kernel", hot: true, measAll: true,
 		flops: float64(4 * kernels.Lanes * len(ap.Val)), iters: 1,
 		fn: func() {
-			kernels.ResidualTile(rtile, dtile, nil, n, ap.ColPtr, ap.RowInd, ap.Val, xtile, btile, 1<<kernels.Lanes-1, &berr)
+			kernels.ResidualTile(rtile, dtile, wtile, n, ap.ColPtr, ap.RowInd, ap.Val, xtile, btile, 1<<kernels.Lanes-1, false, &berr)
 		},
 	})
 

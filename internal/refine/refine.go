@@ -115,7 +115,7 @@ func Berr(a *sparse.CSC, x, b []float64) float64 {
 func Refine(a *sparse.CSC, sys System, x, b []float64, opts Options) Stats {
 	var st [1]Stats
 	var ws Workspace
-	ws.vector(st[:], a, sys, x, b, opts, false)
+	ws.vector(st[:], a, sys, x, b, opts)
 	return st[0]
 }
 
@@ -170,27 +170,32 @@ var tilePool = sync.Pool{New: func() any { return new(tiles) }}
 const running Exit = -1
 
 // Refine is RefineMulti on the len(st) solutions packed in x, writing
-// vector v's outcome to st[v].
+// vector v's outcome to st[v]. A single vector is refined on its own,
+// with ResidualBerr and Solve; two or more run in tiles.
 func (ws *Workspace) Refine(st []Stats, a *sparse.CSC, sys System, x, b []float64, opts Options) {
-	ws.refine(st, a, sys, x, b, opts, false)
+	switch len(st) {
+	case 0:
+	case 1:
+		ws.vector(st, a, sys, x, b, opts)
+	default:
+		ws.tiled(st, a, sys, x, b, opts, false)
+	}
 }
 
 // SolveRefine is Refine from M⁻¹b: it overwrites the len(st) vectors
-// packed in x with sys applied to those of b, then refines them. A batch
-// packs b into its tiles once, runs the initial sweep there and unpacks
-// x once, each vector when it stops.
+// packed in x with sys applied to those of b, then refines them, all in
+// tiles: b is packed once, the initial sweep runs there and each x is
+// unpacked once, when it stops. It is meant for batches; a single vector
+// is cheaper swept with Solve and refined with Refine.
 func (ws *Workspace) SolveRefine(st []Stats, a *sparse.CSC, sys System, x, b []float64, opts Options) {
-	ws.refine(st, a, sys, x, b, opts, true)
+	if len(st) > 0 {
+		ws.tiled(st, a, sys, x, b, opts, true)
+	}
 }
 
-func (ws *Workspace) refine(st []Stats, a *sparse.CSC, sys System, x, b []float64, opts Options, solve bool) {
-	switch len(st) {
-	case 0:
-		return
-	case 1:
-		ws.vector(st, a, sys, x, b, opts, solve)
-		return
-	}
+// tiled runs the refinement of the len(st) vectors in x in tiles
+// borrowed from tilePool, with solve from M⁻¹b.
+func (ws *Workspace) tiled(st []Stats, a *sparse.CSC, sys System, x, b []float64, opts Options, solve bool) {
 	t := tilePool.Get().(*tiles)
 	w := newBatch(t, st, a, sys, x, b, ws.start(st, opts), opts.ExtraPrecision)
 	w.run(solve, opts.Cancel)
@@ -241,14 +246,10 @@ func (u *rule) record(s *Stats, be float64) (refining bool) {
 	return true
 }
 
-// vector is the loop on the single vector of st: with solve the initial
-// sweep, then per step one Solve and one fused residual/berr pass.
-func (ws *Workspace) vector(st []Stats, a *sparse.CSC, sys System, x, b []float64, opts Options, solve bool) {
+// vector is the loop on the single vector of st: per step one Solve and
+// one fused residual/berr pass.
+func (ws *Workspace) vector(st []Stats, a *sparse.CSC, sys System, x, b []float64, opts Options) {
 	u, s := ws.start(st, opts), &st[0]
-	if solve {
-		copy(x, b)
-		sys.Solve(x)
-	}
 	n, extra := len(b), opts.ExtraPrecision
 	nwork := n
 	if extra {
@@ -294,36 +295,26 @@ type batch struct {
 	sys     System
 	ts      tileSolver // nil: sys solves lane by lane
 	u       rule
+	extra   bool // compensated residuals
 	st      []Stats
 	n       int
 	x, b    []float64 // the caller's vectors, packed with stride n
 	xt, bt  []float64 // the X and B tiles, tile k at [k·Lanes·n, (k+1)·Lanes·n)
 	rt      []float64 // the R tiles
-	d, comp []float64 // the residual pass's |A|·|X| and compensation tiles
-	vec     []float64 // one vector, for a sys without a tile sweep
+	d, work []float64 // the residual pass's |A|·|X| and scratch tiles
+	vec     []float64 // one vector, for a sweep lane by lane
 }
 
-// newBatch cuts t for a refinement of len(st) ≥ 2 vectors.
+// newBatch cuts t for a refinement of the len(st) vectors.
 func newBatch(t *tiles, st []Stats, a *sparse.CSC, sys System, x, b []float64, u rule, extra bool) batch {
 	n := len(b) / len(st)
 	tn := kernels.Lanes * n
 	g := (len(st) + kernels.Lanes - 1) / kernels.Lanes
-	w := batch{a: a, sys: sys, u: u, st: st, n: n, x: x, b: b}
+	w := batch{a: a, sys: sys, u: u, extra: extra, st: st, n: n, x: x, b: b}
 	w.ts, _ = sys.(tileSolver)
-	size := 3*g*tn + tn
-	if extra {
-		size += tn
-	}
-	if w.ts == nil {
-		size += n
-	}
-	buf := grow(&t.buf, size)
-	w.xt, w.bt, w.rt, w.d = buf[:g*tn], buf[g*tn:2*g*tn], buf[2*g*tn:3*g*tn], buf[3*g*tn:3*g*tn+tn]
-	rest := buf[3*g*tn+tn:]
-	if extra {
-		w.comp, rest = rest[:tn], rest[tn:]
-	}
-	w.vec = rest
+	buf := grow(&t.buf, (3*g+2)*tn+n)
+	w.xt, w.bt, w.rt = buf[:g*tn], buf[g*tn:2*g*tn], buf[2*g*tn:3*g*tn]
+	w.d, w.work, w.vec = buf[3*g*tn:(3*g+1)*tn], buf[(3*g+1)*tn:(3*g+2)*tn], buf[(3*g+2)*tn:]
 	return w
 }
 
@@ -394,39 +385,43 @@ func (w *batch) run(solve bool, cancel func() bool) {
 }
 
 // sweep applies M⁻¹ to the lanes live of the tile t: the tile sweep when
-// sys has one (every lane), else Solve lane by lane, the other lanes
-// then mirroring the first live one.
+// sys has one (every lane) and the tile is not kernels.Lanewise, else
+// Solve lane by lane, the other lanes then mirroring the first live one
+// unless the tile is Lanewise. A Lanewise tile stays so, since lanes
+// only stop, and then no tile kernel reads an idle lane again.
 //
 //gesp:hotpath
 func (w *batch) sweep(t []float64, live uint8) {
-	if w.ts != nil {
+	one := kernels.Lanewise(live)
+	if w.ts != nil && !one {
 		w.ts.SolveTile(t)
 		return
 	}
 	for l := 0; l < kernels.Lanes; l++ {
 		if live&(1<<l) != 0 {
 			kernels.UnpackLane(w.vec, t, w.n, l)
-			w.sys.Solve(w.vec) //gesp:allocok a System without a tile sweep (SMW, GEPP rung) owns its solve's allocations
+			w.sys.Solve(w.vec) //gesp:allocok a System without a tile sweep (SMW, GEPP rung) owns its solve's allocations; the factors' Solve makes none
 			kernels.PackLane(t, w.vec, w.n, l)
 		}
 	}
-	if live != 1<<kernels.Lanes-1 {
+	if live != 1<<kernels.Lanes-1 && !one {
 		kernels.MirrorLanes(t, w.n, bits.TrailingZeros8(live), ^live)
 	}
 }
 
 // measure runs the residual pass over tile k and records each refining
-// vector's berr. A vector that stops has its x unpacked. Every lane not
-// refining then mirrors the lowest one that is: its X and B from the
-// stop on, and its R after every pass (the pass may skip idle lanes),
-// so that it always holds that lane's values.
+// vector's berr. A vector that stops has its x unpacked. Unless the tile
+// is kernels.Lanewise, every lane not refining then mirrors the lowest
+// one that is: its X and B from the stop on, and its R after every pass
+// (the pass may skip idle lanes), so that it always holds that lane's
+// values.
 //
 //gesp:hotpath
 func (w *batch) measure(k int) {
 	a, n := w.a, w.n
 	xt, bt, rt, v0, m := w.tile(k)
 	var be [kernels.Lanes]float64
-	kernels.ResidualTile(rt, w.d, w.comp, n, a.ColPtr, a.RowInd, a.Val, xt, bt, w.live(k), &be)
+	kernels.ResidualTile(rt, w.d, w.work, n, a.ColPtr, a.RowInd, a.Val, xt, bt, w.live(k), w.extra, &be)
 	stopped := false
 	for l := 0; l < m; l++ {
 		if s := &w.st[v0+l]; s.Exit == running && !w.u.record(s, be[l]) {
@@ -434,7 +429,7 @@ func (w *batch) measure(k int) {
 			stopped = true
 		}
 	}
-	if live := w.live(k); live != 0 && live != 1<<kernels.Lanes-1 {
+	if live := w.live(k); live != 0 && live != 1<<kernels.Lanes-1 && !kernels.Lanewise(live) {
 		src := bits.TrailingZeros8(live)
 		if stopped {
 			kernels.MirrorLanes(xt, n, src, ^live)
