@@ -55,7 +55,7 @@ checktest:
 #    retry/hedge failover, the prober-only rejoin path;
 #  - coordinator-HA chaos: leader election, fenced replication, registry
 #    takeover and the redirect-following client under a real leader
-#    SIGKILL, and the SLO controller's promote/spawn/drain convergence
+#    SIGKILL, and the SLO controller's promote/demote convergence
 #    against an injected straggler;
 #  - a short run of the fleetproc and ha ablations, so the end-to-end
 #    pipelines (spawn, load, kill, detect, fail over, report) stay wired.

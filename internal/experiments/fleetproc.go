@@ -41,7 +41,7 @@ type FleetProcResult struct {
 // single-machine stand-in for a network partition).
 func fleetProcArm(pool []poolSystem, rc fleetrpc.Config, chaos string, l load) (FleetProcResult, error) {
 	const shards = 3
-	procs, err := fleetrpc.SpawnShards(shards, fleetrpc.ShardConf{})
+	procs, err := fleetrpc.SpawnShards(shards)
 	if err != nil {
 		return FleetProcResult{}, fmt.Errorf("experiments: spawn shards: %w", err)
 	}

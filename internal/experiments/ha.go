@@ -53,7 +53,7 @@ type HAResult struct {
 // the straggle clears and the arm waits for the demote).
 func haArm(pool []poolSystem, coords int, tmpl fleetha.ConfigureRequest, chaos string, l load) (HAResult, error) {
 	const shards = 3
-	sp, err := fleetrpc.SpawnShards(shards, fleetrpc.ShardConf{})
+	sp, err := fleetrpc.SpawnShards(shards)
 	if err != nil {
 		return HAResult{}, fmt.Errorf("experiments: spawn shards: %w", err)
 	}

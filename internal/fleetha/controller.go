@@ -6,9 +6,9 @@ import (
 )
 
 // The SLO controller closes the loop the ROADMAP left open: the fleet
-// already publishes a p999 latency histogram, heal rate, hedge spend,
-// and per-shard queue depth; this turns them into replica promotions
-// and shard scaling. It is a pure state machine — Step consumes one
+// already publishes a p999 latency histogram, heal rate and hedge
+// spend; this turns them into replica promotions and demotions. It is
+// a pure state machine — Step consumes one
 // window of signals and returns the decisions for that window — so a
 // recorded signal trace replays to the identical decision sequence
 // (Replay), and the no-flap guarantee is a property of the code, not
@@ -34,8 +34,8 @@ type ControllerConfig struct {
 	// a streak is a trend.
 	BreachAfter int `json:"breach_after,omitempty"`
 	ClearAfter  int `json:"clear_after,omitempty"`
-	// CooldownWindows is the post-action freeze: after any promote,
-	// demote, spawn, or drain the controller holds for this many
+	// CooldownWindows is the post-action freeze: after any promote or
+	// demote the controller holds for this many
 	// windows so the action's effect can reach the histogram before
 	// the next decision. 0 takes 4.
 	CooldownWindows int `json:"cooldown_windows,omitempty"`
@@ -45,13 +45,6 @@ type ControllerConfig struct {
 	MaxBoost int `json:"max_boost,omitempty"`
 	// HotK is how many top patterns are promotion candidates (0 takes 2).
 	HotK int `json:"hot_k,omitempty"`
-	// SpawnQueueDepth escalates from replica promotion to shard
-	// spawning: when the deepest shard queue reaches it during a
-	// breach and every hot pattern is already at MaxBoost, the
-	// controller asks the Scaler for a new shard. 0 disables spawning.
-	SpawnQueueDepth int64 `json:"spawn_queue_depth,omitempty"`
-	// MaxShards bounds spawning (0 disables spawning too).
-	MaxShards int `json:"max_shards,omitempty"`
 	// MinWindowSamples gates decisions on statistical weight: windows
 	// with fewer samples neither breach nor clear (0 takes 20). An
 	// idle fleet must not demote its way out of a provisioned state on
@@ -99,13 +92,10 @@ type Signals struct {
 	// HedgeDenied the hedge launches the budget refused.
 	HealRate    float64 `json:"heal_rate"`
 	HedgeDenied uint64  `json:"hedge_denied"`
-	// QueueDepth is the deepest per-shard queue the prober saw.
-	QueueDepth int64 `json:"queue_depth"`
 	// HotPatterns are the top routed patterns (descending); Boosted the
-	// patterns currently promoted; Shards the live shard count.
+	// patterns currently promoted.
 	HotPatterns []uint64 `json:"hot_patterns,omitempty"`
 	Boosted     []uint64 `json:"boosted,omitempty"`
-	Shards      int      `json:"shards"`
 }
 
 // Action is one controller verb.
@@ -114,8 +104,6 @@ type Action string
 const (
 	ActPromote Action = "promote" // widen a hot pattern's placement by one replica
 	ActDemote  Action = "demote"  // restore a pattern to configured replication
-	ActSpawn   Action = "spawn"   // add a shard process
-	ActDrain   Action = "drain"   // drain a controller-spawned shard
 )
 
 // Decision is one structured trace record: everything needed to audit
@@ -125,7 +113,6 @@ type Decision struct {
 	Action  Action        `json:"action"`
 	Pattern uint64        `json:"pattern,omitempty"` // promote/demote target
 	Boost   int           `json:"boost,omitempty"`   // promote: resulting extra replicas
-	ShardID int           `json:"shard_id,omitempty"`
 	P999    time.Duration `json:"p999_ns"`
 	Reason  string        `json:"reason"`
 }
@@ -145,13 +132,6 @@ type Controller struct {
 	boosts map[uint64]int
 	// promoteOrder remembers promotion order for LIFO demotion.
 	promoteOrder []uint64
-	// spawned counts controller-added shards still live. It is bumped
-	// by NoteSpawned — i.e. only after the apply layer actually spawned
-	// and registered the shard — not when the Spawn decision is emitted,
-	// so a failed spawn cannot leave the model ahead of reality (which
-	// would turn later clear windows into no-op drains, each burning a
-	// full cooldown).
-	spawned int
 }
 
 // NewController builds a controller; cfg.SLO must be positive.
@@ -159,8 +139,7 @@ func NewController(cfg ControllerConfig) *Controller {
 	return &Controller{cfg: cfg.fill(), boosts: make(map[uint64]int)}
 }
 
-// Step advances one window and returns the decisions (usually zero or
-// one; a breach escalation can both promote and note the escalation).
+// Step advances one window and returns the decisions (zero or one).
 // Pure over its inputs and prior Steps: no clocks, no randomness.
 func (c *Controller) Step(sig Signals) []Decision {
 	c.window++
@@ -205,10 +184,10 @@ func (c *Controller) Step(sig Signals) []Decision {
 	return nil
 }
 
-// escalate picks the cheapest remedy not yet exhausted: widen the
-// hottest under-boosted pattern, then — when every candidate is at
-// MaxBoost and the queues say the fleet is saturated rather than
-// skewed — add a shard.
+// escalate widens the hottest under-boosted pattern. With every
+// candidate at MaxBoost it has nothing left to do: the ladder holds
+// until the breach clears, since the fleet's membership is fixed at
+// start.
 func (c *Controller) escalate(sig Signals) *Decision {
 	k := c.cfg.HotK
 	if k > len(sig.HotPatterns) {
@@ -232,30 +211,11 @@ func (c *Controller) escalate(sig Signals) *Decision {
 			Reason:  fmt.Sprintf("p999 %v > SLO %v for %d windows; widening hottest pattern to +%d", sig.P999, c.cfg.SLO, c.cfg.BreachAfter, c.boosts[p]),
 		}
 	}
-	if c.cfg.SpawnQueueDepth > 0 && c.cfg.MaxShards > 0 &&
-		sig.QueueDepth >= c.cfg.SpawnQueueDepth && sig.Shards < c.cfg.MaxShards {
-		return &Decision{
-			Window: c.window,
-			Action: ActSpawn,
-			P999:   sig.P999,
-			Reason: fmt.Sprintf("p999 %v > SLO %v with queue depth %d >= %d and every hot pattern at max boost; adding a shard", sig.P999, c.cfg.SLO, sig.QueueDepth, c.cfg.SpawnQueueDepth),
-		}
-	}
 	return nil
 }
 
-// relax unwinds the newest remedy: drain the newest spawned shard
-// first (it holds the least history), then demote promotions LIFO.
+// relax unwinds the newest remedy: it demotes promotions LIFO.
 func (c *Controller) relax(sig Signals) *Decision {
-	if c.spawned > 0 {
-		c.spawned--
-		return &Decision{
-			Window: c.window,
-			Action: ActDrain,
-			P999:   sig.P999,
-			Reason: fmt.Sprintf("p999 %v <= %.0f%% of SLO for %d windows; draining newest controller shard", sig.P999, 100*c.cfg.ClearFraction, c.cfg.ClearAfter),
-		}
-	}
 	for i := len(c.promoteOrder) - 1; i >= 0; i-- {
 		p := c.promoteOrder[i]
 		if c.boosts[p] == 0 {
@@ -277,31 +237,15 @@ func (c *Controller) relax(sig Signals) *Decision {
 // Window reports how many windows have been stepped.
 func (c *Controller) Window() int { return c.window }
 
-// NoteSpawned confirms a Spawn decision took effect: the apply layer
-// calls it after the Scaler produced a shard and the fleet registered
-// it. A Spawn whose apply failed is never noted, so the controller's
-// next breach window re-decides instead of believing in a shard that
-// does not exist — and its clear windows demote promotions rather
-// than emitting drains with nothing to drain.
-func (c *Controller) NoteSpawned() { c.spawned++ }
-
 // Replay runs a fresh controller over a recorded signal trace and
 // returns the full decision sequence — byte-for-byte what the live
 // controller decided, because Step is pure. This is the audit story:
-// persist the Signals, reproduce the Decisions. Replay assumes every
-// Spawn decision was applied successfully (it notes them itself); a
-// live run whose spawn failed diverges from that point, visibly, in
-// the absence of the corresponding drain.
+// persist the Signals, reproduce the Decisions.
 func Replay(cfg ControllerConfig, trace []Signals) []Decision {
 	c := NewController(cfg)
 	var out []Decision
 	for _, sig := range trace {
-		for _, d := range c.Step(sig) {
-			if d.Action == ActSpawn {
-				c.NoteSpawned()
-			}
-			out = append(out, d)
-		}
+		out = append(out, c.Step(sig)...)
 	}
 	return out
 }

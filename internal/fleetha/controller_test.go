@@ -15,14 +15,12 @@ func ctrlConfig() ControllerConfig {
 		CooldownWindows:  3,
 		MaxBoost:         2,
 		HotK:             2,
-		SpawnQueueDepth:  8,
-		MaxShards:        4,
 		MinWindowSamples: 10,
 	}
 }
 
 func breachSig(p999 time.Duration) Signals {
-	return Signals{P999: p999, Samples: 100, HotPatterns: []uint64{0xAA, 0xBB}, Shards: 2}
+	return Signals{P999: p999, Samples: 100, HotPatterns: []uint64{0xAA, 0xBB}}
 }
 
 // TestControllerConvergence walks the acceptance scenario: a
@@ -89,9 +87,9 @@ func assertNoFlap(t *testing.T, ds []Decision, cooldown int) {
 	t.Helper()
 	dir := func(a Action) int {
 		switch a {
-		case ActPromote, ActSpawn:
+		case ActPromote:
 			return +1
-		case ActDemote, ActDrain:
+		case ActDemote:
 			return -1
 		}
 		return 0
@@ -106,78 +104,41 @@ func assertNoFlap(t *testing.T, ds []Decision, cooldown int) {
 	}
 }
 
-// stepNoting steps the controller and, like the live apply layer on a
-// successful spawn, confirms any Spawn decision with NoteSpawned.
-func stepNoting(c *Controller, sig Signals) []Decision {
-	ds := c.Step(sig)
-	for _, d := range ds {
-		if d.Action == ActSpawn {
-			c.NoteSpawned()
+// TestControllerHoldsAtMaxBoost: a sustained breach promotes each hot
+// pattern up to MaxBoost — hottest first — and then the ladder holds:
+// with every candidate at max boost there is nothing left to escalate
+// to, so further breach windows decide nothing. When the breach
+// clears, the promotions unwind newest first.
+func TestControllerHoldsAtMaxBoost(t *testing.T) {
+	cfg := ctrlConfig()
+	c := NewController(cfg)
+	sig := breachSig(80 * time.Millisecond)
+	var ups []Decision
+	for i := 0; i < 60; i++ {
+		ups = append(ups, c.Step(sig)...)
+	}
+	if n := countAction(ups, ActPromote); n != 2*cfg.MaxBoost || len(ups) != n {
+		t.Fatalf("sustained breach decided %+v, want exactly %d promotes", ups, 2*cfg.MaxBoost)
+	}
+	for i, want := range []uint64{0xAA, 0xAA, 0xBB, 0xBB} {
+		if ups[i].Pattern != want || ups[i].Boost != i%2+1 {
+			t.Fatalf("promote %d = %+v, want pattern %#x to boost %d", i, ups[i], want, i%2+1)
 		}
 	}
-	return ds
-}
+	if last := ups[len(ups)-1].Window; last > 60-cfg.CooldownWindows-cfg.BreachAfter {
+		t.Fatalf("last promote at window %d: the test never saw the ladder hold", last)
+	}
 
-// TestControllerEscalatesToSpawn: when every hot pattern is at
-// MaxBoost and queues are deep, the next breach spawns a shard; when
-// the breach clears, the drain comes before any demote (LIFO).
-func TestControllerEscalatesToSpawn(t *testing.T) {
-	cfg := ctrlConfig()
-	c := NewController(cfg)
-	sig := breachSig(80 * time.Millisecond)
-	sig.QueueDepth = 20
-	var got []Decision
-	for i := 0; i < 60 && countAction(got, ActSpawn) == 0; i++ {
-		got = append(got, stepNoting(c, sig)...)
-	}
-	if countAction(got, ActSpawn) != 1 {
-		t.Fatalf("no spawn after sustained breach at max boost: %+v", got)
-	}
-	// both hot patterns must have been fully boosted first
-	if n := countAction(got, ActPromote); n != 2*cfg.MaxBoost {
-		t.Fatalf("spawn before exhausting boosts: %d promotes, want %d", n, 2*cfg.MaxBoost)
-	}
-	// clear: first relax must be the drain
 	clear := breachSig(10 * time.Millisecond)
 	var downs []Decision
-	for i := 0; i < 60 && len(downs) == 0; i++ {
+	for i := 0; i < 60; i++ {
 		downs = append(downs, c.Step(clear)...)
 	}
-	if len(downs) == 0 || downs[0].Action != ActDrain {
-		t.Fatalf("first relax = %+v, want drain", downs)
+	if len(downs) != 2 || downs[0].Action != ActDemote || downs[0].Pattern != 0xBB ||
+		downs[1].Action != ActDemote || downs[1].Pattern != 0xAA {
+		t.Fatalf("after clear: %+v, want demote 0xBB then 0xAA", downs)
 	}
-	assertNoFlap(t, append(got, downs...), cfg.CooldownWindows)
-}
-
-// TestControllerSpawnFailureNotCounted: a Spawn decision whose apply
-// failed (no NoteSpawned) must not enter the controller's model — the
-// first relax after the clear must demote a promotion, not emit a
-// drain against a shard that never existed.
-func TestControllerSpawnFailureNotCounted(t *testing.T) {
-	cfg := ctrlConfig()
-	c := NewController(cfg)
-	sig := breachSig(80 * time.Millisecond)
-	sig.QueueDepth = 20
-	var got []Decision
-	// breach to the spawn decision, but never confirm it — the apply
-	// layer's Scaler failed
-	for i := 0; i < 60 && countAction(got, ActSpawn) == 0; i++ {
-		got = append(got, c.Step(sig)...)
-	}
-	if countAction(got, ActSpawn) != 1 {
-		t.Fatalf("no spawn decision emitted: %+v", got)
-	}
-	clear := breachSig(10 * time.Millisecond)
-	var downs []Decision
-	for i := 0; i < 60 && len(downs) == 0; i++ {
-		downs = append(downs, c.Step(clear)...)
-	}
-	if len(downs) == 0 {
-		t.Fatal("no relax decision after the clear")
-	}
-	if downs[0].Action != ActDemote {
-		t.Fatalf("first relax = %s, want demote (a failed spawn must not be drained)", downs[0].Action)
-	}
+	assertNoFlap(t, append(ups, downs...), cfg.CooldownWindows)
 }
 
 func countAction(ds []Decision, a Action) int {

@@ -2,7 +2,6 @@ package fleetha
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -32,40 +31,12 @@ func (s slowShard) Solve(ctx context.Context, h serve.Handle, b []float64) ([]fl
 	return s.Shard.Solve(ctx, h, b)
 }
 
-// localScaler provisions in-process shards and records what it was
-// asked to retire.
-type localScaler struct {
-	mu      sync.Mutex
-	svcs    []*serve.Service
-	spawned []string
-	drained []string
-}
-
-func (s *localScaler) Spawn() (fleetrpc.Shard, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	svc := serve.New(serve.DefaultConfig())
-	s.svcs = append(s.svcs, svc)
-	addr := fmt.Sprintf("spawned-%d", len(s.spawned))
-	s.spawned = append(s.spawned, addr)
-	return fleetrpc.NewLocalShard(addr, svc), nil
-}
-
-func (s *localScaler) Drain(addr string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.drained = append(s.drained, addr)
-	return nil
-}
-
 // TestControllerLoopOverLocalShards runs the leader's control loop —
 // signal gathering, the pure controller, decision application — over
-// in-process shards and a fake Scaler, no processes and no election:
-// stragglers breach the SLO, the loop must promote the hot pattern,
-// then (queues still deep at max boost) spawn a shard through the
-// Scaler and add it to the fleet, and once the straggle clears drain
-// exactly that shard. The same trace TestHAControllerSpawn asserts
-// against real processes.
+// in-process shards, no processes and no election: stragglers breach
+// the SLO, the loop must promote the hot pattern and the fleet widen
+// it, and once the straggle clears demote it again. The same trace
+// TestHASLOBreach asserts against real processes.
 func TestControllerLoopOverLocalShards(t *testing.T) {
 	delay := new(atomic.Int64)
 	svcs := []*serve.Service{serve.New(serve.DefaultConfig()), serve.New(serve.DefaultConfig())}
@@ -79,22 +50,20 @@ func TestControllerLoopOverLocalShards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scaler := &localScaler{}
 	t.Cleanup(func() {
 		fl.Close()
-		for _, svc := range append(svcs, scaler.svcs...) {
+		for _, svc := range svcs {
 			svc.Close()
 		}
 	})
 
-	// Wide SLO margins, as in TestHAControllerSpawn: the histogram's
+	// Wide SLO margins, as in TestHASLOBreach: the histogram's
 	// power-of-two buckets put a 50ms straggle at 65.5ms and a healthy
 	// solve, even under -race, far below the 10ms clear threshold.
 	n := &Node{
 		cfg: Config{
-			Peers:  []string{"self"},
-			Scaler: scaler,
-			Logf:   t.Logf,
+			Peers: []string{"self"},
+			Logf:  t.Logf,
 			Controller: &ControllerConfig{
 				SLO:              20 * time.Millisecond,
 				Window:           40 * time.Millisecond,
@@ -103,8 +72,6 @@ func TestControllerLoopOverLocalShards(t *testing.T) {
 				CooldownWindows:  1,
 				MaxBoost:         1,
 				HotK:             1,
-				SpawnQueueDepth:  1, // any queue at max boost escalates
-				MaxShards:        3,
 				MinWindowSamples: 1,
 			},
 		},
@@ -156,29 +123,26 @@ func TestControllerLoopOverLocalShards(t *testing.T) {
 			time.Sleep(5 * time.Millisecond)
 		}
 	}
-	if d := awaitAction(ActSpawn); d.Window > 10 {
-		t.Fatalf("spawn took until window %d, want within 10; trace: %+v", d.Window, n.Trace())
+	if d := awaitAction(ActPromote); d.Window > 10 {
+		t.Fatalf("promote took until window %d, want within 10; trace: %+v", d.Window, n.Trace())
 	}
-	if got := fl.Addrs(); len(got) != 3 || got[2] != "spawned-0" {
-		t.Fatalf("spawned shard never joined the fleet: members %v", got)
+	if got := fl.Boosted(); len(got) != 1 || got[0] != h.Key.Pattern {
+		t.Fatalf("fleet boosted %v after the promote, want the submitted pattern %#x", got, h.Key.Pattern)
 	}
 	delay.Store(0)
-	awaitAction(ActDrain)
+	awaitAction(ActDemote)
 
 	var acts []Action
 	for _, d := range n.Trace() {
 		acts = append(acts, d.Action)
 	}
-	if len(acts) < 3 || acts[0] != ActPromote || acts[1] != ActSpawn || acts[2] != ActDrain {
-		t.Fatalf("trace %v, want promote, spawn, drain", acts)
+	if len(acts) != 2 || acts[0] != ActPromote || acts[1] != ActDemote {
+		t.Fatalf("trace %v, want promote, demote", acts)
 	}
-	if len(scaler.drained) != 1 || scaler.drained[0] != "spawned-0" {
-		t.Fatalf("scaler retired %v, want exactly the shard it spawned", scaler.drained)
+	if got := fl.Boosted(); len(got) != 0 {
+		t.Fatalf("fleet still boosts %v after the demote", got)
 	}
-	if m := fl.Members()[2]; m.State != "dead" {
-		t.Fatalf("drained shard is %s in the fleet, want dead", m.State)
-	}
-	if st := fl.Stats(); st.Promotions != 1 || st.ScaleUps != 1 || st.Drains != 1 {
-		t.Fatalf("fleet saw promotions=%d scale-ups=%d drains=%d, want 1/1/1", st.Promotions, st.ScaleUps, st.Drains)
+	if st := fl.Stats(); st.Promotions != 1 || st.Demotions != 1 {
+		t.Fatalf("fleet saw promotions=%d demotions=%d, want 1/1", st.Promotions, st.Demotions)
 	}
 }

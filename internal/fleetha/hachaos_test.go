@@ -6,7 +6,6 @@ package fleetha_test
 
 import (
 	"context"
-	"encoding/json"
 	"math/rand"
 	"os"
 	"sync"
@@ -40,7 +39,7 @@ type haSystem struct {
 // every coordinator.
 func haChaosCluster(t *testing.T, nShards, nCoords int, template fleetha.ConfigureRequest) (*faultsim.ProcSet, *faultsim.ProcSet, *fleetha.Client) {
 	t.Helper()
-	shards, err := fleetrpc.SpawnShards(nShards, fleetrpc.ShardConf{})
+	shards, err := fleetrpc.SpawnShards(nShards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,8 +257,10 @@ func TestHASLOBreach(t *testing.T) {
 	if testing.Short() {
 		t.Skip("process chaos: skipped in -short")
 	}
-	// SLO/clear margins sized for -race and power-of-two histogram
-	// buckets, as in TestHAControllerSpawn below.
+	// Wide SLO margins: under -race a genuine solve can cost tens of
+	// ms, and the latency histogram's power-of-two buckets mean the
+	// post-clear p999 lands on 16.4ms or 32.8ms — the clear threshold
+	// (SLO/2 = 35ms) must sit above both.
 	ctrl := &fleetha.ControllerConfig{
 		SLO:              70 * time.Millisecond,
 		Window:           150 * time.Millisecond,
@@ -361,9 +362,9 @@ func TestHASLOBreach(t *testing.T) {
 	}
 	dir := func(a fleetha.Action) int {
 		switch a {
-		case fleetha.ActPromote, fleetha.ActSpawn:
+		case fleetha.ActPromote:
 			return +1
-		case fleetha.ActDemote, fleetha.ActDrain:
+		case fleetha.ActDemote:
 			return -1
 		}
 		return 0
@@ -377,173 +378,4 @@ func TestHASLOBreach(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestHAControllerSpawn exercises the scale-out path in-process: a
-// leader node with a real SpawnShards-backed Scaler must spawn a shard
-// when queues stay deep at max boost, and drain it when the breach
-// clears. The parent owns the proc set, so no grandchildren leak.
-func TestHAControllerSpawn(t *testing.T) {
-	if testing.Short() {
-		t.Skip("process chaos: skipped in -short")
-	}
-	shards, err := fleetrpc.SpawnShards(2, fleetrpc.ShardConf{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(shards.Close)
-
-	scaler := &procScaler{}
-	t.Cleanup(scaler.close)
-	fcfg := fleetrpc.DefaultConfig(nil)
-	fcfg.ProbeInterval = 20 * time.Millisecond
-	node, err := fleetha.NewNode(fleetha.Config{
-		ID:        0,
-		Peers:     []string{"127.0.0.1:0"}, // self only; no live peers
-		Shards:    shards.Addrs(),
-		Lease:     100 * time.Millisecond,
-		Heartbeat: 25 * time.Millisecond,
-		Fleet:     fcfg,
-		Scaler:    scaler,
-		// Wide SLO margins: under -race a genuine solve can cost tens of
-		// ms, and the latency histogram's power-of-two buckets mean the
-		// post-clear p999 lands on 16.4ms or 32.8ms — the clear threshold
-		// (SLO/2 = 35ms) must sit above both.
-		Controller: &fleetha.ControllerConfig{
-			SLO:              70 * time.Millisecond,
-			Window:           120 * time.Millisecond,
-			BreachAfter:      1,
-			ClearAfter:       1,
-			CooldownWindows:  1,
-			MaxBoost:         1,
-			HotK:             1,
-			SpawnQueueDepth:  1, // any queue at max boost escalates
-			MaxShards:        3,
-			MinWindowSamples: 1,
-		},
-		Logf: t.Logf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(node.Close)
-
-	deadline := time.Now().Add(5 * time.Second)
-	for node.Role() != fleetha.Leader {
-		if time.Now().After(deadline) {
-			t.Fatal("single node never led")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-
-	ctx := context.Background()
-	for _, addr := range shards.Addrs() {
-		if err := fleetrpc.NewClient(addr).SetChaosDelay(ctx, 100); err != nil {
-			t.Fatal(err)
-		}
-	}
-	gen, _ := matgen.Lookup("SHERMAN4")
-	a := gen.Generate(0.25)
-	b := make([]float64, a.Rows)
-	for i := range b {
-		b[i] = 1
-	}
-	h, err := node.Submit(ctx, fleetrpc.WireMatrix(a))
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, err := json.Marshal(fleetrpc.SolveRequest{Handle: h.String(), B: b})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	start := time.Now()
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for w := 0; w < 6; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				sctx, cancel := context.WithTimeout(ctx, 10*time.Second)
-				node.SolveWire(sctx, h, body) //gesp:errok — load generator; failures surface via trace assertions
-				cancel()
-			}
-		}()
-	}
-	defer func() { close(stop); wg.Wait() }()
-
-	// The in-flight count makes the congestion visible the moment the
-	// straggle bites, so escalation is a matter of windows, not luck:
-	// promote, one cooldown, spawn.
-	awaitAction := func(act fleetha.Action) fleetha.Decision {
-		t.Helper()
-		for {
-			for _, d := range node.Trace() {
-				if d.Action == act {
-					return d
-				}
-			}
-			if time.Since(start) > 4*time.Second {
-				t.Fatalf("no %s within 4s; trace: %+v", act, node.Trace())
-			}
-			time.Sleep(20 * time.Millisecond)
-		}
-	}
-	if d := awaitAction(fleetha.ActSpawn); d.Window > 10 {
-		t.Fatalf("spawn took until window %d, want within 10; trace: %+v", d.Window, node.Trace())
-	}
-
-	// clear the straggle → controller must drain the spawn
-	for _, addr := range shards.Addrs() {
-		if err := fleetrpc.NewClient(addr).SetChaosDelay(ctx, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	awaitAction(fleetha.ActDrain)
-}
-
-// procScaler is a Scaler backed by real shard child processes, owned
-// by the test parent.
-type procScaler struct {
-	mu   sync.Mutex
-	sets []*faultsim.ProcSet
-}
-
-func (s *procScaler) Spawn() (fleetrpc.Shard, error) {
-	set, err := fleetrpc.SpawnShards(1, fleetrpc.ShardConf{})
-	if err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	s.sets = append(s.sets, set)
-	s.mu.Unlock()
-	return fleetrpc.NewClient(set.Addrs()[0]), nil
-}
-
-func (s *procScaler) Drain(addr string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i, set := range s.sets {
-		if len(set.Addrs()) == 1 && set.Addrs()[0] == addr {
-			set.Close()
-			s.sets = append(s.sets[:i], s.sets[i+1:]...)
-			return nil
-		}
-	}
-	return nil
-}
-
-func (s *procScaler) close() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, set := range s.sets {
-		set.Close()
-	}
-	s.sets = nil
 }

@@ -44,14 +44,6 @@ import (
 // deployments degenerate gracefully — the only follower holds every
 // acked entry, so it may claim alone).
 
-// Scaler provisions shards for the SLO controller. Spawn returns the
-// new shard; Drain retires the one previously spawned whose Addr is
-// addr (called after the fleet has drained it from the ring).
-type Scaler interface {
-	Spawn() (fleetrpc.Shard, error)
-	Drain(addr string) error
-}
-
 // Role is a node's election position.
 type Role int32
 
@@ -91,9 +83,6 @@ type Config struct {
 	Fleet fleetrpc.Config
 	// Controller, when non-nil, runs the SLO control loop on the leader.
 	Controller *ControllerConfig
-	// Scaler backs the controller's spawn/drain decisions; nil disables
-	// them (promote/demote still run).
-	Scaler Scaler
 	// Clock is the node's time source (WallClock when nil).
 	Clock Clock
 	// Seed drives election jitter; 0 takes ID+1 so co-started nodes
@@ -168,8 +157,6 @@ type Node struct {
 	prevLatTotal uint64
 	//gesp:guardedby:mu
 	prevStats fleetrpc.Stats
-	//gesp:guardedby:mu
-	spawnedShards []spawnedShard
 
 	// reg is the node's registry for its lifetime: follower apply, the
 	// election's read-quorum merge and the leader's fleet all write it.
@@ -195,15 +182,6 @@ func (p *haPeer) call(lease time.Duration, method, path, contentType string, bod
 	ctx, cancel := context.WithTimeout(context.Background(), lease/2)
 	defer cancel()
 	return fleetrpc.DoBytes(ctx, p.hc, method, "http://"+p.addr+path, contentType, body)
-}
-
-// spawnedShard records one controller-spawned shard by the member id
-// AddMember assigned it — drains go by id, not by address, because
-// member ids are append-only while an OS-recycled port can make a new
-// shard reuse a dead member's address.
-type spawnedShard struct {
-	id   int
-	addr string
 }
 
 // submitAcksNeeded is how many follower acks a submit requires before

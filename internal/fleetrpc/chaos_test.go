@@ -38,7 +38,7 @@ type chaosSystem struct {
 // fast failure detection, then submits and warms the named systems.
 func chaosFleet(t *testing.T, n int, names []string) (*faultsim.ProcSet, *fleetrpc.Fleet, []chaosSystem) {
 	t.Helper()
-	procs, err := fleetrpc.SpawnShards(n, fleetrpc.ShardConf{})
+	procs, err := fleetrpc.SpawnShards(n)
 	if err != nil {
 		t.Fatal(err)
 	}

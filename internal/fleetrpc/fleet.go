@@ -31,6 +31,15 @@ const maxReplication = 4
 // recovered shard's next transient error waits Base, not Max.
 const backoffSickCap = 4
 
+// probeJitter widens each prober tick by up to ±this fraction of
+// ProbeInterval, so N coordinators started together do not
+// synchronize their probe bursts against the same shard.
+const probeJitter = 0.2
+
+// submitTimeout bounds one matrix submit: a cold submit runs analysis
+// and numeric factorization, legitimately far slower than any solve.
+const submitTimeout = 30 * time.Second
+
 // Config parameterizes the router.
 type Config struct {
 	// Shards are the initial members — Dial(addrs) for gesp-serve
@@ -50,11 +59,6 @@ type Config struct {
 	// ProbeInterval is the health-check period (50ms when <=0): every
 	// member is probed concurrently each tick.
 	ProbeInterval time.Duration
-	// ProbeJitter widens each prober tick by up to ±this fraction of
-	// ProbeInterval, so N coordinators started together do not
-	// synchronize their probe bursts against the same shard. 0 takes
-	// 0.2; negative disables jitter (tests that count exact ticks).
-	ProbeJitter float64
 	// ProbeTimeout bounds one health check (4x ProbeInterval
 	// when <=0). A SIGSTOPped shard accepts the connection and then
 	// hangs, so the timeout — not a refused connect — is what detects a
@@ -74,10 +78,6 @@ type Config struct {
 	// <=0) — the per-attempt slice of the overall deadline budget, which
 	// the caller's context owns.
 	RequestTimeout time.Duration
-	// SubmitTimeout bounds one matrix submit (30s when <=0): a cold
-	// submit runs analysis and numeric factorization, legitimately far
-	// slower than any solve.
-	SubmitTimeout time.Duration
 
 	// HedgeAfter launches a budget-gated hedge to the first replica when
 	// the primary hasn't answered within this duration. <=0 disables
@@ -137,12 +137,6 @@ func (c *Config) fillDefaults() {
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = 50 * time.Millisecond
 	}
-	switch {
-	case c.ProbeJitter == 0:
-		c.ProbeJitter = 0.2
-	case c.ProbeJitter < 0:
-		c.ProbeJitter = 0
-	}
 	if c.ProbeTimeout <= 0 {
 		c.ProbeTimeout = 4 * c.ProbeInterval
 	}
@@ -155,9 +149,6 @@ func (c *Config) fillDefaults() {
 	c.Retry = c.Retry.fill()
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 2 * time.Second
-	}
-	if c.SubmitTimeout <= 0 {
-		c.SubmitTimeout = 30 * time.Second
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -176,11 +167,9 @@ type Fleet struct {
 	// windowed snapshots of it are the SLO controller's p999 signal.
 	lat fleet.LatHist
 
-	// members is the membership table, copy-on-write: AddMember swaps in
-	// an extended copy so readers (prober, placement) iterate a
-	// consistent snapshot without a lock. Member ids are indexes and
-	// never change; existing *member values are shared between copies.
-	members atomic.Pointer[[]*member]
+	// members is the membership table, fixed at New: member ids are
+	// indexes into it, and only each member's health state changes.
+	members []*member
 
 	// ring is the current placement over non-dead member ids;
 	// immutable, rebuilt and swapped atomically on every membership
@@ -247,7 +236,7 @@ func New(cfg Config) (*Fleet, error) {
 			members[id].markDead(now)
 		}
 	}
-	f.members.Store(&members)
+	f.members = members
 	// A takeover coordinator re-homes its inherited registry under its
 	// own ring before traffic needs the factors; the shards' caches make
 	// the duplicate submits lookups, not refactors.
@@ -267,44 +256,16 @@ func (f *Fleet) Close() {
 	f.wg.Wait()
 }
 
-// memberList snapshots the copy-on-write membership table. Ids are
-// stable indexes into the snapshot.
-func (f *Fleet) memberList() []*member { return *f.members.Load() }
-
-// AddMember grows the fleet with a new shard and returns its id. The
-// ring rebuild places it immediately; the background re-replication
-// then moves the patterns it now owns onto it. This is the SLO
-// controller's scale-up knob.
-func (f *Fleet) AddMember(sh Shard) (int, error) {
-	if f.closed.Load() {
-		return 0, serve.ErrClosed
-	}
-	f.mu.Lock()
-	old := f.memberList()
-	id := len(old)
-	grown := make([]*member, id+1)
-	copy(grown, old)
-	grown[id] = newMember(id, sh, time.Now())
-	f.members.Store(&grown)
-	f.mu.Unlock()
-	f.m.scaleUps.Add(1)
-	f.rebalance()
-	return id, nil
-}
-
 // probeWait is the jittered pause before the next probe sweep: the
-// configured interval widened by up to ±ProbeJitter of itself, drawn
+// configured interval widened by up to ±probeJitter of itself, drawn
 // from the seeded source. Fleets of coordinators started in the same
 // millisecond drift apart instead of stampeding every shard's health
 // endpoint in lockstep.
 func (f *Fleet) probeWait() time.Duration {
-	if f.cfg.ProbeJitter == 0 {
-		return f.cfg.ProbeInterval
-	}
 	f.mu.Lock()
 	u := f.rng.Float64()
 	f.mu.Unlock()
-	return jitterInterval(f.cfg.ProbeInterval, f.cfg.ProbeJitter, u)
+	return jitterInterval(f.cfg.ProbeInterval, probeJitter, u)
 }
 
 // jitterInterval spreads base over [base*(1-frac), base*(1+frac)] by
@@ -326,7 +287,7 @@ func (f *Fleet) prober() {
 			return
 		case <-t.C:
 			var wg sync.WaitGroup
-			for _, mb := range f.memberList() {
+			for _, mb := range f.members {
 				wg.Add(1)
 				go func(mb *member) {
 					defer wg.Done()
@@ -395,9 +356,9 @@ func (f *Fleet) noteFailure(mb *member, now time.Time) {
 }
 
 // rebalance follows every membership change — a death, a rejoin, a
-// drain, a new member: rebuild placement, then re-replicate the
-// registry under the new ring so every pattern's factors exist at its
-// (possibly new) owner and replicas before traffic needs them.
+// drain: rebuild placement, then re-replicate the registry under the
+// new ring so every pattern's factors exist at its (possibly new)
+// owner and replicas before traffic needs them.
 func (f *Fleet) rebalance() {
 	f.rebuildRing()
 	f.rereplicateWhere(func(uint64) bool { return true })
@@ -405,9 +366,8 @@ func (f *Fleet) rebalance() {
 
 // liveRing computes the ring over the non-dead members.
 func (f *Fleet) liveRing() *fleet.Ring {
-	members := f.memberList()
-	ids := make([]int, 0, len(members))
-	for _, mb := range members {
+	ids := make([]int, 0, len(f.members))
+	for _, mb := range f.members {
 		if mb.currentState() != StateDead {
 			ids = append(ids, mb.id)
 		}
@@ -488,7 +448,7 @@ func (f *Fleet) populate(ctx context.Context, placement []*member, m Matrix) (h 
 
 // submitTo factors m on mb under the submit deadline.
 func (f *Fleet) submitTo(ctx context.Context, mb *member, m Matrix) (serve.Handle, error) {
-	sctx, cancel := context.WithTimeout(ctx, f.cfg.SubmitTimeout)
+	sctx, cancel := context.WithTimeout(ctx, submitTimeout)
 	defer cancel()
 	h, err := mb.sh.Submit(sctx, m)
 	f.noteResult(mb, err)
@@ -599,14 +559,13 @@ var healthiestFirst = [...]MemberState{StateAlive, StateSuspect}
 // better holds the factors.
 func (f *Fleet) placementInto(dst []*member, pattern uint64) int {
 	ring := f.ring.Load()
-	members := f.memberList()
 	var ids [maxReplication]int
 	rf := f.replWidth(pattern)
 	n := ring.ReplicasInto(ids[:rf], pattern)
 	k := 0
 	for _, want := range healthiestFirst {
 		for i := 0; i < n && k < len(dst); i++ {
-			if mb := members[ids[i]]; mb.currentState() == want {
+			if mb := f.members[ids[i]]; mb.currentState() == want {
 				dst[k] = mb
 				k++
 			}
@@ -902,11 +861,11 @@ func (f *Fleet) solveDegraded(ctx context.Context, h serve.Handle, b []float64) 
 	}
 	lastErr := error(ErrNoLiveShards)
 	for _, want := range healthiestFirst {
-		for _, mb := range f.memberList() {
+		for _, mb := range f.members {
 			if mb.currentState() != want {
 				continue
 			}
-			dctx, cancel := context.WithTimeout(ctx, f.cfg.SubmitTimeout)
+			dctx, cancel := context.WithTimeout(ctx, submitTimeout)
 			x, err := mb.sh.SolveDegraded(dctx, m, b)
 			cancel()
 			f.noteResult(mb, err)
@@ -934,16 +893,15 @@ func (f *Fleet) solveDegraded(ctx context.Context, h serve.Handle, b []float64) 
 func (f *Fleet) Drain(ctx context.Context, id int) error {
 	f.drainMu.Lock()
 	defer f.drainMu.Unlock()
-	members := f.memberList()
-	if id < 0 || id >= len(members) {
+	if id < 0 || id >= len(f.members) {
 		return fmt.Errorf("fleetrpc: no member %d", id)
 	}
-	mb := members[id]
+	mb := f.members[id]
 	if mb.currentState() == StateDead {
 		return fmt.Errorf("fleetrpc: member %d is already dead or drained", id)
 	}
 	live := 0
-	for _, other := range members {
+	for _, other := range f.members {
 		if other.currentState() != StateDead {
 			live++
 		}
@@ -963,9 +921,8 @@ func (f *Fleet) Drain(ctx context.Context, id int) error {
 // Members snapshots every member's health state.
 func (f *Fleet) Members() []MemberStatus {
 	now := time.Now()
-	members := f.memberList()
-	out := make([]MemberStatus, 0, len(members))
-	for _, mb := range members {
+	out := make([]MemberStatus, 0, len(f.members))
+	for _, mb := range f.members {
 		out = append(out, mb.status(now))
 	}
 	return out
@@ -974,9 +931,8 @@ func (f *Fleet) Members() []MemberStatus {
 // Addrs lists every member's address, id order — dead ones included,
 // so the HA layer can stream the full topology to followers.
 func (f *Fleet) Addrs() []string {
-	members := f.memberList()
-	out := make([]string, len(members))
-	for i, mb := range members {
+	out := make([]string, len(f.members))
+	for i, mb := range f.members {
 		out[i] = mb.sh.Addr()
 	}
 	return out
@@ -985,7 +941,7 @@ func (f *Fleet) Addrs() []string {
 // DeadIDs lists the members currently dead or drained, ascending.
 func (f *Fleet) DeadIDs() []int {
 	var out []int
-	for _, mb := range f.memberList() {
+	for _, mb := range f.members {
 		if mb.currentState() == StateDead {
 			out = append(out, mb.id)
 		}
@@ -1008,18 +964,6 @@ func (f *Fleet) RingGen() uint64 { return f.ringGen.Load() }
 // controller diffs consecutive snapshots into per-window quantiles.
 func (f *Fleet) LatSnapshot() (counts [fleet.LatBuckets]uint64, total uint64) {
 	return f.lat.Snapshot()
-}
-
-// MaxQueueDepth is the deepest member's MemberStatus.QueueDepth — the
-// SLO controller's congestion signal.
-func (f *Fleet) MaxQueueDepth() int64 {
-	var depth int64
-	for _, mb := range f.memberList() {
-		if d := mb.queueDepth(); d > depth {
-			depth = d
-		}
-	}
-	return depth
 }
 
 // Stats snapshots the router counters and membership.

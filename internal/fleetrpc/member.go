@@ -50,12 +50,12 @@ type MemberStatus struct {
 	State     string    `json:"state"`
 	Failures  int       `json:"failures"`
 	ChangedAt time.Time `json:"changed_at"`
-	// QueueDepth is the SLO controller's congestion signal: the larger
-	// of the shard's queued-work gauge at its latest healthy probe and
-	// the solves this coordinator has in flight to it right now. The
-	// probe is a point sample of the shard's batcher, which a request
-	// held up before it reaches the queue never occupies; the in-flight
-	// count sees that request for as long as it is outstanding.
+	// QueueDepth is the member's congestion gauge: the larger of the
+	// shard's queued-work gauge at its latest healthy probe and the
+	// solves this coordinator has in flight to it right now. The probe
+	// is a point sample of the shard's batcher, which a request held up
+	// before it reaches the queue never occupies; the in-flight count
+	// sees that request for as long as it is outstanding.
 	QueueDepth int64         `json:"queue_depth"`
 	Sickness   time.Duration `json:"-"` // time since leaving alive; 0 when alive
 }
@@ -107,14 +107,6 @@ func (m *member) noteHealth(res HealthResponse) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.lastQueue = res.QueueDepth
-}
-
-// queueDepth is max(last probed queue gauge, solves in flight).
-func (m *member) queueDepth() int64 {
-	m.mu.Lock()
-	depth := m.lastQueue
-	m.mu.Unlock()
-	return max(depth, m.inflight.Load())
 }
 
 // reportFailure counts one failed probe or transport-failed request

@@ -29,17 +29,11 @@ import (
 const ChildKindShard = "shard"
 
 // ShardConf is what the parent passes each child shard through the
-// environment. Zero values take the serve defaults.
+// environment; the shard itself runs on the serve defaults.
 type ShardConf struct {
 	// Kind discriminates child flavors sharing one binary; empty and
 	// ChildKindShard both mean "solve shard".
 	Kind string `json:"kind,omitempty"`
-	// MaxFactors caps the shard's factor cache (small values force the
-	// eviction/heal path under chaos).
-	MaxFactors int `json:"max_factors,omitempty"`
-	// MaxBatch/QueueCap tune the shard's batcher.
-	MaxBatch int `json:"max_batch,omitempty"`
-	QueueCap int `json:"queue_cap,omitempty"`
 }
 
 // ChildKind decodes the kind tag from a re-exec payload ("" for
@@ -77,16 +71,6 @@ func runShard(raw string) error {
 	if err := json.Unmarshal([]byte(raw), &conf); err != nil {
 		return fmt.Errorf("bad shard conf: %w", err)
 	}
-	cfg := serve.DefaultConfig()
-	if conf.MaxFactors > 0 {
-		cfg.MaxFactors = conf.MaxFactors
-	}
-	if conf.MaxBatch > 0 {
-		cfg.MaxBatch = conf.MaxBatch
-	}
-	if conf.QueueCap > 0 {
-		cfg.QueueCap = conf.QueueCap
-	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return err
@@ -95,7 +79,7 @@ func runShard(raw string) error {
 	// The ready line is the parent's only synchronization point; it
 	// must go out after the listener is accepting.
 	faultsim.AnnounceReady(addr)
-	return http.Serve(ln, WithChaosDelay(NewLocalShard(addr, serve.New(cfg)).Mux()))
+	return http.Serve(ln, WithChaosDelay(NewLocalShard(addr, serve.New(serve.DefaultConfig())).Mux()))
 }
 
 // WithChaosDelay wraps a shard mux with a runtime-settable straggler
@@ -145,11 +129,8 @@ func (c *Client) SetChaosDelay(ctx context.Context, ms int64) error {
 // SpawnShards re-executes the current binary n times as shard
 // processes (each must reach RunShardIfChild) and waits for each to
 // report its listen address.
-func SpawnShards(n int, conf ShardConf) (*faultsim.ProcSet, error) {
-	if conf.Kind == "" {
-		conf.Kind = ChildKindShard
-	}
-	payload, err := json.Marshal(conf)
+func SpawnShards(n int) (*faultsim.ProcSet, error) {
+	payload, err := json.Marshal(ShardConf{Kind: ChildKindShard})
 	if err != nil {
 		return nil, fmt.Errorf("chaos: encode shard conf: %w", err)
 	}

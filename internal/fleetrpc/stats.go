@@ -27,7 +27,6 @@ type metrics struct {
 	rereplicated atomic.Uint64 // successful re-home submits after membership changes
 	promotions   atomic.Uint64 // pattern replication boosts (SLO controller)
 	demotions    atomic.Uint64 // pattern boosts removed
-	scaleUps     atomic.Uint64 // members added at runtime (AddMember)
 }
 
 // Stats is a point-in-time router snapshot.
@@ -53,7 +52,6 @@ type Stats struct {
 	Rereplicated uint64 `json:"rereplicated"`
 	Promotions   uint64 `json:"promotions"`
 	Demotions    uint64 `json:"demotions"`
-	ScaleUps     uint64 `json:"scale_ups"`
 
 	// RingGen is the placement epoch (rebuild count); Promoted the
 	// number of currently boosted patterns; RegistryLen the registered
@@ -89,7 +87,6 @@ func (m *metrics) snapshot() Stats {
 		Rereplicated: m.rereplicated.Load(),
 		Promotions:   m.promotions.Load(),
 		Demotions:    m.demotions.Load(),
-		ScaleUps:     m.scaleUps.Load(),
 	}
 }
 
@@ -119,8 +116,8 @@ func (s Stats) String() string {
 		s.Routed, s.Retries, s.Failovers, s.Hedged, s.HedgeWins, s.HedgeDenied, s.Resubmits, s.Degraded, s.Failed)
 	fmt.Fprintf(&b, "probes %d (%d failed)  deaths %d  rejoins %d  drains %d  ring rebuilds %d (gen %d)  re-replicated %d\n",
 		s.Probes, s.ProbeFails, s.Deaths, s.Rejoins, s.Drains, s.Rebuilds, s.RingGen, s.Rereplicated)
-	fmt.Fprintf(&b, "promotions %d  demotions %d  scale-ups %d  boosted %d  registry %d  p50 %v  p99 %v  p999 %v\n",
-		s.Promotions, s.Demotions, s.ScaleUps, s.Promoted, s.RegistryLen, s.P50, s.P99, s.P999)
+	fmt.Fprintf(&b, "promotions %d  demotions %d  boosted %d  registry %d  p50 %v  p99 %v  p999 %v\n",
+		s.Promotions, s.Demotions, s.Promoted, s.RegistryLen, s.P50, s.P99, s.P999)
 	for _, m := range s.Members {
 		fmt.Fprintf(&b, "member %d %s [%s] failures %d queue %d\n", m.ID, m.Addr, m.State, m.Failures, m.QueueDepth)
 	}

@@ -523,9 +523,6 @@ func (l *Ladder) geppSystem() *geppSystem {
 	return l.gepp
 }
 
-// GEPPError returns the cached rung-4 refactorization failure, if any.
-func (l *Ladder) GEPPError() error { return l.geppErr }
-
 // preconditioner adapts a refine.System to krylov.Preconditioner.
 type preconditioner struct{ sys refine.System }
 
