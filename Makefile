@@ -52,7 +52,9 @@ checktest:
 #    fails loudly;
 #  - process-kill chaos: the fleet over real shard processes under real
 #    SIGKILL and SIGSTOP — re-exec'd shards, health-checked membership,
-#    retry/hedge failover, the prober-only rejoin path;
+#    retry/hedge failover, the prober-only rejoin path — and the re-exec
+#    harness itself (children serve on sockets the parent bound for
+#    them, and a killed child's port refuses connections);
 #  - coordinator-HA chaos: leader election, fenced replication, registry
 #    takeover and the redirect-following client under a real leader
 #    SIGKILL, and the SLO controller's promote/demote convergence

@@ -45,29 +45,25 @@ type HAResult struct {
 	ChaosErr string
 }
 
-// haArm spawns coords coordinator processes over three shard processes,
-// posts them tmpl, warms the pool through the HA client and runs l.
+// haArm spawns coords coordinator processes configured by tmpl over
+// three shard processes, warms the pool through the HA client and runs l.
 // chaos is the mid-run fault: "" (none), "leaderkill" (SIGKILL the
 // leader halfway through the window), or "slobreach" (a quarter in,
 // every shard straggles by 100ms until the controller promotes; then
 // the straggle clears and the arm waits for the demote).
-func haArm(pool []poolSystem, coords int, tmpl fleetha.ConfigureRequest, chaos string, l load) (HAResult, error) {
+func haArm(pool []poolSystem, coords int, tmpl fleetha.ChildConfig, chaos string, l load) (HAResult, error) {
 	const shards = 3
 	sp, err := fleetrpc.SpawnShards(shards)
 	if err != nil {
 		return HAResult{}, fmt.Errorf("experiments: spawn shards: %w", err)
 	}
 	defer sp.Close()
-	cp, err := fleetha.SpawnCoordinators(coords)
+	tmpl.Shards = sp.Addrs()
+	cp, err := fleetha.SpawnCoordinators(coords, tmpl)
 	if err != nil {
 		return HAResult{}, fmt.Errorf("experiments: spawn coordinators: %w", err)
 	}
 	defer cp.Close()
-
-	tmpl.Shards = sp.Addrs()
-	if err := fleetha.ConfigureCoordinators(cp.Addrs(), tmpl); err != nil {
-		return HAResult{}, fmt.Errorf("experiments: configure coordinators: %w", err)
-	}
 	cli, err := fleetha.NewClient(fleetha.ClientConfig{
 		Coordinators:   cp.Addrs(),
 		Retry:          fleetrpc.Backoff{Attempts: 12, Base: 10 * time.Millisecond, Max: 250 * time.Millisecond},
@@ -183,7 +179,7 @@ func HAAblation(workers int, duration time.Duration, scale float64) ([]HAResult,
 	for _, chaos := range []string{"", "leaderkill", "slobreach"} {
 		label := cmp.Or(chaos, "healthy")
 		coords := 3
-		tmpl := fleetha.ConfigureRequest{LeaseMS: 250, HeartbeatMS: 60, Replication: 2}
+		tmpl := fleetha.ChildConfig{LeaseMS: 250, HeartbeatMS: 60, Replication: 2}
 		l := load{workers: workers, window: duration, think: time.Millisecond, zipfS: 1.3}
 		if chaos == "slobreach" {
 			// a single coordinator with replication 1: promotion is what
@@ -198,9 +194,6 @@ func HAAblation(workers int, duration time.Duration, scale float64) ([]HAResult,
 			tmpl.Controller = &fleetha.ControllerConfig{
 				SLO:              70 * time.Millisecond,
 				Window:           150 * time.Millisecond,
-				ClearFraction:    0.5,
-				BreachAfter:      2,
-				ClearAfter:       2,
 				CooldownWindows:  2,
 				MaxBoost:         1,
 				HotK:             1,

@@ -6,19 +6,18 @@ package faultsim
 // this package attack the solver's math; this file attacks the process
 // boundary.
 //
-// Pattern: the parent re-executes its own binary with GESP_CHAOS_CHILD
-// set to an opaque payload; the child's entry point (a TestMain or a
-// command main) notices the variable via ChildPayload, starts whatever
-// server the payload describes, reports its address with
-// AnnounceReady, and never returns. The parent scans stdout for the
-// ready line. No helper binaries to build, no PATH assumptions — the
-// chaos tests are ordinary `go test` runs.
-//
-// The harness is deliberately ignorant of what the child serves: the
-// payload is an opaque string and the child's run function lives with
-// the server it starts (fleetrpc.RunShardIfChild wires the solve-shard
-// child). That one-way ignorance is what keeps faultsim importable
-// from every engine's test suite without cycles.
+// Pattern: the parent binds every child's loopback listener first, so
+// each child's payload (GESP_CHAOS_CHILD) can be built from the whole
+// address list, then re-executes its own binary once per child. Child
+// i inherits its listener as fd 3 and a ready pipe as fd 4; its entry
+// point (a TestMain or a command main) sees ChildPayload, sets up on
+// ChildListener, calls Ready, serves, and never returns. The parent
+// closes its copies of both descriptors as soon as the child starts —
+// so a killed child's port refuses connections — and stdout is not a
+// protocol channel. The harness is ignorant of what the child serves:
+// the run function lives with the server (fleetrpc.RunShardIfChild),
+// which keeps faultsim importable from every engine's test suite
+// without cycles.
 //
 // Everything here is real wall-clock, real processes, real signals —
 // the opposite of the package's deterministic injectors — so every
@@ -26,41 +25,60 @@ package faultsim
 // that governs this package.
 
 import (
-	"bufio"
+	"errors"
 	"fmt"
 	"io"
+	"net"
 	"os"
 	"os/exec"
-	"strings"
 	"sync"
 	"syscall"
 	"time"
 )
 
 // childEnv is the environment variable whose presence marks a process
-// as a spawned child; its value is the opaque payload passed to
-// SpawnProcs.
+// as a spawned child; its value is the opaque payload SpawnProcs built
+// for it.
 const childEnv = "GESP_CHAOS_CHILD"
 
-// readyPrefix precedes the child's listen address on stdout.
-const readyPrefix = "GESP_CHAOS_READY "
+// The child's inherited descriptors: exec.Cmd.ExtraFiles entry i is fd
+// 3+i in the child.
+const (
+	listenerFD = 3
+	readyFD    = 4
+)
 
 // ChildPayload reports whether this process is a spawned child and, if
-// so, the payload its parent passed to SpawnProcs. Call it first thing
-// in TestMain or main.
+// so, the payload its parent built for it. Call it first thing in
+// TestMain or main.
 func ChildPayload() (string, bool) {
 	raw, ok := os.LookupEnv(childEnv)
 	return raw, ok
 }
 
-// AnnounceReady prints the ready line the parent is scanning for. The
-// child must call it exactly once, after its listener is accepting.
+// ChildListener returns the loopback listener the parent bound for
+// this child. Connections queue on it from the moment the parent bound
+// it, so the child may finish its setup before it accepts.
 //
-//gesp:wallclock — flushes the real stdout pipe to the parent
-func AnnounceReady(addr string) {
-	fmt.Printf("%s%s\n", readyPrefix, addr)
-	//gesp:errok — best-effort flush; a failure surfaces as the parent's readiness timeout
-	_ = os.Stdout.Sync()
+//gesp:wallclock — wraps a real inherited socket
+func ChildListener() (net.Listener, error) {
+	f := os.NewFile(listenerFD, "gesp-chaos-listener")
+	//gesp:errok — FileListener holds its own duplicate of the descriptor
+	defer f.Close()
+	return net.FileListener(f)
+}
+
+// Ready tells the parent this child is set up: it writes one byte to
+// the inherited ready pipe and closes it. Call it exactly once, before
+// serving on ChildListener.
+//
+//gesp:wallclock — writes the real ready pipe to the parent
+func Ready() {
+	f := os.NewFile(readyFD, "gesp-chaos-ready")
+	//gesp:errok — a failed write surfaces as the parent's "exited before ready"
+	_, _ = f.Write([]byte{1})
+	//gesp:errok — the close is the signal; nothing to do if it fails
+	_ = f.Close()
 }
 
 // Proc is one live child process.
@@ -111,7 +129,7 @@ type ProcSet struct {
 	Procs []*Proc
 }
 
-// Addrs lists the children's announced addresses, spawn order.
+// Addrs lists the children's addresses, spawn order.
 func (s *ProcSet) Addrs() []string {
 	addrs := make([]string, len(s.Procs))
 	for i, p := range s.Procs {
@@ -133,78 +151,98 @@ func (s *ProcSet) Close() {
 	}
 }
 
-// SpawnProcs re-executes the current binary n times with the payload
-// in the environment and waits for each child to announce its address.
+// readyTimeout bounds how long the children may take to become ready.
+// Generous: CI machines under load can take seconds to exec a large
+// test binary.
+const readyTimeout = 30 * time.Second
+
+// SpawnProcs binds n loopback listeners, then re-executes the current
+// binary n times, child i with the payload payload(i, addrs) and the
+// i-th listener, and waits until every child has called Ready.
 //
 //gesp:wallclock — real process spawn with a host readiness deadline
-func SpawnProcs(n int, payload string) (*ProcSet, error) {
+func SpawnProcs(n int, payload func(i int, addrs []string) ([]byte, error)) (_ *ProcSet, err error) {
 	exe, err := os.Executable()
 	if err != nil {
 		return nil, fmt.Errorf("chaos: resolve own binary: %w", err)
 	}
 	set := &ProcSet{}
-	for i := 0; i < n; i++ {
-		p, serr := spawnProc(exe, payload)
-		if serr != nil {
+	lns, readies := make([]*os.File, n), make([]*os.File, n)
+	defer func() {
+		closeAll(lns)
+		closeAll(readies)
+		if err != nil {
 			set.Close()
-			return nil, fmt.Errorf("chaos: child %d: %w", i, serr)
 		}
-		set.Procs = append(set.Procs, p)
+	}()
+	addrs := make([]string, n)
+	for i := range lns {
+		ln, lerr := net.Listen("tcp", "127.0.0.1:0")
+		if lerr != nil {
+			return nil, fmt.Errorf("chaos: child %d: %w", i, lerr)
+		}
+		addrs[i] = ln.Addr().String()
+		lns[i], err = ln.(*net.TCPListener).File()
+		//gesp:errok — the duplicate in lns[i] keeps the socket listening
+		_ = ln.Close()
+		if err != nil {
+			return nil, fmt.Errorf("chaos: child %d: %w", i, err)
+		}
+	}
+	for i, ln := range lns {
+		body, perr := payload(i, addrs)
+		if perr != nil {
+			return nil, fmt.Errorf("chaos: child %d: %w", i, perr)
+		}
+		var w *os.File
+		if readies[i], w, err = os.Pipe(); err != nil {
+			return nil, fmt.Errorf("chaos: child %d: %w", i, err)
+		}
+		cmd := exec.Command(exe)
+		cmd.Env = append(os.Environ(), childEnv+"="+string(body))
+		cmd.Stderr = os.Stderr
+		cmd.ExtraFiles = []*os.File{ln, w}
+		err = cmd.Start()
+		closeAll([]*os.File{ln, w}) // the child holds its own copies
+		if err != nil {
+			return nil, fmt.Errorf("chaos: child %d: %w", i, err)
+		}
+		set.Procs = append(set.Procs, &Proc{Addr: addrs[i], cmd: cmd})
+	}
+	deadline := time.Now().Add(readyTimeout)
+	for i, r := range readies {
+		if err = awaitReady(r, deadline); err != nil {
+			return nil, fmt.Errorf("chaos: child %d: %w", i, err)
+		}
 	}
 	return set, nil
 }
 
-// readyTimeout bounds how long a child may take to print its address.
-// Generous: CI machines under load can take seconds to exec a large
-// test binary.
-const readyTimeout = 30 * time.Second
+// closeAll closes the parent's copies of descriptors; a second close of
+// one already closed is harmless.
+func closeAll(fs []*os.File) {
+	for _, f := range fs {
+		if f != nil {
+			//gesp:errok — a parent-side copy, possibly closed already
+			_ = f.Close()
+		}
+	}
+}
 
-//gesp:wallclock — real process spawn with a host readiness deadline
-func spawnProc(exe, payload string) (*Proc, error) {
-	cmd := exec.Command(exe)
-	cmd.Env = append(os.Environ(), childEnv+"="+payload)
-	cmd.Stderr = os.Stderr
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		return nil, err
+// awaitReady reads a child's ready pipe: the byte Ready writes means
+// ready; end of file without it means the child exited first.
+//
+//gesp:wallclock — host readiness deadline on a real pipe
+func awaitReady(r *os.File, deadline time.Time) error {
+	if err := r.SetReadDeadline(deadline); err != nil {
+		return err
 	}
-	if err := cmd.Start(); err != nil {
-		return nil, err
+	_, err := r.Read(make([]byte, 1))
+	switch {
+	case errors.Is(err, io.EOF):
+		return errors.New("child exited before it was ready")
+	case errors.Is(err, os.ErrDeadlineExceeded):
+		return fmt.Errorf("child not ready within %v", readyTimeout)
 	}
-	addrCh := make(chan string, 1)
-	errCh := make(chan error, 1)
-	go func() {
-		sc := bufio.NewScanner(stdout)
-		for sc.Scan() {
-			line := sc.Text()
-			if strings.HasPrefix(line, readyPrefix) {
-				addrCh <- strings.TrimSpace(strings.TrimPrefix(line, readyPrefix))
-				// Keep draining so the child never blocks on a full pipe.
-				//gesp:errok — discarding the child's remaining stdout; errors just end the drain
-				_, _ = io.Copy(io.Discard, stdout)
-				return
-			}
-		}
-		if serr := sc.Err(); serr != nil {
-			errCh <- serr
-			return
-		}
-		errCh <- fmt.Errorf("child exited before reporting an address")
-	}()
-	select {
-	case addr := <-addrCh:
-		return &Proc{Addr: addr, cmd: cmd}, nil
-	case rerr := <-errCh:
-		//gesp:errok — the child is already broken; Kill is cleanup
-		_ = cmd.Process.Kill()
-		//gesp:errok — reaping a deliberately killed child
-		_ = cmd.Wait()
-		return nil, rerr
-	case <-time.After(readyTimeout):
-		//gesp:errok — the child is wedged; Kill is cleanup
-		_ = cmd.Process.Kill()
-		//gesp:errok — reaping a deliberately killed child
-		_ = cmd.Wait()
-		return nil, fmt.Errorf("child did not report an address within %v", readyTimeout)
-	}
+	return err
 }

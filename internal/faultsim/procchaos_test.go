@@ -1,8 +1,13 @@
 package faultsim
 
 import (
+	"bytes"
+	"errors"
+	"fmt"
+	"io"
 	"net"
 	"os"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -17,29 +22,33 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// runPingChild listens on loopback, announces readiness, and answers
-// every connection with one byte of the payload.
+// runPingChild writes well over a pipe buffer of noise to stdout (which
+// is not a protocol channel, so it must not hold up the spawn), reports
+// ready, and answers every connection on its inherited listener with
+// its payload: the address its parent bound for it.
 //
 //gesp:wallclock — child-process server loop: real sockets
 func runPingChild(payload string) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	ln, err := ChildListener()
 	if err != nil {
 		os.Exit(1)
 	}
-	AnnounceReady(ln.Addr().String())
+	//gesp:errok — the noise is only there to be ignored
+	_, _ = os.Stdout.Write(bytes.Repeat([]byte("noise before ready\n"), 8192))
+	Ready()
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
 			os.Exit(1)
 		}
 		//gesp:errok — best-effort reply; the parent side asserts
-		_, _ = conn.Write([]byte(payload[:1]))
+		_, _ = conn.Write([]byte(payload))
 		//gesp:errok — close of a one-shot connection
 		_ = conn.Close()
 	}
 }
 
-// ping dials the child and reads its one-byte answer.
+// ping dials the child and requires its answer to be addr.
 //
 //gesp:wallclock — real network round trip with a deadline
 func ping(addr string, timeout time.Duration) error {
@@ -52,19 +61,23 @@ func ping(addr string, timeout time.Duration) error {
 	if err := conn.SetReadDeadline(time.Now().Add(timeout)); err != nil {
 		return err
 	}
-	buf := make([]byte, 1)
-	_, err = conn.Read(buf)
+	got, err := io.ReadAll(conn)
+	if err == nil && string(got) != addr {
+		err = fmt.Errorf("child at %s answered %q", addr, got)
+	}
 	return err
 }
 
 // TestSpawnAndKillProcs exercises the harness itself: spawned children
-// announce real addresses and answer, SIGSTOP freezes them
-// mid-connection, SIGCONT thaws them, and SIGKILL ends them for good.
+// answer on the addresses bound for them, SIGSTOP freezes them
+// mid-connection, SIGCONT thaws them, and SIGKILL ends them for good —
+// the port then refuses connections, which it would not if the parent
+// still held a copy of the listener.
 func TestSpawnAndKillProcs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("process chaos harness: skipped in -short")
 	}
-	procs, err := SpawnProcs(2, "x")
+	procs, err := SpawnProcs(2, func(i int, addrs []string) ([]byte, error) { return []byte(addrs[i]), nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,6 +113,15 @@ func TestSpawnAndKillProcs(t *testing.T) {
 	}
 	if err := ping(procs.Procs[0].Addr, 100*time.Millisecond); err == nil {
 		t.Fatal("a SIGKILLed child answered")
+	}
+	conn, err := net.Dial("tcp", procs.Procs[0].Addr)
+	if err == nil {
+		//gesp:errok — close of a connection that should not exist
+		conn.Close()
+		t.Fatal("a SIGKILLed child's port accepted a connection")
+	}
+	if !errors.Is(err, syscall.ECONNREFUSED) {
+		t.Fatalf("dial of a SIGKILLed child: %v, want connection refused", err)
 	}
 	//gesp:errok — a second Kill of a reaped process may error by platform
 	_ = procs.Procs[0].Kill()

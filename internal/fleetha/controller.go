@@ -6,15 +6,26 @@ import (
 )
 
 // The SLO controller closes the loop the ROADMAP left open: the fleet
-// already publishes a p999 latency histogram, heal rate and hedge
-// spend; this turns them into replica promotions and demotions. It is
-// a pure state machine — Step consumes one
-// window of signals and returns the decisions for that window — so a
-// recorded signal trace replays to the identical decision sequence
-// (Replay), and the no-flap guarantee is a property of the code, not
-// of timing: hysteresis (breach at SLO, clear at ClearFraction·SLO)
-// plus streak thresholds plus a cooldown counted in windows mean at
-// most one direction change per cooldown window.
+// already publishes a p999 latency histogram and its hot patterns;
+// this turns them into replica promotions and demotions. It is a pure
+// state machine — Step consumes one window of signals and returns the
+// decisions for that window — so a recorded signal trace replays to
+// the identical decision sequence (Replay), and the no-flap guarantee
+// is a property of the code, not of timing: hysteresis (breach at SLO,
+// clear at clearFraction·SLO) plus streak thresholds plus a cooldown
+// counted in windows mean at most one direction change per cooldown
+// window.
+
+// The hysteresis band and the streaks are fixed: between
+// clearFraction·SLO and SLO the controller holds its position, and it
+// acts only on breachAfter (clearAfter) consecutive breaching
+// (clearing) windows — a single bad window is noise; a streak is a
+// trend.
+const (
+	clearFraction = 0.5
+	breachAfter   = 2
+	clearAfter    = 2
+)
 
 // ControllerConfig parameterizes the SLO control loop.
 type ControllerConfig struct {
@@ -25,15 +36,6 @@ type ControllerConfig struct {
 	// controller (wall period of one window; the controller itself only
 	// counts windows). 0 takes 250ms.
 	Window time.Duration `json:"window_ns,omitempty"`
-	// ClearFraction sets the clear threshold at ClearFraction·SLO —
-	// the hysteresis band: between ClearFraction·SLO and SLO the
-	// controller holds its position. 0 takes 0.5.
-	ClearFraction float64 `json:"clear_fraction,omitempty"`
-	// BreachAfter/ClearAfter are the consecutive-window streaks
-	// required before acting (0 takes 2). A single bad window is noise;
-	// a streak is a trend.
-	BreachAfter int `json:"breach_after,omitempty"`
-	ClearAfter  int `json:"clear_after,omitempty"`
 	// CooldownWindows is the post-action freeze: after any promote or
 	// demote the controller holds for this many
 	// windows so the action's effect can reach the histogram before
@@ -55,15 +57,6 @@ type ControllerConfig struct {
 func (c ControllerConfig) fill() ControllerConfig {
 	if c.Window <= 0 {
 		c.Window = 250 * time.Millisecond
-	}
-	if c.ClearFraction <= 0 || c.ClearFraction >= 1 {
-		c.ClearFraction = 0.5
-	}
-	if c.BreachAfter <= 0 {
-		c.BreachAfter = 2
-	}
-	if c.ClearAfter <= 0 {
-		c.ClearAfter = 2
 	}
 	if c.CooldownWindows <= 0 {
 		c.CooldownWindows = 4
@@ -88,14 +81,8 @@ type Signals struct {
 	// solve count in the window.
 	P999    time.Duration `json:"p999_ns"`
 	Samples uint64        `json:"samples"`
-	// HealRate is evictions-healed per routed solve in the window;
-	// HedgeDenied the hedge launches the budget refused.
-	HealRate    float64 `json:"heal_rate"`
-	HedgeDenied uint64  `json:"hedge_denied"`
-	// HotPatterns are the top routed patterns (descending); Boosted the
-	// patterns currently promoted.
+	// HotPatterns are the top routed patterns, descending.
 	HotPatterns []uint64 `json:"hot_patterns,omitempty"`
-	Boosted     []uint64 `json:"boosted,omitempty"`
 }
 
 // Action is one controller verb.
@@ -145,7 +132,7 @@ func (c *Controller) Step(sig Signals) []Decision {
 	c.window++
 	significant := sig.Samples >= c.cfg.MinWindowSamples
 	breached := significant && sig.P999 > c.cfg.SLO
-	cleared := significant && float64(sig.P999) <= c.cfg.ClearFraction*float64(c.cfg.SLO)
+	cleared := significant && float64(sig.P999) <= clearFraction*float64(c.cfg.SLO)
 	switch {
 	case breached:
 		c.breachStreak++
@@ -163,7 +150,7 @@ func (c *Controller) Step(sig Signals) []Decision {
 		c.cooldown--
 		return nil
 	}
-	if c.breachStreak >= c.cfg.BreachAfter {
+	if c.breachStreak >= breachAfter {
 		d := c.escalate(sig)
 		c.breachStreak = 0
 		if d != nil {
@@ -172,7 +159,7 @@ func (c *Controller) Step(sig Signals) []Decision {
 		}
 		return nil
 	}
-	if c.clearStreak >= c.cfg.ClearAfter {
+	if c.clearStreak >= clearAfter {
 		d := c.relax(sig)
 		c.clearStreak = 0
 		if d != nil {
@@ -208,7 +195,7 @@ func (c *Controller) escalate(sig Signals) *Decision {
 			Pattern: p,
 			Boost:   c.boosts[p],
 			P999:    sig.P999,
-			Reason:  fmt.Sprintf("p999 %v > SLO %v for %d windows; widening hottest pattern to +%d", sig.P999, c.cfg.SLO, c.cfg.BreachAfter, c.boosts[p]),
+			Reason:  fmt.Sprintf("p999 %v > SLO %v for %d windows; widening hottest pattern to +%d", sig.P999, c.cfg.SLO, breachAfter, c.boosts[p]),
 		}
 	}
 	return nil
@@ -228,7 +215,7 @@ func (c *Controller) relax(sig Signals) *Decision {
 			Action:  ActDemote,
 			Pattern: p,
 			P999:    sig.P999,
-			Reason:  fmt.Sprintf("p999 %v <= %.0f%% of SLO for %d windows; restoring pattern to configured replication", sig.P999, 100*c.cfg.ClearFraction, c.cfg.ClearAfter),
+			Reason:  fmt.Sprintf("p999 %v <= %.0f%% of SLO for %d windows; restoring pattern to configured replication", sig.P999, 100*clearFraction, clearAfter),
 		}
 	}
 	return nil

@@ -9,9 +9,6 @@ import (
 func ctrlConfig() ControllerConfig {
 	return ControllerConfig{
 		SLO:              50 * time.Millisecond,
-		ClearFraction:    0.5,
-		BreachAfter:      2,
-		ClearAfter:       2,
 		CooldownWindows:  3,
 		MaxBoost:         2,
 		HotK:             2,
@@ -33,7 +30,7 @@ func TestControllerConvergence(t *testing.T) {
 	var all []Decision
 
 	// two breach windows → exactly one promotion
-	for i := 0; i < cfg.BreachAfter; i++ {
+	for i := 0; i < breachAfter; i++ {
 		all = append(all, c.Step(breachSig(80*time.Millisecond))...)
 	}
 	if len(all) != 1 || all[0].Action != ActPromote || all[0].Pattern != 0xAA {
@@ -59,7 +56,7 @@ func TestControllerConvergence(t *testing.T) {
 	all = append(all, second...)
 
 	// hysteresis-band windows drain the cooldown without feeding either
-	// streak, then the breach clears: after ClearAfter clear windows,
+	// streak, then the breach clears: after clearAfter clear windows,
 	// one demote of the promoted pattern
 	band := breachSig(35 * time.Millisecond)
 	for i := 0; i < cfg.CooldownWindows; i++ {
@@ -67,7 +64,7 @@ func TestControllerConvergence(t *testing.T) {
 			t.Fatalf("decision in band during cooldown: %+v", ds)
 		}
 	}
-	clear := breachSig(10 * time.Millisecond) // below ClearFraction*SLO
+	clear := breachSig(10 * time.Millisecond) // below clearFraction*SLO
 	var downs []Decision
 	for i := 0; i < 20 && len(downs) < 1; i++ {
 		downs = append(downs, c.Step(clear)...)
@@ -125,7 +122,7 @@ func TestControllerHoldsAtMaxBoost(t *testing.T) {
 			t.Fatalf("promote %d = %+v, want pattern %#x to boost %d", i, ups[i], want, i%2+1)
 		}
 	}
-	if last := ups[len(ups)-1].Window; last > 60-cfg.CooldownWindows-cfg.BreachAfter {
+	if last := ups[len(ups)-1].Window; last > 60-cfg.CooldownWindows-breachAfter {
 		t.Fatalf("last promote at window %d: the test never saw the ladder hold", last)
 	}
 
@@ -151,7 +148,7 @@ func countAction(ds []Decision, a Action) int {
 	return n
 }
 
-// TestControllerHysteresisBand: p999 between ClearFraction·SLO and
+// TestControllerHysteresisBand: p999 between clearFraction·SLO and
 // SLO must neither promote nor demote, and must break streaks — the
 // no-flap property's middle ground.
 func TestControllerHysteresisBand(t *testing.T) {

@@ -1,27 +1,22 @@
 package fleetha
 
 // Coordinator-process side of the chaos harness: SpawnCoordinators
-// re-executes the current binary as idle coordinator children, and
-// ConfigureCoordinators posts each one its identity and the full
-// topology once every child has announced an address — a child cannot
-// know its peers' ports before those peers exist, so configuration is
-// a second phase, not part of the spawn payload. After configure the
-// child swaps its HTTP handler from the boot mux to the node's real
-// mux atomically and runs until killed. RunCoordinatorIfChild claims
-// only payloads tagged with its kind, so the same TestMain (or main)
-// hooks both shard and coordinator children:
+// re-executes the current binary as coordinator children, each born
+// configured — the harness binds every child's socket before any child
+// starts, so child i's payload already names its id, every peer's
+// address and the shard list, and the child builds its node at once on
+// the inherited socket. RunCoordinatorIfChild claims only payloads
+// tagged with its kind, so the same TestMain (or main) hooks both
+// shard and coordinator children:
 //
 //	fleetha.RunCoordinatorIfChild()
 //	fleetrpc.RunShardIfChild()
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
-	"net"
 	"net/http"
 	"os"
-	"sync/atomic"
 	"time"
 
 	"gesp/internal/faultsim"
@@ -31,10 +26,26 @@ import (
 // ChildKindCoordinator tags a re-exec payload as an HA coordinator.
 const ChildKindCoordinator = "coordinator"
 
-// coordPayload is the (tiny) spawn payload; everything topological
-// arrives later via /ha/v1/configure.
-type coordPayload struct {
-	Kind string `json:"kind"`
+// ChildConfig is a coordinator child's re-exec payload: its identity,
+// the full topology and the node's tuning. SpawnCoordinators fills
+// Kind, ID and Peers per child; Kind is the discriminator
+// RunCoordinatorIfChild claims on, not a setting.
+type ChildConfig struct {
+	Kind   string   `json:"kind"`
+	ID     int      `json:"id"`
+	Peers  []string `json:"peers"` // all coordinator addrs, index = id
+	Shards []string `json:"shards"`
+	// LeaseMS/HeartbeatMS set the election timing (milliseconds on the
+	// wire to keep the JSON obvious).
+	LeaseMS     int64 `json:"lease_ms"`
+	HeartbeatMS int64 `json:"heartbeat_ms"`
+	Seed        int64 `json:"seed"`
+	// Replication/HedgeAfterMS tune the leader's fleet; zero keeps the
+	// fleetrpc defaults.
+	Replication  int   `json:"replication,omitempty"`
+	HedgeAfterMS int64 `json:"hedge_after_ms,omitempty"`
+	// Controller, when non-nil, runs the SLO controller on the leader.
+	Controller *ControllerConfig `json:"controller,omitempty"`
 }
 
 // RunCoordinatorIfChild is the re-exec hook for coordinator children:
@@ -42,119 +53,64 @@ type coordPayload struct {
 // parent — or a child of another kind — it returns immediately.
 func RunCoordinatorIfChild() {
 	raw, ok := faultsim.ChildPayload()
-	if !ok {
+	if !ok || fleetrpc.ChildKind(raw) != ChildKindCoordinator {
 		return
 	}
-	if fleetrpc.ChildKind(raw) != ChildKindCoordinator {
-		return
-	}
-	if err := runCoordinator(); err != nil {
+	if err := runCoordinator(raw); err != nil {
 		fmt.Fprintf(os.Stderr, "chaos coordinator: %v\n", err)
 		os.Exit(1)
 	}
 	os.Exit(0)
 }
 
-func runCoordinator() error {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+func runCoordinator(raw string) error {
+	var cc ChildConfig
+	if err := json.Unmarshal([]byte(raw), &cc); err != nil {
+		return fmt.Errorf("bad coordinator config: %w", err)
+	}
+	ln, err := faultsim.ChildListener()
 	if err != nil {
 		return err
 	}
-	// handler starts as the boot mux (configure + a not-ready status)
-	// and is swapped to the node's mux once configured.
-	var handler atomic.Pointer[http.Handler]
-	var node atomic.Pointer[Node]
-	boot := http.NewServeMux()
-	boot.HandleFunc("POST /ha/v1/configure", func(w http.ResponseWriter, r *http.Request) {
-		var req ConfigureRequest
-		if !fleetrpc.DecodeJSON(w, r, &req) {
-			return
-		}
-		if node.Load() != nil {
-			fleetrpc.WriteErr(w, fleetrpc.StatusError(http.StatusConflict, "already configured", 0))
-			return
-		}
-		n, err := newConfiguredNode(req)
-		if err != nil {
-			fleetrpc.WriteErr(w, err)
-			return
-		}
-		node.Store(n)
-		real := http.Handler(n.Mux(nil))
-		handler.Store(&real)
-		fleetrpc.WriteJSON(w, http.StatusOK, struct{}{})
-	})
-	boot.HandleFunc("/", func(w http.ResponseWriter, _ *http.Request) {
-		fleetrpc.WriteErr(w, fleetrpc.StatusError(http.StatusServiceUnavailable, "coordinator not configured yet", 0))
-	})
-	bootH := http.Handler(boot)
-	handler.Store(&bootH)
-	faultsim.AnnounceReady(ln.Addr().String())
-	return http.Serve(ln, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		(*handler.Load()).ServeHTTP(w, r)
-	}))
-}
-
-// newConfiguredNode builds a node from the wire topology.
-func newConfiguredNode(req ConfigureRequest) (*Node, error) {
 	fcfg := fleetrpc.DefaultConfig(nil) // the node dials Shards at takeover
-	if req.Replication > 0 {
-		fcfg.Replication = req.Replication
+	if cc.Replication > 0 {
+		fcfg.Replication = cc.Replication
 	}
-	if req.HedgeAfterMS > 0 {
-		fcfg.HedgeAfter = time.Duration(req.HedgeAfterMS) * time.Millisecond
+	if cc.HedgeAfterMS > 0 {
+		fcfg.HedgeAfter = time.Duration(cc.HedgeAfterMS) * time.Millisecond
 	}
-	cfg := Config{
-		ID:         req.ID,
-		Peers:      req.Peers,
-		Shards:     req.Shards,
-		Lease:      time.Duration(req.LeaseMS) * time.Millisecond,
-		Heartbeat:  time.Duration(req.HeartbeatMS) * time.Millisecond,
+	n, err := NewNode(Config{
+		ID:         cc.ID,
+		Peers:      cc.Peers,
+		Shards:     cc.Shards,
+		Lease:      time.Duration(cc.LeaseMS) * time.Millisecond,
+		Heartbeat:  time.Duration(cc.HeartbeatMS) * time.Millisecond,
 		Fleet:      fcfg,
-		Controller: req.Controller,
-		Seed:       req.Seed,
+		Controller: cc.Controller,
+		Seed:       cc.Seed,
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		},
-	}
-	return NewNode(cfg)
-}
-
-// SpawnCoordinators re-executes the current binary n times as idle
-// coordinator children and waits for each to announce its address.
-// Configure them with ConfigureCoordinators before use.
-func SpawnCoordinators(n int) (*faultsim.ProcSet, error) {
-	payload, err := json.Marshal(coordPayload{Kind: ChildKindCoordinator})
+	})
 	if err != nil {
-		return nil, fmt.Errorf("fleetha: encode coordinator payload: %w", err)
+		return err
 	}
-	return faultsim.SpawnProcs(n, string(payload))
+	faultsim.Ready()
+	return http.Serve(ln, n.Mux(nil))
 }
 
-// ConfigureCoordinators posts the full topology to every spawned
-// coordinator: peer i gets id i. The template's ID is overwritten per
-// child; Peers is set to addrs.
-func ConfigureCoordinators(addrs []string, template ConfigureRequest) error {
-	hc := fleetrpc.NewHTTPClient()
-	for i, addr := range addrs {
-		req := template
-		req.ID = i
-		req.Peers = addrs
-		if req.Seed == 0 {
-			req.Seed = int64(i) + 1
-		} else {
-			req.Seed += int64(i)
+// SpawnCoordinators re-executes the current binary n times as
+// coordinator children over cfg's shards and waits until each serves:
+// child i gets id i, every child's address as Peers, and seed cfg.Seed
+// + i (i+1 when cfg.Seed is 0).
+func SpawnCoordinators(n int, cfg ChildConfig) (*faultsim.ProcSet, error) {
+	return faultsim.SpawnProcs(n, func(i int, addrs []string) ([]byte, error) {
+		c := cfg
+		c.Kind, c.ID, c.Peers = ChildKindCoordinator, i, addrs
+		if c.Seed == 0 {
+			c.Seed = 1
 		}
-		body, err := json.Marshal(req)
-		if err != nil {
-			return fmt.Errorf("fleetha: encode configure for coordinator %d: %w", i, err)
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		err = fleetrpc.DoJSON(ctx, hc, http.MethodPost, "http://"+addr+"/ha/v1/configure", "application/json", body, nil)
-		cancel()
-		if err != nil {
-			return fmt.Errorf("fleetha: configure coordinator %d at %s: %w", i, addr, err)
-		}
-	}
-	return nil
+		c.Seed += int64(i)
+		return json.Marshal(c)
+	})
 }

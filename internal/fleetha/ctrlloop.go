@@ -8,24 +8,29 @@ import (
 )
 
 // The leader-side half of the SLO controller: every Window, gather
-// one Signals sample from the fleet's published telemetry (windowed
-// histogram delta, stats deltas — zero extra HTTP), step the pure
-// controller, and apply whatever it decided. Decisions append to the
-// node's structured trace, served at /ha/v1/trace.
+// one Signals sample from the fleet's published telemetry (the
+// windowed latency histogram delta and the hot patterns — zero extra
+// HTTP), step the pure controller, and apply whatever it decided.
+// Decisions append to the node's structured trace, served at
+// /ha/v1/trace.
 
 // startControllerLocked arms the control loop over a freshly led
-// fleet: the controller itself (once per node — its model of what it
-// promoted outlives a step-down) and the baselines the first window's
-// deltas are taken against.
+// fleet: a controller whose boost model is empty, as the new fleet
+// boosts nothing, but whose window count carries on from the node's
+// last term so the trace's window numbers keep increasing, and the
+// baseline the first window's delta is taken against.
 //
 //gesp:holds:n.mu
 func (n *Node) startControllerLocked(fl *fleetrpc.Fleet, now time.Time) {
-	if n.ctrl == nil && n.cfg.Controller != nil {
-		n.ctrl = NewController(*n.cfg.Controller)
+	if n.cfg.Controller != nil {
+		c := NewController(*n.cfg.Controller)
+		if n.ctrl != nil {
+			c.window = n.ctrl.window
+		}
+		n.ctrl = c
 	}
 	n.lastCtrl = now
 	n.prevLatCounts, n.prevLatTotal = fl.LatSnapshot()
-	n.prevStats = fl.Stats()
 }
 
 // controllerTick runs at most one controller window per call; the
@@ -41,30 +46,18 @@ func (n *Node) controllerTick(now time.Time) {
 	}
 	n.lastCtrl = now
 	prevCounts, prevTotal := n.prevLatCounts, n.prevLatTotal
-	prevStats := n.prevStats
 	n.mu.Unlock()
 
 	counts, total := fl.LatSnapshot()
-	stats := fl.Stats()
 	win := fleet.WindowSince(counts, total, prevCounts, prevTotal)
-	routedDelta := stats.Routed - prevStats.Routed
-	healDelta := stats.Resubmits - prevStats.Resubmits
-	healRate := 0.0
-	if routedDelta > 0 {
-		healRate = float64(healDelta) / float64(routedDelta)
-	}
 	sig := Signals{
 		P999:        win.Quantile(0.999),
 		Samples:     win.Total,
-		HealRate:    healRate,
-		HedgeDenied: stats.HedgeDenied - prevStats.HedgeDenied,
 		HotPatterns: fl.HotPatterns(ctrl.cfg.HotK),
-		Boosted:     fl.Boosted(),
 	}
 
 	n.mu.Lock()
 	n.prevLatCounts, n.prevLatTotal = counts, total
-	n.prevStats = stats
 	decisions := ctrl.Step(sig)
 	n.mu.Unlock()
 

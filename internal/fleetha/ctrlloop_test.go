@@ -67,8 +67,6 @@ func TestControllerLoopOverLocalShards(t *testing.T) {
 			Controller: &ControllerConfig{
 				SLO:              20 * time.Millisecond,
 				Window:           40 * time.Millisecond,
-				BreachAfter:      1,
-				ClearAfter:       1,
 				CooldownWindows:  1,
 				MaxBoost:         1,
 				HotK:             1,
@@ -123,11 +121,12 @@ func TestControllerLoopOverLocalShards(t *testing.T) {
 			time.Sleep(5 * time.Millisecond)
 		}
 	}
-	if d := awaitAction(ActPromote); d.Window > 10 {
-		t.Fatalf("promote took until window %d, want within 10; trace: %+v", d.Window, n.Trace())
+	if d := awaitAction(ActPromote); d.Window > 10 || d.Pattern != h.Key.Pattern {
+		t.Fatalf("promote of %#x at window %d, want the submitted pattern %#x within 10; trace: %+v",
+			d.Pattern, d.Window, h.Key.Pattern, n.Trace())
 	}
-	if got := fl.Boosted(); len(got) != 1 || got[0] != h.Key.Pattern {
-		t.Fatalf("fleet boosted %v after the promote, want the submitted pattern %#x", got, h.Key.Pattern)
+	if got := fl.Stats().Promoted; got != 1 {
+		t.Fatalf("fleet boosts %d patterns after the promote, want 1", got)
 	}
 	delay.Store(0)
 	awaitAction(ActDemote)
@@ -139,10 +138,49 @@ func TestControllerLoopOverLocalShards(t *testing.T) {
 	if len(acts) != 2 || acts[0] != ActPromote || acts[1] != ActDemote {
 		t.Fatalf("trace %v, want promote, demote", acts)
 	}
-	if got := fl.Boosted(); len(got) != 0 {
-		t.Fatalf("fleet still boosts %v after the demote", got)
+	if got := fl.Stats().Promoted; got != 0 {
+		t.Fatalf("fleet still boosts %d patterns after the demote", got)
 	}
 	if st := fl.Stats(); st.Promotions != 1 || st.Demotions != 1 {
 		t.Fatalf("fleet saw promotions=%d demotions=%d, want 1/1", st.Promotions, st.Demotions)
+	}
+}
+
+// TestTakeoverStartsEmptyBoostModel: a new term's fleet boosts
+// nothing, so the controller must not carry the old term's promotions
+// into it. A node that promoted every hot pattern to MaxBoost, stepped
+// down and leads again must promote on the next breach — with window
+// numbers still rising across the terms.
+func TestTakeoverStartsEmptyBoostModel(t *testing.T) {
+	ctrl := ctrlConfig()
+	cfg := quietConfig(0, []string{"self"}, testShardServers(t, 1))
+	cfg.Controller = &ctrl
+	n, err := NewNode(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(n.Close)
+	breach := func(windows int) (ds []Decision) {
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		for i := 0; i < windows; i++ {
+			ds = append(ds, n.ctrl.Step(breachSig(80*time.Millisecond))...)
+		}
+		return ds
+	}
+
+	n.becomeLeader(1, n.clk.Now())
+	first := breach(60)
+	if got := countAction(first, ActPromote); got != 2*ctrl.MaxBoost {
+		t.Fatalf("first term: %d promotes, want every hot pattern at MaxBoost (%d)", got, 2*ctrl.MaxBoost)
+	}
+	n.stepDown(2, -1)
+	n.becomeLeader(3, n.clk.Now())
+	again := breach(breachAfter)
+	if len(again) != 1 || again[0].Action != ActPromote || again[0].Pattern != 0xAA || again[0].Boost != 1 {
+		t.Fatalf("breach after retaking the lead decided %+v, want promote 0xAA to boost 1", again)
+	}
+	if last := first[len(first)-1].Window; again[0].Window <= last {
+		t.Fatalf("second term's promote at window %d, not after the first term's last at %d", again[0].Window, last)
 	}
 }

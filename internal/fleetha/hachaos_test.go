@@ -34,26 +34,22 @@ type haSystem struct {
 	h    serve.Handle
 }
 
-// haChaosCluster spawns real shard and coordinator processes, wires
-// the topology, and returns both proc sets plus an HA client aimed at
-// every coordinator.
-func haChaosCluster(t *testing.T, nShards, nCoords int, template fleetha.ConfigureRequest) (*faultsim.ProcSet, *faultsim.ProcSet, *fleetha.Client) {
+// haChaosCluster spawns real shard processes, then coordinator
+// processes born configured by cfg over them, and returns both proc
+// sets plus an HA client aimed at every coordinator.
+func haChaosCluster(t *testing.T, nShards, nCoords int, cfg fleetha.ChildConfig) (*faultsim.ProcSet, *faultsim.ProcSet, *fleetha.Client) {
 	t.Helper()
 	shards, err := fleetrpc.SpawnShards(nShards)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(shards.Close)
-	coords, err := fleetha.SpawnCoordinators(nCoords)
+	cfg.Shards = shards.Addrs()
+	coords, err := fleetha.SpawnCoordinators(nCoords, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(coords.Close)
-
-	template.Shards = shards.Addrs()
-	if err := fleetha.ConfigureCoordinators(coords.Addrs(), template); err != nil {
-		t.Fatal(err)
-	}
 	cli, err := fleetha.NewClient(fleetha.ClientConfig{
 		Coordinators:   coords.Addrs(),
 		Retry:          fleetrpc.Backoff{Attempts: 12, Base: 10 * time.Millisecond, Max: 250 * time.Millisecond},
@@ -178,7 +174,7 @@ func TestHALeaderKill(t *testing.T) {
 	if testing.Short() {
 		t.Skip("process chaos: skipped in -short")
 	}
-	_, coords, cli := haChaosCluster(t, 3, 3, fleetha.ConfigureRequest{
+	_, coords, cli := haChaosCluster(t, 3, 3, fleetha.ChildConfig{
 		LeaseMS:     200,
 		HeartbeatMS: 50,
 		Replication: 2,
@@ -264,15 +260,12 @@ func TestHASLOBreach(t *testing.T) {
 	ctrl := &fleetha.ControllerConfig{
 		SLO:              70 * time.Millisecond,
 		Window:           150 * time.Millisecond,
-		ClearFraction:    0.5,
-		BreachAfter:      2,
-		ClearAfter:       2,
 		CooldownWindows:  2,
 		MaxBoost:         1,
 		HotK:             1,
 		MinWindowSamples: 5,
 	}
-	shards, coords, cli := haChaosCluster(t, 3, 1, fleetha.ConfigureRequest{
+	shards, coords, cli := haChaosCluster(t, 3, 1, fleetha.ChildConfig{
 		LeaseMS:      200,
 		HeartbeatMS:  50,
 		Replication:  1, // promotion is what enables hedge/failover here
@@ -296,9 +289,9 @@ func TestHASLOBreach(t *testing.T) {
 		}
 	}
 	breachAt := time.Now()
-	// promote must land within the cooldown budget: BreachAfter windows
-	// to trip plus one cooldown of slack
-	budget := time.Duration(ctrl.BreachAfter+ctrl.CooldownWindows+2) * ctrl.Window * 4
+	// promote must land within the cooldown budget: the controller's
+	// two-window breach streak to trip plus one cooldown of slack
+	budget := time.Duration(2+ctrl.CooldownWindows+2) * ctrl.Window * 4
 	var promoted bool
 	for time.Since(breachAt) < budget {
 		tr, err := cli.Trace(ctx)

@@ -155,8 +155,6 @@ type Node struct {
 	prevLatCounts [fleet.LatBuckets]uint64
 	//gesp:guardedby:mu
 	prevLatTotal uint64
-	//gesp:guardedby:mu
-	prevStats fleetrpc.Stats
 
 	// reg is the node's registry for its lifetime: follower apply, the
 	// election's read-quorum merge and the leader's fleet all write it.

@@ -96,27 +96,6 @@ type TraceResponse struct {
 	Decisions []Decision `json:"decisions"`
 }
 
-// ConfigureRequest boots a spawned coordinator child: the re-exec
-// payload only says "you are a coordinator"; the parent posts the full
-// topology here once every child has announced its address (a child
-// cannot know its peers' ports before they exist).
-type ConfigureRequest struct {
-	ID     int      `json:"id"`
-	Peers  []string `json:"peers"` // all coordinator addrs, index = id
-	Shards []string `json:"shards"`
-	// LeaseMS/HeartbeatMS set the election timing (milliseconds on the
-	// wire to keep the JSON obvious).
-	LeaseMS     int64 `json:"lease_ms"`
-	HeartbeatMS int64 `json:"heartbeat_ms"`
-	Seed        int64 `json:"seed"`
-	// Replication/HedgeAfterMS tune the leader's fleet; zero keeps the
-	// fleetrpc defaults.
-	Replication  int   `json:"replication,omitempty"`
-	HedgeAfterMS int64 `json:"hedge_after_ms,omitempty"`
-	// Controller, when non-nil, runs the SLO controller on the leader.
-	Controller *ControllerConfig `json:"controller,omitempty"`
-}
-
 // The replicate request and the state answer are each one frame: the
 // rest of the value as a JSON header, then every entry's handle and
 // Matrix frame, length-prefixed, so no matrix is ever JSON:

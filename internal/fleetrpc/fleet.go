@@ -317,7 +317,6 @@ func (f *Fleet) probe(mb *member) {
 		f.noteFailure(mb, time.Now())
 		return
 	}
-	mb.noteHealth(res)
 	if mb.reviveOnProbe(probedAt, time.Now()) {
 		f.m.rejoins.Add(1)
 		f.rebalance()
@@ -501,20 +500,6 @@ func (f *Fleet) DemotePattern(pattern uint64) {
 	if had {
 		f.m.demotions.Add(1)
 	}
-}
-
-// Boosted lists the currently promoted patterns (ascending, for
-// deterministic output).
-func (f *Fleet) Boosted() []uint64 {
-	f.mu.Lock()
-	out := make([]uint64, 0, len(f.replBoost))
-	//gesp:unordered — sorted below
-	for p := range f.replBoost {
-		out = append(out, p)
-	}
-	f.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // HotPatterns returns up to k patterns by routed-solve count,
@@ -920,10 +905,9 @@ func (f *Fleet) Drain(ctx context.Context, id int) error {
 
 // Members snapshots every member's health state.
 func (f *Fleet) Members() []MemberStatus {
-	now := time.Now()
 	out := make([]MemberStatus, 0, len(f.members))
 	for _, mb := range f.members {
-		out = append(out, mb.status(now))
+		out = append(out, mb.status())
 	}
 	return out
 }

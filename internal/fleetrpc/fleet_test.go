@@ -217,8 +217,8 @@ func TestMemberLifecycle(t *testing.T) {
 		t.Fatalf("after 1 failure: died=%v state=%v", died, m.currentState())
 	}
 	m.reportSuccess(now)
-	if m.currentState() != StateAlive || m.status(now).Failures != 0 {
-		t.Fatalf("success must recover a suspect: %+v", m.status(now))
+	if m.currentState() != StateAlive || m.status().Failures != 0 {
+		t.Fatalf("success must recover a suspect: %+v", m.status())
 	}
 	m.reportFailure(1, 3, now)
 	m.reportFailure(1, 3, now)
@@ -249,6 +249,76 @@ func TestMemberLifecycle(t *testing.T) {
 	// not undo a drain.
 	if m.reviveOnProbe(now.Add(-time.Millisecond), now) || m.currentState() != StateDead {
 		t.Fatal("a probe sent before the death revived the member")
+	}
+}
+
+// stuckShard holds every solve until release closes and then fails it
+// as unreachable; its health check fails once down is set. Only Addr,
+// Solve and Health are ever called.
+type stuckShard struct {
+	Shard
+	entered chan struct{}
+	release chan struct{}
+	down    atomic.Bool
+}
+
+func (s *stuckShard) Addr() string { return "stuck" }
+
+func (s *stuckShard) Solve(ctx context.Context, _ serve.Handle, _ []float64) ([]float64, error) {
+	s.entered <- struct{}{}
+	select {
+	case <-s.release:
+	case <-ctx.Done():
+	}
+	return nil, ErrUnreachable
+}
+
+func (s *stuckShard) Health(context.Context) (HealthResponse, error) {
+	if s.down.Load() {
+		return HealthResponse{}, ErrUnreachable
+	}
+	return HealthResponse{Status: "ok"}, nil
+}
+
+// TestMemberQueueDepthIsInFlight: a member's QueueDepth is this
+// coordinator's exact in-flight count, so a member that died with
+// solves outstanding reads 0 once they are reaped, not its last load
+// for ever.
+func TestMemberQueueDepthIsInFlight(t *testing.T) {
+	sh := &stuckShard{entered: make(chan struct{}, 3), release: make(chan struct{})}
+	cfg := quietConfig([]Shard{sh})
+	cfg.ProbeInterval = 5 * time.Millisecond
+	cfg.SuspectAfter = 1
+	cfg.DeadAfter = 2
+	f := newTestFleet(t, cfg)
+	h := serve.Handle{Key: serve.FactorKey{Pattern: 1}, N: 1}
+	done := make(chan error, 3)
+	for i := 0; i < 3; i++ {
+		go func() {
+			_, err := f.Solve(bg, h, []float64{1})
+			done <- err
+		}()
+	}
+	for i := 0; i < 3; i++ {
+		<-sh.entered
+	}
+	if q := f.Stats().Members[0].QueueDepth; q != 3 {
+		t.Fatalf("queue depth %d with three solves in flight, want 3", q)
+	}
+	sh.down.Store(true)
+	waitState(t, f, 0, "dead", 2*time.Second)
+	close(sh.release)
+	for i := 0; i < 3; i++ {
+		if err := <-done; err == nil {
+			t.Fatal("a solve on the only, dead member succeeded")
+		}
+	}
+	st := f.Stats()
+	if m := st.Members[0]; m.State != "dead" || m.QueueDepth != 0 {
+		t.Fatalf("after the reap: %+v, want a dead member with queue depth 0", m)
+	}
+	if !strings.HasSuffix(st.String(), " in flight 0\n") {
+		t.Fatalf("stats text does not print the in-flight count:\n%s", st)
 	}
 }
 

@@ -263,7 +263,7 @@ func testDrainZeroFailure(t *testing.T, kind string) {
 	if m := st.Members[target]; m.State != "dead" {
 		t.Fatalf("drained member is %s, want dead", m.State)
 	}
-	if d := svcs[target].QueueDepth(); d != 0 {
+	if d := svcs[target].Stats().QueueDepth; d != 0 {
 		t.Fatalf("drained shard still holds %d queued requests", d)
 	}
 }

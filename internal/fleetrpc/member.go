@@ -50,14 +50,11 @@ type MemberStatus struct {
 	State     string    `json:"state"`
 	Failures  int       `json:"failures"`
 	ChangedAt time.Time `json:"changed_at"`
-	// QueueDepth is the member's congestion gauge: the larger of the
-	// shard's queued-work gauge at its latest healthy probe and the
-	// solves this coordinator has in flight to it right now. The probe
-	// is a point sample of the shard's batcher, which a request held up
-	// before it reaches the queue never occupies; the in-flight count
-	// sees that request for as long as it is outstanding.
-	QueueDepth int64         `json:"queue_depth"`
-	Sickness   time.Duration `json:"-"` // time since leaving alive; 0 when alive
+	// QueueDepth is the solves this coordinator has in flight to the
+	// member right now: exact, and 0 once a dead member's requests are
+	// reaped. The shard's own batcher queue is its /v1/stats
+	// queue_depth.
+	QueueDepth int64 `json:"queue_depth"`
 }
 
 // member is one shard in the router's membership table. The id is its
@@ -78,8 +75,6 @@ type member struct {
 	failures int
 	//gesp:guardedby:mu
 	changedAt time.Time
-	//gesp:guardedby:mu
-	lastQueue int64
 }
 
 func newMember(id int, sh Shard, now time.Time) *member {
@@ -100,13 +95,6 @@ func (m *member) failureCount() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.failures
-}
-
-// noteHealth stores the gauges from a healthy probe response.
-func (m *member) noteHealth(res HealthResponse) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.lastQueue = res.QueueDepth
 }
 
 // reportFailure counts one failed probe or transport-failed request
@@ -178,19 +166,15 @@ func (m *member) markDead(now time.Time) {
 }
 
 // status snapshots the member for Fleet.Members.
-func (m *member) status(now time.Time) MemberStatus {
+func (m *member) status() MemberStatus {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	st := MemberStatus{
+	return MemberStatus{
 		ID:         m.id,
 		Addr:       m.sh.Addr(),
 		State:      m.state.String(),
 		Failures:   m.failures,
 		ChangedAt:  m.changedAt,
-		QueueDepth: max(m.lastQueue, m.inflight.Load()),
+		QueueDepth: m.inflight.Load(),
 	}
-	if m.state != StateAlive {
-		st.Sickness = now.Sub(m.changedAt)
-	}
-	return st
 }

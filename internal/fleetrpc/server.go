@@ -245,7 +245,7 @@ func SetRetryAfter(w http.ResponseWriter, d time.Duration) {
 // Mux returns the shard's HTTP API: the client-facing routes of
 // Handler plus the three a coordinator's Client drives.
 //
-//	GET  /v1/health    cheap liveness + load signal for the prober
+//	GET  /v1/health    cheap liveness check for the prober
 //	POST /v1/handoff   drain: close admission, finish queued work -> {}
 //	POST /v1/degraded  iterative solve from a raw matrix (no factoring):
 //	                   a Matrix frame followed by b as n float64s

@@ -32,7 +32,7 @@ type Shard interface {
 	// SolveDegraded solves iteratively from the raw matrix, touching no
 	// cache — the request of last resort.
 	SolveDegraded(ctx context.Context, m Matrix, b []float64) ([]float64, error)
-	// Health is the prober's cheap liveness and load check.
+	// Health is the prober's cheap liveness check.
 	Health(ctx context.Context) (HealthResponse, error)
 	// Handoff drains the shard: admission closes and queued solves
 	// finish. Its cached factors stay behind; the router re-homes them
@@ -108,11 +108,7 @@ func (s *LocalShard) Health(context.Context) (HealthResponse, error) {
 	if s.draining.Load() {
 		status = "draining"
 	}
-	return HealthResponse{
-		Status:     status,
-		QueueDepth: s.svc.QueueDepth(),
-		Factors:    s.svc.Stats().FactorEntries,
-	}, nil
+	return HealthResponse{Status: status}, nil
 }
 
 func (s *LocalShard) Handoff(context.Context) error {

@@ -12,7 +12,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"net"
 	"net/http"
 	"os"
 	"sync/atomic"
@@ -22,27 +21,19 @@ import (
 	"gesp/internal/serve"
 )
 
-// ChildKindShard tags a re-exec payload as a solve shard. An empty
-// kind means shard too — the tag exists so other packages (fleetha's
-// coordinator children) can share the harness: each Run*IfChild hook
-// decodes the kind and claims only its own payloads.
+// ChildKindShard tags a re-exec payload as a solve shard. The tag
+// exists so other packages (fleetha's coordinator children) can share
+// the harness: each Run*IfChild hook decodes the kind and claims only
+// its own payloads.
 const ChildKindShard = "shard"
 
-// ShardConf is what the parent passes each child shard through the
-// environment; the shard itself runs on the serve defaults.
-type ShardConf struct {
-	// Kind discriminates child flavors sharing one binary; empty and
-	// ChildKindShard both mean "solve shard".
-	Kind string `json:"kind,omitempty"`
-}
-
-// ChildKind decodes the kind tag from a re-exec payload ("" for
-// untagged legacy payloads).
+// ChildKind decodes the kind tag from a re-exec payload ("" when it
+// has none).
 func ChildKind(raw string) string {
 	var probe struct {
 		Kind string `json:"kind"`
 	}
-	//gesp:errok — an undecodable payload has no kind; the claiming hook will fail loudly
+	//gesp:errok — an undecodable payload has no kind; no hook claims it
 	_ = json.Unmarshal([]byte(raw), &probe)
 	return probe.Kind
 }
@@ -50,36 +41,27 @@ func ChildKind(raw string) string {
 // RunShardIfChild is the re-exec hook: call it first thing in TestMain
 // (or a command's main). In the parent — or a child of another kind —
 // it returns immediately; in a shard child spawned by SpawnShards it
-// serves until killed and never returns.
+// serves on its inherited listener until killed and never returns.
 func RunShardIfChild() {
 	raw, ok := faultsim.ChildPayload()
-	if !ok {
+	if !ok || ChildKind(raw) != ChildKindShard {
 		return
 	}
-	if k := ChildKind(raw); k != "" && k != ChildKindShard {
-		return
-	}
-	if err := runShard(raw); err != nil {
+	if err := runShard(); err != nil {
 		fmt.Fprintf(os.Stderr, "chaos shard: %v\n", err)
 		os.Exit(1)
 	}
 	os.Exit(0)
 }
 
-func runShard(raw string) error {
-	var conf ShardConf
-	if err := json.Unmarshal([]byte(raw), &conf); err != nil {
-		return fmt.Errorf("bad shard conf: %w", err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+func runShard() error {
+	ln, err := faultsim.ChildListener()
 	if err != nil {
 		return err
 	}
-	addr := ln.Addr().String()
-	// The ready line is the parent's only synchronization point; it
-	// must go out after the listener is accepting.
-	faultsim.AnnounceReady(addr)
-	return http.Serve(ln, WithChaosDelay(NewLocalShard(addr, serve.New(serve.DefaultConfig())).Mux()))
+	h := WithChaosDelay(NewLocalShard(ln.Addr().String(), serve.New(serve.DefaultConfig())).Mux())
+	faultsim.Ready()
+	return http.Serve(ln, h)
 }
 
 // WithChaosDelay wraps a shard mux with a runtime-settable straggler
@@ -127,12 +109,10 @@ func (c *Client) SetChaosDelay(ctx context.Context, ms int64) error {
 }
 
 // SpawnShards re-executes the current binary n times as shard
-// processes (each must reach RunShardIfChild) and waits for each to
-// report its listen address.
+// processes (each must reach RunShardIfChild) and waits until each is
+// serving.
 func SpawnShards(n int) (*faultsim.ProcSet, error) {
-	payload, err := json.Marshal(ShardConf{Kind: ChildKindShard})
-	if err != nil {
-		return nil, fmt.Errorf("chaos: encode shard conf: %w", err)
-	}
-	return faultsim.SpawnProcs(n, string(payload))
+	return faultsim.SpawnProcs(n, func(int, []string) ([]byte, error) {
+		return []byte(`{"kind":"` + ChildKindShard + `"}`), nil
+	})
 }

@@ -119,7 +119,7 @@ func (s Stats) String() string {
 	fmt.Fprintf(&b, "promotions %d  demotions %d  boosted %d  registry %d  p50 %v  p99 %v  p999 %v\n",
 		s.Promotions, s.Demotions, s.Promoted, s.RegistryLen, s.P50, s.P99, s.P999)
 	for _, m := range s.Members {
-		fmt.Fprintf(&b, "member %d %s [%s] failures %d queue %d\n", m.ID, m.Addr, m.State, m.Failures, m.QueueDepth)
+		fmt.Fprintf(&b, "member %d %s [%s] failures %d in flight %d\n", m.ID, m.Addr, m.State, m.Failures, m.QueueDepth)
 	}
 	return b.String()
 }

@@ -84,13 +84,11 @@ type SolveResponse struct {
 	X []float64 `json:"x"`
 }
 
-// HealthResponse is the GET /v1/health body: deliberately tiny, so the
-// prober's cost on a loaded shard is one atomic load and one cheap
-// cache-occupancy read.
+// HealthResponse is the GET /v1/health body: only the status, so a
+// probe of a loaded shard costs it one atomic load. The shard's load
+// gauges are on its /v1/stats.
 type HealthResponse struct {
-	Status     string `json:"status"`
-	QueueDepth int64  `json:"queue_depth"`
-	Factors    int    `json:"factors"`
+	Status string `json:"status"`
 }
 
 // ErrorResponse is every non-200 body. RetryAfterNS repeats the

@@ -368,11 +368,6 @@ func (s *Service) Stats() Stats {
 	return st
 }
 
-// QueueDepth is the instantaneous number of queued, not-yet-batched
-// solve requests across all factors — the router-facing load signal a
-// fleet uses for hedging decisions. Cheaper than a full Stats snapshot.
-func (s *Service) QueueDepth() int64 { return s.m.queueDepth.Load() }
-
 // Close stops admitting work (Submit and Solve return ErrClosed), then
 // drains gracefully: it blocks until submits already admitted have
 // landed in the caches, and every batcher has solved the requests
