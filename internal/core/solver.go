@@ -204,7 +204,8 @@ type Solver struct {
 	ap    *sparse.CSC
 	in    *inputMap // shared read-only with NewWithSymbolic
 	sym   *symbolic.Result
-	sched *lu.Schedule // Workers > 1 only; shared read-only with NewWithSymbolic
+	sched *lu.Schedule  // Workers > 1 only; shared read-only with NewWithSymbolic
+	skel  *distSkeleton // shared with NewWithSymbolic, like sym
 	fac   *lu.Factors
 	sys   refine.System
 
@@ -214,6 +215,19 @@ type Solver struct {
 	ladder *resilience.Ladder
 
 	stats Stats
+}
+
+// distSkeleton is the analysis's block skeleton for the distributed
+// engine, built on the first DistSolve of any Solver sharing the
+// analysis and read by every later one.
+type distSkeleton struct {
+	once sync.Once
+	st   *dist.Structure
+}
+
+func (d *distSkeleton) structure(sym *symbolic.Result) *dist.Structure {
+	d.once.Do(func() { d.st = dist.BuildStructure(sym) })
+	return d.st
 }
 
 // inputMap is what an analysis keeps of the matrix A it was built from,
@@ -403,7 +417,7 @@ func build(a *sparse.CSC, opts Options, numeric bool) (*Solver, error) {
 	s.stats.AvgSuper = sym.AvgSupernode()
 	s.stats.RunWidth = sym.RunWidth
 
-	s.ap, s.sym = work, sym
+	s.ap, s.sym, s.skel = work, sym, &distSkeleton{}
 	if opts.Workers > 1 {
 		s.sched = lu.NewSchedule(work, sym, opts.Workers)
 	}
@@ -499,6 +513,7 @@ func NewWithSymbolic(a *sparse.CSC, donor *Solver) (*Solver, error) {
 		in:     donor.in,
 		sym:    donor.sym,
 		sched:  donor.sched,
+		skel:   donor.skel,
 	}
 	s.stats.N = s.n
 	s.stats.NnzA = len(val)
@@ -516,10 +531,11 @@ func NewWithSymbolic(a *sparse.CSC, donor *Solver) (*Solver, error) {
 
 // DistSolve factors and solves on a simulated distributed-memory machine
 // (the paper's Section 3). The preprocessing and symbolic analysis of
-// this Solver are reused; the numeric factorization and both triangular
-// solves run distributed. The returned solution is in original
-// coordinates; the dist.Result carries the simulated machine statistics
-// that Tables 3–5 report.
+// this Solver are reused, and so is the block skeleton (dist.Structure),
+// built on the first DistSolve of the analysis; the numeric
+// factorization and both triangular solves run distributed. The
+// returned solution is in original coordinates; the dist.Result carries
+// the simulated machine statistics that Tables 3–5 report.
 //
 // Step (4) is Solve's, run on the distributed solution: when this Solver
 // also holds serial factors (built with New rather than NewAnalysis) they
@@ -531,7 +547,7 @@ func (s *Solver) DistSolve(b []float64, dopts dist.Options) ([]float64, *dist.Re
 		return nil, nil, fmt.Errorf("core: right-hand side length %d, want %d", len(b), s.n)
 	}
 	dopts.ReplaceTinyPivot = dopts.ReplaceTinyPivot || s.opts.ReplaceTinyPivot
-	res, err := dist.Solve(s.ap, s.sym, s.scale(make([]float64, s.n), b), dopts)
+	res, err := dist.Solve(s.ap, s.skel.structure(s.sym), s.scale(make([]float64, s.n), b), dopts)
 	if err != nil {
 		return nil, res, err
 	}

@@ -124,9 +124,11 @@ func lookup(ids []int, v int) int {
 
 // UpdateScratch holds the reusable work buffers of RankBUpdateInto: the
 // dense product accumulator, the packed U panel and the row/column
-// index maps. One scratch per worker (or one for the whole serial
-// engine) removes every per-call allocation from the Schur-update hot
-// path.
+// index maps. One scratch serves the serial engine, and one serves a
+// whole simulated world: only one rank runs at a time and
+// RankBUpdateInto never yields to the scheduler, so no two updates
+// overlap. That removes every per-call allocation from the
+// Schur-update hot path.
 type UpdateScratch struct {
 	prod   []float64
 	upack  []float64
@@ -155,17 +157,49 @@ func (ws *UpdateScratch) ensure(nr, nc, ku int) {
 	ws.colMap = ws.colMap[:nc]
 }
 
+// mapInto sets m[i] to the position of ids[i] in into, or -1 where
+// into lacks it; both ascend. When into is one contiguous range — the
+// rows of a diagonal or U block, the columns of a diagonal or L block:
+// one supernode's indices — the position is an offset; otherwise one
+// merge walk finds them all.
+//
+//gesp:hotpath
+func mapInto(m, ids, into []int) {
+	if n := len(into); n > 0 && into[n-1]-into[0] == n-1 {
+		lo := into[0]
+		for i, v := range ids {
+			if p := v - lo; p >= 0 && p < n {
+				m[i] = p
+			} else {
+				m[i] = -1
+			}
+		}
+		return
+	}
+	q := 0
+	for i, v := range ids {
+		for q < len(into) && into[q] < v {
+			q++
+		}
+		if q < len(into) && into[q] == v {
+			m[i] = q
+		} else {
+			m[i] = -1
+		}
+	}
+}
+
 // RankBUpdateInto applies target -= L(I,K)·U(K,J) using ws as scratch.
 // Rows of l and columns of u are located in the target through its
-// global index sets. With strict T2 supernodes every position exists;
-// with relaxed (amalgamated) supernodes a row or column of the operand
-// blocks may be absent from the target — those contributions are
-// provably zero (the corresponding L or U entries are structural-zero
-// padding), so they are skipped. The mapped U columns are packed
-// contiguously and the product is one kernels.MatMul call, which
-// accumulates each product element over ascending k. Returns the flop
-// count, 2·nrL per nonzero entry of a mapped U column — the count the
-// distributed simulator's virtual clock is fed.
+// global index sets (see mapInto). With strict T2 supernodes every
+// position exists; with relaxed (amalgamated) supernodes a row or
+// column of the operand blocks may be absent from the target — those
+// contributions are provably zero (the corresponding L or U entries are
+// structural-zero padding), so they are skipped. The mapped U columns
+// are packed contiguously and the product is one kernels.MatMul call,
+// which accumulates each product element over ascending k. Returns the
+// flop count, 2·nrL per nonzero entry of a mapped U column — the count
+// the distributed simulator's virtual clock is fed.
 //
 //gesp:hotpath
 func (t *Block) RankBUpdateInto(l, u *Block, ws *UpdateScratch) int64 {
@@ -174,15 +208,14 @@ func (t *Block) RankBUpdateInto(l, u *Block, ws *UpdateScratch) int64 {
 	bk := l.NC()             // supernode K width; equals u.NR()
 	ws.ensure(nrL, ncU, nrU) //gesp:allocok one-time scratch warm-up; steady state is allocation-free (see blockupdate_test AllocsPerRun)
 	rowMap, colMap, prod, upack := ws.rowMap, ws.colMap, ws.prod, ws.upack
-	for i, r := range l.Rows {
-		rowMap[i] = lookup(t.Rows, r)
-	}
-	// Pack the mapped U columns contiguously, recording each packed
-	// column's target index and counting nonzeros for the flop model.
+	mapInto(rowMap, l.Rows, t.Rows)
+	mapInto(colMap, u.Cols, t.Cols)
+	// Pack the mapped U columns contiguously, compacting colMap to the
+	// packed columns' target indices and counting nonzeros for the flop
+	// model.
 	nM := 0
 	var nz int64
-	for c, cGlobal := range u.Cols {
-		tc := lookup(t.Cols, cGlobal)
+	for c, tc := range colMap {
 		if tc < 0 {
 			continue
 		}

@@ -19,6 +19,19 @@ type BlockGrid struct {
 	St     *Structure
 	ids    []int    // structural ids of the blocks held, ascending
 	blocks []*Block // blocks[q] is block ids[q]
+	// rank is the grid's number among the grids of at, which places
+	// every structural id; a nil at (a merged grid) holds block id at
+	// position id.
+	rank int32
+	at   *placement
+}
+
+// placement records where the grids of one layout hold each block:
+// owner[id] is the grid holding structural block id (-1 for none) and
+// slot[id] its position in that grid's blocks. It is built with the
+// grids, so finding a block by id is two loads, not a search.
+type placement struct {
+	owner, slot []int32
 }
 
 // newGrids allocates p grids in one pass over the skeleton: block
@@ -41,13 +54,14 @@ func newGrids(st *Structure, p int, owner func(i, j int) int) []*BlockGrid {
 			}
 		}
 	}
-	own := make([]int32, st.base[ns])
+	at := &placement{owner: make([]int32, st.base[ns]), slot: make([]int32, st.base[ns])}
 	nBlk := make([]int, p)
 	nVal := make([]int, p)
 	each(func(id, i, j int, rows, cols []int) {
 		r := owner(i, j)
-		own[id] = int32(r)
+		at.owner[id] = int32(r)
 		if r >= 0 {
+			at.slot[id] = int32(nBlk[r])
 			nBlk[r]++
 			nVal[r] += len(rows) * len(cols)
 		}
@@ -56,12 +70,12 @@ func newGrids(st *Structure, p int, owner func(i, j int) int) []*BlockGrid {
 	slabs := make([][]Block, p)
 	vals := make([][]float64, p)
 	for r := range grids {
-		grids[r] = &BlockGrid{St: st, ids: make([]int, 0, nBlk[r]), blocks: make([]*Block, 0, nBlk[r])}
+		grids[r] = &BlockGrid{St: st, ids: make([]int, 0, nBlk[r]), blocks: make([]*Block, 0, nBlk[r]), rank: int32(r), at: at}
 		slabs[r] = make([]Block, nBlk[r])
 		vals[r] = make([]float64, nVal[r])
 	}
 	each(func(id, i, j int, rows, cols []int) {
-		r := own[id]
+		r := at.owner[id]
 		if r < 0 {
 			return
 		}
@@ -76,9 +90,23 @@ func newGrids(st *Structure, p int, owner func(i, j int) int) []*BlockGrid {
 	return grids
 }
 
+// pos returns the position in g.blocks of the block with structural id
+// id, or -1 when the grid does not hold it.
+//
+//gesp:hotpath
+func (g *BlockGrid) pos(id int) int {
+	if g.at == nil {
+		return id
+	}
+	if g.at.owner[id] != g.rank {
+		return -1
+	}
+	return int(g.at.slot[id])
+}
+
 // block returns the grid's block with structural id id, or nil.
 func (g *BlockGrid) block(id int) *Block {
-	if q := lookup(g.ids, id); q >= 0 {
+	if q := g.pos(id); q >= 0 {
 		return g.blocks[q]
 	}
 	return nil
@@ -99,16 +127,18 @@ func (g *BlockGrid) Target(i, j int) *Block {
 func scatter(a *sparse.CSC, grids []*BlockGrid, owner func(i, j int) int) {
 	st := grids[0].St
 	sup := st.Sym.SupOf
+	var cb colBlocks
 	for j := 0; j < a.Cols; j++ {
 		bj := sup[j]
 		rows, vals := a.RowInd[a.ColPtr[j]:a.ColPtr[j+1]], a.Val[a.ColPtr[j]:a.ColPtr[j+1]]
-		blockOf := func(bi int) *Block {
-			id := st.blockID(bi, bj)
+		cb.column(st, j)
+		blockOf := func(bi int) (*Block, int) {
+			id, c := cb.at(bi)
 			if id < 0 {
 				// A's pattern is contained in L+U's, so the block exists.
 				panic("dist: A entry outside the static block skeleton")
 			}
-			return grids[owner(bi, bj)].block(id)
+			return grids[owner(bi, bj)].block(id), c
 		}
 		walkCol(sup, rows, j, blockOf, func(p int, v *float64) {
 			if v == nil {
@@ -119,21 +149,85 @@ func scatter(a *sparse.CSC, grids []*BlockGrid, owner func(i, j int) int) {
 	}
 }
 
+// colBlocks finds the block (bi, SupOf[j]) holding column j, and j's
+// position in it, by cursors over the skeleton instead of searches: the
+// columns come in ascending order and, within one, the block rows bi
+// ascend, meeting column J's U blocks in ColU[J] order, the diagonal,
+// then its L blocks in ColL[J] order. A U block's columns are a subset
+// of its supernode's, met in order as j ascends (ucur, one cursor per
+// U block of the supernode); the diagonal's and an L block's are the
+// whole supernode.
+type colBlocks struct {
+	st        *Structure
+	j, bj, lo int
+	qU, qL    int
+	ucur      []int
+}
+
+// column starts column j.
+func (cb *colBlocks) column(st *Structure, j int) {
+	bj := st.Sym.SupOf[j]
+	if cb.st != st || bj != cb.bj || j < cb.j {
+		cb.st, cb.bj = st, bj
+		cb.lo, _ = st.SupCols(bj)
+		cb.ucur = append(cb.ucur[:0], make([]int, len(st.ColU[bj]))...)
+	}
+	cb.j, cb.qU, cb.qL = j, 0, 0
+}
+
+// at returns the structural id of block (bi, SupOf[j]) and j's position
+// among its columns (-1 if absent), or id -1 when the skeleton has no
+// such block. Successive calls within a column take ascending bi.
+func (cb *colBlocks) at(bi int) (id, c int) {
+	st, bj := cb.st, cb.bj
+	switch {
+	case bi == bj:
+		return bi, cb.j - cb.lo
+	case bi > bj:
+		colL := st.ColL[bj]
+		for cb.qL < len(colL) && colL[cb.qL] < bi {
+			cb.qL++
+		}
+		if cb.qL < len(colL) && colL[cb.qL] == bi {
+			return st.lID(bj, cb.qL), cb.j - cb.lo
+		}
+	default:
+		colU := st.ColU[bj]
+		for cb.qU < len(colU) && colU[cb.qU] < bi {
+			cb.qU++
+		}
+		if cb.qU < len(colU) && colU[cb.qU] == bi {
+			pos := int(st.colUAt[bj][cb.qU])
+			cols, u := st.UBlocks[bi][pos].Cols, &cb.ucur[cb.qU]
+			for *u < len(cols) && cols[*u] < cb.j {
+				*u++
+			}
+			c = -1
+			if *u < len(cols) && cols[*u] == cb.j {
+				c = *u
+			}
+			return st.uID(bi, pos), c
+		}
+	}
+	return -1, -1
+}
+
 // walkCol visits column j at the ascending global rows. Each run of rows
-// in one supernode bi resolves its block once, with blockOf(bi), and
-// walks the block's ascending rows alongside; f(p, v) receives each
-// row's position p in rows and its entry v in the block, nil when the
-// block has no such row or column. A run whose block is nil is skipped.
-func walkCol(sup, rows []int, j int, blockOf func(bi int) *Block, f func(p int, v *float64)) {
+// in one supernode bi resolves its block and j's position among its
+// columns once, with blockOf(bi), and walks the block's ascending rows
+// alongside; f(p, v) receives each row's position p in rows and its
+// entry v in the block, nil when the block has no such row or column. A
+// run whose block is nil is skipped.
+func walkCol(sup, rows []int, j int, blockOf func(bi int) (*Block, int), f func(p int, v *float64)) {
 	for p := 0; p < len(rows); {
 		bi := sup[rows[p]]
 		end := p + 1
 		for end < len(rows) && sup[rows[end]] == bi {
 			end++
 		}
-		if b := blockOf(bi); b != nil {
+		if b, c := blockOf(bi); b != nil {
 			var col []float64
-			if c := lookup(b.Cols, j); c >= 0 {
+			if c >= 0 {
 				col = b.Val[c*b.NR() : (c+1)*b.NR()]
 			}
 			ri := 0
@@ -168,6 +262,7 @@ func (g *BlockGrid) Factors(a *sparse.CSC) *lu.Factors {
 		UVal:    make([]float64, sym.NnzU()),
 		ColAMax: make([]float64, sym.N),
 	}
+	var cb colBlocks
 	for j := 0; j < sym.N; j++ {
 		cmax := 0.0
 		for k := a.ColPtr[j]; k < a.ColPtr[j+1]; k++ {
@@ -176,18 +271,24 @@ func (g *BlockGrid) Factors(a *sparse.CSC) *lu.Factors {
 			}
 		}
 		f.ColAMax[j] = cmax
-		g.gatherCol(f.UVal[sym.UPtr[j]:sym.UPtr[j+1]], sym.UInd[sym.UPtr[j]:sym.UPtr[j+1]], j)
-		g.gatherCol(f.LVal[sym.LPtr[j]:sym.LPtr[j+1]], sym.LInd[sym.LPtr[j]:sym.LPtr[j+1]], j)
+		g.gatherCol(&cb, f.UVal[sym.UPtr[j]:sym.UPtr[j+1]], sym.UInd[sym.UPtr[j]:sym.UPtr[j+1]], j)
+		g.gatherCol(&cb, f.LVal[sym.LPtr[j]:sym.LPtr[j+1]], sym.LInd[sym.LPtr[j]:sym.LPtr[j+1]], j)
 	}
 	return f
 }
 
 // gatherCol copies column j's entries at the ascending global rows into
-// dst (zero on entry).
-func (g *BlockGrid) gatherCol(dst []float64, rows []int, j int) {
-	sup := g.St.Sym.SupOf
-	blockOf := func(bi int) *Block { return g.Target(bi, sup[j]) }
-	walkCol(sup, rows, j, blockOf, func(p int, v *float64) {
+// dst (zero on entry), resolving blocks through cb.
+func (g *BlockGrid) gatherCol(cb *colBlocks, dst []float64, rows []int, j int) {
+	cb.column(g.St, j)
+	blockOf := func(bi int) (*Block, int) {
+		id, c := cb.at(bi)
+		if id < 0 {
+			return nil, -1
+		}
+		return g.block(id), c
+	}
+	walkCol(g.St.Sym.SupOf, rows, j, blockOf, func(p int, v *float64) {
 		if v != nil {
 			dst[p] = *v
 		}

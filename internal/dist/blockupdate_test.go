@@ -34,10 +34,19 @@ func fillBlock(rng *rand.Rand, b *Block) {
 // the strip stays cache-resident while every U column sweeps over it.
 const updateRowTile = 192
 
+// searchIndex is the reference index map: a binary search per element.
+func searchIndex(ids []int, v int) int {
+	if i := sort.SearchInts(ids, v); i < len(ids) && ids[i] == v {
+		return i
+	}
+	return -1
+}
+
 // rankBUpdateScalar is the reference RankBUpdateInto is pinned against:
 // the strip-mined loop the engines ran before the update became one
-// packed kernels.MatMul call. It reads U in place, skips zero U entries
-// one at a time, and counts 2·nrL flops per executed axpy.
+// packed kernels.MatMul call, locating every operand row and column in
+// the target by binary search. It reads U in place, skips zero U
+// entries one at a time, and counts 2·nrL flops per executed axpy.
 func (t *Block) rankBUpdateScalar(l, u *Block, ws *UpdateScratch) int64 {
 	nrL, nrT := l.NR(), t.NR()
 	ncU, nrU := u.NC(), u.NR()
@@ -45,11 +54,11 @@ func (t *Block) rankBUpdateScalar(l, u *Block, ws *UpdateScratch) int64 {
 	ws.ensure(nrL, ncU, 0)
 	rowMap, colMap, prod := ws.rowMap, ws.colMap, ws.prod
 	for i, r := range l.Rows {
-		rowMap[i] = lookup(t.Rows, r)
+		rowMap[i] = searchIndex(t.Rows, r)
 	}
 	nMapped := 0
 	for c, cGlobal := range u.Cols {
-		colMap[c] = lookup(t.Cols, cGlobal)
+		colMap[c] = searchIndex(t.Cols, cGlobal)
 		if colMap[c] >= 0 {
 			nMapped++
 		}
@@ -105,12 +114,70 @@ func (t *Block) rankBUpdateScalar(l, u *Block, ws *UpdateScratch) int64 {
 	return flops
 }
 
+// indexSet returns n ascending global indices from base on: one
+// contiguous range (a supernode's, as a diagonal block's rows and
+// columns, a U block's rows and an L block's columns are), or every
+// other index (a subset, as an L block's rows or a U block's columns).
+func indexSet(n, base int, contiguous bool) []int {
+	ids := make([]int, n)
+	for i := range ids {
+		ids[i] = base + i
+		if !contiguous {
+			ids[i] = base + 2*i
+		}
+	}
+	return ids
+}
+
+// relaxedSubset picks n of the target's indices for an operand and
+// makes one of them absent from the target, as relaxed-supernode
+// padding does: past the end of a contiguous target, or in a gap of a
+// subset.
+func relaxedSubset(rng *rand.Rand, target []int, n int, contiguous bool) []int {
+	ids := pickN(rng, target, n)
+	if contiguous {
+		ids[n-1] = target[len(target)-1] + 1 + rng.Intn(3)
+	} else {
+		ids[n-1]++ // odd: in a gap of the even target
+	}
+	return ids
+}
+
+// TestMapInto pins the index maps against a binary search per element,
+// on contiguous targets (the offset path) and subset targets (the merge
+// walk), with operand indices below, inside and above the target and in
+// its gaps, all of which the target lacks map to -1.
+func TestMapInto(t *testing.T) {
+	t.Parallel()
+	rng := rand.New(rand.NewSource(50))
+	for trial := 0; trial < 200; trial++ {
+		into := indexSet(1+rng.Intn(30), 10+rng.Intn(5), trial%2 == 0)
+		ids := make([]int, 0, 40)
+		for v := 0; v < into[len(into)-1]+10; v++ {
+			if rng.Intn(3) == 0 {
+				ids = append(ids, v)
+			}
+		}
+		m := make([]int, len(ids))
+		mapInto(m, ids, into)
+		for i, v := range ids {
+			if want := searchIndex(into, v); m[i] != want {
+				t.Fatalf("trial %d: id %d maps to %d in %v, want %d", trial, v, m[i], into, want)
+			}
+		}
+	}
+}
+
 // TestRankBUpdateMatchesReference pins the Schur update against
 // rankBUpdateScalar bitwise — target block and returned flop count,
 // which the simulator's virtual clock is fed — on operand shapes that
-// straddle the register block, with relaxed-supernode padding (operand
-// rows and columns absent from the target) and with one dirty scratch
-// reused across every shape, the way the engines actually call it.
+// straddle the register block, for every target kind the engines meet
+// (a diagonal block: rows and columns mapped by range; an L block: rows
+// by merge walk, columns by range; a U block: rows by range, columns by
+// merge walk; and both by merge walk), with relaxed-supernode padding
+// (operand rows and columns absent from the target, mapped to -1 and
+// skipped) and with one dirty scratch reused across every shape, the
+// way the engines actually call it.
 func TestRankBUpdateMatchesReference(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(51))
@@ -120,22 +187,19 @@ func TestRankBUpdateMatchesReference(t *testing.T) {
 		{1, 1, 1}, {3, 2, 2}, {4, 4, 4}, {5, 3, 7}, {8, 8, 8},
 		{17, 5, 9}, {24, 24, 24}, {31, 7, 12}, {65, 24, 17}, {200, 24, 24},
 	}
+	kinds := []struct {
+		name               string
+		rowRange, colRange bool
+	}{{"diag", true, true}, {"L", false, true}, {"U", true, false}, {"merge", false, false}}
 	for trial, sh := range shapes {
+		kind := kinds[trial%len(kinds)]
 		// Global index sets: the target covers a wide range; the operands
 		// cover subsets, plus rows/cols outside the target to exercise
 		// the relaxed-supernode (-1 map) path.
-		tRows := make([]int, sh.nrL+8)
-		for i := range tRows {
-			tRows[i] = i * 2
-		}
-		tCols := make([]int, sh.ncU+8)
-		for i := range tCols {
-			tCols[i] = 1000 + i*2
-		}
-		lRows := pickN(rng, tRows, sh.nrL)
-		lRows[len(lRows)-1]++ // odd: guaranteed absent from the target
-		uCols := pickN(rng, tCols, sh.ncU)
-		uCols[len(uCols)-1]++
+		tRows := indexSet(sh.nrL+8, 0, kind.rowRange)
+		tCols := indexSet(sh.ncU+8, 1000, kind.colRange)
+		lRows := relaxedSubset(rng, tRows, sh.nrL, kind.rowRange)
+		uCols := relaxedSubset(rng, tCols, sh.ncU, kind.colRange)
 		kCols := make([]int, sh.bk)
 		for i := range kCols {
 			kCols[i] = 500 + i
@@ -154,36 +218,40 @@ func TestRankBUpdateMatchesReference(t *testing.T) {
 		wantFlops := want.rankBUpdateScalar(l, u, &wsRef)
 		gotFlops := got.RankBUpdateInto(l, u, &ws)
 		if gotFlops != wantFlops {
-			t.Fatalf("trial %d: flop count %d, reference %d", trial, gotFlops, wantFlops)
+			t.Fatalf("trial %d (%s target): flop count %d, reference %d", trial, kind.name, gotFlops, wantFlops)
 		}
 		for i := range want.Val {
 			if math.Float64bits(want.Val[i]) != math.Float64bits(got.Val[i]) {
-				t.Fatalf("trial %d: element %d differs from the reference", trial, i)
+				t.Fatalf("trial %d (%s target): element %d differs from the reference", trial, kind.name, i)
 			}
 		}
 	}
 }
 
 // TestRankBUpdateZeroAlloc proves the Schur-update hot path allocates
-// nothing once its scratch is warm. Not parallel: testing.AllocsPerRun
-// panics inside a parallel test.
+// nothing once its scratch is warm, through both index maps: a
+// diagonal-like target (range maps) and a subset target with relaxed
+// operands (merge walks, absent indices). Not parallel:
+// testing.AllocsPerRun panics inside a parallel test.
 func TestRankBUpdateZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(52))
-	rows := make([]int, 48)
-	for i := range rows {
-		rows[i] = i
+	kc := indexSet(24, 500, true)
+	rangeT := NewBlock(indexSet(48, 0, true), indexSet(32, 1000, true))
+	mergeT := NewBlock(indexSet(48, 0, false), indexSet(32, 1000, false))
+	l := NewBlock(relaxedSubset(rng, mergeT.Rows, 40, false), kc)
+	u := NewBlock(kc, relaxedSubset(rng, mergeT.Cols, 16, false))
+	lr := NewBlock(indexSet(48, 0, true), kc)
+	ur := NewBlock(kc, indexSet(16, 1000, true))
+	for _, b := range []*Block{l, u, lr, ur} {
+		fillBlock(rng, b)
 	}
-	kc := rows[:24]
-	l := NewBlock(rows, kc)
-	u := NewBlock(kc, rows[:16])
-	tgt := NewBlock(rows, rows[:32])
-	fillBlock(rng, l)
-	fillBlock(rng, u)
 
 	var ws UpdateScratch
-	tgt.RankBUpdateInto(l, u, &ws) // warm the scratch
+	rangeT.RankBUpdateInto(lr, ur, &ws) // warm the scratch
+	mergeT.RankBUpdateInto(l, u, &ws)
 	allocs := testing.AllocsPerRun(10, func() {
-		tgt.RankBUpdateInto(l, u, &ws)
+		rangeT.RankBUpdateInto(lr, ur, &ws)
+		mergeT.RankBUpdateInto(l, u, &ws)
 	})
 	if allocs != 0 {
 		t.Errorf("%v allocs/op, want 0", allocs)

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 
 	"gesp/internal/lu"
@@ -46,7 +47,7 @@ func solveDist(t *testing.T, a *sparse.CSC, sym *symbolic.Result, opts Options) 
 	}
 	b := make([]float64, n)
 	a.MatVec(b, want)
-	res, err := Solve(a, sym, b, opts)
+	res, err := Solve(a, BuildStructure(sym), b, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +179,7 @@ func TestFactorsIndependentOfLayout(t *testing.T) {
 			grid := mpisim.Grid{PRow: shape[0], PCol: shape[1]}
 			for _, prune := range []bool{false, true} {
 				for _, pipeline := range []bool{false, true} {
-					o, err := run(job{a: sys.a, sym: sys.sym, bs: [][]float64{b}, opts: Options{
+					o, err := run(job{a: sys.a, st: BuildStructure(sys.sym), bs: [][]float64{b}, opts: Options{
 						Procs: grid.PRow * grid.PCol, Grid: &grid, EDAGPrune: prune, Pipeline: pipeline, ReplaceTinyPivot: true,
 					}})
 					if err != nil {
@@ -297,12 +298,12 @@ func TestDeterministicFactorSimTime(t *testing.T) {
 	for i := range b {
 		b[i] = 1
 	}
-	r1, err := Solve(a, sym, b, Options{Procs: 4, ReplaceTinyPivot: true, EDAGPrune: true})
+	r1, err := Solve(a, BuildStructure(sym), b, Options{Procs: 4, ReplaceTinyPivot: true, EDAGPrune: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for trial := 0; trial < 3; trial++ {
-		r2, err := Solve(a, sym, b, Options{Procs: 4, ReplaceTinyPivot: true, EDAGPrune: true})
+		r2, err := Solve(a, BuildStructure(sym), b, Options{Procs: 4, ReplaceTinyPivot: true, EDAGPrune: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -318,6 +319,53 @@ func TestDeterministicFactorSimTime(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestConcurrentRunsShareStructure runs the distributed solve from
+// several goroutines at once on one Structure, as the DistSolve calls
+// of one core.Solver may, and requires every run to match a run on a
+// fresh Structure bit for bit (run under -race in make race).
+func TestConcurrentRunsShareStructure(t *testing.T) {
+	a, sym := prepared(t, 23, 120, 0.05, 8)
+	b := make([]float64, a.Rows)
+	for i := range b {
+		b[i] = 1 + float64(i%3)
+	}
+	procs := []int{4, 6, 16}
+	want := make(map[int]*Result)
+	for _, p := range procs {
+		r, err := Solve(a, BuildStructure(sym), b, Options{Procs: p, Pipeline: true, EDAGPrune: true, ReplaceTinyPivot: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[p] = r
+	}
+	st := BuildStructure(sym)
+	var wg sync.WaitGroup
+	for g := 0; g < 2*len(procs); g++ {
+		p := procs[g%len(procs)]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r, err := Solve(a, st, b, Options{Procs: p, Pipeline: true, EDAGPrune: true, ReplaceTinyPivot: true})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			w := want[p]
+			if math.Float64bits(r.Factor.SimTime) != math.Float64bits(w.Factor.SimTime) ||
+				math.Float64bits(r.Solve.SimTime) != math.Float64bits(w.Solve.SimTime) {
+				t.Errorf("P=%d: sim times %g/%g, fresh Structure %g/%g", p, r.Factor.SimTime, r.Solve.SimTime, w.Factor.SimTime, w.Solve.SimTime)
+			}
+			for i := range r.X {
+				if math.Float64bits(r.X[i]) != math.Float64bits(w.X[i]) {
+					t.Errorf("P=%d: X[%d] = %v, fresh Structure %v", p, i, r.X[i], w.X[i])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestStructureInvariants(t *testing.T) {
@@ -427,7 +475,7 @@ func TestZeroPivotReported(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := []float64{1, 1, 1}
-	_, err = Solve(a, sym, b, Options{Procs: 2, ReplaceTinyPivot: false})
+	_, err = Solve(a, BuildStructure(sym), b, Options{Procs: 2, ReplaceTinyPivot: false})
 	if err == nil {
 		t.Fatal("zero pivot not reported")
 	}
@@ -467,7 +515,7 @@ func TestSolveMultiRHS(t *testing.T) {
 		bs = append(bs, b)
 		wants = append(wants, want)
 	}
-	res, xs, err := SolveMulti(a, sym, bs, Options{Procs: 4, Pipeline: true, EDAGPrune: true, ReplaceTinyPivot: true})
+	res, xs, err := SolveMulti(a, BuildStructure(sym), bs, Options{Procs: 4, Pipeline: true, EDAGPrune: true, ReplaceTinyPivot: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -494,7 +542,7 @@ func TestSolveFrom1DRedistribution(t *testing.T) {
 	b := make([]float64, n)
 	a.MatVec(b, want)
 	for _, p := range []int{1, 3, 6} {
-		res, redist, err := SolveFrom1D(a, sym, b, Uniform1D(n, p), Options{
+		res, redist, err := SolveFrom1D(a, BuildStructure(sym), b, Uniform1D(n, p), Options{
 			Procs: p, Pipeline: true, EDAGPrune: true, ReplaceTinyPivot: true,
 		})
 		if err != nil {
@@ -521,11 +569,11 @@ func TestSolveFrom1DHonoursGrid(t *testing.T) {
 	}
 	grid := mpisim.Grid{PRow: 1, PCol: 4}
 	opts := Options{Procs: 4, Grid: &grid, Pipeline: true, EDAGPrune: true, ReplaceTinyPivot: true}
-	res, _, err := SolveFrom1D(a, sym, b, Uniform1D(a.Rows, 4), opts)
+	res, _, err := SolveFrom1D(a, BuildStructure(sym), b, Uniform1D(a.Rows, 4), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := Solve(a, sym, b, opts)
+	plain, err := Solve(a, BuildStructure(sym), b, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -549,8 +597,8 @@ func TestZeroPivotNamesRank(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := []float64{1, 1, 1}
-	_, _, err1D := SolveFrom1D(a, sym, b, Uniform1D(3, 2), Options{Procs: 2})
-	_, _, errFT := SolveFT(a, sym, b, FTOptions{Options: Options{Procs: 2}})
+	_, _, err1D := SolveFrom1D(a, BuildStructure(sym), b, Uniform1D(3, 2), Options{Procs: 2})
+	_, _, errFT := SolveFT(a, BuildStructure(sym), b, FTOptions{Options: Options{Procs: 2}})
 	for _, err := range []error{err1D, errFT} {
 		if !errors.Is(err, ErrZeroPivotDist) || !strings.Contains(fmt.Sprint(err), "rank") {
 			t.Errorf("zero-pivot error %v does not wrap ErrZeroPivotDist with the rank", err)

@@ -9,7 +9,6 @@ import (
 	"gesp/internal/lu"
 	"gesp/internal/mpisim"
 	"gesp/internal/sparse"
-	"gesp/internal/symbolic"
 )
 
 // PhaseStats reports one phase (factorization or solve) of a distributed
@@ -94,10 +93,11 @@ type Recovery struct {
 }
 
 // Solve factors the (already permuted and scaled) matrix a with the
-// distributed GESP algorithm and solves a·x = b. The symbolic structure
-// must come from symbolic.Factorize on the same matrix.
-func Solve(a *sparse.CSC, sym *symbolic.Result, b []float64, opts Options) (*Result, error) {
-	o, err := run(job{a: a, sym: sym, bs: [][]float64{b}, opts: opts}) //gesp:wallclock run's Wall stats are reporting-only; they never feed the virtual clock
+// distributed GESP algorithm and solves a·x = b. The block skeleton st
+// must be BuildStructure of symbolic.Factorize on the same matrix; it
+// is only read, so one skeleton serves any number of runs.
+func Solve(a *sparse.CSC, st *Structure, b []float64, opts Options) (*Result, error) {
+	o, err := run(job{a: a, st: st, bs: [][]float64{b}, opts: opts}) //gesp:wallclock run's Wall stats are reporting-only; they never feed the virtual clock
 	return o.res, err
 }
 
@@ -105,8 +105,8 @@ func Solve(a *sparse.CSC, sym *symbolic.Result, b []float64, opts Options) (*Res
 // amortization scenario the paper's §5 discusses ("will probably depend
 // on the number of right-hand sides"). The Solve phase statistics cover
 // all right-hand sides together.
-func SolveMulti(a *sparse.CSC, sym *symbolic.Result, bs [][]float64, opts Options) (*Result, [][]float64, error) {
-	o, err := run(job{a: a, sym: sym, bs: bs, opts: opts}) //gesp:wallclock run's Wall stats are reporting-only; they never feed the virtual clock
+func SolveMulti(a *sparse.CSC, st *Structure, bs [][]float64, opts Options) (*Result, [][]float64, error) {
+	o, err := run(job{a: a, st: st, bs: bs, opts: opts}) //gesp:wallclock run's Wall stats are reporting-only; they never feed the virtual clock
 	return o.res, o.xs, err
 }
 
@@ -121,7 +121,7 @@ func SolveMulti(a *sparse.CSC, sym *symbolic.Result, bs [][]float64, opts Option
 //
 // Pipelining is forcibly disabled: the checkpoint consistency argument
 // needs the barrier-aligned non-pipelined schedule.
-func SolveFT(a *sparse.CSC, sym *symbolic.Result, b []float64, opts FTOptions) (*Result, *Recovery, error) {
+func SolveFT(a *sparse.CSC, st *Structure, b []float64, opts FTOptions) (*Result, *Recovery, error) {
 	opts.Pipeline = false
 	if opts.CheckpointEvery <= 0 {
 		opts.CheckpointEvery = 4
@@ -130,7 +130,7 @@ func SolveFT(a *sparse.CSC, sym *symbolic.Result, b []float64, opts FTOptions) (
 		opts.MaxRestarts = 3
 	}
 	o, err := run(job{ //gesp:wallclock run's Wall stats are reporting-only; they never feed the virtual clock
-		a: a, sym: sym, bs: [][]float64{b}, opts: opts.Options,
+		a: a, st: st, bs: [][]float64{b}, opts: opts.Options,
 		fault: opts.Fault, ckptEvery: opts.CheckpointEvery, maxRestarts: opts.MaxRestarts,
 	})
 	if err == nil {
@@ -146,11 +146,11 @@ func SolveFT(a *sparse.CSC, sym *symbolic.Result, b []float64, opts FTOptions) (
 // rows), is redistributed to the 2-D block-cyclic layout with measured
 // communication, then factored and solved as usual. The redistribution
 // phase statistics are returned alongside.
-func SolveFrom1D(a *sparse.CSC, sym *symbolic.Result, b []float64, slices []RowSlice, opts Options) (*Result, PhaseStats, error) {
+func SolveFrom1D(a *sparse.CSC, st *Structure, b []float64, slices []RowSlice, opts Options) (*Result, PhaseStats, error) {
 	if opts.Procs <= 0 {
 		opts.Procs = len(slices)
 	}
-	o, err := run(job{a: a, sym: sym, bs: [][]float64{b}, opts: opts, slices: slices}) //gesp:wallclock run's Wall stats are reporting-only; they never feed the virtual clock
+	o, err := run(job{a: a, st: st, bs: [][]float64{b}, opts: opts, slices: slices}) //gesp:wallclock run's Wall stats are reporting-only; they never feed the virtual clock
 	return o.res, o.redist, err
 }
 
@@ -159,7 +159,7 @@ func SolveFrom1D(a *sparse.CSC, sym *symbolic.Result, b []float64, slices []RowS
 // its case needs.
 type job struct {
 	a    *sparse.CSC
-	sym  *symbolic.Result
+	st   *Structure
 	bs   [][]float64
 	opts Options
 	// slices non-nil: a arrives 1-D row-distributed and a measured
@@ -198,7 +198,8 @@ type outcome struct {
 //
 //gesp:wallclock
 func run(j job) (*outcome, error) {
-	a, sym, opts := j.a, j.sym, j.opts
+	a, st, opts := j.a, j.st, j.opts
+	sym := st.Sym
 	if opts.Procs <= 0 {
 		opts.Procs = 4
 	}
@@ -211,7 +212,6 @@ func run(j job) (*outcome, error) {
 	if opts.Grid != nil {
 		grid = *opts.Grid
 	}
-	st := BuildStructure(sym)
 	pl := newPlan(st, grid, opts.EDAGPrune)
 	thresh := lu.TinyPivotThreshold(a.Norm1(), opts.Threshold)
 

@@ -63,15 +63,13 @@ type worker struct {
 	panelDone []bool
 	tiny      int
 	zeroPivot bool
-	// ws is the rank's reusable Schur-update scratch: one per simulated
-	// rank keeps the update hot path allocation-free across the whole
-	// factorization instead of allocating per block pair.
-	ws UpdateScratch
 	// lRecv/uRecv hold the operand blocks of the current panel received
-	// from other ranks; sent marks the ranks a broadcast has already
-	// reached.
-	lRecv, uRecv []*Block
-	sent         []bool
+	// from other ranks, tgt the target of each pair of them; dsts lists
+	// the ranks a panel's blocks are broadcast to, and sent marks the
+	// ranks a broadcast has already reached.
+	lRecv, uRecv, tgt []*Block
+	dsts              []int
+	sent              []bool
 	// sweeps[0] and sweeps[1] are the lower and upper solve schedules,
 	// built on first use; sw is the scratch one sweep runs in.
 	sweeps [2]*sweepPlan
@@ -108,27 +106,28 @@ func newWorker(r *mpisim.Rank, p *plan, bg *BlockGrid, opts Options, thresh floa
 	for k := myC; k < st.N; k += g.PCol {
 		w.lAt[k/g.PCol] = -1
 		if li := p.l.group(k, myR); li != nil {
-			w.lAt[k/g.PCol] = int32(lookup(bg.ids, st.lID(k, int(li[0]))))
+			w.lAt[k/g.PCol] = int32(bg.pos(st.lID(k, int(li[0]))))
 		}
 	}
 	for k := myR; k < st.N; k += g.PRow {
 		w.uAt[k/g.PRow] = -1
 		if ui := p.u.group(k, myC); ui != nil {
-			w.uAt[k/g.PRow] = int32(lookup(bg.ids, st.uID(k, int(ui[0]))))
+			w.uAt[k/g.PRow] = int32(bg.pos(st.uID(k, int(ui[0]))))
 		}
 	}
 	return w
 }
 
 // lPanel returns the L blocks of panel K this rank owns, parallel to
-// plan.l.group(K, myR); K must lie on the rank's process column. uRow is
-// the analogue for block row K's U blocks, K on the process row.
-func (w *worker) lPanel(k int) []*Block {
-	return w.held(w.lAt[k/w.g.PCol], len(w.p.l.group(k, w.myR)))
+// li = plan.l.group(K, myR); K must lie on the rank's process column.
+// uRow is the analogue for block row K's U blocks, parallel to ui =
+// plan.u.group(K, myC), K on the process row.
+func (w *worker) lPanel(k int, li []int32) []*Block {
+	return w.held(w.lAt[k/w.g.PCol], len(li))
 }
 
-func (w *worker) uRow(k int) []*Block {
-	return w.held(w.uAt[k/w.g.PRow], len(w.p.u.group(k, w.myC)))
+func (w *worker) uRow(k int, ui []int32) []*Block {
+	return w.held(w.uAt[k/w.g.PRow], len(ui))
 }
 
 func (w *worker) held(at int32, n int) []*Block {
@@ -138,9 +137,9 @@ func (w *worker) held(at int32, n int) []*Block {
 	return w.bg.blocks[at : int(at)+n : int(at)+n]
 }
 
-// diagPos returns the position of supernode k in w.diags; the rank must
-// own k's diagonal block.
-func (w *worker) diagPos(k int) int { return lookup(w.diags, k) }
+// diagPos returns the position of supernode k in w.diags, which is its
+// diagonal block's in w.bg.blocks; the rank must own that block.
+func (w *worker) diagPos(k int) int { return w.bg.pos(k) }
 
 func (w *worker) owner(i, j int) int { return w.g.OwnerOfBlock(i, j) }
 func (w *worker) me() int            { return w.r.ID() }
@@ -204,12 +203,16 @@ func (w *worker) doPanel(k int) {
 		if diag == nil {
 			diag = w.r.Recv(diagOwner, tagOf(tagDiagForL, k)).(*Block)
 		}
-		for _, b := range w.lPanel(k) {
+		w.dsts = w.dsts[:0]
+		for c := 0; c < g.PCol; c++ {
+			if c != w.myC && p.getsL(k, c) {
+				w.dsts = append(w.dsts, g.RankOf(w.myR, c))
+			}
+		}
+		for _, b := range w.lPanel(k, li) {
 			w.r.Compute(b.SolveUFromRight(diag))
-			for c := 0; c < g.PCol; c++ {
-				if c != w.myC && p.getsL(k, c) {
-					w.r.Send(g.RankOf(w.myR, c), tagOf(tagLPanel, k), b, b.Bytes())
-				}
+			for _, dst := range w.dsts {
+				w.r.Send(dst, tagOf(tagLPanel, k), b, b.Bytes())
 			}
 		}
 	}
@@ -220,12 +223,16 @@ func (w *worker) doPanel(k int) {
 		if diag == nil {
 			diag = w.r.Recv(diagOwner, tagOf(tagDiagForU, k)).(*Block)
 		}
-		for _, b := range w.uRow(k) {
+		w.dsts = w.dsts[:0]
+		for r := 0; r < g.PRow; r++ {
+			if r != w.myR && p.getsU(k, r) {
+				w.dsts = append(w.dsts, g.RankOf(r, w.myC))
+			}
+		}
+		for _, b := range w.uRow(k, ui) {
 			w.r.Compute(b.SolveLFromLeft(diag))
-			for r := 0; r < g.PRow; r++ {
-				if r != w.myR && p.getsU(k, r) {
-					w.r.Send(g.RankOf(r, w.myC), tagOf(tagUPanel, k), b, b.Bytes())
-				}
+			for _, dst := range w.dsts {
+				w.r.Send(dst, tagOf(tagUPanel, k), b, b.Bytes())
 			}
 		}
 	}
@@ -240,7 +247,7 @@ func (w *worker) operands(k int) (lBlk []*Block, li []int32, uBlk []*Block, ui [
 	kr, kc := k%g.PRow, k%g.PCol
 	if li = p.l.group(k, w.myR); len(li) > 0 && p.getsL(k, w.myC) {
 		if w.myC == kc {
-			lBlk = w.lPanel(k)
+			lBlk = w.lPanel(k, li)
 		} else {
 			w.lRecv = w.lRecv[:0]
 			for range li {
@@ -253,7 +260,7 @@ func (w *worker) operands(k int) (lBlk []*Block, li []int32, uBlk []*Block, ui [
 	}
 	if ui = p.u.group(k, w.myC); len(ui) > 0 && p.getsU(k, w.myR) {
 		if w.myR == kr {
-			uBlk = w.uRow(k)
+			uBlk = w.uRow(k, ui)
 		} else {
 			w.uRecv = w.uRecv[:0]
 			for range ui {
@@ -267,28 +274,91 @@ func (w *worker) operands(k int) (lBlk []*Block, li []int32, uBlk []*Block, ui [
 	return lBlk, li, uBlk, ui
 }
 
+// targets returns the block of this rank that each pair of panel K's
+// held operands updates: (ColL[K][li[a]], RowU[K][ui[b]]) at
+// [a·len(ui)+b], nil where the block is structurally absent (possible
+// only with relaxed supernodes). Every such block lies on this rank's
+// process row and column, so it is a diagonal block, a block of this
+// rank's share of L panel J or of U block row I; the row indices of
+// panel J's share and the column indices of row I's share ascend, as
+// the operands' do, so one merge walk per operand finds them all.
+func (w *worker) targets(k int, li, ui []int32) []*Block {
+	st, p := w.st, w.p
+	colK, rowK := st.ColL[k], st.RowU[k]
+	nB := len(ui)
+	w.tgt = append(w.tgt[:0], make([]*Block, len(li)*nB)...)
+	tgt := w.tgt
+	for b, q := range ui {
+		j := rowK[q]
+		g := p.l.group(j, w.myR)
+		held, colJ, c := w.lPanel(j, g), st.ColL[j], 0
+		for a, q := range li {
+			switch i := colK[q]; {
+			case i == j:
+				tgt[a*nB+b] = w.bg.blocks[w.diagPos(i)]
+			case i > j:
+				for c < len(g) && colJ[g[c]] < i {
+					c++
+				}
+				if c < len(g) && colJ[g[c]] == i {
+					tgt[a*nB+b] = held[c]
+				}
+			}
+		}
+	}
+	for a, q := range li {
+		i := colK[q]
+		g := p.u.group(i, w.myC)
+		held, rowI, c := w.uRow(i, g), st.RowU[i], 0
+		for b, q := range ui {
+			if j := rowK[q]; j > i {
+				for c < len(g) && rowI[g[c]] < j {
+					c++
+				}
+				if c < len(g) && rowI[g[c]] == j {
+					tgt[a*nB+b] = held[c]
+				}
+			}
+		}
+	}
+	return tgt
+}
+
 // factorize runs the right-looking distributed LU of the paper's
 // Figure 8, with optional pipelining, starting at panel w.start (0 in
-// a fresh run, the checkpoint frontier after a restart).
+// a fresh run, the checkpoint frontier after a restart). The rank
+// visits only its steps: an iteration it takes no part in would do
+// nothing but factor panel K+1 early, which the next step's doPanel
+// does at the same point of the rank's program.
 func (w *worker) factorize() {
 	st, ns := w.st, w.st.N
-	for k := w.start; k < ns; k++ {
-		if w.ckptEvery > 0 && k > w.start && (k-w.start)%w.ckptEvery == 0 {
+	// ckpt cuts the coordinated checkpoints of the frontiers up to k.
+	next := w.start + w.ckptEvery
+	ckpt := func(k int) {
+		for ; w.ckptEvery > 0 && next <= k; next += w.ckptEvery {
 			w.r.Barrier()
-			w.onCkpt(k)
+			w.onCkpt(next)
 		}
+	}
+	for _, k32 := range w.p.steps[w.me()] {
+		k := int(k32)
+		if k < w.start {
+			continue
+		}
+		ckpt(k)
 		w.doPanel(k)
 		lBlk, li, uBlk, ui := w.operands(k)
 
 		// Every pair of held operands updates a block of this rank: (I, J)
 		// sits at (I mod PRow, J mod PCol), this rank's coordinates.
+		tgt := w.targets(k, li, ui)
 		apply := func(a, b int) {
 			// A nil target is possible only with relaxed (amalgamated)
 			// supernodes: the block-level crossing exists but every
 			// elementwise contribution hits structural-zero padding, so no
 			// target block was ever allocated.
-			if t := w.bg.Target(st.ColL[k][li[a]], st.RowU[k][ui[b]]); t != nil {
-				w.r.Compute(t.RankBUpdateInto(lBlk[a], uBlk[b], &w.ws))
+			if t := tgt[a*len(ui)+b]; t != nil {
+				w.r.Compute(t.RankBUpdateInto(lBlk[a], uBlk[b], &w.p.ws))
 			}
 		}
 
@@ -329,6 +399,7 @@ func (w *worker) factorize() {
 		}
 	}
 	if w.ckptEvery > 0 {
+		ckpt(ns - 1) // the frontiers past the rank's last step
 		// Final checkpoint at frontier ns: a restart after a solve-phase
 		// failure replays no factorization at all.
 		w.r.Barrier()

@@ -37,7 +37,7 @@ func ftSystem(t *testing.T, seed int64, n int) (*sparse.CSC, *symbolic.Result, [
 func ftBaseline(t *testing.T, a *sparse.CSC, sym *symbolic.Result, b []float64, opts FTOptions) (*Result, *Recovery) {
 	t.Helper()
 	opts.Fault = nil
-	res, rec, err := SolveFT(a, sym, b, opts)
+	res, rec, err := SolveFT(a, BuildStructure(sym), b, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestSolveFTMatchesSolve(t *testing.T) {
 	if e := sparse.RelErrInf(res.X, want); e > 1e-9 {
 		t.Fatalf("SolveFT error %g", e)
 	}
-	plain, err := Solve(a, sym, b, Options{Procs: 4, EDAGPrune: true, ReplaceTinyPivot: true})
+	plain, err := Solve(a, BuildStructure(sym), b, Options{Procs: 4, EDAGPrune: true, ReplaceTinyPivot: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func killDuringFactor(t *testing.T, grid mpisim.Grid) {
 
 	killAt := 0.3 * base.Factor.SimTime
 	opts.Fault = faultsim.NewChaos(11).Kill(1, killAt).WallBackstop(ftBackstop).Build()
-	res, rec, err := SolveFT(a, sym, b, opts)
+	res, rec, err := SolveFT(a, BuildStructure(sym), b, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestKillDuringSolveRecovers(t *testing.T) {
 
 	killAt := base.Factor.SimTime + 0.25*base.Solve.SimTime
 	opts.Fault = faultsim.NewChaos(13).Kill(2, killAt).WallBackstop(ftBackstop).Build()
-	res, rec, err := SolveFT(a, sym, b, opts)
+	res, rec, err := SolveFT(a, BuildStructure(sym), b, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestStallRecovers(t *testing.T) {
 	opts.Fault = faultsim.NewChaos(17).
 		Stall(3, stallAt, 20*mpisim.DefaultWatchdogDeadline).
 		WallBackstop(ftBackstop).Build()
-	res, rec, err := SolveFT(a, sym, b, opts)
+	res, rec, err := SolveFT(a, BuildStructure(sym), b, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestDroppedMessageRecovers(t *testing.T) {
 	base, baseRec := ftBaseline(t, a, sym, b, opts)
 
 	opts.Fault = faultsim.NewChaos(19).Drop(0.02, 1).WallBackstop(ftBackstop).Build()
-	res, rec, err := SolveFT(a, sym, b, opts)
+	res, rec, err := SolveFT(a, BuildStructure(sym), b, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestJitterAndDuplicationHarmless(t *testing.T) {
 	_, baseRec := ftBaseline(t, a, sym, b, opts)
 
 	opts.Fault = faultsim.NewChaos(23).Jitter(5e-5).Duplicate(0.2).WallBackstop(ftBackstop).Build()
-	_, rec, err := SolveFT(a, sym, b, opts)
+	_, rec, err := SolveFT(a, BuildStructure(sym), b, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestSolveFTDeterminism(t *testing.T) {
 		opts := FTOptions{Options: Options{Procs: 4, EDAGPrune: true, ReplaceTinyPivot: true}}
 		opts.Fault = chaos.Build()
 		opts.Fault.RankFaults = []mpisim.RankFault{{Rank: 1, At: killAt}}
-		res, rec, err := SolveFT(a, sym, b, opts)
+		res, rec, err := SolveFT(a, BuildStructure(sym), b, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

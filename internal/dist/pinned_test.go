@@ -87,7 +87,7 @@ func TestSimulatedNumbersPinned(t *testing.T) {
 		for _, tuned := range []bool{true, false} {
 			for _, p := range []int{4, 16, 64} {
 				key := fmt.Sprintf("%s/P=%d/tuned=%v", name, p, tuned)
-				res, err := Solve(a, sym, b, Options{Procs: p, Pipeline: tuned, EDAGPrune: tuned, ReplaceTinyPivot: true})
+				res, err := Solve(a, BuildStructure(sym), b, Options{Procs: p, Pipeline: tuned, EDAGPrune: tuned, ReplaceTinyPivot: true})
 				if err != nil {
 					t.Fatalf("%s: %v", key, err)
 				}
@@ -114,7 +114,8 @@ func TestSimulatedNumbersPinned(t *testing.T) {
 // P = 16 and 64 on both pinned systems and requires the solution X and
 // the solve phase's virtual time to come out bit for bit the same every
 // time: RecvAny's order, and with it the order partial sums are added
-// in, is the virtual machine's choice, not the host's. Under -short or
+// in, is the virtual machine's choice, not the host's. The runs share
+// one Structure, as a core.Solver's DistSolve calls do. Under -short or
 // the race detector it reruns three times.
 func TestSolveBitReproducible(t *testing.T) {
 	runs := 20
@@ -123,6 +124,7 @@ func TestSolveBitReproducible(t *testing.T) {
 	}
 	for _, name := range []string{"mesh", "fill"} {
 		a, sym := pinnedSystem(t, name)
+		st := BuildStructure(sym)
 		b := make([]float64, a.Rows)
 		for i := range b {
 			b[i] = 1 + float64(i%7)
@@ -131,7 +133,7 @@ func TestSolveBitReproducible(t *testing.T) {
 			opts := Options{Procs: p, Pipeline: true, EDAGPrune: true, ReplaceTinyPivot: true}
 			var first *Result
 			for run := 0; run < runs; run++ {
-				res, err := Solve(a, sym, b, opts)
+				res, err := Solve(a, st, b, opts)
 				if err != nil {
 					t.Fatalf("%s/P=%d: %v", name, p, err)
 				}

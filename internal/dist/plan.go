@@ -17,6 +17,17 @@ type plan struct {
 	// l groups panel K's L blocks by process row, u block row K's U
 	// blocks by process column.
 	l, u panelGroups
+	// steps[r] lists, ascending, the panels K at which rank r takes part
+	// in the factorization: it factors the diagonal block, computes
+	// blocks of the L or U panel, or holds operands of the rank-b
+	// update. At every other iteration of the right-looking loop the
+	// rank would do nothing at all, so it skips them.
+	steps [][]int32
+	// ws is the Schur-update scratch of every rank of the run: only one
+	// rank runs at a time and RankBUpdateInto never yields, so the
+	// world's updates never overlap, and the scratch warms up once per
+	// run instead of once per rank.
+	ws UpdateScratch
 }
 
 // panelGroups partitions each panel's blocks by the process row (L) or
@@ -36,7 +47,82 @@ func newPlan(st *Structure, g mpisim.Grid, prune bool) *plan {
 	p := &plan{st: st, g: g, prune: prune}
 	p.l = groupPanels(st.ColL, g.PRow)
 	p.u = groupPanels(st.RowU, g.PCol)
+	p.steps = p.participants()
 	return p
+}
+
+// participants builds steps from the panels' groups: at panel K the
+// diagonal owner, the owners of L(·,K) blocks (the rows of l.keys(K) on
+// column K mod PCol) and of U(K,·) blocks, and every rank holding an
+// operand — a row of l.keys(K) on each process column that gets the L
+// panel, a column of u.keys(K) on each process row that gets the U
+// panel (see getsL and getsU).
+func (p *plan) participants() [][]int32 {
+	g, ns := p.g, p.st.N
+	nr := g.PRow * g.PCol
+	last := make([]int32, nr)
+	for r := range last {
+		last[r] = -1
+	}
+	count := make([]int, nr+1)
+	// each visits the participants of panel k, each rank once.
+	each := func(k int, f func(r int)) {
+		add := func(r int) {
+			if last[r] != int32(k) {
+				last[r] = int32(k)
+				f(r)
+			}
+		}
+		kr, kc := k%g.PRow, k%g.PCol
+		add(g.RankOf(kr, kc))
+		lk, uk := p.l.keys(k), p.u.keys(k)
+		for _, r := range lk {
+			add(g.RankOf(int(r), kc))
+			if p.prune {
+				for _, c := range uk {
+					add(g.RankOf(int(r), int(c)))
+				}
+			} else {
+				for c := 0; c < g.PCol; c++ {
+					add(g.RankOf(int(r), c))
+				}
+			}
+		}
+		for _, c := range uk {
+			add(g.RankOf(kr, int(c)))
+			if p.prune {
+				for _, r := range lk {
+					add(g.RankOf(int(r), int(c)))
+				}
+			} else {
+				for r := 0; r < g.PRow; r++ {
+					add(g.RankOf(r, int(c)))
+				}
+			}
+		}
+	}
+	for k := 0; k < ns; k++ {
+		each(k, func(r int) { count[r+1]++ })
+	}
+	for r := 0; r < nr; r++ {
+		count[r+1] += count[r]
+	}
+	slab := make([]int32, count[nr])
+	fill := append([]int(nil), count[:nr]...)
+	for r := range last {
+		last[r] = -1
+	}
+	for k := 0; k < ns; k++ {
+		each(k, func(r int) {
+			slab[fill[r]] = int32(k)
+			fill[r]++
+		})
+	}
+	steps := make([][]int32, nr)
+	for r := range steps {
+		steps[r] = slab[count[r]:count[r+1]:count[r+1]]
+	}
+	return steps
 }
 
 // groupPanels groups the entries of each list by their residue mod m.

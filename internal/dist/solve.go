@@ -30,9 +30,13 @@ type sweepPlan struct {
 }
 
 // sweepScratch is the state one sweep mutates, reused across sweeps.
+// The partial sums of the rows on this rank's process row are views of
+// one slab, cleared per sweep: a sum sent away is read by its receiver
+// before the barrier that ends the sweep.
 type sweepScratch struct {
 	mod, remaining []int32
 	sum            [][]float64 // by row, like mod
+	sumSlab        []float64
 	acc            []float64
 }
 
@@ -55,7 +59,7 @@ func (w *worker) sweepPlan(upper bool) *sweepPlan {
 		if !upper {
 			for j := w.myC; j < ns; j += g.PCol {
 				li := p.l.group(j, w.myR)
-				for q, b := range w.lPanel(j) {
+				for q, b := range w.lPanel(j, li) {
 					f(st.ColL[j][li[q]], j, b)
 				}
 			}
@@ -63,7 +67,7 @@ func (w *worker) sweepPlan(upper bool) *sweepPlan {
 		}
 		for i := w.myR; i < ns; i += g.PRow {
 			ui := p.u.group(i, w.myC)
-			for q, b := range w.uRow(i) {
+			for q, b := range w.uRow(i, ui) {
 				f(i, st.RowU[i][ui[q]], b)
 			}
 		}
@@ -134,18 +138,25 @@ func (w *worker) sweep(upper bool, rhs func(k int) []float64) [][]float64 {
 	sc.remaining = append(sc.remaining[:0], sp.remaining...)
 	if sc.sum == nil {
 		sc.sum = make([][]float64, len(sp.mod))
-	}
-	clear(sc.sum)
-	mod, remaining, sum := sc.mod, sc.remaining, sc.sum
-	xs := make([][]float64, len(w.diags))
-
-	// sumOf returns row i's partial-sum accumulator, allocated on first use.
-	sumOf := func(i int) []float64 {
-		if sum[i/pr] == nil {
-			sum[i/pr] = make([]float64, st.SupWidth(i))
+		n := 0
+		for i := w.myR; i < st.N; i += pr {
+			n += st.SupWidth(i)
 		}
-		return sum[i/pr]
+		sc.sumSlab = make([]float64, n)
+		for i, rest := w.myR, sc.sumSlab; i < st.N; i += pr {
+			wi := st.SupWidth(i)
+			sc.sum[i/pr], rest = rest[:wi:wi], rest[wi:]
+		}
 	}
+	clear(sc.sumSlab)
+	mod, remaining, sum := sc.mod, sc.remaining, sc.sum
+	// The results x(K) are views of one slab per sweep: they outlive it.
+	xs := make([][]float64, len(w.diags))
+	n := 0
+	for _, k := range w.diags {
+		n += st.SupWidth(k)
+	}
+	xSlab := make([]float64, n)
 
 	var solveK func(k int)
 
@@ -162,21 +173,24 @@ func (w *worker) sweep(upper bool, rhs func(k int) []float64) [][]float64 {
 		for q := sp.col[j/pc]; q < sp.col[j/pc+1]; q++ {
 			i, blk := int(sp.rows[q]), sp.blks[q]
 			lo, _ := st.SupCols(i)
-			w.r.Compute(blk.MatVecAdd(sumOf(i), lo, x, jLo, &sc.acc))
+			w.r.Compute(blk.MatVecAdd(sum[i/pr], lo, x, jLo, &sc.acc))
 			if mod[i/pr]--; mod[i/pr] > 0 {
 				continue
 			}
-			// All local contributions to row i are in: route the partial sum.
+			// All local contributions to row i are in: route the partial
+			// sum, by pointer, which boxes without allocating.
 			if dst := w.owner(i, i); dst == w.me() {
 				arrived(i)
 			} else {
-				w.r.Send(dst, tagOf(tagLSum, i), sum[i/pr], 8*len(sum[i/pr]))
+				w.r.Send(dst, tagOf(tagLSum, i), &sum[i/pr], 8*len(sum[i/pr]))
 			}
 		}
 	}
 
 	solveK = func(k int) {
-		x := append([]float64(nil), rhs(k)...)
+		x := xSlab[:st.SupWidth(k):st.SupWidth(k)]
+		xSlab = xSlab[len(x):]
+		copy(x, rhs(k))
 		for q, v := range sum[k/pr] {
 			x[q] -= v
 		}
@@ -187,7 +201,7 @@ func (w *worker) sweep(upper bool, rhs func(k int) []float64) [][]float64 {
 		// blocks it feeds.
 		w.clearSent()
 		for _, i := range col[k] {
-			w.sendOnce(w.owner(i, k), tagOf(tagXSol, k), x, 8*len(x))
+			w.sendOnce(w.owner(i, k), tagOf(tagXSol, k), &xs[d], 8*len(x))
 		}
 		applyX(k, x)
 	}
@@ -211,13 +225,13 @@ func (w *worker) sweep(upper bool, rhs func(k int) []float64) [][]float64 {
 		k := tag / numTags
 		switch tag % numTags {
 		case tagLSum:
-			acc := sumOf(k)
-			for q, v := range payload.([]float64) {
+			acc := sum[k/pr]
+			for q, v := range *payload.(*[]float64) {
 				acc[q] += v
 			}
 			arrived(k)
 		case tagXSol:
-			applyX(k, payload.([]float64))
+			applyX(k, *payload.(*[]float64))
 		default:
 			panic("dist: unexpected message in triangular solve")
 		}
@@ -231,7 +245,7 @@ func (w *worker) gatherX(xs [][]float64, out []float64) {
 	diags := w.diags
 	if w.me() != 0 {
 		for d, k := range diags {
-			w.r.Send(0, tagOf(tagGather, k), xs[d], 8*len(xs[d]))
+			w.r.Send(0, tagOf(tagGather, k), &xs[d], 8*len(xs[d]))
 		}
 		return
 	}
@@ -242,7 +256,7 @@ func (w *worker) gatherX(xs [][]float64, out []float64) {
 			copy(out[lo:hi], xs[d])
 			d++
 		} else {
-			copy(out[lo:hi], w.r.Recv(w.owner(k, k), tagOf(tagGather, k)).([]float64))
+			copy(out[lo:hi], *w.r.Recv(w.owner(k, k), tagOf(tagGather, k)).(*[]float64))
 		}
 	}
 }

@@ -11,12 +11,19 @@
 // Communication is pruned by the supernodal elimination DAGs (EDAGs): a
 // panel of L is sent only to process columns owning a supernode J with
 // U(K,J) ≠ 0, rather than to the whole process row.
+//
+// The skeleton is a Structure, built by BuildStructure from the
+// symbolic analysis and owned by the caller: every entry point takes
+// one and only reads it, so one Structure serves every run on its
+// analysis. core.Solver builds it on the analysis's first DistSolve and
+// keeps it.
 package dist
 
 import "gesp/internal/symbolic"
 
 // Structure is the replicated static skeleton: every rank holds it (the
-// paper runs the symbolic analysis redundantly on every processor).
+// paper runs the symbolic analysis redundantly on every processor). It
+// is read-only once built, so runs may share it, concurrently too.
 type Structure struct {
 	Sym *symbolic.Result
 	N   int // number of supernodes
@@ -31,8 +38,10 @@ type Structure struct {
 	// dependencies of x(I) in the lower triangular solve.
 	RowL [][]int
 	// ColU[J] lists the block rows K < J with a nonzero block U(K,J): the
-	// destinations of x(J) in the upper triangular solve.
-	ColU [][]int
+	// destinations of x(J) in the upper triangular solve. colUAt[J][q]
+	// is the position of U(ColU[J][q], J) in its block row.
+	ColU   [][]int
+	colUAt [][]int32
 	// ColL[K] and RowU[K] are the block indices of LBlocks[K] and
 	// UBlocks[K] as plain lists — the destinations of x(K) in the lower
 	// solve and the dependencies of x(K) in the upper one — so a sweep in
@@ -222,6 +231,7 @@ func BuildStructure(sym *symbolic.Result) *Structure {
 	colUBase := prefixSum(cntColU)
 	rowLSlab := make([]int, rowLBase[ns])
 	colUSlab := make([]int, colUBase[ns])
+	colUAtSlab := make([]int32, colUBase[ns])
 	fillRowL := make([]int, ns)
 	fillColU := make([]int, ns)
 	for j := 0; j < ns; j++ {
@@ -229,17 +239,20 @@ func BuildStructure(sym *symbolic.Result) *Structure {
 			rowLSlab[rowLBase[lb.I]+fillRowL[lb.I]] = j
 			fillRowL[lb.I]++
 		}
-		for _, ub := range s.UBlocks[j] {
+		for ui, ub := range s.UBlocks[j] {
 			colUSlab[colUBase[ub.J]+fillColU[ub.J]] = j
+			colUAtSlab[colUBase[ub.J]+fillColU[ub.J]] = int32(ui)
 			fillColU[ub.J]++
 		}
 	}
+	s.colUAt = make([][]int32, ns)
 	for k := 0; k < ns; k++ {
 		if cntRowL[k] > 0 {
 			s.RowL[k] = rowLSlab[rowLBase[k]:rowLBase[k+1]:rowLBase[k+1]]
 		}
 		if cntColU[k] > 0 {
 			s.ColU[k] = colUSlab[colUBase[k]:colUBase[k+1]:colUBase[k+1]]
+			s.colUAt[k] = colUAtSlab[colUBase[k]:colUBase[k+1]:colUBase[k+1]]
 		}
 	}
 	return s

@@ -52,6 +52,7 @@ func FaultAblation(seed int64, scale float64) ([]FaultRow, error) {
 	}
 	b := make([]float64, n)
 	a.MatVec(b, onesVec(n))
+	st := dist.BuildStructure(sym)
 
 	var rows []FaultRow
 	for _, grid := range []mpisim.Grid{{PRow: 2, PCol: 2}, {PRow: 2, PCol: 4}} {
@@ -62,7 +63,7 @@ func FaultAblation(seed int64, scale float64) ([]FaultRow, error) {
 				EDAGPrune: true, ReplaceTinyPivot: true,
 			}}
 		}
-		base, baseRec, err := dist.SolveFT(a, sym, b, opts())
+		base, baseRec, err := dist.SolveFT(a, st, b, opts())
 		if err != nil {
 			return nil, fmt.Errorf("experiments: faults baseline %s: %w", grid, err)
 		}
@@ -88,7 +89,7 @@ func FaultAblation(seed int64, scale float64) ([]FaultRow, error) {
 			if sc.chaos != nil {
 				o.Fault = sc.chaos.WallBackstop(faultsBackstop).Build()
 			}
-			_, rec, err := dist.SolveFT(a, sym, b, o)
+			_, rec, err := dist.SolveFT(a, st, b, o)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: faults scenario %s on %s did not recover: %w", sc.name, grid, err)
 			}

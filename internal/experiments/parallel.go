@@ -416,7 +416,7 @@ func RedistAblation(scale float64, procs int) ([]RedistResult, error) {
 			return nil, err
 		}
 		ap, sym := s.PermutedMatrix(), s.Symbolic()
-		res, redist, err := dist.SolveFrom1D(ap, sym, onesVec(ap.Rows), dist.Uniform1D(ap.Rows, procs), pipelined(procs))
+		res, redist, err := dist.SolveFrom1D(ap, dist.BuildStructure(sym), onesVec(ap.Rows), dist.Uniform1D(ap.Rows, procs), pipelined(procs))
 		if err != nil {
 			return nil, err
 		}

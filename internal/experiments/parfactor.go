@@ -88,7 +88,7 @@ func ParallelFactorSweep(names []string, scale float64, workerCounts []int) ([]P
 		// the virtual-clock trajectory (Tables 3-5 machinery).
 		rhs := matgen.OnesRHS(ap)
 		t0 := time.Now()
-		res, err := dist.Solve(ap, sym, rhs, pipelined(maxW))
+		res, err := dist.Solve(ap, dist.BuildStructure(sym), rhs, pipelined(maxW))
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s mpisim: %w", name, err)
 		}

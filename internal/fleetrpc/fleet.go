@@ -189,9 +189,6 @@ type Fleet struct {
 	// promote/demote knob.
 	//gesp:guardedby:mu
 	replBoost map[uint64]int
-	// popCount counts routed solves per pattern, feeding HotPatterns.
-	//gesp:guardedby:mu
-	popCount map[uint64]uint64
 	// rng drives retry and probe jitter; seeded so schedules reproduce,
 	// guarded because rand.Rand is not concurrency-safe.
 	//gesp:guardedby:mu
@@ -199,6 +196,16 @@ type Fleet struct {
 
 	// drainMu serializes Drain's check-and-mark: one drain at a time.
 	drainMu sync.Mutex
+
+	// pop counts routed solves per pattern (pattern -> *atomic.Uint64)
+	// off the per-solve mutex: counting a known pattern's solve is a
+	// map load and an atomic add. The counts only grow; HotPatterns
+	// reads them against popSeen, the counts at its previous call, so
+	// each call reports one window.
+	pop   sync.Map
+	popMu sync.Mutex
+	//gesp:guardedby:popMu
+	popSeen map[uint64]uint64
 
 	closed atomic.Bool
 	stop   chan struct{}
@@ -223,7 +230,7 @@ func New(cfg Config) (*Fleet, error) {
 		hedge:     fleet.NewHedgeBudget(cfg.HedgeBudget, cfg.HedgeBurst),
 		registry:  cfg.Registry,
 		replBoost: make(map[uint64]int),
-		popCount:  make(map[uint64]uint64),
+		popSeen:   make(map[uint64]uint64),
 		rng:       rand.New(rand.NewSource(cfg.Seed)),
 		stop:      make(chan struct{}),
 	}
@@ -502,21 +509,32 @@ func (f *Fleet) DemotePattern(pattern uint64) {
 	}
 }
 
-// HotPatterns returns up to k patterns by routed-solve count,
-// descending, ties broken by pattern value so the order is
-// deterministic.
+// HotPatterns returns up to k patterns by routed-solve count in the
+// window since its previous call (since New, on the first), descending,
+// ties broken by pattern value so the order is deterministic, and
+// starts a new window. A pattern not routed in the window is left out.
 func (f *Fleet) HotPatterns(k int) []uint64 {
 	type pc struct {
 		p uint64
 		c uint64
 	}
-	f.mu.Lock()
-	all := make([]pc, 0, len(f.popCount))
-	//gesp:unordered — sorted below
-	for p, c := range f.popCount {
-		all = append(all, pc{p, c})
+	var all []pc
+	f.pop.Range(func(p, c any) bool {
+		all = append(all, pc{p.(uint64), c.(*atomic.Uint64).Load()})
+		return true
+	})
+	f.popMu.Lock()
+	win := all[:0]
+	for _, e := range all {
+		// A concurrent call may have read later counts and recorded them
+		// first; its window already holds these solves.
+		if seen := f.popSeen[e.p]; e.c > seen {
+			f.popSeen[e.p] = e.c
+			win = append(win, pc{e.p, e.c - seen})
+		}
 	}
-	f.mu.Unlock()
+	f.popMu.Unlock()
+	all = win
 	sort.Slice(all, func(i, j int) bool {
 		if all[i].c != all[j].c {
 			return all[i].c > all[j].c
@@ -666,9 +684,11 @@ func route[P payload](f *Fleet, ctx context.Context, h serve.Handle, b P,
 	}
 	t0 := time.Now()
 	f.m.routed.Add(1)
-	f.mu.Lock()
-	f.popCount[h.Key.Pattern]++
-	f.mu.Unlock()
+	c, ok := f.pop.Load(h.Key.Pattern)
+	if !ok {
+		c, _ = f.pop.LoadOrStore(h.Key.Pattern, new(atomic.Uint64))
+	}
+	c.(*atomic.Uint64).Add(1)
 	f.hedge.Accrue()
 	var lastErr error
 	var lastSick int

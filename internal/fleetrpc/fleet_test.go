@@ -388,6 +388,41 @@ func testRoutingAndSolve(t *testing.T, kind string) {
 	}
 }
 
+// TestHotPatternsWindowed: HotPatterns ranks the solves routed since
+// its previous call. Pattern A is hot in the first window and B in the
+// second; A's lifetime count stays the larger, yet the second window
+// reports B first, and a window with no solves reports nothing.
+func TestHotPatternsWindowed(t *testing.T) {
+	shards, _ := testShards(t, "local", 2, serve.DefaultConfig())
+	f := newTestFleet(t, quietConfig(shards))
+	sysA, sysB := testbedSystem(t, "SHERMAN4", 0), testbedSystem(t, "GEMAT11", 0)
+	solve := func(sys system, n int) {
+		t.Helper()
+		h, err := f.Submit(bg, WireMatrix(sys.a))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			if _, err := f.Solve(bg, h, sys.b); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	solve(sysA, 3)
+	solve(sysB, 1)
+	if got := f.HotPatterns(2); len(got) != 2 || got[0] != sysA.pattern() || got[1] != sysB.pattern() {
+		t.Fatalf("window 1: HotPatterns = %x, want [A B] = [%x %x]", got, sysA.pattern(), sysB.pattern())
+	}
+	solve(sysA, 1)
+	solve(sysB, 2)
+	if got := f.HotPatterns(2); len(got) != 2 || got[0] != sysB.pattern() || got[1] != sysA.pattern() {
+		t.Fatalf("window 2: HotPatterns = %x, want [B A] = [%x %x]", got, sysB.pattern(), sysA.pattern())
+	}
+	if got := f.HotPatterns(2); len(got) != 0 {
+		t.Fatalf("window 3 routed nothing, HotPatterns = %x", got)
+	}
+}
+
 // TestFleetFailoverOnShardDeath: with replication, losing the owner
 // process mid-stream costs no request — traffic fails over to the
 // replica while the prober declares the death and rebuilds the ring.

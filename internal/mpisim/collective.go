@@ -54,10 +54,10 @@ func (r *Rank) RecvAny() (src, tag int, payload any) {
 	mb := &w.mail[r.id]
 	for {
 		r.abortIfFailed()
-		if s, pos := mb.head(); pos >= 0 {
-			t := max(r.clock, mb.from[s].msgs[pos].arrival)
+		if src, pos := mb.next(); pos >= 0 {
+			t := max(r.clock, mb.from[src].at(pos).arrival)
 			if w.queue.first(t-w.lookahead(), r.id) {
-				m := r.deliver(s, pos)
+				m := r.deliver(src, pos)
 				return m.src, m.tag, m.payload
 			}
 			w.queue.lower(r, t)

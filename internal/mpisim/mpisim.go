@@ -21,9 +21,10 @@
 // function of the program and the fault plan alone.
 //
 // A message's arrival is fixed when it is sent. Each rank's mailbox
-// keeps one FIFO queue per source, deduplicated by a per-source
-// sequence watermark, and a send queues the receiver only when the
-// message can end its wait.
+// keeps one ring of messages per source, deduplicated by a per-source
+// sequence watermark; once the rank has called RecvAny, the first
+// message of every (source, tag) also sits in a heap by arrival. A send
+// queues the receiver only when the message can end its wait.
 package mpisim
 
 import (
@@ -56,11 +57,8 @@ func T3E900() CostModel {
 type message struct {
 	src, tag int
 	payload  any
-	seq      int64 // per-(src,dst) sequence number, for idempotent delivery
-	// floor is the send clock plus latency, arrival adds bytes·cost and
-	// any injected delay. A source's floors never decrease along its
-	// sends, and floor ≤ arrival.
-	floor, arrival float64
+	seq      int64   // per-(src,dst) sequence number, for idempotent delivery
+	arrival  float64 // send clock + latency + bytes·cost + any injected delay
 }
 
 // World is one simulated machine: P ranks with per-rank mailboxes.
@@ -94,7 +92,7 @@ type World struct {
 func NewWorld(p int, model CostModel) *World {
 	w := &World{P: p, Model: model, mail: make([]mailbox, p), ranks: make([]*Rank, p)}
 	for i := range w.ranks {
-		w.mail[i].from = make([]queue, p)
+		w.mail[i] = newMailbox(p)
 		w.ranks[i] = &Rank{world: w, id: i, seqTo: make([]int64, p), lastRecv: RecvStamp{Src: -1, Tag: -1}, slot: -1}
 	}
 	return w
@@ -233,8 +231,7 @@ func (r *Rank) Send(dst, tag int, payload any, bytes int) {
 			w.duplicated++
 		}
 	}
-	m.floor = r.clock + w.Model.Latency
-	m.arrival = m.floor + float64(bytes)*w.Model.CostPerByte + delay
+	m.arrival = r.clock + w.Model.Latency + float64(bytes)*w.Model.CostPerByte + delay
 	w.post(dst, &m)
 	if dup {
 		w.post(dst, &m)

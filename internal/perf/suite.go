@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"runtime/debug"
+	"slices"
 	"testing"
 	"time"
 
@@ -32,9 +34,12 @@ type bench struct {
 	class   string
 	hot     bool
 	measAll bool // measure allocs/op (hot kernels carry the zero-alloc guarantee)
-	flops   float64
-	iters   int
-	fn      func()
+	// median reports the median rep instead of the best: for runs long
+	// enough that a collection lands in most of them.
+	median bool
+	flops  float64
+	iters  int
+	fn     func()
 }
 
 // Run measures the suite and returns the snapshot. quick trims the
@@ -255,20 +260,24 @@ func Run(scale float64, quick bool) (*File, error) {
 	}
 
 	// Simulated distributed engine: the virtual-clock Mflops is the
-	// paper-facing number; wall time is recorded but not gated.
+	// paper-facing number; the host time per run (building the skeleton
+	// once, as a Solver does) is the simulator's own cost. Its allocs/op
+	// is gated like every measured entry's.
 	rhs := matgen.OnesRHS(ap)
-	t0 := time.Now()
-	res, err := dist.Solve(ap, sym, rhs, dist.Options{
-		Procs: 8, Pipeline: true, EDAGPrune: true, ReplaceTinyPivot: true,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("perf: mpisim: %w", err)
+	st := dist.BuildStructure(sym)
+	var res *dist.Result
+	var simErr error
+	sim := measure(bench{name: "sim/mpisim-p8/" + Matrix, class: "sim", measAll: true, median: true, iters: 1,
+		fn: func() {
+			res, simErr = dist.Solve(ap, st, rhs, dist.Options{
+				Procs: 8, Pipeline: true, EDAGPrune: true, ReplaceTinyPivot: true,
+			})
+		}}, reps, minTime)
+	if simErr != nil {
+		return nil, fmt.Errorf("perf: mpisim: %w", simErr)
 	}
-	out.Entries = append(out.Entries, Entry{
-		Name: "sim/mpisim-p8/" + Matrix, Class: "sim", HotPath: false,
-		NsPerOp: float64(time.Since(t0).Nanoseconds()), AllocsPerOp: -1,
-		FlopsPerOp: engFlops, Mflops: res.Factor.Mflops,
-	})
+	sim.FlopsPerOp, sim.Mflops = engFlops, res.Factor.Mflops
+	out.Entries = append(out.Entries, sim)
 	if ringSink == -1 {
 		return nil, fmt.Errorf("perf: impossible ring owner sum")
 	}
@@ -413,24 +422,40 @@ func randSlice(rng *rand.Rand, n int) []float64 {
 	return s
 }
 
-// measure times one bench: the best per-op time over at least reps runs
-// spanning at least minTime, plus allocs/op when the bench carries the
-// zero-alloc guarantee.
-func measure(b bench, reps int, minTime time.Duration) Entry {
+// measure times one bench: the best (or, for a median bench, the
+// median) per-op time over at least nReps runs spanning at least
+// minTime, plus allocs/op when the bench is measAll.
+func measure(b bench, nReps int, minTime time.Duration) Entry {
 	b.fn() // warm caches, scratch high-water marks, one-time growth
 	e := Entry{Name: b.name, Class: b.class, HotPath: b.hot, AllocsPerOp: -1, FlopsPerOp: b.flops}
 	best := time.Duration(0)
+	var reps []time.Duration // kept only for a median
 	start := time.Now()
-	for r := 0; r < reps || time.Since(start) < minTime; r++ {
+	for r := 0; r < nReps || time.Since(start) < minTime; r++ {
 		t0 := time.Now()
 		b.fn()
-		if d := time.Since(t0); best == 0 || d < best {
+		d := time.Since(t0)
+		if best == 0 || d < best {
 			best = d
 		}
+		if b.median {
+			reps = append(reps, d)
+		}
 	}
-	e.NsPerOp = float64(best.Nanoseconds()) / float64(b.iters)
+	per := best
+	if b.median {
+		slices.Sort(reps)
+		per = reps[len(reps)/2]
+	}
+	e.NsPerOp = float64(per.Nanoseconds()) / float64(b.iters)
 	if b.measAll {
+		// Counted with the collector paused, a count is a function of
+		// the code alone: a collection inside a run changes what the
+		// runtime can reuse, which moved the simulator's count by up to
+		// 1 % run to run.
+		gc := debug.SetGCPercent(-1)
 		e.AllocsPerOp = testing.AllocsPerRun(3, b.fn) / float64(b.iters)
+		debug.SetGCPercent(gc)
 	}
 	if e.NsPerOp > 0 && b.flops > 0 {
 		e.Mflops = b.flops / (e.NsPerOp / 1e9) / 1e6
