@@ -57,8 +57,7 @@ checktest:
 #    them, and a killed child's port refuses connections);
 #  - coordinator-HA chaos: leader election, fenced replication, registry
 #    takeover and the redirect-following client under a real leader
-#    SIGKILL, and the SLO controller's promote/demote convergence
-#    against an injected straggler;
+#    SIGKILL;
 #  - a short run of the fleetproc and ha ablations, so the end-to-end
 #    pipelines (spawn, load, kill, detect, fail over, report) stay wired.
 # The process tests skip themselves under -short, which is why

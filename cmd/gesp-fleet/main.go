@@ -59,7 +59,6 @@ func main() {
 		haPeers     = flag.String("ha-peers", "", "HA: comma-separated coordinator addresses, one per replica, ours at index -ha-id")
 		haLease     = flag.Duration("ha-lease", time.Second, "HA: leader lease; a follower elects after this long without a heartbeat, a fresh coordinator after one heartbeat of silence")
 		haHeartbeat = flag.Duration("ha-heartbeat", 0, "HA: leader heartbeat period (0 = lease/4)")
-		haSLO       = flag.Duration("ha-slo", 0, "HA: p999 latency SLO driving the replica controller (0 disables the controller)")
 	)
 	flag.Parse()
 	if *join == "" {
@@ -82,7 +81,7 @@ func main() {
 		// HA mode: this process is one of N replicated coordinators
 		// running leader election; only the lease holder owns a fleet.
 		peers := strings.Split(*haPeers, ",")
-		ncfg := fleetha.Config{
+		node, err := fleetha.NewNode(fleetha.Config{
 			ID:        *haID,
 			Peers:     peers,
 			Shards:    shards,
@@ -90,16 +89,12 @@ func main() {
 			Heartbeat: *haHeartbeat,
 			Fleet:     rcfg,
 			Logf:      log.Printf,
-		}
-		if *haSLO > 0 {
-			ncfg.Controller = &fleetha.ControllerConfig{SLO: *haSLO}
-		}
-		node, err := fleetha.NewNode(ncfg)
+		})
 		if err != nil {
 			log.Fatal(err)
 		}
-		log.Printf("HA coordinator %d/%d on %s over %d shards (lease %v, SLO %v)",
-			*haID, len(peers), *addr, len(shards), *haLease, *haSLO)
+		log.Printf("HA coordinator %d/%d on %s over %d shards (lease %v)",
+			*haID, len(peers), *addr, len(shards), *haLease)
 		log.Fatal(http.ListenAndServe(*addr, node.Mux(quotas)))
 	}
 

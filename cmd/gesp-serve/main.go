@@ -48,8 +48,6 @@ func main() {
 		rungDeadline = flag.Duration("rung-deadline", 0, "resilience: per-rung time budget (0 = unbounded)")
 		solveTimeout = flag.Duration("solve-timeout", 0, "per-request solve deadline (0 = none)")
 		degrade      = flag.Bool("degrade", false, "on overload, serve a degraded factor-preconditioned GMRES solve instead of shedding with 503")
-
-		chaos = flag.Bool("chaos-delay", false, "accept POST /v1/chaos/delay to inject per-solve latency (testing/benchmarks only)")
 	)
 	flag.Parse()
 
@@ -69,10 +67,7 @@ func main() {
 	cfg.SolveTimeout = *solveTimeout
 	cfg.DegradeOnOverload = *degrade
 
-	var h http.Handler = fleetrpc.NewLocalShard(*addr, serve.New(cfg)).Mux()
-	if *chaos {
-		h = fleetrpc.WithChaosDelay(h)
-	}
+	h := fleetrpc.NewLocalShard(*addr, serve.New(cfg)).Mux()
 	log.Printf("listening on %s (max-batch %d, max-delay %v)", *addr, cfg.MaxBatch, cfg.MaxDelay)
 	log.Fatal(http.ListenAndServe(*addr, h))
 }

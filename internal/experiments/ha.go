@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"context"
 	"fmt"
-	"slices"
 	"time"
 
 	"gesp/internal/fleetha"
@@ -13,12 +12,11 @@ import (
 
 // The coordinator-HA experiment: real coordinator processes running
 // lease-based leader election over real shard processes, with an HA
-// client following redirects. Two faults are injected mid-run —
-// SIGKILL of the leader coordinator (the control plane dies without
-// goodbye) and a latency SLO breach (every shard straggles until the
-// controller reacts). The run measures the HA story's three numbers:
-// failover detection latency, registry entries lost across the
-// failover (must be zero), and time-to-SLO-recovery.
+// client following redirects. One fault is injected mid-run: SIGKILL
+// of the leader coordinator (the control plane dies without goodbye).
+// The run measures the HA story's two numbers: failover detection
+// latency and registry entries lost across the failover (must be
+// zero).
 
 // HAResult is one arm of the coordinator-HA study.
 type HAResult struct {
@@ -35,24 +33,15 @@ type HAResult struct {
 	RegistryAfter   int
 	RegistryLost    int
 
-	// SLO-breach arm: how long the controller took to promote after the
-	// breach and to demote after the clear (time-to-SLO-recovery), plus
-	// the decision trace it logged.
-	PromoteLatency time.Duration
-	RecoverLatency time.Duration
-	Decisions      []fleetha.Decision
-
 	ChaosErr string
 }
 
-// haArm spawns coords coordinator processes configured by tmpl over
+// haArm spawns three coordinator processes configured by tmpl over
 // three shard processes, warms the pool through the HA client and runs l.
-// chaos is the mid-run fault: "" (none), "leaderkill" (SIGKILL the
-// leader halfway through the window), or "slobreach" (a quarter in,
-// every shard straggles by 100ms until the controller promotes; then
-// the straggle clears and the arm waits for the demote).
-func haArm(pool []poolSystem, coords int, tmpl fleetha.ChildConfig, chaos string, l load) (HAResult, error) {
-	const shards = 3
+// chaos is the mid-run fault: "" (none) or "leaderkill" (SIGKILL the
+// leader halfway through the window).
+func haArm(pool []poolSystem, tmpl fleetha.ChildConfig, chaos string, l load) (HAResult, error) {
+	const shards, coords = 3, 3
 	sp, err := fleetrpc.SpawnShards(shards)
 	if err != nil {
 		return HAResult{}, fmt.Errorf("experiments: spawn shards: %w", err)
@@ -86,30 +75,7 @@ func haArm(pool []poolSystem, coords int, tmpl fleetha.ChildConfig, chaos string
 	if st, err := cli.Status(ctx, cp.Addrs()[leader]); err == nil {
 		r.RegistryBefore = st.RegistryLen
 	}
-	// straggle sets every shard's injected solve delay.
-	straggle := func(ms int64) {
-		for _, addr := range sp.Addrs() {
-			if err := fleetrpc.NewClient(addr).SetChaosDelay(ctx, ms); err != nil {
-				r.ChaosErr = err.Error()
-			}
-		}
-	}
-	// decided polls the leader's decision trace until an action of the
-	// wanted kind appears, and returns how long the wait took.
-	decided := func(want fleetha.Action) time.Duration {
-		d, err := poll(string(want)+" decision", 30*time.Second, 25*time.Millisecond, func() bool {
-			tctx, cancel := context.WithTimeout(ctx, time.Second)
-			defer cancel()
-			tr, err := cli.Trace(tctx)
-			return err == nil && slices.ContainsFunc(tr.Decisions, func(d fleetha.Decision) bool { return d.Action == want })
-		})
-		if err != nil {
-			r.ChaosErr = err.Error()
-		}
-		return d
-	}
-	switch chaos {
-	case "leaderkill":
+	if chaos == "leaderkill" {
 		l.faultAt = l.window / 2
 		l.fault = func() {
 			r.KilledCoord = leader
@@ -131,17 +97,6 @@ func haArm(pool []poolSystem, coords int, tmpl fleetha.ChildConfig, chaos string
 			}
 			r.RegistryAfter = st.RegistryLen
 			r.RegistryLost = r.RegistryBefore - r.RegistryAfter
-		}
-	case "slobreach":
-		l.faultAt = l.window / 4
-		l.fault = func() {
-			straggle(100)
-			r.PromoteLatency = decided(fleetha.ActPromote)
-			straggle(0)
-			r.RecoverLatency = decided(fleetha.ActDemote)
-			if tr, err := cli.Trace(ctx); err == nil {
-				r.Decisions = tr.Decisions
-			}
 		}
 	}
 	r.LoadResult = runLoad(ctx, haTarget(cli), pool, l)
@@ -170,38 +125,16 @@ func awaitLeader(cli *fleetha.Client, addrs []string, skip int, timeout time.Dur
 	return leader, err
 }
 
-// HAAblation runs the coordinator cluster three times — no fault,
-// leader SIGKILL, latency SLO breach — with election timing tuned so a
-// failover lands within a few heartbeats and a controller tuned so the
-// breach arm converges within the run.
+// HAAblation runs the coordinator cluster twice — no fault, then
+// leader SIGKILL — with election timing tuned so a failover lands
+// within a few heartbeats.
 func HAAblation(workers int, duration time.Duration, scale float64) ([]HAResult, error) {
 	var arms []HAResult
-	for _, chaos := range []string{"", "leaderkill", "slobreach"} {
+	for _, chaos := range []string{"", "leaderkill"} {
 		label := cmp.Or(chaos, "healthy")
-		coords := 3
 		tmpl := fleetha.ChildConfig{LeaseMS: 250, HeartbeatMS: 60, Replication: 2}
 		l := load{workers: workers, window: duration, think: time.Millisecond, zipfS: 1.3}
-		if chaos == "slobreach" {
-			// a single coordinator with replication 1: promotion is what
-			// restores hedging headroom, so the controller's effect is the
-			// signal being measured, not a bystander
-			coords = 1
-			tmpl.Replication = 1
-			tmpl.HedgeAfterMS = 20
-			// SLO and clear margins sit clear of the latency histogram's
-			// power-of-two buckets on slow machines: breach delay 100ms →
-			// p999 ≥ 131ms > 70ms; post-clear p999 ≤ 32.8ms < 35ms.
-			tmpl.Controller = &fleetha.ControllerConfig{
-				SLO:              70 * time.Millisecond,
-				Window:           150 * time.Millisecond,
-				CooldownWindows:  2,
-				MaxBoost:         1,
-				HotK:             1,
-				MinWindowSamples: 5,
-			}
-			l.window = max(l.window, 4*time.Second)
-		}
-		r, err := haArm(buildPool(loadPatterns[:3], 2, scale), coords, tmpl, chaos, l)
+		r, err := haArm(buildPool(loadPatterns[:3], 2, scale), tmpl, chaos, l)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: ha %s arm: %w", label, err)
 		}
@@ -212,14 +145,14 @@ func HAAblation(workers int, duration time.Duration, scale float64) ([]HAResult,
 }
 
 // FormatHA lays out the coordinator-HA ablation: the throughput/tail
-// table with the HA-specific columns, then a verdict per fault arm —
-// the leader's death must cost a redirect, not a request, and an SLO
-// breach must cost a promotion, not a breach forever.
+// table with the HA-specific columns, then the leader-kill verdict —
+// the leader's death must cost a redirect, not a request. A broken
+// verdict (TestHALeaderKill asserts the same claims) sets Fail.
 func FormatHA(arms []HAResult) []Table {
 	t := Table{
-		Title: []string{"Coordinator HA under chaos (replicated control plane + SLO controller):"},
+		Title: []string{"Coordinator HA under chaos (replicated control plane):"},
 		Cols: []Col{{"arm", -11, ""}, {"coords", 7, ""}, {"shards", 7, ""}, {"solves/s", 10, "%.0f"}, {"p50", 10, ""},
-			{"p99", 10, ""}, {"fail", 7, ""}, {"failover", 10, ""}, {"lost", 6, ""}, {"promote", 10, ""}, {"recover", 10, ""}},
+			{"p99", 10, ""}, {"fail", 7, ""}, {"failover", 10, ""}, {"lost", 6, ""}},
 	}
 	var verdicts Table
 	for _, r := range arms {
@@ -228,32 +161,22 @@ func FormatHA(arms []HAResult) []Table {
 			lost = r.RegistryLost
 		}
 		t.Rows = append(t.Rows, []any{r.Label, r.Coordinators, r.Shards, r.Throughput, fmtDur(r.P50), fmtDur(r.P99),
-			r.Failed, dashDur(r.FailoverLatency), lost, dashDur(r.PromoteLatency), dashDur(r.RecoverLatency)})
-		var v string
-		var trace []string
+			r.Failed, dashDur(r.FailoverLatency), lost})
+		var fail string
 		switch {
 		case r.ChaosErr != "":
-			v = "CHAOS ERROR: " + r.ChaosErr
+			fail = "CHAOS ERROR: " + r.ChaosErr
 		case r.Label == "leaderkill" && r.Failed > 0:
-			v = fmt.Sprintf("%d CLIENT-VISIBLE FAILURES: the redirect/retry ladder must absorb the leader's death", r.Failed)
+			fail = fmt.Sprintf("%d CLIENT-VISIBLE FAILURES: the redirect/retry ladder must absorb the leader's death", r.Failed)
 		case r.Label == "leaderkill" && r.RegistryLost != 0:
-			v = fmt.Sprintf("%d REGISTRY ENTRIES LOST: replication must hand the successor every handle", r.RegistryLost)
-		case r.Label == "leaderkill":
-			v = fmt.Sprintf("coordinator %d killed, failover in %v, 0 of %d registry entries lost, zero client-visible failures",
-				r.KilledCoord, r.FailoverLatency, r.RegistryBefore)
-		case r.Label == "slobreach" && r.Failed > 0:
-			v = fmt.Sprintf("%d CLIENT-VISIBLE FAILURES during the breach", r.Failed)
-		case r.Label == "slobreach":
-			v = fmt.Sprintf("breach promoted in %v, recovered (demote) %v after clear; %d controller decisions",
-				r.PromoteLatency, r.RecoverLatency, len(r.Decisions))
-			for _, d := range r.Decisions {
-				trace = append(trace, fmt.Sprintf("    w%d %s %s", d.Window, d.Action, d.Reason))
-			}
-		default:
+			fail = fmt.Sprintf("%d REGISTRY ENTRIES LOST: replication must hand the successor every handle", r.RegistryLost)
+		case r.Label != "leaderkill":
 			continue
 		}
+		v := cmp.Or(fail, fmt.Sprintf("coordinator %d killed, failover in %v, 0 of %d registry entries lost, zero client-visible failures",
+			r.KilledCoord, r.FailoverLatency, r.RegistryBefore))
 		verdicts.Verdict = append(verdicts.Verdict, fmt.Sprintf("[%s] %s", r.Label, v))
-		verdicts.Verdict = append(verdicts.Verdict, trace...)
+		verdicts.Fail = cmp.Or(verdicts.Fail, fail)
 	}
 	return []Table{t, verdicts}
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 )
 
 // render writes ts to buf and fails the test on an error.
@@ -56,5 +57,44 @@ func TestAblationPercentagesGuardEmptyBaseline(t *testing.T) {
 	}
 	if got := pctLess(0.04, 0.03); math.Abs(got-25) > 1e-9 {
 		t.Errorf("pctLess(0.04, 0.03) = %g, want 25", got)
+	}
+}
+
+// TestFormatHAFailsBrokenLeaderKill: every broken leader-kill verdict
+// makes Render return an error, so `gesp-bench -exp ha` exits non-zero
+// on the breakage TestHALeaderKill asserts against; healthy arms and a
+// clean failover render without one.
+func TestFormatHAFailsBrokenLeaderKill(t *testing.T) {
+	healthy := HAResult{Label: "healthy", Shards: 3, Coordinators: 3, KilledCoord: -1}
+	clean := HAResult{Label: "leaderkill", Shards: 3, Coordinators: 3, KilledCoord: 0,
+		FailoverLatency: 300 * time.Millisecond, RegistryBefore: 6, RegistryAfter: 6}
+	var buf bytes.Buffer
+	render(t, &buf, FormatHA([]HAResult{healthy, clean})...)
+	if !strings.Contains(buf.String(), "0 of 6 registry entries lost") {
+		t.Errorf("clean leader-kill verdict missing:\n%s", buf.String())
+	}
+
+	lost := clean
+	lost.RegistryAfter, lost.RegistryLost = 5, 1
+	failed := clean
+	failed.Failed = 2
+	chaos := clean
+	chaos.ChaosErr = "no leader within 20s"
+	for _, c := range []struct {
+		r    HAResult
+		want string
+	}{
+		{lost, "1 REGISTRY ENTRIES LOST"},
+		{failed, "2 CLIENT-VISIBLE FAILURES"},
+		{chaos, "CHAOS ERROR: no leader within 20s"},
+	} {
+		buf.Reset()
+		err := Render(&buf, FormatHA([]HAResult{healthy, c.r})...)
+		if err == nil || !strings.HasPrefix(err.Error(), c.want) {
+			t.Errorf("Render = %v, want an error starting %q", err, c.want)
+		}
+		if !strings.Contains(buf.String(), "[leaderkill] "+c.want) {
+			t.Errorf("verdict %q missing from the written tables:\n%s", c.want, buf.String())
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"math"
 	"sync/atomic"
 	"time"
 )
@@ -12,8 +13,8 @@ import (
 const LatBuckets = 28
 
 // LatHist is a lock-free cumulative latency histogram. The router
-// keeps a fleet-wide one whose windowed deltas (Snapshot) feed the SLO
-// controller's p999 signal.
+// keeps a fleet-wide one of client-observed solve latencies; its
+// quantiles are the p50/p99/p999 in the coordinator's stats.
 type LatHist struct {
 	counts [LatBuckets]atomic.Uint64
 	total  atomic.Uint64
@@ -31,70 +32,21 @@ func (h *LatHist) Observe(d time.Duration) {
 }
 
 // Quantile returns an upper bound for the q-quantile (q in (0,1]): the
-// top of the first bucket where the cumulative count reaches q·total.
-// Zero when nothing has been observed.
+// top of the bucket holding the nearest-rank sample, the first bucket
+// where the cumulative count reaches ⌈q·total⌉. A sample in the
+// overflow bucket reports that bucket's nominal top. Zero when nothing
+// has been observed.
 func (h *LatHist) Quantile(q float64) time.Duration {
 	total := h.total.Load()
 	if total == 0 {
 		return 0
 	}
-	need := uint64(q * float64(total))
-	if need == 0 {
-		need = 1
-	}
+	need := uint64(math.Ceil(q * float64(total)))
+	need = min(max(need, 1), total)
 	var cum uint64
 	ub := int64(1000)
 	for b := 0; b < LatBuckets; b++ {
 		cum += h.counts[b].Load()
-		if cum >= need {
-			return time.Duration(ub)
-		}
-		ub <<= 1
-	}
-	return time.Duration(ub)
-}
-
-// Snapshot copies the cumulative bucket counts and total. Two
-// snapshots subtract into a window (LatWindow), which is how an SLO
-// controller reads "p999 over the last evaluation period" from a
-// cumulative histogram.
-func (h *LatHist) Snapshot() (counts [LatBuckets]uint64, total uint64) {
-	for i := range h.counts {
-		counts[i] = h.counts[i].Load()
-	}
-	return counts, h.total.Load()
-}
-
-// LatWindow is the difference of two LatHist snapshots: the samples
-// observed between them.
-type LatWindow struct {
-	Counts [LatBuckets]uint64
-	Total  uint64
-}
-
-// WindowSince subtracts an earlier snapshot from a later one.
-func WindowSince(laterCounts [LatBuckets]uint64, laterTotal uint64, earlierCounts [LatBuckets]uint64, earlierTotal uint64) LatWindow {
-	var w LatWindow
-	for i := range w.Counts {
-		w.Counts[i] = laterCounts[i] - earlierCounts[i]
-	}
-	w.Total = laterTotal - earlierTotal
-	return w
-}
-
-// Quantile is LatHist.Quantile over the window's samples.
-func (w LatWindow) Quantile(q float64) time.Duration {
-	if w.Total == 0 {
-		return 0
-	}
-	need := uint64(q * float64(w.Total))
-	if need == 0 {
-		need = 1
-	}
-	var cum uint64
-	ub := int64(1000)
-	for b := 0; b < LatBuckets; b++ {
-		cum += w.Counts[b]
 		if cum >= need {
 			return time.Duration(ub)
 		}

@@ -231,13 +231,6 @@ func (c *Client) Status(ctx context.Context, addr string) (StatusResponse, error
 	return res, err
 }
 
-// Trace fetches the leader's controller decision log.
-func (c *Client) Trace(ctx context.Context) (TraceResponse, error) {
-	var res TraceResponse
-	err := c.do(ctx, http.MethodGet, "/ha/v1/trace", "", nil, &res)
-	return res, err
-}
-
 // Leader returns the cached leader address ("" when unknown).
 func (c *Client) Leader() string {
 	c.mu.Lock()

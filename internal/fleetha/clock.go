@@ -1,10 +1,8 @@
 // Package fleetha replicates the cross-process coordinator: N
 // gesp-fleet nodes run a deterministic lease-based leader election
-// over the same HTTP wire the shards speak, the leader streams its
+// over the same HTTP wire the shards speak, and the leader streams its
 // matrix registry, membership view, and ring generation to followers,
-// and an SLO controller on the leader turns the fleet's published
-// latency/heal/queue signals into replica promotions and shard
-// scaling under hysteresis and cooldown. A SIGKILL'd leader fails
+// acking a submit only once a majority holds it. A SIGKILL'd leader fails
 // over to the lowest-id survivor with zero lost handles and zero
 // client-visible errors — the client follows 307 leader redirects and
 // retries through the election with the fleetrpc backoff.

@@ -40,12 +40,9 @@ type ChildConfig struct {
 	LeaseMS     int64 `json:"lease_ms"`
 	HeartbeatMS int64 `json:"heartbeat_ms"`
 	Seed        int64 `json:"seed"`
-	// Replication/HedgeAfterMS tune the leader's fleet; zero keeps the
-	// fleetrpc defaults.
-	Replication  int   `json:"replication,omitempty"`
-	HedgeAfterMS int64 `json:"hedge_after_ms,omitempty"`
-	// Controller, when non-nil, runs the SLO controller on the leader.
-	Controller *ControllerConfig `json:"controller,omitempty"`
+	// Replication tunes the leader's fleet; zero keeps the fleetrpc
+	// default.
+	Replication int `json:"replication,omitempty"`
 }
 
 // RunCoordinatorIfChild is the re-exec hook for coordinator children:
@@ -76,18 +73,14 @@ func runCoordinator(raw string) error {
 	if cc.Replication > 0 {
 		fcfg.Replication = cc.Replication
 	}
-	if cc.HedgeAfterMS > 0 {
-		fcfg.HedgeAfter = time.Duration(cc.HedgeAfterMS) * time.Millisecond
-	}
 	n, err := NewNode(Config{
-		ID:         cc.ID,
-		Peers:      cc.Peers,
-		Shards:     cc.Shards,
-		Lease:      time.Duration(cc.LeaseMS) * time.Millisecond,
-		Heartbeat:  time.Duration(cc.HeartbeatMS) * time.Millisecond,
-		Fleet:      fcfg,
-		Controller: cc.Controller,
-		Seed:       cc.Seed,
+		ID:        cc.ID,
+		Peers:     cc.Peers,
+		Shards:    cc.Shards,
+		Lease:     time.Duration(cc.LeaseMS) * time.Millisecond,
+		Heartbeat: time.Duration(cc.HeartbeatMS) * time.Millisecond,
+		Fleet:     fcfg,
+		Seed:      cc.Seed,
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		},

@@ -50,13 +50,13 @@ func checkSolution(t *testing.T, x, want []float64) {
 }
 
 // testShardServers starts n in-process shard servers (the same mux
-// the child processes serve, chaos-delay wrapper included).
+// the child processes serve).
 func testShardServers(t *testing.T, n int) []string {
 	t.Helper()
 	addrs := make([]string, n)
 	for i := 0; i < n; i++ {
 		svc := serve.New(serve.DefaultConfig())
-		ts := httptest.NewServer(fleetrpc.WithChaosDelay(fleetrpc.NewLocalShard("", svc).Mux()))
+		ts := httptest.NewServer(fleetrpc.NewLocalShard("", svc).Mux())
 		t.Cleanup(ts.Close)
 		addrs[i] = strings.TrimPrefix(ts.URL, "http://")
 	}

@@ -46,9 +46,6 @@ func (n *Node) Mux(q *fleet.Quotas) *http.ServeMux {
 		}
 		fleetrpc.WriteJSON(w, http.StatusOK, n.handleReplicate(req))
 	})
-	mux.HandleFunc("GET /ha/v1/trace", func(w http.ResponseWriter, _ *http.Request) {
-		fleetrpc.WriteJSON(w, http.StatusOK, TraceResponse{Decisions: n.Trace()})
-	})
 	return mux
 }
 

@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"gesp/internal/fleet"
 	"gesp/internal/fleetrpc"
 	"gesp/internal/serve"
 )
@@ -81,15 +80,13 @@ type Config struct {
 	// Fleet is the template for the leader's shard coordinator; Shards,
 	// Registry, and DeadMembers are overwritten at takeover.
 	Fleet fleetrpc.Config
-	// Controller, when non-nil, runs the SLO control loop on the leader.
-	Controller *ControllerConfig
 	// Clock is the node's time source (WallClock when nil).
 	Clock Clock
 	// Seed drives election jitter; 0 takes ID+1 so co-started nodes
 	// still draw different schedules.
 	Seed int64
 	// Logf, when set, receives one line per election event (takeover,
-	// step-down, deposition) and controller decision.
+	// deferred takeover, step-down).
 	Logf func(format string, args ...any)
 }
 
@@ -145,16 +142,6 @@ type Node struct {
 	view view
 	//gesp:guardedby:mu
 	rng *rand.Rand
-	//gesp:guardedby:mu
-	trace []Decision
-	//gesp:guardedby:mu
-	ctrl *Controller
-	//gesp:guardedby:mu
-	lastCtrl time.Time
-	//gesp:guardedby:mu
-	prevLatCounts [fleet.LatBuckets]uint64
-	//gesp:guardedby:mu
-	prevLatTotal uint64
 
 	// reg is the node's registry for its lifetime: follower apply, the
 	// election's read-quorum merge and the leader's fleet all write it.
@@ -243,8 +230,8 @@ func (n *Node) Close() {
 }
 
 // run is the node's single control goroutine: lease checks as
-// follower, heartbeat/replication broadcasts and controller windows as
-// leader. Ticks are jittered so co-started nodes drift apart.
+// follower, heartbeat/replication broadcasts as leader. Ticks are
+// jittered so co-started nodes drift apart.
 func (n *Node) run() {
 	defer n.wg.Done()
 	t := time.NewTimer(n.tickWait())
@@ -278,9 +265,8 @@ func (n *Node) tick() {
 	switch {
 	case role == Leader:
 		n.broadcastReplicate()
-		n.controllerTick(now)
 	case leaseExpired:
-		n.runElection(now)
+		n.runElection()
 	}
 }
 
@@ -307,7 +293,7 @@ func (n *Node) silenceLimitLocked() time.Duration {
 // and unioning them into our own (see the durability comment above):
 // the winner must hold every handle any follower acked, not just the
 // ones the old leader happened to stream to *us*.
-func (n *Node) runElection(now time.Time) {
+func (n *Node) runElection() {
 	type probeRes struct {
 		id int
 		st StatusResponse
@@ -386,7 +372,7 @@ func (n *Node) runElection(now time.Time) {
 		n.mu.Unlock()
 		return
 	}
-	n.becomeLeader(maxTerm+1, now)
+	n.becomeLeader(maxTerm + 1)
 }
 
 // readQuorum fetches and unions the exported replicas of the probed
@@ -439,7 +425,7 @@ func (n *Node) readQuorum(reachable []int) bool {
 // still-live old leader yet missing from the new fleet: one applied
 // before the role flip is already in the registry the fleet reads, and
 // the term fence rejects every batch after it.
-func (n *Node) becomeLeader(term uint64, now time.Time) {
+func (n *Node) becomeLeader(term uint64) {
 	n.mu.Lock()
 	v := n.view
 	n.mu.Unlock()
@@ -471,7 +457,6 @@ func (n *Node) becomeLeader(term uint64, now time.Time) {
 	n.leaderAddr = n.cfg.Peers[n.cfg.ID]
 	n.fleet = fl
 	n.acked = make([]int, len(n.peers))
-	n.startControllerLocked(fl, now)
 	n.mu.Unlock()
 	n.cfg.Logf("fleetha node %d: leading at term %d, %v after node start (%d handles, %d shards, %d dead)",
 		n.cfg.ID, term, n.clk.Now().Sub(n.started).Round(time.Millisecond), n.reg.Len(), len(v.shards), len(v.dead))
@@ -662,13 +647,6 @@ func (n *Node) Role() Role {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return n.role
-}
-
-// Trace snapshots the controller decision log.
-func (n *Node) Trace() []Decision {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return append([]Decision(nil), n.trace...)
 }
 
 // errNotLeader marks a request that must go to the leader. The gate

@@ -103,7 +103,7 @@ func TestReplicateByLogPosition(t *testing.T) {
 	if resp := n.handleReplicate(ReplicateRequest{Term: 1, LeaderID: 1, Seq: 1, Entries: []fleetrpc.RegistryEntry{a, b}}); !resp.OK {
 		t.Fatalf("replicate rejected: %+v", resp)
 	}
-	n.becomeLeader(2, n.clk.Now())
+	n.becomeLeader(2)
 	if n.Role() != Leader {
 		t.Fatal("node did not take leadership")
 	}
@@ -154,7 +154,7 @@ func TestNewLeaderKeepsFollowerEntries(t *testing.T) {
 		t.Fatalf("injected replicate rejected: %+v", resp)
 	}
 	leader := c.nodes[0]
-	leader.becomeLeader(6, leader.clk.Now())
+	leader.becomeLeader(6)
 	if leader.Role() != Leader || leader.reg.Len() != 0 {
 		t.Fatalf("node 0: role %v with %d entries, want a leader whose registry lacks X", leader.Role(), leader.reg.Len())
 	}

@@ -12,13 +12,12 @@ import (
 )
 
 // The HA wire format rides the same HTTP transport as the shard
-// protocol, under /ha/v1/. Four verbs: status (election probes and
+// protocol, under /ha/v1/. Three verbs: status (election probes and
 // operator introspection), replicate (heartbeat + registry stream,
-// one endpoint — a heartbeat is a replicate with no entries), state
-// (a replica, for the election's read-quorum) and trace (the
-// controller's decision log). Status and trace are JSON; replicate's
-// request and state's answer carry registry matrices, so they are one
-// binary frame each (see encodeFrame). Client-facing solve traffic
+// one endpoint — a heartbeat is a replicate with no entries) and state
+// (a replica, for the election's read-quorum). Status is JSON;
+// replicate's request and state's answer carry registry matrices, so
+// they are one binary frame each (see encodeFrame). Client-facing solve traffic
 // uses the existing /v1/ shard-protocol paths on every node, with
 // followers answering 307 redirects to the leader.
 
@@ -89,11 +88,6 @@ type StateResponse struct {
 	Shards     []string                 `json:"shards,omitempty"`
 	Dead       []int                    `json:"dead,omitempty"`
 	RingGen    uint64                   `json:"ring_gen"`
-}
-
-// TraceResponse is the controller's decision log.
-type TraceResponse struct {
-	Decisions []Decision `json:"decisions"`
 }
 
 // The replicate request and the state answer are each one frame: the

@@ -217,7 +217,13 @@ func TestChaosSIGSTOP(t *testing.T) {
 		t.Fatal(err)
 	}
 	awaitMemberState(t, f, target, "alive", 5*time.Second)
+	// The member turns alive a moment before the prober swaps in the
+	// ring that holds it and counts the rejoin; once counted, the ring
+	// must hold it.
 	st := f.Stats()
+	for deadline := time.Now().Add(time.Second); st.Rejoins == 0 && time.Now().Before(deadline); st = f.Stats() {
+		time.Sleep(time.Millisecond)
+	}
 	if st.Rejoins == 0 {
 		t.Fatalf("revived member never counted a rejoin: %+v", st)
 	}

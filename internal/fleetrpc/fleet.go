@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -49,8 +48,8 @@ type Config struct {
 	// Replication is how many members hold each pattern (owner
 	// included): every Submit lands on the owner and Replication-1 ring
 	// successors, so a failover target already has the factors. <=0
-	// takes 2; capped at maxReplication. PromotePattern widens a single
-	// pattern beyond this at runtime (the SLO controller's knob).
+	// takes 2; capped at maxReplication. Every pattern gets the same
+	// width for the fleet's lifetime.
 	Replication int
 	// VNodes is the consistent-hash points per member (fleet.DefaultVNodes
 	// when <=0).
@@ -163,8 +162,8 @@ type Fleet struct {
 	cfg   Config
 	hedge *fleet.HedgeBudget
 	m     metrics
-	// lat is the fleet-wide client-observed solve latency histogram;
-	// windowed snapshots of it are the SLO controller's p999 signal.
+	// lat is the fleet-wide client-observed solve latency histogram
+	// behind Stats' P50/P99/P999.
 	lat fleet.LatHist
 
 	// members is the membership table, fixed at New: member ids are
@@ -184,11 +183,6 @@ type Fleet struct {
 	registry *Registry
 
 	mu sync.Mutex
-	// replBoost widens a single pattern's placement beyond
-	// cfg.Replication (pattern -> extra replicas) — the SLO controller's
-	// promote/demote knob.
-	//gesp:guardedby:mu
-	replBoost map[uint64]int
 	// rng drives retry and probe jitter; seeded so schedules reproduce,
 	// guarded because rand.Rand is not concurrency-safe.
 	//gesp:guardedby:mu
@@ -196,16 +190,6 @@ type Fleet struct {
 
 	// drainMu serializes Drain's check-and-mark: one drain at a time.
 	drainMu sync.Mutex
-
-	// pop counts routed solves per pattern (pattern -> *atomic.Uint64)
-	// off the per-solve mutex: counting a known pattern's solve is a
-	// map load and an atomic add. The counts only grow; HotPatterns
-	// reads them against popSeen, the counts at its previous call, so
-	// each call reports one window.
-	pop   sync.Map
-	popMu sync.Mutex
-	//gesp:guardedby:popMu
-	popSeen map[uint64]uint64
 
 	closed atomic.Bool
 	stop   chan struct{}
@@ -226,13 +210,11 @@ func New(cfg Config) (*Fleet, error) {
 	}
 	now := time.Now()
 	f := &Fleet{
-		cfg:       cfg,
-		hedge:     fleet.NewHedgeBudget(cfg.HedgeBudget, cfg.HedgeBurst),
-		registry:  cfg.Registry,
-		replBoost: make(map[uint64]int),
-		popSeen:   make(map[uint64]uint64),
-		rng:       rand.New(rand.NewSource(cfg.Seed)),
-		stop:      make(chan struct{}),
+		cfg:      cfg,
+		hedge:    fleet.NewHedgeBudget(cfg.HedgeBudget, cfg.HedgeBurst),
+		registry: cfg.Registry,
+		rng:      rand.New(rand.NewSource(cfg.Seed)),
+		stop:     make(chan struct{}),
 	}
 	members := make([]*member, len(cfg.Shards))
 	for i, sh := range cfg.Shards {
@@ -325,8 +307,10 @@ func (f *Fleet) probe(mb *member) {
 		return
 	}
 	if mb.reviveOnProbe(probedAt, time.Now()) {
-		f.m.rejoins.Add(1)
+		// counted once the ring holds the member again: a rejoin in
+		// Stats means placement can use it
 		f.rebalance()
+		f.m.rejoins.Add(1)
 	}
 }
 
@@ -367,7 +351,7 @@ func (f *Fleet) noteFailure(mb *member, now time.Time) {
 // owner and replicas before traffic needs them.
 func (f *Fleet) rebalance() {
 	f.rebuildRing()
-	f.rereplicateWhere(func(uint64) bool { return true })
+	f.rereplicate()
 }
 
 // liveRing computes the ring over the non-dead members.
@@ -391,15 +375,14 @@ func (f *Fleet) rebuildRing() {
 	f.m.rebuilds.Add(1)
 }
 
-// rereplicateWhere re-submits the registered patterns selected by keep
-// to their placement under the current ring, in the background:
-// factors appear at their new owners ahead of the traffic that will
-// want them, and members already holding them answer from cache (the
-// serve layer's factor cache makes a duplicate submit a lookup, not a
-// refactorization). The registry key already carries the pattern
-// fingerprint (Handle.Key.Pattern), so selection costs no matrix
-// assembly.
-func (f *Fleet) rereplicateWhere(keep func(pattern uint64) bool) {
+// rereplicate re-submits every registered pattern to its placement
+// under the current ring, in the background: factors appear at their
+// new owners ahead of the traffic that will want them, and members
+// already holding them answer from cache (the serve layer's factor
+// cache makes a duplicate submit a lookup, not a refactorization). The
+// registry key already carries the pattern fingerprint
+// (Handle.Key.Pattern), so placement costs no matrix assembly.
+func (f *Fleet) rereplicate() {
 	if f.closed.Load() {
 		return
 	}
@@ -411,9 +394,6 @@ func (f *Fleet) rereplicateWhere(keep func(pattern uint64) bool) {
 	go func() {
 		defer f.wg.Done()
 		for _, e := range entries {
-			if !keep(e.Handle.Key.Pattern) {
-				continue
-			}
 			select {
 			case <-f.stop:
 				return
@@ -461,96 +441,6 @@ func (f *Fleet) submitTo(ctx context.Context, mb *member, m Matrix) (serve.Handl
 	return h, err
 }
 
-// replWidth is a pattern's current placement width: the configured
-// replication plus any controller boost, capped at maxReplication.
-func (f *Fleet) replWidth(pattern uint64) int {
-	w := f.cfg.Replication
-	f.mu.Lock()
-	w += f.replBoost[pattern]
-	f.mu.Unlock()
-	if w > maxReplication {
-		w = maxReplication
-	}
-	return w
-}
-
-// PromotePattern widens pattern's placement by extra replicas (capped
-// at maxReplication total) and re-factors it onto the new placement in
-// the background. The SLO controller calls this when the tail breaches;
-// it is idempotent at a given width.
-func (f *Fleet) PromotePattern(pattern uint64, extra int) {
-	if extra < 0 {
-		extra = 0
-	}
-	f.mu.Lock()
-	prev := f.replBoost[pattern]
-	if extra == 0 {
-		delete(f.replBoost, pattern)
-	} else {
-		f.replBoost[pattern] = extra
-	}
-	f.mu.Unlock()
-	if extra > prev {
-		f.m.promotions.Add(1)
-		f.rereplicateWhere(func(p uint64) bool { return p == pattern })
-	}
-}
-
-// DemotePattern restores pattern's placement to the configured
-// replication. No data moves: the extra replicas simply stop being
-// placed, and their cached factors age out of the shards' LRUs.
-func (f *Fleet) DemotePattern(pattern uint64) {
-	f.mu.Lock()
-	_, had := f.replBoost[pattern]
-	delete(f.replBoost, pattern)
-	f.mu.Unlock()
-	if had {
-		f.m.demotions.Add(1)
-	}
-}
-
-// HotPatterns returns up to k patterns by routed-solve count in the
-// window since its previous call (since New, on the first), descending,
-// ties broken by pattern value so the order is deterministic, and
-// starts a new window. A pattern not routed in the window is left out.
-func (f *Fleet) HotPatterns(k int) []uint64 {
-	type pc struct {
-		p uint64
-		c uint64
-	}
-	var all []pc
-	f.pop.Range(func(p, c any) bool {
-		all = append(all, pc{p.(uint64), c.(*atomic.Uint64).Load()})
-		return true
-	})
-	f.popMu.Lock()
-	win := all[:0]
-	for _, e := range all {
-		// A concurrent call may have read later counts and recorded them
-		// first; its window already holds these solves.
-		if seen := f.popSeen[e.p]; e.c > seen {
-			f.popSeen[e.p] = e.c
-			win = append(win, pc{e.p, e.c - seen})
-		}
-	}
-	f.popMu.Unlock()
-	all = win
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].c != all[j].c {
-			return all[i].c > all[j].c
-		}
-		return all[i].p < all[j].p
-	})
-	if k > len(all) {
-		k = len(all)
-	}
-	out := make([]uint64, k)
-	for i := 0; i < k; i++ {
-		out[i] = all[i].p
-	}
-	return out
-}
-
 // healthiestFirst is the order members are preferred in: alive, then
 // suspect. Dead members are never placed.
 var healthiestFirst = [...]MemberState{StateAlive, StateSuspect}
@@ -563,8 +453,7 @@ var healthiestFirst = [...]MemberState{StateAlive, StateSuspect}
 func (f *Fleet) placementInto(dst []*member, pattern uint64) int {
 	ring := f.ring.Load()
 	var ids [maxReplication]int
-	rf := f.replWidth(pattern)
-	n := ring.ReplicasInto(ids[:rf], pattern)
+	n := ring.ReplicasInto(ids[:f.cfg.Replication], pattern)
 	k := 0
 	for _, want := range healthiestFirst {
 		for i := 0; i < n && k < len(dst); i++ {
@@ -684,11 +573,6 @@ func route[P payload](f *Fleet, ctx context.Context, h serve.Handle, b P,
 	}
 	t0 := time.Now()
 	f.m.routed.Add(1)
-	c, ok := f.pop.Load(h.Key.Pattern)
-	if !ok {
-		c, _ = f.pop.LoadOrStore(h.Key.Pattern, new(atomic.Uint64))
-	}
-	c.(*atomic.Uint64).Add(1)
 	f.hedge.Accrue()
 	var lastErr error
 	var lastSick int
@@ -964,12 +848,6 @@ func (f *Fleet) Owner(pattern uint64) int { return f.ring.Load().Owner(pattern) 
 // streams to follower coordinators.
 func (f *Fleet) RingGen() uint64 { return f.ringGen.Load() }
 
-// LatSnapshot copies the fleet-wide latency histogram; the SLO
-// controller diffs consecutive snapshots into per-window quantiles.
-func (f *Fleet) LatSnapshot() (counts [fleet.LatBuckets]uint64, total uint64) {
-	return f.lat.Snapshot()
-}
-
 // Stats snapshots the router counters and membership.
 func (f *Fleet) Stats() Stats {
 	s := f.m.snapshot()
@@ -977,9 +855,6 @@ func (f *Fleet) Stats() Stats {
 	s.Members = f.Members()
 	s.RingGen = f.ringGen.Load()
 	s.RegistryLen = f.registry.Len()
-	f.mu.Lock()
-	s.Promoted = len(f.replBoost)
-	f.mu.Unlock()
 	s.P50 = f.lat.Quantile(0.50)
 	s.P99 = f.lat.Quantile(0.99)
 	s.P999 = f.lat.Quantile(0.999)

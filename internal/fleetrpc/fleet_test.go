@@ -388,41 +388,6 @@ func testRoutingAndSolve(t *testing.T, kind string) {
 	}
 }
 
-// TestHotPatternsWindowed: HotPatterns ranks the solves routed since
-// its previous call. Pattern A is hot in the first window and B in the
-// second; A's lifetime count stays the larger, yet the second window
-// reports B first, and a window with no solves reports nothing.
-func TestHotPatternsWindowed(t *testing.T) {
-	shards, _ := testShards(t, "local", 2, serve.DefaultConfig())
-	f := newTestFleet(t, quietConfig(shards))
-	sysA, sysB := testbedSystem(t, "SHERMAN4", 0), testbedSystem(t, "GEMAT11", 0)
-	solve := func(sys system, n int) {
-		t.Helper()
-		h, err := f.Submit(bg, WireMatrix(sys.a))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < n; i++ {
-			if _, err := f.Solve(bg, h, sys.b); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	solve(sysA, 3)
-	solve(sysB, 1)
-	if got := f.HotPatterns(2); len(got) != 2 || got[0] != sysA.pattern() || got[1] != sysB.pattern() {
-		t.Fatalf("window 1: HotPatterns = %x, want [A B] = [%x %x]", got, sysA.pattern(), sysB.pattern())
-	}
-	solve(sysA, 1)
-	solve(sysB, 2)
-	if got := f.HotPatterns(2); len(got) != 2 || got[0] != sysB.pattern() || got[1] != sysA.pattern() {
-		t.Fatalf("window 2: HotPatterns = %x, want [B A] = [%x %x]", got, sysB.pattern(), sysA.pattern())
-	}
-	if got := f.HotPatterns(2); len(got) != 0 {
-		t.Fatalf("window 3 routed nothing, HotPatterns = %x", got)
-	}
-}
-
 // TestFleetFailoverOnShardDeath: with replication, losing the owner
 // process mid-stream costs no request — traffic fails over to the
 // replica while the prober declares the death and rebuilds the ring.
@@ -737,9 +702,10 @@ func awaitReturned(t *testing.T, s *gatedShard) {
 	}
 }
 
-// gatedFleet builds a fleet over n gated shards at replication 2 and
-// returns the shards of sys's placement, owner first.
-func gatedFleet(t *testing.T, n int, sys system) (*Fleet, []*gatedShard, *gatedShard, *gatedShard) {
+// gatedFleet builds a fleet over n gated shards at replication rf (at
+// least 2) and returns the shards of sys's placement's first two
+// members, owner first.
+func gatedFleet(t *testing.T, n, rf int, sys system) (*Fleet, []*gatedShard, *gatedShard, *gatedShard) {
 	t.Helper()
 	gated := make([]*gatedShard, n)
 	shards := make([]Shard, n)
@@ -748,11 +714,11 @@ func gatedFleet(t *testing.T, n int, sys system) (*Fleet, []*gatedShard, *gatedS
 		shards[i] = gated[i]
 	}
 	cfg := quietConfig(shards)
-	cfg.Replication = 2
+	cfg.Replication = rf
 	f := newTestFleet(t, cfg)
-	var ids [2]int
-	if f.Ring().ReplicasInto(ids[:], sys.pattern()) != 2 {
-		t.Fatal("placement narrower than 2")
+	var ids [maxReplication]int
+	if f.Ring().ReplicasInto(ids[:rf], sys.pattern()) != rf {
+		t.Fatalf("placement narrower than %d", rf)
 	}
 	return f, gated, gated[ids[0]], gated[ids[1]]
 }
@@ -762,8 +728,8 @@ func gatedFleet(t *testing.T, n int, sys system) (*Fleet, []*gatedShard, *gatedS
 // sequential rules — the registry entry appears only once the owner
 // has succeeded, a failing replica does not fail the submit, an owner
 // 4xx is the submit's error with no entry, and Submit returns only
-// after every call has returned. A re-home (PromotePattern) populates
-// its whole placement at once too. Every wait is a channel hand-off.
+// after every call has returned. A re-home (the rebalance that follows
+// every membership change) populates its whole placement at once too. Every wait is a channel hand-off.
 func TestSubmitPopulatesConcurrently(t *testing.T) {
 	sys := testbedSystem(t, "SHERMAN4", 0)
 	m := WireMatrix(sys.a)
@@ -792,7 +758,7 @@ func TestSubmitPopulatesConcurrently(t *testing.T) {
 	}
 
 	t.Run("replica-fails", func(t *testing.T) {
-		f, gated, owner, replica := gatedFleet(t, 2, sys)
+		f, gated, owner, replica := gatedFleet(t, 2, 2, sys)
 		res := submit(f)
 		awaitEntered(t, "owner and replica in flight together", owner, replica)
 		replica.release <- StatusError(http.StatusInternalServerError, "replica broke", 0)
@@ -812,7 +778,7 @@ func TestSubmitPopulatesConcurrently(t *testing.T) {
 	})
 
 	t.Run("owner-first", func(t *testing.T) {
-		f, gated, owner, replica := gatedFleet(t, 2, sys)
+		f, gated, owner, replica := gatedFleet(t, 2, 2, sys)
 		res := submit(f)
 		awaitEntered(t, "owner and replica in flight together", owner, replica)
 		owner.release <- nil
@@ -830,7 +796,7 @@ func TestSubmitPopulatesConcurrently(t *testing.T) {
 	})
 
 	t.Run("owner-4xx", func(t *testing.T) {
-		f, gated, owner, replica := gatedFleet(t, 2, sys)
+		f, gated, owner, replica := gatedFleet(t, 2, 2, sys)
 		res := submit(f)
 		awaitEntered(t, "owner and replica in flight together", owner, replica)
 		bad := StatusError(http.StatusBadRequest, "bad matrix", 0)
@@ -847,16 +813,17 @@ func TestSubmitPopulatesConcurrently(t *testing.T) {
 	})
 
 	t.Run("rehome", func(t *testing.T) {
-		f, gated, owner, replica := gatedFleet(t, 3, sys)
+		f, gated, _, _ := gatedFleet(t, 3, 3, sys)
 		res := submit(f)
-		awaitEntered(t, "owner and replica in flight together", owner, replica)
-		owner.release <- nil
-		replica.release <- nil
+		awaitEntered(t, "the whole placement in flight together", gated...)
+		for _, s := range gated {
+			s.release <- nil
+		}
 		if r := <-res; r.err != nil {
 			t.Fatal(r.err)
 		}
-		f.PromotePattern(sys.pattern(), 1)
-		awaitEntered(t, "the widened placement populated at once", gated...)
+		f.rebalance()
+		awaitEntered(t, "the re-homed placement populated at once", gated...)
 		for _, s := range gated {
 			s.release <- nil
 		}

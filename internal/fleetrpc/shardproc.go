@@ -9,13 +9,10 @@ package fleetrpc
 // deterministic injectors without a cycle through the serve stack.
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"os"
-	"sync/atomic"
-	"time"
 
 	"gesp/internal/faultsim"
 	"gesp/internal/serve"
@@ -59,53 +56,9 @@ func runShard() error {
 	if err != nil {
 		return err
 	}
-	h := WithChaosDelay(NewLocalShard(ln.Addr().String(), serve.New(serve.DefaultConfig())).Mux())
+	h := NewLocalShard(ln.Addr().String(), serve.New(serve.DefaultConfig())).Mux()
 	faultsim.Ready()
 	return http.Serve(ln, h)
-}
-
-// WithChaosDelay wraps a shard mux with a runtime-settable straggler
-// injector: POST /v1/chaos/delay {"ms": N} makes every subsequent
-// /v1/solve sleep N milliseconds before being handled, turning the
-// shard into a latency straggler without killing it. This is how the
-// HA chaos tests breach a p999 SLO on demand — and cure it again with
-// ms=0. Requests other than solves pass through undelayed so health
-// probes keep succeeding: a straggler is slow, not dead.
-func WithChaosDelay(next http.Handler) http.Handler {
-	var delayMS atomic.Int64
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/chaos/delay", func(w http.ResponseWriter, r *http.Request) {
-		var req ChaosDelayRequest
-		if !DecodeJSON(w, r, &req) {
-			return
-		}
-		delayMS.Store(req.MS)
-		WriteJSON(w, http.StatusOK, struct{}{})
-	})
-	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/v1/solve" {
-			if ms := delayMS.Load(); ms > 0 {
-				time.Sleep(time.Duration(ms) * time.Millisecond)
-			}
-		}
-		next.ServeHTTP(w, r)
-	})
-	return mux
-}
-
-// ChaosDelayRequest sets a shard's injected solve delay.
-type ChaosDelayRequest struct {
-	MS int64 `json:"ms"`
-}
-
-// SetChaosDelay points a shard's straggler injector at ms milliseconds
-// per solve (0 cures it).
-func (c *Client) SetChaosDelay(ctx context.Context, ms int64) error {
-	body, err := json.Marshal(ChaosDelayRequest{MS: ms})
-	if err != nil {
-		return fmt.Errorf("chaos: encode delay: %w", err)
-	}
-	return c.do(ctx, http.MethodPost, "/v1/chaos/delay", "application/json", body, nil)
 }
 
 // SpawnShards re-executes the current binary n times as shard

@@ -25,8 +25,6 @@ type metrics struct {
 	drains       atomic.Uint64
 	rebuilds     atomic.Uint64 // ring swaps
 	rereplicated atomic.Uint64 // successful re-home submits after membership changes
-	promotions   atomic.Uint64 // pattern replication boosts (SLO controller)
-	demotions    atomic.Uint64 // pattern boosts removed
 }
 
 // Stats is a point-in-time router snapshot.
@@ -50,16 +48,11 @@ type Stats struct {
 	Drains       uint64 `json:"drains"`
 	Rebuilds     uint64 `json:"rebuilds"`
 	Rereplicated uint64 `json:"rereplicated"`
-	Promotions   uint64 `json:"promotions"`
-	Demotions    uint64 `json:"demotions"`
 
-	// RingGen is the placement epoch (rebuild count); Promoted the
-	// number of currently boosted patterns; RegistryLen the registered
-	// systems. P50/P99/P999 are fleet-wide client-observed solve
-	// latencies since startup (the SLO controller uses windowed deltas,
-	// not these cumulative values).
+	// RingGen is the placement epoch (rebuild count); RegistryLen the
+	// registered systems. P50/P99/P999 are fleet-wide client-observed
+	// solve latencies since startup.
 	RingGen     uint64        `json:"ring_gen"`
-	Promoted    int           `json:"promoted"`
 	RegistryLen int           `json:"registry_len"`
 	P50         time.Duration `json:"p50_ns"`
 	P99         time.Duration `json:"p99_ns"`
@@ -85,8 +78,6 @@ func (m *metrics) snapshot() Stats {
 		Drains:       m.drains.Load(),
 		Rebuilds:     m.rebuilds.Load(),
 		Rereplicated: m.rereplicated.Load(),
-		Promotions:   m.promotions.Load(),
-		Demotions:    m.demotions.Load(),
 	}
 }
 
@@ -116,8 +107,8 @@ func (s Stats) String() string {
 		s.Routed, s.Retries, s.Failovers, s.Hedged, s.HedgeWins, s.HedgeDenied, s.Resubmits, s.Degraded, s.Failed)
 	fmt.Fprintf(&b, "probes %d (%d failed)  deaths %d  rejoins %d  drains %d  ring rebuilds %d (gen %d)  re-replicated %d\n",
 		s.Probes, s.ProbeFails, s.Deaths, s.Rejoins, s.Drains, s.Rebuilds, s.RingGen, s.Rereplicated)
-	fmt.Fprintf(&b, "promotions %d  demotions %d  boosted %d  registry %d  p50 %v  p99 %v  p999 %v\n",
-		s.Promotions, s.Demotions, s.Promoted, s.RegistryLen, s.P50, s.P99, s.P999)
+	fmt.Fprintf(&b, "registry %d  p50 %v  p99 %v  p999 %v\n",
+		s.RegistryLen, s.P50, s.P99, s.P999)
 	for _, m := range s.Members {
 		fmt.Fprintf(&b, "member %d %s [%s] failures %d in flight %d\n", m.ID, m.Addr, m.State, m.Failures, m.QueueDepth)
 	}

@@ -26,9 +26,8 @@
 //     after HedgeAfter, only while the shared token bucket
 //     (fleet.HedgeBudget) grants tokens, plus an immediate same-attempt
 //     failover when the primary fails fast;
-//   - one replication policy: every submit lands on Replication
-//     members, and PromotePattern/DemotePattern widen or restore a
-//     single pattern at runtime (the SLO controller's lever);
+//   - one replication policy: every pattern is placed on Replication
+//     members, owner and ring successors, populated side by side;
 //   - graceful drain: a leaving shard closes admission and finishes
 //     its queued solves (Handoff), leaves the ring, and its entries are
 //     re-factored onto their post-drain placement from the matrix
