@@ -9,8 +9,9 @@
 // The router — consistent-hash placement, replication, health-checked
 // membership, retry/backoff, budget-gated hedging, eviction heal,
 // graceful drain, degraded fallback — sits behind the gesp-serve HTTP
-// JSON API (fleetrpc.Handler); tenants identify themselves with an
-// X-Tenant header.
+// JSON API (fleetrpc.Handler), which admits every request; a shard
+// whose solve queue is full sheds with 503 and a retry-after hint, and
+// the router retries, fails over or falls back.
 //
 //	POST /v1/matrix  {"n":N,"rows":[...],"cols":[...],"vals":[...]}
 //	                 -> {"handle":"p….v….n…","n":N,"nnz":…,"shard":…}
@@ -47,8 +48,6 @@ func main() {
 		hedgeAfter  = flag.Duration("hedge-after", 100*time.Millisecond, "hedge to the replica when the primary hasn't answered in this long (0 disables)")
 		hedgeBudget = flag.Float64("hedge-budget", 0, "cap hedges at this fraction of routed traffic (0 = unlimited)")
 		hedgeBurst  = flag.Float64("hedge-burst", 8, "hedge token-bucket capacity when -hedge-budget is set")
-		tenantRate  = flag.Float64("tenant-rate", 0, "per-tenant admitted requests per second (0 = no admission control)")
-		tenantBurst = flag.Float64("tenant-burst", 0, "per-tenant token-bucket burst")
 
 		join       = flag.String("join", "", "comma-separated gesp-serve shard addresses to coordinate over (required)")
 		probeEvery = flag.Duration("probe-interval", 50*time.Millisecond, "health-check period")
@@ -75,7 +74,6 @@ func main() {
 	rcfg.HedgeBurst = *hedgeBurst
 	rcfg.RequestTimeout = *reqTimeout
 	rcfg.DegradedFallback = *degraded
-	quotas := fleet.NewQuotas(*tenantRate, *tenantBurst)
 
 	if *haID >= 0 {
 		// HA mode: this process is one of N replicated coordinators
@@ -95,7 +93,7 @@ func main() {
 		}
 		log.Printf("HA coordinator %d/%d on %s over %d shards (lease %v)",
 			*haID, len(peers), *addr, len(shards), *haLease)
-		log.Fatal(http.ListenAndServe(*addr, node.Mux(quotas)))
+		log.Fatal(http.ListenAndServe(*addr, node.Mux()))
 	}
 
 	rcfg.Shards = fleetrpc.Dial(shards)
@@ -105,5 +103,5 @@ func main() {
 	}
 	log.Printf("routing over %d shards (%s) on %s (replication %d, hedge after %v, budget %.2f)",
 		len(rcfg.Shards), strings.Join(f.Addrs(), ","), *addr, rcfg.Replication, rcfg.HedgeAfter, rcfg.HedgeBudget)
-	log.Fatal(http.ListenAndServe(*addr, fleetrpc.Handler(f, quotas)))
+	log.Fatal(http.ListenAndServe(*addr, fleetrpc.Handler(f)))
 }

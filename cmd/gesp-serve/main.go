@@ -3,7 +3,9 @@
 // once, then solve as many right-hand sides against it as you like —
 // pattern-identical resubmissions skip symbolic analysis, identical
 // resubmissions skip factorization, and concurrent solves of one system
-// coalesce into batched triangular sweeps.
+// coalesce into batched triangular sweeps. A solve whose factor's queue
+// already holds -queue-cap requests is shed with 503 and a Retry-After
+// hint; a coordinator retries it or fails over to a replica.
 //
 // The wire format is internal/fleetrpc's, which makes every gesp-serve
 // process a shard any fleetrpc coordinator (gesp-fleet -join) can
@@ -47,7 +49,6 @@ func main() {
 		resil        = flag.Bool("resilience", false, "run every solve through the numerical resilience ladder (escalates from static pivoting to GEPP on backward-error trouble)")
 		rungDeadline = flag.Duration("rung-deadline", 0, "resilience: per-rung time budget (0 = unbounded)")
 		solveTimeout = flag.Duration("solve-timeout", 0, "per-request solve deadline (0 = none)")
-		degrade      = flag.Bool("degrade", false, "on overload, serve a degraded factor-preconditioned GMRES solve instead of shedding with 503")
 	)
 	flag.Parse()
 
@@ -65,7 +66,6 @@ func main() {
 		cfg.Options.Resilience = &resilience.Policy{RungDeadline: *rungDeadline}
 	}
 	cfg.SolveTimeout = *solveTimeout
-	cfg.DegradeOnOverload = *degrade
 
 	h := fleetrpc.NewLocalShard(*addr, serve.New(cfg)).Mux()
 	log.Printf("listening on %s (max-batch %d, max-delay %v)", *addr, cfg.MaxBatch, cfg.MaxDelay)

@@ -28,7 +28,6 @@ import (
 	"gesp/internal/dist"
 	"gesp/internal/equil"
 	"gesp/internal/kernels"
-	"gesp/internal/krylov"
 	"gesp/internal/lu"
 	"gesp/internal/matching"
 	"gesp/internal/ordering"
@@ -613,42 +612,6 @@ func (s *Solver) Escalation() *resilience.Escalation {
 	}
 	return s.ladder.LastTrace()
 }
-
-// SolveIterative solves A·x = b with GMRES preconditioned by the
-// existing LU factors, never touching refinement or the ladder. This is
-// the serving layer's load-shedding path: unlike Solve/SolveBatch it is
-// safe to call concurrently with batched solves on the same Solver (it
-// allocates its own workspace and records no statistics), trading the
-// direct path's guarantees for bounded, cancellable work under overload.
-func (s *Solver) SolveIterative(ctx context.Context, b []float64, opts krylov.Options) ([]float64, krylov.Stats, error) {
-	if len(b) != s.n {
-		return nil, krylov.Stats{}, fmt.Errorf("core: right-hand side length %d, want %d", len(b), s.n)
-	}
-	if s.fac == nil {
-		return nil, krylov.Stats{}, fmt.Errorf("core: Solver holds no numeric factors; use New or NewWithSymbolic")
-	}
-	bh := s.scale(make([]float64, s.n), b)
-	prev := opts.Cancel
-	opts.Cancel = func() bool {
-		return ctx.Err() != nil || (prev != nil && prev())
-	}
-	y := make([]float64, s.n)
-	_, st := krylov.GMRES(s.ap, facPreconditioner{s.fac}, y, bh, opts)
-	if err := ctx.Err(); err != nil {
-		return nil, st, err
-	}
-	if !st.Converged {
-		return s.unscale(make([]float64, s.n), y), st, fmt.Errorf("core: iterative solve stopped at relative residual %.3e after %d iterations", st.Residual, st.Iterations)
-	}
-	return s.unscale(make([]float64, s.n), y), st, nil
-}
-
-// facPreconditioner adapts the LU factors to krylov.Preconditioner.
-// Factors.Solve only reads factor data and mutates its argument, so the
-// adapter is safe for concurrent use with distinct vectors.
-type facPreconditioner struct{ f *lu.Factors }
-
-func (p facPreconditioner) Apply(x []float64) { p.f.Solve(x) }
 
 // SolveBatch solves A·xᵣ = bᵣ for every right-hand side in bs (original
 // coordinates) kernels.Lanes vectors to a tile

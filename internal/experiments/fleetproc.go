@@ -127,7 +127,8 @@ func FleetProcAblation(workers int, duration time.Duration, scale float64) ([]Fl
 // FormatFleetProc lays out the chaos ablation: the throughput/tail
 // table with the retry-ladder counters, a verdict per fault arm — a
 // shard's death must cost retries, not requests — then each arm's
-// coordinator counters.
+// coordinator counters. A broken verdict (TestChaosSIGKILL and
+// TestChaosSIGSTOP assert the same claims) sets Fail.
 func FormatFleetProc(arms []FleetProcResult) []Table {
 	t := Table{
 		Title: []string{"Cross-process fleet under process chaos (mid-run fault on the hottest pattern's owner):"},
@@ -143,19 +144,19 @@ func FormatFleetProc(arms []FleetProcResult) []Table {
 			r.Failed, st.Retries, st.Failovers, st.Hedged, fmt.Sprintf("%d/%d", st.HedgeStaked, st.HedgeStaked+st.HedgeDenied),
 			st.Degraded, dashDur(r.DetectLatency)})
 		stats = append(stats, counters(r.Label, "coordinator", st))
-		var v string
+		var fail string
 		switch {
 		case r.Label == "healthy":
 			continue
 		case r.ChaosErr != "":
-			v = "CHAOS ERROR: " + r.ChaosErr
+			fail = "CHAOS ERROR: " + r.ChaosErr
 		case r.Failed > 0:
-			v = fmt.Sprintf("%d CLIENT-VISIBLE FAILURES: the retry ladder must absorb a shard's death", r.Failed)
-		default:
-			v = fmt.Sprintf("shard %d died, detected in %v, zero client-visible failures (%d retries, %d failovers, %d re-replicated)",
-				r.KilledShard, r.DetectLatency, st.Retries, st.Failovers, st.Rereplicated)
+			fail = fmt.Sprintf("%d CLIENT-VISIBLE FAILURES: the retry ladder must absorb a shard's death", r.Failed)
 		}
+		v := cmp.Or(fail, fmt.Sprintf("shard %d died, detected in %v, zero client-visible failures (%d retries, %d failovers, %d re-replicated)",
+			r.KilledShard, r.DetectLatency, st.Retries, st.Failovers, st.Rereplicated))
 		verdicts.Verdict = append(verdicts.Verdict, fmt.Sprintf("[%s] %s", r.Label, v))
+		verdicts.Fail = cmp.Or(verdicts.Fail, fail)
 	}
 	return append([]Table{t, verdicts}, stats...)
 }

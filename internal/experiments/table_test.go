@@ -98,3 +98,39 @@ func TestFormatHAFailsBrokenLeaderKill(t *testing.T) {
 		}
 	}
 }
+
+// TestFormatFleetProcFailsBrokenChaosArm: a fault arm whose chaos broke
+// or whose shard death reached a client makes Render return an error,
+// so `gesp-bench -exp fleetproc` exits non-zero on the breakage
+// TestChaosSIGKILL and TestChaosSIGSTOP assert against; a healthy arm
+// and a clean sigkill arm render without one.
+func TestFormatFleetProcFailsBrokenChaosArm(t *testing.T) {
+	healthy := FleetProcResult{Label: "healthy", Shards: 3, KilledShard: -1}
+	clean := FleetProcResult{Label: "sigkill", Shards: 3, KilledShard: 1, DetectLatency: 80 * time.Millisecond}
+	var buf bytes.Buffer
+	render(t, &buf, FormatFleetProc([]FleetProcResult{healthy, clean})...)
+	if !strings.Contains(buf.String(), "[sigkill] shard 1 died") {
+		t.Errorf("clean sigkill verdict missing:\n%s", buf.String())
+	}
+
+	failed := clean
+	failed.Failed = 3
+	chaos := clean
+	chaos.ChaosErr = "owner never declared dead"
+	for _, c := range []struct {
+		r    FleetProcResult
+		want string
+	}{
+		{failed, "3 CLIENT-VISIBLE FAILURES"},
+		{chaos, "CHAOS ERROR: owner never declared dead"},
+	} {
+		buf.Reset()
+		err := Render(&buf, FormatFleetProc([]FleetProcResult{healthy, c.r})...)
+		if err == nil || !strings.HasPrefix(err.Error(), c.want) {
+			t.Errorf("Render = %v, want an error starting %q", err, c.want)
+		}
+		if !strings.Contains(buf.String(), "[sigkill] "+c.want) {
+			t.Errorf("verdict %q missing from the written tables:\n%s", c.want, buf.String())
+		}
+	}
+}

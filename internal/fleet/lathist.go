@@ -41,7 +41,15 @@ func (h *LatHist) Quantile(q float64) time.Duration {
 	if total == 0 {
 		return 0
 	}
-	need := uint64(math.Ceil(q * float64(total)))
+	p := q * float64(total)
+	need := uint64(math.Ceil(p))
+	// The float64 product can land an ulp above the integer it stands
+	// for (0.07·100 = 7.000000000000001): when q is the float64 nearest
+	// r/total, the rank is r exactly.
+	//gesp:floateq
+	if r := math.Round(p); r >= 1 && r/float64(total) == q {
+		need = uint64(r)
+	}
 	need = min(max(need, 1), total)
 	var cum uint64
 	ub := int64(1000)

@@ -38,6 +38,19 @@ func TestLatHistQuantile(t *testing.T) {
 		}
 	}
 
+	// Nearest rank is exact where q·total is an integer: 0.07·100 is
+	// 7.000000000000001 in float64, yet rank 7 is the last 1µs sample.
+	var r LatHist
+	for i := 0; i < 7; i++ {
+		r.Observe(time.Microsecond)
+	}
+	for i := 0; i < 93; i++ {
+		r.Observe(time.Second)
+	}
+	if got := r.Quantile(0.07); got != time.Microsecond {
+		t.Errorf("7 of 100 samples at 1µs: Quantile(0.07) = %v, want 1µs", got)
+	}
+
 	// Anything past the last bounded bucket lands in the overflow
 	// bucket, which reports its nominal top.
 	var o LatHist

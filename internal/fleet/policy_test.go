@@ -1,50 +1,6 @@
 package fleet
 
-import (
-	"errors"
-	"testing"
-	"time"
-)
-
-// TestQuotaRetryAfterJitter: repeated rejections of one starved tenant
-// must not hand every client the identical wait — identical waits
-// re-form the rejected herd one refill later.
-func TestQuotaRetryAfterJitter(t *testing.T) {
-	q := NewQuotas(0.001, 1)
-	now := time.Now()
-	if err := q.Admit("t", now); err != nil {
-		t.Fatalf("first token must admit: %v", err)
-	}
-	if err := q.Admit("other", now); err != nil {
-		t.Fatalf("another tenant must be unaffected: %v", err)
-	}
-	waits := make(map[time.Duration]bool)
-	var min time.Duration
-	for i := 0; i < 8; i++ {
-		err := q.Admit("t", now)
-		var qe *QuotaError
-		if !errors.As(err, &qe) || !errors.Is(err, ErrOverQuota) || qe.Tenant != "t" {
-			t.Fatalf("admit %d: %v, want the typed QuotaError for tenant t", i, err)
-		}
-		wait := qe.RetryAfter
-		if wait <= 0 {
-			t.Fatalf("admit %d: non-positive RetryAfter %v", i, wait)
-		}
-		if min == 0 || wait < min {
-			min = wait
-		}
-		waits[wait] = true
-	}
-	if len(waits) < 2 {
-		t.Fatalf("8 rejections produced identical RetryAfter %v — jitter is dead", min)
-	}
-	// The jitter only ever widens: every wait covers at least the time
-	// until one token accrues.
-	base := time.Duration(1 / 0.001 * float64(time.Second))
-	if min < base {
-		t.Fatalf("jittered wait %v below the %v refill floor", min, base)
-	}
-}
+import "testing"
 
 // TestHedgeBudgetBucket covers the token arithmetic: burst bounds the
 // cold-start grants, accrual refills at rate, denials are counted, and

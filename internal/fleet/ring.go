@@ -2,11 +2,8 @@
 // router (internal/fleetrpc) is built from: the consistent-hash Ring
 // over sparse.PatternHash fingerprints, so every sparsity pattern has
 // a home shard whose two-level cache stays hot for it; the HedgeBudget
-// token bucket that caps duplicated hedge work; the lock-free LatHist
-// latency histogram behind the router's p50/p99/p999; and the
-// per-tenant admission Quotas the HTTP front door applies (quota
-// rejections are typed apart from shard overload: overload is worth a
-// replica retry, quota exhaustion follows the tenant everywhere).
+// token bucket that caps duplicated hedge work; and the lock-free
+// LatHist latency histogram behind the router's p50/p99/p999.
 package fleet
 
 // Ring is an immutable consistent-hash ring over shard ids: each shard

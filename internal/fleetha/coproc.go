@@ -89,7 +89,7 @@ func runCoordinator(raw string) error {
 		return err
 	}
 	faultsim.Ready()
-	return http.Serve(ln, n.Mux(nil))
+	return http.Serve(ln, n.Mux())
 }
 
 // SpawnCoordinators re-executes the current binary n times as

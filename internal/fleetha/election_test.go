@@ -110,7 +110,7 @@ func startCluster(t *testing.T, n int, shards []string, mut func(id int, cfg *Co
 			t.Fatal(err)
 		}
 		c.nodes[i] = node
-		h := http.Handler(node.Mux(nil))
+		h := http.Handler(node.Mux())
 		handlers[i].Store(&h)
 	}
 	t.Cleanup(func() {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"net/http"
 
-	"gesp/internal/fleet"
 	"gesp/internal/fleetrpc"
 )
 
@@ -18,11 +17,10 @@ import (
 // LeaderHintHeader names the redirect hint header.
 const LeaderHintHeader = "X-Gesp-Leader"
 
-// Mux builds the node's HTTP handler; q (nil for none) is the
-// per-tenant admission control of the client-facing routes.
-func (n *Node) Mux(q *fleet.Quotas) *http.ServeMux {
+// Mux builds the node's HTTP handler.
+func (n *Node) Mux() *http.ServeMux {
 	mux := http.NewServeMux()
-	mux.Handle("/v1/", n.leaderGate(fleetrpc.Handler(n, q)))
+	mux.Handle("/v1/", n.leaderGate(fleetrpc.Handler(n)))
 	mux.HandleFunc("GET /ha/v1/status", func(w http.ResponseWriter, _ *http.Request) {
 		fleetrpc.WriteJSON(w, http.StatusOK, n.Status())
 	})

@@ -11,7 +11,6 @@ import (
 	"strconv"
 	"time"
 
-	"gesp/internal/fleet"
 	"gesp/internal/serve"
 )
 
@@ -29,8 +28,8 @@ var ErrUnreachable = errors.New("fleetrpc: shard unreachable")
 // never look at a status code:
 //
 //	410 serve.ErrHandleExpired     503 + hint *serve.OverloadedError
-//	429 *fleet.QuotaError          503        serve.ErrClosed
-//	502 ErrUnreachable             504        context.DeadlineExceeded
+//	502 ErrUnreachable             503        serve.ErrClosed
+//	504 context.DeadlineExceeded
 //
 // Every other status is terminal and unwraps to nothing.
 type RemoteError struct {
@@ -55,8 +54,6 @@ func StatusError(status int, msg string, hint time.Duration) *RemoteError {
 	switch status {
 	case http.StatusGone:
 		re.cause = serve.ErrHandleExpired
-	case http.StatusTooManyRequests:
-		re.cause = &fleet.QuotaError{RetryAfter: hint}
 	case http.StatusBadGateway:
 		re.cause = ErrUnreachable
 	case http.StatusServiceUnavailable:
@@ -73,12 +70,12 @@ func StatusError(status int, msg string, hint time.Duration) *RemoteError {
 // Retryable classifies an error from a Shard or the router: true for
 // transport failures, deadline expiry, and the conditions that mean
 // "not now" rather than "never" — a shed queue, a closed or draining
-// shard, a tenant over quota, no live placement. Solves are idempotent
-// — the same handle and right-hand side produce the same answer — so a
-// retryable solve can always be re-sent, to the same shard or another.
+// shard, no live placement. Solves are idempotent — the same handle and
+// right-hand side produce the same answer — so a retryable solve can
+// always be re-sent, to the same shard or another.
 func Retryable(err error) bool {
 	for _, class := range []error{ErrUnreachable, context.DeadlineExceeded, serve.ErrOverloaded,
-		serve.ErrClosed, fleet.ErrOverQuota, ErrNoLiveShards} {
+		serve.ErrClosed, ErrNoLiveShards} {
 		if errors.Is(err, class) {
 			return true
 		}
@@ -95,12 +92,8 @@ func Expired(err error) bool { return errors.Is(err, serve.ErrHandleExpired) }
 // or 0.
 func RetryAfterHint(err error) time.Duration {
 	var oe *serve.OverloadedError
-	var qe *fleet.QuotaError
-	switch {
-	case errors.As(err, &oe):
+	if errors.As(err, &oe) {
 		return oe.RetryAfter
-	case errors.As(err, &qe):
-		return qe.RetryAfter
 	}
 	return 0
 }

@@ -14,7 +14,6 @@ import (
 	"testing"
 	"time"
 
-	"gesp/internal/fleet"
 	"gesp/internal/matgen"
 	"gesp/internal/serve"
 	"gesp/internal/sparse"
@@ -326,12 +325,12 @@ func TestErrorTaxonomy(t *testing.T) {
 	if !Retryable(ErrUnreachable) || !Retryable(context.DeadlineExceeded) {
 		t.Fatal("transport-class errors must be retryable")
 	}
-	for _, status := range []int{429, 502, 503, 504} {
+	for _, status := range []int{502, 503, 504} {
 		if !Retryable(StatusError(status, "", 0)) {
 			t.Fatalf("status %d must be retryable", status)
 		}
 	}
-	for _, err := range []error{serve.ErrClosed, &serve.OverloadedError{}, ErrNoLiveShards, &fleet.QuotaError{}} {
+	for _, err := range []error{serve.ErrClosed, &serve.OverloadedError{}, ErrNoLiveShards} {
 		if !Retryable(err) {
 			t.Fatalf("%v must be retryable", err)
 		}
@@ -339,13 +338,16 @@ func TestErrorTaxonomy(t *testing.T) {
 	if Retryable(StatusError(400, "", 0)) || Retryable(errors.New("boom")) || Retryable(serve.ErrHandleExpired) {
 		t.Fatal("terminal errors must not be retryable")
 	}
+	// No front door answers 429; one from elsewhere is an unmapped
+	// status, terminal and without a hint.
+	if re := StatusError(429, "", time.Second); Retryable(re) || re.Unwrap() != nil || RetryAfterHint(re) != 0 {
+		t.Fatalf("a 429 must be terminal: %#v", re)
+	}
 	if !Expired(StatusError(410, "", 0)) || !Expired(serve.ErrHandleExpired) || Expired(StatusError(503, "", 0)) {
 		t.Fatal("only a non-resident handle means expired")
 	}
-	for _, status := range []int{429, 503} {
-		if h := RetryAfterHint(StatusError(status, "", time.Second)); h != time.Second {
-			t.Fatalf("RetryAfterHint(%d) = %v", status, h)
-		}
+	if h := RetryAfterHint(StatusError(503, "", time.Second)); h != time.Second {
+		t.Fatalf("RetryAfterHint(503) = %v", h)
 	}
 	if h := RetryAfterHint(StatusError(503, "", 0)); h != 0 || !errors.Is(StatusError(503, "", 0), serve.ErrClosed) {
 		t.Fatalf("a 503 without a hint is a closed shard, hint %v", h)

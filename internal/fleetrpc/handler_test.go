@@ -10,25 +10,19 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"slices"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	"gesp/internal/fleet"
 	"gesp/internal/serve"
 	"gesp/internal/sparse"
 )
 
 // post sends body to the handler in-process and decodes an error
 // response's body.
-func post(h http.Handler, path, tenant string, body io.Reader) (*httptest.ResponseRecorder, ErrorResponse) {
-	r := httptest.NewRequest("POST", path, body)
-	if tenant != "" {
-		r.Header.Set("X-Tenant", tenant)
-	}
-	return record(h, r)
+func post(h http.Handler, path string, body io.Reader) (*httptest.ResponseRecorder, ErrorResponse) {
+	return record(h, httptest.NewRequest("POST", path, body))
 }
 
 // postFrame is post of a binary frame.
@@ -87,74 +81,18 @@ func TestWriteErrRetryAfter(t *testing.T) {
 		{4 * time.Second, "4"},
 	}
 	for _, c := range cases {
-		for _, e := range []struct {
-			err    error
-			status int
-		}{
-			{&serve.OverloadedError{QueueDepth: 9, RetryAfter: c.d}, 503},
-			{&fleet.QuotaError{Tenant: "t", RetryAfter: c.d}, 429},
-		} {
-			w := httptest.NewRecorder()
-			WriteErr(w, e.err)
-			var eres ErrorResponse
-			if err := json.Unmarshal(w.Body.Bytes(), &eres); err != nil || eres.Error == "" {
-				t.Fatalf("error body %q: %v", w.Body, err)
-			}
-			if got := w.Header().Get("Retry-After"); got != c.want || w.Code != e.status || eres.RetryAfterNS != int64(c.d) {
-				t.Errorf("%v: status %d Retry-After %q body hint %v, want %d %q %v",
-					e.err, w.Code, got, time.Duration(eres.RetryAfterNS), e.status, c.want, c.d)
-			}
+		err := &serve.OverloadedError{QueueDepth: 9, RetryAfter: c.d}
+		w := httptest.NewRecorder()
+		WriteErr(w, err)
+		var eres ErrorResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &eres); err != nil || eres.Error == "" {
+			t.Fatalf("error body %q: %v", w.Body, err)
+		}
+		if got := w.Header().Get("Retry-After"); got != c.want || w.Code != 503 || eres.RetryAfterNS != int64(c.d) {
+			t.Errorf("%v: status %d Retry-After %q body hint %v, want 503 %q %v",
+				err, w.Code, got, time.Duration(eres.RetryAfterNS), c.want, c.d)
 		}
 	}
-}
-
-// TestHandlerQuota: the front door admits per tenant, the same way
-// whatever kind of shard sits behind the router. A tenant over its
-// token budget gets 429 with a whole-second Retry-After >= 1 and
-// jittered exact hints (identical hints would re-form the rejected herd
-// one refill later), while other tenants sail through.
-func TestHandlerQuota(t *testing.T) {
-	forEachKind(t, func(t *testing.T, kind string) {
-		shards, _ := testShards(t, kind, 2, serve.DefaultConfig())
-		f := newTestFleet(t, quietConfig(shards))
-		h := Handler(f, fleet.NewQuotas(0.001, 3)) // effectively no refill within the test
-
-		sys := testbedSystem(t, "SHERMAN4", 0)
-		w, _ := post(h, "/v1/matrix", "greedy", jsonBody(t, triplets(WireMatrix(sys.a)))) // token 1
-		var res MatrixResponse
-		if err := json.Unmarshal(w.Body.Bytes(), &res); err != nil || w.Code != 200 {
-			t.Fatalf("submit: %d %s", w.Code, w.Body)
-		}
-		if res.Shard == nil || *res.Shard != f.Owner(sys.pattern()) || res.Nnz != sys.a.Nnz() || res.N != sys.a.Rows {
-			t.Fatalf("submit response %s: want the owner, n and nnz", w.Body)
-		}
-		solve := func(tenant string) (*httptest.ResponseRecorder, ErrorResponse) {
-			return post(h, "/v1/solve", tenant, jsonBody(t, SolveRequest{Handle: res.Handle, B: sys.b}))
-		}
-		for i := 0; i < 2; i++ { // tokens 2, 3
-			if w, _ := solve("greedy"); w.Code != 200 {
-				t.Fatalf("solve %d within budget: %d %s", i, w.Code, w.Body)
-			}
-		}
-		hints := make(map[int64]bool)
-		for i := 0; i < 6; i++ {
-			w, eres := solve("greedy")
-			secs, err := strconv.Atoi(w.Header().Get("Retry-After"))
-			if w.Code != 429 || err != nil || secs < 1 || eres.Error == "" || eres.RetryAfterNS <= 0 {
-				t.Fatalf("over-budget solve %d: status %d Retry-After %q body %s", i, w.Code, w.Header().Get("Retry-After"), w.Body)
-			}
-			hints[eres.RetryAfterNS] = true
-		}
-		if len(hints) < 2 {
-			t.Fatal("6 quota rejections carried the identical hint — clients would retry in lockstep")
-		}
-		if w, _ := solve("frugal"); w.Code != 200 {
-			t.Fatalf("other tenant must be unaffected: %d %s", w.Code, w.Body)
-		}
-		if w, _ := solve(""); w.Code != 200 {
-			t.Fatalf("headerless requests share the default bucket, which is full: %d %s", w.Code, w.Body)
-		}
-	})
 }
 
 // TestHandlerRejectsHostileBodies: a constant-size body must not be
@@ -166,11 +104,11 @@ func TestHandlerRejectsHostileBodies(t *testing.T) {
 	f := newTestFleet(t, quietConfig(shards))
 	handlers := map[string]http.Handler{
 		"shard":       shards[0].(*LocalShard).Mux(),
-		"coordinator": Handler(f, nil),
+		"coordinator": Handler(f),
 	}
 	huge := `{"n":1099511627776,"rows":[],"cols":[],"vals":[]}`
 	for name, h := range handlers {
-		if w, eres := post(h, "/v1/matrix", "", strings.NewReader(huge)); w.Code != 400 || !strings.Contains(eres.Error, "structurally singular") {
+		if w, eres := post(h, "/v1/matrix", strings.NewReader(huge)); w.Code != 400 || !strings.Contains(eres.Error, "structurally singular") {
 			t.Errorf("%s: %d-byte body asking for n=2^40: status %d %s", name, len(huge), w.Code, w.Body)
 		}
 	}
@@ -179,7 +117,7 @@ func TestHandlerRejectsHostileBodies(t *testing.T) {
 	maxBodyBytes = 1 << 10
 	oversize := `{"handle":"` + strings.Repeat("x", 2<<10) + `","b":[]}`
 	for name, h := range handlers {
-		if w, eres := post(h, "/v1/solve", "", strings.NewReader(oversize)); w.Code != 413 || eres.Error == "" {
+		if w, eres := post(h, "/v1/solve", strings.NewReader(oversize)); w.Code != 413 || eres.Error == "" {
 			t.Errorf("%s: body over the limit: status %d %s", name, w.Code, w.Body)
 		}
 	}
@@ -190,7 +128,7 @@ func TestHandlerRejectsHostileBodies(t *testing.T) {
 func TestHandlerDrain(t *testing.T) {
 	shards, _ := testShards(t, "local", 2, serve.DefaultConfig())
 	f := newTestFleet(t, quietConfig(shards))
-	w, _ := post(Handler(f, nil), "/v1/drain", "", jsonBody(t, DrainRequest{Shard: 1}))
+	w, _ := post(Handler(f), "/v1/drain", jsonBody(t, DrainRequest{Shard: 1}))
 	var res DrainResponse
 	if err := json.Unmarshal(w.Body.Bytes(), &res); err != nil || w.Code != 200 || res.Drained != 1 {
 		t.Fatalf("drain: %d %s", w.Code, w.Body)
@@ -198,17 +136,18 @@ func TestHandlerDrain(t *testing.T) {
 	if st := f.Stats(); st.Drains != 1 || st.Members[1].State != "dead" {
 		t.Fatalf("drain did not reach the router: %+v", st.Members)
 	}
-	if w, _ := post(shards[0].(*LocalShard).Mux(), "/v1/drain", "", jsonBody(t, DrainRequest{})); w.Code != 404 {
+	if w, _ := post(shards[0].(*LocalShard).Mux(), "/v1/drain", jsonBody(t, DrainRequest{})); w.Code != 404 {
 		t.Fatalf("a shard must not serve /v1/drain: %d", w.Code)
 	}
 }
 
 // TestHandlerCodecEquivalence: one matrix posted to one Handler as
 // JSON and as a frame gets the same handle — the same PatternHash and
-// ValueHash — and the same nnz, on a coordinator over either kind of
-// shard and on a shard itself, which must keep answering JSON. The
-// JSON triplets run in reverse order: the codecs agree on the
-// assembled matrix, not on the byte order of its entries.
+// ValueHash — and the same n and nnz, on a coordinator over either kind
+// of shard and on a shard itself, which must keep answering JSON. A
+// coordinator's response also names the pattern's owner; a shard's
+// names none. The JSON triplets run in reverse order: the codecs agree
+// on the assembled matrix, not on the byte order of its entries.
 func TestHandlerCodecEquivalence(t *testing.T) {
 	sys := testbedSystem(t, "SHERMAN4", 0)
 	m := WireMatrix(sys.a)
@@ -219,20 +158,27 @@ func TestHandlerCodecEquivalence(t *testing.T) {
 	want := serve.FactorKey{Pattern: sparse.PatternHash(sys.a), Values: sparse.ValueHash(sys.a)}
 
 	handlers := map[string]http.Handler{}
+	owners := map[string]int{}
 	for _, kind := range shardKinds {
 		shards, svcs := testShards(t, kind, 2, serve.DefaultConfig())
-		handlers["coordinator over "+kind] = Handler(newTestFleet(t, quietConfig(shards)), nil)
+		f := newTestFleet(t, quietConfig(shards))
+		handlers["coordinator over "+kind] = Handler(f)
+		owners["coordinator over "+kind] = f.Owner(want.Pattern)
 		handlers["shard "+kind] = NewLocalShard("", svcs[0]).Mux()
 	}
 	for name, h := range handlers {
 		var got []MatrixResponse
 		for _, w := range []*httptest.ResponseRecorder{
-			first(post(h, "/v1/matrix", "", jsonBody(t, rev))),
+			first(post(h, "/v1/matrix", jsonBody(t, rev))),
 			first(postFrame(h, "/v1/matrix", m.Bytes())),
 		} {
 			var res MatrixResponse
 			if err := json.Unmarshal(w.Body.Bytes(), &res); err != nil || w.Code != http.StatusOK {
 				t.Fatalf("%s: submit: %d %s", name, w.Code, w.Body)
+			}
+			owner, coord := owners[name]
+			if coord != (res.Shard != nil) || coord && *res.Shard != owner {
+				t.Errorf("%s: submit response %s, want the owner %d named only by a coordinator", name, w.Body, owner)
 			}
 			got = append(got, res)
 		}
@@ -240,8 +186,9 @@ func TestHandlerCodecEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got[0].Handle != got[1].Handle || hj.Key != want || got[0].Nnz != got[1].Nnz || got[0].Nnz != sys.a.Nnz() {
-			t.Errorf("%s: JSON %+v, frame %+v; want key %+v and nnz %d", name, got[0], got[1], want, sys.a.Nnz())
+		if got[0].Handle != got[1].Handle || hj.Key != want || got[0].N != sys.a.Rows || got[1].N != sys.a.Rows ||
+			got[0].Nnz != got[1].Nnz || got[0].Nnz != sys.a.Nnz() {
+			t.Errorf("%s: JSON %+v, frame %+v; want key %+v, n %d and nnz %d", name, got[0], got[1], want, sys.a.Rows, sys.a.Nnz())
 		}
 	}
 }
@@ -314,7 +261,7 @@ func TestHandlerRejectsBadFrames(t *testing.T) {
 	shard := shards[0].(*LocalShard).Mux()
 	handlers := map[string]http.Handler{
 		"shard":       shard,
-		"coordinator": Handler(newTestFleet(t, quietConfig(shards)), nil),
+		"coordinator": Handler(newTestFleet(t, quietConfig(shards))),
 	}
 	rhs := make([]byte, 24)
 	for rule, frame := range badFrames() {

@@ -11,7 +11,6 @@ import (
 	"strconv"
 	"time"
 
-	"gesp/internal/fleet"
 	"gesp/internal/resilience"
 	"gesp/internal/serve"
 )
@@ -47,17 +46,10 @@ var maxBodyBytes int64 = 256 << 20
 //	POST /v1/solve   {"handle":"…","b":[...]}  -> {"x":[...]}  (bytes in, bytes out)
 //	GET  /v1/stats   -> api.Stats() as JSON
 //	POST /v1/drain   {"shard":K} -> {"drained":K}   (coordinators only)
-//
-// Tenants identify themselves with an X-Tenant header; q (nil for
-// none) admits or rejects each matrix and solve request before any
-// work is done.
-func Handler[S any](api API[S], q *fleet.Quotas) *http.ServeMux {
+func Handler[S any](api API[S]) *http.ServeMux {
 	co, _ := api.(coordinator)
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/matrix", func(w http.ResponseWriter, r *http.Request) {
-		if !admit(w, r, q) {
-			return
-		}
 		m, ok := readMatrix(w, r)
 		if !ok {
 			return
@@ -75,9 +67,6 @@ func Handler[S any](api API[S], q *fleet.Quotas) *http.ServeMux {
 		WriteJSON(w, http.StatusOK, res)
 	})
 	mux.HandleFunc("POST /v1/solve", func(w http.ResponseWriter, r *http.Request) {
-		if !admit(w, r, q) {
-			return
-		}
 		body, ok := ReadBody(w, r)
 		if !ok {
 			return
@@ -116,20 +105,6 @@ func Handler[S any](api API[S], q *fleet.Quotas) *http.ServeMux {
 		})
 	}
 	return mux
-}
-
-// admit spends one of the request's tenant's tokens; absent X-Tenant
-// headers share the default bucket. A rejection is already written.
-func admit(w http.ResponseWriter, r *http.Request, q *fleet.Quotas) bool {
-	tenant := r.Header.Get("X-Tenant")
-	if tenant == "" {
-		tenant = "default"
-	}
-	if err := q.Admit(tenant, time.Now()); err != nil {
-		WriteErr(w, err)
-		return false
-	}
-	return true
 }
 
 // DecodeJSON reads one bounded JSON request body into v. A failure is
@@ -192,8 +167,8 @@ func WriteBytes(w http.ResponseWriter, contentType string, body []byte) {
 }
 
 // WriteErr maps the one error taxonomy onto HTTP statuses — the
-// inverse of StatusError: 429 over quota, 503 overloaded / closed / no
-// live placement / unreachable, 410 heal-by-resubmit, 504 deadline,
+// inverse of StatusError: 503 overloaded / closed / no live placement /
+// unreachable, 410 heal-by-resubmit, 504 deadline,
 // 422 poisoned input, 413 oversize body, 400 everything else. An error
 // that already crossed a wire keeps its status. Any retry-after hint
 // goes out both as the whole-second header and, exactly, in the body.
@@ -204,8 +179,6 @@ func WriteErr(w http.ResponseWriter, err error) {
 	switch {
 	case errors.As(err, &re):
 		status = re.Status
-	case errors.Is(err, fleet.ErrOverQuota):
-		status = http.StatusTooManyRequests
 	case errors.Is(err, serve.ErrOverloaded), errors.Is(err, serve.ErrClosed),
 		errors.Is(err, ErrNoLiveShards), errors.Is(err, ErrUnreachable):
 		status = http.StatusServiceUnavailable
@@ -250,7 +223,7 @@ func SetRetryAfter(w http.ResponseWriter, d time.Duration) {
 //	POST /v1/degraded  iterative solve from a raw matrix (no factoring):
 //	                   a Matrix frame followed by b as n float64s
 func (s *LocalShard) Mux() *http.ServeMux {
-	mux := Handler(s, nil)
+	mux := Handler(s)
 	mux.HandleFunc("GET /v1/health", func(w http.ResponseWriter, r *http.Request) {
 		//gesp:errok — a LocalShard's health check cannot fail
 		res, _ := s.Health(r.Context())

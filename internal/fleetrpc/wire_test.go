@@ -34,7 +34,7 @@ func solveBody(t *testing.T, h serve.Handle, b []float64) []byte {
 func TestWireSolveForwardsBytes(t *testing.T) {
 	shards, svcs := testShards(t, "http", 2, serve.DefaultConfig())
 	f := newTestFleet(t, quietConfig(shards))
-	coord := Handler(f, nil)
+	coord := Handler(f)
 	sys := testbedSystem(t, "SHERMAN4", 0)
 	h, err := f.Submit(bg, WireMatrix(sys.a))
 	if err != nil {
@@ -53,7 +53,7 @@ func TestWireSolveForwardsBytes(t *testing.T) {
 	}
 	reordered := []byte(`{"b":` + string(bRev) + `,"handle":"` + h.String() + `"}`)
 	for name, req := range map[string][]byte{"canonical": body, "b first": reordered} {
-		w, eres := post(coord, "/v1/solve", "", bytes.NewReader(req))
+		w, eres := post(coord, "/v1/solve", bytes.NewReader(req))
 		if w.Code != http.StatusOK {
 			t.Fatalf("%s: status %d %s", name, w.Code, eres.Error)
 		}
@@ -111,7 +111,7 @@ func TestWireRejectsMisshapenAnswers(t *testing.T) {
 				}
 			}
 			f := newTestFleet(t, quietConfig([]Shard{cli}))
-			if w, eres := post(Handler(f, nil), "/v1/solve", "", bytes.NewReader(body)); w.Code != http.StatusServiceUnavailable {
+			if w, eres := post(Handler(f), "/v1/solve", bytes.NewReader(body)); w.Code != http.StatusServiceUnavailable {
 				t.Fatalf("coordinator over a shard answering %q: status %d %s", answer, w.Code, eres.Error)
 			}
 		})
@@ -132,7 +132,7 @@ func TestWireSolveStatuses(t *testing.T) {
 		if h, err = f.Submit(bg, WireMatrix(sys.a)); err != nil {
 			t.Fatal(err)
 		}
-		handlers["coordinator over "+kind] = Handler(f, nil)
+		handlers["coordinator over "+kind] = Handler(f)
 		handlers["shard "+kind] = NewLocalShard("", svcs[f.Owner(h.Key.Pattern)]).Mux()
 	}
 	unknown := serve.Handle{Key: serve.FactorKey{Pattern: 1, Values: 2}, N: len(sys.b)}
@@ -151,7 +151,7 @@ func TestWireSolveStatuses(t *testing.T) {
 		{"good", good, http.StatusOK},
 	} {
 		for name, hd := range handlers {
-			if w, eres := post(hd, "/v1/solve", "", strings.NewReader(c.body)); w.Code != c.status {
+			if w, eres := post(hd, "/v1/solve", strings.NewReader(c.body)); w.Code != c.status {
 				t.Errorf("%s, %s: status %d (%s), want %d", c.name, name, w.Code, eres.Error, c.status)
 			}
 		}
@@ -201,7 +201,7 @@ func TestWireMatrixStatuses(t *testing.T) {
 	handlers := map[string]http.Handler{}
 	for _, kind := range shardKinds {
 		shards, svcs := testShards(t, kind, 2, serve.DefaultConfig())
-		handlers["coordinator over "+kind] = Handler(newTestFleet(t, quietConfig(shards)), nil)
+		handlers["coordinator over "+kind] = Handler(newTestFleet(t, quietConfig(shards)))
 		handlers["shard "+kind] = NewLocalShard("", svcs[0]).Mux()
 	}
 	good, err := json.Marshal(triplets(WireMatrix(sys.a)))
@@ -238,7 +238,7 @@ func TestWireMatrixStatuses(t *testing.T) {
 		{"space inside", string(spaced), http.StatusOK},
 	} {
 		for name, hd := range handlers {
-			if w, eres := post(hd, "/v1/matrix", "", strings.NewReader(c.body)); w.Code != c.status {
+			if w, eres := post(hd, "/v1/matrix", strings.NewReader(c.body)); w.Code != c.status {
 				t.Errorf("%s, %s: status %d (%s), want %d", c.name, name, w.Code, eres.Error, c.status)
 			}
 		}
@@ -246,7 +246,7 @@ func TestWireMatrixStatuses(t *testing.T) {
 			continue
 		}
 		var api frameAPI
-		if w, eres := post(Handler[struct{}](&api, nil), "/v1/matrix", "", strings.NewReader(c.body)); w.Code != http.StatusOK {
+		if w, eres := post(Handler[struct{}](&api), "/v1/matrix", strings.NewReader(c.body)); w.Code != http.StatusOK {
 			t.Fatalf("%s: status %d (%s)", c.name, w.Code, eres.Error)
 		}
 		want, err := jsonFrame([]byte(c.body))

@@ -31,11 +31,10 @@ type symEntry struct {
 // holding it keep solving, the batcher goroutine drains its queue and
 // exits, and the garbage collector reclaims the factors afterwards.
 type facEntry struct {
-	key    FactorKey
-	solver *core.Solver
-	bat    *batcher
-	bytes  int64
-	elem   *list.Element // position in cache.facLRU; Value is the FactorKey
+	key   FactorKey
+	bat   *batcher
+	bytes int64
+	elem  *list.Element // position in cache.facLRU; Value is the FactorKey
 }
 
 // cache is the two-level store behind the service: symbolic analyses

@@ -28,7 +28,6 @@ import (
 	"time"
 
 	"gesp/internal/core"
-	"gesp/internal/krylov"
 	"gesp/internal/resilience"
 	"gesp/internal/sparse"
 )
@@ -53,10 +52,9 @@ var (
 // OverloadedError is the typed overload rejection: the request was shed
 // because its factor's solve queue held QueueDepth requests already.
 // RetryAfter is a backoff hint — roughly one admission window, the
-// earliest the queue can plausibly have drained a batch. A fleet router
-// uses the distinction this type carries: an overloaded shard is worth
-// retrying on a replica immediately (the load is per-shard), whereas a
-// quota rejection is not (the quota follows the tenant).
+// earliest the queue can plausibly have drained a batch. Overload is a
+// per-shard condition, so a fleet router retries the request on a
+// replica, or on this shard once the hint has passed.
 //
 // errors.Is(err, ErrOverloaded) matches an *OverloadedError, so callers
 // that only care about the class keep working unchanged.
@@ -102,16 +100,6 @@ type Config struct {
 	// counted in Stats.DeadlineMisses); combine with a resilience
 	// policy's RungDeadline to also bound the work itself.
 	SolveTimeout time.Duration
-	// DegradeOnOverload turns a full solve queue into a degraded
-	// iterative-only solve (GMRES preconditioned by the cached factors,
-	// the ladder's rung-3 machinery) on the caller's goroutine instead
-	// of returning ErrOverloaded: under overload the service sheds
-	// direct-solve THROUGHPUT, not requests. Degraded solves are counted
-	// in Stats.Degraded.
-	DegradeOnOverload bool
-	// Degraded tunes the degraded path's GMRES; zero fields take
-	// krylov's defaults.
-	Degraded krylov.Options
 }
 
 // DefaultConfig returns the serving defaults: the paper's recommended
@@ -254,10 +242,9 @@ func (s *Service) Submit(a *sparse.CSC) (Handle, error) {
 		}
 		s.m.observePhase(PhaseFactor, time.Since(t0))
 		e := &facEntry{
-			key:    key,
-			solver: solver,
-			bat:    newBatcher(solver, s.cfg.MaxBatch, s.cfg.MaxDelay, s.cfg.QueueCap, &s.m),
-			bytes:  factorBytes(solver.Stats()),
+			key:   key,
+			bat:   newBatcher(solver, s.cfg.MaxBatch, s.cfg.MaxDelay, s.cfg.QueueCap, &s.m),
+			bytes: factorBytes(solver.Stats()),
 		}
 		s.c.insertFactor(e)
 		return e, nil
@@ -298,8 +285,7 @@ func (s *Service) symbolicFor(pattern uint64, a *sparse.CSC) (*core.Solver, erro
 // Solve solves A·x = b against the handle's cached factorization,
 // coalescing with concurrent solves of the same system into one batched
 // triangular sweep. It blocks until the solution is ready; overload and
-// eviction surface as ErrOverloaded and ErrHandleExpired (or a degraded
-// iterative solve, per Config.DegradeOnOverload).
+// eviction surface as ErrOverloaded and ErrHandleExpired.
 func (s *Service) Solve(h Handle, b []float64) ([]float64, error) {
 	return s.SolveCtx(context.Background(), h, b)
 }
@@ -334,29 +320,8 @@ func (s *Service) SolveCtx(ctx context.Context, h Handle, b []float64) ([]float6
 		defer cancel()
 	}
 	x, err := e.bat.submit(ctx, b)
-	switch {
-	case errors.Is(err, context.DeadlineExceeded):
+	if errors.Is(err, context.DeadlineExceeded) {
 		s.m.deadlineMiss.Add(1)
-	case errors.Is(err, ErrOverloaded) && s.cfg.DegradeOnOverload:
-		return s.solveDegraded(ctx, e, b)
-	}
-	return x, err
-}
-
-// solveDegraded is the overload relief valve: instead of rejecting, run
-// a deadline-bounded GMRES solve preconditioned by the cached factors —
-// the resilience ladder's iterative rung — on the caller's goroutine.
-// core.Solver.SolveIterative is safe alongside the batcher's direct
-// solves, so degraded traffic adds no queueing and touches no shared
-// scratch.
-func (s *Service) solveDegraded(ctx context.Context, e *facEntry, b []float64) ([]float64, error) {
-	t0 := time.Now()
-	s.m.degraded.Add(1)
-	x, _, err := e.solver.SolveIterative(ctx, b, s.cfg.Degraded)
-	s.m.observePhase(PhaseDegraded, time.Since(t0))
-	if err != nil && ctx.Err() != nil {
-		s.m.deadlineMiss.Add(1)
-		return nil, ctx.Err()
 	}
 	return x, err
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"gesp/internal/core"
 	"gesp/internal/matgen"
 	"gesp/internal/sparse"
 )
@@ -112,7 +113,7 @@ func TestPatternHitSkipsSymbolicWork(t *testing.T) {
 	if e == nil {
 		t.Fatal("twin factorization not cached")
 	}
-	cs := e.solver.Stats()
+	cs := e.bat.solver.(*core.Solver).Stats()
 	if cs.EquilRuns != 0 || cs.RowPermRuns != 0 || cs.OrderRuns != 0 || cs.SymbolicRuns != 0 {
 		t.Fatalf("pattern-hit factorization ran analysis phases: %+v", cs)
 	}

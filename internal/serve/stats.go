@@ -27,13 +27,10 @@ const (
 	// PhaseSolve is the batched triangular sweep plus pack/unpack,
 	// charged per batch.
 	PhaseSolve
-	// PhaseDegraded is an overload-shed iterative solve (Config.
-	// DegradeOnOverload), charged per request.
-	PhaseDegraded
 	numPhases
 )
 
-var phaseNames = [numPhases]string{"analyze", "factor", "queue", "solve", "degraded"}
+var phaseNames = [numPhases]string{"analyze", "factor", "queue", "solve"}
 
 // String returns the phase's snake-case name.
 func (p Phase) String() string { return phaseNames[p] }
@@ -64,12 +61,11 @@ type Metrics struct {
 
 	// Resilience accounting: which rung each ladder-driven solve ended
 	// on, how many climbed, the cumulative above-rung-0 latency, and the
-	// degradation/deadline counters of the serving layer itself.
+	// deadline counter of the serving layer itself.
 	rungHist     [resilience.NumRungs]atomic.Uint64
 	escalations  atomic.Uint64
 	unrecovered  atomic.Uint64
 	fallbackNs   atomic.Int64
-	degraded     atomic.Uint64
 	deadlineMiss atomic.Uint64
 
 	queueDepth atomic.Int64
@@ -151,14 +147,12 @@ type Stats struct {
 	// rung r (RungNames gives the labels); Escalations counts solves
 	// that climbed above rung 0; Unrecovered counts ladder exhaustions;
 	// FallbackNs is the cumulative wall-clock spent above rung 0.
-	// Degraded counts overload-shed iterative solves and DeadlineMisses
-	// counts requests that outran their deadline.
+	// DeadlineMisses counts requests that outran their deadline.
 	RungNames      []string `json:"rung_names,omitempty"`
 	RungHist       []uint64 `json:"rung_hist,omitempty"`
 	Escalations    uint64   `json:"escalations"`
 	Unrecovered    uint64   `json:"unrecovered"`
 	FallbackNs     int64    `json:"fallback_ns"`
-	Degraded       uint64   `json:"degraded"`
 	DeadlineMisses uint64   `json:"deadline_misses"`
 
 	// QueueDepth is the instantaneous number of queued, not-yet-batched
@@ -196,7 +190,6 @@ func (m *Metrics) snapshot() Stats {
 		Escalations:       m.escalations.Load(),
 		Unrecovered:       m.unrecovered.Load(),
 		FallbackNs:        m.fallbackNs.Load(),
-		Degraded:          m.degraded.Load(),
 		DeadlineMisses:    m.deadlineMiss.Load(),
 		QueueDepth:        m.queueDepth.Load(),
 		BatchBuckets:      append([]int(nil), batchBuckets[:]...),
@@ -247,9 +240,9 @@ func (s Stats) String() string {
 	fmt.Fprintf(&b, "factor cache:   %d/%d hits (%.1f%%), %d entries, %d bytes, %d evicted\n",
 		s.FactorHits, s.FactorHits+s.FactorMisses,
 		100*HitRate(s.FactorHits, s.FactorMisses), s.FactorEntries, s.FactorBytes, s.FactorEvictions)
-	if len(s.RungHist) > 0 || s.Escalations > 0 || s.Degraded > 0 || s.DeadlineMisses > 0 {
-		fmt.Fprintf(&b, "resilience: escalations %d  unrecovered %d  fallback %v  degraded %d  deadline-miss %d\n",
-			s.Escalations, s.Unrecovered, time.Duration(s.FallbackNs), s.Degraded, s.DeadlineMisses)
+	if len(s.RungHist) > 0 || s.Escalations > 0 || s.DeadlineMisses > 0 {
+		fmt.Fprintf(&b, "resilience: escalations %d  unrecovered %d  fallback %v  deadline-miss %d\n",
+			s.Escalations, s.Unrecovered, time.Duration(s.FallbackNs), s.DeadlineMisses)
 		if len(s.RungHist) > 0 {
 			b.WriteString("rung histogram:")
 			for r, c := range s.RungHist {
